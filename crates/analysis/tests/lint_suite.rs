@@ -232,9 +232,10 @@ fn live_workspace_is_clean() {
     let report = analysis::run(&ws);
     assert!(report.is_clean(), "\n{}", report.render());
     // The waiver inventory is intentional and bounded: wall-clock use in the
-    // parallel (real-time) runtime and never-crashed measurement harnesses.
+    // parallel (real-time) runtime (5) and the never-crashed scaling bench
+    // writer (1).
     assert!(
-        report.waived.len() >= 8,
+        report.waived.len() >= 6,
         "expected the inventoried exceptions, got {}",
         report.waived.len()
     );

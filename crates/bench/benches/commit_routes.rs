@@ -8,10 +8,10 @@
 //! `experiments -- routes` (the submitted row also does strictly more
 //! committing per iteration; see `docs/BENCHMARKS.md`).
 
-use bench_suite::{committed_tps, route_spec};
+use bench_suite::route_spec;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mdstore::CommitRoute;
-use workload::run_experiment;
+use workload::run_load;
 
 fn bench_commit_routes(c: &mut Criterion) {
     let mut group = c.benchmark_group("commit_routes");
@@ -20,9 +20,9 @@ fn bench_commit_routes(c: &mut Criterion) {
         group.bench_function(format!("contended_8writers/{}", route.name()), |b| {
             let spec = route_spec(route, 8, true);
             b.iter(|| {
-                let result = run_experiment(&spec);
+                let result = run_load(&spec);
                 assert!(result.totals.committed > 0);
-                assert!(committed_tps(&result) > 0.0);
+                assert!(result.committed_tps() > 0.0);
                 result.totals.committed
             });
         });

@@ -6,26 +6,24 @@
 //! the simulator's throughput over time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use workload::{run_experiment, ExperimentSpec};
+use workload::{run_load, LoadSpec};
 
-fn shrink(mut spec: ExperimentSpec) -> ExperimentSpec {
+fn shrink(spec: LoadSpec) -> LoadSpec {
     // 2 clients × 15 transactions keeps each iteration around a million
     // simulated events or less, so the whole suite stays in benchmark
     // territory rather than experiment territory.
-    spec = spec.with_clients(2, 15);
-    spec.target_tps = 4.0;
-    spec
+    spec.with_clients(2, 15).with_target_tps(4.0)
 }
 
-fn bench_figure(c: &mut Criterion, figure: &str, specs: Vec<ExperimentSpec>) {
+fn bench_figure(c: &mut Criterion, figure: &str, specs: Vec<LoadSpec>) {
     let mut group = c.benchmark_group(figure);
     group.sample_size(10);
     for spec in specs {
         let spec = shrink(spec);
         group.bench_function(spec.name.clone(), |b| {
             b.iter(|| {
-                let result = run_experiment(&spec);
-                assert_eq!(result.attempted, spec.total_transactions());
+                let result = run_load(&spec);
+                assert_eq!(Some(result.totals.attempted), spec.total_transactions());
                 result.totals.committed
             });
         });

@@ -10,7 +10,7 @@
 
 use bench_suite::OpenLoopSweepConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use workload::run_openloop;
+use workload::run_load;
 
 fn openloop_points(c: &mut Criterion) {
     let mut group = c.benchmark_group("openloop_sweep");
@@ -24,9 +24,9 @@ fn openloop_points(c: &mut Criterion) {
             &spec,
             |b, spec| {
                 b.iter(|| {
-                    let result = run_openloop(spec);
-                    assert!(result.committed > 0);
-                    result.committed
+                    let result = run_load(spec);
+                    assert!(result.totals.committed > 0);
+                    result.totals.committed
                 });
             },
         );

@@ -259,21 +259,15 @@ fn bench_codec(c: &mut Criterion) {
 /// Drives the session's direct route (the paper's client-side proposer) or
 /// the submitted route (service-hosted group committer).
 fn one_shot_commit(protocol: CommitProtocol, route: CommitRoute) {
-    use mdstore::{ClientAction, Msg};
+    use mdstore::{apply_client_actions, ClientAction, Msg};
     use simnet::{Actor, Context, NodeId};
     struct OneShot {
         session: Option<Session>,
     }
     impl OneShot {
         fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-            for action in actions {
-                match action {
-                    ClientAction::Send(to, msg) => ctx.send(to, msg),
-                    ClientAction::ArmTimer { delay, tag } => {
-                        ctx.set_timer(delay, tag);
-                    }
-                    ClientAction::Finished(result) => assert!(result.committed),
-                }
+            for result in apply_client_actions(ctx, actions) {
+                assert!(result.committed);
             }
         }
     }

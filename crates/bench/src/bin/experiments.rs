@@ -24,18 +24,14 @@
 //! criterion-style snapshot rows.
 
 use bench_suite::{
-    ablation_specs, adaptive_latency_specs, batch_sweep_specs, committed_tps, fig4_specs,
-    fig5_specs, fig6_specs, fig7_specs, fig8_specs, format_commit_table, format_latency_table,
-    format_openloop_summary, format_openloop_table, format_per_replica_table,
-    format_pipeline_table, format_readmostly_table, format_route_table, format_scaling_table,
-    group_sweep_specs, peak_committed_tps, pipeline_sweep_specs, read_scaling, results_to_json,
-    route_compare_specs, run_openloop_ladder, run_readmostly_sweep, run_scaling,
-    OpenLoopSweepConfig, ReadMostlySweepConfig,
+    ablation_specs, adaptive_latency_specs, batch_sweep_specs, fig4_specs, fig5_specs, fig6_specs,
+    fig7_specs, fig8_specs, format_commit_table, format_latency_table, format_openloop_summary,
+    format_openloop_table, format_per_replica_table, format_pipeline_table,
+    format_readmostly_table, format_route_table, format_scaling_table, group_sweep_specs,
+    openloop_ladder, peak_committed_tps, pipeline_sweep_specs, read_scaling, readmostly_sweep,
+    results_to_json, route_compare_specs, run_scaling, OpenLoopSweepConfig, ReadMostlySweepConfig,
 };
-use workload::{
-    run_chaos, run_experiment, ChaosRunResult, ChaosRunSpec, ExperimentResult, ExperimentSpec,
-    OpenLoopResult, ReadMostlyResult,
-};
+use workload::{run_load, LoadResult, LoadSpec};
 
 struct Options {
     targets: Vec<String>,
@@ -65,7 +61,7 @@ fn parse_args() -> Options {
     }
 }
 
-fn run_batch(name: &str, specs: Vec<ExperimentSpec>) -> Vec<ExperimentResult> {
+fn run_batch(name: &str, specs: Vec<LoadSpec>) -> Vec<LoadResult> {
     eprintln!("== running {name}: {} experiments ==", specs.len());
     specs
         .iter()
@@ -73,9 +69,9 @@ fn run_batch(name: &str, specs: Vec<ExperimentSpec>) -> Vec<ExperimentResult> {
             eprintln!(
                 "   running {} ({} transactions)...",
                 spec.name,
-                spec.total_transactions()
+                spec.total_transactions().unwrap_or(0)
             );
-            run_experiment(spec)
+            run_load(spec)
         })
         .collect()
 }
@@ -85,7 +81,7 @@ fn run_batch(name: &str, specs: Vec<ExperimentSpec>) -> Vec<ExperimentResult> {
 /// transaction at the peak (1e9 / peak committed tx/s, `iterations` = the
 /// commit count behind it) and the p99 commit latency at the knee. Rows
 /// merge into `BENCH_baseline.json` via the `bench_merge` binary.
-fn emit_openloop_snapshot(ladders: &[(usize, Vec<OpenLoopResult>)]) {
+fn emit_openloop_snapshot(ladders: &[(usize, Vec<LoadResult>)]) {
     use bench_suite::knee;
     let Ok(path) = std::env::var("BENCH_JSON") else {
         return;
@@ -96,8 +92,8 @@ fn emit_openloop_snapshot(ladders: &[(usize, Vec<OpenLoopResult>)]) {
         if peak > 0.0 {
             let committed = results
                 .iter()
-                .max_by(|a, b| a.committed_tps.total_cmp(&b.committed_tps))
-                .map(|r| r.committed as u64)
+                .max_by(|a, b| a.committed_tps().total_cmp(&b.committed_tps()))
+                .map(|r| r.totals.committed as u64)
                 .unwrap_or(0);
             rows.push((
                 format!("openloop/peak_ns_per_committed_txn/w{workers}"),
@@ -106,10 +102,11 @@ fn emit_openloop_snapshot(ladders: &[(usize, Vec<OpenLoopResult>)]) {
             ));
         }
         if let Some(k) = knee(results) {
+            let latency = k.totals.commit_latency();
             rows.push((
                 format!("openloop/knee_p99_latency/w{workers}"),
-                k.latency.p99_ms * 1e6,
-                k.latency.count as u64,
+                latency.p99_ms * 1e6,
+                latency.count as u64,
             ));
         }
     }
@@ -121,7 +118,7 @@ fn emit_openloop_snapshot(ladders: &[(usize, Vec<OpenLoopResult>)]) {
 /// windows (the availability dip, ns) and the re-submission rate. The rate
 /// is not a duration, so its row carries an explicit `"unit"` field per
 /// the snapshot schema's value/unit convention (see `docs/BENCHMARKS.md`).
-fn emit_chaos_snapshot(result: &ChaosRunResult) {
+fn emit_chaos_snapshot(result: &LoadResult) {
     let Ok(path) = std::env::var("BENCH_JSON") else {
         return;
     };
@@ -130,8 +127,8 @@ fn emit_chaos_snapshot(result: &ChaosRunResult) {
         "chaos",
         &[(
             "chaos/availability_dip_p99".to_string(),
-            result.availability_dip_p99_us as f64 * 1e3,
-            result.committed,
+            result.totals.commit_latency().p99_ms * 1e6,
+            result.totals.committed as u64,
         )],
     );
     append_bench_rows_with_unit(
@@ -140,34 +137,40 @@ fn emit_chaos_snapshot(result: &ChaosRunResult) {
         "per_1000_commits",
         &[(
             "chaos/resubmission_rate".to_string(),
-            result.resubmission_rate() * 1e3,
-            result.resubmissions,
+            resubmission_rate(result) * 1e3,
+            result.totals.resubmissions,
         )],
     );
+}
+
+/// Re-submissions per committed transaction (the overhead the fault
+/// schedule extracted from the retry machinery).
+fn resubmission_rate(result: &LoadResult) -> f64 {
+    result.totals.resubmissions as f64 / result.totals.committed.max(1) as f64
 }
 
 /// Append criterion-shim-style snapshot rows for a read-mostly sweep to
 /// `BENCH_JSON`, if set: per serving-replica count, the completed-read
 /// throughput (a rate — the row carries `"unit": "reads_per_s"`) and the
 /// read p99 latency at that point (ns).
-fn emit_readmostly_snapshot(results: &[ReadMostlyResult]) {
+fn emit_readmostly_snapshot(results: &[LoadResult]) {
     let Ok(path) = std::env::var("BENCH_JSON") else {
         return;
     };
     let mut tps_rows: Vec<(String, f64, u64)> = Vec::new();
     let mut p99_rows: Vec<(String, f64, u64)> = Vec::new();
     for r in results {
-        let serving = r.serving_replicas;
+        let serving = r.spec.mix.serving_replicas;
         tps_rows.push((
             format!("readmostly/read_tps/s{serving}"),
-            r.read_tps,
-            r.reads_completed as u64,
+            r.read_tps(),
+            r.reads.completed as u64,
         ));
-        if r.read_latency.count > 0 {
+        if r.reads.latency.count > 0 {
             p99_rows.push((
                 format!("readmostly/read_p99/s{serving}"),
-                r.read_latency.p99_ms * 1e6,
-                r.read_latency.count as u64,
+                r.reads.latency.p99_ms * 1e6,
+                r.reads.latency.count as u64,
             ));
         }
     }
@@ -220,7 +223,7 @@ fn append_rows(path: &str, what: &str, rows: &[(String, f64, u64)], unit: Option
 
 fn main() {
     let opts = parse_args();
-    let mut all_results: Vec<ExperimentResult> = Vec::new();
+    let mut all_results: Vec<LoadResult> = Vec::new();
     let wants = |name: &str| {
         opts.targets.iter().any(|t| t == name)
             || opts.targets.iter().any(|t| t == "all")
@@ -336,7 +339,7 @@ fn main() {
         let (direct, submitted) = (&results[0], &results[1]);
         eprintln!(
             "submitted/direct committed-tx/s ratio: {:.2}",
-            committed_tps(submitted) / committed_tps(direct).max(f64::EPSILON)
+            submitted.committed_tps() / direct.committed_tps().max(f64::EPSILON)
         );
         all_results.extend(results);
     }
@@ -356,19 +359,19 @@ fn main() {
         } else {
             OpenLoopSweepConfig::full()
         };
-        let mut ladders: Vec<(usize, Vec<OpenLoopResult>)> = Vec::new();
+        let mut ladders: Vec<(usize, Vec<LoadResult>)> = Vec::new();
         for &workers in &config.worker_counts {
+            let sample = config.point(workers, 1.0, 0);
             eprintln!(
-                "== open loop: {workers} worker(s), {} groups, zipfian theta {} ==",
-                config.groups_per_worker * workers,
-                config.theta
+                "== open loop: {workers} worker(s), {} groups, {:?} keys ==",
+                sample.keyspace.groups, sample.keyspace.distribution
             );
-            let results = run_openloop_ladder(&config, workers);
+            let results = openloop_ladder(&config, workers);
             println!(
-                "\n=== Open loop: latency vs offered load, {workers} worker(s) ({} groups, {} on {}) ===",
-                config.groups_per_worker * workers,
-                format_args!("zipfian theta {}", config.theta),
-                config.topology.name(),
+                "\n=== Open loop: latency vs offered load, {workers} worker(s) ({} groups, {:?} keys on {}) ===",
+                sample.keyspace.groups,
+                sample.keyspace.distribution,
+                sample.topology.name(),
             );
             println!("{}", format_openloop_table(&results));
             ladders.push((workers, results));
@@ -378,7 +381,7 @@ fn main() {
         let points: usize = ladders.iter().map(|(_, r)| r.len()).sum();
         let commits: usize = ladders
             .iter()
-            .flat_map(|(_, r)| r.iter().map(|p| p.committed))
+            .flat_map(|(_, r)| r.iter().map(|p| p.totals.committed))
             .sum();
         eprintln!(
             "verified {points} open-loop points / {commits} committed transactions \
@@ -395,40 +398,38 @@ fn main() {
         } else {
             ReadMostlySweepConfig::full()
         };
+        let sample = config.point(1, 0);
         eprintln!(
             "== read-mostly: serving {:?} of {} replicas, {} tx/s offered at {:.0}/{:.0} read/write, {} ==",
             config.serving_counts,
-            config.topology.num_datacenters(),
+            sample.topology.num_datacenters(),
             config.offered_tps,
-            config.read_fraction * 100.0,
-            (1.0 - config.read_fraction) * 100.0,
-            config.topology.name(),
+            sample.mix.snapshot_fraction * 100.0,
+            (1.0 - sample.mix.snapshot_fraction) * 100.0,
+            sample.topology.name(),
         );
-        let results = run_readmostly_sweep(&config);
+        let results = readmostly_sweep(&config);
         println!(
             "\n=== Read-mostly: snapshot-read throughput vs serving replicas ({} workers, {}) ===",
             config.workers,
-            config.topology.name(),
+            sample.topology.name(),
         );
         println!("{}", format_readmostly_table(&results));
-        let reads: usize = results.iter().map(|r| r.reads_completed).sum();
-        let verified: usize = results.iter().map(|r| r.reads_verified).sum();
-        let unavailable: usize = results.iter().map(|r| r.reads_unavailable).sum();
+        let reads: usize = results.iter().map(|r| r.reads.completed).sum();
+        let verified: usize = results.iter().map(|r| r.reads.verified).sum();
+        let unavailable: usize = results.iter().map(|r| r.reads.unavailable).sum();
         if let Some(ratio) = read_scaling(&results) {
+            let serving = |r: Option<&LoadResult>| r.map_or(0, |r| r.spec.mix.serving_replicas);
+            let (first, last) = (serving(results.first()), serving(results.last()));
             println!(
-                "read scaling: {} serving replicas carry {ratio:.2}x the read throughput of {}",
-                results.last().map(|r| r.serving_replicas).unwrap_or(0),
-                results.first().map(|r| r.serving_replicas).unwrap_or(0),
+                "read scaling: {last} serving replicas carry {ratio:.2}x the read throughput of \
+                 {first}"
             );
-            if !opts.quick {
-                assert!(
-                    ratio >= 2.0,
-                    "scale-out read plane must carry >= 2x read throughput at \
-                     {} vs {} serving replicas (measured {ratio:.2}x)",
-                    results.last().map(|r| r.serving_replicas).unwrap_or(0),
-                    results.first().map(|r| r.serving_replicas).unwrap_or(0),
-                );
-            }
+            assert!(
+                opts.quick || ratio >= 2.0,
+                "scale-out read plane must carry >= 2x read throughput at {last} vs {first} \
+                 serving replicas (measured {ratio:.2}x)"
+            );
         }
         eprintln!(
             "verified {} read-mostly points / {reads} snapshot reads: every point \
@@ -448,33 +449,34 @@ fn main() {
         } else {
             simnet::SimDuration::from_secs(60)
         };
-        let spec = ChaosRunSpec::rolling_failure(load);
+        let spec = LoadSpec::rolling_failure(load);
         eprintln!(
             "== chaos: rolling failures over {}s of virtual time, {} drivers, {} tx/s offered ==",
             load.as_micros() / 1_000_000,
-            spec.drivers,
-            spec.offered_tps
+            spec.num_actors(),
+            spec.offered_tps()
         );
-        let result = run_chaos(&spec);
+        let result = run_load(&spec);
         println!("\n=== Chaos: rolling leader crashes + flapping partition + home churn (VVV) ===");
+        let totals = &result.totals;
         println!(
             "attempted {}  committed {}  aborted {}  unavailable {}",
-            result.attempted, result.committed, result.aborted, result.unavailable
+            totals.attempted, totals.committed, totals.aborted, result.unavailable
         );
         println!(
             "faults injected {}  resubmissions {}  duplicate suppressions {}",
-            result.faults_injected, result.resubmissions, result.duplicate_suppressions
+            totals.faults_injected, totals.resubmissions, totals.duplicate_suppressions
         );
         println!(
             "liveness: min {} commits per {}ms window ({} windows, all > 0)",
-            result.min_window_commits,
-            spec.liveness_window.as_micros() / 1_000,
+            result.min_window_commits(),
+            spec.liveness_window.map_or(0, |w| w.as_micros() / 1_000),
             result.window_commits.len()
         );
         println!(
             "availability dip p99: {:.1} ms  resubmission rate: {:.3} per commit",
-            result.availability_dip_p99_us as f64 / 1e3,
-            result.resubmission_rate()
+            result.totals.commit_latency().p99_ms,
+            resubmission_rate(&result)
         );
         eprintln!(
             "verified chaos run: serializable, exactly-once, zero unavailable = {}",
@@ -490,7 +492,7 @@ fn main() {
 
     // Every experiment verified serializability before returning; summarize.
     let combined: usize = all_results.iter().map(|r| r.totals.combined_commits).sum();
-    let total_txns: usize = all_results.iter().map(|r| r.attempted).sum();
+    let total_txns: usize = all_results.iter().map(|r| r.totals.attempted).sum();
     eprintln!(
         "\nverified {} experiments / {} transactions (one-copy serializability + replica agreement); {} combined commits",
         all_results.len(),

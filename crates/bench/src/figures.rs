@@ -1,32 +1,20 @@
 //! Experiment definitions, one set per paper figure.
 
 use mdstore::{CommitProtocol, Topology};
-use simnet::SimDuration;
-use workload::{run_experiment, ExperimentResult, ExperimentSpec, Placement};
-
-/// A named batch of experiments belonging to one figure, plus the results
-/// once run.
-#[derive(Clone, Debug)]
-pub struct FigureRun {
-    /// Figure identifier (e.g. `"fig4a"`).
-    pub figure: String,
-    /// One result per (cluster/parameter, protocol) combination, in the
-    /// order the specs were defined.
-    pub results: Vec<ExperimentResult>,
-}
+use workload::{LoadSpec, Placement};
 
 /// Scale a spec down for quick smoke runs (1/5 of the transactions).
-fn scale(spec: ExperimentSpec, quick: bool) -> ExperimentSpec {
-    if quick {
-        let per_client = (spec.transactions_per_client / 5).max(5);
-        let clients = spec.num_clients;
-        spec.with_clients(clients, per_client)
-    } else {
-        spec
+fn scale(spec: LoadSpec, quick: bool) -> LoadSpec {
+    match spec.total_transactions() {
+        Some(total) if quick => {
+            let clients = spec.num_actors();
+            spec.with_clients(clients, (total / clients / 5).max(5))
+        }
+        _ => spec,
     }
 }
 
-fn both_protocols(make: impl Fn(CommitProtocol) -> ExperimentSpec) -> Vec<ExperimentSpec> {
+fn both_protocols(make: impl Fn(CommitProtocol) -> LoadSpec) -> Vec<LoadSpec> {
     vec![
         make(CommitProtocol::BasicPaxos),
         make(CommitProtocol::PaxosCp),
@@ -35,13 +23,13 @@ fn both_protocols(make: impl Fn(CommitProtocol) -> ExperimentSpec) -> Vec<Experi
 
 /// Figure 4(a)/(b): vary the number of replicas (2–5 datacenters). The
 /// paper's clusters grow from two Virginia AZs to all five sites.
-pub fn fig4_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn fig4_specs(quick: bool) -> Vec<LoadSpec> {
     let clusters = ["VV", "VVV", "VVVO", "VVVOC"];
     let mut specs = Vec::new();
     for (i, cluster) in clusters.iter().enumerate() {
         let topology = Topology::from_name(cluster).expect("valid cluster name");
         for spec in both_protocols(|protocol| {
-            ExperimentSpec::paper_default(topology.clone(), protocol)
+            LoadSpec::paper_default(topology.clone(), protocol)
                 .with_seed(42 + i as u64)
                 .named(format!("fig4-{cluster}-{}", protocol.name()))
         }) {
@@ -52,13 +40,13 @@ pub fn fig4_specs(quick: bool) -> Vec<ExperimentSpec> {
 }
 
 /// Figure 5(a)/(b): specific datacenter combinations (VV, OV, VVV, COV).
-pub fn fig5_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn fig5_specs(quick: bool) -> Vec<LoadSpec> {
     let clusters = ["VV", "OV", "VVV", "COV"];
     let mut specs = Vec::new();
     for (i, cluster) in clusters.iter().enumerate() {
         let topology = Topology::from_name(cluster).expect("valid cluster name");
         for spec in both_protocols(|protocol| {
-            ExperimentSpec::paper_default(topology.clone(), protocol)
+            LoadSpec::paper_default(topology.clone(), protocol)
                 .with_seed(52 + i as u64)
                 .named(format!("fig5-{cluster}-{}", protocol.name()))
         }) {
@@ -71,13 +59,13 @@ pub fn fig5_specs(quick: bool) -> Vec<ExperimentSpec> {
 /// Figure 6: data contention sweep — total attribute count in the entity
 /// group varies from 20 (high contention) to 500 (minimal contention) on
 /// three Virginia replicas.
-pub fn fig6_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn fig6_specs(quick: bool) -> Vec<LoadSpec> {
     let attribute_counts = [20usize, 50, 100, 250, 500];
     let mut specs = Vec::new();
     for (i, attrs) in attribute_counts.iter().enumerate() {
         for spec in both_protocols(|protocol| {
-            ExperimentSpec::paper_default(Topology::vvv(), protocol)
-                .with_attributes(*attrs)
+            LoadSpec::paper_default(Topology::vvv(), protocol)
+                .with_keys(*attrs as u64)
                 .with_seed(62 + i as u64)
                 .named(format!("fig6-{attrs}attrs-{}", protocol.name()))
         }) {
@@ -90,12 +78,12 @@ pub fn fig6_specs(quick: bool) -> Vec<ExperimentSpec> {
 /// Figure 7: increased concurrency — the offered per-client rate of the
 /// single workload instance rises from 0.5 to 8 transactions per second on
 /// the VVV cluster with 100 attributes.
-pub fn fig7_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn fig7_specs(quick: bool) -> Vec<LoadSpec> {
     let rates = [0.5f64, 1.0, 2.0, 4.0, 8.0];
     let mut specs = Vec::new();
     for (i, tps) in rates.iter().enumerate() {
         for spec in both_protocols(|protocol| {
-            ExperimentSpec::paper_default(Topology::vvv(), protocol)
+            LoadSpec::paper_default(Topology::vvv(), protocol)
                 .with_target_tps(*tps)
                 .with_seed(72 + i as u64)
                 .named(format!("fig7-{tps}tps-{}", protocol.name()))
@@ -108,9 +96,9 @@ pub fn fig7_specs(quick: bool) -> Vec<ExperimentSpec> {
 
 /// Figure 8: per-datacenter concurrency — the geo-distributed VOC cluster
 /// with one workload instance per datacenter, 500 transactions each.
-pub fn fig8_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn fig8_specs(quick: bool) -> Vec<LoadSpec> {
     both_protocols(|protocol| {
-        ExperimentSpec::paper_default(Topology::voc(), protocol)
+        LoadSpec::paper_default(Topology::voc(), protocol)
             .with_placement(Placement::RoundRobin)
             .with_clients(3, 500)
             .named(format!("fig8-VOC-{}", protocol.name()))
@@ -123,26 +111,22 @@ pub fn fig8_specs(quick: bool) -> Vec<ExperimentSpec> {
 /// Ablation study (not in the paper, but motivated by its design
 /// discussion): isolate the contribution of each Paxos-CP mechanism and of
 /// the leader fast path on the default VVV workload.
-pub fn ablation_specs(quick: bool) -> Vec<ExperimentSpec> {
+pub fn ablation_specs(quick: bool) -> Vec<LoadSpec> {
     let base = |name: &str| {
-        ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
             .named(format!("ablation-{name}"))
     };
     let mut cp_no_combine = base("no-combination");
-    cp_no_combine.combination = Some(false);
+    cp_no_combine.client.combination = false;
     let mut cp_one_promotion = base("promotions-capped-1");
-    cp_one_promotion.max_promotions = Some(Some(1));
+    cp_one_promotion.client.max_promotions = Some(1);
     let mut cp_two_promotions = base("promotions-capped-2");
-    cp_two_promotions.max_promotions = Some(Some(2));
+    cp_two_promotions.client.max_promotions = Some(2);
     let mut cp_no_fast_path = base("no-fast-path");
-    cp_no_fast_path.fast_path = Some(false);
-    let mut basic = ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::BasicPaxos)
+    cp_no_fast_path.client.fast_path = false;
+    let basic = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::BasicPaxos)
         .named("ablation-basic-paxos");
-    basic.fast_path = Some(true);
-    let lossy = ExperimentSpec {
-        topology: Topology::vvv().with_loss(0.05),
-        ..base("loss-5pct")
-    };
+    let lossy = base("loss-5pct").with_topology(Topology::vvv().with_loss(0.05));
     vec![
         scale(base("full-paxos-cp"), quick),
         scale(cp_no_combine, quick),
@@ -152,20 +136,6 @@ pub fn ablation_specs(quick: bool) -> Vec<ExperimentSpec> {
         scale(basic, quick),
         scale(lossy, quick),
     ]
-}
-
-/// Run a batch of specs sequentially and bundle the results.
-pub fn run_figure(figure: &str, specs: Vec<ExperimentSpec>) -> FigureRun {
-    let results = specs.iter().map(run_experiment).collect();
-    FigureRun {
-        figure: figure.to_string(),
-        results,
-    }
-}
-
-/// Stagger and default-parameter sanity used by tests.
-pub fn default_op_delay() -> SimDuration {
-    ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp).op_delay
 }
 
 #[cfg(test)]
@@ -188,14 +158,14 @@ mod tests {
         let quick = fig4_specs(true);
         assert_eq!(full.len(), quick.len());
         assert!(quick[0].total_transactions() < full[0].total_transactions());
-        assert_eq!(full[0].num_clients, quick[0].num_clients);
+        assert_eq!(full[0].num_actors(), quick[0].num_actors());
     }
 
     #[test]
     fn fig8_uses_round_robin_placement() {
         for spec in fig8_specs(false) {
             assert_eq!(spec.placement, Placement::RoundRobin);
-            assert_eq!(spec.num_clients, 3);
+            assert_eq!(spec.num_actors(), 3);
         }
     }
 }

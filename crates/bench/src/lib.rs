@@ -25,20 +25,18 @@ pub mod report;
 pub mod routes;
 pub mod scaling;
 
-pub use figures::{
-    ablation_specs, fig4_specs, fig5_specs, fig6_specs, fig7_specs, fig8_specs, FigureRun,
-};
+pub use figures::{ablation_specs, fig4_specs, fig5_specs, fig6_specs, fig7_specs, fig8_specs};
 pub use openloop::{
-    format_openloop_summary, format_openloop_table, knee, peak_committed_tps, run_openloop_ladder,
+    format_openloop_summary, format_openloop_table, knee, openloop_ladder, peak_committed_tps,
     OpenLoopSweepConfig,
 };
 pub use readmostly::{
-    format_readmostly_table, read_scaling, run_readmostly_sweep, ReadMostlySweepConfig,
+    format_readmostly_table, read_scaling, readmostly_sweep, ReadMostlySweepConfig,
 };
 pub use report::{
     format_commit_table, format_latency_table, format_per_replica_table, results_to_json,
 };
-pub use routes::{committed_tps, format_route_table, route_compare_specs, route_spec};
+pub use routes::{format_route_table, route_compare_specs, route_spec};
 pub use scaling::{
     adaptive_latency_specs, batch_sweep_specs, format_pipeline_table, format_scaling_table,
     group_sweep_specs, pipeline_sweep_specs, run_scaling, ScalingResult, ScalingSpec,

@@ -19,11 +19,14 @@
 //! run genuinely in parallel. Every point is verified by the
 //! serializability checker before its numbers are reported.
 
-use mdstore::{BatchConfig, LatencyStats, Topology};
-use std::time::Duration;
-use workload::{run_openloop, KeyDistribution, OpenLoopResult, OpenLoopSpec};
+use mdstore::{LatencyStats, Topology};
+use simnet::SimDuration;
+use workload::{run_load, LoadResult, LoadSpec};
 
-/// Parameters of one open-loop sweep (shared by every worker count).
+/// Parameters of one open-loop sweep (shared by every worker count). Each
+/// point is [`LoadSpec::open_loop`] — a million zipfian keys
+/// (`theta = 0.99`) on the paper's VOC wide-area cluster at real RTTs,
+/// 1.2 s of offered load — passed through [`OpenLoopSweepConfig::tune`].
 #[derive(Clone, Debug)]
 pub struct OpenLoopSweepConfig {
     /// Worker-thread counts to sweep.
@@ -35,30 +38,12 @@ pub struct OpenLoopSweepConfig {
     pub base_tps_per_worker: f64,
     /// Ladder length cap.
     pub max_rungs: usize,
-    /// Keyspace size.
-    pub keys: u64,
-    /// Zipfian skew of the key distribution.
-    pub theta: f64,
-    /// Wall-clock offered window per rung.
-    pub duration: Duration,
-    /// Drain window after the offered window.
-    pub grace: Duration,
-    /// Per-request patience before a timeout abort.
-    pub patience: Duration,
-    /// Cluster layout each shard replicates.
-    pub topology: Topology,
-    /// Latency scale on the topology RTTs.
-    pub rtt_scale: f64,
-    /// Commit-engine window/pipeline settings.
-    pub batch: BatchConfig,
-    /// Base seed (each rung perturbs it).
-    pub seed: u64,
+    /// What this sweep changes about every point.
+    pub tune: fn(LoadSpec) -> LoadSpec,
 }
 
 impl OpenLoopSweepConfig {
-    /// The full sweep: 1/2/4 workers, 8 groups per worker on the paper's
-    /// VOC wide-area cluster at real RTTs, a million-key zipfian keyspace
-    /// (`theta = 0.99`), 1.2 s of offered load per rung.
+    /// The full sweep: 1/2/4 workers, 8 groups per worker.
     ///
     /// Modest windows (batch 4, depth 1) keep per-group capacity bound by
     /// the wide-area commit latency — a few hundred tx/s per worker's 8
@@ -71,17 +56,10 @@ impl OpenLoopSweepConfig {
             groups_per_worker: 8,
             base_tps_per_worker: 100.0,
             max_rungs: 5,
-            keys: 1_000_000,
-            theta: 0.99,
-            duration: Duration::from_millis(1_200),
-            grace: Duration::from_millis(2_000),
-            patience: Duration::from_millis(1_500),
-            topology: Topology::voc(),
-            rtt_scale: 1.0,
-            batch: BatchConfig::default()
-                .with_max_batch(4)
-                .with_pipeline_depth(1),
-            seed: 42,
+            tune: |mut spec| {
+                spec.batch = spec.batch.with_max_batch(4).with_pipeline_depth(1);
+                spec
+            },
         }
     }
 
@@ -93,44 +71,35 @@ impl OpenLoopSweepConfig {
             groups_per_worker: 4,
             base_tps_per_worker: 100.0,
             max_rungs: 2,
-            keys: 50_000,
-            theta: 0.99,
-            duration: Duration::from_millis(300),
-            grace: Duration::from_millis(700),
-            patience: Duration::from_millis(600),
-            topology: Topology::vvv(),
-            rtt_scale: 0.5,
-            batch: BatchConfig::default(),
-            seed: 42,
+            tune: |spec| {
+                let ms = SimDuration::from_millis;
+                spec.with_keys(50_000)
+                    .with_windows(ms(300), ms(700), ms(600))
+                    .with_topology(Topology::vvv())
+                    .with_rtt_scale(0.5)
+            },
         }
     }
 
-    /// The spec of one sweep point.
-    pub fn point(&self, workers: usize, offered_tps: f64, rung: usize) -> OpenLoopSpec {
+    /// The spec of one sweep point (each rung perturbs the seed).
+    pub fn point(&self, workers: usize, offered_tps: f64, rung: usize) -> LoadSpec {
         let workers = workers.max(1);
-        OpenLoopSpec::new(workers, offered_tps)
+        let spec = LoadSpec::open_loop(workers, offered_tps)
             .with_groups(self.groups_per_worker.max(1) * workers)
-            .with_drivers(2 * workers)
-            .with_keys(self.keys)
-            .with_key_distribution(KeyDistribution::Zipfian { theta: self.theta })
-            .with_windows(self.duration, self.grace, self.patience)
-            .with_topology(self.topology.clone())
-            .with_rtt_scale(self.rtt_scale)
-            .with_seed(self.seed.wrapping_add(rung as u64 * 101 + workers as u64))
+            .with_seed(42 + rung as u64 * 101 + workers as u64);
+        (self.tune)(spec)
     }
 }
 
 /// Run the offered-load ladder for one worker count: double the offered
 /// rate each rung, stop one rung after saturation (the saturated point
 /// anchors the right end of the latency-throughput curve).
-pub fn run_openloop_ladder(config: &OpenLoopSweepConfig, workers: usize) -> Vec<OpenLoopResult> {
+pub fn openloop_ladder(config: &OpenLoopSweepConfig, workers: usize) -> Vec<LoadResult> {
     let mut results = Vec::new();
     let mut offered = config.base_tps_per_worker * workers.max(1) as f64;
     for rung in 0..config.max_rungs.max(1) {
-        let mut spec = config.point(workers, offered, rung);
-        spec.batch = config.batch.clone();
-        let result = run_openloop(&spec);
-        let saturated = result.saturated;
+        let result = run_load(&config.point(workers, offered, rung));
+        let saturated = result.saturated();
         results.push(result);
         if saturated {
             break;
@@ -142,35 +111,38 @@ pub fn run_openloop_ladder(config: &OpenLoopSweepConfig, workers: usize) -> Vec<
 
 /// The knee of a ladder: the last unsaturated point (highest offered load
 /// the cluster kept up with), if any rung was unsaturated.
-pub fn knee(results: &[OpenLoopResult]) -> Option<&OpenLoopResult> {
-    results.iter().rev().find(|r| !r.saturated)
+pub fn knee(results: &[LoadResult]) -> Option<&LoadResult> {
+    results.iter().rev().find(|r| !r.saturated())
 }
 
 /// Peak committed throughput over a ladder (tx/s).
-pub fn peak_committed_tps(results: &[OpenLoopResult]) -> f64 {
-    results.iter().map(|r| r.committed_tps).fold(0.0, f64::max)
+pub fn peak_committed_tps(results: &[LoadResult]) -> f64 {
+    results
+        .iter()
+        .map(|r| r.committed_tps())
+        .fold(0.0, f64::max)
 }
 
 /// Format one ladder as a latency-vs-throughput table.
-pub fn format_openloop_table(results: &[OpenLoopResult]) -> String {
+pub fn format_openloop_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(
         "workers groups  offered tx/s  committed tx/s    p50 ms    p99 ms  commits   aborts timeouts  sat\n",
     );
     for r in results {
-        let LatencyStats { p50_ms, p99_ms, .. } = r.latency;
+        let LatencyStats { p50_ms, p99_ms, .. } = r.totals.commit_latency();
         out.push_str(&format!(
             "{:>7} {:>6} {:>13.0} {:>15.1} {:>9.1} {:>9.1} {:>8} {:>8} {:>8} {:>4}\n",
-            r.workers,
-            r.groups,
-            r.offered_tps,
-            r.committed_tps,
+            r.spec.workers(),
+            r.spec.keyspace.groups,
+            r.spec.offered_tps(),
+            r.committed_tps(),
             p50_ms,
             p99_ms,
-            r.committed,
-            r.aborted,
-            r.timed_out,
-            if r.saturated { "yes" } else { "no" },
+            r.totals.committed,
+            r.totals.aborted,
+            r.totals.timed_out,
+            if r.saturated() { "yes" } else { "no" },
         ));
     }
     out
@@ -179,7 +151,7 @@ pub fn format_openloop_table(results: &[OpenLoopResult]) -> String {
 /// Format the cross-worker summary: peak committed throughput and knee per
 /// worker count, plus the scaling ratio of the last worker count over the
 /// first.
-pub fn format_openloop_summary(ladders: &[(usize, Vec<OpenLoopResult>)]) -> String {
+pub fn format_openloop_summary(ladders: &[(usize, Vec<LoadResult>)]) -> String {
     let mut out = String::new();
     out.push_str("workers  peak committed tx/s  knee offered tx/s  knee p99 ms\n");
     for (workers, results) in ladders {
@@ -187,7 +159,10 @@ pub fn format_openloop_summary(ladders: &[(usize, Vec<OpenLoopResult>)]) -> Stri
         match knee(results) {
             Some(k) => out.push_str(&format!(
                 "{:>7} {:>20.1} {:>18.0} {:>12.1}\n",
-                workers, peak, k.offered_tps, k.latency.p99_ms
+                workers,
+                peak,
+                k.spec.offered_tps(),
+                k.totals.commit_latency().p99_ms
             )),
             // Every rung saturated: there is no knee to report. Say so
             // instead of printing a degenerate (0, 0) row — on a host
@@ -216,44 +191,43 @@ pub fn format_openloop_summary(ladders: &[(usize, Vec<OpenLoopResult>)]) -> Stri
     out
 }
 
-fn results_groups_per_worker(ladders: &[(usize, Vec<OpenLoopResult>)]) -> usize {
+fn results_groups_per_worker(ladders: &[(usize, Vec<LoadResult>)]) -> usize {
     ladders
         .first()
-        .and_then(|(w, results)| results.first().map(|r| r.groups / w.max(&1)))
+        .and_then(|(w, results)| results.first().map(|r| r.spec.keyspace.groups / w.max(&1)))
         .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdstore::RunMetrics;
+    use workload::{ClusterShape, KeyDistribution};
 
-    fn fake(workers: usize, offered: f64, committed_tps: f64, saturated: bool) -> OpenLoopResult {
-        OpenLoopResult {
-            offered_tps: offered,
-            workers,
-            groups: 8 * workers,
-            attempted: 100,
-            committed: 90,
-            aborted: 10,
-            timed_out: 0,
-            latency: LatencyStats::default(),
-            committed_tps,
-            saturated,
-            mean_window_occupancy: 1.0,
-            backpressure: 0,
-            checked_groups: 8 * workers,
-            wall: Duration::from_millis(10),
-        }
+    /// A one-second point that committed `committed` transactions.
+    fn fake(workers: usize, offered: f64, committed: usize, saturated: bool) -> LoadResult {
+        let second = SimDuration::from_secs(1);
+        let result = LoadResult {
+            spec: LoadSpec::open_loop(workers, offered).with_windows(second, second, second),
+            totals: RunMetrics {
+                attempted: 100,
+                committed,
+                ..RunMetrics::default()
+            },
+            ..LoadResult::default()
+        };
+        assert_eq!(result.saturated(), saturated);
+        result
     }
 
     #[test]
     fn knee_is_last_unsaturated_point() {
         let ladder = vec![
-            fake(1, 100.0, 99.0, false),
-            fake(1, 200.0, 198.0, false),
-            fake(1, 400.0, 250.0, true),
+            fake(1, 100.0, 99, false),
+            fake(1, 200.0, 198, false),
+            fake(1, 400.0, 250, true),
         ];
-        assert_eq!(knee(&ladder).unwrap().offered_tps, 200.0);
+        assert_eq!(knee(&ladder).unwrap().spec.offered_tps(), 200.0);
         assert!((peak_committed_tps(&ladder) - 250.0).abs() < 1e-9);
     }
 
@@ -262,11 +236,11 @@ mod tests {
         let ladders = vec![
             (
                 1,
-                vec![fake(1, 100.0, 99.0, false), fake(1, 200.0, 150.0, true)],
+                vec![fake(1, 100.0, 99, false), fake(1, 200.0, 150, true)],
             ),
             (
                 2,
-                vec![fake(2, 200.0, 199.0, false), fake(2, 400.0, 320.0, true)],
+                vec![fake(2, 200.0, 199, false), fake(2, 400.0, 320, true)],
             ),
         ];
         let table = format_openloop_table(&ladders[0].1);
@@ -278,7 +252,7 @@ mod tests {
 
     #[test]
     fn summary_reports_saturation_instead_of_a_zero_knee() {
-        let ladders = vec![(4, vec![fake(4, 400.0, 250.0, true)])];
+        let ladders = vec![(4, vec![fake(4, 400.0, 250, true)])];
         let summary = format_openloop_summary(&ladders);
         assert!(
             summary.contains("saturated at every rung"),
@@ -292,10 +266,14 @@ mod tests {
         let config = OpenLoopSweepConfig::quick();
         assert!(config.max_rungs <= 2);
         let spec = config.point(2, 200.0, 0);
-        assert_eq!(spec.workers, 2);
-        assert_eq!(spec.groups, 8);
         assert!(matches!(
-            spec.key_distribution,
+            spec.shape,
+            ClusterShape::Parallel { workers: 2, .. }
+        ));
+        assert_eq!(spec.keyspace.groups, 8);
+        assert_eq!(spec.num_actors(), 4);
+        assert!(matches!(
+            spec.keyspace.distribution,
             KeyDistribution::Zipfian { .. }
         ));
     }

@@ -14,67 +14,39 @@
 //! decided log at its watermark.
 
 use mdstore::Topology;
-use std::time::Duration;
-use workload::{run_readmostly, ReadMostlyResult, ReadMostlySpec};
+use simnet::SimDuration;
+use workload::{run_load, LoadResult, LoadSpec};
 
 /// Parameters of one read-mostly sweep (shared by every serving count).
+/// Each point is [`LoadSpec::read_mostly`] — a 95/5 mix over 100 k zipfian
+/// keys on the paper's VOC wide-area cluster at real RTTs, at most 4 reads
+/// in flight per actor, 1.2 s of offered load — passed through
+/// [`ReadMostlySweepConfig::tune`].
 #[derive(Clone, Debug)]
 pub struct ReadMostlySweepConfig {
     /// Serving-replica counts to sweep (e.g. `[1, 2, 3]`).
     pub serving_counts: Vec<usize>,
-    /// Worker threads (= shards).
+    /// Worker threads (= shards), 4 groups each.
     pub workers: usize,
-    /// Transaction groups per worker.
-    pub groups_per_worker: usize,
     /// Aggregate offered load (reads + writes) in tx/s, constant across
     /// the sweep.
     pub offered_tps: f64,
-    /// Fraction of arrivals that are snapshot reads.
-    pub read_fraction: f64,
-    /// Per-driver in-flight read cap (what turns remote RTT into a
-    /// throughput ceiling).
-    pub max_open_reads: usize,
-    /// Keyspace size.
-    pub keys: u64,
-    /// Zipfian skew of the key distribution.
-    pub theta: f64,
-    /// Wall-clock offered window per point.
-    pub duration: Duration,
-    /// Drain window after the offered window.
-    pub grace: Duration,
-    /// Per-request patience.
-    pub patience: Duration,
-    /// Cluster layout each shard replicates.
-    pub topology: Topology,
-    /// Latency scale on the topology RTTs.
-    pub rtt_scale: f64,
-    /// Base seed (each point perturbs it).
-    pub seed: u64,
+    /// What this sweep changes about every point.
+    pub tune: fn(LoadSpec) -> LoadSpec,
 }
 
 impl ReadMostlySweepConfig {
-    /// The full sweep: serving 1/2/3 datacenters of the paper's VOC
-    /// wide-area cluster at real RTTs, 2 workers × 4 groups, 4 000 tx/s
-    /// offered at a 95/5 mix, 1.2 s of offered load per point. Remote
-    /// reads pay the ≈90 ms Virginia↔west-coast RTT, so the single-serving
-    /// point caps well below offered and the all-local point does not —
-    /// read throughput is expected to scale ≥ 2× from 1 to 3.
+    /// The full sweep: serving 1/2/3 datacenters, 2 workers, 4 000 tx/s
+    /// offered. Remote reads pay the ≈90 ms Virginia↔west-coast RTT, so
+    /// the single-serving point caps well below offered and the all-local
+    /// point does not — read throughput is expected to scale ≥ 2× from 1
+    /// to 3.
     pub fn full() -> Self {
         ReadMostlySweepConfig {
             serving_counts: vec![1, 2, 3],
             workers: 2,
-            groups_per_worker: 4,
             offered_tps: 4_000.0,
-            read_fraction: 0.95,
-            max_open_reads: 4,
-            keys: 100_000,
-            theta: 0.99,
-            duration: Duration::from_millis(1_200),
-            grace: Duration::from_millis(2_000),
-            patience: Duration::from_millis(1_500),
-            topology: Topology::voc(),
-            rtt_scale: 1.0,
-            seed: 42,
+            tune: |spec| spec,
         }
     }
 
@@ -86,50 +58,40 @@ impl ReadMostlySweepConfig {
         ReadMostlySweepConfig {
             serving_counts: vec![1, 3],
             workers: 1,
-            groups_per_worker: 4,
             offered_tps: 400.0,
-            read_fraction: 0.95,
-            max_open_reads: 4,
-            keys: 20_000,
-            theta: 0.99,
-            duration: Duration::from_millis(300),
-            grace: Duration::from_millis(700),
-            patience: Duration::from_millis(600),
-            topology: Topology::vvv(),
-            rtt_scale: 0.5,
-            seed: 42,
+            tune: |spec| {
+                let ms = SimDuration::from_millis;
+                spec.with_keys(20_000)
+                    .with_windows(ms(300), ms(700), ms(600))
+                    .with_topology(Topology::vvv())
+                    .with_rtt_scale(0.5)
+            },
         }
     }
 
-    /// The spec of one sweep point.
-    pub fn point(&self, serving: usize, index: usize) -> ReadMostlySpec {
-        ReadMostlySpec::new(self.workers, self.offered_tps, serving)
-            .with_topology(self.topology.clone())
-            .with_groups(self.groups_per_worker.max(1) * self.workers.max(1))
-            .with_keys(self.keys)
-            .with_read_fraction(self.read_fraction)
-            .with_max_open_reads(self.max_open_reads)
-            .with_windows(self.duration, self.grace, self.patience)
-            .with_rtt_scale(self.rtt_scale)
-            .with_seed(self.seed.wrapping_add(index as u64 * 97 + serving as u64))
+    /// The spec of one sweep point (each point perturbs the seed).
+    pub fn point(&self, serving: usize, index: usize) -> LoadSpec {
+        let spec = LoadSpec::read_mostly(self.workers, self.offered_tps, serving)
+            .with_seed(42 + index as u64 * 97 + serving as u64);
+        (self.tune)(spec)
     }
 }
 
 /// Run every point of the sweep, in serving-count order.
-pub fn run_readmostly_sweep(config: &ReadMostlySweepConfig) -> Vec<ReadMostlyResult> {
+pub fn readmostly_sweep(config: &ReadMostlySweepConfig) -> Vec<LoadResult> {
     config
         .serving_counts
         .iter()
         .enumerate()
-        .map(|(i, &serving)| run_readmostly(&config.point(serving, i)))
+        .map(|(i, &serving)| run_load(&config.point(serving, i)))
         .collect()
 }
 
 /// Read-throughput scaling of a sweep: last point's completed read tx/s
 /// over the first point's (`None` on fewer than two points).
-pub fn read_scaling(results: &[ReadMostlyResult]) -> Option<f64> {
-    let first = results.first()?.read_tps;
-    let last = results.last()?.read_tps;
+pub fn read_scaling(results: &[LoadResult]) -> Option<f64> {
+    let first = results.first()?.read_tps();
+    let last = results.last()?.read_tps();
     if results.len() < 2 {
         return None;
     }
@@ -137,7 +99,7 @@ pub fn read_scaling(results: &[ReadMostlyResult]) -> Option<f64> {
 }
 
 /// Format a sweep as a serving-replicas vs read-throughput table.
-pub fn format_readmostly_table(results: &[ReadMostlyResult]) -> String {
+pub fn format_readmostly_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(
         "serving  read tx/s  read p50 ms  read p99 ms  shed  stale max  w commit  w p99 ms  sat\n",
@@ -145,15 +107,15 @@ pub fn format_readmostly_table(results: &[ReadMostlyResult]) -> String {
     for r in results {
         out.push_str(&format!(
             "{:>7} {:>10.1} {:>12.1} {:>12.1} {:>5} {:>10} {:>9} {:>9.1} {:>4}\n",
-            r.serving_replicas,
-            r.read_tps,
-            r.read_latency.p50_ms,
-            r.read_latency.p99_ms,
-            r.reads_shed,
-            r.max_staleness,
-            r.write_committed,
-            r.write_latency.p99_ms,
-            if r.read_saturated { "yes" } else { "no" },
+            r.spec.mix.serving_replicas,
+            r.read_tps(),
+            r.reads.latency.p50_ms,
+            r.reads.latency.p99_ms,
+            r.reads.shed,
+            r.reads.max_staleness,
+            r.totals.committed,
+            r.totals.commit_latency().p99_ms,
+            if r.read_saturated() { "yes" } else { "no" },
         ));
     }
     out
@@ -162,38 +124,25 @@ pub fn format_readmostly_table(results: &[ReadMostlyResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdstore::LatencyStats;
-    use workload::KeyDistribution;
+    use workload::{ClusterShape, KeyDistribution, ReadTotals};
 
-    fn fake(serving: usize, read_tps: f64) -> ReadMostlyResult {
-        ReadMostlyResult {
-            offered_tps: 4_000.0,
-            workers: 2,
-            groups: 8,
-            serving_replicas: serving,
-            read_fraction: 0.95,
-            write_attempted: 100,
-            write_committed: 95,
-            write_aborted: 5,
-            write_timed_out: 0,
-            write_latency: LatencyStats::default(),
-            reads_completed: (read_tps * 1.2) as usize,
-            reads_unavailable: 0,
-            reads_shed: 0,
-            read_latency: LatencyStats::default(),
-            read_tps,
-            max_staleness: 2,
-            mean_staleness: 0.1,
-            reads_verified: (read_tps * 1.2) as usize,
-            read_saturated: false,
-            checked_groups: 8,
-            wall: Duration::from_millis(10),
+    /// A one-second point that completed `reads` snapshot reads.
+    fn fake(serving: usize, reads: usize) -> LoadResult {
+        let second = SimDuration::from_secs(1);
+        LoadResult {
+            spec: LoadSpec::read_mostly(2, 4_000.0, serving).with_windows(second, second, second),
+            reads: ReadTotals {
+                completed: reads,
+                verified: reads,
+                ..ReadTotals::default()
+            },
+            ..LoadResult::default()
         }
     }
 
     #[test]
     fn scaling_is_last_over_first() {
-        let sweep = vec![fake(1, 1_000.0), fake(2, 2_000.0), fake(3, 2_600.0)];
+        let sweep = vec![fake(1, 1_000), fake(2, 2_000), fake(3, 2_600)];
         assert!((read_scaling(&sweep).unwrap() - 2.6).abs() < 1e-9);
         assert_eq!(read_scaling(&sweep[..1]), None);
         let table = format_readmostly_table(&sweep);
@@ -205,11 +154,15 @@ mod tests {
         let config = ReadMostlySweepConfig::quick();
         assert!(config.serving_counts.len() <= 2);
         let spec = config.point(3, 1);
-        assert_eq!(spec.workers, 1);
-        assert_eq!(spec.serving_replicas, 3);
-        assert_eq!(spec.groups, 4);
         assert!(matches!(
-            spec.key_distribution,
+            spec.shape,
+            ClusterShape::Parallel { workers: 1, .. }
+        ));
+        assert_eq!(spec.mix.serving_replicas, 3);
+        assert_eq!(spec.keyspace.groups, 4);
+        assert_eq!(spec.num_actors(), 3, "one per (worker, VVV datacenter)");
+        assert!(matches!(
+            spec.keyspace.distribution,
             KeyDistribution::Zipfian { .. }
         ));
     }

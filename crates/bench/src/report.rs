@@ -1,7 +1,7 @@
 //! Plain-text tables mirroring the rows/series the paper's figures plot.
 
 use mdstore::RunMetrics;
-use workload::ExperimentResult;
+use workload::LoadResult;
 
 /// Maximum promotion round shown as its own column; deeper rounds are folded
 /// into the last column (the paper observed at most seven promotions).
@@ -18,7 +18,7 @@ fn commits_row(metrics: &RunMetrics) -> Vec<usize> {
 
 /// Commit-count table: one row per experiment, columns = commits by
 /// promotion round plus totals (the bars of Figures 4(a), 5(a), 6, 7, 8).
-pub fn format_commit_table(results: &[ExperimentResult]) -> String {
+pub fn format_commit_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<28} {:>9} {:>7}  {}\n",
@@ -33,7 +33,7 @@ pub fn format_commit_table(results: &[ExperimentResult]) -> String {
             .join(" ");
         out.push_str(&format!(
             "{:<28} {:>9} {:>7}  {}\n",
-            result.name, result.attempted, result.totals.committed, rounds_str
+            result.spec.name, result.totals.attempted, result.totals.committed, rounds_str
         ));
     }
     out
@@ -41,7 +41,7 @@ pub fn format_commit_table(results: &[ExperimentResult]) -> String {
 
 /// Latency table: mean/median/p95 commit latency overall and for round 0
 /// (the stacked-latency view of Figures 4(b) and 5(b)).
-pub fn format_latency_table(results: &[ExperimentResult]) -> String {
+pub fn format_latency_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<28} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
@@ -61,7 +61,7 @@ pub fn format_latency_table(results: &[ExperimentResult]) -> String {
         let promoted = mdstore::LatencyStats::from_samples(&promoted_samples);
         out.push_str(&format!(
             "{:<28} {:>10.1} {:>10.1} {:>10.1} {:>12.1} {:>12.1}\n",
-            result.name, all.mean_ms, all.p50_ms, all.p95_ms, round0.mean_ms, promoted.mean_ms
+            result.spec.name, all.mean_ms, all.p50_ms, all.p95_ms, round0.mean_ms, promoted.mean_ms
         ));
     }
     out
@@ -69,21 +69,21 @@ pub fn format_latency_table(results: &[ExperimentResult]) -> String {
 
 /// Per-datacenter table for Figure 8: commits and mean latency of the
 /// workload instance placed in each datacenter.
-pub fn format_per_replica_table(results: &[ExperimentResult]) -> String {
+pub fn format_per_replica_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<28} {:>8} {:>10} {:>9} {:>10} {:>12}\n",
         "experiment", "replica", "attempted", "commits", "promoted", "mean lat(ms)"
     ));
     for result in results {
-        let mut replicas: Vec<usize> = result.client_replicas.clone();
+        let mut replicas: Vec<usize> = result.actor_replicas.clone();
         replicas.sort_unstable();
         replicas.dedup();
         for replica in replicas {
             let metrics = result.metrics_for_replica(replica);
             out.push_str(&format!(
                 "{:<28} {:>8} {:>10} {:>9} {:>10} {:>12.1}\n",
-                result.name,
+                result.spec.name,
                 replica,
                 metrics.attempted,
                 metrics.committed,
@@ -115,7 +115,7 @@ fn json_escape(s: &str) -> String {
 /// environment has no serde). Exports every `RunMetrics` counter (the
 /// `metrics-completeness` lint holds this function to that) plus identity,
 /// latency summaries and network totals.
-pub fn results_to_json(results: &[ExperimentResult]) -> String {
+pub fn results_to_json(results: &[LoadResult]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         let latency = r.totals.commit_latency();
@@ -143,10 +143,10 @@ pub fn results_to_json(results: &[ExperimentResult]) -> String {
                 "\"abort_latency_ms\": {{\"mean\": {:.3}, \"p50\": {:.3}, \"p95\": {:.3}, \"max\": {:.3}}}, ",
                 "\"messages_sent\": {}, \"messages_delivered\": {}, \"duration_s\": {:.3}}}{}\n",
             ),
-            json_escape(&r.name),
-            json_escape(&r.cluster),
-            json_escape(&r.protocol),
-            r.attempted,
+            json_escape(&r.spec.name),
+            json_escape(&r.spec.topology.name()),
+            json_escape(r.spec.client.protocol.name()),
+            r.totals.attempted,
             r.totals.committed,
             r.totals.aborted,
             r.totals.read_only,
@@ -185,9 +185,10 @@ pub fn results_to_json(results: &[ExperimentResult]) -> String {
 mod tests {
     use super::*;
     use mdstore::RunMetrics;
-    use simnet::{NetStats, SimDuration};
+    use simnet::SimDuration;
+    use workload::LoadSpec;
 
-    fn fake_result(name: &str) -> ExperimentResult {
+    fn fake_result(name: &str) -> LoadResult {
         let totals = RunMetrics {
             attempted: 10,
             committed: 7,
@@ -196,17 +197,13 @@ mod tests {
             commit_latency_us_by_promotion: vec![vec![1_000, 2_000], vec![5_000]],
             ..RunMetrics::default()
         };
-        ExperimentResult {
-            name: name.into(),
-            cluster: "VVV".into(),
-            protocol: "paxos-cp".into(),
-            attempted: 10,
+        LoadResult {
+            spec: LoadSpec::default().named(name),
             totals: totals.clone(),
-            per_client: vec![totals],
-            client_replicas: vec![0],
-            check: Vec::new(),
-            net: NetStats::default(),
+            per_actor: vec![totals],
+            actor_replicas: vec![0],
             duration: SimDuration::from_secs(1),
+            ..LoadResult::default()
         }
     }
 

@@ -14,63 +14,52 @@
 //! prepare/accept exchange decides many transactions and nobody duels.
 //!
 //! Every run is verified for replica agreement and one-copy
-//! serializability by `run_experiment` before its numbers are reported.
+//! serializability by `run_load` before its numbers are reported.
 
 use mdstore::{CommitProtocol, CommitRoute, Topology};
-use workload::{ExperimentResult, ExperimentSpec};
+use workload::{LoadResult, LoadSpec};
 
 /// The contended comparison point for one route at `writers` concurrent
 /// clients (all in one datacenter, one transaction group, one row).
-pub fn route_spec(route: CommitRoute, writers: usize, quick: bool) -> ExperimentSpec {
+pub fn route_spec(route: CommitRoute, writers: usize, quick: bool) -> LoadSpec {
     let txns = if quick { 6 } else { 20 };
-    ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+    LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
         .named(format!("routes-{writers}w-{}", route.name()))
         .with_clients(writers, txns)
         .with_route(route)
         .with_max_open(4)
         .with_target_tps(50.0)
-        .with_attributes(60)
+        .with_keys(60)
         .with_seed(7_700 + writers as u64)
 }
 
 /// Both comparison points (Direct first) at `writers` concurrent clients.
-pub fn route_compare_specs(writers: usize, quick: bool) -> Vec<ExperimentSpec> {
+pub fn route_compare_specs(writers: usize, quick: bool) -> Vec<LoadSpec> {
     vec![
         route_spec(CommitRoute::Direct, writers, quick),
         route_spec(CommitRoute::Submitted, writers, quick),
     ]
 }
 
-/// Committed transactions per second of simulated time, measured over the
-/// working span (first start → last decision).
-pub fn committed_tps(result: &ExperimentResult) -> f64 {
-    let span_us = result.totals.last_decision_us;
-    if span_us == 0 {
-        0.0
-    } else {
-        result.totals.committed as f64 * 1_000_000.0 / span_us as f64
-    }
-}
-
 /// Format a route comparison as an aligned text table.
-pub fn format_route_table(results: &[ExperimentResult]) -> String {
+pub fn format_route_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(
         "route      attempted  committed  aborted  combined  p50(ms)  sim_s    committed tx/s\n",
     );
     for r in results {
         let span_s = r.totals.last_decision_us as f64 / 1_000_000.0;
-        let route = r.name.rsplit('-').next().unwrap_or("?").to_string();
+        let route = r.spec.client.route.name();
         out.push_str(&format!(
             "{:<9}  {:>9}  {:>9}  {:>7}  {:>8}  {:>7.2}  {:>7.2}  {:>14.1}\n",
             route,
-            r.attempted,
+            r.totals.attempted,
             r.totals.committed,
             r.totals.aborted,
             r.totals.combined_commits,
             r.totals.commit_latency().p50_ms,
             span_s,
-            committed_tps(r),
+            r.committed_tps(),
         ));
     }
     out
@@ -79,19 +68,22 @@ pub fn format_route_table(results: &[ExperimentResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::run_experiment;
+    use workload::run_load;
 
     /// The PR's acceptance experiment: on the contended workload at 8
     /// concurrent writers, the submitted route must beat the direct route
     /// on committed transactions per second, with both routes passing the
-    /// serializability checker (`run_experiment` panics on violation).
+    /// serializability checker (`run_load` panics on violation).
     #[test]
     fn submitted_route_beats_direct_on_contended_workload_at_8_writers() {
         let specs = route_compare_specs(8, true);
-        let direct = run_experiment(&specs[0]);
-        let submitted = run_experiment(&specs[1]);
-        assert_eq!(direct.attempted, submitted.attempted, "equal offered load");
-        let (d_tps, s_tps) = (committed_tps(&direct), committed_tps(&submitted));
+        let direct = run_load(&specs[0]);
+        let submitted = run_load(&specs[1]);
+        assert_eq!(
+            direct.totals.attempted, submitted.totals.attempted,
+            "equal offered load"
+        );
+        let (d_tps, s_tps) = (direct.committed_tps(), submitted.committed_tps());
         assert!(
             s_tps > d_tps,
             "submitted must beat direct on committed tx/s: direct {:.1} ({} committed) vs \

@@ -12,7 +12,7 @@ use crate::service::TransactionService;
 use crate::session::ClientConfig;
 use crate::topology::Topology;
 use paxos::CommitProtocol;
-use simnet::{Actor, NodeId, SimDuration, SimTime, Simulation};
+use simnet::{Actor, ChaosEvent, ChaosSchedule, NodeId, SimDuration, SimTime, Simulation};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use storage::{DcStorage, DurableConfig, StorageConfig, StorageError};
@@ -89,6 +89,20 @@ impl ClusterConfig {
             }
         }
     }
+}
+
+/// What [`Cluster::replay_chaos`] did to the cluster.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChaosReplay {
+    /// Faults applied (crashes, partitions, home moves; repairs and home
+    /// moves that had no group to address are not counted).
+    pub faults_applied: u64,
+    /// Datacenter restarts that rebuilt state from snapshot + WAL (durable
+    /// mode only).
+    pub durable_restarts: u64,
+    /// Restarts whose WAL ended in a torn partial record, tolerated by
+    /// stopping replay at the last durable frame.
+    pub torn_wal_tails: u64,
 }
 
 /// A running multi-datacenter cluster: the simulation, the datacenter
@@ -269,6 +283,54 @@ impl Cluster {
              (replica {replica}: {report:?})"
         );
         Ok(report)
+    }
+
+    /// Replay a fault schedule interleaved with the running workload: run
+    /// the simulation up to each event's due time, apply it, continue (the
+    /// caller then drains with [`Cluster::run_to_completion`]).
+    ///
+    /// [`ChaosEvent::MoveHome`] re-homes `groups[group % groups.len()]`, so
+    /// `groups` must be interned up front: a group has no log — and is not
+    /// in [`Cluster::groups`] — until its first commit. In durable mode a
+    /// crash lands mid-append (a torn partial frame at the victim's WAL
+    /// tail) and the site's state is rebuilt from disk before it rejoins
+    /// ([`Cluster::restart_datacenter_from_disk`]).
+    pub fn replay_chaos(
+        &mut self,
+        schedule: &mut ChaosSchedule,
+        groups: &[GroupId],
+    ) -> ChaosReplay {
+        let durable = self.config.storage.is_durable();
+        let replicas = self.num_datacenters();
+        let mut replay = ChaosReplay::default();
+        while let Some(due) = schedule.next_due() {
+            self.sim.run_until(due);
+            for event in schedule.pop_due(due) {
+                match event {
+                    ChaosEvent::CrashSite(site) if durable => {
+                        self.core(site.0 as usize).lock().inject_torn_wal_tail();
+                    }
+                    ChaosEvent::RecoverSite(site) if durable => {
+                        let report = self
+                            .restart_datacenter_from_disk(site.0 as usize)
+                            .expect("durable restart must rebuild from snapshot + WAL");
+                        replay.durable_restarts += 1;
+                        replay.torn_wal_tails += u64::from(report.torn_tail);
+                    }
+                    ChaosEvent::MoveHome { group, replica } => {
+                        if groups.is_empty() {
+                            continue;
+                        }
+                        self.directory
+                            .set_group_home(groups[group % groups.len()], replica % replicas);
+                    }
+                    _ => {}
+                }
+                ChaosSchedule::apply_network(event, &mut self.sim);
+                replay.faults_applied += u64::from(event.is_fault());
+            }
+        }
+        replay
     }
 
     /// Per-replica storage-plane counters (durable mode; `None` entries for

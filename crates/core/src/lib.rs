@@ -58,7 +58,7 @@ pub mod session;
 pub mod topology;
 
 pub use batch::{BatchConfig, GroupCommitter};
-pub use cluster::{Cluster, ClusterConfig};
+pub use cluster::{ChaosReplay, Cluster, ClusterConfig};
 pub use datacenter::{DatacenterCore, RestartReport};
 pub use directory::Directory;
 pub use metrics::{LatencyStats, MetricsHub, RunMetrics};
@@ -67,7 +67,8 @@ pub use parallel::{ParallelCluster, ParallelClusterConfig};
 pub use paxos::{AbortReason, CommitProtocol, ProposerConfig};
 pub use service::TransactionService;
 pub use session::{
-    ClientAction, ClientConfig, CommitRoute, Session, SessionError, TxnHandle, TxnResult,
+    apply_client_actions, ClientAction, ClientConfig, CommitRoute, Session, SessionError,
+    TxnHandle, TxnResult,
 };
 pub use storage::{remove_scratch_dir, scratch_dir, DurableConfig, StorageConfig, StorageStats};
 pub use topology::{Region, Topology};

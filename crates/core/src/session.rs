@@ -37,7 +37,7 @@
 //!
 //! The embedding actor (a workload driver or an application model)
 //! forwards incoming messages and timer expirations and executes the
-//! [`ClientAction`]s the session returns.
+//! [`ClientAction`]s the session returns ([`apply_client_actions`]).
 //!
 //! Names cross into the interned data plane exactly once, at this API
 //! boundary: the string-accepting methods (`begin`, `read`, `write`)
@@ -54,7 +54,7 @@ use paxos::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{NodeId, SimDuration, SimTime};
+use simnet::{Context, NodeId, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -277,6 +277,24 @@ pub enum ClientAction {
     },
     /// A transaction finished.
     Finished(TxnResult),
+}
+
+/// Carry out a batch of [`ClientAction`]s on behalf of the embedding actor:
+/// sends go out through `ctx`, timers are armed under the tags the session
+/// (or committer) chose, and the outcomes of the transactions that finished
+/// are returned for the actor's own bookkeeping.
+pub fn apply_client_actions(ctx: &mut Context<Msg>, actions: Vec<ClientAction>) -> Vec<TxnResult> {
+    let mut finished = Vec::new();
+    for action in actions {
+        match action {
+            ClientAction::Send(to, msg) => ctx.send(to, msg),
+            ClientAction::ArmTimer { delay, tag } => {
+                ctx.set_timer(delay, tag);
+            }
+            ClientAction::Finished(result) => finished.push(result),
+        }
+    }
+    finished
 }
 
 /// Errors from misusing the session API.

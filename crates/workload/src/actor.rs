@@ -1,0 +1,819 @@
+//! The load actor: one type for every workload, parameterised by arrival
+//! process × operation mix, reaching the system through whichever port its
+//! cluster shape offers.
+//!
+//! The actor keeps **one clock**: a single timer armed for the earliest
+//! instant anything is due — the next arrival, the next operation of an
+//! executing transaction, the oldest wire request's patience — and re-armed
+//! only when nothing is armed or something earlier came up. There is no
+//! polling tick, and a recovery cannot multiply timers: the actor knows the
+//! instant its clock is armed for and whether that instant has passed.
+
+use crate::spec::{Arrival, Keyspace, LoadSpec, OpMix};
+use crate::zipf::KeySampler;
+use mdstore::datacenter::SharedCore;
+use mdstore::{
+    apply_client_actions, AbortReason, ClientAction, Msg, RunMetrics, Session, TxnHandle, TxnResult,
+};
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use simnet::{Actor, Context, NodeId, SimDuration};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use walog::{AttrId, GroupId, ItemRef, KeyId, LogPosition, SymbolTable, Transaction, TxnId};
+
+/// The actor's only timer tag (session tags count up from 1).
+const CLOCK_TAG: u64 = u64::MAX;
+
+/// Uniform jitter fraction on each operation's execution delay and on the
+/// closed loop's interarrival time: a real client's costs vary, and without
+/// jitter simulated clients lock into fixed phase relationships that either
+/// always or never collide, which no real deployment exhibits.
+const OP_JITTER: f64 = 0.5;
+const ARRIVAL_JITTER: f64 = 0.3;
+
+/// Interned ids of every name a load touches, resolved once before the run
+/// so the hot loop never consults the symbol table.
+#[derive(Clone, Debug)]
+pub struct Names {
+    /// Transaction groups; a transaction runs on `groups[first key % len]`.
+    pub groups: Vec<GroupId>,
+    /// Row keys; key `k` lives in row `k % rows.len()`.
+    pub rows: Vec<KeyId>,
+    /// Attributes; key `k` is attribute `k / rows.len()` of its row.
+    pub attrs: Vec<AttrId>,
+}
+
+impl Names {
+    /// Intern `g0..`, `r0..` and `a0..` for a keyspace.
+    pub fn intern(symbols: &SymbolTable, keyspace: &Keyspace) -> Names {
+        let keys = keyspace.keys.max(1);
+        let rows = keyspace.rows.clamp(1, keys);
+        let groups = 0..keyspace.groups.max(1);
+        Names {
+            groups: groups.map(|g| symbols.group(&format!("g{g}"))).collect(),
+            rows: (0..rows).map(|r| symbols.key(&format!("r{r}"))).collect(),
+            attrs: (0..keys.div_ceil(rows))
+                .map(|a| symbols.attr(&format!("a{a}")))
+                .collect(),
+        }
+    }
+
+    /// The item key `key` names.
+    pub fn item(&self, key: u64) -> ItemRef {
+        let rows = self.rows.len() as u64;
+        ItemRef::new(
+            self.rows[(key % rows) as usize],
+            self.attrs[(key / rows) as usize],
+        )
+    }
+
+    fn group_index(&self, key: u64) -> usize {
+        (key % self.groups.len() as u64) as usize
+    }
+}
+
+/// One snapshot read observation: which group, at which watermark, which
+/// item, and what came back. [`crate::explain_snapshot_reads`] proves it
+/// against the group's decided log.
+#[derive(Clone, Debug)]
+pub struct SnapshotReadSample {
+    /// Transaction group the read hit.
+    pub group: GroupId,
+    /// Snapshot watermark the read ran at.
+    pub at: LogPosition,
+    /// Row key read.
+    pub row: KeyId,
+    /// Attribute read.
+    pub attr: AttrId,
+    /// Value the serving replica answered with.
+    pub observed: Option<String>,
+}
+
+/// What one actor observed beyond its [`RunMetrics`], for the audits.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Every commit the client saw: group, id and decision instant (µs).
+    pub committed: Vec<(GroupId, TxnId, u64)>,
+    /// Outcomes surfaced as `Unavailable` after the retry budget ran out.
+    pub unavailable: u64,
+    /// Times the clock timer fired.
+    pub clock_firings: u64,
+    pub reads_unavailable: usize,
+    pub reads_shed: usize,
+    /// Completed snapshot reads, each with its latency from scheduled
+    /// arrival (µs) and its staleness (home applied prefix minus watermark).
+    pub reads: Vec<(SnapshotReadSample, u64, u64)>,
+}
+
+/// Where one group's wire requests go: every replica serves its snapshot
+/// reads, the `home` replica takes the wire port's commits.
+pub(crate) struct WireTarget {
+    pub group: GroupId,
+    pub home: usize,
+    pub services: Vec<NodeId>,
+    pub cores: Vec<SharedCore>,
+}
+
+/// How transactions reach the system, decided by the cluster shape the
+/// actor is placed on: through the client library on the simulation, as
+/// [`Msg::CommitRequest`]s built directly on the parallel runtime (whose
+/// shards expose services and cores, not a directory a session could use).
+/// Snapshot reads travel the wire read plane on both.
+pub(crate) type Port = Option<Box<Session>>;
+
+enum Stage {
+    /// Session port: between `begin` and `commit`; the next operation runs
+    /// at `op_due_us`. `first_key` is the key that routed the transaction
+    /// to its group, kept for the first operation.
+    Executing {
+        handle: TxnHandle,
+        ops_left: usize,
+        op_due_us: u64,
+        first_key: Option<u64>,
+    },
+    /// The commit decision is outstanding.
+    Committing,
+    /// Wire port: a snapshot read is outstanding, holding a read lease at
+    /// the serving core; `lag` is its staleness at issue.
+    Reading {
+        core: SharedCore,
+        sample: SnapshotReadSample,
+        lag: u64,
+    },
+}
+
+struct InFlight {
+    /// The instant every outcome of this request is charged from: its
+    /// scheduled arrival (open loop) or its start (closed loop).
+    origin_us: u64,
+    submitted_us: u64,
+    group: GroupId,
+    stage: Stage,
+}
+
+/// The per-run shared handles one actor reports into.
+pub(crate) struct Sinks {
+    pub metrics: Arc<Mutex<RunMetrics>>,
+    pub tally: Arc<Mutex<Tally>>,
+    /// Counts actors that have offered everything and seen every outcome.
+    pub done: Arc<AtomicUsize>,
+}
+
+/// The load generator. Built by [`crate::place`] / [`crate::run_load`].
+pub struct LoadActor {
+    port: Port,
+    targets: Arc<Vec<WireTarget>>,
+    arrival: Arrival,
+    mix: OpMix,
+    names: Arc<Names>,
+    sampler: KeySampler,
+    rng: StdRng,
+    /// The datacenter this actor lives in.
+    replica: usize,
+    mean_gap: SimDuration,
+    patience_us: u64,
+    /// Wire port, open loop: everything outstanding is given up on here.
+    deadline_us: Option<u64>,
+    /// Submission counter: in-flight key and wire request id, so the table
+    /// iterates in scheduled-arrival order, oldest first.
+    seq: u64,
+    issued: usize,
+    /// Scheduled instant of the next arrival, once its gap has been drawn.
+    next_due_us: Option<u64>,
+    /// The previous scheduled arrival (open loop) or start (closed loop).
+    gap_from_us: u64,
+    /// No further arrivals will be offered.
+    exhausted: bool,
+    in_flight: BTreeMap<u64, InFlight>,
+    /// Session port: in-flight key of each commit the session has given an
+    /// id, and the commits without one yet — read-only ones (finished inside
+    /// the commit call) and direct-route ones queued behind their group's
+    /// in-flight commit — recognised when their handle closes.
+    by_id: HashMap<TxnId, u64>,
+    awaiting_id: Vec<(TxnHandle, u64)>,
+    /// Wire port: snapshot-read arrivals waiting for one of the actor's
+    /// `max_open_snapshots` slots, as (scheduled arrival, key).
+    backlog: VecDeque<(u64, u64)>,
+    open_snapshots: usize,
+    /// The instant the clock timer is armed for, if it is.
+    armed_for: Option<u64>,
+    finished: bool,
+    sinks: Sinks,
+}
+
+impl LoadActor {
+    pub(crate) fn new(
+        port: Port,
+        targets: &Arc<Vec<WireTarget>>,
+        spec: &LoadSpec,
+        index: usize,
+        names: &Arc<Names>,
+        sampler: &KeySampler,
+        sinks: Sinks,
+    ) -> LoadActor {
+        let seed = spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (index as u64 + 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mean_gap = spec.arrival.mean_gap(spec.num_actors());
+        let (first_due_us, drained_us) = match spec.arrival {
+            Arrival::Closed { stagger, .. } => (stagger.as_micros() * index as u64, None),
+            Arrival::Open {
+                duration, grace, ..
+            } => {
+                // A random phase so the actors' arrivals do not align.
+                let phase = rng.gen::<f64>() * mean_gap.as_micros().min(1_000_000) as f64;
+                (1 + phase as u64, Some((duration + grace).as_micros()))
+            }
+        };
+        LoadActor {
+            deadline_us: drained_us.filter(|_| port.is_none()),
+            port,
+            targets: Arc::clone(targets),
+            arrival: spec.arrival,
+            mix: spec.mix,
+            names: Arc::clone(names),
+            sampler: sampler.clone(),
+            rng,
+            replica: spec.replica_for_actor(index),
+            mean_gap,
+            patience_us: spec.client.submit_patience().as_micros(),
+            seq: 0,
+            issued: 0,
+            next_due_us: Some(first_due_us),
+            gap_from_us: 0,
+            exhausted: spec.total_transactions() == Some(0),
+            in_flight: BTreeMap::new(),
+            by_id: HashMap::new(),
+            awaiting_id: Vec::new(),
+            backlog: VecDeque::new(),
+            open_snapshots: 0,
+            armed_for: None,
+            finished: false,
+            sinks,
+        }
+    }
+
+    fn session(&mut self) -> &mut Session {
+        let session = self.port.as_mut();
+        session.expect("transactions execute on the session port")
+    }
+
+    /// Enter the request just submitted under `self.seq` into the table.
+    fn track(&mut self, now_us: u64, origin_us: u64, group: GroupId, stage: Stage) {
+        let entry = InFlight {
+            origin_us,
+            submitted_us: now_us,
+            group,
+            stage,
+        };
+        self.in_flight.insert(self.seq, entry);
+    }
+
+    fn max_open(&self) -> usize {
+        match self.arrival {
+            Arrival::Closed { max_open, .. } => max_open.max(1),
+            Arrival::Open { .. } => usize::MAX,
+        }
+    }
+
+    fn jittered(&mut self, base: SimDuration, fraction: f64) -> u64 {
+        if base == SimDuration::ZERO {
+            return 0;
+        }
+        let factor = 1.0 + fraction * (self.rng.gen::<f64>() * 2.0 - 1.0);
+        base.mul_f64(factor.max(0.0)).as_micros()
+    }
+
+    fn draw_gap(&mut self) -> u64 {
+        match self.arrival {
+            Arrival::Closed { .. } => self.jittered(self.mean_gap, ARRIVAL_JITTER),
+            Arrival::Open { poisson: false, .. } => self.mean_gap.as_micros().max(1),
+            // Exponential, floored at 1 µs so the schedule always advances.
+            Arrival::Open { .. } => {
+                let mean = self.mean_gap.as_micros() as f64;
+                (-mean * (1.0 - self.rng.gen::<f64>()).ln()).max(1.0) as u64
+            }
+        }
+    }
+
+    /// Do everything that is due, then arm the clock for the next instant
+    /// something will be.
+    fn tick(&mut self, ctx: &mut Context<Msg>) {
+        if self.finished {
+            return;
+        }
+        let now_us = ctx.now().as_micros();
+        self.run_due_ops(ctx, now_us);
+        self.expire(now_us);
+        self.issue_due(ctx, now_us);
+        if self.exhausted && self.in_flight.is_empty() && self.backlog.is_empty() {
+            self.finished = true;
+            self.sinks.done.fetch_add(1, Ordering::SeqCst);
+            return;
+        }
+        // The earliest instant anything becomes due.
+        let may_start = !self.exhausted && self.in_flight.len() < self.max_open();
+        let op_due = |entry: &InFlight| match entry.stage {
+            Stage::Executing { op_due_us, .. } => Some(op_due_us),
+            _ => None,
+        };
+        let oldest = self.in_flight.values().find(|entry| self.minds(entry));
+        let wakeups = [
+            self.next_due_us.filter(|_| may_start),
+            self.in_flight.values().filter_map(op_due).min(),
+            oldest.map(|entry| entry.submitted_us + self.patience_us),
+            self.backlog
+                .front()
+                .map(|queued| queued.0 + self.patience_us),
+            self.deadline_us,
+        ];
+        if let Some(due_us) = wakeups.into_iter().flatten().min() {
+            if self.armed_for.is_none_or(|at| due_us < at) {
+                self.armed_for = Some(due_us);
+                let delay = SimDuration::from_micros(due_us.saturating_sub(now_us));
+                ctx.set_timer(delay, CLOCK_TAG);
+            }
+        }
+    }
+
+    /// Start every arrival that is due and allowed.
+    fn issue_due(&mut self, ctx: &mut Context<Msg>, now_us: u64) {
+        while !self.exhausted && self.in_flight.len() < self.max_open() {
+            let due_us = match self.next_due_us {
+                Some(due_us) => due_us,
+                None => self.gap_from_us + self.draw_gap(),
+            };
+            self.next_due_us = Some(due_us);
+            let origin_us = match self.arrival {
+                Arrival::Open { duration, .. } if due_us >= duration.as_micros() => {
+                    self.exhausted = true;
+                    return;
+                }
+                _ if due_us > now_us => return,
+                // Arrivals that came due while this actor's site was down
+                // are offered late but charged from their schedule.
+                Arrival::Open { .. } => due_us,
+                Arrival::Closed { txns_per_actor, .. } => {
+                    self.exhausted = self.issued + 1 >= txns_per_actor;
+                    now_us
+                }
+            };
+            self.next_due_us = None;
+            self.issued += 1;
+            self.gap_from_us = origin_us;
+            let snapshot = self.mix.snapshot_fraction > 0.0
+                && self.rng.gen::<f64>() < self.mix.snapshot_fraction;
+            if snapshot {
+                let key = self.sampler.sample(&mut self.rng);
+                self.send_or_queue_snapshot(ctx, now_us, origin_us, key);
+            } else if self.port.is_some() {
+                self.begin_txn(ctx, now_us, origin_us);
+            } else {
+                self.submit_write(ctx, now_us, origin_us);
+            }
+        }
+    }
+
+    // ---- session port ------------------------------------------------------
+
+    fn begin_txn(&mut self, ctx: &mut Context<Msg>, now_us: u64, origin_us: u64) {
+        // With one group each key is drawn when its operation runs (the
+        // paper generator's draw order); with several, the first key is
+        // drawn up front because it routes the transaction.
+        let first_key = (self.names.groups.len() > 1).then(|| self.sampler.sample(&mut self.rng));
+        let group = self.names.groups[first_key.map_or(0, |k| self.names.group_index(k))];
+        let handle = self.session().begin_id(ctx.now(), group);
+        // Each operation costs `op_delay` of simulated execution time; the
+        // transaction stays open while they run.
+        let stage = Stage::Executing {
+            handle,
+            ops_left: self.mix.ops_per_txn,
+            op_due_us: now_us + self.jittered(self.mix.op_delay, OP_JITTER),
+            first_key,
+        };
+        self.seq += 1;
+        let seq = self.seq;
+        self.track(now_us, origin_us, group, stage);
+        while self.mix.op_delay == SimDuration::ZERO && self.run_op(ctx, seq, now_us) {}
+    }
+
+    fn run_due_ops(&mut self, ctx: &mut Context<Msg>, now_us: u64) {
+        if self.mix.op_delay == SimDuration::ZERO {
+            return;
+        }
+        let is_due = |entry: &InFlight| matches!(entry.stage, Stage::Executing { op_due_us, .. } if op_due_us <= now_us);
+        let due: Vec<u64> = self
+            .in_flight
+            .iter()
+            .filter_map(|(seq, entry)| is_due(entry).then_some(*seq))
+            .collect();
+        for seq in due {
+            self.run_op(ctx, seq, now_us);
+        }
+    }
+
+    /// Run the next operation of an executing transaction, or commit it
+    /// when none is left. Returns whether it is still executing.
+    fn run_op(&mut self, ctx: &mut Context<Msg>, seq: u64, now_us: u64) -> bool {
+        let Some(mut entry) = self.in_flight.remove(&seq) else {
+            return false;
+        };
+        let Stage::Executing {
+            handle,
+            ops_left,
+            op_due_us,
+            first_key,
+        } = &mut entry.stage
+        else {
+            self.in_flight.insert(seq, entry);
+            return false;
+        };
+        let handle = *handle;
+        if *ops_left > 0 {
+            *ops_left -= 1;
+            let key = first_key.take();
+            let key = key.unwrap_or_else(|| self.sampler.sample(&mut self.rng));
+            let item = self.names.item(key);
+            if self.rng.gen::<f64>() < self.mix.read_fraction {
+                self.session()
+                    .read_id(handle, item.key, item.attr)
+                    .expect("read inside an open transaction");
+            } else {
+                let value = format!("v{}-{seq}-{ops_left}", ctx.node().0);
+                self.session()
+                    .write_id(handle, item.key, item.attr, value)
+                    .expect("write inside an open transaction");
+            }
+        }
+        if *ops_left > 0 {
+            *op_due_us = now_us + self.jittered(self.mix.op_delay, OP_JITTER);
+            self.in_flight.insert(seq, entry);
+            return true;
+        }
+        entry.stage = Stage::Committing;
+        self.in_flight.insert(seq, entry);
+        let session = self.session();
+        let actions = session
+            .commit(ctx.now(), handle)
+            .expect("commit of the just-built transaction");
+        match session.txn_id(handle) {
+            Some(id) => {
+                self.by_id.insert(id, seq);
+            }
+            None => self.awaiting_id.push((handle, seq)),
+        }
+        self.settle(ctx, actions);
+        false
+    }
+
+    /// Carry out the session's actions and book the outcomes among them.
+    fn settle(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
+        let now_us = ctx.now().as_micros();
+        for result in apply_client_actions(ctx, actions) {
+            let session = self.port.as_ref();
+            let session = session.expect("only the session port produces client actions");
+            let seq = result
+                .txn
+                .and_then(|id| self.by_id.remove(&id))
+                .or_else(|| {
+                    let closed = |(handle, _): &(TxnHandle, u64)| !session.is_open(*handle);
+                    let at = self.awaiting_id.iter().position(closed)?;
+                    Some(self.awaiting_id.swap_remove(at).1)
+                });
+            let resubmissions = session.resubmissions();
+            if let Some(entry) = seq.and_then(|seq| self.in_flight.remove(&seq)) {
+                self.record(now_us, &entry, result, resubmissions);
+            }
+        }
+    }
+
+    // ---- wire port ---------------------------------------------------------
+
+    fn submit_write(&mut self, ctx: &mut Context<Msg>, now_us: u64, origin_us: u64) {
+        let mut key = self.sampler.sample(&mut self.rng);
+        let target = &self.targets[self.names.group_index(key)];
+        let read_position = target.cores[target.home].lock().read_position(target.group);
+        self.seq += 1;
+        let id = TxnId::new(ctx.node().0, self.seq);
+        let mut txn = Transaction::builder(id, target.group, read_position);
+        for op in 0..self.mix.ops_per_txn.max(1) {
+            if op > 0 {
+                key = self.sampler.sample(&mut self.rng);
+            }
+            txn = txn.write(self.names.item(key), format!("k{key}-s{}", self.seq));
+        }
+        let request = Msg::CommitRequest {
+            req_id: self.seq,
+            txn: txn.build(),
+        };
+        ctx.send(target.services[target.home], request);
+        self.track(now_us, origin_us, target.group, Stage::Committing);
+    }
+
+    /// Issue one snapshot read, or queue it when the actor's in-flight cap
+    /// is reached: pick the serving replica (the actor's own datacenter when
+    /// it serves), capture the watermark from that replica's core *and take
+    /// a read lease at it* under one lock, then send the wire read.
+    fn send_or_queue_snapshot(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        now_us: u64,
+        origin_us: u64,
+        key: u64,
+    ) {
+        if self.open_snapshots >= self.mix.max_open_snapshots.max(1) {
+            self.backlog.push_back((origin_us, key));
+            return;
+        }
+        self.open_snapshots += 1;
+        self.seq += 1;
+        let target = &self.targets[self.names.group_index(key)];
+        let (group, item) = (target.group, self.names.item(key));
+        let serving = self.mix.serving_replicas.clamp(1, target.cores.len());
+        let replica = if self.replica < serving {
+            self.replica
+        } else {
+            (self.seq % serving as u64) as usize
+        };
+        let home = target.cores[target.home].lock().read_position(group);
+        let core = Arc::clone(&target.cores[replica]);
+        let at = {
+            let mut core = core.lock();
+            let at = core.read_position(group);
+            core.begin_read_lease(group, at);
+            at
+        };
+        let request = Msg::SnapshotRead {
+            req_id: self.seq,
+            group,
+            key: item.key,
+            attr: item.attr,
+            at,
+        };
+        ctx.send(target.services[replica], request);
+        let sample = SnapshotReadSample {
+            group,
+            at,
+            row: item.key,
+            attr: item.attr,
+            observed: None,
+        };
+        let lag = home.0.saturating_sub(at.0);
+        self.track(
+            now_us,
+            origin_us,
+            group,
+            Stage::Reading { core, sample, lag },
+        );
+    }
+
+    /// Whether this actor minds the request's patience: a session minds
+    /// its own commits, nobody else minds a snapshot read or a wire commit.
+    fn minds(&self, entry: &InFlight) -> bool {
+        self.port.is_none() || matches!(entry.stage, Stage::Reading { .. })
+    }
+
+    /// Give up on the requests this actor minds whose patience ran out —
+    /// all of them at the deadline. Every outcome is charged from its origin.
+    fn expire(&mut self, now_us: u64) {
+        let force = self.deadline_us.is_some_and(|deadline| now_us >= deadline);
+        let patience_us = self.patience_us;
+        let overdue = |since_us: u64| force || since_us + patience_us <= now_us;
+        let given_up: Vec<u64> = self
+            .in_flight
+            .iter()
+            .take_while(|(_, entry)| overdue(entry.submitted_us))
+            .filter_map(|(seq, entry)| self.minds(entry).then_some(*seq))
+            .collect();
+        for entry in given_up.iter().filter_map(|seq| self.in_flight.remove(seq)) {
+            if let Stage::Reading { core, sample, .. } = &entry.stage {
+                core.lock().end_read_lease(sample.group, sample.at);
+                self.open_snapshots -= 1;
+                self.sinks.tally.lock().reads_shed += 1;
+            } else {
+                let mut metrics = self.sinks.metrics.lock();
+                metrics.attempted += 1;
+                metrics.aborted += 1;
+                metrics.timed_out += 1;
+                metrics.abort_latency_us.push(now_us - entry.origin_us);
+            }
+        }
+        while self.backlog.front().is_some_and(|(at, _)| overdue(*at)) {
+            self.backlog.pop_front();
+            self.sinks.tally.lock().reads_shed += 1;
+        }
+        self.exhausted |= force;
+    }
+
+    fn on_wire_reply(&mut self, ctx: &mut Context<Msg>, msg: Msg) {
+        let now_us = ctx.now().as_micros();
+        match msg {
+            Msg::CommitReply {
+                req_id,
+                txn,
+                committed,
+                promotions,
+                combined,
+                rounds,
+                abort_reason,
+                ..
+            } => {
+                // Late replies for already-expired requests are dropped.
+                let Some(entry) = self.in_flight.remove(&req_id) else {
+                    return;
+                };
+                let result = TxnResult {
+                    committed,
+                    read_only: false,
+                    promotions,
+                    combined,
+                    rounds,
+                    latency: SimDuration::ZERO,
+                    total_latency: SimDuration::ZERO,
+                    abort_reason,
+                    txn: Some(txn),
+                };
+                self.record(now_us, &entry, result, 0);
+            }
+            Msg::SnapshotReadReply {
+                req_id,
+                value,
+                unavailable,
+                ..
+            } => {
+                let Some(entry) = self.in_flight.remove(&req_id) else {
+                    return;
+                };
+                if let Stage::Reading {
+                    core,
+                    mut sample,
+                    lag,
+                } = entry.stage
+                {
+                    core.lock().end_read_lease(sample.group, sample.at);
+                    self.open_snapshots -= 1;
+                    let mut tally = self.sinks.tally.lock();
+                    if unavailable {
+                        tally.reads_unavailable += 1;
+                    } else {
+                        sample.observed = value;
+                        tally.reads.push((sample, now_us - entry.origin_us, lag));
+                    }
+                }
+                // A freed slot pulls the oldest queued read immediately.
+                if let Some((origin_us, key)) = self.backlog.pop_front() {
+                    self.send_or_queue_snapshot(ctx, now_us, origin_us, key);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The one outcome recorder. The closed loop on a session keeps the
+    /// session's own latency (commit call → decision, what Figures 4(b) and
+    /// 5(b) plot); everything else is charged from the request's origin.
+    fn record(&mut self, now_us: u64, entry: &InFlight, mut result: TxnResult, resubmissions: u64) {
+        let closed = matches!(self.arrival, Arrival::Closed { .. });
+        if !(closed && self.port.is_some()) {
+            result.latency = SimDuration::from_micros(now_us - entry.origin_us);
+            result.total_latency = result.latency;
+        }
+        {
+            let mut metrics = self.sinks.metrics.lock();
+            metrics.record(&result);
+            metrics.last_decision_us = metrics.last_decision_us.max(now_us);
+            // The session's counter is cumulative, so overwrite rather than
+            // add (this sink belongs to this actor alone).
+            metrics.resubmissions = resubmissions;
+        }
+        let mut tally = self.sinks.tally.lock();
+        if let (true, Some(id)) = (result.committed, result.txn) {
+            tally.committed.push((entry.group, id, now_us));
+        }
+        tally.unavailable += u64::from(result.abort_reason == Some(AbortReason::Unavailable));
+    }
+}
+
+impl Actor<Msg> for LoadActor {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
+        match self.next_due_us {
+            Some(due_us) if !self.exhausted => {
+                self.armed_for = Some(due_us);
+                ctx.set_timer(SimDuration::from_micros(due_us), CLOCK_TAG);
+            }
+            _ => self.tick(ctx),
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+        match &mut self.port {
+            Some(session) if !matches!(msg, Msg::SnapshotReadReply { .. }) => {
+                let actions = session.on_message(ctx.now(), from, &msg);
+                self.settle(ctx, actions);
+            }
+            _ => self.on_wire_reply(ctx, msg),
+        }
+        self.tick(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+        if tag == CLOCK_TAG {
+            self.sinks.tally.lock().clock_firings += 1;
+            // A timer superseded by an earlier re-arm: the one armed for
+            // `armed_for` is still to come.
+            if self.armed_for.is_some_and(|at| at > ctx.now().as_micros()) {
+                return;
+            }
+            self.armed_for = None;
+        } else if let Some(session) = &mut self.port {
+            let actions = session.on_timer(ctx.now(), tag);
+            self.settle(ctx, actions);
+        }
+        self.tick(ctx);
+    }
+
+    fn on_recover(&mut self, ctx: &mut Context<Msg>) {
+        // Timers that came due while the site was down were suppressed and
+        // never fire. Re-fire the session's — early fires are safe, they
+        // degrade to deduplicated retries — and catch the clock up, unless
+        // the instant it is armed for is still ahead (that timer survived).
+        if let Some(session) = &mut self.port {
+            let actions = session.refire_timers(ctx.now());
+            self.settle(ctx, actions);
+        }
+        if self.armed_for.is_some_and(|at| at <= ctx.now().as_micros()) {
+            self.armed_for = None;
+        }
+        self.tick(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdstore::DatacenterCore;
+    use simnet::{NetworkConfig, SimTime, Simulation};
+
+    /// A request that was offered late is charged from its *scheduled*
+    /// arrival when its patience expires, not from the instant it was sent
+    /// (and not a constant): the expiry latency includes the queueing delay.
+    #[test]
+    fn expiry_is_charged_from_the_scheduled_arrival() {
+        let patience = SimDuration::from_millis(200);
+        let second = SimDuration::from_secs(1);
+        let mut spec = LoadSpec::open_loop(1, 100.0)
+            .with_groups(1)
+            .with_keys(8)
+            .with_windows(second, SimDuration::from_secs(5), patience);
+        spec.actors = Some(1);
+        let mut sim: Simulation<Msg> =
+            Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
+        // Nobody answers: the actor is its own "service" and ignores requests.
+        let (site, service) = (sim.add_site("client"), NodeId(0));
+        let names = Arc::new(Names::intern(&SymbolTable::shared(), &spec.keyspace));
+        let core = DatacenterCore::shared("dc0", 0);
+        let targets = Arc::new(vec![WireTarget {
+            group: names.groups[0],
+            home: 0,
+            services: vec![service],
+            cores: vec![core],
+        }]);
+        let sinks = Sinks {
+            metrics: Arc::new(Mutex::new(RunMetrics::default())),
+            tally: Arc::new(Mutex::new(Tally::default())),
+            done: Arc::new(AtomicUsize::new(0)),
+        };
+        let metrics = Arc::clone(&sinks.metrics);
+        let sampler = KeySampler::new(spec.keyspace.distribution, spec.keyspace.keys);
+        let actor = LoadActor::new(None, &targets, &spec, 0, &names, &sampler, sinks);
+        assert_eq!(sim.add_node(site, Box::new(actor)), service);
+
+        // The client's site is down for the first 600 ms of the offered
+        // second: ~60 arrivals queue behind the outage, are sent at recovery
+        // and expire one patience later.
+        sim.crash_site(site);
+        sim.run_until(SimTime::from_micros(600_000));
+        sim.recover_site(site);
+        sim.run_until_idle();
+
+        let metrics = metrics.lock();
+        assert!(metrics.attempted > 80, "about 100 arrivals were scheduled");
+        assert_eq!(
+            metrics.timed_out as usize, metrics.attempted,
+            "nobody answers"
+        );
+        let slowest = metrics.abort_latency_us.iter().copied().max().unwrap();
+        assert!(
+            slowest >= 600_000,
+            "the first backlogged arrival waited ~600 ms before it was even sent, then a full \
+             patience: {slowest} µs"
+        );
+        let fastest = metrics.abort_latency_us.iter().copied().min().unwrap();
+        assert!(
+            (200_000..250_000).contains(&fastest),
+            "arrivals offered on time expire after exactly their patience: {fastest} µs"
+        );
+    }
+}

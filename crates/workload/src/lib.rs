@@ -1,53 +1,53 @@
-//! # workload — YCSB-style transactional workloads and the experiment runner
+//! # workload — one load actor, one harness
 //!
-//! The paper evaluates its prototype with the Yahoo! Cloud Serving Benchmark
-//! extended with transaction support: every experiment issues 500
-//! transactions of ten operations each (50 % reads, 50 % writes) against a
-//! single entity group stored as one row with a configurable number of
-//! attributes, at a target rate of one transaction per second per client
-//! thread, with staggered thread starts (§6).
+//! The paper produces every figure of §6 from one YCSB generator whose
+//! knobs are threads, target rate, attribute count and placement. This
+//! crate is that generator: a [`LoadSpec`] is the product *cluster shape ×
+//! arrival process × operation mix × keyspace*, [`LoadActor`] offers it, and
+//! [`run_load`] builds the cluster, places the actors, drives the run,
+//! verifies it and audits it. Every experiment in the repository is a
+//! preset:
 //!
-//! This crate reproduces that workload generator on top of the simulated
-//! cluster:
+//! | preset | cluster shape | arrival | mix | audits beyond serializability |
+//! |---|---|---|---|---|
+//! | [`LoadSpec::paper_default`] | `Sim`, in-memory, fault-free | `Closed`: 4 clients × 125 txns at 1 tx/s, one open each | 10 ops, 50 % reads, 18 ms per op, one 100-attribute row, direct route | every transaction reached an outcome, exactly-once, no lease leaked |
+//! | [`LoadSpec::open_loop`] | `Parallel`, `workers` shards × 8 groups | `Open`: Poisson at `offered_tps` for 1.2 s, 2 s drain | single blind writes, 1 M zipfian keys, submitted route | exactly-once, no lease leaked |
+//! | [`LoadSpec::read_mostly`] | `Parallel`, `workers` shards × 4 groups | as `open_loop` | 95 % snapshot reads (≤ 4 in flight per actor) served by the first N datacenters, 5 % blind writes | + zero unavailable reads, every read explained at its watermark |
+//! | [`LoadSpec::rolling_failure`] | `Sim` + rolling crashes, flapping link, home churn (+ durable restarts with [`LoadSpec::with_storage`]) | `Open`: Poisson at 200 tx/s for the given duration | single blind writes over 4 groups, submitted route, 32 re-submissions at 400 ms patience | + every 1 s window live |
 //!
-//! * [`DriverConfig`] / [`ClientDriver`] — one benchmark "thread": an actor
-//!   owning a [`mdstore::Session`], issuing transactions on a schedule —
-//!   up to [`DriverConfig::max_open`] open concurrently, committing down
-//!   either [`mdstore::CommitRoute`] — and recording outcomes;
-//! * [`ExperimentSpec`] / [`run_experiment`] — build a cluster from a
-//!   topology, place drivers, run the simulation to completion, verify the
-//!   resulting logs with the serializability checker, and aggregate metrics
-//!   into an [`ExperimentResult`] (commit counts by promotion round, latency
-//!   by round, combination counts — the quantities plotted in Figures 4–8).
-//! * [`KeyDistribution`] / [`KeySampler`] — uniform and YCSB-zipfian key
-//!   selection shared by both the closed-loop and open-loop drivers;
-//! * [`OpenLoopSpec`] / [`run_openloop`] — an open-loop load harness for the
-//!   multi-threaded parallel runtime: arrivals scheduled independently of
-//!   completions, latency charged from scheduled arrival time, zipfian keys
-//!   over multi-million-key spaces, every run checker-verified.
-//! * [`ReadMostlySpec`] / [`run_readmostly`] — the read-mostly (95/5) mix
-//!   for the scale-out snapshot read plane: non-aborting watermark reads
-//!   served by any of the first N replicas, writes down the commit engine,
-//!   every completed read proven against the merged decided log at its
-//!   watermark ([`explain_snapshot_reads`]).
+//! Any other point of the product is a preset with fields changed (the
+//! paper's workload under durable rolling crashes, the read-mostly mix on
+//! the simulation): nothing in the actor or the harness is preset-specific.
+//!
+//! * **Shape** decides the port, and no field does. On `Sim` the actor
+//!   drives an [`mdstore::Session`]: multi-operation transactions, both
+//!   commit routes, exactly-once re-submission, synchronous snapshot
+//!   handles. On `Parallel` it builds [`mdstore::Msg::CommitRequest`] /
+//!   [`mdstore::Msg::SnapshotRead`] itself and minds their patience.
+//! * **Arrival** decides where latency is charged from: `Closed` from the
+//!   commit call (the paper's measure), `Open` from the *scheduled* arrival
+//!   — commits, timeouts and shed reads alike.
+//! * **Audits** run whenever their evidence exists: exactly-once whenever
+//!   clients observed commit ids, [`explain_snapshot_reads`] whenever
+//!   snapshot reads ran (it needs logs no snapshot truncated, as does the
+//!   checker for in-transaction reads), the lease-leak check always,
+//!   liveness windows when [`LoadSpec::liveness_window`] is set.
+//!
+//! Harnesses that need the simulation in their own hands (mid-run
+//! inspection, custom faults) [`place`] the same actors on their own
+//! [`mdstore::Cluster`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chaos;
-mod driver;
-mod openloop;
-mod readmostly;
-mod runner;
+mod actor;
+mod harness;
 mod spec;
 mod zipf;
 
-pub use chaos::{run_chaos, ChaosRunResult, ChaosRunSpec};
-pub use driver::{ClientDriver, DriverConfig, SharedMetrics};
-pub use openloop::{run_openloop, OpenLoopResult, OpenLoopSpec};
-pub use readmostly::{
-    explain_snapshot_reads, run_readmostly, ReadMostlyResult, ReadMostlySpec, SnapshotReadSample,
+pub use actor::{LoadActor, Names, SnapshotReadSample};
+pub use harness::{explain_snapshot_reads, place, run_load, Fleet};
+pub use spec::{
+    Arrival, ClusterShape, Keyspace, LoadResult, LoadSpec, OpMix, Placement, ReadTotals,
 };
-pub use runner::run_experiment;
-pub use spec::{ExperimentResult, ExperimentSpec, Placement};
 pub use zipf::{KeyDistribution, KeySampler, Zipfian};

@@ -10,7 +10,8 @@
 
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
-    ClientAction, Cluster, ClusterConfig, CommitProtocol, Msg, Session, Topology,
+    apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, Msg, Session,
+    Topology,
 };
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
 use std::sync::Arc;
@@ -47,25 +48,17 @@ impl Teller {
     }
 
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    let mut stats = self.stats.lock();
-                    if result.committed {
-                        stats.transfers_committed += 1;
-                    } else {
-                        stats.transfers_aborted += 1;
-                    }
-                    drop(stats);
-                    // Pace tellers slightly apart so the example finishes in
-                    // a handful of simulated seconds.
-                    ctx.set_timer(SimDuration::from_millis(120), u64::MAX);
-                }
+        for result in apply_client_actions(ctx, actions) {
+            let mut stats = self.stats.lock();
+            if result.committed {
+                stats.transfers_committed += 1;
+            } else {
+                stats.transfers_aborted += 1;
             }
+            drop(stats);
+            // Pace tellers slightly apart so the example finishes in
+            // a handful of simulated seconds.
+            ctx.set_timer(SimDuration::from_millis(120), u64::MAX);
         }
     }
 

@@ -11,31 +11,31 @@
 //! ```
 
 use paxos_cp::mdstore::{CommitProtocol, Topology};
-use paxos_cp::workload::{run_experiment, ExperimentSpec};
+use paxos_cp::workload::{run_load, LoadSpec};
 
 fn main() {
     println!(
         "{:<12} {:>14} {:>14} {:>12} {:>12}",
         "attributes", "paxos commits", "cp commits", "cp promoted", "cp combined"
     );
-    for attributes in [10usize, 50, 200] {
+    for attributes in [10u64, 50, 200] {
         let mut row = Vec::new();
         for protocol in [CommitProtocol::BasicPaxos, CommitProtocol::PaxosCp] {
-            let spec = ExperimentSpec::paper_default(Topology::vvv(), protocol)
+            let spec = LoadSpec::paper_default(Topology::vvv(), protocol)
                 .named(format!("contention-{attributes}-{}", protocol.name()))
                 .with_clients(4, 30)
-                .with_attributes(attributes)
+                .with_keys(attributes)
                 .with_seed(2024);
-            row.push(run_experiment(&spec));
+            row.push(run_load(&spec));
         }
         let (paxos, cp) = (&row[0], &row[1]);
         println!(
             "{:<12} {:>9}/{:<4} {:>9}/{:<4} {:>12} {:>12}",
             attributes,
             paxos.totals.committed,
-            paxos.attempted,
+            paxos.totals.attempted,
             cp.totals.committed,
-            cp.attempted,
+            cp.totals.attempted,
             cp.totals.promoted_commits(),
             cp.totals.combined_commits,
         );

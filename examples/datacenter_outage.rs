@@ -10,7 +10,8 @@
 
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
-    ClientAction, Cluster, ClusterConfig, CommitProtocol, Msg, RunMetrics, Session, Topology,
+    apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, MetricsHub, Msg,
+    RunMetrics, Session, Topology,
 };
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
 use std::sync::Arc;
@@ -25,17 +26,9 @@ struct Writer {
 
 impl Writer {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    self.metrics.lock().record(&result);
-                    self.start_next(ctx);
-                }
-            }
+        for result in apply_client_actions(ctx, actions) {
+            self.metrics.lock().record(&result);
+            self.start_next(ctx);
         }
     }
 
@@ -79,7 +72,7 @@ impl Actor<Msg> for Writer {
 
 fn main() {
     let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
-    let metrics = Arc::new(Mutex::new(RunMetrics::default()));
+    let metrics = MetricsHub::new().register();
     let directory = cluster.directory();
     let client_config = cluster.client_config();
     let sink = metrics.clone();

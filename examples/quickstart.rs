@@ -7,10 +7,10 @@
 //! ```
 
 use paxos_cp::mdstore::{Cluster, ClusterConfig, CommitProtocol, CommitRoute, Topology};
-use paxos_cp::workload::{run_experiment, ExperimentSpec};
+use paxos_cp::workload::{run_load, LoadSpec};
 
 fn main() {
-    // --- The one-call path: describe an experiment and run it. -------------
+    // --- The one-call path: describe a load and run it. -------------------
     //
     // Clients are `mdstore::Session`s: `begin()` hands back a `TxnHandle`,
     // reads/writes/commit take the handle, and several transactions can be
@@ -20,7 +20,7 @@ fn main() {
     // to the group home's Transaction Service, whose hosted group committer
     // batches commits from every client into pipelined shared instances.
     for route in [CommitRoute::Direct, CommitRoute::Submitted] {
-        let spec = ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        let spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
             .named(format!("quickstart-{}", route.name()))
             .with_clients(3, 20)
             .with_route(route)
@@ -28,16 +28,17 @@ fn main() {
             .with_seed(7);
         println!(
             "running {} transactions over a {} cluster with {} (route: {})...",
-            spec.total_transactions(),
+            spec.total_transactions()
+                .expect("the paper's loop is closed"),
             spec.topology.name(),
-            spec.protocol.name(),
+            spec.client.protocol.name(),
             route.name(),
         );
-        let result = run_experiment(&spec);
+        let result = run_load(&spec);
         println!(
             "committed {}/{} transactions ({} needed a promotion, {} were combined)",
             result.totals.committed,
-            result.attempted,
+            result.totals.attempted,
             result.totals.promoted_commits(),
             result.totals.combined_commits
         );

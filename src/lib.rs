@@ -9,7 +9,9 @@
 //! * [`paxos`] — basic Paxos and Paxos-CP commit protocol state machines.
 //! * [`storage`] — durable plane: disk WAL, snapshots, buffer-pooled pager.
 //! * [`mdstore`] — the transaction tier (the paper's core contribution).
-//! * [`workload`] — YCSB-style workload generation and experiment runner.
+//! * [`workload`] — one load actor (`LoadActor`) and one harness
+//!   (`run_load(&LoadSpec)`): every experiment is a preset of the product
+//!   cluster shape × arrival process × operation mix × keyspace.
 
 pub use mdstore;
 pub use mvkv;

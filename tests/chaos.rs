@@ -8,10 +8,8 @@
 
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    Cluster, ClusterConfig, CommitProtocol, Msg, ParallelCluster, ParallelClusterConfig,
-    RunMetrics, Topology,
+    Cluster, ClusterConfig, CommitProtocol, Msg, ParallelCluster, ParallelClusterConfig, Topology,
 };
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use simnet::{Actor, ChaosConfig, ChaosSchedule, ChaosSpec, Context, NodeId, SimDuration, SiteId};
 use std::collections::BTreeMap;
@@ -19,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use walog::{GroupId, ItemRef, LogPosition, Transaction, TxnId};
-use workload::{run_chaos, ChaosRunSpec, ClientDriver, DriverConfig, KeyDistribution};
+use workload::{place, run_load, LoadSpec, Names};
 
 /// The ISSUE's acceptance scenario: 60 s of simulated time under rolling
 /// leader crashes (one roughly every two seconds with staggered restarts),
@@ -27,32 +25,32 @@ use workload::{run_chaos, ChaosRunSpec, ClientDriver, DriverConfig, KeyDistribut
 /// group-home migration, with a zipfian open-loop load offered throughout.
 /// The run must complete with zero `Unavailable` outcomes surfaced to
 /// clients, a checker-verified serializable history (asserted inside
-/// [`run_chaos`]), and committed throughput above zero in every one-second
+/// [`run_load`]), and committed throughput above zero in every one-second
 /// window.
 #[test]
 fn sixty_seconds_of_rolling_chaos_stays_serializable_available_and_live() {
-    let result = run_chaos(&ChaosRunSpec::rolling_failure(SimDuration::from_secs(60)));
-    assert!(result.committed > 0);
+    let result = run_load(&LoadSpec::rolling_failure(SimDuration::from_secs(60)));
+    assert!(result.totals.committed > 0);
     assert_eq!(
         result.unavailable, 0,
         "automatic re-submission must absorb every fault window"
     );
     assert_eq!(result.window_commits.len(), 60);
     assert!(
-        result.min_window_commits > 0,
+        result.min_window_commits() > 0,
         "committed throughput flatlined: {:?}",
         result.window_commits
     );
     assert!(
-        result.faults_injected > 30,
+        result.totals.faults_injected > 30,
         "the schedule must keep injecting"
     );
     assert!(
-        result.resubmissions > 0,
+        result.totals.resubmissions > 0,
         "faults must exercise the retry path"
     );
     assert!(
-        result.duplicate_suppressions > 0,
+        result.totals.duplicate_suppressions > 0,
         "retries must be answered from the dedup layers, not re-executed"
     );
 }
@@ -71,40 +69,20 @@ fn duplicated_and_reordered_deliveries_never_rewrite_the_decided_prefix() {
         .with_reordering(0.25, SimDuration::from_millis(80))
         .with_bursts(0.1, 3.0);
 
-    let mut sinks = Vec::new();
-    for w in 0..3 {
-        let metrics = Arc::new(Mutex::new(RunMetrics::default()));
-        sinks.push(metrics.clone());
-        let client_config = cluster.client_config();
-        let driver_config = DriverConfig {
-            group: "shard".into(),
-            row_key: "hot".into(),
-            num_attributes: 16,
-            key_distribution: KeyDistribution::Uniform,
-            num_transactions: 25,
-            ops_per_txn: 2,
-            read_fraction: 0.0,
-            target_tps: 25.0,
-            max_open: 2,
-            start_delay: SimDuration::from_millis(5 * w as u64),
-            op_delay: SimDuration::from_millis(1),
-            op_jitter: 0.5,
-            arrival_jitter: 0.3,
-            seed: 900 + w as u64,
-        };
-        let directory = cluster.directory();
-        let sink = metrics;
-        cluster.add_client(0, move |node| {
-            Box::new(ClientDriver::new(
-                node,
-                0,
-                directory,
-                client_config,
-                driver_config,
-                sink,
-            ))
-        });
-    }
+    // Three closed-loop blind writers on one hot 16-attribute row, two
+    // transactions open each.
+    let mut spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        .with_clients(3, 25)
+        .with_keys(16)
+        .with_target_tps(25.0)
+        .with_max_open(2)
+        .with_stagger(SimDuration::from_millis(5))
+        .with_seed(900);
+    spec.mix.ops_per_txn = 2;
+    spec.mix.read_fraction = 0.0;
+    spec.mix.op_delay = SimDuration::from_millis(1);
+    let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
+    let fleet = place(&mut cluster, &spec, &names);
 
     // Snapshot the decided prefix mid-run, while duplicates of already
     // counted accepts and applies are still arriving late.
@@ -148,10 +126,7 @@ fn duplicated_and_reordered_deliveries_never_rewrite_the_decided_prefix() {
         }
     }
 
-    let mut totals = RunMetrics::default();
-    for sink in &sinks {
-        totals.merge(&sink.lock());
-    }
+    let totals = fleet.totals();
     assert_eq!(totals.attempted, 75, "every transaction must be offered");
     assert_eq!(
         totals.committed + totals.aborted,
@@ -335,16 +310,11 @@ fn chaotic_simnet_run() -> (FinalState, usize) {
         SimDuration::from_secs(1),
         SimDuration::from_millis(300),
     );
-    let mut schedule = ChaosSchedule::generate(&chaos, 7);
-    let mut faults = 0;
-    while let Some(due) = schedule.next_due() {
-        cluster.sim_mut().run_until(due);
-        for event in schedule.pop_due(due) {
-            assert!(ChaosSchedule::apply_network(event, cluster.sim_mut()));
-            faults += u64::from(event.is_fault());
-        }
-    }
-    assert!(faults > 0, "the schedule must actually crash sites");
+    let replay = cluster.replay_chaos(&mut ChaosSchedule::generate(&chaos, 7), &groups);
+    assert!(
+        replay.faults_applied > 0,
+        "the schedule must actually crash sites"
+    );
     cluster.run_to_completion();
     assert_eq!(
         done.load(Ordering::SeqCst),
@@ -471,7 +441,7 @@ proptest! {
     /// Any seed, any crash/churn cadence: the 3-datacenter, 4-group
     /// rolling-failure scenario must produce a serializable history in
     /// which every client-observed commit appears at exactly one position
-    /// of the merged decided log (both asserted inside [`run_chaos`]), and
+    /// of the merged decided log (both asserted inside [`run_load`]), and
     /// the metrics must stay internally consistent.
     #[test]
     fn seeded_chaos_commits_exactly_once_and_stays_serializable(
@@ -493,16 +463,17 @@ proptest! {
                 SimDuration::from_millis(200),
             )
             .with_home_churn(4, SimDuration::from_millis(churn_period_ms));
-        let mut spec = ChaosRunSpec::rolling_failure(duration)
+        let mut spec = LoadSpec::rolling_failure(duration)
             .with_chaos(chaos)
             .with_offered_tps(60.0)
             .with_seed(seed);
         // Liveness bars are scenario-tuned; arbitrary cadences only have to
-        // be safe and exactly-once, which run_chaos asserts before returning.
-        spec.require_liveness = false;
-        let result = run_chaos(&spec);
-        prop_assert!(result.committed > 0, "seed {seed}: nothing committed");
-        prop_assert!(result.attempted >= result.committed + result.aborted);
-        prop_assert!(result.faults_injected > 0);
+        // be safe and exactly-once, which run_load asserts before returning.
+        spec.liveness_window = None;
+        let result = run_load(&spec);
+        let totals = &result.totals;
+        prop_assert!(totals.committed > 0, "seed {seed}: nothing committed");
+        prop_assert!(totals.attempted >= totals.committed + totals.aborted);
+        prop_assert!(totals.faults_injected > 0);
     }
 }

@@ -10,24 +10,24 @@
 //! could abort different transactions.
 
 use paxos_cp::mdstore::{CommitProtocol, Topology};
-use paxos_cp::workload::{run_experiment, ExperimentSpec};
+use paxos_cp::workload::{run_load, LoadSpec};
 use simnet::{ChaosSpec, SimDuration};
 
 /// Render everything about a run that determinism is answerable for:
 /// the per-group decided-log reports (including the exact serial order of
 /// transaction ids) and the aggregate counters.
-fn run_digest(spec: &ExperimentSpec) -> String {
-    let result = run_experiment(spec);
+fn run_digest(spec: &LoadSpec) -> String {
+    let result = run_load(spec);
     format!(
-        "check={:?} totals={:?} per_client={:?} duration={:?}",
-        result.check, result.totals, result.per_client, result.duration
+        "check={:?} totals={:?} per_actor={:?} duration={:?}",
+        result.check, result.totals, result.per_actor, result.duration
     )
 }
 
 #[test]
 fn same_seed_runs_are_byte_identical() {
     for protocol in [CommitProtocol::BasicPaxos, CommitProtocol::PaxosCp] {
-        let spec = ExperimentSpec::paper_default(Topology::vvv(), protocol)
+        let spec = LoadSpec::paper_default(Topology::vvv(), protocol)
             .named("determinism-regression")
             .with_clients(3, 15)
             .with_seed(424242);
@@ -45,7 +45,7 @@ fn same_seed_runs_are_byte_identical() {
 fn same_seed_chaos_runs_are_byte_identical() {
     // Crashes drive the recovery paths (timer re-fires, pending-read
     // flushes) that iterate the converted service maps.
-    let spec = ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+    let spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
         .named("determinism-chaos-regression")
         .with_clients(3, 12)
         .with_seed(777)
@@ -67,7 +67,7 @@ fn same_seed_chaos_runs_are_byte_identical() {
 #[test]
 fn different_seeds_actually_change_the_run() {
     // Guard against the digest being vacuous (e.g. all fields constant).
-    let base = ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+    let base = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
         .named("determinism-sensitivity")
         .with_clients(3, 15);
     let a = run_digest(&base.clone().with_seed(1));

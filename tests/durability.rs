@@ -13,7 +13,7 @@ use simnet::SimDuration;
 use storage::wal::{self, Wal, WalRecord};
 use storage::{fault, DcStorage, StorageError};
 use walog::{AttrId, GroupId, ItemRef, KeyId, LogEntry, LogPosition, Transaction, TxnId};
-use workload::{run_chaos, ChaosRunSpec};
+use workload::{run_load, LoadSpec};
 
 const GROUP: GroupId = GroupId(0);
 const ROW: KeyId = KeyId(0);
@@ -49,11 +49,11 @@ fn durable_core(label: &str) -> (DatacenterCore, DurableConfig) {
 #[test]
 fn sixty_seconds_of_durable_rolling_chaos_restarts_every_crashed_site_from_disk() {
     let dir = storage::scratch_dir("durable-chaos-60s");
-    let spec = ChaosRunSpec::rolling_failure(SimDuration::from_secs(60))
+    let spec = LoadSpec::rolling_failure(SimDuration::from_secs(60))
         .with_storage(StorageConfig::Durable(DurableConfig::new(&dir)));
-    let result = run_chaos(&spec);
+    let result = run_load(&spec);
     storage::remove_scratch_dir(&dir);
-    assert!(result.committed > 0);
+    assert!(result.totals.committed > 0);
     assert_eq!(
         result.unavailable, 0,
         "re-submission must absorb fault windows with durability on"
@@ -70,7 +70,7 @@ fn sixty_seconds_of_durable_rolling_chaos_restarts_every_crashed_site_from_disk(
     );
     assert_eq!(result.window_commits.len(), 60);
     assert!(
-        result.min_window_commits > 0,
+        result.min_window_commits() > 0,
         "committed throughput flatlined: {:?}",
         result.window_commits
     );

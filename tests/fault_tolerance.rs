@@ -6,8 +6,8 @@
 
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
-    BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol, GroupCommitter, Msg,
-    RunMetrics, Session, Topology,
+    apply_client_actions, BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol,
+    GroupCommitter, MetricsHub, Msg, RunMetrics, Session, Topology,
 };
 use paxos_cp::paxos::{Ballot, PaxosMsg};
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
@@ -28,18 +28,10 @@ struct Writer {
 
 impl Writer {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    self.metrics.lock().record(&result);
-                    if self.remaining > 0 {
-                        ctx.set_timer(self.pause, u64::MAX);
-                    }
-                }
+        for result in apply_client_actions(ctx, actions) {
+            self.metrics.lock().record(&result);
+            if self.remaining > 0 {
+                ctx.set_timer(self.pause, u64::MAX);
             }
         }
     }
@@ -96,7 +88,7 @@ fn add_writer_with(
     count: usize,
     blind_attr: Option<String>,
 ) -> Arc<Mutex<RunMetrics>> {
-    let metrics = Arc::new(Mutex::new(RunMetrics::default()));
+    let metrics = MetricsHub::new().register();
     let directory = cluster.directory();
     let client_config = cluster.client_config();
     let sink = metrics.clone();
@@ -366,16 +358,8 @@ struct BatchSubmitter {
 
 impl BatchSubmitter {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    self.metrics.lock().record(&result);
-                }
-            }
+        for result in apply_client_actions(ctx, actions) {
+            self.metrics.lock().record(&result);
         }
     }
 
@@ -424,7 +408,7 @@ fn add_batch_submitter(
     batch_config: BatchConfig,
     start_after: Option<SimDuration>,
 ) -> Arc<Mutex<RunMetrics>> {
-    let metrics = Arc::new(Mutex::new(RunMetrics::default()));
+    let metrics = MetricsHub::new().register();
     let directory = cluster.directory();
     let client_config = cluster.client_config();
     let sink = metrics.clone();

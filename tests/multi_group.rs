@@ -11,8 +11,8 @@
 
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
-    BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol, GroupCommitter, Msg,
-    RunMetrics, Session, Topology,
+    apply_client_actions, BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol,
+    GroupCommitter, MetricsHub, Msg, RunMetrics, Session, Topology,
 };
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
 use paxos_cp::walog::{GroupId, GroupLog, ItemRef, Transaction, TxnId};
@@ -29,17 +29,9 @@ struct GroupWriter {
 
 impl GroupWriter {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    self.metrics.lock().record(&result);
-                    ctx.set_timer(SimDuration::from_millis(40), u64::MAX);
-                }
-            }
+        for result in apply_client_actions(ctx, actions) {
+            self.metrics.lock().record(&result);
+            ctx.set_timer(SimDuration::from_millis(40), u64::MAX);
         }
     }
 
@@ -87,7 +79,7 @@ fn add_group_writer(
     group: &str,
     count: usize,
 ) -> Arc<Mutex<RunMetrics>> {
-    let metrics = Arc::new(Mutex::new(RunMetrics::default()));
+    let metrics = MetricsHub::new().register();
     let directory = cluster.directory();
     let client_config = cluster.client_config();
     let sink = metrics.clone();
@@ -222,19 +214,11 @@ struct BatchingWriter {
 
 impl BatchingWriter {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
-                    ctx.set_timer(delay, tag);
-                }
-                ClientAction::Finished(result) => {
-                    self.metrics.lock().record(&result);
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    if self.outstanding == 0 && self.rounds_left > 0 {
-                        ctx.set_timer(SimDuration::from_millis(5), u64::MAX);
-                    }
-                }
+        for result in apply_client_actions(ctx, actions) {
+            self.metrics.lock().record(&result);
+            self.outstanding = self.outstanding.saturating_sub(1);
+            if self.outstanding == 0 && self.rounds_left > 0 {
+                ctx.set_timer(SimDuration::from_millis(5), u64::MAX);
             }
         }
     }
@@ -367,7 +351,7 @@ fn sharded_batched_workload_is_serializable_under_any_log_interleaving() {
     let mut counter_metrics = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         let home = directory.group_home(*group);
-        let metrics = Arc::new(Mutex::new(RunMetrics::default()));
+        let metrics = MetricsHub::new().register();
         batch_metrics.push(metrics.clone());
         let items: Vec<ItemRef> = (0..3)
             .map(|s| {

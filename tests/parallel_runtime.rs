@@ -13,17 +13,15 @@
 
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    Cluster, ClusterConfig, CommitProtocol, Msg, ParallelCluster, ParallelClusterConfig,
-    RunMetrics, Topology,
+    Cluster, ClusterConfig, CommitProtocol, Msg, ParallelCluster, ParallelClusterConfig, Topology,
 };
-use parking_lot::Mutex;
 use simnet::{Actor, Context, NodeId, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use walog::{GroupId, ItemRef, Transaction, TxnId};
-use workload::{ClientDriver, DriverConfig, KeyDistribution};
+use workload::{place, KeyDistribution, LoadSpec, Names};
 
 /// Concatenate every decided log entry of every replica and group into one
 /// printable fingerprint (group ids are dense and sorted, replicas are in
@@ -49,38 +47,19 @@ fn seeded_contended_run(seed: u64) -> String {
     let mut cluster = Cluster::build(
         ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp).with_seed(seed),
     );
-    for w in 0..3 {
-        let metrics = Arc::new(Mutex::new(RunMetrics::default()));
-        let client_config = cluster.client_config();
-        let driver_config = DriverConfig {
-            group: "shard".into(),
-            row_key: "hot".into(),
-            num_attributes: 8,
-            key_distribution: KeyDistribution::Zipfian { theta: 0.9 },
-            num_transactions: 8,
-            ops_per_txn: 3,
-            read_fraction: 0.4,
-            target_tps: 50.0,
-            max_open: 2,
-            start_delay: SimDuration::from_millis(5 * w as u64),
-            op_delay: SimDuration::from_millis(1),
-            op_jitter: 0.5,
-            arrival_jitter: 0.3,
-            seed: 1000 + w as u64,
-        };
-        let directory = cluster.directory();
-        let sink = metrics;
-        cluster.add_client(0, move |node| {
-            Box::new(ClientDriver::new(
-                node,
-                0,
-                directory,
-                client_config,
-                driver_config,
-                sink,
-            ))
-        });
-    }
+    let mut spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        .with_clients(3, 8)
+        .with_keys(8)
+        .with_key_distribution(KeyDistribution::Zipfian { theta: 0.9 })
+        .with_target_tps(50.0)
+        .with_max_open(2)
+        .with_stagger(SimDuration::from_millis(5))
+        .with_seed(1000);
+    spec.mix.ops_per_txn = 3;
+    spec.mix.read_fraction = 0.4;
+    spec.mix.op_delay = SimDuration::from_millis(1);
+    let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
+    place(&mut cluster, &spec, &names);
     cluster.run_to_completion();
     cluster
         .verify()

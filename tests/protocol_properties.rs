@@ -2,19 +2,19 @@
 //! simulated runs: the claims of §4–§6 of the paper as executable tests.
 
 use paxos_cp::mdstore::{CommitProtocol, Topology};
-use paxos_cp::workload::{run_experiment, ExperimentSpec};
+use paxos_cp::workload::{run_load, LoadSpec};
 
-fn contended_spec(protocol: CommitProtocol, seed: u64) -> ExperimentSpec {
-    ExperimentSpec::paper_default(Topology::vvv(), protocol)
+fn contended_spec(protocol: CommitProtocol, seed: u64) -> LoadSpec {
+    LoadSpec::paper_default(Topology::vvv(), protocol)
         .named(format!("prop-{}-{seed}", protocol.name()))
         .with_clients(4, 25)
-        .with_attributes(100)
+        .with_keys(100)
         .with_seed(seed)
 }
 
 #[test]
 fn basic_paxos_never_promotes_or_combines() {
-    let result = run_experiment(&contended_spec(CommitProtocol::BasicPaxos, 1));
+    let result = run_load(&contended_spec(CommitProtocol::BasicPaxos, 1));
     assert_eq!(result.totals.promoted_commits(), 0);
     assert_eq!(result.totals.combined_commits, 0);
     assert_eq!(result.totals.commits_by_promotion.len().max(1), 1);
@@ -25,8 +25,8 @@ fn paxos_cp_commits_strictly_more_than_basic_under_contention() {
     // The paper's headline result (Figures 4, 6, 7, 8): under contention the
     // promotion mechanism recovers transactions basic Paxos would abort.
     for seed in [3, 5, 8] {
-        let basic = run_experiment(&contended_spec(CommitProtocol::BasicPaxos, seed));
-        let cp = run_experiment(&contended_spec(CommitProtocol::PaxosCp, seed));
+        let basic = run_load(&contended_spec(CommitProtocol::BasicPaxos, seed));
+        let cp = run_load(&contended_spec(CommitProtocol::PaxosCp, seed));
         assert!(
             cp.totals.committed > basic.totals.committed,
             "seed {seed}: cp {} vs basic {}",
@@ -43,8 +43,8 @@ fn paxos_cp_commits_strictly_more_than_basic_under_contention() {
 #[test]
 fn promotion_cap_bounds_the_promotion_rounds() {
     let mut spec = contended_spec(CommitProtocol::PaxosCp, 13);
-    spec.max_promotions = Some(Some(1));
-    let result = run_experiment(&spec);
+    spec.client.max_promotions = Some(1);
+    let result = run_load(&spec);
     assert!(
         result.totals.commits_by_promotion.len() <= 2,
         "no commit may use more than one promotion, got {:?}",
@@ -55,9 +55,9 @@ fn promotion_cap_bounds_the_promotion_rounds() {
 #[test]
 fn unlimited_promotions_commit_at_least_as_many_as_capped() {
     let mut capped = contended_spec(CommitProtocol::PaxosCp, 21);
-    capped.max_promotions = Some(Some(0));
-    let capped_result = run_experiment(&capped);
-    let unlimited_result = run_experiment(&contended_spec(CommitProtocol::PaxosCp, 21));
+    capped.client.max_promotions = Some(0);
+    let capped_result = run_load(&capped);
+    let unlimited_result = run_load(&contended_spec(CommitProtocol::PaxosCp, 21));
     assert!(
         unlimited_result.totals.committed >= capped_result.totals.committed,
         "unlimited {} vs capped {}",
@@ -69,8 +69,8 @@ fn unlimited_promotions_commit_at_least_as_many_as_capped() {
 #[test]
 fn disabling_combination_still_produces_correct_histories() {
     let mut spec = contended_spec(CommitProtocol::PaxosCp, 34);
-    spec.combination = Some(false);
-    let result = run_experiment(&spec);
+    spec.client.combination = false;
+    let result = run_load(&spec);
     assert_eq!(result.totals.combined_commits, 0);
     assert!(result.totals.committed > 0);
 }
@@ -78,9 +78,9 @@ fn disabling_combination_still_produces_correct_histories() {
 #[test]
 fn disabling_the_fast_path_still_commits_everything_eventually() {
     let mut spec = contended_spec(CommitProtocol::PaxosCp, 45);
-    spec.fast_path = Some(false);
-    let result = run_experiment(&spec);
-    assert_eq!(result.attempted, 100);
+    spec.client.fast_path = false;
+    let result = run_load(&spec);
+    assert_eq!(result.totals.attempted, 100);
     assert!(result.totals.committed > 0);
 }
 
@@ -89,8 +89,8 @@ fn low_contention_lets_paxos_cp_commit_nearly_everything() {
     // Mirrors the right-hand side of Figure 6: with 500 attributes and ten
     // operations per transaction, read-write conflicts are rare, so almost
     // every transaction commits (directly or after promotion).
-    let spec = contended_spec(CommitProtocol::PaxosCp, 60).with_attributes(500);
-    let result = run_experiment(&spec);
+    let spec = contended_spec(CommitProtocol::PaxosCp, 60).with_keys(500);
+    let result = run_load(&spec);
     let ratio = result.commit_ratio();
     assert!(
         ratio > 0.9,
@@ -102,8 +102,8 @@ fn low_contention_lets_paxos_cp_commit_nearly_everything() {
 fn higher_offered_load_does_not_break_safety_and_lowers_commit_ratio() {
     // Mirrors Figure 7: more offered load means more competition for each
     // log position; commit counts drop but serializability always holds.
-    let slow = run_experiment(&contended_spec(CommitProtocol::BasicPaxos, 70).with_target_tps(0.5));
-    let fast = run_experiment(&contended_spec(CommitProtocol::BasicPaxos, 70).with_target_tps(8.0));
+    let slow = run_load(&contended_spec(CommitProtocol::BasicPaxos, 70).with_target_tps(0.5));
+    let fast = run_load(&contended_spec(CommitProtocol::BasicPaxos, 70).with_target_tps(8.0));
     assert!(
         fast.totals.committed <= slow.totals.committed,
         "fast {} vs slow {}",

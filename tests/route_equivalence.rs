@@ -4,7 +4,7 @@
 //! * **Contended**: the paper's read/write workload run under
 //!   `CommitRoute::Direct` and `CommitRoute::Submitted` must both produce
 //!   serializable per-group logs (the checker runs inside
-//!   `run_experiment`; these tests re-run it over the merged logs via
+//!   `run_load`; these tests re-run it over the merged logs via
 //!   `Cluster::verify` semantics) with every transaction reaching an
 //!   outcome.
 //! * **Conflict-free**: when every writer touches its own row, nothing can
@@ -18,10 +18,9 @@
 //!   at the handle's watermark ([`workload::explain_snapshot_reads`]).
 
 use mdstore::{ClientAction, CommitProtocol, CommitRoute, Topology};
-use workload::{run_experiment, ClientDriver, DriverConfig, ExperimentSpec, SnapshotReadSample};
+use workload::{place, run_load, LoadSpec, Names, SnapshotReadSample};
 
 use mdstore::{Cluster, ClusterConfig, RunMetrics, Session};
-use parking_lot::Mutex;
 use simnet::{NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -32,30 +31,30 @@ use walog::{checker, GroupLog};
 #[test]
 fn contended_workload_is_serializable_under_both_routes() {
     let spec = |route: CommitRoute| {
-        ExperimentSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
             .named(format!("route-eq-{}", route.name()))
             .with_clients(4, 10)
             .with_route(route)
             .with_max_open(3)
             .with_target_tps(25.0)
-            .with_attributes(30)
+            .with_keys(30)
             .with_seed(4242)
     };
-    // `run_experiment` panics if the merged per-group logs violate replica
+    // `run_load` panics if the merged per-group logs violate replica
     // agreement or one-copy serializability, so reaching the asserts means
     // both routes passed the checker on identical offered load.
-    let direct = run_experiment(&spec(CommitRoute::Direct));
-    let submitted = run_experiment(&spec(CommitRoute::Submitted));
+    let direct = run_load(&spec(CommitRoute::Direct));
+    let submitted = run_load(&spec(CommitRoute::Submitted));
     for result in [&direct, &submitted] {
-        assert_eq!(result.attempted, 40, "{}", result.name);
+        let name = &result.spec.name;
+        assert_eq!(result.totals.attempted, 40, "{name}");
         assert_eq!(
             result.totals.committed + result.totals.aborted,
-            result.attempted,
-            "{}: every transaction must reach an outcome",
-            result.name
+            result.totals.attempted,
+            "{name}: every transaction must reach an outcome"
         );
-        assert!(result.totals.committed > 0, "{}", result.name);
-        assert!(!result.check.is_empty(), "{}", result.name);
+        assert!(result.totals.committed > 0, "{name}");
+        assert!(!result.check.is_empty(), "{name}");
     }
 }
 
@@ -130,45 +129,30 @@ fn conflict_free_final_state(
 ) {
     let mut cluster =
         Cluster::build(ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp).with_seed(99));
-    let mut sinks = Vec::new();
+    // Blind writes only, strictly serial per writer, each writer on its own
+    // row: a writer's own overlapping transactions would race for log order
+    // on the attributes they share, and a read of an earlier write would
+    // make the workload contended — either way outcomes could legally
+    // diverge between routes. Serial disjoint-row writers have exactly one
+    // serializable final state.
+    let symbols = cluster.symbols();
+    let mut fleets = Vec::new();
     for w in 0..writers {
-        let metrics = Arc::new(Mutex::new(RunMetrics::default()));
-        sinks.push(metrics.clone());
-        let mut client_config = cluster.client_config();
-        client_config.route = route;
-        let driver_config = DriverConfig {
-            group: "shard".into(),
-            row_key: format!("row{w}"),
-            num_attributes: 6,
-            key_distribution: workload::KeyDistribution::Uniform,
-            num_transactions: txns_each,
-            ops_per_txn: 4,
-            // Blind writes only, strictly serial per driver: a writer's own
-            // overlapping transactions would race for log order on the
-            // attributes they share, and a read of an earlier write would
-            // make the workload contended — either way outcomes could
-            // legally diverge between routes. Serial disjoint-row writers
-            // have exactly one serializable final state.
-            read_fraction: 0.0,
-            target_tps: 40.0,
-            max_open: 1,
-            start_delay: SimDuration::from_millis(10 * w as u64),
-            op_delay: SimDuration::from_millis(2),
-            op_jitter: 0.0,
-            arrival_jitter: 0.0,
-            seed: 1000 + w as u64,
-        };
-        let directory = cluster.directory();
-        cluster.add_client(0, |node| {
-            Box::new(ClientDriver::new(
-                node,
-                0,
-                directory,
-                client_config,
-                driver_config,
-                metrics,
-            ))
+        let mut spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+            .with_clients(1, txns_each)
+            .with_route(route)
+            .with_keys(6)
+            .with_target_tps(40.0)
+            .with_seed(1000 + w as u64);
+        spec.mix.ops_per_txn = 4;
+        spec.mix.read_fraction = 0.0;
+        spec.mix.op_delay = SimDuration::from_millis(2);
+        let names = Arc::new(Names {
+            groups: vec![symbols.group("shard")],
+            rows: vec![symbols.key(&format!("row{w}"))],
+            attrs: (0..6).map(|a| symbols.attr(&format!("a{a}"))).collect(),
         });
+        fleets.push(place(&mut cluster, &spec, &names));
     }
     // Interleave snapshot reads with the writers: run the simulation in
     // slices and, between slices, read every cell through a read-only
@@ -191,10 +175,9 @@ fn conflict_free_final_state(
         .expect("conflict-free run must be serializable");
 
     let mut totals = RunMetrics::default();
-    for sink in &sinks {
-        totals.merge(&sink.lock());
+    for fleet in &fleets {
+        totals.merge(&fleet.totals());
     }
-    let symbols = cluster.symbols();
     let group = symbols.group("shard");
     let mut state = BTreeMap::new();
     let mut state_in_order = Vec::new();
