@@ -971,6 +971,34 @@ mod tests {
         );
     }
 
+    /// Complexity guard: an install and the reads after it must not walk
+    /// the log. When `read_position` scanned the retained entries and
+    /// `read` probed every position below the read position, this loop was
+    /// ~2 × 10⁹ map steps; now each iteration is constant work, and the
+    /// bound is generous on purpose.
+    #[test]
+    fn install_and_read_do_not_walk_the_log() {
+        const INSTALLS: u64 = 30_000;
+        let mut core = DatacenterCore::new("dc0", 0);
+        let began = std::time::Instant::now();
+        for p in 1..=INSTALLS {
+            let written = AttrId((p % 5) as u32);
+            let entry = write_entry(0, p, p - 1, written, "v");
+            let out = core.install_entry(GROUP, LogPosition(p), entry);
+            assert_eq!(out.prefix, LogPosition(p));
+            let at = core.read_position(GROUP);
+            for attr in (0..5).map(AttrId) {
+                let value = core.read(GROUP, ROW, attr, at).unwrap();
+                assert!(attr != written || value.as_deref() == Some("v"));
+            }
+        }
+        let took = began.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(20),
+            "{INSTALLS} installs with 5 reads each took {took:?}: quadratic again?"
+        );
+    }
+
     #[test]
     fn apply_time_gc_reclaims_versions_behind_the_watermark() {
         let mut core = DatacenterCore::new("dc0", 0);

@@ -203,12 +203,8 @@ impl MvKvStore {
 
     /// Read a single attribute of `key` as of timestamp `at`.
     pub fn read_attr(&self, key: Key, attr: Attr, at: Option<Timestamp>) -> Option<String> {
-        match at {
-            Some(ts) => self.read_attr_at(key, attr, ts),
-            None => self
-                .read(key, None)
-                .and_then(|v| v.row.get(attr).map(str::to_owned)),
-        }
+        // "Latest" is the newest version at or below the largest timestamp.
+        self.read_attr_at(key, attr, at.unwrap_or(Timestamp(u64::MAX)))
     }
 
     /// Fast-path read of a single attribute of `key` at or below `at`:

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Row key: a dense integer identifier.
 ///
@@ -76,8 +77,27 @@ impl fmt::Display for Timestamp {
 }
 
 /// A single version of a row: an attribute (column) → value map.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Row(BTreeMap<Attr, String>);
+///
+/// Every version of a row is the previous one overlaid with a few
+/// attributes, so versions share what they did not touch: attributes are
+/// grouped into chunks of 16 consecutive ids, each chunk a shared
+/// (`Arc`) sorted vector of shared (`Arc<str>`) values. Cloning a row copies
+/// one pointer per chunk, and a write copies the pointers of the one chunk
+/// it lands in — never a string, and never the whole row.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Row(BTreeMap<u32, Arc<Chunk>>);
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The attributes of one chunk, sorted by id.
+type Chunk = Vec<(Attr, Arc<str>)>;
+
+/// Attribute ids per chunk.
+const CHUNK: u32 = 16;
 
 impl Row {
     /// An empty row.
@@ -91,7 +111,11 @@ impl Row {
         I: IntoIterator<Item = (Attr, V)>,
         V: Into<String>,
     {
-        Row(pairs.into_iter().map(|(a, v)| (a, v.into())).collect())
+        let mut row = Row::new();
+        for (attr, value) in pairs {
+            row.set(attr, value);
+        }
+        row
     }
 
     /// Set an attribute, returning `self` for chaining.
@@ -102,12 +126,23 @@ impl Row {
 
     /// Set an attribute in place.
     pub fn set(&mut self, attr: Attr, value: impl Into<String>) {
-        self.0.insert(attr, value.into());
+        self.set_shared(attr, value.into().into());
+    }
+
+    fn set_shared(&mut self, attr: Attr, value: Arc<str>) {
+        // A chunk shared with another version is copied here, once.
+        let chunk = Arc::make_mut(self.0.entry(attr.0 / CHUNK).or_default());
+        match chunk.binary_search_by_key(&attr, |(a, _)| *a) {
+            Ok(at) => chunk[at].1 = value,
+            Err(at) => chunk.insert(at, (attr, value)),
+        }
     }
 
     /// Get an attribute value.
     pub fn get(&self, attr: Attr) -> Option<&str> {
-        self.0.get(&attr).map(String::as_str)
+        let chunk = self.0.get(&(attr.0 / CHUNK))?;
+        let at = chunk.binary_search_by_key(&attr, |(a, _)| *a).ok()?;
+        Some(&chunk[at].1)
     }
 
     /// Whether the row has no attributes.
@@ -117,23 +152,26 @@ impl Row {
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.values().map(|chunk| chunk.len()).sum()
     }
 
     /// Iterate over attribute/value pairs in attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (Attr, &str)> {
-        self.0.iter().map(|(a, v)| (*a, v.as_str()))
+        self.0
+            .values()
+            .flat_map(|chunk| chunk.iter().map(|(a, v)| (*a, &**v)))
     }
 
     /// Overlay `other` on top of this row: attributes in `other` win,
     /// attributes only in `self` are preserved. This is the merge-upsert
-    /// behaviour of column-family stores.
+    /// behaviour of column-family stores. Values and untouched chunks are
+    /// shared with the inputs, not copied.
     pub fn merged_with(&self, other: &Row) -> Row {
-        let mut out = self.0.clone();
-        for (a, v) in &other.0 {
-            out.insert(*a, v.clone());
+        let mut out = self.clone();
+        for (attr, value) in other.0.values().flat_map(|chunk| chunk.iter()) {
+            out.set_shared(*attr, Arc::clone(value));
         }
-        Row(out)
+        out
     }
 }
 
@@ -204,6 +242,44 @@ mod tests {
         assert_eq!(merged.get(Attr(2)), Some("30"));
         // Originals untouched.
         assert_eq!(base.get(Attr(1)), Some("2"));
+    }
+
+    #[test]
+    fn rows_spanning_chunks_match_a_plain_map() {
+        // Ids on both sides of chunk boundaries, set out of order, one twice.
+        let ids = [40, 3, 16, 15, 17, 255, 0, 31, 32, u32::MAX, 16];
+        let mut row = Row::new();
+        let mut model = BTreeMap::new();
+        for (i, id) in ids.into_iter().enumerate() {
+            row.set(Attr(id), i.to_string());
+            model.insert(Attr(id), i.to_string());
+        }
+        let as_model = |row: &Row| -> BTreeMap<Attr, String> {
+            row.iter().map(|(a, v)| (a, v.to_owned())).collect()
+        };
+        assert_eq!(row.len(), model.len());
+        assert_eq!(row.get(Attr(16)), Some("10"));
+        assert_eq!(row.get(Attr(18)), None);
+        assert!(row.iter().map(|(a, _)| a).eq(model.keys().copied()));
+        assert_eq!(as_model(&row), model);
+        // Equality is by content, however the row was put together.
+        assert_eq!(row, Row::from_pairs(model.clone()));
+        assert_eq!(
+            format!("{:?}", Row::new().with(Attr(1), "x")),
+            r#"{a1: "x"}"#
+        );
+
+        // A merge shares what it does not touch and leaves its inputs alone,
+        // also when the merged row is written to afterwards.
+        let delta = Row::new().with(Attr(16), "x").with(Attr(300), "y");
+        let mut merged = row.merged_with(&delta);
+        merged.set(Attr(17), "z");
+        assert_eq!(as_model(&row), model);
+        assert_eq!(delta.len(), 2);
+        model.insert(Attr(16), "x".into());
+        model.insert(Attr(300), "y".into());
+        model.insert(Attr(17), "z".into());
+        assert_eq!(as_model(&merged), model);
     }
 
     #[test]

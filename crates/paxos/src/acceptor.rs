@@ -148,26 +148,24 @@ impl<'a> AcceptorStore<'a> {
         value: &LogEntry,
     ) -> bool {
         let key = Self::state_key(group, position);
+        // Only the promise decides an accept; the stored vote is about to be
+        // overwritten and is never looked at.
+        let expected = match self.promised_ballot(group, position) {
+            // Regular path: the accept's ballot must match the promise
+            // recorded by the prepare phase.
+            Some(current) if current == ballot => Some(ballot.encode()),
+            // Fast path: nothing promised yet and the proposer used the
+            // reserved round-0 ballot granted by the position's leader.
+            None if ballot.is_fast() => None,
+            _ => return false,
+        };
         let vote_row = Row::new()
             .with(ATTR_VOTE_BAL, ballot.encode())
             .with(ATTR_VALUE, value.encode())
             .with(ATTR_NEXT_BAL, ballot.encode());
-        let (next_bal, _) = self.read_state(group, position);
-        match next_bal {
-            // Regular path: the accept's ballot must match the promise
-            // recorded by the prepare phase.
-            Some(current) if current == ballot => self
-                .store
-                .check_and_write(key, ATTR_NEXT_BAL, Some(&current.encode()), vote_row)
-                .applied(),
-            // Fast path: nothing promised yet and the proposer used the
-            // reserved round-0 ballot granted by the position's leader.
-            None if ballot.is_fast() => self
-                .store
-                .check_and_write(key, ATTR_NEXT_BAL, None, vote_row)
-                .applied(),
-            _ => false,
-        }
+        self.store
+            .check_and_write(key, ATTR_NEXT_BAL, expected.as_deref(), vote_row)
+            .applied()
     }
 
     /// Handle an `apply` message (Algorithm 1, lines 20–21): record the
@@ -236,7 +234,8 @@ impl<'a> AcceptorStore<'a> {
 
     /// The highest promised ballot for `(group, position)`, if any.
     pub fn promised_ballot(&self, group: GroupId, position: LogPosition) -> Option<Ballot> {
-        self.read_state(group, position).0
+        let key = Self::state_key(group, position);
+        Ballot::decode(&self.store.read_attr(key, ATTR_NEXT_BAL, None)?)
     }
 }
 
@@ -353,6 +352,69 @@ mod tests {
         let out = acc.handle_prepare(group(), LogPosition(1), Ballot::initial(9));
         assert!(out.promised);
         assert_eq!(*out.last_vote.unwrap().1, *value);
+    }
+
+    /// An accept is decided by `nextBal` alone: whatever sits in the vote
+    /// attributes — nothing, an earlier vote, bytes that no longer decode —
+    /// the regular path, the fast path and a stale promise come out the
+    /// same, and an applied accept overwrites it.
+    #[test]
+    fn accept_never_looks_at_the_stored_vote() {
+        let b1 = Ballot {
+            round: 1,
+            proposer: 1,
+        };
+        let b2 = Ballot {
+            round: 2,
+            proposer: 2,
+        };
+        let position = LogPosition(1);
+        let key = AcceptorStore::state_key(group(), position);
+        let earlier = entry(7).encode();
+        let stored_votes = [None, Some(earlier.as_str()), Some("LE1 not an entry")];
+        for stored in stored_votes {
+            let with_stored_vote = || {
+                let store = MvKvStore::new();
+                if let Some(text) = stored {
+                    let vote = Row::new()
+                        .with(ATTR_VOTE_BAL, Ballot::fast(9).encode())
+                        .with(ATTR_VALUE, text);
+                    store.write(key, vote, None).unwrap();
+                }
+                store
+            };
+            let value = entry(1);
+
+            // Regular path: the accept matches the recorded promise.
+            let store = with_stored_vote();
+            let acc = AcceptorStore::new(&store);
+            assert!(acc.handle_prepare(group(), position, b1).promised);
+            assert!(acc.handle_accept(group(), position, b1, &value));
+            let (bal, voted) = acc.current_vote(group(), position).unwrap();
+            assert_eq!((bal, &*voted), (b1, &*value), "stored vote {stored:?}");
+            assert_eq!(acc.promised_ballot(group(), position), Some(b1));
+
+            // Fast path: nothing promised yet, round-0 ballot.
+            let store = with_stored_vote();
+            let acc = AcceptorStore::new(&store);
+            assert!(acc.handle_accept(group(), position, Ballot::fast(3), &value));
+            let (bal, voted) = acc.current_vote(group(), position).unwrap();
+            assert_eq!((bal, &*voted), (Ballot::fast(3), &*value));
+            // ...but a regular ballot without a promise is refused.
+            let store = with_stored_vote();
+            let acc = AcceptorStore::new(&store);
+            assert!(!acc.handle_accept(group(), position, b1, &value));
+
+            // Stale promise: a higher prepare got in first; nothing is written.
+            let store = with_stored_vote();
+            let acc = AcceptorStore::new(&store);
+            acc.handle_prepare(group(), position, b1);
+            acc.handle_prepare(group(), position, b2);
+            let before = store.read(key, None);
+            assert!(!acc.handle_accept(group(), position, b1, &value));
+            assert!(!acc.handle_accept(group(), position, Ballot::fast(3), &value));
+            assert_eq!(store.read(key, None), before, "stored vote {stored:?}");
+        }
     }
 
     #[test]

@@ -121,7 +121,15 @@ impl LogEntry {
     /// compact ASCII token stream; thanks to interning, every field except
     /// the observed/written values is an integer.
     pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(32 + self.transactions.len() * 64);
+        // Room for the paper's shape — five reads and five writes of short
+        // values in ≈ 190 bytes — so the buffer is allocated once; a larger
+        // entry grows it.
+        let items: usize = self
+            .transactions
+            .iter()
+            .map(|t| t.reads().len() + t.writes().len())
+            .sum();
+        let mut out = String::with_capacity(16 + self.transactions.len() * 48 + items * 24);
         out.push_str("LE1 ");
         out.push_str(if self.noop { "1" } else { "0" });
         push_num(&mut out, self.transactions.len() as u64);
@@ -210,16 +218,30 @@ impl LogEntry {
     }
 }
 
-fn push_num(out: &mut String, n: u64) {
+/// Append a space and `n` in decimal. The digits are produced in a stack
+/// buffer and copied once: an entry carries some forty integers and is
+/// encoded several times per commit, so a `String` per integer was most of
+/// the codec's cost.
+fn push_num(out: &mut String, mut n: u64) {
+    // u64::MAX has 20 decimal digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
     out.push(' ');
-    out.push_str(&n.to_string());
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 /// Append a length-prefixed string (`len:bytes`), so values need no
 /// escaping.
 fn push_str(out: &mut String, s: &str) {
-    out.push(' ');
-    out.push_str(&s.len().to_string());
+    push_num(out, s.len() as u64);
     out.push(':');
     out.push_str(s);
 }
@@ -368,6 +390,75 @@ mod tests {
             .build();
         let entry = LogEntry::single(t);
         assert_eq!(LogEntry::decode(&entry.encode()), Some(entry));
+    }
+
+    /// The encoding is the acceptor's vote format, the WAL `Decided` / `Vote`
+    /// payload and an input of `state_fingerprint`: these literals were
+    /// captured before the codec stopped allocating per integer, and pin it
+    /// byte for byte.
+    #[test]
+    fn codec_bytes_are_pinned() {
+        let at = |k: u32, a: u32| ItemRef::new(KeyId(k), AttrId(a));
+        let table = [
+            (LogEntry::noop(), "LE1 1 0"),
+            (LogEntry::combined(Vec::new()), "LE1 0 0"),
+            (
+                LogEntry::single(
+                    Transaction::builder(TxnId::new(0, 0), GroupId(0), LogPosition(0)).build(),
+                ),
+                "LE1 0 1 0 0 0 0 0 0",
+            ),
+            (
+                LogEntry::single(
+                    Transaction::builder(TxnId::new(1, 7), GroupId(0), LogPosition(3))
+                        .read(at(0, 0), Some("v"))
+                        .read(at(0, 1), None)
+                        .write(at(0, 2), "x")
+                        .build(),
+                ),
+                "LE1 0 1 1 7 0 3 2 0 0 1 1:v 0 1 0 1 0 2 1:x",
+            ),
+            (
+                LogEntry::combined(vec![
+                    Transaction::builder(TxnId::new(2, 10), GroupId(5), LogPosition(41))
+                        .write(at(3, 0), "100")
+                        .build(),
+                    Transaction::builder(TxnId::new(3, 11), GroupId(5), LogPosition(41))
+                        .read(at(3, 9), Some("9"))
+                        .write(at(3, 1), "a")
+                        .write(at(4, 2), "")
+                        .build(),
+                ]),
+                "LE1 0 2 2 10 5 41 0 1 3 0 3:100 3 11 5 41 1 3 9 1 1:9 2 3 1 1:a 4 2 0:",
+            ),
+            (
+                LogEntry::single(
+                    Transaction::builder(TxnId::new(3, 4), GroupId(7), LogPosition(2))
+                        .read(at(0, 0), Some("hello world 1:2 3"))
+                        .write(at(0, 2), "värde : med 空白")
+                        .build(),
+                ),
+                "LE1 0 1 3 4 7 2 1 0 0 1 17:hello world 1:2 3 1 0 2 19:värde : med 空白",
+            ),
+            (
+                LogEntry::single(
+                    Transaction::builder(
+                        TxnId::new(u32::MAX, u64::MAX),
+                        GroupId(u32::MAX),
+                        LogPosition(u64::MAX),
+                    )
+                    .read(at(u32::MAX, u32::MAX), Some("0"))
+                    .write(at(u32::MAX, u32::MAX), "18446744073709551615")
+                    .build(),
+                ),
+                "LE1 0 1 4294967295 18446744073709551615 4294967295 18446744073709551615 \
+                 1 4294967295 4294967295 1 1:0 1 4294967295 4294967295 20:18446744073709551615",
+            ),
+        ];
+        for (entry, bytes) in table {
+            assert_eq!(entry.encode(), bytes);
+            assert_eq!(LogEntry::decode(bytes), Some(entry));
+        }
     }
 
     #[test]
