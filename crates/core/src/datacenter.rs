@@ -294,6 +294,14 @@ impl DatacenterCore {
     ) -> ApplyOutcome {
         let log = self.logs.entry(group).or_default();
         let prefix_before = log.contiguous_prefix();
+        // One `Decided` record per installed entry: a re-install (the group
+        // home learns a value and then hears its own `Apply`) or an install
+        // at or below the snapshot base changes nothing, so it logs nothing.
+        // Replayed installs are already on disk.
+        let log_it = !self.replaying
+            && self.storage.is_some()
+            && position > log.base()
+            && !log.contains(position);
         log.install(position, Arc::clone(&entry))
             .expect("replication property R1 violated: conflicting entry for a decided position");
         let ids = self.committed_ids.entry(group).or_default();
@@ -301,11 +309,11 @@ impl DatacenterCore {
             ids.insert(txn.id);
         }
         // Persist-before-apply: the decided entry goes through the WAL so a
-        // restart can rebuild the log tail above the last snapshot. Replayed
-        // installs are already on disk; a failed sync leaves the record
-        // buffered for the next sync (the decide itself is replicated, so
-        // durability here only bounds catch-up work after a restart).
-        if !self.replaying {
+        // restart can rebuild the log tail above the last snapshot. A failed
+        // sync leaves the record buffered for the next sync (the decide
+        // itself is replicated, so durability here only bounds catch-up work
+        // after a restart).
+        if log_it {
             if let Some(s) = &mut self.storage {
                 s.log(&WalRecord::Decided {
                     group,
@@ -346,7 +354,9 @@ impl DatacenterCore {
         let floor = self.gc_watermark(group).min(prefix);
         let current_base = self.logs.get(&group).map(|l| l.base()).unwrap_or_default();
         let new_base = LogPosition(floor.0.saturating_sub(1)).max(current_base);
-        let snap = self.build_snapshot(group, prefix, new_base);
+        let group_half = group.0 as u64;
+        let versions = self.store.dump_versions(|key| key.0 >> 32 == group_half);
+        let snap = self.build_snapshot(group, prefix, new_base, &versions);
         let Some(storage) = &mut self.storage else {
             return;
         };
@@ -374,34 +384,31 @@ impl DatacenterCore {
 
     /// Capture one group's durable state: the applied prefix, the log base
     /// the restart will resume from, every committed transaction id, and
-    /// every retained store version of the group's rows (cold versions are
-    /// fetched from the pager without promoting them).
-    fn build_snapshot(
+    /// every retained store version of the group's rows — `versions`, the
+    /// store's dump of them (cold versions fetched from the pager without
+    /// promoting them), whose values the snapshot borrows.
+    fn build_snapshot<'a>(
         &self,
         group: GroupId,
         prefix: LogPosition,
         log_base: LogPosition,
-    ) -> GroupSnapshot {
+        versions: &'a [(Key, Vec<(Timestamp, Row)>)],
+    ) -> GroupSnapshot<&'a str> {
         let committed: Vec<TxnId> = self
             .committed_ids
             .get(&group)
             .map(|ids| ids.iter().copied().collect())
             .unwrap_or_default();
-        let group_half = group.0 as u64;
-        let rows: Vec<SnapshotRow> = self
-            .store
-            .dump_versions(|key| key.0 >> 32 == group_half)
-            .into_iter()
+        let rows = versions
+            .iter()
             .map(|(key, versions)| SnapshotRow {
                 key: key.0,
                 versions: versions
-                    .into_iter()
+                    .iter()
                     .map(|(ts, row)| {
                         (
                             ts.0,
-                            row.iter()
-                                .map(|(attr, value)| (attr.0, value.to_owned()))
-                                .collect(),
+                            row.iter().map(|(attr, value)| (attr.0, value)).collect(),
                         )
                     })
                     .collect(),
@@ -656,7 +663,8 @@ impl DatacenterCore {
         self.logs.clear();
         self.leader_claims.clear();
         self.committed_ids.clear();
-        self.storage = None;
+        // Drop the dead handle before a new one opens; its counters carry on.
+        let counters = self.storage.take().map(|s| s.stats());
         let report = RestartReport {
             snapshots_restored: data.snapshots.len(),
             wal_records_replayed: data.replay.records.len(),
@@ -697,7 +705,10 @@ impl DatacenterCore {
         // Reopen the storage plane last: open repairs the torn tail and
         // starts a fresh segment, and attaching re-wires the (reset) cold
         // pager into the rebuilt store.
-        let storage = DcStorage::open(cfg.clone())?;
+        let mut storage = DcStorage::open(cfg.clone())?;
+        if let Some(counters) = counters {
+            storage.carry_counters(counters);
+        }
         self.attach_storage(storage);
         Ok(report)
     }
@@ -1117,6 +1128,61 @@ mod tests {
             core.acceptor().promised_ballot(GROUP, LogPosition(20)),
             Some(ballot)
         );
+        // The storage counters are cumulative since `attach_storage`: the
+        // new handle continues the crashed one's, and replay adds nothing.
+        let restarted = core.storage_stats().unwrap();
+        assert_eq!(restarted.records_synced, 11, "one promise + ten entries");
+        assert_eq!(restarted.syncs, stats.syncs);
+        assert_eq!(restarted.snapshots_written, stats.snapshots_written);
+        assert_eq!(restarted.segments_truncated, stats.segments_truncated);
+        core.install_entry(GROUP, LogPosition(11), write_entry(0, 11, 10, A, "v11"));
+        assert_eq!(core.storage_stats().unwrap().records_synced, 12);
+        storage::remove_scratch_dir(&cfg.dir);
+    }
+
+    #[test]
+    fn a_decided_entry_is_logged_once_however_often_it_is_installed() {
+        let (mut core, cfg) = durable_core("core-log-once", 4);
+        let synced = |core: &DatacenterCore| core.storage_stats().unwrap().records_synced;
+        // The group home's shape: install on learning the value, install
+        // again when its own `Apply` broadcast comes back.
+        let entry = write_entry(0, 1, 0, A, "v1");
+        core.install_entry(GROUP, LogPosition(1), Arc::clone(&entry));
+        assert_eq!(synced(&core), 1);
+        core.install_entry(GROUP, LogPosition(1), entry);
+        assert_eq!(synced(&core), 1, "a re-install must not log again");
+        // Positions at or below a restored snapshot base: re-learning one
+        // from a slow peer changes nothing and logs nothing.
+        for p in 2..=10 {
+            core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
+        }
+        core.restart_from_disk(&cfg).unwrap();
+        let base = core.log(GROUP).unwrap().base();
+        assert!(
+            base >= LogPosition(2),
+            "the snapshot must have raised the base"
+        );
+        let before = synced(&core);
+        for p in [1, base.0] {
+            core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
+        }
+        assert_eq!(
+            synced(&core),
+            before,
+            "installs at or below the base log nothing"
+        );
+        // A failed sync leaves the single record buffered for the next one.
+        core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
+        let entry = write_entry(0, 11, 10, A, "v11");
+        core.install_entry(GROUP, LogPosition(11), Arc::clone(&entry));
+        core.install_entry(GROUP, LogPosition(11), entry);
+        assert_eq!(
+            synced(&core),
+            before,
+            "the failed sync made nothing durable"
+        );
+        core.install_entry(GROUP, LogPosition(12), write_entry(0, 12, 11, A, "v12"));
+        assert_eq!(synced(&core), before + 2, "positions 11 and 12, once each");
         storage::remove_scratch_dir(&cfg.dir);
     }
 

@@ -7,7 +7,7 @@
 //! the network paths are.
 
 use std::fmt;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// A typed failure from the storage plane.
@@ -105,33 +105,36 @@ impl FaultPlan {
     }
 }
 
-/// Append a torn (incomplete) frame to `path`: a header promising a 64-byte
-/// payload followed by a few garbage bytes, exactly what a crash mid-append
-/// leaves behind. Replay must stop cleanly at this point.
+/// Write a torn (incomplete) frame at the logical tail of WAL segment
+/// `path` — right behind its last whole record, over the start of the
+/// preallocated zero tail if the segment still has one: a header promising
+/// a 64-byte payload followed by a few garbage bytes, exactly what a crash
+/// mid-append leaves behind. Replay must stop cleanly at this point.
 pub fn tear_tail(path: &Path) -> Result<(), StorageError> {
+    let tail = crate::wal::logical_len(path)?;
     let mut file = std::fs::OpenOptions::new()
-        .append(true)
+        .write(true)
         .open(path)
         .map_err(|e| StorageError::io("open", path, e))?;
     let mut junk = Vec::new();
     junk.extend_from_slice(&64u32.to_le_bytes());
     junk.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     junk.extend_from_slice(&[0xA5, 0x5A, 0x7E, 0x81, 0x3C]);
-    file.write_all(&junk)
+    file.seek(SeekFrom::Start(tail))
+        .and_then(|_| file.write_all(&junk))
         .map_err(|e| StorageError::io("write", path, e))
 }
 
-/// Truncate `drop` bytes off the end of `path`, simulating a short read of
-/// the final record (e.g. a sector that never made it to the platter).
+/// Cut WAL segment `path` `drop` bytes short of its logical tail (the zero
+/// tail, if any, goes with them), simulating a short read of the final
+/// record (e.g. a sector that never made it to the platter).
 pub fn shorten_tail(path: &Path, drop: u64) -> Result<(), StorageError> {
-    let len = std::fs::metadata(path)
-        .map_err(|e| StorageError::io("stat", path, e))?
-        .len();
+    let tail = crate::wal::logical_len(path)?;
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(path)
         .map_err(|e| StorageError::io("open", path, e))?;
-    file.set_len(len.saturating_sub(drop))
+    file.set_len(tail.saturating_sub(drop))
         .map_err(|e| StorageError::io("truncate", path, e))
 }
 

@@ -52,9 +52,42 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Append one framed record to `out`.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let frame = begin_frame(out);
     out.extend_from_slice(payload);
+    finish_frame(out, frame);
+}
+
+/// Start a frame whose payload is encoded straight into `out`: reserves the
+/// header and returns the frame's offset for [`finish_frame`].
+pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let frame = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    frame
+}
+
+/// Close the frame opened at `frame` by [`begin_frame`]: everything pushed
+/// since is its payload; patch the length and checksum into the header.
+pub(crate) fn finish_frame(out: &mut [u8], frame: usize) {
+    let (header, payload) = out[frame..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// Push `n` in ASCII decimal — the integer token of both payload codecs —
+/// without a `String` per number.
+pub(crate) fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    // u64::MAX has 20 decimal digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Outcome of reading the frame starting at a byte offset.
@@ -164,6 +197,21 @@ mod tests {
         let (got, torn) = frames(&buf);
         assert!(torn);
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn in_place_framing_matches_append_frame() {
+        let mut copied = vec![0xEE];
+        append_frame(&mut copied, b"7 18446744073709551615 0");
+        let mut in_place = vec![0xEE];
+        let frame = begin_frame(&mut in_place);
+        push_decimal(&mut in_place, 7);
+        in_place.push(b' ');
+        push_decimal(&mut in_place, u64::MAX);
+        in_place.push(b' ');
+        push_decimal(&mut in_place, 0);
+        finish_frame(&mut in_place, frame);
+        assert_eq!(in_place, copied);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * a segmented, CRC-framed **write-ahead log** ([`wal`]) through which
 //!   acceptor promises, votes and decided log entries become durable
-//!   *before* they are acknowledged (persist-before-ack), with batched
-//!   group-commit fsync;
+//!   *before* they are acknowledged (persist-before-ack), one sync per
+//!   record into a preallocated segment;
 //! * **per-group snapshots** ([`snapshot`]) written atomically, which
 //!   together with whole-segment WAL truncation bound recovery time and
 //!   disk usage — truncation never crosses an open read lease's position
@@ -99,7 +99,9 @@ impl DurableConfig {
     }
 }
 
-/// Counters exposed by a [`DcStorage`] handle.
+/// Counters exposed by a [`DcStorage`] handle. The event counts are
+/// cumulative across restarts when the new handle is told of the old one's
+/// (see [`DcStorage::carry_counters`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StorageStats {
     /// WAL records made durable.
@@ -155,6 +157,8 @@ pub struct DcStorage {
     snapshots_written: u64,
     segments_truncated: u64,
     corrupt_snapshots: u64,
+    /// Event counts of the handles this one succeeded.
+    carried: StorageStats,
 }
 
 impl DcStorage {
@@ -181,7 +185,16 @@ impl DcStorage {
             snapshots_written: 0,
             segments_truncated: 0,
             corrupt_snapshots: corrupt as u64,
+            carried: StorageStats::default(),
         })
+    }
+
+    /// Continue the event counts (`records_synced`, `syncs`,
+    /// `sync_failures`, `snapshots_written`, `segments_truncated`) of the
+    /// handle this one replaces after a restart, so [`DcStorage::stats`]
+    /// stays cumulative since the datacenter first attached storage.
+    pub fn carry_counters(&mut self, earlier: StorageStats) {
+        self.carried = earlier;
     }
 
     /// Read snapshots + WAL for a restart, without opening a live handle.
@@ -246,7 +259,10 @@ impl DcStorage {
     }
 
     /// Atomically write the group's snapshot.
-    pub fn save_snapshot(&mut self, snap: &GroupSnapshot) -> Result<(), StorageError> {
+    pub fn save_snapshot<V: AsRef<str>>(
+        &mut self,
+        snap: &GroupSnapshot<V>,
+    ) -> Result<(), StorageError> {
         self.snaps.save(snap)?;
         self.last_snapshot.insert(snap.group, snap.position);
         self.snapshots_written += 1;
@@ -286,11 +302,11 @@ impl DcStorage {
     /// Counter snapshot.
     pub fn stats(&self) -> StorageStats {
         StorageStats {
-            records_synced: self.wal.records_synced(),
-            syncs: self.wal.syncs(),
-            sync_failures: self.sync_failures,
-            snapshots_written: self.snapshots_written,
-            segments_truncated: self.segments_truncated,
+            records_synced: self.carried.records_synced + self.wal.records_synced(),
+            syncs: self.carried.syncs + self.wal.syncs(),
+            sync_failures: self.carried.sync_failures + self.sync_failures,
+            snapshots_written: self.carried.snapshots_written + self.snapshots_written,
+            segments_truncated: self.carried.segments_truncated + self.segments_truncated,
             segments_on_disk: self.wal.segment_count(),
             corrupt_snapshots: self.corrupt_snapshots,
         }
@@ -371,7 +387,7 @@ mod tests {
         }
         assert!(dc.snapshot_due(GroupId(0), LogPosition(4)));
         assert!(!dc.snapshot_due(GroupId(1), LogPosition(3)));
-        dc.save_snapshot(&GroupSnapshot {
+        dc.save_snapshot(&GroupSnapshot::<String> {
             group: GroupId(0),
             position: LogPosition(4),
             log_base: LogPosition(4),

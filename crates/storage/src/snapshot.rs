@@ -8,29 +8,32 @@
 //! committed transaction ids, and every live MVCC version of the group's
 //! application rows.
 //!
-//! Files are written atomically — encode, CRC-frame, write to a `.tmp`
-//! sibling, `fsync`, `rename` — so a crash mid-snapshot leaves the previous
-//! snapshot intact. One file per group (`snap-g<id>.snap`), always the
-//! newest: snapshots are cumulative, not incremental.
+//! Files are written atomically — encode into one CRC-framed buffer, write
+//! to a `.tmp` sibling, `fsync`, `rename` — so a crash mid-snapshot leaves
+//! the previous snapshot intact. One file per group (`snap-g<id>.snap`),
+//! always the newest: snapshots are cumulative, not incremental.
 
 use crate::fault::StorageError;
-use crate::frame::{append_frame, read_frame, FrameRead};
+use crate::frame::{begin_frame, finish_frame, push_decimal, read_frame, FrameRead};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use walog::{GroupId, LogPosition, TxnId};
 
-/// One MVCC key with every version retained at snapshot time.
+/// One MVCC key with every version retained at snapshot time. Values are
+/// `V`: owned `String`s when read back from disk, anything string-like —
+/// the snapshot writer borrows `&str` out of the store's rows — on the way
+/// there.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotRow {
+pub struct SnapshotRow<V = String> {
     /// The packed store key (group in the high bits, row key in the low).
     pub key: u64,
     /// `(timestamp, attributes)` per retained version, ascending.
-    pub versions: Vec<(u64, Vec<(u32, String)>)>,
+    pub versions: Vec<(u64, Vec<(u32, V)>)>,
 }
 
-/// A complete per-group snapshot.
+/// A complete per-group snapshot (see [`SnapshotRow`] for `V`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupSnapshot {
+pub struct GroupSnapshot<V = String> {
     /// The transaction group.
     pub group: GroupId,
     /// Decided log prefix the snapshot covers (rows reflect every entry
@@ -42,38 +45,49 @@ pub struct GroupSnapshot {
     /// Committed transaction ids indexed for this group.
     pub committed: Vec<TxnId>,
     /// Application rows with their retained versions.
-    pub rows: Vec<SnapshotRow>,
+    pub rows: Vec<SnapshotRow<V>>,
 }
 
-impl GroupSnapshot {
+impl<V: AsRef<str>> GroupSnapshot<V> {
     /// Encode as an ASCII payload (numbers space-separated, strings
     /// length-prefixed `len:bytes`, mirroring the `walog` entry codec).
     pub fn encode(&self) -> String {
-        let mut s = String::from("GS1");
-        push_num(&mut s, self.group.0 as u64);
-        push_num(&mut s, self.position.0);
-        push_num(&mut s, self.log_base.0);
-        push_num(&mut s, self.committed.len() as u64);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("digits, separators and `str` values are UTF-8")
+    }
+
+    /// [`GroupSnapshot::encode`] straight into `out` (the file's frame).
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"GS1");
+        push_num(out, self.group.0 as u64);
+        push_num(out, self.position.0);
+        push_num(out, self.log_base.0);
+        push_num(out, self.committed.len() as u64);
         for id in &self.committed {
-            push_num(&mut s, id.client as u64);
-            push_num(&mut s, id.seq);
+            push_num(out, id.client as u64);
+            push_num(out, id.seq);
         }
-        push_num(&mut s, self.rows.len() as u64);
+        push_num(out, self.rows.len() as u64);
         for row in &self.rows {
-            push_num(&mut s, row.key);
-            push_num(&mut s, row.versions.len() as u64);
+            push_num(out, row.key);
+            push_num(out, row.versions.len() as u64);
             for (ts, attrs) in &row.versions {
-                push_num(&mut s, *ts);
-                push_num(&mut s, attrs.len() as u64);
+                push_num(out, *ts);
+                push_num(out, attrs.len() as u64);
                 for (attr, value) in attrs {
-                    push_num(&mut s, *attr as u64);
-                    push_str(&mut s, value);
+                    let value = value.as_ref();
+                    push_num(out, *attr as u64);
+                    push_num(out, value.len() as u64);
+                    out.push(b':');
+                    out.extend_from_slice(value.as_bytes());
                 }
             }
         }
-        s
     }
+}
 
+impl GroupSnapshot {
     /// Decode; `None` for malformed input.
     pub fn decode(input: &str) -> Option<GroupSnapshot> {
         let rest = input.strip_prefix("GS1")?;
@@ -117,16 +131,9 @@ impl GroupSnapshot {
     }
 }
 
-fn push_num(s: &mut String, n: u64) {
-    s.push(' ');
-    s.push_str(&n.to_string());
-}
-
-fn push_str(s: &mut String, v: &str) {
-    s.push(' ');
-    s.push_str(&v.len().to_string());
-    s.push(':');
-    s.push_str(v);
+fn push_num(out: &mut Vec<u8>, n: u64) {
+    out.push(b' ');
+    push_decimal(out, n);
 }
 
 struct Cursor<'a>(&'a str);
@@ -173,9 +180,11 @@ impl SnapshotStore {
     }
 
     /// Atomically replace the group's snapshot file.
-    pub fn save(&self, snap: &GroupSnapshot) -> Result<(), StorageError> {
+    pub fn save<V: AsRef<str>>(&self, snap: &GroupSnapshot<V>) -> Result<(), StorageError> {
         let mut framed = Vec::new();
-        append_frame(&mut framed, snap.encode().as_bytes());
+        let frame = begin_frame(&mut framed);
+        snap.encode_into(&mut framed);
+        finish_frame(&mut framed, frame);
         let path = snapshot_path(&self.dir, snap.group);
         let tmp = path.with_extension("tmp");
         let mut file =
@@ -252,6 +261,23 @@ mod tests {
         assert_eq!(GroupSnapshot::decode(&snap.encode()).unwrap(), snap);
         assert!(GroupSnapshot::decode("GS9 1").is_none());
         assert!(GroupSnapshot::decode("GS1 1 2").is_none());
+    }
+
+    /// The on-disk format does not move: one snapshot file, byte for byte
+    /// as the `String`-per-integer codec before PR 23 wrote it.
+    #[test]
+    fn snapshot_file_matches_its_golden_bytes() {
+        let payload = "GS1 3 40 24 2 1 2 3 4 1 12884901895 2 38 2 0 11:hello world 2 0: \
+                       40 1 0 15:colon:and space";
+        let mut golden = vec![90, 0, 0, 0, 235, 78, 124, 231];
+        golden.extend_from_slice(payload.as_bytes());
+        let snap = sample(3);
+        assert_eq!(snap.encode(), payload);
+        let dir = TempDir::new("snap-golden");
+        let store = SnapshotStore::open(dir.path()).unwrap();
+        let file = snapshot_path(dir.path(), GroupId(3));
+        store.save(&snap).unwrap();
+        assert_eq!(std::fs::read(&file).unwrap(), golden);
     }
 
     #[test]

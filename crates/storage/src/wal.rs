@@ -1,7 +1,7 @@
-//! Segmented write-ahead log with group-commit sync and tolerant replay.
+//! Segmented write-ahead log with preallocated segments and tolerant replay.
 //!
 //! One WAL per datacenter records every durable acceptor event as a
-//! CRC-framed record (see [`crate::frame`]) in append-only segment files
+//! CRC-framed record (see [`crate::frame`]) in segment files
 //! `wal-NNNNNN.seg`. Three record kinds cover the protocol:
 //!
 //! * [`WalRecord::Promise`] — the acceptor raised its promised ballot for a
@@ -11,25 +11,39 @@
 //! * [`WalRecord::Decided`] — a decided log entry was installed locally.
 //!
 //! Appends buffer in memory; [`Wal::sync`] writes the whole buffer with one
-//! `write` + `fsync` pair — the group commit that keeps persist-before-ack
-//! off the per-message critical path when a batch of records lands
-//! together (e.g. a catch-up install of many decided entries).
+//! `write` + `fdatasync` pair, so one sync *can* cover many records. Today
+//! it never does: persist-before-ack syncs each promise, vote and decided
+//! entry on its own (`storage.records_per_fsync` is exactly 1), and every
+//! sync sits on the message's critical path. What keeps a sync cheap is the
+//! segment life cycle:
 //!
-//! On reopen after a crash the final segment may end in a torn frame.
-//! [`Wal::open`] repairs it — truncating the last segment at the first bad
-//! frame — and then always starts a fresh segment, so a bad frame can only
-//! ever exist at the tail of the final segment written before a crash.
-//! [`replay`] stops cleanly at the first bad frame and reports it.
+//! * the **active** segment is preallocated — `set_len(segment_bytes)` once
+//!   at creation, sparse — and records are written at the tracked logical
+//!   length, so `fdatasync` has no size change to commit to the file
+//!   system's journal per record. Only the active segment ever carries a
+//!   zero tail (a sync larger than what is left simply grows the file);
+//! * a **sealed** segment is exactly its frames: rotation cuts the file back
+//!   to its logical length before the next segment is created.
+//!
+//! Replay therefore reads "zeros to the end of the file" as a clean end.
+//! Anything else that is not a whole record — a short header or payload, a
+//! checksum mismatch, a checksummed frame that does not decode — is a torn
+//! tail: [`replay`] stops cleanly there, reports it, and never
+//! resynchronises past it. [`Wal::open`] repairs the previous run's final
+//! segment — cutting it to its logical length, which drops a torn frame and
+//! the zero tail alike — and then always starts a fresh segment, so a bad
+//! frame can only ever exist at the tail of the final segment written before
+//! a crash.
 //!
 //! Truncation is whole-segment: a sealed segment is deletable once every
 //! group that has records in it has its truncation floor strictly above
 //! the segment's highest recorded position for that group.
 
 use crate::fault::{FaultPlan, StorageError};
-use crate::frame::{append_frame, read_frame, FrameRead};
+use crate::frame::{begin_frame, finish_frame, push_decimal, read_frame, FrameRead};
 use paxos::Ballot;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use walog::{GroupId, LogEntry, LogPosition};
@@ -90,38 +104,37 @@ impl WalRecord {
     /// Encode as the frame payload: an ASCII record reusing the
     /// [`LogEntry`] codec for values and [`Ballot::encode`] for ballots.
     pub fn encode(&self) -> Vec<u8> {
-        let text = match self {
-            WalRecord::Promise {
-                group,
-                position,
-                ballot,
-            } => format!("P {} {} {}", group.0, position.0, ballot.encode()),
-            WalRecord::Vote {
-                group,
-                position,
-                ballot,
-                entry,
-            } => {
-                let e = entry.encode();
-                format!(
-                    "V {} {} {} {}:{}",
-                    group.0,
-                    position.0,
-                    ballot.encode(),
-                    e.len(),
-                    e
-                )
-            }
-            WalRecord::Decided {
-                group,
-                position,
-                entry,
-            } => {
-                let e = entry.encode();
-                format!("D {} {} {}:{}", group.0, position.0, e.len(), e)
-            }
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`WalRecord::encode`] straight into `out` (the WAL's sync buffer).
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let (tag, ballot, entry) = match self {
+            WalRecord::Promise { ballot, .. } => (b'P', Some(ballot), None),
+            WalRecord::Vote { ballot, entry, .. } => (b'V', Some(ballot), Some(entry)),
+            WalRecord::Decided { entry, .. } => (b'D', None, Some(entry)),
         };
-        text.into_bytes()
+        out.push(tag);
+        out.push(b' ');
+        push_decimal(out, self.group().0 as u64);
+        out.push(b' ');
+        push_decimal(out, self.position().0);
+        if let Some(ballot) = ballot {
+            // `Ballot::encode`'s `round:proposer`, without its `String`.
+            out.push(b' ');
+            push_decimal(out, ballot.round);
+            out.push(b':');
+            push_decimal(out, ballot.proposer);
+        }
+        if let Some(entry) = entry {
+            let encoded = entry.encode();
+            out.push(b' ');
+            push_decimal(out, encoded.len() as u64);
+            out.push(b':');
+            out.extend_from_slice(encoded.as_bytes());
+        }
     }
 
     /// Decode a frame payload; `None` for malformed input.
@@ -256,13 +269,31 @@ fn segment_seqs(dir: &Path) -> Result<Vec<u64>, StorageError> {
     Ok(seqs)
 }
 
-/// Scan one segment file: decoded records plus the byte offset of the
-/// first bad frame, if any.
-fn scan_segment(path: &Path) -> Result<(Vec<WalRecord>, Option<usize>), StorageError> {
+/// What a front-to-back scan of one segment file found.
+struct SegmentScan {
+    /// Every whole record, in append order.
+    records: Vec<WalRecord>,
+    /// The segment's logical length: the offset just past the last record.
+    logical_len: u64,
+    /// The file's length (above `logical_len`: a zero tail or a torn frame).
+    file_len: u64,
+    /// True when the bytes at `logical_len` are a bad frame rather than the
+    /// end of the file or the preallocated zero tail.
+    torn: bool,
+}
+
+fn scan_segment(path: &Path) -> Result<SegmentScan, StorageError> {
     let data = std::fs::read(path).map_err(|e| StorageError::io("read", path, e))?;
     let mut records = Vec::new();
     let mut at = 0;
-    loop {
+    let torn = loop {
+        // Zeros to the end of the file are preallocated space no record was
+        // ever written to: a clean end. (Checked here, not in `read_frame`,
+        // where eight zero bytes are a valid empty frame; a written record
+        // fails this test within its first header bytes.)
+        if data[at..].iter().all(|&b| b == 0) {
+            break false;
+        }
         match read_frame(&data, at) {
             FrameRead::Frame { payload, next } => match WalRecord::decode(payload) {
                 Some(rec) => {
@@ -271,12 +302,37 @@ fn scan_segment(path: &Path) -> Result<(Vec<WalRecord>, Option<usize>), StorageE
                 }
                 // A checksummed frame that fails to decode is treated like
                 // a torn frame: stop trusting the file at this offset.
-                None => return Ok((records, Some(at))),
+                None => break true,
             },
-            FrameRead::End => return Ok((records, None)),
-            FrameRead::Torn => return Ok((records, Some(at))),
+            FrameRead::End => break false,
+            FrameRead::Torn => break true,
         }
-    }
+    };
+    Ok(SegmentScan {
+        records,
+        logical_len: at as u64,
+        file_len: data.len() as u64,
+        torn,
+    })
+}
+
+/// The logical length of segment file `path`: the offset just past its last
+/// whole record, where the next append — or a crash's torn frame — lands.
+pub(crate) fn logical_len(path: &Path) -> Result<u64, StorageError> {
+    Ok(scan_segment(path)?.logical_len)
+}
+
+/// Create segment `path` preallocated to `segment_bytes` (sparse: no
+/// zero-fill, no sync) and open it for writes at explicit offsets.
+fn create_segment(path: &Path, segment_bytes: u64) -> Result<std::fs::File, StorageError> {
+    let file = std::fs::OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(path)
+        .map_err(|e| StorageError::io("open", path, e))?;
+    file.set_len(segment_bytes)
+        .map_err(|e| StorageError::io("preallocate", path, e))?;
+    Ok(file)
 }
 
 /// Replay every segment under `dir` in order, stopping cleanly at the
@@ -288,9 +344,9 @@ pub fn replay(dir: &Path) -> Result<WalReplay, StorageError> {
     }
     for seq in segment_seqs(dir)? {
         out.segments += 1;
-        let (records, bad) = scan_segment(&segment_path(dir, seq))?;
-        out.records.extend(records);
-        if bad.is_some() {
+        let scan = scan_segment(&segment_path(dir, seq))?;
+        out.records.extend(scan.records);
+        if scan.torn {
             out.torn_tail = true;
             break;
         }
@@ -299,46 +355,45 @@ pub fn replay(dir: &Path) -> Result<WalReplay, StorageError> {
 }
 
 impl Wal {
-    /// Open the WAL under `dir`, repairing a torn tail on the final
-    /// existing segment and starting a fresh active segment.
+    /// Open the WAL under `dir`, sealing the previous run's final segment
+    /// at its logical length (which repairs a torn tail) and starting a
+    /// fresh, preallocated active segment.
     pub fn open(dir: &Path, segment_bytes: u64) -> Result<Wal, StorageError> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::io("mkdir", dir, e))?;
         let seqs = segment_seqs(dir)?;
         let mut index = BTreeMap::new();
         for (i, &seq) in seqs.iter().enumerate() {
             let path = segment_path(dir, seq);
-            let (records, bad) = scan_segment(&path)?;
-            if let Some(offset) = bad {
-                if i + 1 == seqs.len() {
-                    // Crash tore the tail of the final segment: truncate the
-                    // damage so later replays see only whole frames.
-                    let file = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .map_err(|e| StorageError::io("open", &path, e))?;
-                    file.set_len(offset as u64)
-                        .map_err(|e| StorageError::io("truncate", &path, e))?;
-                } else {
-                    return Err(StorageError::Corrupt {
-                        path: path.display().to_string(),
-                        detail: format!("bad frame at offset {offset} in a sealed segment"),
-                    });
-                }
+            let scan = scan_segment(&path)?;
+            if scan.torn && i + 1 < seqs.len() {
+                return Err(StorageError::Corrupt {
+                    path: path.display().to_string(),
+                    detail: format!(
+                        "bad frame at offset {} in a sealed segment",
+                        scan.logical_len
+                    ),
+                });
+            }
+            if scan.logical_len < scan.file_len {
+                // The segment the previous run left active: cut the torn
+                // frame, if any, and the zero tail, so later replays see
+                // only whole frames and the segment is sealed like any other.
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .map_err(|e| StorageError::io("open", &path, e))?;
+                file.set_len(scan.logical_len)
+                    .map_err(|e| StorageError::io("truncate", &path, e))?;
             }
             let mut seg_index = SegmentIndex::new();
-            for rec in &records {
+            for rec in &scan.records {
                 let slot = seg_index.entry(rec.group()).or_insert(LogPosition::ZERO);
                 *slot = (*slot).max(rec.position());
             }
             index.insert(seq, seg_index);
         }
         let active_seq = seqs.last().map_or(1, |last| last + 1);
-        let path = segment_path(dir, active_seq);
-        let active = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StorageError::io("open", &path, e))?;
+        let active = create_segment(&segment_path(dir, active_seq), segment_bytes)?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             segment_bytes,
@@ -357,7 +412,9 @@ impl Wal {
 
     /// Buffer one record for the next [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) {
-        append_frame(&mut self.pending, &record.encode());
+        let frame = begin_frame(&mut self.pending);
+        record.encode_into(&mut self.pending);
+        finish_frame(&mut self.pending, frame);
         self.pending_count += 1;
         let slot = self
             .pending_max
@@ -381,8 +438,12 @@ impl Wal {
                 injected: true,
             });
         }
+        // At the logical length, wherever an earlier failed write left the
+        // cursor: inside the preallocation this overwrites zeros, past it
+        // the file grows.
         self.active
-            .write_all(&self.pending)
+            .seek(SeekFrom::Start(self.active_len))
+            .and_then(|_| self.active.write_all(&self.pending))
             .map_err(|e| StorageError::io("write", &path, e))?;
         self.active
             .sync_data()
@@ -407,14 +468,18 @@ impl Wal {
         Ok(count)
     }
 
+    /// Seal the active segment at its logical length — a sealed segment is
+    /// exactly its frames — and start the next preallocated one.
     fn rotate(&mut self) -> Result<(), StorageError> {
+        let sealed = segment_path(&self.dir, self.active_seq);
+        self.active
+            .set_len(self.active_len)
+            .map_err(|e| StorageError::io("truncate", &sealed, e))?;
         self.active_seq += 1;
-        let path = segment_path(&self.dir, self.active_seq);
-        self.active = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StorageError::io("open", &path, e))?;
+        self.active = create_segment(
+            &segment_path(&self.dir, self.active_seq),
+            self.segment_bytes,
+        )?;
         self.active_len = 0;
         Ok(())
     }
@@ -452,14 +517,14 @@ impl Wal {
         Ok(removed)
     }
 
-    /// Append a torn partial frame to the active segment, as a crash
-    /// mid-append would. The torn bytes are below any unsynced buffered
-    /// records, so nothing durable is lost.
+    /// Leave a torn partial frame at the logical tail of the active
+    /// segment, as a crash mid-append would. The torn bytes are below any
+    /// unsynced buffered records, so nothing durable is lost.
     pub fn inject_torn_tail(&mut self) -> Result<(), StorageError> {
-        // No rotation: the tear must sit at the tail of the final segment,
-        // exactly where a real crash leaves it, so the next open can
-        // repair it. The handle is assumed dead after this call (the
-        // simulated machine crashed).
+        // No rotation: the tear must sit behind the last record of the
+        // final segment, exactly where a real crash leaves it, so the next
+        // open can repair it. The handle is assumed dead after this call
+        // (the simulated machine crashed).
         let path = segment_path(&self.dir, self.active_seq);
         crate::fault::tear_tail(&path)
     }
@@ -546,6 +611,46 @@ mod tests {
         }
         assert!(WalRecord::decode(b"X 1 2").is_none());
         assert!(WalRecord::decode(b"P 1").is_none());
+    }
+
+    /// The on-disk format does not move: one framed record of each kind,
+    /// byte for byte as the `format!`-based codec before PR 23 wrote it.
+    #[test]
+    fn framed_records_match_their_golden_bytes() {
+        let vote = WalRecord::Vote {
+            group: GroupId(1),
+            position: LogPosition(5),
+            ballot: Ballot {
+                round: 0,
+                proposer: 2,
+            },
+            entry: entry(11),
+        };
+        let golden: [(WalRecord, [u8; 8], &str); 3] = [
+            (promise(2, 9, 4), [9, 0, 0, 0, 41, 1, 101, 224], "P 2 9 4:3"),
+            (
+                vote,
+                [43, 0, 0, 0, 242, 212, 57, 127],
+                "V 1 5 0:2 30:LE1 0 1 7 11 0 0 0 1 1 2 3:v11",
+            ),
+            (
+                decided(0, 1),
+                [37, 0, 0, 0, 235, 196, 84, 244],
+                "D 0 1 28:LE1 0 1 7 1 0 0 0 1 1 2 2:v1",
+            ),
+        ];
+        let dir = TempDir::new("wal-golden");
+        let mut wal = Wal::open(dir.path(), 1 << 20).unwrap();
+        let mut expected = Vec::new();
+        for (record, header, payload) in &golden {
+            assert_eq!(record.encode(), payload.as_bytes());
+            wal.append(record);
+            expected.extend_from_slice(header);
+            expected.extend_from_slice(payload.as_bytes());
+        }
+        wal.sync().unwrap();
+        let on_disk = std::fs::read(segment_path(dir.path(), 1)).unwrap();
+        assert_eq!(on_disk[..expected.len()], expected[..]);
     }
 
     #[test]

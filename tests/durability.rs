@@ -164,6 +164,41 @@ fn open_lease_pins_truncation_across_crash_restart_and_release_resumes_it() {
     storage::remove_scratch_dir(&cfg.dir);
 }
 
+/// A decided entry is logged once per datacenter, however often it is
+/// installed: the group home installs on learning the value and again when
+/// its own `Apply` broadcast comes back, and the second install must not
+/// cost a second record and fsync. Fault-free, so nothing but a duplicate
+/// install can put a position into one datacenter's WAL twice.
+#[test]
+fn no_datacenter_logs_the_same_decided_entry_twice() {
+    let dir = storage::scratch_dir("no-duplicate-decided");
+    let duration = SimDuration::from_secs(3);
+    let mut durable = DurableConfig::new(&dir);
+    durable.snapshot_every = 0; // keep every segment for the audit below
+    let spec = LoadSpec::rolling_failure(duration)
+        .with_chaos(simnet::ChaosSpec::new(duration))
+        .with_storage(StorageConfig::Durable(durable));
+    let result = run_load(&spec);
+    assert!(result.totals.committed > 100, "{}", result.totals.committed);
+    for replica in 0..3 {
+        let replay = wal::replay(&dir.join(format!("dc{replica}")).join("wal")).unwrap();
+        assert!(!replay.torn_tail);
+        let mut decided = std::collections::BTreeSet::new();
+        for record in &replay.records {
+            if let WalRecord::Decided { .. } = record {
+                assert!(
+                    decided.insert((record.group(), record.position())),
+                    "dc{replica} logged {:?} {:?} twice",
+                    record.group(),
+                    record.position()
+                );
+            }
+        }
+        assert!(!decided.is_empty(), "dc{replica} logged no decided entry");
+    }
+    storage::remove_scratch_dir(&dir);
+}
+
 fn promise(position: u64, round: u64) -> WalRecord {
     WalRecord::Promise {
         group: GROUP,
@@ -186,16 +221,23 @@ fn replay_stops_at_the_first_bad_frame_and_never_resyncs() {
     w.inject_torn_tail().unwrap();
     let seg = dir.join(format!("wal-{:06}.seg", w.active_segment()));
     drop(w);
-    // A structurally valid frame after the tear must stay untrusted.
-    let mut tail = Vec::new();
-    storage::frame::append_frame(&mut tail, &promise(9, 9).encode());
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(&seg)
-        .unwrap()
-        .write_all(&tail)
+    // A structurally valid frame directly behind the tear must stay
+    // untrusted. (Right behind it, not at the end of the file: the segment
+    // is preallocated, and past its zero tail the frame would go unread
+    // for the wrong reason.)
+    let mut synced = Vec::new();
+    for p in 1..=3 {
+        storage::frame::append_frame(&mut synced, &promise(p, 1).encode());
+    }
+    let torn_bytes = storage::frame::FRAME_HEADER + 5;
+    let mut valid = Vec::new();
+    storage::frame::append_frame(&mut valid, &promise(9, 9).encode());
+    use std::io::{Seek as _, SeekFrom, Write as _};
+    let mut file = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
+    file.seek(SeekFrom::Start((synced.len() + torn_bytes) as u64))
         .unwrap();
+    file.write_all(&valid).unwrap();
+    drop(file);
     let replay = wal::replay(&dir).unwrap();
     assert!(replay.torn_tail);
     assert_eq!(replay.records.len(), 3, "{:?}", replay.records);
