@@ -1,6 +1,5 @@
-//! A hand-rolled Rust token scanner (same spirit as `bench_merge`'s JSON
-//! scanner: no registry access means no `syn`, so the lint suite works on a
-//! token stream, not a syntax tree).
+//! A hand-rolled Rust token scanner (no registry access means no `syn`, so
+//! the lint suite works on a token stream, not a syntax tree).
 //!
 //! The scanner understands exactly as much Rust as the lints need: idents,
 //! numbers, string/char literals (including raw strings and byte strings),

@@ -6,8 +6,7 @@
 //! one group every writer contends for the same log positions (promotion
 //! retries burn both simulated time and real work), with many groups the
 //! same load commits in parallel — so lower ns/iter here is higher
-//! aggregate throughput. `BENCH_JSON` snapshots feed `BENCH_baseline.json`
-//! and `docs/BENCHMARKS.md`.
+//! aggregate throughput.
 
 use bench_suite::{run_scaling, ScalingSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

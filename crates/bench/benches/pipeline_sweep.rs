@@ -8,8 +8,7 @@
 //! round trips a flush-and-wait committer serializes. The
 //! `adaptive_trickle` pair measures the latency side: an uncontended
 //! trickle under a static batch-4 window versus the adaptive controller
-//! (which shrinks to latency mode and commits on submit). `BENCH_JSON`
-//! snapshots feed `BENCH_baseline.json` and `docs/BENCHMARKS.md`.
+//! (which shrinks to latency mode and commits on submit).
 
 use bench_suite::{adaptive_latency_specs, pipeline_sweep_specs, run_scaling};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -24,7 +24,6 @@ fn bench_wal_append(c: &mut Criterion) {
     let dir = storage::scratch_dir("bench-wal-append");
     let mut group = c.benchmark_group("storage");
     group.sample_size(20);
-    group.unit("ns_per_64_record_group_commit");
     let mut w = Wal::open(&dir, 8 << 20).expect("open wal");
     let mut position = 0u64;
     group.bench_function("wal_append_throughput", |b| {
@@ -53,7 +52,6 @@ fn bench_recovery_replay(c: &mut Criterion) {
     drop(w);
     let mut group = c.benchmark_group("storage");
     group.sample_size(20);
-    group.unit("ns_per_4096_record_replay");
     group.bench_function("recovery_replay_ms", |b| {
         b.iter(|| {
             let replay = wal::replay(&dir).expect("replay");
@@ -87,7 +85,6 @@ fn bench_snapshot_install(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("storage");
     group.sample_size(20);
-    group.unit("ns_per_256_row_save_load");
     group.bench_function("snapshot_install_ms", |b| {
         b.iter(|| {
             store.save(&snap).expect("save snapshot");

@@ -20,16 +20,15 @@
 //! (leader crashes, flapping partition, group-home churn) under open-loop
 //! load on the deterministic simulation; it asserts serializability,
 //! exactly-once and liveness, and is likewise opted into explicitly.
-//! `--quick` runs the CI smoke variants; set `BENCH_JSON` to append
-//! criterion-style snapshot rows.
+//! `--quick` runs the CI smoke variants.
 
 use bench_suite::{
     ablation_specs, adaptive_latency_specs, batch_sweep_specs, fig4_specs, fig5_specs, fig6_specs,
     fig7_specs, fig8_specs, format_commit_table, format_latency_table, format_openloop_summary,
     format_openloop_table, format_per_replica_table, format_pipeline_table,
     format_readmostly_table, format_route_table, format_scaling_table, group_sweep_specs,
-    openloop_ladder, peak_committed_tps, pipeline_sweep_specs, read_scaling, readmostly_sweep,
-    results_to_json, route_compare_specs, run_scaling, OpenLoopSweepConfig, ReadMostlySweepConfig,
+    openloop_ladder, pipeline_sweep_specs, read_scaling, readmostly_sweep, results_to_json,
+    route_compare_specs, run_scaling, OpenLoopSweepConfig, ReadMostlySweepConfig,
 };
 use workload::{run_load, LoadResult, LoadSpec};
 
@@ -76,149 +75,10 @@ fn run_batch(name: &str, specs: Vec<LoadSpec>) -> Vec<LoadResult> {
         .collect()
 }
 
-/// Append criterion-shim-style snapshot rows for an open-loop sweep to
-/// `BENCH_JSON`, if set: per worker count, nanoseconds per committed
-/// transaction at the peak (1e9 / peak committed tx/s, `iterations` = the
-/// commit count behind it) and the p99 commit latency at the knee. Rows
-/// merge into `BENCH_baseline.json` via the `bench_merge` binary.
-fn emit_openloop_snapshot(ladders: &[(usize, Vec<LoadResult>)]) {
-    use bench_suite::knee;
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let mut rows: Vec<(String, f64, u64)> = Vec::new();
-    for (workers, results) in ladders {
-        let peak = peak_committed_tps(results);
-        if peak > 0.0 {
-            let committed = results
-                .iter()
-                .max_by(|a, b| a.committed_tps().total_cmp(&b.committed_tps()))
-                .map(|r| r.totals.committed as u64)
-                .unwrap_or(0);
-            rows.push((
-                format!("openloop/peak_ns_per_committed_txn/w{workers}"),
-                1e9 / peak,
-                committed,
-            ));
-        }
-        if let Some(k) = knee(results) {
-            let latency = k.totals.commit_latency();
-            rows.push((
-                format!("openloop/knee_p99_latency/w{workers}"),
-                latency.p99_ms * 1e6,
-                latency.count as u64,
-            ));
-        }
-    }
-    append_bench_rows(&path, "open-loop", &rows);
-}
-
-/// Append criterion-shim-style snapshot rows for a chaos run to
-/// `BENCH_JSON`, if set: the p99 open-loop commit latency across the fault
-/// windows (the availability dip, ns) and the re-submission rate. The rate
-/// is not a duration, so its row carries an explicit `"unit"` field per
-/// the snapshot schema's value/unit convention (see `docs/BENCHMARKS.md`).
-fn emit_chaos_snapshot(result: &LoadResult) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    append_bench_rows(
-        &path,
-        "chaos",
-        &[(
-            "chaos/availability_dip_p99".to_string(),
-            result.totals.commit_latency().p99_ms * 1e6,
-            result.totals.committed as u64,
-        )],
-    );
-    append_bench_rows_with_unit(
-        &path,
-        "chaos",
-        "per_1000_commits",
-        &[(
-            "chaos/resubmission_rate".to_string(),
-            resubmission_rate(result) * 1e3,
-            result.totals.resubmissions,
-        )],
-    );
-}
-
 /// Re-submissions per committed transaction (the overhead the fault
 /// schedule extracted from the retry machinery).
 fn resubmission_rate(result: &LoadResult) -> f64 {
     result.totals.resubmissions as f64 / result.totals.committed.max(1) as f64
-}
-
-/// Append criterion-shim-style snapshot rows for a read-mostly sweep to
-/// `BENCH_JSON`, if set: per serving-replica count, the completed-read
-/// throughput (a rate — the row carries `"unit": "reads_per_s"`) and the
-/// read p99 latency at that point (ns).
-fn emit_readmostly_snapshot(results: &[LoadResult]) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    let mut tps_rows: Vec<(String, f64, u64)> = Vec::new();
-    let mut p99_rows: Vec<(String, f64, u64)> = Vec::new();
-    for r in results {
-        let serving = r.spec.mix.serving_replicas;
-        tps_rows.push((
-            format!("readmostly/read_tps/s{serving}"),
-            r.read_tps(),
-            r.reads.completed as u64,
-        ));
-        if r.reads.latency.count > 0 {
-            p99_rows.push((
-                format!("readmostly/read_p99/s{serving}"),
-                r.reads.latency.p99_ms * 1e6,
-                r.reads.latency.count as u64,
-            ));
-        }
-    }
-    append_bench_rows_with_unit(&path, "read-mostly", "reads_per_s", &tps_rows);
-    append_bench_rows(&path, "read-mostly", &p99_rows);
-}
-
-/// Append rows in the criterion-shim snapshot format (`id` / `median_ns` /
-/// `mean_ns` / `iterations`) to `path`; `bench_merge` folds them into
-/// `BENCH_baseline.json` by id like any other benchmark row. Values are
-/// nanoseconds (no `"unit"` field — the schema default).
-fn append_bench_rows(path: &str, what: &str, rows: &[(String, f64, u64)]) {
-    append_rows(path, what, rows, None);
-}
-
-/// Like [`append_bench_rows`] but for rows whose value is *not* a
-/// duration: each row carries an explicit `"unit"` field declaring what
-/// the `median_ns`/`mean_ns` columns actually hold (the field names are
-/// the shared schema's, not a promise of nanoseconds). `bench_merge`
-/// preserves the extra field verbatim.
-fn append_bench_rows_with_unit(path: &str, what: &str, unit: &str, rows: &[(String, f64, u64)]) {
-    append_rows(path, what, rows, Some(unit));
-}
-
-fn append_rows(path: &str, what: &str, rows: &[(String, f64, u64)], unit: Option<&str>) {
-    if rows.is_empty() {
-        return;
-    }
-    let unit_field = unit
-        .map(|u| format!(", \"unit\": \"{u}\""))
-        .unwrap_or_default();
-    let mut out = String::from("[\n");
-    for (i, (id, ns, iterations)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "  {{\"id\": \"{id}\", \"median_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"iterations\": {iterations}{unit_field}}}{comma}\n"
-        ));
-    }
-    out.push_str("]\n");
-    let write = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, out.as_bytes()));
-    match write {
-        Ok(()) => eprintln!("appended {} {what} snapshot rows to {path}", rows.len()),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
 }
 
 fn main() {
@@ -387,7 +247,6 @@ fn main() {
             "verified {points} open-loop points / {commits} committed transactions \
              (every point checker-verified)"
         );
-        emit_openloop_snapshot(&ladders);
     }
 
     // Read-mostly scale-out sweep: like `openloop` it runs in wall-clock
@@ -437,7 +296,6 @@ fn main() {
              unavailable (non-aborting read plane)",
             results.len()
         );
-        emit_readmostly_snapshot(&results);
     }
 
     // The chaos scenario runs in simulated time but is a fault-tolerance
@@ -482,7 +340,6 @@ fn main() {
             "verified chaos run: serializable, exactly-once, zero unavailable = {}",
             result.unavailable == 0
         );
-        emit_chaos_snapshot(&result);
     }
 
     if let Some(path) = opts.json_path {

@@ -55,9 +55,10 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
+use crate::proposers::{Env, Input, Proposers};
 use crate::session::{ClientAction, ClientConfig, TxnResult};
 use parking_lot::Mutex;
-use paxos::{CommitOutcome, CommitProtocol, PaxosMsg, Proposer, ProposerAction, ProposerEvent};
+use paxos::{CommitOutcome, CommitProtocol, Proposer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{NodeId, SimDuration, SimTime};
@@ -146,10 +147,10 @@ struct PendingTxn {
     validated_through: LogPosition,
 }
 
-/// One in-flight pipeline slot: an instance competing for one position.
+/// One in-flight pipeline slot: an instance (run by the committer's
+/// proposer host under the slot's position) competing for one position.
 struct Slot {
     position: LogPosition,
-    proposer: Proposer,
     started_at: SimTime,
     /// Submission time of each member (survivors keep theirs across slots).
     enqueued: HashMap<TxnId, SimTime>,
@@ -187,8 +188,8 @@ pub struct GroupCommitter {
     /// prefix regardless — re-proposing a possibly-orphaned position there
     /// is the self-healing path.)
     highest_opened: LogPosition,
-    /// Committer timer tag → (slot position, proposer timer token).
-    timer_routes: HashMap<u64, (LogPosition, u64)>,
+    /// The slots' running proposers, by slot position.
+    proposers: Proposers<LogPosition>,
     next_tag: u64,
     /// EWMA of window occupancy (members / max_batch), the controller input.
     ewma_occupancy: f64,
@@ -219,7 +220,7 @@ impl GroupCommitter {
             window_tag: None,
             slots: Vec::new(),
             highest_opened: LogPosition::ZERO,
-            timer_routes: HashMap::new(),
+            proposers: Proposers::default(),
             next_tag: 0,
             // Start in throughput mode (target = max_batch), matching the
             // static configuration until low occupancy is observed.
@@ -510,7 +511,7 @@ impl GroupCommitter {
             }
             let prior = promo_class.unwrap_or(0);
             let cfg = self.config.proposer_config(self.directory.num_replicas());
-            let mut proposer = Proposer::new_batch_pipelined(
+            let proposer = Box::new(Proposer::new_batch_pipelined(
                 cfg,
                 self.group,
                 self.node.0 as u64,
@@ -518,13 +519,11 @@ impl GroupCommitter {
                 position,
                 prior,
                 speculative,
-            );
-            let actions = proposer.start();
+            ));
             let occupancy = chosen_meta.len();
             let enqueued = chosen_meta.into_iter().collect();
             self.slots.push(Slot {
                 position,
-                proposer,
                 started_at: now,
                 enqueued,
             });
@@ -539,7 +538,7 @@ impl GroupCommitter {
                 metrics.window_occupancy.push(occupancy as u32);
                 metrics.pipeline_depth.push(depth);
             }
-            self.apply_slot_actions(now, position, actions, out);
+            self.drive(now, Input::Start(position, proposer), out);
         }
     }
 
@@ -549,46 +548,13 @@ impl GroupCommitter {
         let Msg::Paxos(paxos_msg) = msg else {
             return Vec::new();
         };
-        let Some(replica) = self.directory.replica_of_service(from) else {
-            return Vec::new();
-        };
-        let event = match paxos_msg {
-            PaxosMsg::PrepareReply {
-                position,
-                ballot,
-                promised,
-                next_bal,
-                last_vote,
-                ..
-            } => ProposerEvent::PrepareReply {
-                from: replica,
-                position: *position,
-                ballot: *ballot,
-                promised: *promised,
-                next_bal: *next_bal,
-                last_vote: last_vote.clone(),
-            },
-            PaxosMsg::AcceptReply {
-                position,
-                ballot,
-                accepted,
-                ..
-            } => ProposerEvent::AcceptReply {
-                from: replica,
-                position: *position,
-                ballot: *ballot,
-                accepted: *accepted,
-            },
-            PaxosMsg::LeaderClaimReply {
-                position, granted, ..
-            } => ProposerEvent::FastPathReply {
-                position: *position,
-                granted: *granted,
-            },
-            _ => return Vec::new(),
-        };
-        let position = paxos_msg.position();
-        self.drive_slot(now, position, event)
+        let mut out = Vec::new();
+        self.drive(
+            now,
+            Input::Reply(paxos_msg.position(), from, paxos_msg),
+            &mut out,
+        );
+        out
     }
 
     /// Feed a timer expiration (tag previously returned in
@@ -598,72 +564,24 @@ impl GroupCommitter {
             self.window_tag = None;
             return self.flush(now);
         }
-        let Some((position, token)) = self.timer_routes.remove(&tag) else {
-            return Vec::new();
-        };
-        self.drive_slot(now, position, ProposerEvent::Timer { token })
-    }
-
-    fn drive_slot(
-        &mut self,
-        now: SimTime,
-        position: LogPosition,
-        event: ProposerEvent,
-    ) -> Vec<ClientAction> {
-        let Some(idx) = self.slots.iter().position(|s| s.position == position) else {
-            // A reply or timer for a slot that already finished.
-            return Vec::new();
-        };
-        let actions = self.slots[idx].proposer.on_event(event);
         let mut out = Vec::new();
-        self.apply_slot_actions(now, position, actions, &mut out);
+        self.drive(now, Input::Timer(tag), &mut out);
         out
     }
 
-    fn apply_slot_actions(
-        &mut self,
-        now: SimTime,
-        slot_position: LogPosition,
-        actions: Vec<ProposerAction>,
-        out: &mut Vec<ClientAction>,
-    ) {
-        for action in actions {
-            match action {
-                ProposerAction::Broadcast(msg) => {
-                    for replica in 0..self.directory.num_replicas() {
-                        out.push(ClientAction::Send(
-                            self.directory.service_node(replica),
-                            Msg::Paxos(msg.clone()),
-                        ));
-                    }
-                }
-                ProposerAction::SendToLeader(msg) => {
-                    let leader = self.directory.leader_replica(
-                        self.home_replica,
-                        self.group,
-                        msg.position(),
-                    );
-                    out.push(ClientAction::Send(
-                        self.directory.service_node(leader),
-                        Msg::Paxos(msg),
-                    ));
-                }
-                ProposerAction::ArmTimer { token, kind } => {
-                    let delay = self.config.timer_delay(kind, &mut self.rng);
-                    self.next_tag += 1;
-                    let tag = self.next_tag;
-                    self.timer_routes.insert(tag, (slot_position, token));
-                    out.push(ClientAction::ArmTimer { delay, tag });
-                }
-                ProposerAction::Learned { position, entry } => {
-                    self.home_core()
-                        .lock()
-                        .install_entry(self.group, position, entry);
-                }
-                ProposerAction::Finished(outcome) => {
-                    self.finish_slot(now, slot_position, outcome, out);
-                }
-            }
+    /// Feed the committer's proposer host (learned entries install at the
+    /// home datacenter, timers use the committer's delay policy), then
+    /// finish the slot it decided, if any.
+    fn drive(&mut self, now: SimTime, input: Input<'_, LogPosition>, out: &mut Vec<ClientAction>) {
+        let (config, rng) = (&self.config, &mut self.rng);
+        let env = Env {
+            directory: &self.directory,
+            home: self.home_replica,
+            next_tag: &mut self.next_tag,
+            delay: &mut |kind| config.timer_delay(kind, rng),
+        };
+        if let Some((position, outcome)) = self.proposers.drive(input, env, out) {
+            self.finish_slot(now, position, outcome, out);
         }
     }
 
@@ -742,7 +660,7 @@ impl GroupCommitter {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use paxos::Ballot;
+    use paxos::{Ballot, PaxosMsg};
     use walog::{ItemRef, LogEntry, TxnId};
 
     fn harness_with(batch: BatchConfig) -> (Arc<Directory>, GroupCommitter) {

@@ -39,6 +39,10 @@
 //!   group, serving every client of the group), or embedded directly by
 //!   harness actors; the [`Directory`]'s per-group leader map shards
 //!   leadership (and batching) across datacenters.
+//! * `proposers` — the one proposer host the [`Session`], the
+//!   [`GroupCommitter`] and the [`TransactionService`] share: every Paxos
+//!   instance this crate runs (a direct commit, a pipeline slot, a recovery
+//!   no-op) is started, fed and finished there.
 //! * [`Cluster`] — the harness that wires everything into a deterministic
 //!   simulation, injects failures, and verifies the resulting logs with the
 //!   serializability checker after every run.
@@ -53,6 +57,7 @@ pub mod directory;
 pub mod metrics;
 pub mod msg;
 pub mod parallel;
+mod proposers;
 pub mod service;
 pub mod session;
 pub mod topology;

@@ -52,12 +52,10 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
-use crate::session::{ClientAction, ClientConfig};
+use crate::proposers::{Env, Input, Proposers};
+use crate::session::{apply_client_actions, ClientAction, ClientConfig};
 use parking_lot::Mutex;
-use paxos::{
-    AbortReason, PaxosMsg, Proposer, ProposerAction, ProposerConfig, ProposerEvent, ReplicaId,
-    TimerKind,
-};
+use paxos::{AbortReason, PaxosMsg, Proposer, ProposerConfig, TimerKind};
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -112,9 +110,8 @@ pub struct TransactionService {
     directory: Arc<Directory>,
     message_timeout: SimDuration,
     backoff_max: SimDuration,
-    recovery: BTreeMap<(GroupId, LogPosition), Proposer>,
-    /// Timer tag → (recovery instance key, proposer timer token).
-    timers: BTreeMap<u64, ((GroupId, LogPosition), u64)>,
+    /// Running recovery instances, by the `(group, position)` they learn.
+    recovery: Proposers<(GroupId, LogPosition)>,
     next_tag: u64,
     /// Parked remote reads, bucketed by the (group, read position) they
     /// wait for.
@@ -183,8 +180,7 @@ impl TransactionService {
             directory,
             message_timeout,
             backoff_max: SimDuration::from_millis(100),
-            recovery: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            recovery: Proposers::default(),
             next_tag: 0,
             pending_reads: BTreeMap::new(),
             flushed_through: BTreeMap::new(),
@@ -246,10 +242,6 @@ impl TransactionService {
     /// service actor has been consumed by the simulation.
     pub fn expired_read_count(&self) -> u64 {
         self.core.lock().expired_read_count()
-    }
-
-    fn node_for_replica(&self, replica: ReplicaId) -> NodeId {
-        self.directory.service_node(replica)
     }
 
     fn handle_paxos(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: PaxosMsg) {
@@ -376,44 +368,12 @@ impl TransactionService {
                 );
             }
             PaxosMsg::PrepareReply {
-                group,
-                position,
-                ballot,
-                promised,
-                next_bal,
-                ref last_vote,
-            } => {
-                let replica = self.directory.replica_of_service(from).unwrap_or(0);
-                self.drive_recovery(
-                    ctx,
-                    (group, position),
-                    ProposerEvent::PrepareReply {
-                        from: replica,
-                        position,
-                        ballot,
-                        promised,
-                        next_bal,
-                        last_vote: last_vote.clone(),
-                    },
-                );
+                group, position, ..
             }
-            PaxosMsg::AcceptReply {
-                group,
-                position,
-                ballot,
-                accepted,
+            | PaxosMsg::AcceptReply {
+                group, position, ..
             } => {
-                let replica = self.directory.replica_of_service(from).unwrap_or(0);
-                self.drive_recovery(
-                    ctx,
-                    (group, position),
-                    ProposerEvent::AcceptReply {
-                        from: replica,
-                        position,
-                        ballot,
-                        accepted,
-                    },
-                );
+                self.drive_recovery(ctx, Input::Reply((group, position), from, &msg));
             }
             PaxosMsg::LeaderClaimReply { .. } => {
                 // Recovery proposers never use the fast path; the hosted
@@ -658,7 +618,7 @@ impl TransactionService {
                     .is_some_and(|c| c.slot_positions().contains(&candidate));
                 if now.since(watch.1) >= self.janitor_patience
                     && !committer_competing
-                    && !self.recovery.contains_key(&(group, candidate))
+                    && !self.recovery.contains(&(group, candidate))
                 {
                     watch.2 += 1;
                     to_recover.push((group, candidate));
@@ -910,7 +870,7 @@ impl TransactionService {
     }
 
     fn start_recovery(&mut self, ctx: &mut Context<Msg>, group: GroupId, position: LogPosition) {
-        if self.recovery.contains_key(&(group, position)) {
+        if self.recovery.contains(&(group, position)) {
             return;
         }
         if self.core.lock().has_entry(group, position) {
@@ -920,65 +880,33 @@ impl TransactionService {
         // Recovery ballots carry a marked identity so they can never alias
         // a hosted committer's ballots (both run on this service's node).
         let proposer_id = ctx.node().0 as u64 | RECOVERY_BALLOT_BIT;
-        let mut proposer = Proposer::new_recovery(cfg, group, proposer_id, position);
-        let actions = proposer.start();
-        self.recovery.insert((group, position), proposer);
-        self.apply_recovery_actions(ctx, (group, position), actions);
+        let proposer = Box::new(Proposer::new_recovery(cfg, group, proposer_id, position));
+        self.drive_recovery(ctx, Input::Start((group, position), proposer));
     }
 
-    fn drive_recovery(
-        &mut self,
-        ctx: &mut Context<Msg>,
-        key: (GroupId, LogPosition),
-        event: ProposerEvent,
-    ) {
-        let Some(proposer) = self.recovery.get_mut(&key) else {
-            return;
+    /// Feed the recovery instances' proposer host: learned entries install
+    /// in this datacenter, and timers wait the message timeout, a backoff
+    /// drawn from the simulation RNG, or a fixed 50 ms gather window. A
+    /// finished instance learned (and installed) its position, so react to
+    /// however far the prefix reaches now.
+    fn drive_recovery(&mut self, ctx: &mut Context<Msg>, input: Input<'_, (GroupId, LogPosition)>) {
+        let (timeout, backoff_max) = (self.message_timeout, self.backoff_max);
+        let mut out = Vec::new();
+        let env = Env {
+            directory: &self.directory,
+            home: self.replica,
+            next_tag: &mut self.next_tag,
+            delay: &mut |kind| match kind {
+                TimerKind::ReplyTimeout => timeout,
+                TimerKind::Backoff => ctx.rand_backoff(backoff_max),
+                TimerKind::Gather => SimDuration::from_millis(50),
+            },
         };
-        let actions = proposer.on_event(event);
-        self.apply_recovery_actions(ctx, key, actions);
-    }
-
-    fn apply_recovery_actions(
-        &mut self,
-        ctx: &mut Context<Msg>,
-        key: (GroupId, LogPosition),
-        actions: Vec<ProposerAction>,
-    ) {
-        for action in actions {
-            match action {
-                ProposerAction::Broadcast(msg) => {
-                    for replica in 0..self.directory.num_replicas() {
-                        ctx.send(self.node_for_replica(replica), Msg::Paxos(msg.clone()));
-                    }
-                }
-                ProposerAction::SendToLeader(msg) => {
-                    // Recovery never uses the fast path, but route sensibly
-                    // anyway: ask our own datacenter.
-                    ctx.send(self.node_for_replica(self.replica), Msg::Paxos(msg));
-                }
-                ProposerAction::ArmTimer { token, kind } => {
-                    let delay = match kind {
-                        TimerKind::ReplyTimeout => self.message_timeout,
-                        TimerKind::Backoff => ctx.rand_backoff(self.backoff_max),
-                        TimerKind::Gather => SimDuration::from_millis(50),
-                    };
-                    self.next_tag += 1;
-                    let tag = self.next_tag;
-                    self.timers.insert(tag, (key, token));
-                    ctx.set_timer(delay, tag);
-                }
-                ProposerAction::Learned { position, entry } => {
-                    self.core.lock().install_entry(key.0, position, entry);
-                }
-                ProposerAction::Finished(_) => {
-                    self.recovery.remove(&key);
-                    // The recovery instance learned (and installed) its
-                    // position; react to however far the prefix reaches now.
-                    let prefix = self.core.lock().read_position(key.0);
-                    self.react_to_prefix(ctx, key.0, prefix);
-                }
-            }
+        let finished = self.recovery.drive(input, env, &mut out);
+        apply_client_actions(ctx, out);
+        if let Some(((group, _), _)) = finished {
+            let prefix = self.core.lock().read_position(group);
+            self.react_to_prefix(ctx, group, prefix);
         }
     }
 }
@@ -1041,9 +969,7 @@ impl Actor<Msg> for TransactionService {
             self.apply_committer_actions(ctx, group, actions);
             return;
         }
-        if let Some((key, token)) = self.timers.remove(&tag) {
-            self.drive_recovery(ctx, key, ProposerEvent::Timer { token });
-        }
+        self.drive_recovery(ctx, Input::Timer(tag));
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Msg>) {
@@ -1084,8 +1010,9 @@ impl Actor<Msg> for TransactionService {
             };
             self.apply_committer_actions(ctx, group, actions);
         }
-        for (_, (key, token)) in std::mem::take(&mut self.timers) {
-            self.drive_recovery(ctx, key, ProposerEvent::Timer { token });
+        let recovery_tags: Vec<u64> = self.recovery.armed_tags().collect();
+        for tag in recovery_tags {
+            self.drive_recovery(ctx, Input::Timer(tag));
         }
         // The janitor tick may also have been suppressed; re-arm it.
         self.janitor_armed = false;
@@ -1672,6 +1599,47 @@ mod tests {
             } => assert_eq!(value.as_deref(), Some("late")),
             other => panic!("expected the real value, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_recovery_instance_outliving_a_crash_finishes_once_its_timers_refire() {
+        // The read at position 1 starts a recovery instance that cannot
+        // reach its majority while the peer is down. Then the service
+        // crashes too, so the instance's pending timer fires into the
+        // outage and is suppressed. Once both datacenters are back, only
+        // `on_recover` re-firing the proposer host's armed tags restarts the
+        // instance (the janitor and new reads all see it still running).
+        let (mut sim, service_node, _) = stalled_recovery_harness(vec![read_request(3)]);
+        // The harness adds the peer right after the service under test.
+        let peer = NodeId(service_node.0 + 1);
+        sim.run_for(SimDuration::from_millis(500));
+        sim.crash_node(service_node);
+        sim.run_for(SimDuration::from_secs(10));
+        sim.recover_node(peer);
+        sim.recover_node(service_node);
+        sim.run_for(SimDuration::from_secs(5));
+        // A fresh read at the once-missing position is served at once only
+        // if the recovery instance filled it.
+        let received = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        let prober = Prober {
+            to_send: vec![(service_node, read_request(4))],
+            received: received.clone(),
+        };
+        let site = sim.network().site_of(service_node);
+        sim.add_node(site, Box::new(prober));
+        sim.run_for(SimDuration::from_secs(1));
+        let got = received.lock();
+        assert!(
+            matches!(
+                got.as_slice(),
+                [Msg::ReadReply {
+                    req_id: 4,
+                    unavailable: false,
+                    ..
+                }]
+            ),
+            "the refired recovery must fill the gap, got {got:?}"
+        );
     }
 
     #[test]

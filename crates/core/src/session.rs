@@ -48,10 +48,8 @@
 use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::msg::Msg;
-use paxos::{
-    AbortReason, CommitProtocol, PaxosMsg, Proposer, ProposerAction, ProposerConfig, ProposerEvent,
-    TimerKind,
-};
+use crate::proposers::{Env, Input, Proposers};
+use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer, ProposerConfig, TimerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{Context, NodeId, SimDuration, SimTime};
@@ -331,8 +329,8 @@ enum Phase {
     /// Commit requested on the direct route, waiting for the group's
     /// in-flight direct commit to finish.
     Queued,
-    /// Direct route: the session is driving this proposer.
-    Direct(Box<Proposer>),
+    /// Direct route: the session's proposer host runs this commit.
+    Direct,
     /// Submitted route: waiting for the group home's `CommitReply`.
     Submitted {
         /// Correlation id of the outstanding `CommitRequest`.
@@ -365,14 +363,6 @@ struct OpenTxn {
     phase: Phase,
 }
 
-/// Which session object a fired timer belongs to.
-enum TimerRoute {
-    /// A direct-route proposer timer.
-    Proposer { handle: u64, token: u64 },
-    /// The patience timer of a submitted commit.
-    SubmitPatience { handle: u64, req_id: u64 },
-}
-
 /// The transaction session: the client library.
 pub struct Session {
     node: NodeId,
@@ -392,8 +382,11 @@ pub struct Session {
     direct_queue: BTreeMap<GroupId, VecDeque<u64>>,
     /// Outstanding submitted commits: request id → raw handle.
     submitted: BTreeMap<u64, u64>,
-    /// Armed timer tags.
-    timers: BTreeMap<u64, TimerRoute>,
+    /// Armed patience timers of submitted commits: tag → (raw handle,
+    /// request id).
+    patience: BTreeMap<u64, (u64, u64)>,
+    /// The direct route's running proposers, by raw handle.
+    proposers: Proposers<u64>,
     /// Automatic re-submissions performed over the session's lifetime.
     resubmissions: u64,
 }
@@ -421,7 +414,8 @@ impl Session {
             direct_busy: BTreeMap::new(),
             direct_queue: BTreeMap::new(),
             submitted: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            patience: BTreeMap::new(),
+            proposers: Proposers::default(),
             resubmissions: 0,
         }
     }
@@ -777,13 +771,17 @@ impl Session {
         let group = transaction.group;
         let commit_position = transaction.read_position.next();
         let cfg = self.config.proposer_config(self.directory.num_replicas());
-        let mut proposer =
-            Proposer::new(cfg, group, self.node.0 as u64, transaction, commit_position);
-        let actions = proposer.start();
+        let proposer = Box::new(Proposer::new(
+            cfg,
+            group,
+            self.node.0 as u64,
+            vec![transaction],
+            commit_position,
+        ));
         let txn = self.open.get_mut(&handle).expect("caller checked");
-        txn.phase = Phase::Direct(Box::new(proposer));
+        txn.phase = Phase::Direct;
         self.direct_busy.insert(group, handle);
-        self.translate(now, handle, group, actions, out);
+        self.drive(now, Input::Start(handle, proposer), out);
     }
 
     /// Ship `handle`'s finished transaction to the group home's service.
@@ -805,8 +803,7 @@ impl Session {
         )];
         self.next_tag += 1;
         let tag = self.next_tag;
-        self.timers
-            .insert(tag, TimerRoute::SubmitPatience { handle, req_id });
+        self.patience.insert(tag, (handle, req_id));
         out.push(ClientAction::ArmTimer {
             delay: self.config.submit_patience(),
             tag,
@@ -814,15 +811,22 @@ impl Session {
         out
     }
 
-    /// Re-fire every armed timer, in tag order. After a crash/recovery the
-    /// simulator has suppressed any timer that expired during the outage —
-    /// it will never fire, which would wedge in-flight commits forever.
-    /// The embedding actor calls this from its recovery hook. Early fires
-    /// are safe: a reply timeout triggers a (tolerated) extra protocol
-    /// round, a patience expiry a deduplicated resubmission, and a timer
-    /// that later really fires finds its tag gone and is a no-op.
+    /// Re-fire every armed timer — the proposer host's and the patience
+    /// timers, in one tag order. After a crash/recovery the simulator has
+    /// suppressed any timer that expired during the outage — it will never
+    /// fire, which would wedge in-flight commits forever. The embedding
+    /// actor calls this from its recovery hook. Early fires are safe: a
+    /// reply timeout triggers a (tolerated) extra protocol round, a
+    /// patience expiry a deduplicated resubmission, and a timer that later
+    /// really fires finds its tag gone and is a no-op.
     pub fn refire_timers(&mut self, now: SimTime) -> Vec<ClientAction> {
-        let tags: Vec<u64> = self.timers.keys().copied().collect();
+        let mut tags: Vec<u64> = self
+            .patience
+            .keys()
+            .copied()
+            .chain(self.proposers.armed_tags())
+            .collect();
+        tags.sort_unstable();
         let mut out = Vec::new();
         for tag in tags {
             out.extend(self.on_timer(now, tag));
@@ -862,8 +866,7 @@ impl Session {
         )];
         self.next_tag += 1;
         let tag = self.next_tag;
-        self.timers
-            .insert(tag, TimerRoute::SubmitPatience { handle, req_id });
+        self.patience.insert(tag, (handle, req_id));
         let backoff_cap = self
             .config
             .backoff_max
@@ -882,7 +885,17 @@ impl Session {
     /// into the session.
     pub fn on_message(&mut self, now: SimTime, from: NodeId, msg: &Msg) -> Vec<ClientAction> {
         match msg {
-            Msg::Paxos(paxos_msg) => self.on_paxos(now, from, paxos_msg),
+            Msg::Paxos(paxos_msg) => {
+                // Direct commits are serialized per group, so the message's
+                // group routes it to the one proposer that can be waiting
+                // for it.
+                let Some(&handle) = self.direct_busy.get(&paxos_msg.group()) else {
+                    return Vec::new();
+                };
+                let mut out = Vec::new();
+                self.drive(now, Input::Reply(handle, from, paxos_msg), &mut out);
+                out
+            }
             Msg::CommitReply {
                 req_id,
                 committed,
@@ -934,204 +947,96 @@ impl Session {
         }
     }
 
-    fn on_paxos(&mut self, now: SimTime, from: NodeId, paxos_msg: &PaxosMsg) -> Vec<ClientAction> {
-        let Some(replica) = self.directory.replica_of_service(from) else {
-            return Vec::new();
-        };
-        // Direct commits are serialized per group, so the message's group
-        // routes it to the one proposer that can be waiting for it.
-        let group = paxos_msg.group();
-        let Some(&handle) = self.direct_busy.get(&group) else {
-            return Vec::new();
-        };
-        let event = match paxos_msg {
-            PaxosMsg::PrepareReply {
-                position,
-                ballot,
-                promised,
-                next_bal,
-                last_vote,
-                ..
-            } => ProposerEvent::PrepareReply {
-                from: replica,
-                position: *position,
-                ballot: *ballot,
-                promised: *promised,
-                next_bal: *next_bal,
-                last_vote: last_vote.clone(),
-            },
-            PaxosMsg::AcceptReply {
-                position,
-                ballot,
-                accepted,
-                ..
-            } => ProposerEvent::AcceptReply {
-                from: replica,
-                position: *position,
-                ballot: *ballot,
-                accepted: *accepted,
-            },
-            PaxosMsg::LeaderClaimReply {
-                position, granted, ..
-            } => ProposerEvent::FastPathReply {
-                position: *position,
-                granted: *granted,
-            },
-            _ => return Vec::new(),
-        };
-        self.drive(now, handle, group, event)
-    }
-
     /// Feed a timer expiration (tag previously returned in
     /// [`ClientAction::ArmTimer`]) into the session.
     pub fn on_timer(&mut self, now: SimTime, tag: u64) -> Vec<ClientAction> {
-        match self.timers.remove(&tag) {
-            Some(TimerRoute::Proposer { handle, token }) => {
-                let Some(txn) = self.open.get(&handle) else {
-                    return Vec::new();
-                };
-                let group = txn.group;
-                self.drive(now, handle, group, ProposerEvent::Timer { token })
-            }
-            Some(TimerRoute::SubmitPatience { handle, req_id }) => {
-                // Only meaningful while the reply is still outstanding.
-                if self.submitted.get(&req_id) != Some(&handle) {
-                    return Vec::new();
-                }
-                self.submitted.remove(&req_id);
-                // Patience ran out without a reply: re-submit while the
-                // budget lasts — the original request (or its reply) may
-                // have been lost to a crash, partition or home migration.
-                let attempts = self
-                    .open
-                    .get(&handle)
-                    .map(|t| t.submit_attempts)
-                    .unwrap_or(u32::MAX);
-                if attempts < self.config.max_resubmissions {
-                    return self.resubmit_submitted(handle);
-                }
-                let txn = self
-                    .open
-                    .remove(&handle)
-                    .expect("submitted commits stay open until their reply");
-                self.release_lease(&txn);
-                let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
-                vec![ClientAction::Finished(TxnResult {
-                    committed: false,
-                    read_only: false,
-                    promotions: 0,
-                    combined: false,
-                    rounds: 0,
-                    latency: now.since(commit_started),
-                    total_latency: now.since(txn.began_at),
-                    abort_reason: Some(AbortReason::Unavailable),
-                    txn: txn.id,
-                })]
-            }
-            None => Vec::new(),
+        let Some((handle, req_id)) = self.patience.remove(&tag) else {
+            let mut out = Vec::new();
+            self.drive(now, Input::Timer(tag), &mut out);
+            return out;
+        };
+        // Only meaningful while the reply is still outstanding.
+        if self.submitted.get(&req_id) != Some(&handle) {
+            return Vec::new();
+        }
+        self.submitted.remove(&req_id);
+        // Patience ran out without a reply: re-submit while the budget
+        // lasts — the original request (or its reply) may have been lost to
+        // a crash, partition or home migration.
+        let attempts = self
+            .open
+            .get(&handle)
+            .map(|t| t.submit_attempts)
+            .unwrap_or(u32::MAX);
+        if attempts < self.config.max_resubmissions {
+            return self.resubmit_submitted(handle);
+        }
+        let txn = self
+            .open
+            .remove(&handle)
+            .expect("submitted commits stay open until their reply");
+        self.release_lease(&txn);
+        let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
+        vec![ClientAction::Finished(TxnResult {
+            committed: false,
+            read_only: false,
+            promotions: 0,
+            combined: false,
+            rounds: 0,
+            latency: now.since(commit_started),
+            total_latency: now.since(txn.began_at),
+            abort_reason: Some(AbortReason::Unavailable),
+            txn: txn.id,
+        })]
+    }
+
+    /// Feed the direct route's proposer host (learned entries install at
+    /// the session's datacenter, timers use the session's delay policy),
+    /// then finish the commit it decided, if any.
+    fn drive(&mut self, now: SimTime, input: Input<'_, u64>, out: &mut Vec<ClientAction>) {
+        let (config, rng) = (&self.config, &mut self.rng);
+        let env = Env {
+            directory: &self.directory,
+            home: self.home_replica,
+            next_tag: &mut self.next_tag,
+            delay: &mut |kind| config.timer_delay(kind, rng),
+        };
+        if let Some((handle, outcome)) = self.proposers.drive(input, env, out) {
+            self.finish_direct(now, handle, outcome, out);
         }
     }
 
-    fn drive(
+    /// A direct commit finished: report it, release its lease and free the
+    /// group's slot for the next queued commit.
+    fn finish_direct(
         &mut self,
         now: SimTime,
         handle: u64,
-        group: GroupId,
-        event: ProposerEvent,
-    ) -> Vec<ClientAction> {
-        let Some(txn) = self.open.get_mut(&handle) else {
-            return Vec::new();
-        };
-        let Phase::Direct(proposer) = &mut txn.phase else {
-            return Vec::new();
-        };
-        let actions = proposer.on_event(event);
-        let mut out = Vec::new();
-        self.translate(now, handle, group, actions, &mut out);
-        out
-    }
-
-    /// Turn proposer actions into client actions. The transaction's group
-    /// is resolved by the caller *before* the loop: a `Learned` entry is
-    /// installed unconditionally, even when a `Finished` earlier in the
-    /// same action batch already closed the transaction — the learned
-    /// value is the group's decided history, not session state, and
-    /// dropping it would stall the local read position.
-    fn translate(
-        &mut self,
-        now: SimTime,
-        handle: u64,
-        group: GroupId,
-        actions: Vec<ProposerAction>,
+        outcome: CommitOutcome,
         out: &mut Vec<ClientAction>,
     ) {
-        for action in actions {
-            match action {
-                ProposerAction::Broadcast(msg) => {
-                    for replica in 0..self.directory.num_replicas() {
-                        out.push(ClientAction::Send(
-                            self.directory.service_node(replica),
-                            Msg::Paxos(msg.clone()),
-                        ));
-                    }
-                }
-                ProposerAction::SendToLeader(msg) => {
-                    let leader = self.directory.leader_replica(
-                        self.home_replica,
-                        msg.group(),
-                        msg.position(),
-                    );
-                    out.push(ClientAction::Send(
-                        self.directory.service_node(leader),
-                        Msg::Paxos(msg),
-                    ));
-                }
-                ProposerAction::ArmTimer { token, kind } => {
-                    let delay = self.config.timer_delay(kind, &mut self.rng);
-                    self.next_tag += 1;
-                    let tag = self.next_tag;
-                    self.timers
-                        .insert(tag, TimerRoute::Proposer { handle, token });
-                    out.push(ClientAction::ArmTimer { delay, tag });
-                }
-                ProposerAction::Learned { position, entry } => {
-                    // Install what the proposer learned into the local
-                    // datacenter so the next transaction's read position
-                    // advances immediately — regardless of whether this
-                    // transaction is still open.
-                    self.directory
-                        .core(self.home_replica)
-                        .lock()
-                        .install_entry(group, position, entry);
-                }
-                ProposerAction::Finished(outcome) => {
-                    let txn = self
-                        .open
-                        .remove(&handle)
-                        .expect("finished implies an open transaction");
-                    self.release_lease(&txn);
-                    if self.direct_busy.get(&group) == Some(&handle) {
-                        self.direct_busy.remove(&group);
-                    }
-                    let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
-                    out.push(ClientAction::Finished(TxnResult {
-                        committed: outcome.committed,
-                        read_only: false,
-                        promotions: outcome.promotions,
-                        combined: outcome.combined,
-                        rounds: outcome.rounds,
-                        latency: now.since(commit_started),
-                        total_latency: now.since(txn.began_at),
-                        abort_reason: outcome.abort_reason,
-                        txn: txn.id,
-                    }));
-                    // The group's direct slot freed: start the next queued
-                    // commit, if any.
-                    if let Some(next) = self.pop_queued(group) {
-                        self.start_direct(now, next, out);
-                    }
-                }
-            }
+        let txn = self
+            .open
+            .remove(&handle)
+            .expect("finished implies an open transaction");
+        self.release_lease(&txn);
+        if self.direct_busy.get(&txn.group) == Some(&handle) {
+            self.direct_busy.remove(&txn.group);
+        }
+        let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
+        out.push(ClientAction::Finished(TxnResult {
+            committed: outcome.committed,
+            read_only: false,
+            promotions: outcome.promotions,
+            combined: outcome.combined,
+            rounds: outcome.rounds,
+            latency: now.since(commit_started),
+            total_latency: now.since(txn.began_at),
+            abort_reason: outcome.abort_reason,
+            txn: txn.id,
+        }));
+        if let Some(next) = self.pop_queued(txn.group) {
+            self.start_direct(now, next, out);
         }
     }
 
@@ -1149,7 +1054,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use paxos::CommitOutcome;
+    use paxos::{PaxosMsg, ProposerAction};
     use walog::LogEntry;
 
     fn directory_with_one_dc() -> (Arc<Directory>, SharedCore) {
@@ -1417,8 +1322,8 @@ mod tests {
         // Regression: a `Finished` earlier in the same action batch used to
         // clear the active transaction, and the `Learned` that followed was
         // dropped because the group could no longer be resolved — stalling
-        // the local read position. The group is now resolved before the
-        // batch is processed and the install is unconditional.
+        // the local read position. The proposer host resolves the group
+        // before the batch is processed and the install is unconditional.
         let (dir, core) = directory_with_one_dc();
         let group = dir.symbols().group("g");
         let mut session = Session::new(NodeId(5), 0, dir.clone(), ClientConfig::cp());
@@ -1448,7 +1353,23 @@ mod tests {
             },
         ];
         let mut out = Vec::new();
-        session.translate(SimTime::ZERO, h.raw(), group, actions, &mut out);
+        let Session {
+            proposers,
+            directory,
+            next_tag,
+            ..
+        } = &mut session;
+        let env = Env {
+            directory,
+            home: 0,
+            next_tag,
+            delay: &mut |_| SimDuration::ZERO,
+        };
+        let (handle, outcome) = proposers
+            .apply(h.raw(), group, actions, env, &mut out)
+            .expect("the Finished action hands the outcome back");
+        assert!(!session.proposers.contains(&handle));
+        session.finish_direct(SimTime::ZERO, handle, outcome, &mut out);
         assert!(out
             .iter()
             .any(|a| matches!(a, ClientAction::Finished(r) if !r.committed)));

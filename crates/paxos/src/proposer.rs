@@ -2,17 +2,19 @@
 //! Paxos-CP promotion loop and client-side proposal batching, as a
 //! driver-agnostic state machine.
 //!
-//! The embedding layer (the `mdstore` transaction client or the batching
-//! [`mdstore` group committer]) feeds the machine with [`ProposerEvent`]s —
-//! replica replies and timer expirations — and executes the
-//! [`ProposerAction`]s it returns: broadcasting messages, arming timers,
-//! installing learned log entries, and finally reporting the
+//! The embedding layer (`mdstore`'s one proposer host, which the
+//! transaction client, the batching [`mdstore` group committer] and the
+//! recovery janitor share) feeds the machine with [`ProposerEvent`]s —
+//! replica replies ([`ProposerEvent::from_reply`]) and timer expirations —
+//! and executes the [`ProposerAction`]s it returns: broadcasting messages,
+//! arming timers, installing learned log entries, and finally reporting the
 //! [`CommitOutcome`] to the application.
 //!
 //! # Batching
 //!
-//! A proposer built with [`Proposer::new_batch`] commits an *ordered batch*
-//! of mutually compatible transactions (validated by
+//! A proposer built with [`Proposer::new`] commits an *ordered batch* of
+//! mutually compatible transactions — a single transaction is a batch of
+//! one — (validated by
 //! [`walog::combine::partition_compatible`]) in **one** Paxos-CP instance:
 //! one prepare/accept round trip and one piggybacked apply broadcast decide
 //! the whole batch, amortizing the wide-area round trips that dominate
@@ -97,6 +99,52 @@ pub enum ProposerEvent {
         /// Token returned by the matching [`ProposerAction::ArmTimer`].
         token: u64,
     },
+}
+
+impl ProposerEvent {
+    /// The event replica `from`'s reply `msg` feeds a proposer, or `None`
+    /// when `msg` is not a reply to a proposer (prepare, accept, apply and
+    /// leader claim travel the other way).
+    pub fn from_reply(from: ReplicaId, msg: &PaxosMsg) -> Option<Self> {
+        match msg {
+            PaxosMsg::PrepareReply {
+                position,
+                ballot,
+                promised,
+                next_bal,
+                last_vote,
+                ..
+            } => Some(ProposerEvent::PrepareReply {
+                from,
+                position: *position,
+                ballot: *ballot,
+                promised: *promised,
+                next_bal: *next_bal,
+                last_vote: last_vote.clone(),
+            }),
+            PaxosMsg::AcceptReply {
+                position,
+                ballot,
+                accepted,
+                ..
+            } => Some(ProposerEvent::AcceptReply {
+                from,
+                position: *position,
+                ballot: *ballot,
+                accepted: *accepted,
+            }),
+            PaxosMsg::LeaderClaimReply {
+                position, granted, ..
+            } => Some(ProposerEvent::FastPathReply {
+                position: *position,
+                granted: *granted,
+            }),
+            PaxosMsg::Prepare { .. }
+            | PaxosMsg::Accept { .. }
+            | PaxosMsg::Apply { .. }
+            | PaxosMsg::LeaderClaim { .. } => None,
+        }
+    }
 }
 
 /// Effects requested by the proposer state machine.
@@ -252,34 +300,17 @@ pub struct Proposer {
 }
 
 impl Proposer {
-    /// Create a proposer that will try to commit `own_txn` to
-    /// `commit_position` (= the transaction's read position + 1).
-    pub fn new(
-        cfg: ProposerConfig,
-        group: GroupId,
-        client_id: u64,
-        own_txn: Transaction,
-        commit_position: LogPosition,
-    ) -> Self {
-        Self::with_goal(
-            cfg,
-            group,
-            client_id,
-            Goal::Commit(vec![own_txn]),
-            commit_position,
-        )
-    }
-
-    /// Create a proposer that commits an ordered batch of transactions in a
-    /// single Paxos-CP instance: the whole batch is proposed as one combined
-    /// log entry, so one prepare/accept exchange and one apply broadcast
-    /// decide every member.
+    /// Create a proposer that commits an ordered batch of transactions to
+    /// `commit_position` (= the read position + 1) in a single Paxos-CP
+    /// instance: the whole batch is proposed as one combined log entry, so
+    /// one prepare/accept exchange and one apply broadcast decide every
+    /// member. A single transaction is a batch of one.
     ///
     /// The batch must be a valid combination in the order given — no member
     /// may read an item written by an earlier member (callers build such
     /// batches with the [`walog::combine::can_append`] /
     /// [`walog::combine::partition_compatible`] rule).
-    pub fn new_batch(
+    pub fn new(
         cfg: ProposerConfig,
         group: GroupId,
         client_id: u64,
@@ -320,7 +351,7 @@ impl Proposer {
         prior_promotions: u32,
         speculative: bool,
     ) -> Self {
-        let mut proposer = Self::new_batch(cfg, group, client_id, batch, commit_position);
+        let mut proposer = Self::new(cfg, group, client_id, batch, commit_position);
         proposer.defer_promotion = true;
         proposer.speculative = speculative;
         proposer.promotions = prior_promotions;
@@ -385,6 +416,11 @@ impl Proposer {
     /// True when this proposer is a recovery (no-op) proposer.
     pub fn is_recovery(&self) -> bool {
         matches!(self.goal, Goal::Recover)
+    }
+
+    /// The transaction group whose log this proposer appends to.
+    pub fn group(&self) -> GroupId {
+        self.group
     }
 
     /// The position currently being competed for.
@@ -933,7 +969,13 @@ mod tests {
     }
 
     fn proposer(cfg: ProposerConfig) -> Proposer {
-        Proposer::new(cfg, GroupId(0), 7, own_txn(&[A], &[A]), LogPosition(1))
+        Proposer::new(
+            cfg,
+            GroupId(0),
+            7,
+            vec![own_txn(&[A], &[A])],
+            LogPosition(1),
+        )
     }
 
     fn prepare_reply(
@@ -1212,7 +1254,7 @@ mod tests {
                 .with_max_promotions(Some(0)),
             GroupId(0),
             7,
-            own_txn(&[A], &[A]),
+            vec![own_txn(&[A], &[A])],
             LogPosition(1),
         );
         p.start();
@@ -1358,7 +1400,7 @@ mod tests {
             ProposerConfig::basic(3).with_fast_path(false),
             GroupId(0),
             7,
-            own_txn(&[], &[A]),
+            vec![own_txn(&[], &[A])],
             LogPosition(1),
         );
         let mut actions = p.start();
@@ -1388,7 +1430,7 @@ mod tests {
     }
 
     fn batch(txns: Vec<Transaction>) -> Proposer {
-        Proposer::new_batch(
+        Proposer::new(
             ProposerConfig::cp(3).with_fast_path(false),
             GroupId(0),
             7,
@@ -1699,5 +1741,104 @@ mod tests {
         let outcome = finished(&actions).unwrap();
         assert!(outcome.committed);
         assert!(outcome.combined);
+    }
+
+    #[test]
+    fn from_reply_maps_the_three_replies_field_by_field_and_nothing_else() {
+        let g = GroupId(3);
+        let ballot = Ballot {
+            round: 4,
+            proposer: 2,
+        };
+        let higher = Ballot {
+            round: 9,
+            proposer: 1,
+        };
+        let vote = other_entry(&[Z]);
+        match ProposerEvent::from_reply(
+            2,
+            &PaxosMsg::PrepareReply {
+                group: g,
+                position: LogPosition(5),
+                ballot,
+                promised: false,
+                next_bal: Some(higher),
+                last_vote: Some((higher, Arc::clone(&vote))),
+            },
+        ) {
+            Some(ProposerEvent::PrepareReply {
+                from: 2,
+                position: LogPosition(5),
+                ballot: b,
+                promised: false,
+                next_bal: Some(n),
+                last_vote: Some((vb, value)),
+            }) => {
+                assert_eq!((b, n, vb), (ballot, higher, higher));
+                assert!(Arc::ptr_eq(&value, &vote), "the vote is shared, not copied");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(
+            ProposerEvent::from_reply(
+                1,
+                &PaxosMsg::AcceptReply {
+                    group: g,
+                    position: LogPosition(6),
+                    ballot,
+                    accepted: true,
+                },
+            ),
+            Some(ProposerEvent::AcceptReply {
+                from: 1,
+                position: LogPosition(6),
+                ballot: b,
+                accepted: true,
+            }) if b == ballot
+        ));
+        assert!(matches!(
+            ProposerEvent::from_reply(
+                0,
+                &PaxosMsg::LeaderClaimReply {
+                    group: g,
+                    position: LogPosition(7),
+                    granted: true,
+                },
+            ),
+            Some(ProposerEvent::FastPathReply {
+                position: LogPosition(7),
+                granted: true,
+            })
+        ));
+        let requests = [
+            PaxosMsg::Prepare {
+                group: g,
+                position: LogPosition(1),
+                ballot,
+            },
+            PaxosMsg::Accept {
+                group: g,
+                position: LogPosition(1),
+                ballot,
+                value: Arc::clone(&vote),
+            },
+            PaxosMsg::Apply {
+                group: g,
+                position: LogPosition(1),
+                ballot,
+                value: vote,
+            },
+            PaxosMsg::LeaderClaim {
+                group: g,
+                position: LogPosition(1),
+            },
+        ];
+        for msg in &requests {
+            assert!(
+                ProposerEvent::from_reply(0, msg).is_none(),
+                "{} is not a reply",
+                msg.kind()
+            );
+        }
     }
 }

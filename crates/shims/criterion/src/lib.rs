@@ -9,13 +9,9 @@
 //! Differences from real criterion, deliberately accepted: no statistical
 //! outlier analysis, no HTML reports. Each benchmark is calibrated to a
 //! fixed measurement window, timed over `sample_size` samples, and reported
-//! as median/mean ns-per-iteration on stdout. Set the `BENCH_JSON`
-//! environment variable to additionally append machine-readable results to
-//! that path (used to snapshot `BENCH_baseline.json`).
+//! as median/mean ns-per-iteration on stdout.
 
 use std::fmt::Display;
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Identifier of one benchmark within a group.
@@ -58,9 +54,6 @@ pub struct BenchResult {
     pub mean_ns: f64,
     /// Total iterations executed during measurement.
     pub iterations: u64,
-    /// Optional unit label carried into the snapshot row (see
-    /// [`BenchmarkGroup::unit`]); `None` means plain ns-per-iteration.
-    pub unit: Option<String>,
 }
 
 /// The benchmark harness root.
@@ -87,41 +80,12 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: 20,
-            unit: None,
         }
     }
 
-    /// Print the summary and write `BENCH_JSON` output if requested.
-    pub fn final_summary(&self) {
-        if self.results.is_empty() {
-            return;
-        }
-        if let Ok(path) = std::env::var("BENCH_JSON") {
-            let mut out = String::from("[\n");
-            for (i, r) in self.results.iter().enumerate() {
-                let comma = if i + 1 == self.results.len() { "" } else { "," };
-                let unit = r
-                    .unit
-                    .as_ref()
-                    .map(|u| format!(", \"unit\": \"{u}\""))
-                    .unwrap_or_default();
-                out.push_str(&format!(
-                    "  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"iterations\": {}{unit}}}{comma}\n",
-                    r.id, r.median_ns, r.mean_ns, r.iterations
-                ));
-            }
-            out.push_str("]\n");
-            let write = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
-            match write {
-                Ok(()) => eprintln!("wrote {} results to {path}", self.results.len()),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-    }
+    /// Criterion's end-of-run hook: every benchmark already printed its own
+    /// line, so the shim has nothing left to report.
+    pub fn final_summary(&self) {}
 }
 
 /// A named group of benchmarks sharing settings.
@@ -129,23 +93,12 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
-    unit: Option<String>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
-        self
-    }
-
-    /// Shim extension (no criterion equivalent): tag subsequent benchmarks'
-    /// snapshot rows with an explicit `"unit"` field describing what one
-    /// iteration's ns value measures, per the snapshot schema's value/unit
-    /// convention (see `docs/BENCHMARKS.md`). Unset rows are plain
-    /// ns-per-iteration.
-    pub fn unit(&mut self, unit: impl Into<String>) -> &mut Self {
-        self.unit = Some(unit.into());
         self
     }
 
@@ -164,7 +117,6 @@ impl BenchmarkGroup<'_> {
         f(&mut bencher);
         if let Some(mut result) = bencher.result {
             result.id = full.clone();
-            result.unit = self.unit.clone();
             println!(
                 "{full:<55} median {:>12} mean {:>12}  ({} iters)",
                 format_ns(result.median_ns),
@@ -213,7 +165,6 @@ impl Bencher {
                 median_ns: 0.0,
                 mean_ns: 0.0,
                 iterations: 1,
-                unit: None,
             });
             return;
         }
@@ -250,7 +201,6 @@ impl Bencher {
             median_ns: median,
             mean_ns: mean,
             iterations: total_iters,
-            unit: None,
         });
     }
 }
@@ -307,22 +257,6 @@ mod tests {
         assert_eq!(c.results[0].id, "g/trivial");
         assert_eq!(c.results[1].id, "g/param/7");
         assert!(c.results[0].iterations > 0);
-        assert_eq!(c.results[0].unit, None);
-    }
-
-    #[test]
-    fn unit_tags_subsequent_results() {
-        let mut c = Criterion::default();
-        {
-            let mut group = c.benchmark_group("g");
-            group.sample_size(2);
-            group.bench_function("plain", |b| b.iter(|| 1 + 1));
-            group.unit("ns_per_record");
-            group.bench_function("tagged", |b| b.iter(|| 2 + 2));
-            group.finish();
-        }
-        assert_eq!(c.results[0].unit, None);
-        assert_eq!(c.results[1].unit.as_deref(), Some("ns_per_record"));
     }
 
     #[test]

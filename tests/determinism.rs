@@ -9,7 +9,7 @@
 //! followed `HashMap`'s per-process hasher seed, and two identical runs
 //! could abort different transactions.
 
-use paxos_cp::mdstore::{CommitProtocol, Topology};
+use paxos_cp::mdstore::{BatchConfig, CommitProtocol, CommitRoute, Topology};
 use paxos_cp::workload::{run_load, LoadSpec};
 use simnet::{ChaosSpec, SimDuration};
 
@@ -62,6 +62,78 @@ fn same_seed_chaos_runs_are_byte_identical() {
         first, second,
         "chaos runs with one seed diverged — recovery paths are order-sensitive"
     );
+}
+
+/// FNV-1a-64: a digest fingerprint that is stable across toolchains, unlike
+/// `DefaultHasher`.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_proposer_host_reproduces_the_pinned_runs() {
+    // Literals captured at commit b36922b, before the direct route, the
+    // group committer and the recovery janitor moved onto one proposer
+    // host. A refactor that moves a message, a timer or an RNG draw on any
+    // of the three paths changes one of these fingerprints.
+    let paper = |protocol| {
+        LoadSpec::paper_default(Topology::vvv(), protocol)
+            .named("determinism-regression")
+            .with_clients(3, 15)
+            .with_seed(424242)
+    };
+    let mut committer = paper(CommitProtocol::PaxosCp)
+        .with_route(CommitRoute::Submitted)
+        .with_groups(2)
+        .with_max_open(4);
+    committer.batch = BatchConfig::default().with_pipeline_depth(2);
+    let crashes = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
+        .named("determinism-chaos-regression")
+        .with_clients(3, 12)
+        .with_seed(777)
+        .with_chaos(
+            ChaosSpec::new(SimDuration::from_secs(4)).with_rolling_crashes(
+                2,
+                SimDuration::from_secs(1),
+                SimDuration::from_millis(300),
+            ),
+        );
+    let pinned = [
+        (
+            "direct route, basic Paxos",
+            paper(CommitProtocol::BasicPaxos),
+            0x848854d25c9ad43d,
+        ),
+        (
+            "direct route, Paxos-CP",
+            paper(CommitProtocol::PaxosCp),
+            0x365ce1e0240caa60,
+        ),
+        ("group committer", committer, 0xf7111b476909f19c),
+        (
+            "direct route under rolling crashes",
+            crashes,
+            0x7457d2a4b61c350e,
+        ),
+        // The rolling-crash spec above starts no recovery instance (counted
+        // at the parent); this one starts four.
+        (
+            "recovery janitor",
+            LoadSpec::rolling_failure(SimDuration::from_secs(4)).with_seed(777),
+            0xeda20264c42beaec,
+        ),
+    ];
+    for (path, spec, expected) in pinned {
+        let digest = run_digest(&spec);
+        assert_eq!(
+            fnv1a64(&digest),
+            expected,
+            "{path}: the run no longer matches the pinned parent — a message, \
+             timer or RNG draw moved"
+        );
+    }
 }
 
 #[test]
