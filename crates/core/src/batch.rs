@@ -324,6 +324,64 @@ impl GroupCommitter {
         self.window.drain(..).map(|p| p.txn.id).collect()
     }
 
+    /// Give up the in-flight slots at or below `through`: positions the
+    /// home datacenter learned by adopting a peer's group state, which the
+    /// peers that forgot them will never promise again. A member the
+    /// adopted state committed is answered committed; a blind write goes
+    /// back to the window front; a member with reads aborts, because the
+    /// entries it would have to be revalidated against are gone.
+    pub(crate) fn abandon_through(
+        &mut self,
+        now: SimTime,
+        through: LogPosition,
+    ) -> Vec<ClientAction> {
+        let mut out = Vec::new();
+        let (gone, kept): (Vec<Slot>, Vec<Slot>) = std::mem::take(&mut self.slots)
+            .into_iter()
+            .partition(|slot| slot.position <= through);
+        self.slots = kept;
+        if gone.is_empty() {
+            return out;
+        }
+        let core = self.home_core();
+        let core = core.lock();
+        // Back to front, so the window keeps the slots' order.
+        for slot in gone.into_iter().rev() {
+            let Some(proposer) = self.proposers.remove(&slot.position) else {
+                continue;
+            };
+            let promotions = proposer.promotions();
+            for txn in proposer.transactions().iter().rev() {
+                let enqueued_at = slot.enqueued.get(&txn.id).copied().unwrap_or(now);
+                let committed = core.is_committed(self.group, txn.id);
+                if !committed && txn.reads().is_empty() {
+                    self.window.push_front(PendingTxn {
+                        txn: txn.clone(),
+                        promotions,
+                        enqueued_at,
+                        validated_through: txn.read_position,
+                    });
+                    continue;
+                }
+                out.push(ClientAction::Finished(TxnResult {
+                    committed,
+                    read_only: false,
+                    promotions,
+                    combined: false,
+                    rounds: 0,
+                    latency: now.since(enqueued_at),
+                    total_latency: now.since(enqueued_at),
+                    abort_reason: (!committed).then_some(paxos::AbortReason::Conflict),
+                    txn: Some(txn.id),
+                }));
+            }
+        }
+        drop(core);
+        self.open_slots(now, &mut out, true);
+        self.ensure_window_timer(&mut out);
+        out
+    }
+
     /// Submit a finished transaction for group commit. Returns the actions
     /// to execute (a flush's protocol messages when the window-size trigger
     /// fired, or a window-deadline timer).
@@ -736,6 +794,53 @@ mod tests {
                 accepted: true,
             }),
         )
+    }
+
+    #[test]
+    fn abandoned_slots_answer_adopted_commits_and_requeue_only_blind_writes() {
+        let (dir, mut committer) = harness_with(BatchConfig::default().with_max_batch(3));
+        let now = SimTime::ZERO;
+        let adopted = txn(&dir, 1, "a", LogPosition::ZERO);
+        let z = dir.symbols().item("row", "z");
+        let reader = Transaction::builder(TxnId::new(5, 2), GroupId(0), LogPosition::ZERO)
+            .read(ItemRef::new(z.key, z.attr), None)
+            .write(dir.symbols().item("row", "c"), "v")
+            .build();
+        let blind = txn(&dir, 3, "b", LogPosition::ZERO);
+        committer.submit(now, adopted.clone());
+        committer.submit(now, reader);
+        committer.submit(now, blind);
+        assert_eq!(committer.slot_positions(), [LogPosition(1)]);
+        // The home adopted a peer's state covering position 1, where the
+        // first member committed.
+        dir.core(0).lock().install_entry(
+            GroupId(0),
+            LogPosition(1),
+            Arc::new(LogEntry::single(adopted)),
+        );
+        assert!(committer.abandon_through(now, LogPosition::ZERO).is_empty());
+        let actions = committer.abandon_through(now, LogPosition(1));
+        let fates: Vec<(u64, bool, Option<paxos::AbortReason>)> = actions
+            .iter()
+            .filter_map(|a| match a {
+                ClientAction::Finished(r) => Some((r.txn?.seq, r.committed, r.abort_reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fates,
+            [
+                (2, false, Some(paxos::AbortReason::Conflict)),
+                (1, true, None)
+            ]
+        );
+        // The blind write reopens at the next position.
+        assert_eq!(committer.slot_positions(), [LogPosition(2)]);
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. }))
+                if *position == LogPosition(2)
+        )));
     }
 
     #[test]

@@ -13,11 +13,12 @@ use crate::session::ClientConfig;
 use crate::topology::Topology;
 use paxos::CommitProtocol;
 use simnet::{Actor, ChaosEvent, ChaosSchedule, NodeId, SimDuration, SimTime, Simulation};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use storage::{DcStorage, DurableConfig, StorageConfig, StorageError};
 use walog::checker::{self, CheckReport, Violation};
-use walog::{GroupId, GroupLog, SymbolTable};
+use walog::{GroupId, GroupLog, LogPosition, SymbolTable, TxnId};
 
 /// Configuration of a cluster.
 #[derive(Clone, Debug)]
@@ -367,16 +368,42 @@ impl Cluster {
     /// Verify the paper's correctness properties over everything the cluster
     /// decided: replica agreement (R1) and one-copy serializability
     /// (Definition 1 / L1–L3) of the merged history, per transaction group.
-    /// Returns the merged check report of every group.
+    /// Agreement also covers positions some replicas truncated away:
+    /// replicas at an equal gap-free prefix must index equal committed
+    /// transaction sets through it. Returns the merged check report of
+    /// every group.
     pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
         let mut reports = Vec::new();
         for group in self.groups() {
             let logs = self.replica_logs(group);
             let refs: Vec<&GroupLog> = logs.iter().collect();
             let report = checker::check_all(&refs)?;
+            self.check_committed_sets(group)?;
             reports.push((group, report));
         }
         Ok(reports)
+    }
+
+    /// Replicas at an equal gap-free prefix of `group` hold equal
+    /// committed-id sets through it.
+    fn check_committed_sets(&self, group: GroupId) -> Result<(), Violation> {
+        let mut by_prefix: BTreeMap<LogPosition, BTreeSet<TxnId>> = BTreeMap::new();
+        for core in self.directory.cores() {
+            let core = core.lock();
+            let prefix = core.read_position(group);
+            let ids = core.committed_through_prefix(group);
+            match by_prefix.entry(prefix) {
+                Entry::Vacant(slot) => {
+                    slot.insert(ids);
+                }
+                Entry::Occupied(seen) => {
+                    if let Some(txn) = seen.get().symmetric_difference(&ids).next() {
+                        return Err(Violation::DivergentCommittedSets { prefix, txn: *txn });
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total committed transactions recorded in a replica's log for a named

@@ -98,12 +98,42 @@ pub struct DatacenterCore {
     /// Multi-version store versions reclaimed by the apply-time GC.
     reclaimed_versions: u64,
     /// The durable storage plane, when this datacenter runs in durable
-    /// mode: WAL (persist-before-ack), group snapshots and the cold-version
-    /// pager. `None` keeps the original purely in-memory behavior.
+    /// mode: WAL (persist-before-ack) and group snapshots. `None` keeps the
+    /// original purely in-memory behavior.
     storage: Option<DcStorage>,
+    /// Installed entries whose `Decided` record is buffered but not yet
+    /// synced. They count as decided (dedup, leader lookups, the prefix)
+    /// but are not applied until a sync makes them durable, and a crash
+    /// loses them: the replicas still hold the decision.
+    unsynced: BTreeSet<(GroupId, LogPosition)>,
+    /// Per group, the snapshot base the last restart from disk restored.
+    /// The acceptor state of positions at or below it went with the
+    /// deleted WAL segments, so this datacenter must neither promise nor
+    /// vote there (see [`DatacenterCore::forgot`]).
+    forgotten_base: BTreeMap<GroupId, LogPosition>,
     /// Set while [`DatacenterCore::restart_from_disk`] replays the WAL:
     /// replayed installs must not be re-logged or trigger snapshots.
     replaying: bool,
+}
+
+/// One group's decided state as one datacenter holds it: what a datacenter
+/// that forgot a position ships to a lagging peer instead of a promise or
+/// a vote ([`crate::Msg::CatchUp`]), for the peer to adopt.
+#[derive(Clone, Debug, PartialEq)]
+pub struct GroupState {
+    /// The group.
+    pub group: GroupId,
+    /// The log base: everything at or below it lives only in `rows` and
+    /// `committed`.
+    pub base: LogPosition,
+    /// The applied gap-free prefix `rows` reflect.
+    pub prefix: LogPosition,
+    /// Every transaction id the group's decided entries carry.
+    pub committed: Vec<TxnId>,
+    /// Every retained version of the group's rows, by key then timestamp.
+    pub rows: Vec<(Key, Vec<(Timestamp, Row)>)>,
+    /// The retained log entries above the base.
+    pub tail: Vec<(LogPosition, Arc<LogEntry>)>,
 }
 
 /// What a [`DatacenterCore::restart_from_disk`] rebuilt, for harness
@@ -136,17 +166,17 @@ impl DatacenterCore {
             gc_horizon: DEFAULT_GC_HORIZON,
             reclaimed_versions: 0,
             storage: None,
+            unsynced: BTreeSet::new(),
+            forgotten_base: BTreeMap::new(),
             replaying: false,
         }
     }
 
-    /// Attach the durable storage plane: from here on every promise, vote
-    /// and decided entry is written through the WAL before it may be
-    /// acknowledged, snapshots and WAL truncation run at the configured
-    /// cadence, and cold store versions page out to the buffer pool.
+    /// Attach the durable storage plane: from here on every promise and
+    /// vote is synced through the WAL before it may be acknowledged, every
+    /// decided entry is synced before it applies, and snapshots and WAL
+    /// truncation run at the configured cadence.
     pub fn attach_storage(&mut self, storage: DcStorage) {
-        self.store
-            .set_cold_store(storage.pager(), storage.config().hot_keep);
         self.storage = Some(storage);
     }
 
@@ -176,14 +206,11 @@ impl DatacenterCore {
         position: LogPosition,
         ballot: Ballot,
     ) -> bool {
-        match &mut self.storage {
-            Some(s) => s.log(&WalRecord::Promise {
-                group,
-                position,
-                ballot,
-            }),
-            None => true,
-        }
+        self.log_and_sync(&WalRecord::Promise {
+            group,
+            position,
+            ballot,
+        })
     }
 
     /// Make a phase-2 vote durable (persist-before-ack); the acceptor's
@@ -195,15 +222,60 @@ impl DatacenterCore {
         ballot: Ballot,
         value: &Arc<LogEntry>,
     ) -> bool {
-        match &mut self.storage {
-            Some(s) => s.log(&WalRecord::Vote {
-                group,
-                position,
-                ballot,
-                entry: Arc::clone(value),
-            }),
-            None => true,
+        self.log_and_sync(&WalRecord::Vote {
+            group,
+            position,
+            ballot,
+            entry: Arc::clone(value),
+        })
+    }
+
+    /// Append `record` and sync: the sync an acknowledgement pays for also
+    /// makes every buffered `Decided` record durable.
+    fn log_and_sync(&mut self, record: &WalRecord) -> bool {
+        let Some(s) = &mut self.storage else {
+            return true;
+        };
+        s.append(record);
+        self.flush()
+    }
+
+    /// Sync every buffered WAL record; on success the installed entries
+    /// waiting for durability apply. Always `true` in-memory; `false` means
+    /// the sync failed and everything stays buffered for the next one.
+    pub fn flush(&mut self) -> bool {
+        let Some(s) = &mut self.storage else {
+            return true;
+        };
+        if !s.sync() {
+            return false;
         }
+        let groups: BTreeSet<GroupId> = std::mem::take(&mut self.unsynced)
+            .into_iter()
+            .map(|(group, _)| group)
+            .collect();
+        for group in groups {
+            self.apply_durable(group);
+            let prefix = self.read_position(group);
+            self.maybe_snapshot(group, prefix);
+        }
+        true
+    }
+
+    /// Whether an installed entry still waits for the sync that makes it
+    /// durable and applies it.
+    pub fn has_unsynced(&self) -> bool {
+        !self.unsynced.is_empty()
+    }
+
+    /// The lowest position of `group` whose `Decided` record is not yet
+    /// durable: nothing at or above it may apply.
+    fn first_unsynced(&self, group: GroupId) -> Option<LogPosition> {
+        self.unsynced
+            .range((group, LogPosition::ZERO)..)
+            .next()
+            .filter(|(g, _)| *g == group)
+            .map(|(_, position)| *position)
     }
 
     /// Override the version-GC horizon (positions of history always kept
@@ -276,12 +348,18 @@ impl DatacenterCore {
 
     /// Install a decided entry into the local log (idempotent) and eagerly
     /// apply every gap-free entry to the key-value store, reporting how far
-    /// the applied prefix moved. Entries decided out of pipeline order
-    /// install durably but apply strictly in position order: an entry above
+    /// the gap-free prefix moved. Entries decided out of pipeline order
+    /// install at once but apply strictly in position order: an entry above
     /// a gap waits, and the returned [`ApplyOutcome`] does not advance.
     /// Keys written by newly applied entries are version-GC'd behind the
     /// group's read-lease watermark (see
     /// [`DatacenterCore::begin_read_lease`]).
+    ///
+    /// With storage attached the entry's `Decided` record is appended but
+    /// not synced, and the entry applies only once a sync makes it durable:
+    /// the next promise or vote sync, a read or snapshot that needs it, or
+    /// the service's flush deadline ([`DatacenterCore::flush`]). Everything
+    /// else — the prefix, dedup, leader lookups — sees it at once.
     ///
     /// Panics if a *different* entry was already installed at the position:
     /// that would violate replication property (R1) and indicates a protocol
@@ -304,42 +382,58 @@ impl DatacenterCore {
             && !log.contains(position);
         log.install(position, Arc::clone(&entry))
             .expect("replication property R1 violated: conflicting entry for a decided position");
+        let prefix = log.contiguous_prefix();
         let ids = self.committed_ids.entry(group).or_default();
         for txn in entry.transactions() {
             ids.insert(txn.id);
         }
         // Persist-before-apply: the decided entry goes through the WAL so a
-        // restart can rebuild the log tail above the last snapshot. A failed
-        // sync leaves the record buffered for the next sync (the decide
-        // itself is replicated, so durability here only bounds catch-up work
-        // after a restart).
+        // restart can rebuild the log tail above the last snapshot. No
+        // acknowledgement waits for the record — the decide is replicated,
+        // so local durability only bounds catch-up work after a restart —
+        // and it rides the next sync instead of paying for its own.
         if log_it {
             if let Some(s) = &mut self.storage {
-                s.log(&WalRecord::Decided {
+                s.append(&WalRecord::Decided {
                     group,
                     position,
                     entry: Arc::clone(&entry),
                 });
+                self.unsynced.insert((group, position));
             }
         }
-        let applied_keys = Self::apply_contiguous(group, log, &self.store);
-        let prefix = log.contiguous_prefix();
-        self.gc_applied_keys(group, applied_keys);
-        self.maybe_snapshot(group, prefix);
+        self.apply_durable(group);
         ApplyOutcome {
             prefix_before,
             prefix,
         }
     }
 
-    /// Snapshot-and-truncate trigger, run after every install: when the
-    /// group's applied prefix has advanced `snapshot_every` positions past
-    /// its last snapshot, capture the group's durable state, then truncate
-    /// the in-memory log and the WAL below the truncation floor. The floor
-    /// is the version-GC watermark — the minimum over every open read
-    /// lease's position and the horizon-capped prefix — so truncation never
-    /// crosses a position an active reader (or the MVCC version floor) can
-    /// still need.
+    /// Apply the group's gap-free entries below its first undurable one and
+    /// version-GC the keys they wrote.
+    fn apply_durable(&mut self, group: GroupId) {
+        let through = self.durable_through(group);
+        let Some(log) = self.logs.get_mut(&group) else {
+            return;
+        };
+        let applied_keys = Self::apply_contiguous(log, &self.store, group, through);
+        self.gc_applied_keys(group, applied_keys);
+    }
+
+    /// How far the group may apply: its gap-free prefix, cut below the
+    /// first entry whose `Decided` record is not yet durable.
+    fn durable_through(&self, group: GroupId) -> LogPosition {
+        let prefix = self.read_position(group);
+        match self.first_unsynced(group) {
+            Some(position) => prefix.min(position.prev()),
+            None => prefix,
+        }
+    }
+
+    /// Snapshot-and-truncate trigger, run after every sync that made some
+    /// of the group's entries durable: when its gap-free prefix has advanced
+    /// `snapshot_every` positions past its last snapshot, cut a snapshot
+    /// ([`DatacenterCore::snapshot`]).
     fn maybe_snapshot(&mut self, group: GroupId, prefix: LogPosition) {
         if self.replaying {
             return;
@@ -348,9 +442,23 @@ impl DatacenterCore {
             Some(s) => s.snapshot_due(group, prefix),
             None => false,
         };
-        if !due {
+        if due {
+            self.snapshot(group);
+        }
+    }
+
+    /// Capture the group's durable state, then truncate the in-memory log
+    /// and the WAL below the truncation floor. A snapshot covers only
+    /// durable state, so anything still buffered syncs first. The floor is
+    /// the version-GC watermark — the minimum over every open read lease's
+    /// position and the horizon-capped prefix — so truncation never crosses
+    /// a position an active reader (or the MVCC version floor) can still
+    /// need.
+    fn snapshot(&mut self, group: GroupId) {
+        if self.storage.is_none() || !self.flush() {
             return;
         }
+        let prefix = self.read_position(group);
         let floor = self.gc_watermark(group).min(prefix);
         let current_base = self.logs.get(&group).map(|l| l.base()).unwrap_or_default();
         let new_base = LogPosition(floor.0.saturating_sub(1)).max(current_base);
@@ -385,8 +493,7 @@ impl DatacenterCore {
     /// Capture one group's durable state: the applied prefix, the log base
     /// the restart will resume from, every committed transaction id, and
     /// every retained store version of the group's rows — `versions`, the
-    /// store's dump of them (cold versions fetched from the pager without
-    /// promoting them), whose values the snapshot borrows.
+    /// store's dump of them, whose values the snapshot borrows.
     fn build_snapshot<'a>(
         &self,
         group: GroupId,
@@ -423,10 +530,15 @@ impl DatacenterCore {
         }
     }
 
-    /// Apply every decided-but-unapplied entry in the gap-free prefix of the
-    /// group's log to the key-value store; returns the store keys written.
-    fn apply_contiguous(group: GroupId, log: &mut GroupLog, store: &MvKvStore) -> Vec<Key> {
-        let through = log.contiguous_prefix();
+    /// Apply every decided-but-unapplied entry of the group's log through
+    /// `through` (at most its gap-free prefix) to the key-value store;
+    /// returns the store keys written.
+    fn apply_contiguous(
+        log: &mut GroupLog,
+        store: &MvKvStore,
+        group: GroupId,
+        through: LogPosition,
+    ) -> Vec<Key> {
         let Some(pending) = log.unapplied_range(through) else {
             return Vec::new();
         };
@@ -537,7 +649,9 @@ impl DatacenterCore {
     /// Read one item as of `read_position` (A2). Fails with the list of
     /// missing log positions when the local log has gaps at or below the
     /// read position, in which case the caller must catch up first (§4.1,
-    /// Fault Tolerance and Recovery).
+    /// Fault Tolerance and Recovery). A read covering an entry that is not
+    /// yet durable syncs first, so it never observes state a crash could
+    /// take back; if that sync fails the read fails with nothing missing.
     pub fn read(
         &mut self,
         group: GroupId,
@@ -551,10 +665,22 @@ impl DatacenterCore {
             if !missing.is_empty() {
                 return Err(CatchUpNeeded { missing });
             }
+            if self
+                .first_unsynced(group)
+                .is_some_and(|position| position <= read_position)
+                && !self.flush()
+            {
+                return Err(CatchUpNeeded {
+                    missing: Vec::new(),
+                });
+            }
             // Apply but do not GC here: a read being served right now may
             // have just released its parked-read lease, so reclamation is
             // deferred to the next install (GC runs only on apply).
-            let _ = Self::apply_contiguous(group, log, &self.store);
+            let through = self.durable_through(group);
+            if let Some(log) = self.logs.get_mut(&group) {
+                let _ = Self::apply_contiguous(log, &self.store, group, through);
+            }
         }
         Ok(self.store.read_attr_at(
             Self::app_key(group, key),
@@ -651,6 +777,11 @@ impl DatacenterCore {
     /// open snapshot sessions), so wiping them would let version GC — and
     /// WAL truncation, whose floor they bound — reclaim state a still-live
     /// reader needs.
+    ///
+    /// Installed entries whose `Decided` record was never synced are lost:
+    /// they were neither applied nor acknowledged by this datacenter, and
+    /// their votes still hold them at the replicas. Each restored snapshot
+    /// base becomes the group's forgotten base ([`DatacenterCore::forgot`]).
     pub fn restart_from_disk(
         &mut self,
         cfg: &DurableConfig,
@@ -663,6 +794,7 @@ impl DatacenterCore {
         self.logs.clear();
         self.leader_claims.clear();
         self.committed_ids.clear();
+        self.unsynced.clear();
         // Drop the dead handle before a new one opens; its counters carry on.
         let counters = self.storage.take().map(|s| s.stats());
         let report = RestartReport {
@@ -674,6 +806,7 @@ impl DatacenterCore {
         self.replaying = true;
         for snap in &data.snapshots {
             self.restore_snapshot(snap);
+            self.forgotten_base.insert(snap.group, snap.log_base);
         }
         for record in &data.replay.records {
             match record {
@@ -703,8 +836,7 @@ impl DatacenterCore {
         }
         self.replaying = false;
         // Reopen the storage plane last: open repairs the torn tail and
-        // starts a fresh segment, and attaching re-wires the (reset) cold
-        // pager into the rebuilt store.
+        // starts a fresh segment.
         let mut storage = DcStorage::open(cfg.clone())?;
         if let Some(counters) = counters {
             storage.carry_counters(counters);
@@ -735,6 +867,86 @@ impl DatacenterCore {
         }
     }
 
+    /// Whether this datacenter's acceptor state for `position` of `group`
+    /// may be gone: the position is at or below the snapshot base its last
+    /// restart restored, and the promises and votes below that base went
+    /// with the deleted WAL segments. Such a datacenter must neither promise
+    /// nor vote there — a promise without the vote it forgot could let a
+    /// lagging peer decide a no-op over a decided value — and offers its
+    /// [`GroupState`] instead.
+    pub fn forgot(&self, group: GroupId, position: LogPosition) -> bool {
+        self.forgotten_base
+            .get(&group)
+            .is_some_and(|base| position <= *base)
+    }
+
+    /// This datacenter's decided state of `group`, for a lagging peer to
+    /// adopt: everything installed is synced (and so applied) first.
+    /// `None` when that sync fails.
+    pub(crate) fn group_state(&mut self, group: GroupId) -> Option<GroupState> {
+        if !self.flush() {
+            return None;
+        }
+        let group_half = group.0 as u64;
+        let log = self.logs.get(&group);
+        Some(GroupState {
+            group,
+            base: log.map(|l| l.base()).unwrap_or_default(),
+            prefix: self.read_position(group),
+            committed: self
+                .committed_ids
+                .get(&group)
+                .map(|ids| ids.iter().copied().collect())
+                .unwrap_or_default(),
+            rows: self.store.dump_versions(|key| key.0 >> 32 == group_half),
+            tail: log
+                .map(|l| l.iter().map(|(p, e)| (p, Arc::clone(e))).collect())
+                .unwrap_or_default(),
+        })
+    }
+
+    /// Adopt a peer's [`GroupState`] when it reaches past this datacenter's
+    /// gap-free prefix: its rows, committed ids and base as a restart
+    /// restores a snapshot, its log tail through the ordinary install path,
+    /// and then a snapshot of the result of our own, so a restart from disk
+    /// reproduces it. Returns whether the state was adopted.
+    pub(crate) fn adopt_group_state(&mut self, state: &GroupState) -> bool {
+        let group = state.group;
+        if state.prefix <= self.read_position(group) || !self.flush() {
+            return false;
+        }
+        self.committed_ids
+            .entry(group)
+            .or_default()
+            .extend(state.committed.iter().copied());
+        self.logs.entry(group).or_default().restore_base(state.base);
+        for (key, versions) in &state.rows {
+            for (ts, row) in versions {
+                self.store.apply_idempotent(*key, row.clone(), *ts);
+            }
+        }
+        for (position, entry) in &state.tail {
+            self.install_entry(group, *position, Arc::clone(entry));
+        }
+        self.snapshot(group);
+        true
+    }
+
+    /// The transaction ids of `group` decided at or below its gap-free
+    /// prefix: two replicas at the same prefix must index the same set.
+    pub fn committed_through_prefix(&self, group: GroupId) -> BTreeSet<TxnId> {
+        let mut ids = self.committed_ids.get(&group).cloned().unwrap_or_default();
+        if let Some(log) = self.logs.get(&group) {
+            let prefix = log.contiguous_prefix();
+            for (_, entry) in log.iter().filter(|(p, _)| *p > prefix) {
+                for txn in entry.transactions() {
+                    ids.remove(&txn.id);
+                }
+            }
+        }
+        ids
+    }
+
     /// Simulate a crash mid-append: leave a torn partial frame at the WAL
     /// tail. No-op in-memory. The handle is assumed dead afterwards — the
     /// next step is [`DatacenterCore::restart_from_disk`].
@@ -749,7 +961,9 @@ impl DatacenterCore {
     /// and the latest version of every application row. Old row versions
     /// are excluded on purpose — version-GC timing during replay may differ
     /// from the original run — as is acceptor metadata for decided
-    /// positions. Equal fingerprints before a crash and after
+    /// positions, and so are entries whose `Decided` record is not yet
+    /// synced, with their transaction ids: they were neither applied nor
+    /// acknowledged here. Equal fingerprints before a crash and after
     /// [`DatacenterCore::restart_from_disk`] mean the restart lost nothing
     /// that was acknowledged.
     pub fn state_fingerprint(&self) -> u64 {
@@ -762,19 +976,32 @@ impl DatacenterCore {
                 hash = hash.wrapping_mul(FNV_PRIME);
             }
         };
+        let no_ids = BTreeSet::new();
         for (group, log) in &self.logs {
+            let (entries, unsynced): (Vec<_>, Vec<_>) = log
+                .iter()
+                .partition(|(position, _)| !self.unsynced.contains(&(*group, *position)));
+            let unsynced_ids: BTreeSet<TxnId> = unsynced
+                .iter()
+                .flat_map(|(_, entry)| entry.transactions().iter().map(|txn| txn.id))
+                .collect();
+            let ids = self.committed_ids.get(group).unwrap_or(&no_ids);
+            let ids: Vec<&TxnId> = ids.difference(&unsynced_ids).collect();
+            // A log with nothing durable in it (created by a read, or
+            // holding only unsynced entries) is not rebuilt by a restart.
+            if log.base() == LogPosition::ZERO && entries.is_empty() && ids.is_empty() {
+                continue;
+            }
             eat(b"group");
             eat(&group.0.to_le_bytes());
             eat(&log.base().0.to_le_bytes());
-            for (position, entry) in log.iter() {
+            for (position, entry) in entries {
                 eat(&position.0.to_le_bytes());
                 eat(entry.encode().as_bytes());
             }
-            if let Some(ids) = self.committed_ids.get(group) {
-                for id in ids {
-                    eat(&id.client.to_le_bytes());
-                    eat(&id.seq.to_le_bytes());
-                }
+            for id in ids {
+                eat(&id.client.to_le_bytes());
+                eat(&id.seq.to_le_bytes());
             }
         }
         for key in self.store.keys() {
@@ -1078,6 +1305,13 @@ mod tests {
         assert!(!core.leader_claim(GROUP, LogPosition(1), 10));
     }
 
+    /// Install a decided entry and sync it, as the next acknowledgement's
+    /// sync (or the service's flush deadline) would.
+    fn install_synced(core: &mut DatacenterCore, p: u64, value: &str) {
+        core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, value));
+        assert!(core.flush());
+    }
+
     fn durable_core(label: &str, snapshot_every: u64) -> (DatacenterCore, DurableConfig) {
         let mut cfg = DurableConfig::new(storage::scratch_dir(label));
         cfg.snapshot_every = snapshot_every;
@@ -1097,13 +1331,16 @@ mod tests {
         core.acceptor()
             .handle_prepare(GROUP, LogPosition(20), ballot);
         assert!(core.persist_promise(GROUP, LogPosition(20), ballot));
-        for p in 1..=10 {
-            core.install_entry(
-                GROUP,
-                LogPosition(p),
-                write_entry(0, p, p - 1, A, &format!("v{p}")),
-            );
+        for p in 1..=12 {
+            install_synced(&mut core, p, &format!("v{p}"));
         }
+        // The records of 13 and 14 still wait for a sync when the crash
+        // hits.
+        for p in 13..=14 {
+            let entry = write_entry(0, p, p - 1, A, &format!("v{p}"));
+            core.install_entry(GROUP, LogPosition(p), entry);
+        }
+        assert!(core.has_unsynced());
         let stats = core.storage_stats().unwrap();
         assert!(stats.snapshots_written >= 1, "snapshot cadence must fire");
         assert!(stats.segments_truncated >= 1, "old WAL segments must go");
@@ -1116,13 +1353,15 @@ mod tests {
         assert_eq!(
             core.state_fingerprint(),
             fingerprint,
-            "restart must rebuild exactly the acknowledged state"
+            "restart must rebuild exactly the durable state"
         );
         assert_eq!(
-            core.read(GROUP, ROW, A, LogPosition(10)).unwrap(),
-            Some("v10".to_string())
+            core.read(GROUP, ROW, A, LogPosition(12)).unwrap(),
+            Some("v12".to_string())
         );
-        assert!(core.is_committed(GROUP, TxnId::new(0, 10)));
+        assert!(core.is_committed(GROUP, TxnId::new(0, 12)));
+        assert!(!core.has_entry(GROUP, LogPosition(13)));
+        assert!(!core.is_committed(GROUP, TxnId::new(0, 14)));
         // The replayed promise still guards the undecided position.
         assert_eq!(
             core.acceptor().promised_ballot(GROUP, LogPosition(20)),
@@ -1131,59 +1370,177 @@ mod tests {
         // The storage counters are cumulative since `attach_storage`: the
         // new handle continues the crashed one's, and replay adds nothing.
         let restarted = core.storage_stats().unwrap();
-        assert_eq!(restarted.records_synced, 11, "one promise + ten entries");
+        assert_eq!(restarted.records_synced, 13, "one promise + twelve entries");
         assert_eq!(restarted.syncs, stats.syncs);
         assert_eq!(restarted.snapshots_written, stats.snapshots_written);
         assert_eq!(restarted.segments_truncated, stats.segments_truncated);
-        core.install_entry(GROUP, LogPosition(11), write_entry(0, 11, 10, A, "v11"));
-        assert_eq!(core.storage_stats().unwrap().records_synced, 12);
+        // Re-learned from the replicas, the lost entries log again; the
+        // read that needs them pays for their sync.
+        for p in 13..=14 {
+            let entry = write_entry(0, p, p - 1, A, &format!("v{p}"));
+            core.install_entry(GROUP, LogPosition(p), entry);
+        }
+        assert_eq!(
+            core.read(GROUP, ROW, A, LogPosition(14)).unwrap(),
+            Some("v14".to_string())
+        );
+        let synced = core.storage_stats().unwrap();
+        assert_eq!(synced.records_synced, 15);
+        assert_eq!(synced.syncs, stats.syncs + 1);
+        storage::remove_scratch_dir(&cfg.dir);
+    }
+
+    #[test]
+    fn a_decided_entry_applies_only_once_its_record_is_durable() {
+        let (mut core, cfg) = durable_core("core-apply-after-durable", 0);
+        let syncs = |core: &DatacenterCore| core.storage_stats().unwrap().syncs;
+        let applied = |core: &DatacenterCore| core.log(GROUP).unwrap().applied_through();
+        core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "v1"));
+        // Installed — the prefix, dedup and leader lookups see it — but
+        // not applied: its record is only buffered.
+        assert_eq!(core.read_position(GROUP), LogPosition(1));
+        assert!(core.is_committed(GROUP, TxnId::new(0, 1)));
+        assert!(core.has_unsynced());
+        assert_eq!(syncs(&core), 0);
+        assert_eq!(applied(&core), LogPosition::ZERO);
+        assert_eq!(core.store().version_count(mvkv::Key(0)), 0);
+        // A read that needs it syncs first.
+        assert_eq!(
+            core.read(GROUP, ROW, A, LogPosition(1)).unwrap(),
+            Some("v1".to_string())
+        );
+        assert_eq!(syncs(&core), 1);
+        assert!(!core.has_unsynced());
+        // A read below the unsynced entry pays for nothing ...
+        core.install_entry(GROUP, LogPosition(2), write_entry(0, 2, 1, A, "v2"));
+        assert_eq!(
+            core.read(GROUP, ROW, A, LogPosition(1)).unwrap(),
+            Some("v1".to_string())
+        );
+        assert_eq!(syncs(&core), 1);
+        assert_eq!(applied(&core), LogPosition(1));
+        // ... and an acknowledgement's sync carries the buffered record.
+        let ballot = paxos::Ballot::initial(3);
+        assert!(core.persist_promise(GROUP, LogPosition(3), ballot));
+        assert_eq!(syncs(&core), 2);
+        assert_eq!(core.storage_stats().unwrap().records_synced, 3);
+        assert_eq!(applied(&core), LogPosition(2));
+        // A failed sync applies nothing and serves no read that needs the
+        // entry; the record stays buffered for the next sync.
+        core.install_entry(GROUP, LogPosition(3), write_entry(0, 3, 2, A, "v3"));
+        core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
+        assert!(!core.flush());
+        assert_eq!(applied(&core), LogPosition(2));
+        assert_eq!(
+            core.read(GROUP, ROW, A, LogPosition(3)).unwrap(),
+            Some("v3".to_string()),
+            "the read's own sync succeeds"
+        );
+        assert_eq!(core.storage_stats().unwrap().sync_failures, 1);
         storage::remove_scratch_dir(&cfg.dir);
     }
 
     #[test]
     fn a_decided_entry_is_logged_once_however_often_it_is_installed() {
         let (mut core, cfg) = durable_core("core-log-once", 4);
-        let synced = |core: &DatacenterCore| core.storage_stats().unwrap().records_synced;
+        let synced = |core: &mut DatacenterCore| {
+            assert!(core.flush());
+            core.storage_stats().unwrap().records_synced
+        };
         // The group home's shape: install on learning the value, install
         // again when its own `Apply` broadcast comes back.
         let entry = write_entry(0, 1, 0, A, "v1");
         core.install_entry(GROUP, LogPosition(1), Arc::clone(&entry));
-        assert_eq!(synced(&core), 1);
+        assert_eq!(synced(&mut core), 1);
         core.install_entry(GROUP, LogPosition(1), entry);
-        assert_eq!(synced(&core), 1, "a re-install must not log again");
+        assert_eq!(synced(&mut core), 1, "a re-install must not log again");
         // Positions at or below a restored snapshot base: re-learning one
         // from a slow peer changes nothing and logs nothing.
         for p in 2..=10 {
             core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
         }
+        assert!(core.flush());
         core.restart_from_disk(&cfg).unwrap();
         let base = core.log(GROUP).unwrap().base();
         assert!(
             base >= LogPosition(2),
             "the snapshot must have raised the base"
         );
-        let before = synced(&core);
+        let before = synced(&mut core);
         for p in [1, base.0] {
             core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
         }
         assert_eq!(
-            synced(&core),
+            synced(&mut core),
             before,
             "installs at or below the base log nothing"
         );
         // A failed sync leaves the single record buffered for the next one.
-        core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
         let entry = write_entry(0, 11, 10, A, "v11");
         core.install_entry(GROUP, LogPosition(11), Arc::clone(&entry));
         core.install_entry(GROUP, LogPosition(11), entry);
+        core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
+        assert!(!core.flush());
         assert_eq!(
-            synced(&core),
+            core.storage_stats().unwrap().records_synced,
             before,
             "the failed sync made nothing durable"
         );
         core.install_entry(GROUP, LogPosition(12), write_entry(0, 12, 11, A, "v12"));
-        assert_eq!(synced(&core), before + 2, "positions 11 and 12, once each");
+        assert_eq!(
+            synced(&mut core),
+            before + 2,
+            "positions 11 and 12, once each"
+        );
         storage::remove_scratch_dir(&cfg.dir);
+    }
+
+    #[test]
+    fn a_restarted_datacenter_forgets_below_its_base_and_a_lagging_peer_adopts_its_state() {
+        let (mut donor, cfg) = durable_core("core-forgot", 4);
+        for p in 1..=10 {
+            install_synced(&mut donor, p, &format!("v{p}"));
+        }
+        assert!(!donor.forgot(GROUP, LogPosition(1)), "no restart yet");
+        donor.restart_from_disk(&cfg).unwrap();
+        let base = donor.log(GROUP).unwrap().base();
+        assert!(base >= LogPosition(4));
+        assert!(donor.forgot(GROUP, base));
+        assert!(!donor.forgot(GROUP, base.next()));
+        assert!(!donor.forgot(GroupId(7), LogPosition(1)));
+
+        // A peer that decided only position 1 adopts the donor's state: the
+        // truncated positions arrive as rows and ids, the tail as entries.
+        let (mut lagging, lagging_cfg) = durable_core("core-adopt", 4);
+        lagging.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "v1"));
+        let state = donor.group_state(GROUP).unwrap();
+        assert_eq!(state.base, base);
+        assert_eq!(state.prefix, LogPosition(10));
+        assert!(lagging.adopt_group_state(&state));
+        assert!(
+            !lagging.adopt_group_state(&state),
+            "nothing new the second time"
+        );
+        assert_eq!(lagging.read_position(GROUP), LogPosition(10));
+        assert!(lagging.log(GROUP).unwrap().base() >= base);
+        for p in 1..=10 {
+            assert!(lagging.is_committed(GROUP, TxnId::new(0, p)));
+        }
+        assert_eq!(
+            lagging.read(GROUP, ROW, A, LogPosition(10)).unwrap(),
+            Some("v10".to_string())
+        );
+        assert_eq!(
+            lagging.committed_through_prefix(GROUP),
+            donor.committed_through_prefix(GROUP)
+        );
+        // The adopted state is the peer's own now: a restart reproduces it.
+        assert!(!lagging.has_unsynced());
+        let fingerprint = lagging.state_fingerprint();
+        lagging.restart_from_disk(&lagging_cfg).unwrap();
+        assert_eq!(lagging.state_fingerprint(), fingerprint);
+        storage::remove_scratch_dir(&cfg.dir);
+        storage::remove_scratch_dir(&lagging_cfg.dir);
     }
 
     #[test]
@@ -1191,7 +1548,7 @@ mod tests {
         let (mut core, cfg) = durable_core("core-lease-pin", 4);
         core.begin_read_lease(GROUP, LogPosition(2));
         for p in 1..=9 {
-            core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
+            install_synced(&mut core, p, "v");
         }
         // The snapshot fired, but the truncation floor is capped at the
         // leased position: nothing at or above position 2 may go.
@@ -1205,7 +1562,7 @@ mod tests {
         // Releasing the lease lets the next snapshot advance the floor.
         core.end_read_lease(GROUP, LogPosition(2));
         for p in 10..=13 {
-            core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, "v"));
+            install_synced(&mut core, p, "v");
         }
         assert!(core.log(GROUP).unwrap().base() >= LogPosition(2));
         storage::remove_scratch_dir(&cfg.dir);

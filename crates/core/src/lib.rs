@@ -64,7 +64,7 @@ pub mod topology;
 
 pub use batch::{BatchConfig, GroupCommitter};
 pub use cluster::{ChaosReplay, Cluster, ClusterConfig};
-pub use datacenter::{DatacenterCore, RestartReport};
+pub use datacenter::{DatacenterCore, GroupState, RestartReport};
 pub use directory::Directory;
 pub use metrics::{LatencyStats, MetricsHub, RunMetrics};
 pub use msg::Msg;

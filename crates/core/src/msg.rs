@@ -16,7 +16,9 @@
 //! Groups, keys and attributes travel as interned `Copy` ids; only read
 //! *values* are owned strings.
 
+use crate::datacenter::GroupState;
 use paxos::{AbortReason, PaxosMsg};
+use std::sync::Arc;
 use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
 
 /// All messages exchanged in the system.
@@ -138,6 +140,12 @@ pub enum Msg {
         /// Abort reason when not committed.
         abort_reason: Option<AbortReason>,
     },
+    /// A datacenter's answer to a prepare or accept at a position it
+    /// forgot — at or below the snapshot base its last restart restored —
+    /// sent to the service of the requester's datacenter instead of a
+    /// promise or a vote: its decided state of the group, for the lagging
+    /// service to adopt.
+    CatchUp(Arc<GroupState>),
 }
 
 impl Msg {
@@ -153,6 +161,7 @@ impl Msg {
             Msg::SnapshotReadReply { .. } => "snapshot_read_reply",
             Msg::CommitRequest { .. } => "commit_request",
             Msg::CommitReply { .. } => "commit_reply",
+            Msg::CatchUp(_) => "catch_up",
         }
     }
 }

@@ -79,9 +79,14 @@ impl<K: Ord + Copy> Proposers<K> {
     }
 
     /// Drop the instance under `key` without an outcome (its position was
-    /// decided by someone else).
-    pub fn remove(&mut self, key: &K) {
-        self.running.remove(key);
+    /// decided by someone else), handing it back.
+    pub fn remove(&mut self, key: &K) -> Option<Box<Proposer>> {
+        self.running.remove(key)
+    }
+
+    /// Drop every instance whose key fails `keep`, without outcomes.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.running.retain(|key, _| keep(key));
     }
 
     /// Every armed timer tag, ascending — what a crash-recovery hook

@@ -13,7 +13,12 @@
 //!   group home;
 //! * play the Paxos acceptor role (Algorithm 1) for every log position;
 //! * install decided entries into the local write-ahead log and apply them
-//!   to the local key-value store;
+//!   to the local key-value store — with durable storage, once their
+//!   `Decided` record rides a sync: the next promise or vote sync, a read
+//!   that needs them, or at the latest [`DECIDED_FLUSH_DEADLINE`] later;
+//! * answer a prepare or accept at a position this datacenter forgot in a
+//!   restart from disk with its group state ([`Msg::CatchUp`]) instead of a
+//!   promise or a vote, and adopt such a state from a peer when it lags;
 //! * catch up missing log positions by running recovery Paxos instances
 //!   proposing no-ops (§4.1, Fault Tolerance and Recovery);
 //! * host the **group commit engine** for the submitted commit route: a
@@ -48,7 +53,7 @@
 //! data became servable is always served, however late.
 
 use crate::batch::{BatchConfig, GroupCommitter};
-use crate::datacenter::SharedCore;
+use crate::datacenter::{GroupState, SharedCore};
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
@@ -64,6 +69,15 @@ use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
 /// Timer tag reserved for the janitor tick (recovery/committer tags count
 /// up from 1 and can never collide with it).
 const JANITOR_TAG: u64 = u64::MAX;
+
+/// Timer tag reserved for the decided-record flush deadline.
+const FLUSH_TAG: u64 = u64::MAX - 1;
+
+/// The longest a decided entry's buffered `Decided` record waits for a sync
+/// some acknowledgement pays for before the service syncs it on its own.
+/// No acknowledgement depends on the record (the decision is replicated),
+/// but the entry applies only once it is durable.
+pub const DECIDED_FLUSH_DEADLINE: SimDuration = SimDuration::from_millis(1);
 
 /// High bit mixed into the ballot identity of service-side recovery
 /// proposers. The service's hosted committers propose under the service
@@ -159,6 +173,12 @@ pub struct TransactionService {
     /// Per-group watch state: the first undecided position last observed,
     /// when it was first seen there, and re-proposal attempts made for it.
     orphan_watch: BTreeMap<GroupId, (LogPosition, SimTime, u32)>,
+    /// Whether the decided-record flush deadline timer is armed.
+    flush_armed: bool,
+    /// When this service last sent its group state to a datacenter, by
+    /// (replica, group): a lagging replica prepares every missing position
+    /// at once, and one state answers them all.
+    catch_up_sent: BTreeMap<(usize, GroupId), SimTime>,
 }
 
 impl TransactionService {
@@ -196,6 +216,8 @@ impl TransactionService {
             janitor_armed: false,
             orphan_hints: BTreeSet::new(),
             orphan_watch: BTreeMap::new(),
+            flush_armed: false,
+            catch_up_sent: BTreeMap::new(),
         }
     }
 
@@ -268,13 +290,22 @@ impl TransactionService {
                 // before the reply leaves. A failed sync drops the reply —
                 // indistinguishable from a crash just before answering,
                 // which Paxos already tolerates. Rejections create no new
-                // durable state (the promise they reveal already is).
-                let (outcome, durable) = {
+                // durable state (the promise they reveal already is). A
+                // position this datacenter forgot gets no promise at all.
+                let reply = {
                     let mut core = self.core.lock();
-                    let outcome = core.acceptor().handle_prepare(group, position, ballot);
-                    let durable =
-                        !outcome.promised || core.persist_promise(group, position, ballot);
-                    (outcome, durable)
+                    if core.forgot(group, position) {
+                        None
+                    } else {
+                        let outcome = core.acceptor().handle_prepare(group, position, ballot);
+                        let durable =
+                            !outcome.promised || core.persist_promise(group, position, ballot);
+                        Some((outcome, durable))
+                    }
+                };
+                let Some((outcome, durable)) = reply else {
+                    self.send_catch_up(ctx, from, group);
+                    return;
                 };
                 if durable {
                     ctx.send(
@@ -302,13 +333,22 @@ impl TransactionService {
             } => {
                 // Persist-before-ack, as for promises: a cast vote must be
                 // durable before the acceptance is acknowledged.
-                let (accepted, durable) = {
+                let reply = {
                     let mut core = self.core.lock();
-                    let accepted = core
-                        .acceptor()
-                        .handle_accept(group, position, ballot, &value);
-                    let durable = !accepted || core.persist_vote(group, position, ballot, &value);
-                    (accepted, durable)
+                    if core.forgot(group, position) {
+                        None
+                    } else {
+                        let accepted = core
+                            .acceptor()
+                            .handle_accept(group, position, ballot, &value);
+                        let durable =
+                            !accepted || core.persist_vote(group, position, ballot, &value);
+                        Some((accepted, durable))
+                    }
+                };
+                let Some((accepted, durable)) = reply else {
+                    self.send_catch_up(ctx, from, group);
+                    return;
                 };
                 if durable {
                     ctx.send(
@@ -335,12 +375,20 @@ impl TransactionService {
                 ballot,
                 value,
             } => {
-                let outcome = {
+                let (outcome, unsynced) = {
                     let mut core = self.core.lock();
                     core.acceptor()
                         .handle_apply(group, position, ballot, &value);
-                    core.install_entry(group, position, value)
+                    let outcome = core.install_entry(group, position, value);
+                    (outcome, core.has_unsynced())
                 };
+                // Every decided entry reaches its datacenter's service as an
+                // `Apply` (the proposer broadcasts to every replica), so
+                // this is where a buffered `Decided` record gets its
+                // deadline.
+                if unsynced {
+                    self.arm_flush(ctx);
+                }
                 // The decide makes any recovery instance for the position
                 // redundant; parked reads react only to *prefix advances*
                 // (a pipelined decide above a gap cannot unblock anything —
@@ -380,6 +428,65 @@ impl TransactionService {
                 // committers were offered the reply above.
             }
         }
+    }
+
+    /// Sync this datacenter's buffered `Decided` records once
+    /// [`DECIDED_FLUSH_DEADLINE`] passes, unless a sync gets there first.
+    fn arm_flush(&mut self, ctx: &mut Context<Msg>) {
+        if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(DECIDED_FLUSH_DEADLINE, FLUSH_TAG);
+        }
+    }
+
+    /// Answer a prepare or accept at a position this datacenter forgot:
+    /// ship its state of the group to the service of the requester's
+    /// datacenter, at most once per message timeout per datacenter.
+    fn send_catch_up(&mut self, ctx: &mut Context<Msg>, from: NodeId, group: GroupId) {
+        let Some(replica) = self
+            .directory
+            .replica_of_service(from)
+            .or_else(|| self.directory.replica_of_client(from))
+        else {
+            return;
+        };
+        let now = ctx.now();
+        if self
+            .catch_up_sent
+            .get(&(replica, group))
+            .is_some_and(|sent| now.since(*sent) < self.message_timeout)
+        {
+            return;
+        }
+        let Some(state) = self.core.lock().group_state(group) else {
+            return;
+        };
+        self.catch_up_sent.insert((replica, group), now);
+        ctx.send(
+            self.directory.service_node(replica),
+            Msg::CatchUp(Arc::new(state)),
+        );
+    }
+
+    /// Adopt a peer's group state that reaches past the local prefix: the
+    /// recovery instances and committer slots it covers are done, and the
+    /// parked reads it unblocks are served.
+    fn adopt(&mut self, ctx: &mut Context<Msg>, state: &GroupState) {
+        let group = state.group;
+        let prefix = {
+            let mut core = self.core.lock();
+            if !core.adopt_group_state(state) {
+                return;
+            }
+            core.read_position(group)
+        };
+        self.recovery
+            .retain(|&(g, position)| g != group || position > prefix);
+        if let Some(committer) = self.committers.get_mut(&group) {
+            let actions = committer.abandon_through(ctx.now(), prefix);
+            self.apply_committer_actions(ctx, group, actions);
+        }
+        self.react_to_prefix(ctx, group, prefix);
     }
 
     /// Offer a proposer reply to the hosted committer of its group (the
@@ -946,6 +1053,7 @@ impl Actor<Msg> for TransactionService {
             Msg::CommitRequest { req_id, txn } => {
                 self.handle_commit_request(ctx, from, req_id, txn);
             }
+            Msg::CatchUp(state) => self.adopt(ctx, &state),
             Msg::BeginReply { .. }
             | Msg::ReadReply { .. }
             | Msg::SnapshotReadReply { .. }
@@ -959,6 +1067,11 @@ impl Actor<Msg> for TransactionService {
     fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
         if tag == JANITOR_TAG {
             self.janitor_tick(ctx);
+            return;
+        }
+        if tag == FLUSH_TAG {
+            self.flush_armed = false;
+            self.core.lock().flush();
             return;
         }
         if let Some((group, committer_tag)) = self.committer_timers.remove(&tag) {
@@ -1014,9 +1127,14 @@ impl Actor<Msg> for TransactionService {
         for tag in recovery_tags {
             self.drive_recovery(ctx, Input::Timer(tag));
         }
-        // The janitor tick may also have been suppressed; re-arm it.
+        // The janitor tick may also have been suppressed; re-arm it. So
+        // may the flush deadline, while records still wait for a sync.
         self.janitor_armed = false;
         self.ensure_janitor(ctx);
+        self.flush_armed = false;
+        if self.core.lock().has_unsynced() {
+            self.arm_flush(ctx);
+        }
     }
 }
 
@@ -1160,6 +1278,35 @@ mod tests {
             core.lock().read(GROUP, ROW, A, LogPosition(1)).unwrap(),
             Some("v".to_string())
         );
+    }
+
+    #[test]
+    fn a_buffered_decided_record_is_synced_by_the_flush_deadline() {
+        let (mut sim, core, _) = single_dc_harness(|svc| {
+            vec![(
+                svc,
+                Msg::Paxos(PaxosMsg::Apply {
+                    group: GROUP,
+                    position: LogPosition(1),
+                    ballot: Ballot::initial(9),
+                    value: entry(1, A, "v"),
+                }),
+            )]
+        });
+        let cfg = storage::DurableConfig::new(storage::scratch_dir("service-flush"));
+        core.lock()
+            .attach_storage(storage::DcStorage::open(cfg.clone()).unwrap());
+        let applied = |core: &SharedCore| core.lock().log(GROUP).unwrap().applied_through();
+        // The Apply lands after the 1 ms link: installed, not yet durable.
+        sim.run_for(SimDuration::from_micros(1_500));
+        assert!(core.lock().has_entry(GROUP, LogPosition(1)));
+        assert!(core.lock().has_unsynced());
+        assert_eq!(applied(&core), LogPosition::ZERO);
+        sim.run_for(DECIDED_FLUSH_DEADLINE);
+        assert!(!core.lock().has_unsynced());
+        assert_eq!(applied(&core), LogPosition(1));
+        assert_eq!(core.lock().storage_stats().unwrap().syncs, 1);
+        storage::remove_scratch_dir(&cfg.dir);
     }
 
     #[test]

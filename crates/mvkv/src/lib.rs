@@ -27,10 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cold;
 mod store;
 mod types;
 
-pub use cold::ColdStore;
 pub use store::{CasOutcome, MvKvStore, StoreStats};
 pub use types::{Attr, Key, MvkvError, Row, Timestamp, VersionRead};

@@ -1,10 +1,8 @@
 //! The in-process multi-version store.
 
-use crate::cold::ColdStore;
 use crate::types::{Attr, Key, MvkvError, Row, Timestamp, VersionRead};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Outcome of a `check_and_write` (compare-and-swap) operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,95 +33,37 @@ pub struct StoreStats {
     pub cas_rejected: u64,
     /// Writes rejected because of a stale timestamp.
     pub stale_writes: u64,
-    /// Versions handed to the cold store (spilled out of memory).
-    pub cold_spills: u64,
-    /// Cold versions fetched back and re-materialized on read.
-    pub cold_promotions: u64,
-}
-
-/// One version slot: resident in memory, or spilled to the cold store.
-enum Slot {
-    Hot(Row),
-    Cold,
 }
 
 #[derive(Default)]
 struct VersionedRow {
-    versions: BTreeMap<Timestamp, Slot>,
+    versions: BTreeMap<Timestamp, Row>,
 }
 
 impl VersionedRow {
+    fn latest(&self) -> Option<(Timestamp, &Row)> {
+        self.versions.iter().next_back().map(|(ts, row)| (*ts, row))
+    }
+
     fn latest_ts(&self) -> Option<Timestamp> {
         self.versions.keys().next_back().copied()
     }
 
-    fn floor_ts(&self, at: Timestamp) -> Option<Timestamp> {
-        self.versions.range(..=at).next_back().map(|(ts, _)| *ts)
+    fn floor(&self, at: Timestamp) -> Option<(Timestamp, &Row)> {
+        self.versions
+            .range(..=at)
+            .next_back()
+            .map(|(ts, row)| (*ts, row))
     }
 
-    /// The latest version's row. The spill policy never evicts the latest
-    /// version, so this is always resident.
-    fn latest_hot(&self) -> Option<(Timestamp, &Row)> {
-        match self.versions.iter().next_back() {
-            Some((ts, Slot::Hot(row))) => Some((*ts, row)),
-            Some((_, Slot::Cold)) => {
-                debug_assert!(false, "latest version must stay hot");
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Ensure the version at `ts` is resident, fetching from the cold
-    /// store if needed, and return it.
-    fn materialize(
-        &mut self,
-        key: Key,
-        ts: Timestamp,
-        cold: Option<&dyn ColdStore>,
-        stats: &mut StoreStats,
-    ) -> Option<&Row> {
-        if let Some(slot) = self.versions.get_mut(&ts) {
-            if matches!(slot, Slot::Cold) {
-                let row = cold?.get(key, ts)?;
-                *slot = Slot::Hot(row);
-                stats.cold_promotions += 1;
-            }
-        }
-        match self.versions.get(&ts) {
-            Some(Slot::Hot(row)) => Some(row),
-            _ => None,
-        }
-    }
-
-    /// Spill every hot version older than the newest `hot_keep` to the
-    /// cold store (the latest always stays hot: `hot_keep` is clamped to
-    /// at least 1 so merge-upserts always have a resident base).
-    fn spill_excess(
-        &mut self,
-        key: Key,
-        cold: &dyn ColdStore,
-        hot_keep: usize,
-        stats: &mut StoreStats,
-    ) {
-        let keep = hot_keep.max(1);
-        let candidates: Vec<Timestamp> = self
-            .versions
-            .iter()
-            .rev()
-            .skip(keep)
-            .filter(|(_, slot)| matches!(slot, Slot::Hot(_)))
-            .map(|(ts, _)| *ts)
-            .collect();
-        for ts in candidates {
-            let Some(Slot::Hot(row)) = self.versions.get(&ts) else {
-                continue;
-            };
-            if cold.put(key, ts, row) {
-                self.versions.insert(ts, Slot::Cold);
-                stats.cold_spills += 1;
-            }
-        }
+    /// Insert a new latest version at `target`: the latest version overlaid
+    /// with `attrs` (merge-upsert).
+    fn push(&mut self, target: Timestamp, attrs: Row) {
+        let merged = match self.latest() {
+            Some((_, base)) => base.merged_with(&attrs),
+            None => attrs,
+        };
+        self.versions.insert(target, merged);
     }
 }
 
@@ -135,11 +75,6 @@ impl VersionedRow {
 /// share: clone an `Arc<MvKvStore>` per user. Rows and attributes are named
 /// by `Copy` integer ids, so no operation on the commit hot path hashes or
 /// clones a string.
-///
-/// With a [`ColdStore`] attached ([`MvKvStore::set_cold_store`]) the store
-/// keeps only the newest versions of each key resident and spills older
-/// ones to the backend, re-materializing them in place on demand — the
-/// dataset no longer has to fit in memory.
 #[derive(Default)]
 pub struct MvKvStore {
     inner: RwLock<Inner>,
@@ -149,22 +84,6 @@ pub struct MvKvStore {
 struct Inner {
     rows: HashMap<Key, VersionedRow>,
     stats: StoreStats,
-    cold: Option<Arc<dyn ColdStore>>,
-    hot_keep: usize,
-}
-
-impl Inner {
-    /// Spill the freshly written key's excess versions, if a backend is
-    /// attached.
-    fn spill(&mut self, key: Key) {
-        let Some(cold) = self.cold.clone() else {
-            return;
-        };
-        let hot_keep = self.hot_keep;
-        if let Some(row) = self.rows.get_mut(&key) {
-            row.spill_excess(key, cold.as_ref(), hot_keep, &mut self.stats);
-        }
-    }
 }
 
 impl MvKvStore {
@@ -173,30 +92,18 @@ impl MvKvStore {
         MvKvStore::default()
     }
 
-    /// Attach a cold-version backend: versions older than the newest
-    /// `hot_keep` per key spill to it as writes land (the latest version
-    /// always stays hot).
-    pub fn set_cold_store(&self, cold: Arc<dyn ColdStore>, hot_keep: usize) {
-        let mut inner = self.inner.write();
-        inner.cold = Some(cold);
-        inner.hot_keep = hot_keep;
-    }
-
     /// Read the most recent version of `key` with timestamp ≤ `at`.
     /// With `at = None`, reads the most recent version.
     pub fn read(&self, key: Key, at: Option<Timestamp>) -> Option<VersionRead> {
         let mut inner = self.inner.write();
         inner.stats.reads += 1;
-        let cold = inner.cold.clone();
-        let Inner { rows, stats, .. } = &mut *inner;
-        let row = rows.get_mut(&key)?;
-        let ts = match at {
-            Some(at) => row.floor_ts(at),
-            None => row.latest_ts(),
+        let row = inner.rows.get(&key)?;
+        let (timestamp, found) = match at {
+            Some(at) => row.floor(at),
+            None => row.latest(),
         }?;
-        let found = row.materialize(key, ts, cold.as_deref(), stats)?;
         Some(VersionRead {
-            timestamp: ts,
+            timestamp,
             row: found.clone(),
         })
     }
@@ -209,19 +116,15 @@ impl MvKvStore {
 
     /// Fast-path read of a single attribute of `key` at or below `at`:
     /// equivalent to [`MvKvStore::read_attr`] with `Some(at)` but clones
-    /// only the matched attribute's value instead of materializing the
-    /// whole row. Position-bounded reads — the commit plane's A2 reads and
-    /// the snapshot read plane's watermark reads — are single-attribute
-    /// point lookups, and the row clone dominated their cost.
+    /// only the matched attribute's value instead of the whole row.
+    /// Position-bounded reads — the commit plane's A2 reads and the
+    /// snapshot read plane's watermark reads — are single-attribute point
+    /// lookups, and the row clone dominated their cost.
     pub fn read_attr_at(&self, key: Key, attr: Attr, at: Timestamp) -> Option<String> {
         let mut inner = self.inner.write();
         inner.stats.reads += 1;
-        let cold = inner.cold.clone();
-        let Inner { rows, stats, .. } = &mut *inner;
-        let row = rows.get_mut(&key)?;
-        let ts = row.floor_ts(at)?;
-        row.materialize(key, ts, cold.as_deref(), stats)
-            .and_then(|row| row.get(attr).map(str::to_owned))
+        let (_, row) = inner.rows.get(&key)?.floor(at)?;
+        row.get(attr).map(str::to_owned)
     }
 
     /// Write `attrs` as a new version of `key`.
@@ -251,13 +154,8 @@ impl MvKvStore {
             (None, Some(l)) => l.next(),
             (None, None) => Timestamp(1),
         };
-        let merged = match row.latest_hot() {
-            Some((_, base)) => base.merged_with(&attrs),
-            None => attrs,
-        };
-        row.versions.insert(target, Slot::Hot(merged));
+        row.push(target, attrs);
         inner.stats.writes += 1;
-        inner.spill(key);
         Ok(target)
     }
 
@@ -285,20 +183,15 @@ impl MvKvStore {
     ) -> CasOutcome {
         let mut inner = self.inner.write();
         let row = inner.rows.entry(key).or_default();
-        let current = row.latest_hot().and_then(|(_, r)| r.get(test_attr));
+        let current = row.latest().and_then(|(_, r)| r.get(test_attr));
         if current != expected {
             inner.stats.cas_rejected += 1;
             return CasOutcome::Rejected;
         }
         let target = row.latest_ts().map(Timestamp::next).unwrap_or(Timestamp(1));
-        let merged = match row.latest_hot() {
-            Some((_, base)) => base.merged_with(&attrs),
-            None => attrs,
-        };
-        row.versions.insert(target, Slot::Hot(merged));
+        row.push(target, attrs);
         inner.stats.writes += 1;
         inner.stats.cas_applied += 1;
-        inner.spill(key);
         CasOutcome::Applied
     }
 
@@ -307,28 +200,13 @@ impl MvKvStore {
         self.inner.read().rows.get(&key).and_then(|r| r.latest_ts())
     }
 
-    /// Number of stored versions of `key` (hot and cold).
+    /// Number of stored versions of `key`.
     pub fn version_count(&self, key: Key) -> usize {
         self.inner
             .read()
             .rows
             .get(&key)
             .map(|r| r.versions.len())
-            .unwrap_or(0)
-    }
-
-    /// Number of versions of `key` currently spilled to the cold store.
-    pub fn cold_version_count(&self, key: Key) -> usize {
-        self.inner
-            .read()
-            .rows
-            .get(&key)
-            .map(|r| {
-                r.versions
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Cold))
-                    .count()
-            })
             .unwrap_or(0)
     }
 
@@ -346,15 +224,14 @@ impl MvKvStore {
             .read()
             .rows
             .get(&key)
-            .and_then(|r| r.floor_ts(at))
+            .and_then(|r| r.floor(at))
+            .map(|(ts, _)| ts)
     }
 
     /// Drop all versions of `key` strictly older than `keep_from`, keeping at
-    /// least the latest version. Cold versions removed this way are also
-    /// evicted from the backend. Returns the number of versions removed.
+    /// least the latest version. Returns the number of versions removed.
     pub fn gc_versions_before(&self, key: Key, keep_from: Timestamp) -> usize {
         let mut inner = self.inner.write();
-        let cold = inner.cold.clone();
         let Some(row) = inner.rows.get_mut(&key) else {
             return 0;
         };
@@ -364,15 +241,7 @@ impl MvKvStore {
         };
         let cutoff = keep_from.min(latest);
         let keep = row.versions.split_off(&cutoff);
-        let dropped = std::mem::replace(&mut row.versions, keep);
-        if let Some(cold) = cold {
-            for (ts, slot) in &dropped {
-                if matches!(slot, Slot::Cold) {
-                    cold.evict(key, *ts);
-                }
-            }
-        }
-        dropped.len()
+        std::mem::replace(&mut row.versions, keep).len()
     }
 
     /// Snapshot of the operation counters.
@@ -387,31 +256,19 @@ impl MvKvStore {
         keys
     }
 
-    /// Every retained version of every key matching `pred`, cold versions
-    /// included (fetched from the backend without promoting them), sorted
-    /// by key then timestamp. This is the snapshot writer's view of the
-    /// store.
+    /// Every retained version of every key matching `pred`, sorted by key
+    /// then timestamp. This is the snapshot writer's view of the store.
     pub fn dump_versions(&self, pred: impl Fn(Key) -> bool) -> Vec<(Key, Vec<(Timestamp, Row)>)> {
         let inner = self.inner.read();
-        let mut out = Vec::new();
-        for (&key, row) in &inner.rows {
-            if !pred(key) {
-                continue;
-            }
-            let mut versions = Vec::with_capacity(row.versions.len());
-            for (&ts, slot) in &row.versions {
-                let materialized = match slot {
-                    Slot::Hot(r) => Some(r.clone()),
-                    Slot::Cold => inner.cold.as_ref().and_then(|c| c.get(key, ts)),
-                };
-                if let Some(r) = materialized {
-                    versions.push((ts, r));
-                }
-            }
-            if !versions.is_empty() {
-                out.push((key, versions));
-            }
-        }
+        let mut out: Vec<_> = inner
+            .rows
+            .iter()
+            .filter(|(key, row)| pred(**key) && !row.versions.is_empty())
+            .map(|(key, row)| {
+                let versions = row.versions.iter().map(|(ts, r)| (*ts, r.clone()));
+                (*key, versions.collect())
+            })
+            .collect();
         out.sort_by_key(|(key, _)| *key);
         out
     }
@@ -420,7 +277,6 @@ impl MvKvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
 
     const K: Key = Key(10);
     const A: Attr = Attr(0);
@@ -637,126 +493,5 @@ mod tests {
         store.read(Key(999), None);
         assert_eq!(store.stats().reads, 3);
         assert_eq!(store.stats().writes, 1);
-    }
-
-    /// Map-backed [`ColdStore`] for exercising the spill machinery without
-    /// the disk pager.
-    #[derive(Default)]
-    struct MapCold {
-        map: Mutex<BTreeMap<(u64, u64), Row>>,
-        decline: Mutex<bool>,
-    }
-
-    impl ColdStore for MapCold {
-        fn put(&self, key: Key, ts: Timestamp, row: &Row) -> bool {
-            if *self.decline.lock() {
-                return false;
-            }
-            self.map.lock().insert((key.0, ts.0), row.clone());
-            true
-        }
-
-        fn get(&self, key: Key, ts: Timestamp) -> Option<Row> {
-            self.map.lock().get(&(key.0, ts.0)).cloned()
-        }
-
-        fn evict(&self, key: Key, ts: Timestamp) {
-            self.map.lock().remove(&(key.0, ts.0));
-        }
-    }
-
-    #[test]
-    fn old_versions_spill_and_promote_transparently() {
-        let store = MvKvStore::new();
-        let cold = Arc::new(MapCold::default());
-        store.set_cold_store(cold.clone(), 2);
-        for i in 1..=6 {
-            store
-                .write(K, row(&[(A, &format!("v{i}"))]), Some(Timestamp(i)))
-                .unwrap();
-        }
-        // 6 versions, 2 hot: 4 spilled.
-        assert_eq!(store.version_count(K), 6);
-        assert_eq!(store.cold_version_count(K), 4);
-        assert_eq!(cold.map.lock().len(), 4);
-        assert_eq!(store.stats().cold_spills, 4);
-        // Reading a cold version promotes it back, transparently.
-        let v = store.read(K, Some(Timestamp(2))).unwrap();
-        assert_eq!(v.row.get(A), Some("v2"));
-        assert_eq!(store.stats().cold_promotions, 1);
-        assert_eq!(store.cold_version_count(K), 3);
-        // read_attr_at promotes too.
-        assert_eq!(
-            store.read_attr_at(K, A, Timestamp(1)).as_deref(),
-            Some("v1")
-        );
-        // The latest version never spills.
-        let latest = store.read(K, None).unwrap();
-        assert_eq!(latest.timestamp, Timestamp(6));
-        assert_eq!(store.stats().cold_promotions, 2);
-    }
-
-    #[test]
-    fn gc_evicts_cold_versions_from_the_backend() {
-        let store = MvKvStore::new();
-        let cold = Arc::new(MapCold::default());
-        store.set_cold_store(cold.clone(), 1);
-        for i in 1..=5 {
-            store
-                .write(K, row(&[(A, &i.to_string())]), Some(Timestamp(i)))
-                .unwrap();
-        }
-        assert_eq!(store.cold_version_count(K), 4);
-        store.gc_versions_before(K, Timestamp(4));
-        // Versions 1..=3 are gone from memory AND the backend.
-        assert_eq!(cold.map.lock().len(), 1);
-        assert_eq!(store.cold_version_count(K), 1);
-        assert!(store.read(K, Some(Timestamp(3))).is_none());
-        assert_eq!(
-            store.read(K, Some(Timestamp(4))).unwrap().row.get(A),
-            Some("4")
-        );
-    }
-
-    #[test]
-    fn declined_spills_stay_hot() {
-        let store = MvKvStore::new();
-        let cold = Arc::new(MapCold::default());
-        *cold.decline.lock() = true;
-        store.set_cold_store(cold.clone(), 1);
-        for i in 1..=4 {
-            store
-                .write(K, row(&[(A, &i.to_string())]), Some(Timestamp(i)))
-                .unwrap();
-        }
-        assert_eq!(store.cold_version_count(K), 0);
-        assert_eq!(store.stats().cold_spills, 0);
-        assert_eq!(
-            store.read(K, Some(Timestamp(1))).unwrap().row.get(A),
-            Some("1")
-        );
-    }
-
-    #[test]
-    fn dump_versions_materializes_cold_slots() {
-        let store = MvKvStore::new();
-        let cold = Arc::new(MapCold::default());
-        store.set_cold_store(cold, 1);
-        for i in 1..=3 {
-            store
-                .write(K, row(&[(A, &i.to_string())]), Some(Timestamp(i)))
-                .unwrap();
-        }
-        store.write(Key(99), row(&[(A, "other")]), None).unwrap();
-        let dump = store.dump_versions(|k| k == K);
-        assert_eq!(dump.len(), 1);
-        let (key, versions) = &dump[0];
-        assert_eq!(*key, K);
-        assert_eq!(versions.len(), 3);
-        assert_eq!(versions[0].0, Timestamp(1));
-        assert_eq!(versions[0].1.get(A), Some("1"));
-        // Dumping does not promote.
-        assert_eq!(store.cold_version_count(K), 2);
-        assert_eq!(store.stats().cold_promotions, 0);
     }
 }

@@ -3,18 +3,15 @@
 //! Everything below the replication protocol that touches a disk lives
 //! here. The crate gives each datacenter a [`DcStorage`] handle bundling:
 //!
-//! * a segmented, CRC-framed **write-ahead log** ([`wal`]) through which
-//!   acceptor promises, votes and decided log entries become durable
-//!   *before* they are acknowledged (persist-before-ack), one sync per
-//!   record into a preallocated segment;
+//! * a segmented, CRC-framed **write-ahead log** ([`wal`]) in
+//!   preallocated segments, through which acceptor promises and votes
+//!   become durable *before* they are acknowledged (persist-before-ack) and
+//!   decided log entries before they apply, riding the next sync;
 //! * **per-group snapshots** ([`snapshot`]) written atomically, which
 //!   together with whole-segment WAL truncation bound recovery time and
 //!   disk usage — truncation never crosses an open read lease's position
 //!   or the MVCC version floor (the caller computes floors from the GC
 //!   watermark, which already encodes both);
-//! * a **buffer-pooled page store** ([`pool`]) that accepts cold MVCC
-//!   versions evicted by `mvkv`, so the hot working set stays in a fixed
-//!   number of frames while history spills to disk;
 //! * **typed disk faults** ([`fault`]): torn tails, short reads and fsync
 //!   failures as first-class, injectable outcomes.
 //!
@@ -33,20 +30,17 @@
 
 pub mod fault;
 pub mod frame;
-pub mod pool;
 pub mod snapshot;
 #[cfg(test)]
 mod testutil;
 pub mod wal;
 
 pub use fault::{FaultPlan, StorageError};
-pub use pool::{BufferPool, DiskManager, PoolStats, VersionPager, PAGE_SIZE};
 pub use snapshot::{GroupSnapshot, SnapshotRow, SnapshotStore};
 pub use wal::{Wal, WalRecord, WalReplay};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use walog::{GroupId, LogPosition};
 
 /// Whether (and how) a datacenter persists its state.
@@ -77,24 +71,16 @@ pub struct DurableConfig {
     /// Decided entries between per-group snapshots (0 disables snapshots
     /// and therefore WAL truncation).
     pub snapshot_every: u64,
-    /// Buffer-pool frames for the cold-version pager.
-    pub pool_frames: usize,
-    /// Newest versions per key kept hot in `mvkv` (older ones spill to the
-    /// pager); the latest version always stays hot.
-    pub hot_keep: usize,
 }
 
 impl DurableConfig {
-    /// Defaults tuned for the simulation workloads: 256 KiB segments,
-    /// a snapshot every 32 decided entries, 64 pool frames, 2 hot
-    /// versions per key.
+    /// Defaults tuned for the simulation workloads: 256 KiB segments and a
+    /// snapshot every 32 decided entries.
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
             segment_bytes: 256 * 1024,
             snapshot_every: 32,
-            pool_frames: 64,
-            hot_keep: 2,
         }
     }
 }
@@ -141,17 +127,12 @@ fn snap_dir(cfg: &DurableConfig) -> PathBuf {
     cfg.dir.join("snapshots")
 }
 
-fn pages_path(cfg: &DurableConfig) -> PathBuf {
-    cfg.dir.join("pages.db")
-}
-
-/// One datacenter's durable storage: WAL + snapshots + cold-version pager.
+/// One datacenter's durable storage: WAL + snapshots.
 #[derive(Debug)]
 pub struct DcStorage {
     cfg: DurableConfig,
     wal: Wal,
     snaps: SnapshotStore,
-    pager: Arc<VersionPager>,
     last_snapshot: BTreeMap<GroupId, LogPosition>,
     sync_failures: u64,
     snapshots_written: u64,
@@ -163,13 +144,10 @@ pub struct DcStorage {
 
 impl DcStorage {
     /// Open (creating or re-opening) the storage under `cfg.dir`. Reopening
-    /// after a crash repairs a torn WAL tail and starts a fresh segment;
-    /// the cold-version page file is always reset (it is a cache of state
-    /// reachable from snapshot + WAL).
+    /// after a crash repairs a torn WAL tail and starts a fresh segment.
     pub fn open(cfg: DurableConfig) -> Result<DcStorage, StorageError> {
         let wal = Wal::open(&wal_dir(&cfg), cfg.segment_bytes)?;
         let snaps = SnapshotStore::open(&snap_dir(&cfg))?;
-        let pager = VersionPager::open(&pages_path(&cfg), cfg.pool_frames)?;
         let (existing, corrupt) = snaps.load_all()?;
         let last_snapshot = existing
             .into_iter()
@@ -179,7 +157,6 @@ impl DcStorage {
             cfg,
             wal,
             snaps,
-            pager,
             last_snapshot,
             sync_failures: 0,
             snapshots_written: 0,
@@ -214,11 +191,6 @@ impl DcStorage {
     /// The configuration this handle was opened with.
     pub fn config(&self) -> &DurableConfig {
         &self.cfg
-    }
-
-    /// The cold-version pager (shareable with `MvKvStore::set_cold_store`).
-    pub fn pager(&self) -> Arc<VersionPager> {
-        Arc::clone(&self.pager)
     }
 
     /// Buffer one WAL record for the next sync (group commit).

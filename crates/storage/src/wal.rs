@@ -8,14 +8,14 @@
 //!   position (must be durable before the `PrepareReply` is sent);
 //! * [`WalRecord::Vote`] — the acceptor accepted a value (durable before
 //!   the `AcceptReply`);
-//! * [`WalRecord::Decided`] — a decided log entry was installed locally.
+//! * [`WalRecord::Decided`] — a decided log entry was installed locally
+//!   (durable before the entry applies; no acknowledgement waits for it).
 //!
 //! Appends buffer in memory; [`Wal::sync`] writes the whole buffer with one
-//! `write` + `fdatasync` pair, so one sync *can* cover many records. Today
-//! it never does: persist-before-ack syncs each promise, vote and decided
-//! entry on its own (`storage.records_per_fsync` is exactly 1), and every
-//! sync sits on the message's critical path. What keeps a sync cheap is the
-//! segment life cycle:
+//! `write` + `fdatasync` pair, so one sync covers every buffered record.
+//! Persist-before-ack syncs each promise and vote on the message's critical
+//! path, and `Decided` records ride whichever sync comes next. What keeps a
+//! sync cheap is the segment life cycle:
 //!
 //! * the **active** segment is preallocated — `set_len(segment_bytes)` once
 //!   at creation, sparse — and records are written at the tracked logical

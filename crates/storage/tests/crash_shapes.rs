@@ -88,7 +88,8 @@ fn run_case(k: u64, tail: Tail) {
     };
 
     let mut w = Wal::open(&dir, segment_bytes).unwrap();
-    // One sync per record, as the hot path does.
+    // One sync per record, as an acknowledgement's sync of one promise or
+    // vote does.
     for record in &synced {
         w.append(record);
         assert_eq!(w.sync().unwrap(), 1, "{case}");

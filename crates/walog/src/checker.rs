@@ -79,6 +79,16 @@ pub enum Violation {
         /// The position it committed at.
         committed_at: LogPosition,
     },
+    /// Two replicas reached the same gap-free prefix of a group, but only
+    /// one of them indexes a transaction decided within it: the other
+    /// installed a different value (a no-op) at a position the first had
+    /// already truncated, where the per-position check cannot see it.
+    DivergentCommittedSets {
+        /// The shared gap-free prefix.
+        prefix: LogPosition,
+        /// A transaction only one of the replicas indexes.
+        txn: TxnId,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -103,6 +113,10 @@ impl fmt::Display for Violation {
             Violation::InvalidReadPosition { txn, read_position, committed_at } => write!(
                 f,
                 "transaction {txn} committed at {committed_at} with read position {read_position}"
+            ),
+            Violation::DivergentCommittedSets { prefix, txn } => write!(
+                f,
+                "replicas applied the same prefix {prefix} but only some index transaction {txn}"
             ),
         }
     }

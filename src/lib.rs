@@ -7,7 +7,7 @@
 //! * [`mvkv`] — multi-version key-value store substrate.
 //! * [`walog`] — write-ahead log model and serializability theory.
 //! * [`paxos`] — basic Paxos and Paxos-CP commit protocol state machines.
-//! * [`storage`] — durable plane: disk WAL, snapshots, buffer-pooled pager.
+//! * [`storage`] — durable plane: disk WAL and snapshots.
 //! * [`mdstore`] — the transaction tier (the paper's core contribution).
 //! * [`workload`] — one load actor (`LoadActor`) and one harness
 //!   (`run_load(&LoadSpec)`): every experiment is a preset of the product

@@ -8,8 +8,13 @@
 //! that record, and an injected fsync error withholds the ack without
 //! poisoning the log.
 
-use mdstore::{DatacenterCore, DurableConfig, StorageConfig};
-use simnet::SimDuration;
+use mdstore::{
+    apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, DatacenterCore,
+    DurableConfig, Msg, Session, StorageConfig, Topology,
+};
+use parking_lot::Mutex;
+use simnet::{Actor, Context, NodeId, SimDuration};
+use std::sync::Arc;
 use storage::wal::{self, Wal, WalRecord};
 use storage::{fault, DcStorage, StorageError};
 use walog::{AttrId, GroupId, ItemRef, KeyId, LogEntry, LogPosition, Transaction, TxnId};
@@ -25,6 +30,13 @@ fn write_entry(client: u32, seq: u64, read_pos: u64, value: &str) -> std::sync::
             .write(ItemRef::new(ROW, A), value)
             .build(),
     ))
+}
+
+/// Install a decided entry and sync it, as the next acknowledgement's sync
+/// (or the service's flush deadline) would.
+fn install_synced(core: &mut DatacenterCore, p: u64, value: &str) {
+    core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, value));
+    assert!(core.flush());
 }
 
 /// A durable datacenter core over a scratch directory, snapshotting every
@@ -79,7 +91,10 @@ fn sixty_seconds_of_durable_rolling_chaos_restarts_every_crashed_site_from_disk(
 /// Restart-from-disk must reproduce the acknowledged state bit for bit:
 /// the fingerprint covers every group's log base, entries and committed
 /// transaction ids plus the latest version of every row. A torn final WAL
-/// frame (the crash-mid-append artifact) costs nothing that was acked.
+/// frame (the crash-mid-append artifact) costs nothing that was acked, and
+/// an entry whose `Decided` record was still buffered — installed, but
+/// neither applied nor acknowledged here — is outside the fingerprint and
+/// gone after the restart.
 #[test]
 fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
     let (mut core, cfg) = durable_core("restart-exact");
@@ -88,12 +103,10 @@ fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
         .handle_prepare(GROUP, LogPosition(30), ballot);
     assert!(core.persist_promise(GROUP, LogPosition(30), ballot));
     for p in 1..=12 {
-        core.install_entry(
-            GROUP,
-            LogPosition(p),
-            write_entry(0, p, p - 1, &format!("v{p}")),
-        );
+        install_synced(&mut core, p, &format!("v{p}"));
     }
+    core.install_entry(GROUP, LogPosition(13), write_entry(0, 13, 12, "v13"));
+    assert!(core.has_unsynced());
     let stats = core.storage_stats().unwrap();
     assert!(stats.snapshots_written >= 1, "snapshot cadence must fire");
     assert!(stats.segments_truncated >= 1, "sealed segments must go");
@@ -112,6 +125,8 @@ fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
         core.read(GROUP, ROW, A, LogPosition(12)).unwrap(),
         Some("v12".to_string())
     );
+    assert!(!core.has_entry(GROUP, LogPosition(13)));
+    assert!(!core.is_committed(GROUP, TxnId::new(0, 13)));
     assert_eq!(
         core.acceptor().promised_ballot(GROUP, LogPosition(30)),
         Some(ballot),
@@ -128,20 +143,24 @@ fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
 fn open_lease_pins_truncation_across_crash_restart_and_release_resumes_it() {
     let (mut core, cfg) = durable_core("lease-across-restart");
     core.begin_read_lease(GROUP, LogPosition(2));
-    for p in 1..=9 {
-        core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, "v"));
+    for p in 1..=8 {
+        install_synced(&mut core, p, "v");
     }
+    core.install_entry(GROUP, LogPosition(9), write_entry(0, 9, 8, "v"));
     assert!(core.storage_stats().unwrap().snapshots_written >= 1);
     assert!(
         core.log(GROUP).unwrap().base() < LogPosition(2),
         "truncation must hold below the leased position"
     );
     // Crash and restart: the lease is client-owned soft state and survives.
+    // Position 9's `Decided` record was still buffered, so the restart
+    // loses it and the replicas teach it again.
     core.inject_torn_wal_tail();
     core.restart_from_disk(&cfg).unwrap();
     assert_eq!(core.read_lease_count(), 1, "leases must survive recovery");
-    for p in 10..=13 {
-        core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, "v"));
+    assert!(!core.has_entry(GROUP, LogPosition(9)));
+    for p in 9..=13 {
+        install_synced(&mut core, p, "v");
     }
     assert!(
         core.log(GROUP).unwrap().base() < LogPosition(2),
@@ -155,7 +174,7 @@ fn open_lease_pins_truncation_across_crash_restart_and_release_resumes_it() {
     // Release: the next snapshot advances the floor past the old lease.
     core.end_read_lease(GROUP, LogPosition(2));
     for p in 14..=17 {
-        core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, "v"));
+        install_synced(&mut core, p, "v");
     }
     assert!(
         core.log(GROUP).unwrap().base() >= LogPosition(2),
@@ -269,7 +288,8 @@ fn a_short_read_of_the_final_record_costs_exactly_that_record() {
 
 /// An fsync failure is a typed error — `StorageError::SyncFailed` with the
 /// injection provenance — and the records it covered stay pending: they are
-/// not acknowledged, and a later successful sync may still land them.
+/// not acknowledged, a decided entry whose record rode the failed sync does
+/// not apply, and a later successful sync may still land them all.
 #[test]
 fn fsync_failure_is_typed_and_withholds_the_ack_without_losing_the_records() {
     let dir = storage::scratch_dir("fsync-typed");
@@ -301,4 +321,402 @@ fn fsync_failure_is_typed_and_withholds_the_ack_without_losing_the_records() {
     assert_eq!(dc.stats().sync_failures, 1);
     assert!(dc.log(&promise(2, 1)), "a later sync may still persist");
     storage::remove_scratch_dir(&cfg.dir);
+
+    // Through the datacenter core: a promise's failed sync withholds the
+    // ack and leaves the buffered `Decided` record it would have carried
+    // undurable, so the entry stays unapplied; the next sync lands both.
+    let (mut core, cfg) = durable_core("fsync-core");
+    let applied = |core: &DatacenterCore| core.log(GROUP).unwrap().applied_through();
+    core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, "v1"));
+    core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
+    let ballot = paxos::Ballot::initial(3);
+    assert!(!core.persist_promise(GROUP, LogPosition(2), ballot));
+    assert_eq!(applied(&core), LogPosition::ZERO);
+    assert!(core.has_unsynced());
+    assert!(core.persist_promise(GROUP, LogPosition(2), ballot));
+    assert_eq!(applied(&core), LogPosition(1));
+    let stats = core.storage_stats().unwrap();
+    assert_eq!((stats.sync_failures, stats.records_synced), (1, 3));
+    storage::remove_scratch_dir(&cfg.dir);
+}
+
+/// Commits `remaining` blind writes one after another through its own
+/// session (direct route): transaction `i` writes `a{i} = v{i}` of `row` in
+/// group `g`.
+struct Writer {
+    session: Session,
+    remaining: u64,
+    written: u64,
+}
+
+impl Writer {
+    fn next(&mut self, ctx: &mut Context<Msg>) {
+        if self.remaining == 0 {
+            return;
+        }
+        self.remaining -= 1;
+        self.written += 1;
+        let i = self.written;
+        let h = self.session.begin(ctx.now(), "g");
+        self.session
+            .write(h, "row", &format!("a{i}"), format!("v{i}"))
+            .unwrap();
+        let actions = self.session.commit(ctx.now(), h).unwrap();
+        self.apply(ctx, actions);
+    }
+
+    fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
+        for result in apply_client_actions(ctx, actions) {
+            assert!(result.committed, "{result:?}");
+            self.next(ctx);
+        }
+    }
+}
+
+impl Actor<Msg> for Writer {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
+        self.next(ctx);
+    }
+    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+        let actions = self.session.on_message(ctx.now(), from, &msg);
+        self.apply(ctx, actions);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+        let actions = self.session.on_timer(ctx.now(), tag);
+        self.apply(ctx, actions);
+    }
+}
+
+/// Sends its messages when it starts and records every reply.
+struct Prober {
+    to_send: Vec<(NodeId, Msg)>,
+    received: Arc<Mutex<Vec<Msg>>>,
+}
+
+impl Actor<Msg> for Prober {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
+        for (to, msg) in self.to_send.drain(..) {
+            ctx.send(to, msg);
+        }
+    }
+    fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+        self.received.lock().push(msg);
+    }
+}
+
+/// Three durable Virginia datacenters whose version GC keeps no history,
+/// so a snapshot's truncation floor follows the prefix.
+fn durable_cluster(dir: &std::path::Path, configure: impl FnOnce(&mut DurableConfig)) -> Cluster {
+    let mut durable = DurableConfig::new(dir);
+    configure(&mut durable);
+    let config = ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp)
+        .with_storage(StorageConfig::Durable(durable));
+    let cluster = Cluster::build(config);
+    for replica in 0..3 {
+        cluster.core(replica).lock().set_gc_horizon(0);
+    }
+    cluster
+}
+
+fn add_writer(cluster: &mut Cluster, replica: usize, txns: u64) {
+    let directory = cluster.directory();
+    let config = cluster.client_config();
+    cluster.add_client(replica, |node| {
+        Box::new(Writer {
+            session: Session::new(node, replica, directory, config),
+            remaining: txns,
+            written: 0,
+        })
+    });
+}
+
+/// Send `msgs` to `replica`'s service from a fresh client in its
+/// datacenter and return what it hears back once the simulation is idle.
+fn probe(cluster: &mut Cluster, replica: usize, msgs: Vec<Msg>) -> Vec<Msg> {
+    let service = cluster.service_node(replica);
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&received);
+    cluster.add_client(replica, |_| {
+        Box::new(Prober {
+            to_send: msgs.into_iter().map(|msg| (service, msg)).collect(),
+            received: sink,
+        })
+    });
+    cluster.run_to_completion();
+    let got = received.lock().clone();
+    got
+}
+
+fn read_reply_value(replies: &[Msg]) -> Option<String> {
+    match replies {
+        [Msg::ReadReply {
+            value,
+            unavailable: false,
+            ..
+        }
+        | Msg::SnapshotReadReply {
+            value,
+            unavailable: false,
+            ..
+        }] => value.clone(),
+        other => panic!("expected one served read, got {other:?}"),
+    }
+}
+
+/// Run until datacenter 0 installed position 1 of `g` — the session's own
+/// `Learned` — and crash it before that entry's `Decided` record is
+/// synced, then restart it from disk (which asserts the rebuilt state
+/// equals the durable pre-crash state) and bring it back. Returns the
+/// transaction the lost entry carried.
+fn crash_between_decided_append_and_sync(cluster: &mut Cluster) -> Transaction {
+    let g = cluster.symbols().group("g");
+    add_writer(cluster, 0, 1);
+    while !cluster.core(0).lock().has_entry(g, LogPosition(1)) {
+        assert!(cluster.sim_mut().step(), "position 1 never decided");
+    }
+    let txn = {
+        let core = cluster.core(0);
+        let core = core.lock();
+        assert!(
+            core.has_unsynced(),
+            "the Decided record must still be buffered"
+        );
+        core.log(g)
+            .unwrap()
+            .get(LogPosition(1))
+            .unwrap()
+            .transactions()[0]
+            .clone()
+    };
+    cluster.crash_datacenter(0);
+    cluster.core(0).lock().inject_torn_wal_tail();
+    cluster.restart_datacenter_from_disk(0).unwrap();
+    cluster.recover_datacenter(0);
+    let core = cluster.core(0);
+    let core = core.lock();
+    assert!(
+        !core.has_entry(g, LogPosition(1)),
+        "the unsynced entry is lost"
+    );
+    assert!(!core.is_committed(g, txn.id));
+    txn
+}
+
+/// A crash between a `Decided` append and its sync loses exactly that
+/// entry: the restart reproduces the durable state (asserted inside the
+/// restart), and the entry comes back from the votes the replicas — this
+/// datacenter's own among them — made durable before acknowledging.
+#[test]
+fn a_crash_before_the_decided_sync_loses_the_entry_until_its_votes_restore_it() {
+    let dir = storage::scratch_dir("decided-crash");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let txn = crash_between_decided_append_and_sync(&mut cluster);
+    let symbols = cluster.symbols();
+    let read = Msg::ReadRequest {
+        req_id: 1,
+        group: txn.group,
+        key: symbols.key("row"),
+        attr: symbols.attr("a1"),
+        read_position: LogPosition(1),
+    };
+    let replies = probe(&mut cluster, 0, vec![read]);
+    assert_eq!(read_reply_value(&replies).as_deref(), Some("v1"));
+    assert!(cluster.core(0).lock().is_committed(txn.group, txn.id));
+    cluster.verify().unwrap();
+    storage::remove_scratch_dir(&dir);
+}
+
+/// A retry of a transaction whose entry a crash took back before its sync
+/// reaches a home that has no memory of it: no `Decided` record, no
+/// committed id, no remembered fate. Its committer proposes at the first
+/// position it lacks, adopts the voted entry, and answers committed — the
+/// transaction sits at exactly one position.
+#[test]
+fn a_retry_of_a_transaction_in_a_lost_decided_entry_is_answered_committed_once() {
+    let dir = storage::scratch_dir("decided-retry");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let txn = crash_between_decided_append_and_sync(&mut cluster);
+    let retry = Msg::CommitRequest {
+        req_id: 7,
+        txn: txn.clone(),
+    };
+    let replies = probe(&mut cluster, 0, vec![retry]);
+    assert!(
+        matches!(
+            replies.as_slice(),
+            [Msg::CommitReply {
+                req_id: 7,
+                committed: true,
+                ..
+            }]
+        ),
+        "{replies:?}"
+    );
+    cluster.verify().unwrap();
+    for replica in 0..3 {
+        let core = cluster.core(replica);
+        let core = core.lock();
+        let positions: Vec<LogPosition> = core
+            .log(txn.group)
+            .unwrap()
+            .iter()
+            .filter(|(_, entry)| entry.contains(txn.id))
+            .map(|(position, _)| position)
+            .collect();
+        assert_eq!(positions, [LogPosition(1)], "replica {replica}");
+    }
+    storage::remove_scratch_dir(&dir);
+}
+
+/// A read, and a snapshot read whose watermark covers an entry whose
+/// `Decided` record is still buffered, sync before they are served: they
+/// never observe state a crash could take back.
+#[test]
+fn reads_covering_an_unsynced_entry_sync_before_they_are_served() {
+    let dir = storage::scratch_dir("read-forces-sync");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let symbols = cluster.symbols();
+    let g = symbols.group("g");
+    let (row, attr) = (symbols.key("row"), symbols.attr("a"));
+    let decided = |p: u64| {
+        Arc::new(LogEntry::single(
+            Transaction::builder(TxnId::new(9, p), g, LogPosition(p - 1))
+                .write(ItemRef::new(row, attr), format!("v{p}"))
+                .build(),
+        ))
+    };
+    let syncs = |cluster: &Cluster| cluster.core(0).lock().storage_stats().unwrap().syncs;
+    for (p, msg) in [
+        (
+            1,
+            Msg::SnapshotRead {
+                req_id: 1,
+                group: g,
+                key: row,
+                attr,
+                at: LogPosition(1),
+            },
+        ),
+        (
+            2,
+            Msg::ReadRequest {
+                req_id: 2,
+                group: g,
+                key: row,
+                attr,
+                read_position: LogPosition(2),
+            },
+        ),
+    ] {
+        cluster
+            .core(0)
+            .lock()
+            .install_entry(g, LogPosition(p), decided(p));
+        assert!(cluster.core(0).lock().has_unsynced());
+        let before = syncs(&cluster);
+        let replies = probe(&mut cluster, 0, vec![msg]);
+        assert_eq!(read_reply_value(&replies), Some(format!("v{p}")));
+        assert_eq!(syncs(&cluster), before + 1, "the read paid for one sync");
+        assert!(!cluster.core(0).lock().has_unsynced());
+    }
+    storage::remove_scratch_dir(&dir);
+}
+
+/// Datacenters 0 and 2 decide `txns` blind writes while datacenter 1 is
+/// down, then both restart from disk with snapshot bases past those
+/// positions: their promises and votes there went with the deleted WAL
+/// segments. Datacenter 1 comes back knowing nothing of the group.
+fn lagging_behind_forgetful_peers(dir: &std::path::Path, txns: u64) -> (Cluster, GroupId) {
+    let mut cluster = durable_cluster(dir, |durable| {
+        durable.snapshot_every = 4;
+        durable.segment_bytes = 128;
+    });
+    let g = cluster.symbols().group("g");
+    cluster.crash_datacenter(1);
+    add_writer(&mut cluster, 0, txns);
+    cluster.run_to_completion();
+    assert_eq!(cluster.core(0).lock().read_position(g), LogPosition(txns));
+    for replica in [0, 2] {
+        cluster.crash_datacenter(replica);
+        cluster.restart_datacenter_from_disk(replica).unwrap();
+        cluster.recover_datacenter(replica);
+        let core = cluster.core(replica);
+        assert!(core.lock().forgot(g, LogPosition(1)), "replica {replica}");
+    }
+    cluster.recover_datacenter(1);
+    assert_eq!(cluster.core(1).lock().read_position(g), LogPosition::ZERO);
+    (cluster, g)
+}
+
+/// Regression (forgetful acceptors): the lagging datacenter must not
+/// decide no-ops over the positions its restarted peers decided and forgot
+/// (a promise without the forgotten vote used to allow exactly that,
+/// silently losing acknowledged commits at one replica): the peers answer
+/// with their group state, and it adopts it.
+#[test]
+fn a_lagging_replica_adopts_what_its_restarted_peers_forgot_instead_of_deciding_no_ops() {
+    const TXNS: u64 = 12;
+    let dir = storage::scratch_dir("forgetful-acceptors");
+    let (mut cluster, g) = lagging_behind_forgetful_peers(&dir, TXNS);
+    // A read at the lagging replica starts recovery for every position it
+    // lacks.
+    let symbols = cluster.symbols();
+    let read = Msg::ReadRequest {
+        req_id: 1,
+        group: g,
+        key: symbols.key("row"),
+        attr: symbols.attr("a1"),
+        read_position: LogPosition(TXNS),
+    };
+    let replies = probe(&mut cluster, 1, vec![read]);
+    assert_eq!(read_reply_value(&replies).as_deref(), Some("v1"));
+    let committed = cluster.core(0).lock().committed_through_prefix(g);
+    assert_eq!(committed.len() as u64, TXNS);
+    let lagging = cluster.core(1);
+    assert_eq!(lagging.lock().read_position(g), LogPosition(TXNS));
+    assert_eq!(lagging.lock().committed_through_prefix(g), committed);
+    cluster.verify().unwrap();
+    storage::remove_scratch_dir(&dir);
+}
+
+/// The lagging datacenter homes a commit: its committer proposes at the
+/// first position it lacks, which its peers forgot and will never promise.
+/// Once their group state arrives it gives that slot up and commits the
+/// member at the first position after the adopted prefix.
+#[test]
+fn a_lagging_home_commits_past_the_positions_its_peers_forgot() {
+    const TXNS: u64 = 12;
+    let dir = storage::scratch_dir("forgetful-acceptors-commit");
+    let (mut cluster, g) = lagging_behind_forgetful_peers(&dir, TXNS);
+    let item = cluster.symbols().item("row", "late");
+    let txn = Transaction::builder(TxnId::new(77, 1), g, LogPosition::ZERO)
+        .write(item, "x")
+        .build();
+    let commit = Msg::CommitRequest {
+        req_id: 1,
+        txn: txn.clone(),
+    };
+    let replies = probe(&mut cluster, 1, vec![commit]);
+    assert!(
+        matches!(
+            replies.as_slice(),
+            [Msg::CommitReply {
+                committed: true,
+                ..
+            }]
+        ),
+        "{replies:?}"
+    );
+    let position = LogPosition(TXNS + 1);
+    for replica in 0..3 {
+        let core = cluster.core(replica);
+        let core = core.lock();
+        let entry = core.log(g).and_then(|log| log.get(position).cloned());
+        assert!(
+            entry.is_some_and(|entry| entry.contains(txn.id)),
+            "replica {replica}"
+        );
+    }
+    cluster.verify().unwrap();
+    storage::remove_scratch_dir(&dir);
 }
