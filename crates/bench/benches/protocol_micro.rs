@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the building blocks: the multi-version store, the
-//! acceptor's checkAndWrite-based state machine, the conflict check at the
+//! acceptor's state machine, the conflict check at the
 //! heart of Paxos-CP (interned vs. the string-keyed representation it
 //! replaced), the combination search, and a full uncontended commit through
 //! the simulated VVV cluster.
@@ -21,7 +21,6 @@ fn item(a: u32) -> ItemRef {
 fn bench_mvkv(c: &mut Criterion) {
     let row_key = Key(0);
     let a = Attr(0);
-    let next_bal = Attr(1);
     let mut group = c.benchmark_group("mvkv");
     group.bench_function("write_new_version", |b| {
         let store = MvKvStore::new();
@@ -49,23 +48,6 @@ fn bench_mvkv(c: &mut Criterion) {
                 .unwrap();
         }
         b.iter(|| store.read(row_key, Some(Timestamp(900))));
-    });
-    group.bench_function("check_and_write", |b| {
-        let store = MvKvStore::new();
-        store
-            .write(row_key, Row::new().with(next_bal, "0"), None)
-            .unwrap();
-        let mut v = 0u64;
-        b.iter(|| {
-            let expected = v.to_string();
-            v += 1;
-            store.check_and_write(
-                row_key,
-                next_bal,
-                Some(&expected),
-                Row::new().with(next_bal, v.to_string()),
-            )
-        });
     });
     group.finish();
 }

@@ -288,15 +288,10 @@ impl DatacenterCore {
     /// The store row key of an application item: the group id in the high
     /// half, the row key in the low half. Qualifying rows by group keeps
     /// every group's key space disjoint — two groups using the same row
-    /// name never collide in the shared store — and stays below the
-    /// reserved protocol-metadata region (bit 63, see
-    /// `paxos::AcceptorStore::state_key`) for every interner-assigned group
-    /// id.
+    /// name never collide in the shared store. The acceptor state is not a
+    /// row (it lives in the store's protocol table), so every store key is
+    /// one of these.
     fn app_key(group: GroupId, key: KeyId) -> Key {
-        debug_assert!(
-            group.0 < 1 << 31,
-            "group id space exceeds the application key region"
-        );
         Key(((group.0 as u64) << 32) | key.0 as u64)
     }
 
@@ -711,23 +706,18 @@ impl DatacenterCore {
     }
 
     /// Whether this datacenter has decided (locally installed) the entry at
-    /// `position`.
+    /// `position`. Everything at or below the log base was decided, even
+    /// though truncation (or adopting a peer's state) dropped the entry.
     pub fn has_entry(&self, group: GroupId, position: LogPosition) -> bool {
         self.logs
             .get(&group)
-            .map(|l| l.contains(position))
-            .unwrap_or(false)
+            .is_some_and(|l| position <= l.base() || l.contains(position))
     }
 
     /// Leader fast-path bookkeeping: grant the claim iff this is the first
     /// claim for the position and no Paxos activity has touched it yet.
     pub fn leader_claim(&mut self, group: GroupId, position: LogPosition, client: u64) -> bool {
-        if self.has_entry(group, position) {
-            return false;
-        }
-        if self.acceptor().promised_ballot(group, position).is_some()
-            || self.acceptor().current_vote(group, position).is_some()
-        {
+        if self.has_entry(group, position) || self.acceptor().touched(group, position) {
             return false;
         }
         match self.leader_claims.entry((group, position)) {
@@ -958,12 +948,13 @@ impl DatacenterCore {
 
     /// A deterministic digest of this datacenter's *durably reconstructable*
     /// state: per-group log bases, decided entries, committed-id indexes,
-    /// and the latest version of every application row. Old row versions
-    /// are excluded on purpose — version-GC timing during replay may differ
-    /// from the original run — as is acceptor metadata for decided
-    /// positions, and so are entries whose `Decided` record is not yet
-    /// synced, with their transaction ids: they were neither applied nor
-    /// acknowledged here. Equal fingerprints before a crash and after
+    /// and the latest version of every row (the store holds only
+    /// application rows). Old row versions are excluded on purpose —
+    /// version-GC timing during replay may differ from the original run —
+    /// as is the acceptor state in the store's protocol table, and so are
+    /// entries whose `Decided` record is not yet synced, with their
+    /// transaction ids: they were neither applied nor acknowledged here.
+    /// Equal fingerprints before a crash and after
     /// [`DatacenterCore::restart_from_disk`] mean the restart lost nothing
     /// that was acknowledged.
     pub fn state_fingerprint(&self) -> u64 {
@@ -1005,9 +996,6 @@ impl DatacenterCore {
             }
         }
         for key in self.store.keys() {
-            if key.0 & (1 << 63) != 0 {
-                continue; // protocol-metadata region
-            }
             let Some(read) = self.store.read(key, None) else {
                 continue;
             };
@@ -1387,6 +1375,32 @@ mod tests {
         let synced = core.storage_stats().unwrap();
         assert_eq!(synced.records_synced, 15);
         assert_eq!(synced.syncs, stats.syncs + 1);
+        storage::remove_scratch_dir(&cfg.dir);
+    }
+
+    /// A position at or below the log base was decided even though its
+    /// entry is truncated and its acceptor slot may be empty (a restart
+    /// drops the slots; adopted positions never had one), so no leader claim
+    /// may hand out round-0 fast ballots there.
+    #[test]
+    fn a_leader_claim_is_never_granted_at_a_decided_truncated_position() {
+        let (mut core, cfg) = durable_core("core-claim-below-base", 4);
+        for p in 1..=10 {
+            install_synced(&mut core, p, &format!("v{p}"));
+        }
+        let base = core.log(GROUP).unwrap().base();
+        assert!(base >= LogPosition(2), "the snapshot must have truncated");
+        assert!(!core.log(GROUP).unwrap().contains(LogPosition(1)));
+        assert!(core.has_entry(GROUP, LogPosition(1)));
+        assert!(core.has_entry(GROUP, base));
+        assert!(!core.leader_claim(GROUP, LogPosition(1), 42));
+        assert!(!core.leader_claim(GROUP, base, 42));
+        core.restart_from_disk(&cfg).unwrap();
+        assert!(!core.acceptor().touched(GROUP, LogPosition(1)));
+        assert!(!core.leader_claim(GROUP, LogPosition(1), 42));
+        assert!(!core.leader_claim(GROUP, base, 42));
+        // Above the decided prefix the fast path still works.
+        assert!(core.leader_claim(GROUP, LogPosition(11), 42));
         storage::remove_scratch_dir(&cfg.dir);
     }
 

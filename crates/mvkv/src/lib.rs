@@ -9,16 +9,20 @@
 //!   logical timestamp, failing if a version with a greater timestamp
 //!   already exists;
 //! * `checkAndWrite(key.testAttribute, testValue, key, value)` — conditional
-//!   write against the latest version of the row (the primitive the Paxos
-//!   acceptor in Algorithm 1 uses to persist its ballot state atomically).
+//!   write against the latest version of the row, which the Paxos acceptor
+//!   of Algorithm 1 uses to update its ballot state atomically.
 //!
 //! The paper uses HBase; any store with these primitives qualifies, so this
-//! crate provides a self-contained in-process implementation with the same
-//! semantics: rows are named by interned `Copy` integer [`Key`]s, attributes
-//! by interned [`Attr`] ids (see `walog::ident` for the shared string
-//! table), each version is a full attribute map (columns), and the logical
-//! timestamp of an application write is the write-ahead-log position that
-//! committed it.
+//! crate provides a self-contained in-process implementation of `read` and
+//! `write` with the same semantics. `checkAndWrite` is the one primitive it
+//! replaces: the acceptor's state is not encoded into rows but held in one
+//! typed protocol table beside them ([`MvKvStore::protocol`]), and the lock
+//! guarding a table update gives the atomicity `checkAndWrite` gave. So the
+//! rows hold only application data: they are named by interned `Copy`
+//! integer [`Key`]s, attributes by interned [`Attr`] ids (see
+//! `walog::ident` for the shared string table), each version is a full
+//! attribute map (columns), and the logical timestamp of an application
+//! write is the write-ahead-log position that committed it.
 //!
 //! Writes are *merge-upserts*: a new version starts from the latest existing
 //! version and overlays the supplied attributes, which mirrors column-family
@@ -30,5 +34,5 @@
 mod store;
 mod types;
 
-pub use store::{CasOutcome, MvKvStore, StoreStats};
+pub use store::{MvKvStore, StoreStats};
 pub use types::{Attr, Key, MvkvError, Row, Timestamp, VersionRead};

@@ -2,23 +2,9 @@
 
 use crate::types::{Attr, Key, MvkvError, Row, Timestamp, VersionRead};
 use parking_lot::RwLock;
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-
-/// Outcome of a `check_and_write` (compare-and-swap) operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CasOutcome {
-    /// The test attribute matched and the write was applied.
-    Applied,
-    /// The test attribute did not match; nothing was written.
-    Rejected,
-}
-
-impl CasOutcome {
-    /// True when the conditional write was applied.
-    pub fn applied(self) -> bool {
-        matches!(self, CasOutcome::Applied)
-    }
-}
+use std::sync::OnceLock;
 
 /// Operation counters for a store instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -27,10 +13,6 @@ pub struct StoreStats {
     pub reads: u64,
     /// Number of successful `write` calls.
     pub writes: u64,
-    /// Number of `check_and_write` calls that applied.
-    pub cas_applied: u64,
-    /// Number of `check_and_write` calls that were rejected.
-    pub cas_rejected: u64,
     /// Writes rejected because of a stale timestamp.
     pub stale_writes: u64,
 }
@@ -75,9 +57,14 @@ impl VersionedRow {
 /// share: clone an `Arc<MvKvStore>` per user. Rows and attributes are named
 /// by `Copy` integer ids, so no operation on the commit hot path hashes or
 /// clones a string.
+///
+/// Beside its rows the store holds one typed protocol table
+/// ([`MvKvStore::protocol`]): the commit protocol's per-position state
+/// lives in the same store as the data, without being encoded as rows.
 #[derive(Default)]
 pub struct MvKvStore {
     inner: RwLock<Inner>,
+    protocol: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 #[derive(Default)]
@@ -170,29 +157,16 @@ impl MvKvStore {
         }
     }
 
-    /// The paper's `checkAndWrite`: if the **latest** version of `key` has
-    /// `test_attr` equal to `expected` (a missing row or attribute matches
-    /// `expected = None`), write `attrs` as a new version and report
-    /// [`CasOutcome::Applied`]; otherwise write nothing.
-    pub fn check_and_write(
-        &self,
-        key: Key,
-        test_attr: Attr,
-        expected: Option<&str>,
-        attrs: Row,
-    ) -> CasOutcome {
-        let mut inner = self.inner.write();
-        let row = inner.rows.entry(key).or_default();
-        let current = row.latest().and_then(|(_, r)| r.get(test_attr));
-        if current != expected {
-            inner.stats.cas_rejected += 1;
-            return CasOutcome::Rejected;
-        }
-        let target = row.latest_ts().map(Timestamp::next).unwrap_or(Timestamp(1));
-        row.push(target, attrs);
-        inner.stats.writes += 1;
-        inner.stats.cas_applied += 1;
-        CasOutcome::Applied
+    /// The store's protocol table, created empty on first use. It shares
+    /// the store's lifetime, so replacing the store drops it too. The table
+    /// guards its own updates; the store only holds it. Type erasure keeps
+    /// this crate below the protocol that defines the table, and one store
+    /// holds one table type: asking for a second type panics.
+    pub fn protocol<T: Default + Send + Sync + 'static>(&self) -> &T {
+        self.protocol
+            .get_or_init(|| Box::<T>::default())
+            .downcast_ref()
+            .expect("a store holds one protocol table type")
     }
 
     /// The latest version timestamp of `key`, if any version exists.
@@ -389,45 +363,24 @@ mod tests {
     }
 
     #[test]
-    fn check_and_write_applies_only_on_match() {
+    fn the_protocol_table_is_one_per_store_and_never_a_row() {
+        #[derive(Default)]
+        struct Table(std::sync::Mutex<Vec<u32>>);
         let store = MvKvStore::new();
-        let p = Key(1);
-        let next_bal = Attr(100);
-        let other = Attr(101);
-        // Missing row: expected None matches.
-        assert_eq!(
-            store.check_and_write(p, next_bal, None, row(&[(next_bal, "3")])),
-            CasOutcome::Applied
-        );
-        // Wrong expectation rejected.
-        assert_eq!(
-            store.check_and_write(p, next_bal, Some("99"), row(&[(next_bal, "5")])),
-            CasOutcome::Rejected
-        );
-        assert_eq!(store.read_attr(p, next_bal, None).as_deref(), Some("3"));
-        // Correct expectation applied, other attributes preserved via merge.
-        store.write(p, row(&[(other, "x")]), None).unwrap();
-        assert_eq!(
-            store.check_and_write(p, next_bal, Some("3"), row(&[(next_bal, "7")])),
-            CasOutcome::Applied
-        );
-        let v = store.read(p, None).unwrap();
-        assert_eq!(v.row.get(next_bal), Some("7"));
-        assert_eq!(v.row.get(other), Some("x"));
-        let stats = store.stats();
-        assert_eq!(stats.cas_applied, 2);
-        assert_eq!(stats.cas_rejected, 1);
-    }
-
-    #[test]
-    fn cas_on_missing_attribute_matches_none() {
-        let store = MvKvStore::new();
-        let p = Key(1);
-        store.write(p, row(&[(B, "x")]), None).unwrap();
-        assert_eq!(
-            store.check_and_write(p, A, None, row(&[(A, "1")])),
-            CasOutcome::Applied
-        );
+        store.protocol::<Table>().0.lock().unwrap().push(7);
+        assert_eq!(*store.protocol::<Table>().0.lock().unwrap(), [7]);
+        assert_eq!(store.key_count(), 0);
+        // A fresh store starts with a fresh table.
+        assert!(MvKvStore::new()
+            .protocol::<Table>()
+            .0
+            .lock()
+            .unwrap()
+            .is_empty());
+        let other_type = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.protocol::<String>();
+        }));
+        assert!(other_type.is_err(), "one store, one table type");
     }
 
     #[test]

@@ -6,11 +6,11 @@ use std::sync::Arc;
 
 /// Row key: a dense integer identifier.
 ///
-/// Application rows carry interned key ids (see `walog::ident`); protocol
-/// metadata (the Paxos acceptor state) lives in a reserved region of the key
-/// space with the top bit set, so the two can never collide. Using a `Copy`
-/// integer instead of an owned string keeps every store operation on the
-/// commit hot path free of allocation and string hashing.
+/// Application rows carry interned key ids (see `walog::ident`); the Paxos
+/// acceptor state is not a row (see [`crate::MvKvStore::protocol`]), so every
+/// key names application data. Using a `Copy` integer instead of an owned
+/// string keeps every store operation on the commit hot path free of
+/// allocation and string hashing.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(pub u64);
 
@@ -27,10 +27,6 @@ impl fmt::Display for Key {
 }
 
 /// Attribute (column) identifier within a row: a dense interned integer.
-///
-/// The topmost ids (`u32::MAX` downwards) are reserved for protocol
-/// attributes such as the acceptor's `nextBal`; the interner never hands
-/// them out.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Attr(pub u32);
 

@@ -113,28 +113,4 @@ proptest! {
         let after = store.read(row, Some(snapshot_ts)).unwrap();
         prop_assert_eq!(before, after);
     }
-
-    /// check_and_write never applies when the expectation is wrong, and
-    /// always applies when it is right (single-threaded).
-    #[test]
-    fn cas_respects_expectation(values in proptest::collection::vec(0u16..1000, 1..30)) {
-        let store = MvKvStore::new();
-        let key = Key(0);
-        let attr = Attr(0);
-        let mut current: Option<String> = None;
-        for v in values {
-            let next = v.to_string();
-            // Wrong expectation: guaranteed different from current.
-            let wrong = Some("not-the-value");
-            prop_assert!(!store
-                .check_and_write(key, attr, wrong, Row::new().with(attr, next.clone()))
-                .applied());
-            // Right expectation applies.
-            prop_assert!(store
-                .check_and_write(key, attr, current.as_deref(), Row::new().with(attr, next.clone()))
-                .applied());
-            current = Some(next);
-        }
-        prop_assert_eq!(store.read_attr(key, attr, None), current);
-    }
 }

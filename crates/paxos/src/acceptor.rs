@@ -1,36 +1,20 @@
 //! The acceptor role of the Transaction Service (Algorithm 1).
 //!
 //! The service is stateless: all Paxos state for a log position —
-//! `⟨nextBal, ballotNumber, value⟩` — lives in the local key-value store and
-//! is updated with `checkAndWrite`, so any service process in the
-//! datacenter can handle any message. This module wraps an [`mvkv`] store
-//! with exactly those reads and conditional writes.
-//!
-//! State rows live in a reserved region of the integer key space (top bit
-//! set), so no interned application key can ever collide with protocol
-//! metadata, and the row key for `(group, position)` is computed with two
-//! shifts — no string formatting on the message-handling hot path. Vote
-//! values are persisted with the compact [`LogEntry::encode`] codec.
+//! `⟨nextBal, ballotNumber, value⟩` — lives in the datacenter's key-value
+//! store, so any service process in the datacenter can handle any message.
+//! It lives there as one typed table ([`MvKvStore::protocol`]), not as
+//! encoded rows: a slot per `(group, position)` holds the promise and the
+//! vote as values, and the lock guarding the table makes each handler's
+//! read, test and write one atomic step — the guarantee the paper takes
+//! from `checkAndWrite`. A vote holds the shared [`LogEntry`] it was cast
+//! for; nothing on this path encodes, decodes or copies an entry.
 
 use crate::ballot::Ballot;
-use mvkv::{Attr, Key, MvKvStore, Row};
-use std::sync::Arc;
+use mvkv::MvKvStore;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use walog::{GroupId, LogEntry, LogPosition};
-
-/// Reserved attribute ids for acceptor state rows (the paper's `nextBal`,
-/// `ballotNumber` and `value` columns). These sit at the top of the
-/// attribute space, above everything the interner will ever assign (see
-/// `walog::ident::MAX_INTERNED`).
-const ATTR_NEXT_BAL: Attr = Attr(u32::MAX);
-const ATTR_VOTE_BAL: Attr = Attr(u32::MAX - 1);
-const ATTR_VALUE: Attr = Attr(u32::MAX - 2);
-
-/// Key-space layout for acceptor state rows: bit 63 flags protocol
-/// metadata, bits 62..38 carry the group id, bits 37..0 the log position.
-const PAXOS_KEY_FLAG: u64 = 1 << 63;
-const GROUP_SHIFT: u32 = 38;
-const MAX_STATE_GROUP: u64 = 1 << 25;
-const MAX_STATE_POSITION: u64 = 1 << GROUP_SHIFT;
 
 /// Outcome of handling a prepare message.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,95 +28,62 @@ pub struct PrepareOutcome {
     pub last_vote: Option<(Ballot, Arc<LogEntry>)>,
 }
 
+/// The acceptor state of one log position: Algorithm 1's `nextBal`, and its
+/// `ballotNumber` and `value` as one vote. A slot exists only once a
+/// promise or a vote was recorded.
+#[derive(Default)]
+struct Slot {
+    next_bal: Option<Ballot>,
+    vote: Option<(Ballot, Arc<LogEntry>)>,
+}
+
+/// Every acceptor slot of one datacenter: its store's protocol table.
+#[derive(Default)]
+struct Slots(Mutex<BTreeMap<(GroupId, LogPosition), Slot>>);
+
 /// Stateless acceptor operating against a datacenter's key-value store.
 ///
-/// Each `(group, position)` pair has its own state row; the row key embeds
-/// both (in the reserved region of the key space) so Paxos metadata never
-/// collides with application data.
+/// Each `(group, position)` pair has its own slot in the store's protocol
+/// table, apart from the application rows.
 pub struct AcceptorStore<'a> {
-    store: &'a MvKvStore,
+    slots: &'a Slots,
 }
 
 impl<'a> AcceptorStore<'a> {
     /// Wrap a datacenter's store.
     pub fn new(store: &'a MvKvStore) -> Self {
-        AcceptorStore { store }
+        AcceptorStore {
+            slots: store.protocol(),
+        }
     }
 
-    /// The row key holding the instance state for `(group, position)`.
-    pub fn state_key(group: GroupId, position: LogPosition) -> Key {
-        assert!(
-            (group.0 as u64) < MAX_STATE_GROUP && position.0 < MAX_STATE_POSITION,
-            "acceptor state key space exceeded: {group} at {position}"
-        );
-        Key(PAXOS_KEY_FLAG | ((group.0 as u64) << GROUP_SHIFT) | position.0)
-    }
-
-    fn read_state(
-        &self,
-        group: GroupId,
-        position: LogPosition,
-    ) -> (Option<Ballot>, Option<(Ballot, Arc<LogEntry>)>) {
-        let key = Self::state_key(group, position);
-        let Some(version) = self.store.read(key, None) else {
-            return (None, None);
-        };
-        let next_bal = version.row.get(ATTR_NEXT_BAL).and_then(Ballot::decode);
-        let vote = match (version.row.get(ATTR_VOTE_BAL), version.row.get(ATTR_VALUE)) {
-            (Some(bal), Some(value)) => {
-                Ballot::decode(bal).zip(LogEntry::decode(value).map(Arc::new))
-            }
-            _ => None,
-        };
-        (next_bal, vote)
+    /// Lock the table. Every update below leaves each slot valid at every
+    /// step, so a holder that panicked leaves nothing half-written.
+    fn slots(&self) -> MutexGuard<'a, BTreeMap<(GroupId, LogPosition), Slot>> {
+        self.slots.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Handle a `prepare` message (Algorithm 1, lines 3–15): promise not to
     /// accept ballots lower than `ballot` if it exceeds the current
     /// `nextBal`, and report the last vote either way.
-    ///
-    /// The compare-and-swap loop mirrors the pseudocode: the promise is only
-    /// recorded if `nextBal` has not changed since it was read, otherwise
-    /// the read is retried.
     pub fn handle_prepare(
         &self,
         group: GroupId,
         position: LogPosition,
         ballot: Ballot,
     ) -> PrepareOutcome {
-        let key = Self::state_key(group, position);
-        loop {
-            let (next_bal, last_vote) = self.read_state(group, position);
-            let exceeds = match next_bal {
-                Some(current) => ballot > current,
-                None => true,
-            };
-            if !exceeds {
-                return PrepareOutcome {
-                    promised: false,
-                    next_bal,
-                    last_vote,
-                };
-            }
-            let applied = self
-                .store
-                .check_and_write(
-                    key,
-                    ATTR_NEXT_BAL,
-                    next_bal.map(Ballot::encode).as_deref(),
-                    Row::new().with(ATTR_NEXT_BAL, ballot.encode()),
-                )
-                .applied();
-            if applied {
-                return PrepareOutcome {
-                    promised: true,
-                    next_bal: Some(ballot),
-                    last_vote,
-                };
-            }
-            // nextBal changed under us (another service process of the same
-            // datacenter raced); re-read and re-evaluate, exactly like the
-            // `keepTrying` loop in the paper.
+        let mut slots = self.slots();
+        // A missing slot has no promise, so the prepare always creates one
+        // it fills.
+        let slot = slots.entry((group, position)).or_default();
+        let promised = slot.next_bal.is_none_or(|current| ballot > current);
+        if promised {
+            slot.next_bal = Some(ballot);
+        }
+        PrepareOutcome {
+            promised,
+            next_bal: slot.next_bal,
+            last_vote: slot.vote.clone(),
         }
     }
 
@@ -145,27 +96,29 @@ impl<'a> AcceptorStore<'a> {
         group: GroupId,
         position: LogPosition,
         ballot: Ballot,
-        value: &LogEntry,
+        value: &Arc<LogEntry>,
     ) -> bool {
-        let key = Self::state_key(group, position);
+        let mut slots = self.slots();
+        let slot = match slots.entry((group, position)) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(_) if !ballot.is_fast() => return false,
+            Entry::Vacant(slot) => slot.insert(Slot::default()),
+        };
         // Only the promise decides an accept; the stored vote is about to be
         // overwritten and is never looked at.
-        let expected = match self.promised_ballot(group, position) {
+        let accepted = match slot.next_bal {
             // Regular path: the accept's ballot must match the promise
             // recorded by the prepare phase.
-            Some(current) if current == ballot => Some(ballot.encode()),
+            Some(current) => current == ballot,
             // Fast path: nothing promised yet and the proposer used the
             // reserved round-0 ballot granted by the position's leader.
-            None if ballot.is_fast() => None,
-            _ => return false,
+            None => ballot.is_fast(),
         };
-        let vote_row = Row::new()
-            .with(ATTR_VOTE_BAL, ballot.encode())
-            .with(ATTR_VALUE, value.encode())
-            .with(ATTR_NEXT_BAL, ballot.encode());
-        self.store
-            .check_and_write(key, ATTR_NEXT_BAL, expected.as_deref(), vote_row)
-            .applied()
+        if accepted {
+            slot.next_bal = Some(ballot);
+            slot.vote = Some((ballot, Arc::clone(value)));
+        }
+        accepted
     }
 
     /// Handle an `apply` message (Algorithm 1, lines 20–21): record the
@@ -179,47 +132,34 @@ impl<'a> AcceptorStore<'a> {
         ballot: Ballot,
         value: &Arc<LogEntry>,
     ) -> Arc<LogEntry> {
-        let key = Self::state_key(group, position);
-        // Unconditional overwrite of the vote attributes, as in the paper.
-        let _ = self.store.write(
-            key,
-            Row::new()
-                .with(ATTR_VOTE_BAL, ballot.encode())
-                .with(ATTR_VALUE, value.encode()),
-            None,
-        );
+        // Unconditional overwrite of the vote, as in the paper; the promise
+        // stays.
+        let vote = Some((ballot, Arc::clone(value)));
+        self.slots().entry((group, position)).or_default().vote = vote;
         Arc::clone(value)
     }
 
     /// Restart path: re-record a promise replayed from the write-ahead
-    /// log. Replay is in append order, so an unconditional merge write
-    /// reproduces exactly the state the compare-and-swap path built.
+    /// log. Replay is in append order, so an unconditional overwrite
+    /// reproduces exactly the state the live handlers built.
     pub fn restore_promise(&self, group: GroupId, position: LogPosition, ballot: Ballot) {
-        let key = Self::state_key(group, position);
-        let _ = self
-            .store
-            .write(key, Row::new().with(ATTR_NEXT_BAL, ballot.encode()), None);
+        self.slots().entry((group, position)).or_default().next_bal = Some(ballot);
     }
 
     /// Restart path: re-record a vote replayed from the write-ahead log.
     /// A vote also carries the implied promise (`nextBal = ballot`), just
-    /// as [`AcceptorStore::handle_accept`] wrote it.
+    /// as [`AcceptorStore::handle_accept`] recorded it.
     pub fn restore_vote(
         &self,
         group: GroupId,
         position: LogPosition,
         ballot: Ballot,
-        value: &LogEntry,
+        value: &Arc<LogEntry>,
     ) {
-        let key = Self::state_key(group, position);
-        let _ = self.store.write(
-            key,
-            Row::new()
-                .with(ATTR_VOTE_BAL, ballot.encode())
-                .with(ATTR_VALUE, value.encode())
-                .with(ATTR_NEXT_BAL, ballot.encode()),
-            None,
-        );
+        let mut slots = self.slots();
+        let slot = slots.entry((group, position)).or_default();
+        slot.next_bal = Some(ballot);
+        slot.vote = Some((ballot, Arc::clone(value)));
     }
 
     /// The vote currently recorded for `(group, position)`, if any — used by
@@ -229,13 +169,21 @@ impl<'a> AcceptorStore<'a> {
         group: GroupId,
         position: LogPosition,
     ) -> Option<(Ballot, Arc<LogEntry>)> {
-        self.read_state(group, position).1
+        self.slots().get(&(group, position))?.vote.clone()
     }
 
     /// The highest promised ballot for `(group, position)`, if any.
     pub fn promised_ballot(&self, group: GroupId, position: LogPosition) -> Option<Ballot> {
-        let key = Self::state_key(group, position);
-        Ballot::decode(&self.store.read_attr(key, ATTR_NEXT_BAL, None)?)
+        self.slots().get(&(group, position))?.next_bal
+    }
+
+    /// Whether any promise or vote was ever recorded for `(group,
+    /// position)` — one lookup for the leader fast path's "no Paxos
+    /// activity yet" test.
+    pub fn touched(&self, group: GroupId, position: LogPosition) -> bool {
+        self.slots()
+            .get(&(group, position))
+            .is_some_and(|slot| slot.next_bal.is_some() || slot.vote.is_some())
     }
 }
 
@@ -255,16 +203,6 @@ mod tests {
 
     fn group() -> GroupId {
         GroupId(0)
-    }
-
-    #[test]
-    fn state_keys_are_disjoint_from_application_keys_and_each_other() {
-        let k = AcceptorStore::state_key(GroupId(3), LogPosition(7));
-        assert!(k.0 & PAXOS_KEY_FLAG != 0);
-        assert_ne!(k, AcceptorStore::state_key(GroupId(3), LogPosition(8)));
-        assert_ne!(k, AcceptorStore::state_key(GroupId(4), LogPosition(7)));
-        // Application keys (interned ids zero-extended) never carry the flag.
-        assert_eq!(KeyId(u32::MAX).store_key().0 & PAXOS_KEY_FLAG, 0);
     }
 
     #[test]
@@ -320,7 +258,7 @@ mod tests {
         assert!(acc.handle_accept(group(), LogPosition(1), b1, &value));
         let vote = acc.current_vote(group(), LogPosition(1)).unwrap();
         assert_eq!(vote.0, b1);
-        assert_eq!(*vote.1, *value);
+        assert!(Arc::ptr_eq(&vote.1, &value), "the vote shares the entry");
 
         // A later promise invalidates the old ballot for accepts.
         acc.handle_prepare(group(), LogPosition(1), b2);
@@ -354,12 +292,12 @@ mod tests {
         assert_eq!(*out.last_vote.unwrap().1, *value);
     }
 
-    /// An accept is decided by `nextBal` alone: whatever sits in the vote
-    /// attributes — nothing, an earlier vote, bytes that no longer decode —
-    /// the regular path, the fast path and a stale promise come out the
-    /// same, and an applied accept overwrites it.
+    /// An accept is decided by `nextBal` alone: whether the slot holds no
+    /// vote or an applied one, the regular path, the fast path and a stale
+    /// promise come out the same, and an applied accept overwrites it. A
+    /// refused accept changes nothing, not even whether the slot exists.
     #[test]
-    fn accept_never_looks_at_the_stored_vote() {
+    fn accept_is_decided_by_the_promise_alone() {
         let b1 = Ballot {
             round: 1,
             proposer: 1,
@@ -369,51 +307,66 @@ mod tests {
             proposer: 2,
         };
         let position = LogPosition(1);
-        let key = AcceptorStore::state_key(group(), position);
-        let earlier = entry(7).encode();
-        let stored_votes = [None, Some(earlier.as_str()), Some("LE1 not an entry")];
-        for stored in stored_votes {
-            let with_stored_vote = || {
+        for applied_before in [false, true] {
+            let fresh = || {
                 let store = MvKvStore::new();
-                if let Some(text) = stored {
-                    let vote = Row::new()
-                        .with(ATTR_VOTE_BAL, Ballot::fast(9).encode())
-                        .with(ATTR_VALUE, text);
-                    store.write(key, vote, None).unwrap();
+                if applied_before {
+                    AcceptorStore::new(&store).handle_apply(
+                        group(),
+                        position,
+                        Ballot::fast(9),
+                        &entry(7),
+                    );
                 }
                 store
+            };
+            let state = |acc: &AcceptorStore| {
+                (
+                    acc.touched(group(), position),
+                    acc.promised_ballot(group(), position),
+                    acc.current_vote(group(), position),
+                )
             };
             let value = entry(1);
 
             // Regular path: the accept matches the recorded promise.
-            let store = with_stored_vote();
+            let store = fresh();
             let acc = AcceptorStore::new(&store);
             assert!(acc.handle_prepare(group(), position, b1).promised);
             assert!(acc.handle_accept(group(), position, b1, &value));
             let (bal, voted) = acc.current_vote(group(), position).unwrap();
-            assert_eq!((bal, &*voted), (b1, &*value), "stored vote {stored:?}");
+            assert_eq!((bal, &*voted), (b1, &*value), "applied {applied_before}");
             assert_eq!(acc.promised_ballot(group(), position), Some(b1));
 
             // Fast path: nothing promised yet, round-0 ballot.
-            let store = with_stored_vote();
+            let store = fresh();
             let acc = AcceptorStore::new(&store);
             assert!(acc.handle_accept(group(), position, Ballot::fast(3), &value));
             let (bal, voted) = acc.current_vote(group(), position).unwrap();
             assert_eq!((bal, &*voted), (Ballot::fast(3), &*value));
-            // ...but a regular ballot without a promise is refused.
-            let store = with_stored_vote();
+            assert_eq!(
+                acc.promised_ballot(group(), position),
+                Some(Ballot::fast(3))
+            );
+
+            // ...but a regular ballot without a promise is refused and
+            // writes nothing.
+            let store = fresh();
             let acc = AcceptorStore::new(&store);
+            let before = state(&acc);
+            assert_eq!(before.0, applied_before);
             assert!(!acc.handle_accept(group(), position, b1, &value));
+            assert_eq!(state(&acc), before);
 
             // Stale promise: a higher prepare got in first; nothing is written.
-            let store = with_stored_vote();
+            let store = fresh();
             let acc = AcceptorStore::new(&store);
             acc.handle_prepare(group(), position, b1);
             acc.handle_prepare(group(), position, b2);
-            let before = store.read(key, None);
+            let before = state(&acc);
             assert!(!acc.handle_accept(group(), position, b1, &value));
             assert!(!acc.handle_accept(group(), position, Ballot::fast(3), &value));
-            assert_eq!(store.read(key, None), before, "stored vote {stored:?}");
+            assert_eq!(state(&acc), before, "applied {applied_before}");
         }
     }
 
@@ -432,6 +385,9 @@ mod tests {
             *acc.current_vote(group(), LogPosition(2)).unwrap().1,
             *value
         );
+        // An apply leaves the promise alone.
+        assert_eq!(acc.promised_ballot(group(), LogPosition(2)), None);
+        assert!(acc.touched(group(), LogPosition(2)));
     }
 
     #[test]
@@ -488,7 +444,16 @@ mod tests {
             proposer: 1,
         };
         acc.handle_prepare(group(), LogPosition(1), b);
+        assert!(acc.touched(group(), LogPosition(1)));
         assert!(acc.promised_ballot(group(), LogPosition(2)).is_none());
         assert!(acc.promised_ballot(GroupId(9), LogPosition(1)).is_none());
+        assert!(!acc.touched(group(), LogPosition(2)));
+        // Acceptor state is never an application row, and every view of one
+        // store shares its slots.
+        assert_eq!(store.key_count(), 0);
+        assert_eq!(
+            AcceptorStore::new(&store).promised_ballot(group(), LogPosition(1)),
+            Some(b)
+        );
     }
 }

@@ -42,12 +42,8 @@ impl Ballot {
         self.round == 0
     }
 
-    /// Encode for storage as a key-value attribute.
-    pub fn encode(self) -> String {
-        format!("{}:{}", self.round, self.proposer)
-    }
-
-    /// Decode from the attribute encoding; `None` for malformed input.
+    /// Decode the write-ahead log's `round:proposer` ballot text; `None`
+    /// for malformed input.
     pub fn decode(s: &str) -> Option<Ballot> {
         let (round, proposer) = s.split_once(':')?;
         Some(Ballot {
@@ -108,12 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips() {
+    fn decode_reads_round_then_proposer() {
         let b = Ballot {
             round: 42,
             proposer: 17,
         };
-        assert_eq!(Ballot::decode(&b.encode()), Some(b));
+        assert_eq!(Ballot::decode("42:17"), Some(b));
         assert_eq!(Ballot::decode("garbage"), None);
         assert_eq!(Ballot::decode("1:x"), None);
     }

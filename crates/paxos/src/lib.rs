@@ -5,8 +5,9 @@
 //! protocol exactly as given in the paper:
 //!
 //! * the **acceptor** role of the Transaction Service (Algorithm 1), whose
-//!   entire state lives in the local key-value store and is updated with
-//!   `checkAndWrite`, keeping the service itself stateless;
+//!   entire state lives in the local key-value store — as one typed table
+//!   whose lock makes each update atomic, the role `checkAndWrite` plays in
+//!   the paper — keeping the service itself stateless;
 //! * the **proposer** role of the Transaction Client (Algorithm 2), as a
 //!   driver-agnostic state machine that consumes replies/timeouts and emits
 //!   messages/timer requests;

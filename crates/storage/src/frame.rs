@@ -7,22 +7,24 @@
 //! [ len: u32 LE ][ crc32(payload): u32 LE ][ payload bytes ... ]
 //! ```
 //!
-//! The CRC is the standard IEEE-802.3 polynomial (the table is derived at
-//! compile time — the build environment has no registry access, so no
-//! external crc crate). A reader walks frames front to back; the first
-//! frame whose header is incomplete, whose payload is shorter than its
-//! declared length, or whose checksum mismatches terminates the scan as
-//! [`FrameRead::Torn`]. That single rule is what makes a crash mid-append
+//! The CRC is the standard IEEE-802.3 polynomial, computed slicing-by-8
+//! from eight tables derived at compile time (no external crc crate). A
+//! reader walks frames front to back; the first frame whose header is
+//! incomplete, whose payload is shorter than its declared length, or whose
+//! checksum mismatches terminates the scan as [`FrameRead::Torn`]. That single rule is what makes a crash mid-append
 //! recoverable: everything before the torn frame is intact by checksum,
 //! everything at and after it is discarded.
 
 /// Bytes of frame header preceding each payload.
 pub const FRAME_HEADER: usize = 8;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC state of byte `b` followed by
+/// `k` zero bytes, so eight lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -35,17 +37,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// IEEE CRC-32 of `data`.
+/// IEEE CRC-32 of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -218,5 +244,38 @@ mod tests {
     fn crc_reference_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time CRC the sliced one must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_crc_at_every_length_and_alignment() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
     }
 }

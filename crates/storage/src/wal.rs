@@ -102,7 +102,8 @@ impl WalRecord {
     }
 
     /// Encode as the frame payload: an ASCII record reusing the
-    /// [`LogEntry`] codec for values and [`Ballot::encode`] for ballots.
+    /// [`LogEntry`] codec for values and writing ballots as the
+    /// `round:proposer` text [`Ballot::decode`] reads.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -122,7 +123,7 @@ impl WalRecord {
         out.push(b' ');
         push_decimal(out, self.position().0);
         if let Some(ballot) = ballot {
-            // `Ballot::encode`'s `round:proposer`, without its `String`.
+            // `round:proposer`, as `Ballot::decode` reads it back.
             out.push(b' ');
             push_decimal(out, ballot.round);
             out.push(b':');

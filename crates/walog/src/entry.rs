@@ -116,10 +116,9 @@ impl LogEntry {
             .any(|r| self.write_items.binary_search(&r.item.packed()).is_ok())
     }
 
-    /// Encode the entry for storage as a key-value attribute (the acceptor
-    /// persists its vote through `checkAndWrite`, §4). The format is a
-    /// compact ASCII token stream; thanks to interning, every field except
-    /// the observed/written values is an integer.
+    /// Encode the entry for the write-ahead log's vote and decided records.
+    /// The format is a compact ASCII token stream; thanks to interning,
+    /// every field except the observed/written values is an integer.
     pub fn encode(&self) -> String {
         // Room for the paper's shape — five reads and five writes of short
         // values in ≈ 190 bytes — so the buffer is allocated once; a larger

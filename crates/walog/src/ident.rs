@@ -71,13 +71,12 @@ impl fmt::Display for AttrId {
 impl KeyId {
     /// The raw (group-unqualified) store key this row id maps to.
     ///
-    /// Application rows occupy the low half of the store's key space;
-    /// protocol metadata (acceptor state) lives above `1 << 63` and can
-    /// never collide. The transaction tier qualifies application rows by
-    /// transaction group before touching the store (group id in the high
-    /// 32 bits of the key, see `mdstore`'s `DatacenterCore`), so two
-    /// groups using the same row name never alias; this raw mapping is
-    /// for single-group embedders and tests.
+    /// Every store key is an application row: the acceptor state lives in
+    /// the store's protocol table, not in rows. The transaction tier
+    /// qualifies application rows by transaction group before touching the
+    /// store (group id in the high 32 bits of the key, see `mdstore`'s
+    /// `DatacenterCore`), so two groups using the same row name never
+    /// alias; this raw mapping is for single-group embedders and tests.
     pub fn store_key(self) -> mvkv::Key {
         mvkv::Key(self.0 as u64)
     }
@@ -89,9 +88,8 @@ impl From<AttrId> for mvkv::Attr {
     }
 }
 
-/// Highest id the interner will hand out. The ids above it (up to
-/// `u32::MAX`) are reserved for protocol attributes such as the Paxos
-/// acceptor's `nextBal`/`ballotNumber`/`value` columns.
+/// Highest id the interner will hand out; the ids above it (up to
+/// `u32::MAX`) stay unassigned.
 pub const MAX_INTERNED: u32 = u32::MAX - 64;
 
 #[derive(Default)]

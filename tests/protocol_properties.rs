@@ -1,8 +1,10 @@
 //! Protocol-level properties of basic Paxos vs. Paxos-CP, checked on whole
 //! simulated runs: the claims of §4–§6 of the paper as executable tests.
 
-use paxos_cp::mdstore::{CommitProtocol, Topology};
-use paxos_cp::workload::{run_load, LoadSpec};
+use paxos_cp::mdstore::{Cluster, ClusterConfig, CommitProtocol, Topology};
+use paxos_cp::workload::{place, run_load, LoadSpec, Names};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn contended_spec(protocol: CommitProtocol, seed: u64) -> LoadSpec {
     LoadSpec::paper_default(Topology::vvv(), protocol)
@@ -110,4 +112,51 @@ fn higher_offered_load_does_not_break_safety_and_lowers_commit_ratio() {
         fast.totals.committed,
         slow.totals.committed
     );
+}
+
+/// Paxos state is not data: after a contended run every key in every
+/// datacenter's store names an application row of the load, while the
+/// acceptor still answers with the decided vote for every position.
+#[test]
+fn after_a_contended_run_the_store_holds_only_application_rows() {
+    let spec = contended_spec(CommitProtocol::PaxosCp, 3);
+    let mut cluster = Cluster::build(
+        ClusterConfig::new(spec.topology.clone(), spec.client.protocol).with_seed(spec.seed),
+    );
+    let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
+    let fleet = place(&mut cluster, &spec, &names);
+    cluster.run_to_completion();
+    assert!(fleet.totals().committed > 0);
+    let rows: BTreeSet<u64> = names
+        .groups
+        .iter()
+        .flat_map(|g| {
+            names
+                .rows
+                .iter()
+                .map(|r| (u64::from(g.0) << 32) | u64::from(r.0))
+        })
+        .collect();
+    for replica in 0..cluster.num_datacenters() {
+        let core = cluster.core(replica);
+        let core = core.lock();
+        let keys = core.store().keys();
+        assert!(!keys.is_empty(), "replica {replica} applied nothing");
+        for key in keys {
+            assert!(
+                rows.contains(&key.0),
+                "replica {replica}: store key {key} is not an application row"
+            );
+        }
+        for (group, log) in core.logs() {
+            assert!(log.len() > 1, "replica {replica}: the run must decide");
+            for (position, entry) in log.iter() {
+                let (_, vote) = core
+                    .acceptor()
+                    .current_vote(group, position)
+                    .unwrap_or_else(|| panic!("replica {replica}: no vote at {position}"));
+                assert_eq!(vote, *entry, "replica {replica}: vote at {position}");
+            }
+        }
+    }
 }
