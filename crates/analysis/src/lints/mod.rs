@@ -21,7 +21,8 @@ pub const TIMER_REFIRE: &str = "timer-refire";
 pub const METRICS_COMPLETENESS: &str = "metrics-completeness";
 /// Lint name: ballot proposer comparisons must mask the recovery bit.
 pub const BALLOT_DISCIPLINE: &str = "ballot-discipline";
-/// Lint name: acceptor replies must be preceded by a persist call.
+/// Lint name: acceptor replies must be preceded by a persist call and wait
+/// for the sync that covers it.
 pub const PERSIST_BEFORE_ACK: &str = "persist-before-ack";
 
 /// A registered lint: name, one-line description, and entry point.
@@ -63,7 +64,7 @@ pub const LINTS: [Lint; 6] = [
     },
     Lint {
         name: PERSIST_BEFORE_ACK,
-        describe: "constructing PaxosMsg::PrepareReply/AcceptReply requires a prior persist*() call in the same handler",
+        describe: "PaxosMsg::PrepareReply/AcceptReply need a prior persist*() call in the same handler and leave through the release path, not ctx.send",
         run: persist::run,
     },
 ];

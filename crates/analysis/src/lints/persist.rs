@@ -1,4 +1,5 @@
-//! `persist-before-ack` — acceptor replies must follow a persist call.
+//! `persist-before-ack` — acceptor replies must follow a persist call and
+//! wait for the sync that covers it.
 //!
 //! The durable storage plane's central invariant is that an acceptor never
 //! acknowledges a Promise or a vote until the corresponding WAL record is
@@ -13,12 +14,25 @@
 //! pattern is recognised by a `..` rest inside the braces or a `=>` / `|`
 //! after them.
 //!
+//! A `persist*` call only *appends* the record; one sync per batch of held
+//! acknowledgements makes it durable. So the reply must be handed to the
+//! release path ([`RELEASE_PATH`]), which holds it until that sync, and a
+//! reply that goes straight to `ctx.send` after the append is still a
+//! finding: it would leave in the same turn, before any sync. The reply's
+//! destination is the call it is an argument of, seen through enum-variant
+//! wrappers such as `Msg::Paxos(..)`.
+//!
 //! In-memory harnesses that deliberately skip durability waive the finding
 //! with `lint:allow(persist-before-ack)`, keeping the exception explicit.
 
 use crate::findings::Finding;
 use crate::lexer::{self, TokKind, Token};
 use crate::source::Workspace;
+
+/// The service's release path for acceptor replies: it sends a reply at
+/// once when nothing was appended for it, and otherwise holds it until a
+/// sync covers its record.
+pub const RELEASE_PATH: &str = "ack_after_sync";
 
 /// Run the persist-before-ack lint over the workspace.
 pub fn run(ws: &Workspace) -> Vec<Finding> {
@@ -56,20 +70,80 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                     && toks[k].text.starts_with("persist")
                     && toks.get(k + 1).is_some_and(|n| n.text == "(")
             });
-            if !persisted {
-                out.push(Finding {
-                    lint: super::PERSIST_BEFORE_ACK,
-                    rel: file.rel.clone(),
-                    line: t.line,
-                    message: format!(
-                        "`PaxosMsg::{}` is constructed with no preceding `persist*(...)` call in this handler — the acceptor must be durable before it acks",
-                        t.text
-                    ),
-                });
-            }
+            let message = if !persisted {
+                format!(
+                    "`PaxosMsg::{}` is constructed with no preceding `persist*(...)` call in this handler — the acceptor must be durable before it acks",
+                    t.text
+                )
+            } else if sent_by_ctx(toks, i - 2, start) {
+                format!(
+                    "`PaxosMsg::{}` goes straight to `ctx.send` after a deferred `persist*(...)` append — hand it to `{RELEASE_PATH}` so it leaves only once a sync covers its record",
+                    t.text
+                )
+            } else {
+                continue;
+            };
+            out.push(Finding {
+                lint: super::PERSIST_BEFORE_ACK,
+                rel: file.rel.clone(),
+                line: t.line,
+                message,
+            });
         }
     }
     out
+}
+
+/// Whether the reply constructed at token `at` (inside the fn body starting
+/// at `floor`) is an argument of `ctx.send(..)`, seen through enum-variant
+/// wrappers (`Msg::Paxos(..)`, `Some(..)`).
+fn sent_by_ctx(toks: &[Token], at: usize, floor: usize) -> bool {
+    let mut at = at;
+    loop {
+        let Some(callee) = unclosed_paren(toks, at, floor).and_then(|open| open.checked_sub(1))
+        else {
+            return false;
+        };
+        if toks[callee].kind != TokKind::Ident {
+            return false;
+        }
+        if !toks[callee]
+            .text
+            .starts_with(|c: char| c.is_ascii_uppercase())
+        {
+            return callee >= 2
+                && toks[callee].text == "send"
+                && toks[callee - 1].text == "."
+                && toks[callee - 2].text == "ctx";
+        }
+        at = path_start(toks, callee);
+    }
+}
+
+/// The innermost `(` left open between `floor` and `at`, unless a `{`,
+/// `[` or a statement boundary encloses `at` first.
+fn unclosed_paren(toks: &[Token], at: usize, floor: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for k in (floor..at).rev() {
+        match toks[k].text.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth > 0 => depth -= 1,
+            "(" => return Some(k),
+            "[" | "{" => return None,
+            ";" if depth == 0 => return None,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The first token of the `a::b::c` path ending at `at`.
+fn path_start(toks: &[Token], at: usize) -> usize {
+    let mut start = at;
+    while start >= 2 && toks[start - 1].text == "::" && toks[start - 2].kind == TokKind::Ident {
+        start -= 2;
+    }
+    start
 }
 
 /// True when the brace group at `open..end` is a match *pattern* rather
@@ -163,6 +237,27 @@ mod tests {
                    ProposerEvent::PrepareReply { group: g, position: p, ballot: b, promised: true, next_bal: n, last_vote: None }\n\
                    }";
         assert!(findings(src).is_empty());
+    }
+
+    #[test]
+    fn a_reply_handed_to_the_release_path_after_a_deferred_append_is_clean() {
+        let src = "fn on_accept(&mut self, ctx: &mut Context<Msg>) {\n\
+                   let held = (accepted && core.persist_vote(g, p, b, &v)).then(|| core.incarnation());\n\
+                   self.ack_after_sync(ctx, from, held, Msg::Paxos(PaxosMsg::AcceptReply { group: g, position: p, ballot: b, accepted }));\n\
+                   }";
+        assert!(findings(src).is_empty());
+    }
+
+    #[test]
+    fn a_reply_sent_straight_to_ctx_send_after_a_deferred_append_fires() {
+        let src = "fn on_accept(&mut self, ctx: &mut Context<Msg>) {\n\
+                   let held = accepted && core.persist_vote(g, p, b, &v);\n\
+                   ctx.send(from, Msg::Paxos(PaxosMsg::AcceptReply { group: g, position: p, ballot: b, accepted }));\n\
+                   }";
+        let f = findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("ctx.send"), "{f:?}");
+        assert!(f[0].message.contains(RELEASE_PATH), "{f:?}");
     }
 
     #[test]

@@ -200,6 +200,32 @@ fn persist_before_ack_waiver_suppresses() {
 }
 
 #[test]
+fn persist_before_ack_accepts_replies_handed_to_the_release_path() {
+    let ws = ws(&[("crates/core/src/service.rs", "persist/held.rs")], &[]);
+    let report = analysis::run(&ws);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.waived.is_empty());
+}
+
+#[test]
+fn persist_before_ack_fires_on_replies_sent_before_the_sync() {
+    let ws = ws(
+        &[("crates/core/src/service.rs", "persist/sent_before_sync.rs")],
+        &[],
+    );
+    let report = analysis::run(&ws);
+    assert_eq!(report.active.len(), 2, "{}", report.render());
+    assert!(report
+        .active
+        .iter()
+        .all(|f| f.lint == lints::PERSIST_BEFORE_ACK
+            && f.message.contains("ctx.send")
+            && f.message.contains(lints::persist::RELEASE_PATH)));
+    assert!(report.active[0].message.contains("PrepareReply"));
+    assert!(report.active[1].message.contains("AcceptReply"));
+}
+
+#[test]
 fn stale_waiver_fails_the_run() {
     let ws = Workspace::from_sources(
         &[(

@@ -114,6 +114,8 @@ pub struct DatacenterCore {
     /// Set while [`DatacenterCore::restart_from_disk`] replays the WAL:
     /// replayed installs must not be re-logged or trigger snapshots.
     replaying: bool,
+    /// Restarts from disk so far ([`DatacenterCore::incarnation`]).
+    incarnation: u64,
 }
 
 /// One group's decided state as one datacenter holds it: what a datacenter
@@ -130,7 +132,9 @@ pub struct GroupState {
     pub prefix: LogPosition,
     /// Every transaction id the group's decided entries carry.
     pub committed: Vec<TxnId>,
-    /// Every retained version of the group's rows, by key then timestamp.
+    /// Every retained version of the group's rows, by key then timestamp:
+    /// the oldest whole, each later one as the attributes it changed
+    /// ([`MvKvStore::dump_versions`]), so merge-upsert replay rebuilds them.
     pub rows: Vec<(Key, Vec<(Timestamp, Row)>)>,
     /// The retained log entries above the base.
     pub tail: Vec<(LogPosition, Arc<LogEntry>)>,
@@ -169,12 +173,15 @@ impl DatacenterCore {
             unsynced: BTreeSet::new(),
             forgotten_base: BTreeMap::new(),
             replaying: false,
+            incarnation: 0,
         }
     }
 
-    /// Attach the durable storage plane: from here on every promise and
-    /// vote is synced through the WAL before it may be acknowledged, every
-    /// decided entry is synced before it applies, and snapshots and WAL
+    /// Attach the durable storage plane: from here on every granted promise
+    /// and cast vote is appended to the WAL and its acknowledgement waits
+    /// for the next sync, which the Transaction Service issues once for a
+    /// whole batch of held acknowledgements; every decided entry applies
+    /// only once a sync made its record durable, and snapshots and WAL
     /// truncation run at the configured cadence.
     pub fn attach_storage(&mut self, storage: DcStorage) {
         self.storage = Some(storage);
@@ -195,26 +202,34 @@ impl DatacenterCore {
         self.storage.as_mut()
     }
 
-    /// Make a phase-1 promise durable (persist-before-ack): the acceptor's
-    /// `PrepareReply` must not be sent unless this returns `true`. Always
-    /// `true` in-memory; with storage attached, `false` means the fsync
-    /// failed and the reply must be dropped (crash-equivalent: a promise
-    /// that was never made).
+    /// How many times this datacenter restarted from disk. A reply held for
+    /// a sync carries the incarnation it was appended in: after a restart
+    /// its record may have gone with a torn tail, so it must never leave.
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+
+    /// Append a granted phase-1 promise to the WAL (persist-before-ack).
+    /// Returns whether the acknowledgement must wait for a sync: `false`
+    /// in-memory, where the `PrepareReply` leaves at once; `true` with
+    /// storage attached, where it may leave only after a later
+    /// [`DatacenterCore::flush`] succeeds in the same incarnation.
     pub fn persist_promise(
         &mut self,
         group: GroupId,
         position: LogPosition,
         ballot: Ballot,
     ) -> bool {
-        self.log_and_sync(&WalRecord::Promise {
+        self.append(&WalRecord::Promise {
             group,
             position,
             ballot,
         })
     }
 
-    /// Make a phase-2 vote durable (persist-before-ack); the acceptor's
-    /// `AcceptReply` must not be sent unless this returns `true`.
+    /// Append a cast phase-2 vote to the WAL (persist-before-ack); the
+    /// `AcceptReply` waits for a sync exactly when this returns `true`, as
+    /// for [`DatacenterCore::persist_promise`].
     pub fn persist_vote(
         &mut self,
         group: GroupId,
@@ -222,7 +237,7 @@ impl DatacenterCore {
         ballot: Ballot,
         value: &Arc<LogEntry>,
     ) -> bool {
-        self.log_and_sync(&WalRecord::Vote {
+        self.append(&WalRecord::Vote {
             group,
             position,
             ballot,
@@ -230,14 +245,13 @@ impl DatacenterCore {
         })
     }
 
-    /// Append `record` and sync: the sync an acknowledgement pays for also
-    /// makes every buffered `Decided` record durable.
-    fn log_and_sync(&mut self, record: &WalRecord) -> bool {
+    /// Buffer `record` for the next sync; whether there is storage to sync.
+    fn append(&mut self, record: &WalRecord) -> bool {
         let Some(s) = &mut self.storage else {
-            return true;
+            return false;
         };
         s.append(record);
-        self.flush()
+        true
     }
 
     /// Sync every buffered WAL record; on success the installed entries
@@ -352,9 +366,10 @@ impl DatacenterCore {
     ///
     /// With storage attached the entry's `Decided` record is appended but
     /// not synced, and the entry applies only once a sync makes it durable:
-    /// the next promise or vote sync, a read or snapshot that needs it, or
-    /// the service's flush deadline ([`DatacenterCore::flush`]). Everything
-    /// else — the prefix, dedup, leader lookups — sees it at once.
+    /// the sync that releases a batch of held acknowledgements, a read or
+    /// snapshot that needs it, or the service's sync deadline
+    /// ([`DatacenterCore::flush`]). Everything else — the prefix, dedup,
+    /// leader lookups — sees it at once.
     ///
     /// Panics if a *different* entry was already installed at the position:
     /// that would violate replication property (R1) and indicates a protocol
@@ -488,7 +503,9 @@ impl DatacenterCore {
     /// Capture one group's durable state: the applied prefix, the log base
     /// the restart will resume from, every committed transaction id, and
     /// every retained store version of the group's rows — `versions`, the
-    /// store's dump of them, whose values the snapshot borrows.
+    /// store's dump of them (the oldest version of each key whole, later
+    /// ones as the attributes they changed), whose values the snapshot
+    /// borrows.
     fn build_snapshot<'a>(
         &self,
         group: GroupId,
@@ -772,6 +789,8 @@ impl DatacenterCore {
     /// they were neither applied nor acknowledged by this datacenter, and
     /// their votes still hold them at the replicas. Each restored snapshot
     /// base becomes the group's forgotten base ([`DatacenterCore::forgot`]).
+    /// The [`DatacenterCore::incarnation`] advances, so no acknowledgement
+    /// held for a sync of the dead handle ever leaves.
     pub fn restart_from_disk(
         &mut self,
         cfg: &DurableConfig,
@@ -785,6 +804,7 @@ impl DatacenterCore {
         self.leader_claims.clear();
         self.committed_ids.clear();
         self.unsynced.clear();
+        self.incarnation += 1;
         // Drop the dead handle before a new one opens; its counters carry on.
         let counters = self.storage.take().map(|s| s.stats());
         let report = RestartReport {
@@ -837,7 +857,9 @@ impl DatacenterCore {
 
     /// Restore one group snapshot: committed ids, the truncated log base
     /// (which also marks everything at or below it as applied) and every
-    /// captured store version, in timestamp order.
+    /// captured store version, in timestamp order. Merge-upsert rebuilds
+    /// whole rows from the stored deltas; a snapshot holding whole versions
+    /// restores the same way.
     fn restore_snapshot(&mut self, snap: &GroupSnapshot) {
         let ids = self.committed_ids.entry(snap.group).or_default();
         ids.extend(snap.committed.iter().copied());
@@ -1293,8 +1315,8 @@ mod tests {
         assert!(!core.leader_claim(GROUP, LogPosition(1), 10));
     }
 
-    /// Install a decided entry and sync it, as the next acknowledgement's
-    /// sync (or the service's flush deadline) would.
+    /// Install a decided entry and sync it, as the service's next sync
+    /// deadline would.
     fn install_synced(core: &mut DatacenterCore, p: u64, value: &str) {
         core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, A, value));
         assert!(core.flush());
@@ -1433,9 +1455,12 @@ mod tests {
         );
         assert_eq!(syncs(&core), 1);
         assert_eq!(applied(&core), LogPosition(1));
-        // ... and an acknowledgement's sync carries the buffered record.
+        // ... and the sync that releases a held acknowledgement carries the
+        // buffered record; the append alone syncs nothing.
         let ballot = paxos::Ballot::initial(3);
         assert!(core.persist_promise(GROUP, LogPosition(3), ballot));
+        assert_eq!(syncs(&core), 1);
+        assert!(core.flush());
         assert_eq!(syncs(&core), 2);
         assert_eq!(core.storage_stats().unwrap().records_synced, 3);
         assert_eq!(applied(&core), LogPosition(2));
@@ -1587,7 +1612,10 @@ mod tests {
         let mut core = DatacenterCore::new("dc0", 0);
         assert!(!core.is_durable());
         assert!(core.storage_stats().is_none());
-        assert!(core.persist_promise(GROUP, LogPosition(1), paxos::Ballot::initial(1)));
+        assert!(
+            !core.persist_promise(GROUP, LogPosition(1), paxos::Ballot::initial(1)),
+            "an in-memory acknowledgement waits for no sync"
+        );
         core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "1"));
         assert_eq!(core.log(GROUP).unwrap().base(), LogPosition::ZERO);
     }

@@ -11,11 +11,16 @@
 //!   never triggering recovery (`unavailable` on a gap, retry elsewhere) —
 //!   so *any* replica of a group can serve its read traffic, not just the
 //!   group home;
-//! * play the Paxos acceptor role (Algorithm 1) for every log position;
+//! * play the Paxos acceptor role (Algorithm 1) for every log position —
+//!   with durable storage, a granted promise or cast vote is appended to
+//!   the WAL and its reply held; one sync per batch of held
+//!   acknowledgements, at most [`ACK_SYNC_LATENCY`] after the first of them
+//!   was held, releases them all;
 //! * install decided entries into the local write-ahead log and apply them
 //!   to the local key-value store — with durable storage, once their
-//!   `Decided` record rides a sync: the next promise or vote sync, a read
-//!   that needs them, or at the latest [`DECIDED_FLUSH_DEADLINE`] later;
+//!   `Decided` record rides a sync: the one that releases the next batch of
+//!   held acknowledgements, a read that needs them, or at the latest
+//!   [`DECIDED_FLUSH_DEADLINE`] later;
 //! * answer a prepare or accept at a position this datacenter forgot in a
 //!   restart from disk with its group state ([`Msg::CatchUp`]) instead of a
 //!   promise or a vote, and adopt such a state from a peer when it lags;
@@ -61,7 +66,7 @@ use crate::proposers::{Env, Input, Proposers};
 use crate::session::{apply_client_actions, ClientAction, ClientConfig};
 use parking_lot::Mutex;
 use paxos::{AbortReason, PaxosMsg, Proposer, ProposerConfig, TimerKind};
-use simnet::{Actor, Context, NodeId, SimDuration, SimTime};
+use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
@@ -70,11 +75,21 @@ use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
 /// up from 1 and can never collide with it).
 const JANITOR_TAG: u64 = u64::MAX;
 
-/// Timer tag reserved for the decided-record flush deadline.
+/// Timer tag reserved for the sync deadline, which releases held
+/// acknowledgements and makes buffered `Decided` records durable.
 const FLUSH_TAG: u64 = u64::MAX - 1;
 
+/// The modelled latency of one WAL sync on the simulated clock: a held
+/// acknowledgement leaves at most this long after the first reply its sync
+/// covers was held, and every reply held meanwhile rides the same sync.
+/// 500 µs is the sync latency of a cloud block device; the simulated
+/// network runs on the paper's EC2 round trips, so the simulated disk is
+/// modelled on the same platform.
+pub const ACK_SYNC_LATENCY: SimDuration = SimDuration::from_micros(500);
+
 /// The longest a decided entry's buffered `Decided` record waits for a sync
-/// some acknowledgement pays for before the service syncs it on its own.
+/// some held acknowledgement pays for before the service syncs it on its
+/// own.
 /// No acknowledgement depends on the record (the decision is replicated),
 /// but the entry applies only once it is durable.
 pub const DECIDED_FLUSH_DEADLINE: SimDuration = SimDuration::from_millis(1);
@@ -101,6 +116,14 @@ struct DecidedFate {
     combined: bool,
     rounds: u32,
     abort_reason: Option<AbortReason>,
+}
+
+/// An acceptor reply waiting for the sync that makes its promise or vote
+/// durable, tagged with the datacenter incarnation it was appended in.
+struct HeldReply {
+    to: NodeId,
+    reply: Msg,
+    incarnation: u64,
 }
 
 /// A remote read waiting for the local log to catch up.
@@ -173,8 +196,11 @@ pub struct TransactionService {
     /// Per-group watch state: the first undecided position last observed,
     /// when it was first seen there, and re-proposal attempts made for it.
     orphan_watch: BTreeMap<GroupId, (LogPosition, SimTime, u32)>,
-    /// Whether the decided-record flush deadline timer is armed.
-    flush_armed: bool,
+    /// Acceptor replies held for the next sync, in arrival order.
+    held: Vec<HeldReply>,
+    /// The armed sync deadline and its timer: the earliest of the held
+    /// replies' and the buffered `Decided` records' deadlines.
+    sync_timer: Option<(SimTime, TimerId)>,
     /// When this service last sent its group state to a datacenter, by
     /// (replica, group): a lagging replica prepares every missing position
     /// at once, and one state answers them all.
@@ -216,7 +242,8 @@ impl TransactionService {
             janitor_armed: false,
             orphan_hints: BTreeSet::new(),
             orphan_watch: BTreeMap::new(),
-            flush_armed: false,
+            held: Vec::new(),
+            sync_timer: None,
             catch_up_sent: BTreeMap::new(),
         }
     }
@@ -286,40 +313,42 @@ impl TransactionService {
                 position,
                 ballot,
             } => {
-                // Persist-before-ack: a granted promise must hit the WAL
-                // before the reply leaves. A failed sync drops the reply —
-                // indistinguishable from a crash just before answering,
-                // which Paxos already tolerates. Rejections create no new
-                // durable state (the promise they reveal already is). A
-                // position this datacenter forgot gets no promise at all.
+                // Persist-before-ack: a granted promise is appended to the
+                // WAL and its reply held until a sync covers it. A failed
+                // sync drops the reply — indistinguishable from a crash just
+                // before answering, which Paxos already tolerates.
+                // Rejections create no new durable state (the promise they
+                // reveal already is) and leave at once. A position this
+                // datacenter forgot gets no promise at all.
                 let reply = {
                     let mut core = self.core.lock();
                     if core.forgot(group, position) {
                         None
                     } else {
                         let outcome = core.acceptor().handle_prepare(group, position, ballot);
-                        let durable =
-                            !outcome.promised || core.persist_promise(group, position, ballot);
-                        Some((outcome, durable))
+                        let held = (outcome.promised
+                            && core.persist_promise(group, position, ballot))
+                        .then(|| core.incarnation());
+                        Some((outcome, held))
                     }
                 };
-                let Some((outcome, durable)) = reply else {
+                let Some((outcome, held)) = reply else {
                     self.send_catch_up(ctx, from, group);
                     return;
                 };
-                if durable {
-                    ctx.send(
-                        from,
-                        Msg::Paxos(PaxosMsg::PrepareReply {
-                            group,
-                            position,
-                            ballot,
-                            promised: outcome.promised,
-                            next_bal: outcome.next_bal,
-                            last_vote: outcome.last_vote,
-                        }),
-                    );
-                }
+                self.ack_after_sync(
+                    ctx,
+                    from,
+                    held,
+                    Msg::Paxos(PaxosMsg::PrepareReply {
+                        group,
+                        position,
+                        ballot,
+                        promised: outcome.promised,
+                        next_bal: outcome.next_bal,
+                        last_vote: outcome.last_vote,
+                    }),
+                );
                 // A prepare at an undecided position is exactly the wedge
                 // signal — read-carrying clients re-preparing behind an
                 // orphaned vote — so let the janitor take a look.
@@ -341,26 +370,26 @@ impl TransactionService {
                         let accepted = core
                             .acceptor()
                             .handle_accept(group, position, ballot, &value);
-                        let durable =
-                            !accepted || core.persist_vote(group, position, ballot, &value);
-                        Some((accepted, durable))
+                        let held = (accepted && core.persist_vote(group, position, ballot, &value))
+                            .then(|| core.incarnation());
+                        Some((accepted, held))
                     }
                 };
-                let Some((accepted, durable)) = reply else {
+                let Some((accepted, held)) = reply else {
                     self.send_catch_up(ctx, from, group);
                     return;
                 };
-                if durable {
-                    ctx.send(
-                        from,
-                        Msg::Paxos(PaxosMsg::AcceptReply {
-                            group,
-                            position,
-                            ballot,
-                            accepted,
-                        }),
-                    );
-                }
+                self.ack_after_sync(
+                    ctx,
+                    from,
+                    held,
+                    Msg::Paxos(PaxosMsg::AcceptReply {
+                        group,
+                        position,
+                        ballot,
+                        accepted,
+                    }),
+                );
                 // A cast vote is what an orphaned position is made of: if
                 // its proposer dies before the decide, only the janitor (or
                 // a pipelined slot) will push the value through. A rejected
@@ -387,7 +416,7 @@ impl TransactionService {
                 // this is where a buffered `Decided` record gets its
                 // deadline.
                 if unsynced {
-                    self.arm_flush(ctx);
+                    self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
                 }
                 // The decide makes any recovery instance for the position
                 // redundant; parked reads react only to *prefix advances*
@@ -430,12 +459,67 @@ impl TransactionService {
         }
     }
 
-    /// Sync this datacenter's buffered `Decided` records once
-    /// [`DECIDED_FLUSH_DEADLINE`] passes, unless a sync gets there first.
-    fn arm_flush(&mut self, ctx: &mut Context<Msg>) {
-        if !self.flush_armed {
-            self.flush_armed = true;
-            ctx.set_timer(DECIDED_FLUSH_DEADLINE, FLUSH_TAG);
+    /// The release path of an acceptor reply. It leaves at once when its
+    /// state needs no sync (`held` is `None`: a rejection, or an in-memory
+    /// datacenter). Otherwise it is held, with the incarnation its record
+    /// was appended in, until the next sync, due [`ACK_SYNC_LATENCY`] from
+    /// now at the latest.
+    fn ack_after_sync(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        to: NodeId,
+        held: Option<u64>,
+        reply: Msg,
+    ) {
+        let Some(incarnation) = held else {
+            ctx.send(to, reply);
+            return;
+        };
+        self.held.push(HeldReply {
+            to,
+            reply,
+            incarnation,
+        });
+        self.arm_sync(ctx, ACK_SYNC_LATENCY);
+    }
+
+    /// Make sure a sync happens within `within`: keep an armed deadline at
+    /// or before it, or replace a later one.
+    fn arm_sync(&mut self, ctx: &mut Context<Msg>, within: SimDuration) {
+        let due = ctx.now() + within;
+        if let Some((armed, timer)) = self.sync_timer {
+            if armed <= due {
+                return;
+            }
+            ctx.cancel_timer(timer);
+        }
+        self.sync_timer = Some((due, ctx.set_timer(within, FLUSH_TAG)));
+    }
+
+    /// The sync deadline fired: one WAL sync makes every buffered record
+    /// durable, applies the decided entries waiting for it, and releases
+    /// the held replies in arrival order — except those appended before a
+    /// restart from disk, whose records may have gone with a torn tail. A
+    /// failed sync drops the held replies (crash-equivalent); their records
+    /// stay buffered for the next sync, which sends nothing for them.
+    fn sync_and_release(&mut self, ctx: &mut Context<Msg>) {
+        self.sync_timer = None;
+        let (synced, incarnation, unsynced) = {
+            let mut core = self.core.lock();
+            let synced = core.flush();
+            (synced, core.incarnation(), core.has_unsynced())
+        };
+        if !synced {
+            self.held.clear();
+            if unsynced {
+                self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
+            }
+            return;
+        }
+        for held in self.held.drain(..) {
+            if held.incarnation == incarnation {
+                ctx.send(held.to, held.reply);
+            }
         }
     }
 
@@ -1070,8 +1154,7 @@ impl Actor<Msg> for TransactionService {
             return;
         }
         if tag == FLUSH_TAG {
-            self.flush_armed = false;
-            self.core.lock().flush();
+            self.sync_and_release(ctx);
             return;
         }
         if let Some((group, committer_tag)) = self.committer_timers.remove(&tag) {
@@ -1128,12 +1211,16 @@ impl Actor<Msg> for TransactionService {
             self.drive_recovery(ctx, Input::Timer(tag));
         }
         // The janitor tick may also have been suppressed; re-arm it. So
-        // may the flush deadline, while records still wait for a sync.
+        // may the sync deadline, while records still wait for a sync. Held
+        // acknowledgements die with the crash: their records may have gone
+        // with a torn tail, and their proposers time out as for any lost
+        // reply.
         self.janitor_armed = false;
         self.ensure_janitor(ctx);
-        self.flush_armed = false;
+        self.held.clear();
+        self.sync_timer = None;
         if self.core.lock().has_unsynced() {
-            self.arm_flush(ctx);
+            self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
         }
     }
 }
@@ -1306,6 +1393,69 @@ mod tests {
         assert!(!core.lock().has_unsynced());
         assert_eq!(applied(&core), LogPosition(1));
         assert_eq!(core.lock().storage_stats().unwrap().syncs, 1);
+        storage::remove_scratch_dir(&cfg.dir);
+    }
+
+    /// Durable acknowledgements wait for one sync that releases them all, in
+    /// arrival order; a rejection changes no durable state and leaves at
+    /// once.
+    #[test]
+    fn one_sync_releases_every_held_acknowledgement() {
+        let prepare = |position, round| {
+            Msg::Paxos(PaxosMsg::Prepare {
+                group: GROUP,
+                position: LogPosition(position),
+                ballot: Ballot { round, proposer: 1 },
+            })
+        };
+        let accept = Msg::Paxos(PaxosMsg::Accept {
+            group: GROUP,
+            position: LogPosition(3),
+            // A fast-round vote: no promise needed first.
+            ballot: Ballot {
+                round: 0,
+                proposer: 1,
+            },
+            value: entry(3, A, "v"),
+        });
+        let (mut sim, core, received) = single_dc_harness(move |svc| {
+            [prepare(1, 5), prepare(2, 5), accept.clone(), prepare(1, 3)]
+                .into_iter()
+                .map(|msg| (svc, msg))
+                .collect()
+        });
+        let cfg = storage::DurableConfig::new(storage::scratch_dir("service-held-acks"));
+        core.lock()
+            .attach_storage(storage::DcStorage::open(cfg.clone()).unwrap());
+        let replies = |received: &StdArc<parking_lot::Mutex<Vec<Msg>>>| -> Vec<(u64, bool)> {
+            received
+                .lock()
+                .iter()
+                .map(|m| match m {
+                    Msg::Paxos(PaxosMsg::PrepareReply {
+                        position, promised, ..
+                    }) => (position.0, *promised),
+                    Msg::Paxos(PaxosMsg::AcceptReply {
+                        position, accepted, ..
+                    }) => (position.0, *accepted),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        // Everything arrives after the 1 ms link; only the rejection of the
+        // stale prepare is back one link later.
+        sim.run_for(SimDuration::from_micros(
+            2_000 + ACK_SYNC_LATENCY.as_micros() - 1,
+        ));
+        assert_eq!(replies(&received), [(1, false)]);
+        assert_eq!(core.lock().storage_stats().unwrap().syncs, 1);
+        sim.run_until_idle_capped(1_000);
+        assert_eq!(
+            replies(&received),
+            [(1, false), (1, true), (2, true), (3, true)]
+        );
+        let stats = core.lock().storage_stats().unwrap();
+        assert_eq!((stats.syncs, stats.records_synced), (1, 3));
         storage::remove_scratch_dir(&cfg.dir);
     }
 

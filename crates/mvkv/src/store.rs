@@ -231,7 +231,11 @@ impl MvKvStore {
     }
 
     /// Every retained version of every key matching `pred`, sorted by key
-    /// then timestamp. This is the snapshot writer's view of the store.
+    /// then timestamp: each key's oldest retained version whole, and every
+    /// later one as only the attributes it changed ([`Row::changed_since`]).
+    /// Replaying the dump in order through [`MvKvStore::apply_idempotent`]
+    /// (merge-upsert) rebuilds every version. This is the snapshot writer's
+    /// and the catch-up sender's view of the store.
     pub fn dump_versions(&self, pred: impl Fn(Key) -> bool) -> Vec<(Key, Vec<(Timestamp, Row)>)> {
         let inner = self.inner.read();
         let mut out: Vec<_> = inner
@@ -239,7 +243,12 @@ impl MvKvStore {
             .iter()
             .filter(|(key, row)| pred(**key) && !row.versions.is_empty())
             .map(|(key, row)| {
-                let versions = row.versions.iter().map(|(ts, r)| (*ts, r.clone()));
+                let mut earlier: Option<&Row> = None;
+                let versions = row.versions.iter().map(|(ts, r)| {
+                    let dumped = earlier.map_or_else(|| r.clone(), |e| r.changed_since(e));
+                    earlier = Some(r);
+                    (*ts, dumped)
+                });
                 (*key, versions.collect())
             })
             .collect();
@@ -424,6 +433,46 @@ mod tests {
             store.read_attr(K, A, Some(Timestamp(4))).as_deref(),
             Some("2")
         );
+    }
+
+    #[test]
+    fn a_version_that_rewrote_one_attribute_dumps_exactly_that_attribute() {
+        let store = MvKvStore::new();
+        // Forty attributes over three chunks, then one rewrite in the middle
+        // chunk: the dump keeps the first version whole and the second as
+        // the one attribute it set.
+        let wide = Row::from_pairs((0..40).map(|a| (Attr(a), format!("v{a}"))));
+        store.write(K, wide.clone(), Some(Timestamp(1))).unwrap();
+        store
+            .write(K, row(&[(Attr(20), "new")]), Some(Timestamp(2)))
+            .unwrap();
+        store
+            .write(Key(11), row(&[(A, "other")]), Some(Timestamp(1)))
+            .unwrap();
+        let dump = store.dump_versions(|key| key == K);
+        assert_eq!(
+            dump,
+            vec![(
+                K,
+                vec![
+                    (Timestamp(1), wide),
+                    (Timestamp(2), row(&[(Attr(20), "new")]))
+                ]
+            )]
+        );
+        // Replayed through merge-upsert, the delta rebuilds the full row.
+        let replayed = MvKvStore::new();
+        for (key, versions) in dump {
+            for (ts, attrs) in versions {
+                assert!(replayed.apply_idempotent(key, attrs, ts));
+            }
+        }
+        for ts in [1, 2] {
+            assert_eq!(
+                replayed.read(K, Some(Timestamp(ts))),
+                store.read(K, Some(Timestamp(ts)))
+            );
+        }
     }
 
     #[test]

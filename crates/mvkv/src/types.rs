@@ -169,6 +169,37 @@ impl Row {
         }
         out
     }
+
+    /// The attributes of this row that `earlier` lacks or holds another
+    /// value for, compared by pointer: a version merged from `earlier`
+    /// shares every chunk and every value its write did not touch, so its
+    /// delta is exactly what that write set. Overlaying the delta on
+    /// `earlier` ([`Row::merged_with`]) rebuilds this row whenever it holds
+    /// every attribute `earlier` does, which merge-upsert guarantees.
+    pub fn changed_since(&self, earlier: &Row) -> Row {
+        let mut delta = Row::new();
+        for (index, chunk) in &self.0 {
+            let Some(old) = earlier.0.get(index) else {
+                delta.0.insert(*index, Arc::clone(chunk));
+                continue;
+            };
+            if Arc::ptr_eq(old, chunk) {
+                continue;
+            }
+            let changed: Chunk = chunk
+                .iter()
+                .filter(|(attr, value)| {
+                    old.binary_search_by_key(attr, |(a, _)| *a)
+                        .map_or(true, |at| !Arc::ptr_eq(&old[at].1, value))
+                })
+                .cloned()
+                .collect();
+            if !changed.is_empty() {
+                delta.0.insert(*index, Arc::new(changed));
+            }
+        }
+        delta
+    }
 }
 
 impl<V: Into<String>> FromIterator<(Attr, V)> for Row {

@@ -5,8 +5,9 @@
 //!
 //! * a segmented, CRC-framed **write-ahead log** ([`wal`]) in
 //!   preallocated segments, through which acceptor promises and votes
-//!   become durable *before* they are acknowledged (persist-before-ack) and
-//!   decided log entries before they apply, riding the next sync;
+//!   become durable *before* they are acknowledged (persist-before-ack),
+//!   one sync per batch of held acknowledgements, and decided log entries
+//!   before they apply, riding the same syncs;
 //! * **per-group snapshots** ([`snapshot`]) written atomically, which
 //!   together with whole-segment WAL truncation bound recovery time and
 //!   disk usage — truncation never crosses an open read lease's position

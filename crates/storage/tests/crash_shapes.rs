@@ -88,8 +88,8 @@ fn run_case(k: u64, tail: Tail) {
     };
 
     let mut w = Wal::open(&dir, segment_bytes).unwrap();
-    // One sync per record, as an acknowledgement's sync of one promise or
-    // vote does.
+    // One sync per record: the smallest batch a sync of held
+    // acknowledgements covers.
     for record in &synced {
         w.append(record);
         assert_eq!(w.sync().unwrap(), 1, "{case}");

@@ -6,13 +6,15 @@
 //! typed behaviours: replay stops at the first bad frame and never
 //! resynchronises past it, a short read of the final record costs exactly
 //! that record, and an injected fsync error withholds the ack without
-//! poisoning the log.
+//! poisoning the log. Acknowledgements the service holds for a sync never
+//! leave when that sync fails or a crash comes first.
 
 use mdstore::{
     apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, DatacenterCore,
     DurableConfig, Msg, Session, StorageConfig, Topology,
 };
 use parking_lot::Mutex;
+use paxos::{Ballot, PaxosMsg};
 use simnet::{Actor, Context, NodeId, SimDuration};
 use std::sync::Arc;
 use storage::wal::{self, Wal, WalRecord};
@@ -32,8 +34,8 @@ fn write_entry(client: u32, seq: u64, read_pos: u64, value: &str) -> std::sync::
     ))
 }
 
-/// Install a decided entry and sync it, as the next acknowledgement's sync
-/// (or the service's flush deadline) would.
+/// Install a decided entry and sync it, as the service's next sync
+/// deadline would.
 fn install_synced(core: &mut DatacenterCore, p: u64, value: &str) {
     core.install_entry(GROUP, LogPosition(p), write_entry(0, p, p - 1, value));
     assert!(core.flush());
@@ -101,7 +103,10 @@ fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
     let ballot = paxos::Ballot::initial(7);
     core.acceptor()
         .handle_prepare(GROUP, LogPosition(30), ballot);
-    assert!(core.persist_promise(GROUP, LogPosition(30), ballot));
+    assert!(
+        core.persist_promise(GROUP, LogPosition(30), ballot),
+        "a durable promise's ack waits for a sync"
+    );
     for p in 1..=12 {
         install_synced(&mut core, p, &format!("v{p}"));
     }
@@ -309,8 +314,8 @@ fn fsync_failure_is_typed_and_withholds_the_ack_without_losing_the_records() {
     assert_eq!(replay.records.len(), 2);
     storage::remove_scratch_dir(&dir);
 
-    // The same failure through the datacenter storage facade: `log` (the
-    // persist-before-ack primitive) reports false, so no reply is sent.
+    // The same failure through the datacenter storage facade: `log`
+    // (append one record and sync) reports false.
     let cfg = DurableConfig::new(storage::scratch_dir("fsync-facade"));
     let mut dc = DcStorage::open(cfg.clone()).unwrap();
     dc.fault_mut().fail_next_syncs(1);
@@ -322,21 +327,26 @@ fn fsync_failure_is_typed_and_withholds_the_ack_without_losing_the_records() {
     assert!(dc.log(&promise(2, 1)), "a later sync may still persist");
     storage::remove_scratch_dir(&cfg.dir);
 
-    // Through the datacenter core: a promise's failed sync withholds the
-    // ack and leaves the buffered `Decided` record it would have carried
-    // undurable, so the entry stays unapplied; the next sync lands both.
+    // Through the datacenter core: a promise is appended and its ack held
+    // for a sync; that sync fails, which withholds the ack and leaves the
+    // buffered `Decided` record it would have carried undurable, so the
+    // entry stays unapplied. The next sync lands both records.
     let (mut core, cfg) = durable_core("fsync-core");
     let applied = |core: &DatacenterCore| core.log(GROUP).unwrap().applied_through();
     core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, "v1"));
-    core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
     let ballot = paxos::Ballot::initial(3);
-    assert!(!core.persist_promise(GROUP, LogPosition(2), ballot));
+    assert!(
+        core.persist_promise(GROUP, LogPosition(2), ballot),
+        "the ack waits for a sync"
+    );
+    core.storage_mut().unwrap().fault_mut().fail_next_syncs(1);
+    assert!(!core.flush(), "a failed sync must withhold the ack");
     assert_eq!(applied(&core), LogPosition::ZERO);
     assert!(core.has_unsynced());
-    assert!(core.persist_promise(GROUP, LogPosition(2), ballot));
+    assert!(core.flush());
     assert_eq!(applied(&core), LogPosition(1));
     let stats = core.storage_stats().unwrap();
-    assert_eq!((stats.sync_failures, stats.records_synced), (1, 3));
+    assert_eq!((stats.sync_failures, stats.records_synced), (1, 2));
     storage::remove_scratch_dir(&cfg.dir);
 }
 
@@ -430,18 +440,25 @@ fn add_writer(cluster: &mut Cluster, replica: usize, txns: u64) {
     });
 }
 
-/// Send `msgs` to `replica`'s service from a fresh client in its
-/// datacenter and return what it hears back once the simulation is idle.
-fn probe(cluster: &mut Cluster, replica: usize, msgs: Vec<Msg>) -> Vec<Msg> {
-    let service = cluster.service_node(replica);
+/// Add a client in datacenter `at` that sends `msgs` to `to`'s service
+/// once the simulation runs; returns what it will hear back.
+fn add_prober(cluster: &mut Cluster, at: usize, to: usize, msgs: Vec<Msg>) -> Arc<Mutex<Vec<Msg>>> {
+    let service = cluster.service_node(to);
     let received = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&received);
-    cluster.add_client(replica, |_| {
+    cluster.add_client(at, |_| {
         Box::new(Prober {
             to_send: msgs.into_iter().map(|msg| (service, msg)).collect(),
             received: sink,
         })
     });
+    received
+}
+
+/// Send `msgs` to `replica`'s service from a fresh client in its
+/// datacenter and return what it hears back once the simulation is idle.
+fn probe(cluster: &mut Cluster, replica: usize, msgs: Vec<Msg>) -> Vec<Msg> {
+    let received = add_prober(cluster, replica, replica, msgs);
     cluster.run_to_completion();
     let got = received.lock().clone();
     got
@@ -718,5 +735,142 @@ fn a_lagging_home_commits_past_the_positions_its_peers_forgot() {
         );
     }
     cluster.verify().unwrap();
+    storage::remove_scratch_dir(&dir);
+}
+
+fn prepare(g: GroupId, position: u64) -> Msg {
+    Msg::Paxos(PaxosMsg::Prepare {
+        group: g,
+        position: LogPosition(position),
+        ballot: Ballot {
+            round: 1,
+            proposer: 88,
+        },
+    })
+}
+
+/// The positions of the acceptor replies in `replies`.
+fn acked_positions(replies: &Mutex<Vec<Msg>>) -> Vec<u64> {
+    replies
+        .lock()
+        .iter()
+        .map(|msg| match msg {
+            Msg::Paxos(PaxosMsg::PrepareReply { position, .. })
+            | Msg::Paxos(PaxosMsg::AcceptReply { position, .. }) => position.0,
+            other => panic!("expected an acceptor reply, got {other:?}"),
+        })
+        .collect()
+}
+
+/// From a client in datacenter 1, have datacenter 0 cast a fast-round vote
+/// at position 1 and promise position 2, and run until both replies are
+/// held for a sync that has not happened yet.
+fn hold_a_vote_and_a_promise(cluster: &mut Cluster, g: GroupId) -> Arc<Mutex<Vec<Msg>>> {
+    let value = Arc::new(LogEntry::single(
+        Transaction::builder(TxnId::new(88, 1), g, LogPosition::ZERO)
+            .write(ItemRef::new(ROW, A), "held")
+            .build(),
+    ));
+    let vote = Msg::Paxos(PaxosMsg::Accept {
+        group: g,
+        position: LogPosition(1),
+        ballot: Ballot {
+            round: 0,
+            proposer: 88,
+        },
+        value,
+    });
+    let received = add_prober(cluster, 1, 0, vec![vote, prepare(g, 2)]);
+    let core = cluster.core(0);
+    while core
+        .lock()
+        .acceptor()
+        .promised_ballot(g, LogPosition(2))
+        .is_none()
+    {
+        assert!(cluster.sim_mut().step(), "the prepare never arrived");
+    }
+    let core = core.lock();
+    assert!(core.acceptor().current_vote(g, LogPosition(1)).is_some());
+    assert_eq!(core.storage_stats().unwrap().syncs, 0, "nothing synced yet");
+    received
+}
+
+/// A datacenter appends a vote and a promise, holding both replies for the
+/// next sync, and crashes before it with a torn tail. It restarts from disk
+/// — which reproduces the durable state, as the restart asserts — and
+/// recovers. Neither reply ever reaches the proposer: not after the
+/// restart, not after `on_recover`, and not when a later sync releases a
+/// fresh reply.
+#[test]
+fn held_acknowledgements_die_with_a_crash_before_their_sync() {
+    let dir = storage::scratch_dir("held-acks-crash");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let g = cluster.symbols().group("g");
+    let received = hold_a_vote_and_a_promise(&mut cluster, g);
+    cluster.crash_datacenter(0);
+    cluster.core(0).lock().inject_torn_wal_tail();
+    cluster.restart_datacenter_from_disk(0).unwrap();
+    {
+        let core = cluster.core(0);
+        let core = core.lock();
+        assert!(core.acceptor().current_vote(g, LogPosition(1)).is_none());
+        assert!(core.acceptor().promised_ballot(g, LogPosition(2)).is_none());
+    }
+    cluster.recover_datacenter(0);
+    cluster.run_for(SimDuration::from_millis(50));
+    // A fresh promise is held and released by the next sync; the dead
+    // replies must not ride along.
+    let fresh = add_prober(&mut cluster, 1, 0, vec![prepare(g, 3)]);
+    cluster.run_for(SimDuration::from_millis(50));
+    assert_eq!(acked_positions(&fresh), [3]);
+    assert_eq!(acked_positions(&received), Vec::<u64>::new());
+    storage::remove_scratch_dir(&dir);
+}
+
+/// A restart from disk invalidates held acknowledgements even when the
+/// service never sees a crash: the sync deadline still fires, and the
+/// replies appended in the earlier incarnation stay behind.
+#[test]
+fn a_restart_from_disk_alone_invalidates_held_acknowledgements() {
+    let dir = storage::scratch_dir("held-acks-restart");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let g = cluster.symbols().group("g");
+    let received = hold_a_vote_and_a_promise(&mut cluster, g);
+    cluster.core(0).lock().inject_torn_wal_tail();
+    cluster.restart_datacenter_from_disk(0).unwrap();
+    cluster.run_for(SimDuration::from_millis(50));
+    assert_eq!(acked_positions(&received), Vec::<u64>::new());
+    storage::remove_scratch_dir(&dir);
+}
+
+/// A failed sync at the deadline drops the replies it held, but their
+/// records stay buffered: the next sync makes them durable — a restart
+/// replays the vote and the promise — and sends nothing for them.
+#[test]
+fn a_failed_sync_drops_the_held_acknowledgements_but_not_their_records() {
+    let dir = storage::scratch_dir("held-acks-sync-failure");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let g = cluster.symbols().group("g");
+    let received = hold_a_vote_and_a_promise(&mut cluster, g);
+    let core = cluster.core(0);
+    core.lock()
+        .storage_mut()
+        .unwrap()
+        .fault_mut()
+        .fail_next_syncs(1);
+    cluster.run_for(SimDuration::from_millis(50));
+    let stats = core.lock().storage_stats().unwrap();
+    assert_eq!((stats.sync_failures, stats.records_synced), (1, 0));
+    let fresh = add_prober(&mut cluster, 1, 0, vec![prepare(g, 3)]);
+    cluster.run_for(SimDuration::from_millis(50));
+    assert_eq!(acked_positions(&fresh), [3]);
+    assert_eq!(acked_positions(&received), Vec::<u64>::new());
+    let stats = core.lock().storage_stats().unwrap();
+    assert_eq!((stats.syncs, stats.records_synced), (1, 3));
+    cluster.restart_datacenter_from_disk(0).unwrap();
+    let core = core.lock();
+    assert!(core.acceptor().current_vote(g, LogPosition(1)).is_some());
+    assert!(core.acceptor().promised_ballot(g, LogPosition(2)).is_some());
     storage::remove_scratch_dir(&dir);
 }
