@@ -133,7 +133,7 @@ pub struct GroupState {
     /// Every transaction id the group's decided entries carry.
     pub committed: Vec<TxnId>,
     /// Every retained version of the group's rows, by key then timestamp:
-    /// the oldest whole, each later one as the attributes it changed
+    /// the oldest whole, each later one as the attributes it wrote
     /// ([`MvKvStore::dump_versions`]), so merge-upsert replay rebuilds them.
     pub rows: Vec<(Key, Vec<(Timestamp, Row)>)>,
     /// The retained log entries above the base.
@@ -504,7 +504,7 @@ impl DatacenterCore {
     /// the restart will resume from, every committed transaction id, and
     /// every retained store version of the group's rows — `versions`, the
     /// store's dump of them (the oldest version of each key whole, later
-    /// ones as the attributes they changed), whose values the snapshot
+    /// ones as the attributes they wrote), whose values the snapshot
     /// borrows.
     fn build_snapshot<'a>(
         &self,
@@ -554,15 +554,17 @@ impl DatacenterCore {
         let Some(pending) = log.unapplied_range(through) else {
             return Vec::new();
         };
-        let mut applied: BTreeSet<Key> = BTreeSet::new();
+        let mut applied = Vec::new();
         for (pos, entry) in pending {
             for (key, row) in Self::entry_writes(group, &entry) {
                 store.apply_idempotent(key, row, Timestamp(pos.0));
-                applied.insert(key);
+                applied.push(key);
             }
             log.mark_applied_through(pos);
         }
-        applied.into_iter().collect()
+        applied.sort_unstable();
+        applied.dedup();
+        applied
     }
 
     /// Reclaim store versions of freshly written keys that no active reader
@@ -578,9 +580,7 @@ impl DatacenterCore {
             return;
         }
         for key in keys {
-            if let Some(floor) = self.store.version_floor(key, Timestamp(watermark.0)) {
-                self.reclaimed_versions += self.store.gc_versions_before(key, floor) as u64;
-            }
+            self.reclaimed_versions += self.store.gc_behind(key, Timestamp(watermark.0)) as u64;
         }
     }
 
@@ -643,19 +643,26 @@ impl DatacenterCore {
     }
 
     /// Collapse an entry's writes into one row-delta per (group-qualified)
-    /// key. Later transactions in a combined entry overwrite earlier ones,
-    /// matching the serialization order within the entry.
-    fn entry_writes(group: GroupId, entry: &LogEntry) -> BTreeMap<Key, Row> {
-        let mut per_key: BTreeMap<Key, Row> = BTreeMap::new();
-        for txn in entry.transactions() {
-            for write in txn.writes() {
-                per_key
-                    .entry(Self::app_key(group, write.item.key))
-                    .or_default()
-                    .set(write.item.attr.into(), write.value.clone());
+    /// key, in key order. Later transactions in a combined entry overwrite
+    /// earlier ones, matching the serialization order within the entry.
+    fn entry_writes(group: GroupId, entry: &LogEntry) -> Vec<(Key, Row)> {
+        let mut writes: Vec<_> = entry
+            .transactions()
+            .iter()
+            .flat_map(|txn| txn.writes())
+            .map(|write| (Self::app_key(group, write.item.key), write))
+            .collect();
+        // Stable: a key's writes keep their serialization order.
+        writes.sort_by_key(|(key, _)| *key);
+        let mut rows: Vec<(Key, Row)> = Vec::new();
+        for (key, write) in writes {
+            let (attr, value) = (write.item.attr.into(), write.value.as_str());
+            match rows.last_mut() {
+                Some((last, row)) if *last == key => row.set(attr, value),
+                _ => rows.push((key, Row::new().with(attr, value))),
             }
         }
-        per_key
+        rows
     }
 
     /// Read one item as of `read_position` (A2). Fails with the list of
@@ -776,8 +783,9 @@ impl DatacenterCore {
     /// and the truncated log base; WAL replay re-records acceptor promises
     /// and votes in append order and re-installs decided entries above each
     /// base. A torn final WAL record (the crash hit mid-append) is
-    /// tolerated: replay stops at the last durable frame, and reopening the
-    /// WAL repairs the tail.
+    /// tolerated: replay stops at the last durable frame, and the reopen
+    /// that read it repairs the tail ([`DcStorage::reopen`], which reads
+    /// each WAL segment and snapshot file once).
     ///
     /// Read leases are deliberately **preserved**: they are owned by
     /// clients and services in *other* processes (parked remote reads,
@@ -795,7 +803,7 @@ impl DatacenterCore {
         &mut self,
         cfg: &DurableConfig,
     ) -> Result<RestartReport, StorageError> {
-        let data = DcStorage::read_for_restart(cfg)?;
+        let (mut storage, data) = DcStorage::reopen(cfg.clone())?;
         // What a crash loses: the store, the logs, the leader fast-path
         // claims, the dedup index and the counters. (Leases survive, see
         // above; the dedup index and store are rebuilt below.)
@@ -805,8 +813,10 @@ impl DatacenterCore {
         self.committed_ids.clear();
         self.unsynced.clear();
         self.incarnation += 1;
-        // Drop the dead handle before a new one opens; its counters carry on.
-        let counters = self.storage.take().map(|s| s.stats());
+        // The dead handle goes; its counters carry on.
+        if let Some(dead) = self.storage.take() {
+            storage.carry_counters(dead.stats());
+        }
         let report = RestartReport {
             snapshots_restored: data.snapshots.len(),
             wal_records_replayed: data.replay.records.len(),
@@ -845,12 +855,7 @@ impl DatacenterCore {
             }
         }
         self.replaying = false;
-        // Reopen the storage plane last: open repairs the torn tail and
-        // starts a fresh segment.
-        let mut storage = DcStorage::open(cfg.clone())?;
-        if let Some(counters) = counters {
-            storage.carry_counters(counters);
-        }
+        // Attach the reopened plane last, so nothing replayed is re-logged.
         self.attach_storage(storage);
         Ok(report)
     }
@@ -871,7 +876,7 @@ impl DatacenterCore {
             for (ts, attrs) in &row.versions {
                 let mut restored = Row::new();
                 for (attr, value) in attrs {
-                    restored.set(mvkv::Attr(*attr), value.clone());
+                    restored.set(mvkv::Attr(*attr), value.as_str());
                 }
                 self.store
                     .apply_idempotent(Key(row.key), restored, Timestamp(*ts));

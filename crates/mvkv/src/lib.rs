@@ -20,13 +20,17 @@
 //! guarding a table update gives the atomicity `checkAndWrite` gave. So the
 //! rows hold only application data: they are named by interned `Copy`
 //! integer [`Key`]s, attributes by interned [`Attr`] ids (see
-//! `walog::ident` for the shared string table), each version is a full
-//! attribute map (columns), and the logical timestamp of an application
-//! write is the write-ahead-log position that committed it.
+//! `walog::ident` for the shared string table), and the logical timestamp
+//! of an application write is the write-ahead-log position that committed
+//! it.
 //!
-//! Writes are *merge-upserts*: a new version starts from the latest existing
-//! version and overlays the supplied attributes, which mirrors column-family
-//! stores where untouched columns remain visible.
+//! Writes are *merge-upserts*: a version of a row is the previous one with
+//! the written attributes overlaid, which mirrors column-family stores where
+//! untouched columns remain visible. Like HBase, the store versions each
+//! cell rather than each row: every attribute of a key keeps its own chain
+//! of timestamped values, and a per-key schedule records which attributes
+//! each version wrote. A write costs what it sets, however wide the row;
+//! whole versions ([`Row`]) are materialised only for reads and dumps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 use crate::types::{Attr, Key, MvkvError, Row, Timestamp, VersionRead};
 use parking_lot::RwLock;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 
 /// Operation counters for a store instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -17,35 +17,118 @@ pub struct StoreStats {
     pub stale_writes: u64,
 }
 
+/// One attribute's values, in ascending timestamp order.
+type Cell = Vec<(Timestamp, Arc<str>)>;
+
+/// The value `cell` holds as of `at`: its newest entry at or below it.
+fn value_at(cell: &Cell, at: Timestamp) -> Option<&Arc<str>> {
+    let visible = cell.partition_point(|(ts, _)| *ts <= at);
+    cell[..visible].last().map(|(_, value)| value)
+}
+
+/// Where `attr`'s cell is in `cells`, or would be inserted.
+fn find(cells: &[(Attr, Cell)], attr: Attr) -> Result<usize, usize> {
+    cells.binary_search_by_key(&attr, |(a, _)| *a)
+}
+
+/// One key's versions, kept per cell: a write appends one entry to each
+/// cell it sets and one line to the schedule, so it costs what it writes,
+/// however wide the row.
 #[derive(Default)]
 struct VersionedRow {
-    versions: BTreeMap<Timestamp, Row>,
+    /// Every attribute ever written, sorted by attribute.
+    cells: Vec<(Attr, Cell)>,
+    /// The retained versions in ascending order: each one's timestamp and
+    /// how many attributes it wrote.
+    versions: VecDeque<(Timestamp, usize)>,
+    /// The attributes each retained version wrote, in version order and
+    /// within a version in attribute order.
+    written: VecDeque<Attr>,
 }
 
 impl VersionedRow {
-    fn latest(&self) -> Option<(Timestamp, &Row)> {
-        self.versions.iter().next_back().map(|(ts, row)| (*ts, row))
-    }
-
     fn latest_ts(&self) -> Option<Timestamp> {
-        self.versions.keys().next_back().copied()
+        self.versions.back().map(|(ts, _)| *ts)
     }
 
-    fn floor(&self, at: Timestamp) -> Option<(Timestamp, &Row)> {
-        self.versions
-            .range(..=at)
-            .next_back()
-            .map(|(ts, row)| (*ts, row))
+    /// The newest version at or below `at`.
+    fn floor(&self, at: Timestamp) -> Option<Timestamp> {
+        let visible = self.versions.partition_point(|(ts, _)| *ts <= at);
+        visible.checked_sub(1).map(|i| self.versions[i].0)
     }
 
-    /// Insert a new latest version at `target`: the latest version overlaid
-    /// with `attrs` (merge-upsert).
+    fn cell(&self, attr: Attr) -> Option<&Cell> {
+        Some(&self.cells[find(&self.cells, attr).ok()?].1)
+    }
+
+    /// Record a new latest version at `target` writing `attrs`: every other
+    /// attribute keeps the value it had (merge-upsert).
     fn push(&mut self, target: Timestamp, attrs: Row) {
-        let merged = match self.latest() {
-            Some((_, base)) => base.merged_with(&attrs),
-            None => attrs,
+        self.versions.push_back((target, attrs.len()));
+        for (attr, value) in attrs.0 {
+            let at = match find(&self.cells, attr) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.cells.insert(at, (attr, Cell::new()));
+                    at
+                }
+            };
+            self.cells[at].1.push((target, value));
+            self.written.push_back(attr);
+        }
+    }
+
+    /// The whole version at `ts`: every attribute's value as of it.
+    fn materialize(&self, ts: Timestamp) -> Row {
+        Row(self
+            .cells
+            .iter()
+            .filter_map(|(attr, cell)| Some((*attr, Arc::clone(value_at(cell, ts)?))))
+            .collect())
+    }
+
+    /// Drop every version older than `keep_from`, always keeping the
+    /// latest. In each cell a dropped version wrote, every entry older than
+    /// the cell's newest one at or below the cutoff goes too: no read at or
+    /// above the oldest kept version can see it. Returns versions dropped.
+    fn gc_before(&mut self, keep_from: Timestamp) -> usize {
+        let Some(latest) = self.latest_ts() else {
+            return 0;
         };
-        self.versions.insert(target, merged);
+        let cutoff = keep_from.min(latest);
+        let dropped = self.versions.partition_point(|(ts, _)| *ts < cutoff);
+        let wrote: usize = self.versions.drain(..dropped).map(|(_, n)| n).sum();
+        for attr in self.written.drain(..wrote) {
+            let at = find(&self.cells, attr).expect("a written attribute has a cell");
+            let cell = &mut self.cells[at].1;
+            let shadowed = cell.partition_point(|(ts, _)| *ts <= cutoff);
+            cell.drain(..shadowed.saturating_sub(1));
+        }
+        dropped
+    }
+
+    /// Every retained version: the oldest whole, every later one as exactly
+    /// the attributes it wrote.
+    fn dump(&self) -> Vec<(Timestamp, Row)> {
+        let mut start = 0;
+        let mut out = Vec::with_capacity(self.versions.len());
+        for (i, &(ts, wrote)) in self.versions.iter().enumerate() {
+            let attrs = self.written.range(start..start + wrote);
+            start += wrote;
+            let row = if i == 0 {
+                self.materialize(ts)
+            } else {
+                Row(attrs
+                    .map(|attr| {
+                        let cell = self.cell(*attr).expect("a written attribute has a cell");
+                        let value = value_at(cell, ts).expect("a retained write keeps its entry");
+                        (*attr, Arc::clone(value))
+                    })
+                    .collect())
+            };
+            out.push((ts, row));
+        }
+        out
     }
 }
 
@@ -69,7 +152,7 @@ pub struct MvKvStore {
 
 #[derive(Default)]
 struct Inner {
-    rows: HashMap<Key, VersionedRow>,
+    rows: BTreeMap<Key, VersionedRow>,
     stats: StoreStats,
 }
 
@@ -85,13 +168,13 @@ impl MvKvStore {
         let mut inner = self.inner.write();
         inner.stats.reads += 1;
         let row = inner.rows.get(&key)?;
-        let (timestamp, found) = match at {
+        let timestamp = match at {
             Some(at) => row.floor(at),
-            None => row.latest(),
+            None => row.latest_ts(),
         }?;
         Some(VersionRead {
             timestamp,
-            row: found.clone(),
+            row: row.materialize(timestamp),
         })
     }
 
@@ -102,16 +185,20 @@ impl MvKvStore {
     }
 
     /// Fast-path read of a single attribute of `key` at or below `at`:
-    /// equivalent to [`MvKvStore::read_attr`] with `Some(at)` but clones
-    /// only the matched attribute's value instead of the whole row.
-    /// Position-bounded reads — the commit plane's A2 reads and the
-    /// snapshot read plane's watermark reads — are single-attribute point
-    /// lookups, and the row clone dominated their cost.
+    /// equivalent to [`MvKvStore::read_attr`] with `Some(at)`, but it looks
+    /// up the one cell instead of materialising the row. Position-bounded
+    /// reads — the commit plane's A2 reads and the snapshot read plane's
+    /// watermark reads — are single-attribute point lookups.
     pub fn read_attr_at(&self, key: Key, attr: Attr, at: Timestamp) -> Option<String> {
         let mut inner = self.inner.write();
         inner.stats.reads += 1;
-        let (_, row) = inner.rows.get(&key)?.floor(at)?;
-        row.get(attr).map(str::to_owned)
+        let row = inner.rows.get(&key)?;
+        // Below the oldest retained version the row is unreadable, whatever
+        // older entries its cells still hold.
+        if at < row.versions.front()?.0 {
+            return None;
+        }
+        value_at(row.cell(attr)?, at).map(|value| String::from(&**value))
     }
 
     /// Write `attrs` as a new version of `key`.
@@ -194,28 +281,30 @@ impl MvKvStore {
     /// the safe `keep_from` cutoff for [`MvKvStore::gc_versions_before`].
     /// `None` when the key has no version at or before `at`.
     pub fn version_floor(&self, key: Key, at: Timestamp) -> Option<Timestamp> {
-        self.inner
-            .read()
-            .rows
-            .get(&key)
-            .and_then(|r| r.floor(at))
-            .map(|(ts, _)| ts)
+        self.inner.read().rows.get(&key).and_then(|r| r.floor(at))
     }
 
     /// Drop all versions of `key` strictly older than `keep_from`, keeping at
     /// least the latest version. Returns the number of versions removed.
     pub fn gc_versions_before(&self, key: Key, keep_from: Timestamp) -> usize {
+        self.inner
+            .write()
+            .rows
+            .get_mut(&key)
+            .map_or(0, |row| row.gc_before(keep_from))
+    }
+
+    /// Drop every version of `key` older than its newest version at or
+    /// below `watermark`, which a reader pinned at the watermark still
+    /// needs: [`MvKvStore::version_floor`] then
+    /// [`MvKvStore::gc_versions_before`] in one lookup. Returns the number
+    /// of versions removed.
+    pub fn gc_behind(&self, key: Key, watermark: Timestamp) -> usize {
         let mut inner = self.inner.write();
         let Some(row) = inner.rows.get_mut(&key) else {
             return 0;
         };
-        let latest = match row.latest_ts() {
-            Some(ts) => ts,
-            None => return 0,
-        };
-        let cutoff = keep_from.min(latest);
-        let keep = row.versions.split_off(&cutoff);
-        std::mem::replace(&mut row.versions, keep).len()
+        row.floor(watermark).map_or(0, |floor| row.gc_before(floor))
     }
 
     /// Snapshot of the operation counters.
@@ -225,35 +314,23 @@ impl MvKvStore {
 
     /// All keys currently present (sorted), mainly for debugging and tests.
     pub fn keys(&self) -> Vec<Key> {
-        let mut keys: Vec<_> = self.inner.read().rows.keys().copied().collect();
-        keys.sort();
-        keys
+        self.inner.read().rows.keys().copied().collect()
     }
 
     /// Every retained version of every key matching `pred`, sorted by key
     /// then timestamp: each key's oldest retained version whole, and every
-    /// later one as only the attributes it changed ([`Row::changed_since`]).
-    /// Replaying the dump in order through [`MvKvStore::apply_idempotent`]
-    /// (merge-upsert) rebuilds every version. This is the snapshot writer's
-    /// and the catch-up sender's view of the store.
+    /// later one as exactly the attributes it wrote. Replaying the dump in
+    /// order through [`MvKvStore::apply_idempotent`] (merge-upsert) rebuilds
+    /// every version. This is the snapshot writer's and the catch-up
+    /// sender's view of the store.
     pub fn dump_versions(&self, pred: impl Fn(Key) -> bool) -> Vec<(Key, Vec<(Timestamp, Row)>)> {
-        let inner = self.inner.read();
-        let mut out: Vec<_> = inner
+        self.inner
+            .read()
             .rows
             .iter()
             .filter(|(key, row)| pred(**key) && !row.versions.is_empty())
-            .map(|(key, row)| {
-                let mut earlier: Option<&Row> = None;
-                let versions = row.versions.iter().map(|(ts, r)| {
-                    let dumped = earlier.map_or_else(|| r.clone(), |e| r.changed_since(e));
-                    earlier = Some(r);
-                    (*ts, dumped)
-                });
-                (*key, versions.collect())
-            })
-            .collect();
-        out.sort_by_key(|(key, _)| *key);
-        out
+            .map(|(key, row)| (*key, row.dump()))
+            .collect()
     }
 }
 
@@ -429,18 +506,24 @@ mod tests {
         // GC at the floor keeps exactly what a reader pinned there needs.
         let floor = store.version_floor(K, Timestamp(4)).unwrap();
         assert_eq!(store.gc_versions_before(K, floor), 0);
+        assert_eq!(store.gc_behind(K, Timestamp(4)), 0);
         assert_eq!(
             store.read_attr(K, A, Some(Timestamp(4))).as_deref(),
             Some("2")
         );
+        // Behind a watermark past the latest version only the latest stays.
+        assert_eq!(store.gc_behind(K, Timestamp(1)), 0);
+        assert_eq!(store.gc_behind(K, Timestamp(9)), 1);
+        assert_eq!(store.gc_behind(Key(999), Timestamp(9)), 0);
+        assert_eq!(store.version_count(K), 1);
     }
 
     #[test]
     fn a_version_that_rewrote_one_attribute_dumps_exactly_that_attribute() {
         let store = MvKvStore::new();
-        // Forty attributes over three chunks, then one rewrite in the middle
-        // chunk: the dump keeps the first version whole and the second as
-        // the one attribute it set.
+        // Forty attributes, then one rewrite in the middle: the dump keeps
+        // the first version whole and the second as the one attribute it
+        // set.
         let wide = Row::from_pairs((0..40).map(|a| (Attr(a), format!("v{a}"))));
         store.write(K, wide.clone(), Some(Timestamp(1))).unwrap();
         store
@@ -473,6 +556,36 @@ mod tests {
                 store.read(K, Some(Timestamp(ts)))
             );
         }
+    }
+
+    /// A complexity guard, run in release by CI: single-attribute versions of
+    /// a 50 000-attribute row, each applied and then GC'd behind, cost what
+    /// they set. A store that copies the row per version, or drops it per
+    /// GC, pays the row's width every time and takes seconds.
+    #[test]
+    fn a_write_costs_what_it_sets_not_the_row_width() {
+        const WIDTH: u32 = 50_000;
+        const VERSIONS: u64 = 20_000;
+        let store = MvKvStore::new();
+        let wide = Row::from_pairs((0..WIDTH).map(|a| (Attr(a), "v")));
+        assert!(store.apply_idempotent(K, wide, Timestamp(1)));
+        let started = std::time::Instant::now();
+        for ts in 2..2 + VERSIONS {
+            let attr = Attr((ts * 7_919 % WIDTH as u64) as u32);
+            assert!(store.apply_idempotent(K, Row::new().with(attr, "w"), Timestamp(ts)));
+            let floor = store.version_floor(K, Timestamp(ts)).unwrap();
+            assert_eq!(store.gc_versions_before(K, floor), 1);
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(store.version_count(K), 1);
+        assert_eq!(
+            store.read_attr_at(K, Attr(7_919 * 3 % WIDTH), Timestamp(VERSIONS + 1)),
+            Some("w".to_owned())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "{VERSIONS} single-attribute versions of a {WIDTH}-attribute row took {elapsed:?}"
+        );
     }
 
     #[test]

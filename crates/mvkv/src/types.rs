@@ -1,6 +1,5 @@
 //! Core value types for the multi-version store.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -72,16 +71,15 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// A single version of a row: an attribute (column) → value map.
+/// Attribute (column) → value pairs, sorted by attribute id: the attributes
+/// one write sets, one version of a dump, or a version a read materialised.
 ///
-/// Every version of a row is the previous one overlaid with a few
-/// attributes, so versions share what they did not touch: attributes are
-/// grouped into chunks of 16 consecutive ids, each chunk a shared
-/// (`Arc`) sorted vector of shared (`Arc<str>`) values. Cloning a row copies
-/// one pointer per chunk, and a write copies the pointers of the one chunk
-/// it lands in — never a string, and never the whole row.
+/// The store does not keep rows: it keeps every attribute's versions apart
+/// (see [`crate::MvKvStore`]), so a `Row` is only what crosses its surface.
+/// Values are shared (`Arc<str>`): cloning a row or handing it to the store
+/// copies pointers, never strings.
 #[derive(Clone, Default, PartialEq, Eq)]
-pub struct Row(BTreeMap<u32, Arc<Chunk>>);
+pub struct Row(pub(crate) Vec<(Attr, Arc<str>)>);
 
 impl fmt::Debug for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -89,23 +87,18 @@ impl fmt::Debug for Row {
     }
 }
 
-/// The attributes of one chunk, sorted by id.
-type Chunk = Vec<(Attr, Arc<str>)>;
-
-/// Attribute ids per chunk.
-const CHUNK: u32 = 16;
-
 impl Row {
     /// An empty row.
     pub fn new() -> Self {
-        Row(BTreeMap::new())
+        Row(Vec::new())
     }
 
-    /// Build a row from attribute/value pairs.
+    /// Build a row from attribute/value pairs; a later pair for the same
+    /// attribute wins.
     pub fn from_pairs<I, V>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (Attr, V)>,
-        V: Into<String>,
+        V: Into<Arc<str>>,
     {
         let mut row = Row::new();
         for (attr, value) in pairs {
@@ -115,30 +108,25 @@ impl Row {
     }
 
     /// Set an attribute, returning `self` for chaining.
-    pub fn with(mut self, attr: Attr, value: impl Into<String>) -> Self {
+    pub fn with(mut self, attr: Attr, value: impl Into<Arc<str>>) -> Self {
         self.set(attr, value);
         self
     }
 
-    /// Set an attribute in place.
-    pub fn set(&mut self, attr: Attr, value: impl Into<String>) {
-        self.set_shared(attr, value.into().into());
-    }
-
-    fn set_shared(&mut self, attr: Attr, value: Arc<str>) {
-        // A chunk shared with another version is copied here, once.
-        let chunk = Arc::make_mut(self.0.entry(attr.0 / CHUNK).or_default());
-        match chunk.binary_search_by_key(&attr, |(a, _)| *a) {
-            Ok(at) => chunk[at].1 = value,
-            Err(at) => chunk.insert(at, (attr, value)),
+    /// Set an attribute in place. A `&str` becomes its shared value in one
+    /// allocation.
+    pub fn set(&mut self, attr: Attr, value: impl Into<Arc<str>>) {
+        let value = value.into();
+        match self.0.binary_search_by_key(&attr, |(a, _)| *a) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (attr, value)),
         }
     }
 
     /// Get an attribute value.
     pub fn get(&self, attr: Attr) -> Option<&str> {
-        let chunk = self.0.get(&(attr.0 / CHUNK))?;
-        let at = chunk.binary_search_by_key(&attr, |(a, _)| *a).ok()?;
-        Some(&chunk[at].1)
+        let at = self.0.binary_search_by_key(&attr, |(a, _)| *a).ok()?;
+        Some(&self.0[at].1)
     }
 
     /// Whether the row has no attributes.
@@ -148,61 +136,16 @@ impl Row {
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.0.values().map(|chunk| chunk.len()).sum()
+        self.0.len()
     }
 
     /// Iterate over attribute/value pairs in attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (Attr, &str)> {
-        self.0
-            .values()
-            .flat_map(|chunk| chunk.iter().map(|(a, v)| (*a, &**v)))
-    }
-
-    /// Overlay `other` on top of this row: attributes in `other` win,
-    /// attributes only in `self` are preserved. This is the merge-upsert
-    /// behaviour of column-family stores. Values and untouched chunks are
-    /// shared with the inputs, not copied.
-    pub fn merged_with(&self, other: &Row) -> Row {
-        let mut out = self.clone();
-        for (attr, value) in other.0.values().flat_map(|chunk| chunk.iter()) {
-            out.set_shared(*attr, Arc::clone(value));
-        }
-        out
-    }
-
-    /// The attributes of this row that `earlier` lacks or holds another
-    /// value for, compared by pointer: a version merged from `earlier`
-    /// shares every chunk and every value its write did not touch, so its
-    /// delta is exactly what that write set. Overlaying the delta on
-    /// `earlier` ([`Row::merged_with`]) rebuilds this row whenever it holds
-    /// every attribute `earlier` does, which merge-upsert guarantees.
-    pub fn changed_since(&self, earlier: &Row) -> Row {
-        let mut delta = Row::new();
-        for (index, chunk) in &self.0 {
-            let Some(old) = earlier.0.get(index) else {
-                delta.0.insert(*index, Arc::clone(chunk));
-                continue;
-            };
-            if Arc::ptr_eq(old, chunk) {
-                continue;
-            }
-            let changed: Chunk = chunk
-                .iter()
-                .filter(|(attr, value)| {
-                    old.binary_search_by_key(attr, |(a, _)| *a)
-                        .map_or(true, |at| !Arc::ptr_eq(&old[at].1, value))
-                })
-                .cloned()
-                .collect();
-            if !changed.is_empty() {
-                delta.0.insert(*index, Arc::new(changed));
-            }
-        }
-        delta
+        self.0.iter().map(|(a, v)| (*a, &**v))
     }
 }
 
-impl<V: Into<String>> FromIterator<(Attr, V)> for Row {
+impl<V: Into<Arc<str>>> FromIterator<(Attr, V)> for Row {
     fn from_iter<T: IntoIterator<Item = (Attr, V)>>(iter: T) -> Self {
         Row::from_pairs(iter)
     }
@@ -247,6 +190,7 @@ impl std::error::Error for MvkvError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn row_builder_and_accessors() {
@@ -260,20 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_overlays_new_attributes_and_keeps_old() {
-        let base = Row::new().with(Attr(0), "1").with(Attr(1), "2");
-        let delta = Row::new().with(Attr(1), "20").with(Attr(2), "30");
-        let merged = base.merged_with(&delta);
-        assert_eq!(merged.get(Attr(0)), Some("1"));
-        assert_eq!(merged.get(Attr(1)), Some("20"));
-        assert_eq!(merged.get(Attr(2)), Some("30"));
-        // Originals untouched.
-        assert_eq!(base.get(Attr(1)), Some("2"));
-    }
-
-    #[test]
-    fn rows_spanning_chunks_match_a_plain_map() {
-        // Ids on both sides of chunk boundaries, set out of order, one twice.
+    fn rows_match_a_plain_map() {
+        // Ids set out of order, the extremes included, one twice.
         let ids = [40, 3, 16, 15, 17, 255, 0, 31, 32, u32::MAX, 16];
         let mut row = Row::new();
         let mut model = BTreeMap::new();
@@ -295,18 +227,6 @@ mod tests {
             format!("{:?}", Row::new().with(Attr(1), "x")),
             r#"{a1: "x"}"#
         );
-
-        // A merge shares what it does not touch and leaves its inputs alone,
-        // also when the merged row is written to afterwards.
-        let delta = Row::new().with(Attr(16), "x").with(Attr(300), "y");
-        let mut merged = row.merged_with(&delta);
-        merged.set(Attr(17), "z");
-        assert_eq!(as_model(&row), model);
-        assert_eq!(delta.len(), 2);
-        model.insert(Attr(16), "x".into());
-        model.insert(Attr(300), "y".into());
-        model.insert(Attr(17), "z".into());
-        assert_eq!(as_model(&merged), model);
     }
 
     #[test]

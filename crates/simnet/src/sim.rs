@@ -31,26 +31,58 @@ enum EventKind<M> {
     Recover { node: NodeId },
 }
 
-struct Event<M> {
-    time: SimTime,
+/// The event queue: a min-heap of small `(time, seq, slot)` keys over a slot
+/// vector holding the event bodies, so sifting moves 24-byte keys instead of
+/// whole messages. Events run in `(time, seq)` order; `seq` is unique, so the
+/// slot an event happens to occupy never breaks a tie.
+struct EventQueue<M> {
     seq: u64,
-    kind: EventKind<M>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    slots: Vec<Option<EventKind<M>>>,
+    /// Slots whose event has run, reused before the vector grows.
+    free: Vec<usize>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            seq: 0,
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
     }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.slots.push(Some(kind));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((time, self.seq, slot)));
+        self.seq += 1;
     }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        let kind = self.slots[slot]
+            .take()
+            .expect("a queued slot holds its event");
+        self.free.push(slot);
+        Some((time, kind))
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -58,8 +90,9 @@ impl<M> Ord for Event<M> {
 /// of type `M`.
 pub struct Simulation<M> {
     now: SimTime,
-    seq: u64,
-    events: BinaryHeap<Reverse<Event<M>>>,
+    events: EventQueue<M>,
+    /// The action buffer every callback fills, reused across events.
+    actions: Vec<Action<M>>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     network: Network,
     rng: StdRng,
@@ -77,8 +110,8 @@ impl<M: Clone + 'static> Simulation<M> {
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: EventQueue::new(),
+            actions: Vec::new(),
             actors: Vec::new(),
             network: Network::new(config),
             rng: StdRng::seed_from_u64(seed),
@@ -115,7 +148,7 @@ impl<M: Clone + 'static> Simulation<M> {
         self.actors.push(Some(actor));
         self.network.register_node(id, site);
         if self.started {
-            self.push_event(self.now, EventKind::Start { node: id });
+            self.events.push(self.now, EventKind::Start { node: id });
         }
         id
     }
@@ -165,7 +198,7 @@ impl<M: Clone + 'static> Simulation<M> {
     /// current virtual time.
     pub fn recover_node(&mut self, node: NodeId) {
         self.network.set_node_up(node);
-        self.push_event(self.now, EventKind::Recover { node });
+        self.events.push(self.now, EventKind::Recover { node });
     }
 
     /// Take a whole site offline.
@@ -179,22 +212,16 @@ impl<M: Clone + 'static> Simulation<M> {
         for idx in 0..self.actors.len() {
             let node = NodeId(idx as u32);
             if self.network.site_of(node) == site && self.network.is_node_up(node) {
-                self.push_event(self.now, EventKind::Recover { node });
+                self.events.push(self.now, EventKind::Recover { node });
             }
         }
-    }
-
-    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Event { time, seq, kind }));
     }
 
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
             for idx in 0..self.actors.len() {
-                self.push_event(
+                self.events.push(
                     SimTime::ZERO,
                     EventKind::Start {
                         node: NodeId(idx as u32),
@@ -207,21 +234,21 @@ impl<M: Clone + 'static> Simulation<M> {
     /// Process a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some(Reverse(event)) = self.events.pop() else {
+        let Some((time, kind)) = self.events.pop() else {
             return false;
         };
-        debug_assert!(event.time >= self.now, "time went backwards");
+        debug_assert!(time >= self.now, "time went backwards");
         // Cancelled timers are purged lazily without advancing the visible
         // clock, so a cancelled retransmission timer far in the future does
         // not make an otherwise-finished simulation look longer than it was.
-        if let EventKind::Timer { id, .. } = &event.kind {
+        if let EventKind::Timer { id, .. } = &kind {
             if self.cancelled_timers.remove(id) {
                 self.stats.timers_cancelled += 1;
                 return true;
             }
         }
-        self.now = event.time;
-        match event.kind {
+        self.now = time;
+        match kind {
             EventKind::Deliver { from, to, msg } => {
                 if !self.network.is_node_up(to) {
                     self.stats.dropped_down += 1;
@@ -258,7 +285,7 @@ impl<M: Clone + 'static> Simulation<M> {
             Some(a) => a,
             None => return,
         };
-        let mut actions: Vec<Action<M>> = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = Context {
                 now: self.now,
@@ -270,9 +297,10 @@ impl<M: Clone + 'static> Simulation<M> {
             f(actor.as_mut(), &mut ctx);
         }
         self.actors[node.0 as usize] = Some(actor);
-        for action in actions {
+        for action in actions.drain(..) {
             self.apply(node, action);
         }
+        self.actions = actions;
     }
 
     fn apply(&mut self, source: NodeId, action: Action<M>) {
@@ -304,7 +332,7 @@ impl<M: Clone + 'static> Simulation<M> {
                             && self.rng.gen::<f64>() < chaos.duplicate_probability
                         {
                             self.stats.duplicated += 1;
-                            self.push_event(
+                            self.events.push(
                                 self.now + latency,
                                 EventKind::Deliver {
                                     from: source,
@@ -313,7 +341,7 @@ impl<M: Clone + 'static> Simulation<M> {
                                 },
                             );
                         }
-                        self.push_event(
+                        self.events.push(
                             self.now + latency,
                             EventKind::Deliver {
                                 from: source,
@@ -332,7 +360,7 @@ impl<M: Clone + 'static> Simulation<M> {
                 }
             }
             Action::SetTimer { id, delay, tag } => {
-                self.push_event(
+                self.events.push(
                     self.now + delay,
                     EventKind::Timer {
                         node: source,
@@ -372,8 +400,8 @@ impl<M: Clone + 'static> Simulation<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.ensure_started();
         let mut processed = 0;
-        while let Some(Reverse(ev)) = self.events.peek() {
-            if ev.time > deadline {
+        while let Some(time) = self.events.next_time() {
+            if time > deadline {
                 break;
             }
             self.step();
@@ -589,6 +617,38 @@ mod tests {
         };
         assert_eq!(run(21), run(21));
         assert_ne!(run(21), run(22));
+    }
+
+    /// Freed slots are handed out last-in first-out, so equal-time events
+    /// pushed after a few ran sit in slots that descend against push order —
+    /// and still run in push order.
+    #[test]
+    fn equal_time_events_run_in_push_order_across_reused_slots() {
+        let timer = |tag| EventKind::<Msg>::Timer {
+            node: NodeId(0),
+            id: TimerId(tag),
+            tag,
+        };
+        let mut queue = EventQueue::new();
+        for tag in 0..3 {
+            queue.push(SimTime::from_micros(5), timer(tag));
+        }
+        for _ in 0..2 {
+            queue.pop();
+        }
+        for tag in 10..14 {
+            queue.push(SimTime::from_micros(1), timer(tag));
+        }
+        assert_eq!(queue.slots.len(), 5, "two of the four reuse freed slots");
+        let mut order = Vec::new();
+        while let Some((time, kind)) = queue.pop() {
+            let EventKind::Timer { tag, .. } = kind else {
+                unreachable!("only timers were queued")
+            };
+            order.push((time.as_micros(), tag));
+        }
+        assert_eq!(order, [(1, 10), (1, 11), (1, 12), (1, 13), (5, 2)]);
+        assert!(queue.is_empty());
     }
 
     #[test]

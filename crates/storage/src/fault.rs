@@ -7,6 +7,7 @@
 //! the network paths are.
 
 use std::fmt;
+use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -116,11 +117,17 @@ pub fn tear_tail(path: &Path) -> Result<(), StorageError> {
         .write(true)
         .open(path)
         .map_err(|e| StorageError::io("open", path, e))?;
+    write_torn_frame(&mut file, tail, path)
+}
+
+/// Write [`tear_tail`]'s torn frame at offset `at` of `file`, the segment
+/// at `path`.
+pub(crate) fn write_torn_frame(file: &mut File, at: u64, path: &Path) -> Result<(), StorageError> {
     let mut junk = Vec::new();
     junk.extend_from_slice(&64u32.to_le_bytes());
     junk.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
     junk.extend_from_slice(&[0xA5, 0x5A, 0x7E, 0x81, 0x3C]);
-    file.seek(SeekFrom::Start(tail))
+    file.seek(SeekFrom::Start(at))
         .and_then(|_| file.write_all(&junk))
         .map_err(|e| StorageError::io("write", path, e))
 }

@@ -108,13 +108,14 @@ pub struct StorageStats {
     pub corrupt_snapshots: u64,
 }
 
-/// Everything read off disk when a datacenter restarts.
+/// Everything read off disk when a datacenter restarts
+/// ([`DcStorage::reopen`]).
 #[derive(Debug)]
 pub struct RestartData {
     /// Latest readable snapshot per group.
     pub snapshots: Vec<GroupSnapshot>,
-    /// WAL replay: every durable record, in order, up to the first bad
-    /// frame.
+    /// WAL replay: every durable record, in order, up to the torn tail the
+    /// crash left, if any (the reopened handle has repaired it since).
     pub replay: WalReplay,
     /// Snapshot files skipped as corrupt.
     pub corrupt_snapshots: usize,
@@ -147,14 +148,19 @@ impl DcStorage {
     /// Open (creating or re-opening) the storage under `cfg.dir`. Reopening
     /// after a crash repairs a torn WAL tail and starts a fresh segment.
     pub fn open(cfg: DurableConfig) -> Result<DcStorage, StorageError> {
-        let wal = Wal::open(&wal_dir(&cfg), cfg.segment_bytes)?;
+        Ok(DcStorage::reopen(cfg)?.0)
+    }
+
+    /// [`DcStorage::open`] after a crash, also returning what the restart
+    /// rebuilds from — each WAL segment and each snapshot file read once.
+    /// The replay's torn-tail flag is the crashed run's: it is taken before
+    /// the open repairs the tail.
+    pub fn reopen(cfg: DurableConfig) -> Result<(DcStorage, RestartData), StorageError> {
+        let (wal, replay) = Wal::recover(&wal_dir(&cfg), cfg.segment_bytes)?;
         let snaps = SnapshotStore::open(&snap_dir(&cfg))?;
-        let (existing, corrupt) = snaps.load_all()?;
-        let last_snapshot = existing
-            .into_iter()
-            .map(|s| (s.group, s.position))
-            .collect();
-        Ok(DcStorage {
+        let (snapshots, corrupt_snapshots) = snaps.load_all()?;
+        let last_snapshot = snapshots.iter().map(|s| (s.group, s.position)).collect();
+        let storage = DcStorage {
             cfg,
             wal,
             snaps,
@@ -162,9 +168,15 @@ impl DcStorage {
             sync_failures: 0,
             snapshots_written: 0,
             segments_truncated: 0,
-            corrupt_snapshots: corrupt as u64,
+            corrupt_snapshots: corrupt_snapshots as u64,
             carried: StorageStats::default(),
-        })
+        };
+        let data = RestartData {
+            snapshots,
+            replay,
+            corrupt_snapshots,
+        };
+        Ok((storage, data))
     }
 
     /// Continue the event counts (`records_synced`, `syncs`,
@@ -173,20 +185,6 @@ impl DcStorage {
     /// stays cumulative since the datacenter first attached storage.
     pub fn carry_counters(&mut self, earlier: StorageStats) {
         self.carried = earlier;
-    }
-
-    /// Read snapshots + WAL for a restart, without opening a live handle.
-    /// Call before [`DcStorage::open`] so the torn-tail flag of the crashed
-    /// run is observed (open repairs the tail).
-    pub fn read_for_restart(cfg: &DurableConfig) -> Result<RestartData, StorageError> {
-        let snaps = SnapshotStore::open(&snap_dir(cfg))?;
-        let (snapshots, corrupt_snapshots) = snaps.load_all()?;
-        let replay = wal::replay(&wal_dir(cfg))?;
-        Ok(RestartData {
-            snapshots,
-            replay,
-            corrupt_snapshots,
-        })
     }
 
     /// The configuration this handle was opened with.
@@ -336,14 +334,13 @@ mod tests {
             assert!(dc.log(&decided(0, 2)));
             dc.inject_torn_tail();
         }
-        let data = DcStorage::read_for_restart(&cfg).unwrap();
+        let (dc, data) = DcStorage::reopen(cfg.clone()).unwrap();
         assert!(data.replay.torn_tail, "injected tear must be observed");
         assert_eq!(data.replay.records.len(), 2);
         assert!(data.snapshots.is_empty());
-        // Reopen repairs; a second restart read is clean.
-        let dc = DcStorage::open(cfg.clone()).unwrap();
+        // The reopen repaired the tail; a second restart reads clean.
         drop(dc);
-        let data = DcStorage::read_for_restart(&cfg).unwrap();
+        let (_, data) = DcStorage::reopen(cfg.clone()).unwrap();
         assert!(!data.replay.torn_tail);
         assert_eq!(data.replay.records.len(), 2);
         remove_scratch_dir(&cfg.dir);
@@ -375,13 +372,17 @@ mod tests {
         let stats = dc.stats();
         assert_eq!(stats.snapshots_written, 1);
         assert!(stats.segments_truncated > 0);
-        // Restart sees the snapshot and only the surviving WAL tail.
+        // Restart sees the snapshot and only the surviving WAL tail, and the
+        // reopened handle remembers the snapshot position.
         drop(dc);
-        let data = DcStorage::read_for_restart(&cfg).unwrap();
+        let (dc, data) = DcStorage::reopen(cfg.clone()).unwrap();
         assert_eq!(data.snapshots.len(), 1);
         assert_eq!(data.snapshots[0].position, LogPosition(4));
-        // A reopened handle remembers the snapshot position.
-        let dc = DcStorage::open(cfg.clone()).unwrap();
+        assert!(data
+            .replay
+            .records
+            .iter()
+            .all(|r| r.position() >= LogPosition(4)));
         assert_eq!(dc.last_snapshot(GroupId(0)), LogPosition(4));
         remove_scratch_dir(&cfg.dir);
     }
@@ -396,7 +397,7 @@ mod tests {
         // Retry succeeds and persists the buffered record.
         assert!(dc.sync());
         drop(dc);
-        let data = DcStorage::read_for_restart(&cfg).unwrap();
+        let (_, data) = DcStorage::reopen(cfg.clone()).unwrap();
         assert_eq!(data.replay.records.len(), 1);
         remove_scratch_dir(&cfg.dir);
     }

@@ -319,6 +319,7 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, StorageError> {
 
 /// The logical length of segment file `path`: the offset just past its last
 /// whole record, where the next append — or a crash's torn frame — lands.
+/// A live [`Wal`] tracks its active segment's instead of scanning for it.
 pub(crate) fn logical_len(path: &Path) -> Result<u64, StorageError> {
     Ok(scan_segment(path)?.logical_len)
 }
@@ -360,9 +361,19 @@ impl Wal {
     /// at its logical length (which repairs a torn tail) and starting a
     /// fresh, preallocated active segment.
     pub fn open(dir: &Path, segment_bytes: u64) -> Result<Wal, StorageError> {
+        Ok(Wal::recover(dir, segment_bytes)?.0)
+    }
+
+    /// [`Wal::open`], also returning every record the previous runs made
+    /// durable, in order — what [`replay`] reads before the repair, from the
+    /// same single scan of each segment. A torn frame is tolerated only at
+    /// the tail of the final segment (`torn_tail`); anywhere else it is
+    /// [`StorageError::Corrupt`].
+    pub fn recover(dir: &Path, segment_bytes: u64) -> Result<(Wal, WalReplay), StorageError> {
         std::fs::create_dir_all(dir).map_err(|e| StorageError::io("mkdir", dir, e))?;
         let seqs = segment_seqs(dir)?;
         let mut index = BTreeMap::new();
+        let mut replayed = WalReplay::default();
         for (i, &seq) in seqs.iter().enumerate() {
             let path = segment_path(dir, seq);
             let scan = scan_segment(&path)?;
@@ -392,10 +403,13 @@ impl Wal {
                 *slot = (*slot).max(rec.position());
             }
             index.insert(seq, seg_index);
+            replayed.segments += 1;
+            replayed.records.extend(scan.records);
+            replayed.torn_tail = scan.torn;
         }
         let active_seq = seqs.last().map_or(1, |last| last + 1);
         let active = create_segment(&segment_path(dir, active_seq), segment_bytes)?;
-        Ok(Wal {
+        let wal = Wal {
             dir: dir.to_path_buf(),
             segment_bytes,
             active,
@@ -408,7 +422,8 @@ impl Wal {
             fault: FaultPlan::default(),
             records_synced: 0,
             syncs: 0,
-        })
+        };
+        Ok((wal, replayed))
     }
 
     /// Buffer one record for the next [`Wal::sync`].
@@ -527,7 +542,7 @@ impl Wal {
         // open can repair it. The handle is assumed dead after this call
         // (the simulated machine crashed).
         let path = segment_path(&self.dir, self.active_seq);
-        crate::fault::tear_tail(&path)
+        crate::fault::write_torn_frame(&mut self.active, self.active_len, &path)
     }
 
     /// Mutable access to the fault-injection plan.
@@ -731,9 +746,14 @@ mod tests {
             wal.sync().unwrap();
             wal.inject_torn_tail().unwrap();
         }
-        // Reopen: the torn bytes are truncated away and a fresh segment
-        // starts, so a second replay is clean.
-        let wal = Wal::open(dir.path(), 1 << 20).unwrap();
+        // Reopen: the scan that repairs the tail reads what replay reads,
+        // torn flag included; the torn bytes are truncated away and a fresh
+        // segment starts, so a second replay is clean.
+        let before = replay(dir.path()).unwrap();
+        let (wal, recovered) = Wal::recover(dir.path(), 1 << 20).unwrap();
+        assert_eq!(recovered.records, before.records);
+        assert!(recovered.torn_tail && before.torn_tail);
+        assert_eq!(recovered.segments, before.segments);
         let replayed = replay(dir.path()).unwrap();
         assert!(!replayed.torn_tail);
         assert_eq!(replayed.records.len(), 1);
