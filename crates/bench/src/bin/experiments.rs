@@ -7,7 +7,8 @@
 //! cargo run --release -p bench-suite --bin experiments -- scaling
 //! ```
 //!
-//! `scaling` runs the sharded multi-group and batch-size sweeps, and
+//! `scaling` runs the sharded multi-group, batch-size, pipeline-depth and
+//! adaptive-window sweeps, and
 //! `routes` the direct-vs-submitted commit-route comparison (neither part
 //! of the paper; see `docs/BENCHMARKS.md`); `all` includes them alongside
 //! the paper figures and the ablation.
@@ -21,6 +22,10 @@
 //! load on the deterministic simulation; it asserts serializability,
 //! exactly-once and liveness, and is likewise opted into explicitly.
 //! `--quick` runs the CI smoke variants.
+//!
+//! An unknown target, `--json` without a path, or a `--json` path that
+//! cannot be created prints the usage and exits with status 2 before
+//! anything runs.
 
 use bench_suite::{
     ablation_specs, adaptive_latency_specs, batch_sweep_specs, fig4_specs, fig5_specs, fig6_specs,
@@ -28,26 +33,67 @@ use bench_suite::{
     format_openloop_table, format_per_replica_table, format_pipeline_table,
     format_readmostly_table, format_route_table, format_scaling_table, group_sweep_specs,
     openloop_ladder, pipeline_sweep_specs, read_scaling, readmostly_sweep, results_to_json,
-    route_compare_specs, run_scaling, OpenLoopSweepConfig, ReadMostlySweepConfig,
+    route_compare_specs, OpenLoopSweepConfig, ReadMostlySweepConfig,
 };
+use std::fs::File;
+use std::io::Write;
+use std::process::exit;
 use workload::{run_load, LoadResult, LoadSpec};
+
+/// Every target the harness knows; anything else is refused before a run.
+const TARGETS: &[&str] = &[
+    "all",
+    "fig4",
+    "fig4a",
+    "fig4b",
+    "fig5",
+    "fig5a",
+    "fig5b",
+    "fig6",
+    "fig7",
+    "fig8",
+    "scaling",
+    "routes",
+    "ablation",
+    "openloop",
+    "readmostly",
+    "chaos",
+];
 
 struct Options {
     targets: Vec<String>,
     quick: bool,
-    json_path: Option<String>,
+    /// The `--json` destination, created before anything runs.
+    json: Option<(String, File)>,
+}
+
+/// Print `problem` and the usage, and exit with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("experiments: {problem}");
+    eprintln!("usage: experiments [TARGET...] [--quick] [--json PATH]");
+    eprintln!("targets: {}", TARGETS.join(" "));
+    exit(2)
 }
 
 fn parse_args() -> Options {
     let mut targets = Vec::new();
     let mut quick = false;
-    let mut json_path = None;
+    let mut json = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--json" => json_path = args.next(),
-            other => targets.push(other.to_string()),
+            "--json" => {
+                let Some(path) = args.next() else {
+                    usage_error("--json needs a path");
+                };
+                match File::create(&path) {
+                    Ok(file) => json = Some((path, file)),
+                    Err(e) => usage_error(&format!("cannot create --json output {path}: {e}")),
+                }
+            }
+            other if TARGETS.contains(&other) => targets.push(other.to_string()),
+            other => usage_error(&format!("unknown target {other:?}")),
         }
     }
     if targets.is_empty() {
@@ -56,7 +102,7 @@ fn parse_args() -> Options {
     Options {
         targets,
         quick,
-        json_path,
+        json,
     }
 }
 
@@ -130,64 +176,24 @@ fn main() {
         all_results.extend(results);
     }
     if wants("scaling") {
-        eprintln!("== running scaling: group and batch sweeps ==");
-        let group_results: Vec<_> = group_sweep_specs(opts.quick)
-            .iter()
-            .map(|spec| {
-                eprintln!(
-                    "   running {} groups x batch {} ({} transactions)...",
-                    spec.groups,
-                    spec.batch_size,
-                    spec.total_transactions()
-                );
-                run_scaling(spec)
-            })
-            .collect();
+        let results = run_batch("group sweep", group_sweep_specs(opts.quick));
         println!("\n=== Scaling: group-count sweep (64 writers, batch 4, VVV) ===");
-        println!("{}", format_scaling_table(&group_results));
-        let batch_results: Vec<_> = batch_sweep_specs(opts.quick)
-            .iter()
-            .map(|spec| {
-                eprintln!(
-                    "   running {} groups x batch {} ({} transactions)...",
-                    spec.groups,
-                    spec.batch_size,
-                    spec.total_transactions()
-                );
-                run_scaling(spec)
-            })
-            .collect();
+        println!("{}", format_scaling_table(&results));
+        all_results.extend(results);
+        let results = run_batch("batch sweep", batch_sweep_specs(opts.quick));
         println!("=== Scaling: batch-size sweep (16 writers, 4 groups, VVV) ===");
-        println!("{}", format_scaling_table(&batch_results));
-        let pipeline_results: Vec<_> = pipeline_sweep_specs(opts.quick)
-            .iter()
-            .map(|spec| {
-                eprintln!(
-                    "   running pipeline depth {} x batch {} ({} transactions)...",
-                    spec.pipeline_depth,
-                    spec.batch_size,
-                    spec.total_transactions()
-                );
-                run_scaling(spec)
-            })
-            .collect();
+        println!("{}", format_scaling_table(&results));
+        all_results.extend(results);
+        let results = run_batch("pipeline sweep", pipeline_sweep_specs(opts.quick));
         println!(
             "=== Pipeline: depth 1/2/4 x batch cap 1/4/8, equal offered load (burst, VVV) ==="
         );
-        println!("{}", format_pipeline_table(&pipeline_results));
-        let latency_results: Vec<_> = adaptive_latency_specs(opts.quick)
-            .iter()
-            .map(|spec| {
-                eprintln!(
-                    "   running {} windows latency trickle ({} transactions)...",
-                    if spec.adaptive { "adaptive" } else { "static" },
-                    spec.total_transactions()
-                );
-                run_scaling(spec)
-            })
-            .collect();
+        println!("{}", format_pipeline_table(&results));
+        all_results.extend(results);
+        let results = run_batch("adaptive windows", adaptive_latency_specs(opts.quick));
         println!("=== Adaptive windows: uncontended trickle, static batch-4 vs adaptive (VVV) ===");
-        println!("{}", format_pipeline_table(&latency_results));
+        println!("{}", format_pipeline_table(&results));
+        all_results.extend(results);
     }
     if wants("routes") {
         let results = run_batch("routes", route_compare_specs(8, opts.quick));
@@ -342,8 +348,11 @@ fn main() {
         );
     }
 
-    if let Some(path) = opts.json_path {
-        std::fs::write(&path, results_to_json(&all_results)).expect("write json output");
+    if let Some((path, mut file)) = opts.json {
+        if let Err(e) = file.write_all(results_to_json(&all_results).as_bytes()) {
+            eprintln!("experiments: writing {path}: {e}");
+            exit(1);
+        }
         eprintln!("wrote {} results to {path}", all_results.len());
     }
 

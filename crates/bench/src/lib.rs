@@ -12,8 +12,9 @@
 //! ```
 //!
 //! or a single figure with `-- fig4a`, `-- fig6`, etc. `--quick` scales the
-//! workload down (fewer transactions) for smoke runs. Criterion
-//! micro-benchmarks live in `benches/`.
+//! workload down (fewer transactions) for smoke runs. Every experiment is a
+//! [`workload::LoadSpec`] run by [`workload::run_load`]. Performance, end to
+//! end and per layer, is measured by the separate `benchmark/` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +40,5 @@ pub use report::{
 pub use routes::{format_route_table, route_compare_specs, route_spec};
 pub use scaling::{
     adaptive_latency_specs, batch_sweep_specs, format_pipeline_table, format_scaling_table,
-    group_sweep_specs, pipeline_sweep_specs, run_scaling, ScalingResult, ScalingSpec,
+    group_sweep_specs, pipeline_sweep_specs,
 };

@@ -5,466 +5,130 @@
 //!
 //! The paper's §2.1 data model partitions rows into transaction groups so
 //! that independent groups commit in parallel; these workloads exercise
-//! exactly that. A fixed pool of writers is sharded over `groups` groups,
-//! each writer homed in its group's leader datacenter per the directory's
-//! leader map. Writers drive the **submitted commit route**: every
-//! finished transaction ships to the group home's Transaction Service as a
-//! [`mdstore::Msg::CommitRequest`], and the *service-hosted*
-//! [`mdstore::GroupCommitter`] (one per led group, shared by every writer
-//! of the group) windows, pipelines and adapts — the same engine, wired
-//! the same way, that real client sessions use.
+//! exactly that. Every point is a [`LoadSpec`] that [`workload::run_load`]
+//! runs: writers placed round-robin over the VVV datacenters commit blind
+//! single-write transactions over a million uniform keys, each routed to
+//! group `key % groups`, through the **submitted commit route**. The
+//! group home's service-hosted [`mdstore::GroupCommitter`] windows,
+//! pipelines and adapts them, the same engine real client sessions use.
 //!
 //! Three load shapes:
 //!
-//! * **closed loop** (default) — each writer submits one window's worth,
-//!   waits for every outcome, then starts the next round: the group/batch
-//!   sweeps of PR 2 (depth 1, static windows).
-//! * **burst** ([`ScalingSpec::with_burst`]) — each writer submits its
-//!   whole quota up front. Equal offered load across pipeline depths: the
-//!   committer drains the backlog with up to `pipeline_depth` instances in
-//!   flight, so the depth sweep isolates what pipelining buys.
-//! * **trickle** ([`ScalingSpec::with_interarrival`]) — one transaction per
-//!   interval per writer: the uncontended low-occupancy regime where the
-//!   adaptive window controller should shrink to latency mode and beat a
-//!   static window's deadline wait.
+//! * **closed loop** — each writer keeps one window's worth open and starts
+//!   the next transaction as soon as one finishes: the group and batch
+//!   sweeps (depth 1, static windows).
+//! * **burst** — each writer opens its whole quota up front. Equal offered
+//!   load across pipeline depths: the committer drains the backlog with up
+//!   to `pipeline_depth` instances in flight, so the depth sweep isolates
+//!   what pipelining buys.
+//! * **trickle** — one transaction per 25 ms per writer: the uncontended
+//!   low-occupancy regime where the adaptive window controller should shrink
+//!   to latency mode and beat a static window's deadline wait.
 //!
-//! Every run is verified (replica agreement + one-copy serializability per
-//! group) before its numbers are reported.
+//! `run_load` verifies every run (replica agreement, one-copy
+//! serializability per group, exactly-once) before its numbers are
+//! reported.
 
-use mdstore::{
-    BatchConfig, Cluster, ClusterConfig, CommitProtocol, Msg, RunMetrics, Topology, TxnResult,
-};
-use parking_lot::Mutex;
-use simnet::{Actor, Context, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
-use std::sync::Arc;
-use walog::{GroupId, ItemRef, Transaction, TxnId};
+use mdstore::{BatchConfig, CommitProtocol, CommitRoute, Topology};
+use simnet::SimDuration;
+use workload::{KeyDistribution, Keyspace, LoadResult, LoadSpec, OpMix, Placement};
 
-/// Reserved timer tag for "start the next submission round / next trickle".
-const NEXT_ROUND_TAG: u64 = u64::MAX;
-
-/// One point of a scaling sweep.
-#[derive(Clone, Debug)]
-pub struct ScalingSpec {
-    /// Cluster layout.
-    pub topology: Topology,
-    /// Number of transaction groups the writers shard over.
-    pub groups: usize,
-    /// Total writers (round-robin over the groups).
-    pub writers: usize,
-    /// Submission rounds per writer (each round submits one full window;
-    /// with burst or trickle, `rounds * batch_size` is the writer's quota).
-    pub rounds: usize,
-    /// Transactions per window (= the service committers' `max_batch`).
-    pub batch_size: usize,
-    /// Commit-pipeline depth of the service committers (1 =
-    /// flush-and-wait).
-    pub pipeline_depth: usize,
-    /// Whether the committers' adaptive window controller is on.
-    pub adaptive: bool,
-    /// Submit each writer's whole quota up front (open loop).
-    pub burst: bool,
-    /// Trickle mode: one transaction per interval per writer.
-    pub interarrival: Option<SimDuration>,
-    /// Simulation seed.
-    pub seed: u64,
+/// What every scaling point shares: writers round-robin over the VVV
+/// datacenters, all starting at once and committing blind single-write
+/// transactions back to back over `groups` groups, whose committers run
+/// `batch`. Callers size the writers and how many each keeps open.
+fn scaling_spec(name: String, groups: usize, batch: BatchConfig, seed: u64) -> LoadSpec {
+    let paper = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp);
+    LoadSpec {
+        name,
+        placement: Placement::RoundRobin,
+        mix: OpMix {
+            ops_per_txn: 1,
+            read_fraction: 0.0,
+            op_delay: SimDuration::ZERO,
+            ..paper.mix
+        },
+        keyspace: Keyspace {
+            groups,
+            keys: 1 << 20,
+            rows: 1024,
+            distribution: KeyDistribution::Uniform,
+        },
+        client: paper.client.clone().with_route(CommitRoute::Submitted),
+        batch,
+        seed,
+        ..paper
+    }
+    .with_target_tps(0.0)
+    .with_stagger(SimDuration::ZERO)
 }
 
-impl ScalingSpec {
-    /// A sweep point on the default three-Virginia cluster (closed loop,
-    /// depth 1, static windows — the PR 2 configuration).
-    pub fn new(groups: usize, batch_size: usize) -> Self {
-        ScalingSpec {
-            topology: Topology::vvv(),
-            groups: groups.max(1),
-            writers: 16,
-            rounds: 4,
-            batch_size: batch_size.max(1),
-            pipeline_depth: 1,
-            adaptive: false,
-            burst: false,
-            interarrival: None,
-            seed: 42,
-        }
-    }
-
-    /// Builder-style writer-count override.
-    pub fn with_writers(mut self, writers: usize) -> Self {
-        self.writers = writers.max(1);
-        self
-    }
-
-    /// Builder-style rounds override.
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds.max(1);
-        self
-    }
-
-    /// Builder-style pipeline-depth override.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Builder-style adaptive-window switch.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Builder-style burst-mode switch (submit the whole quota up front).
-    pub fn with_burst(mut self, burst: bool) -> Self {
-        self.burst = burst;
-        self
-    }
-
-    /// Builder-style trickle mode: one transaction per `gap` per writer.
-    pub fn with_interarrival(mut self, gap: SimDuration) -> Self {
-        self.interarrival = Some(gap);
-        self
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Total transactions the run will attempt.
-    pub fn total_transactions(&self) -> usize {
-        self.writers * self.rounds * self.batch_size
-    }
-
-    /// The service-committer configuration this sweep point runs with.
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig::default()
-            .with_max_batch(self.batch_size)
-            .with_pipeline_depth(self.pipeline_depth)
-            .with_adaptive(self.adaptive)
-    }
+/// Service committers with window cap `max_batch` at `depth`.
+fn windows(max_batch: usize, depth: usize, adaptive: bool) -> BatchConfig {
+    BatchConfig::default()
+        .with_max_batch(max_batch)
+        .with_pipeline_depth(depth)
+        .with_adaptive(adaptive)
 }
 
-/// Measurements of one sweep point.
-#[derive(Clone, Debug)]
-pub struct ScalingResult {
-    /// Number of groups the load was sharded over.
-    pub groups: usize,
-    /// Window size cap (`max_batch`).
-    pub batch_size: usize,
-    /// Configured commit-pipeline depth.
-    pub pipeline_depth: usize,
-    /// Whether adaptive windows were on.
-    pub adaptive: bool,
-    /// Transactions attempted.
-    pub attempted: usize,
-    /// Transactions committed.
-    pub committed: usize,
-    /// Transactions aborted.
-    pub aborted: usize,
-    /// Decided non-noop log entries across all groups (replica 0): the
-    /// number of Paxos instances that committed work.
-    pub instances: usize,
-    /// Committed transactions per Paxos instance (batching/combination
-    /// amortization).
-    pub txns_per_instance: f64,
-    /// Mean transactions per flushed window (the controller's signal).
-    pub mean_window_occupancy: f64,
-    /// Deepest pipeline any committer reached.
-    pub max_pipeline_depth: u32,
-    /// Median commit latency in milliseconds of simulated time.
-    pub commit_p50_ms: f64,
-    /// Store versions reclaimed by the apply-time GC across replicas.
-    pub reclaimed_versions: u64,
-    /// Virtual time the run took, in seconds.
-    pub sim_seconds: f64,
-    /// Aggregate committed transactions per second of simulated time.
-    pub throughput_tps: f64,
+/// Closed-loop rounds: each writer keeps `batch` transactions open for
+/// `rounds` windows' worth, committed through depth-1 static windows of
+/// `batch`.
+fn rounds_spec(groups: usize, batch: usize, writers: usize, rounds: usize, seed: u64) -> LoadSpec {
+    let name = format!("scaling-g{groups}-b{batch}");
+    scaling_spec(name, groups, windows(batch, 1, false), seed)
+        .with_clients(writers, rounds * batch)
+        .with_max_open(batch)
 }
 
-/// One writer, shipping blind-write transactions to its group home's
-/// service-hosted committer via the submitted commit route, in one of the
-/// three load shapes (closed loop, burst, trickle).
-struct RouteWriter {
-    directory: Arc<mdstore::Directory>,
-    group: GroupId,
-    /// The group home's Transaction Service node.
-    service: NodeId,
-    /// Replica index of the writer's (= the group home's) datacenter.
-    home: usize,
-    /// Items this writer's transactions write, cycled per submission.
-    items: Vec<ItemRef>,
-    /// Closed loop: windows still to submit.
-    rounds_left: usize,
-    /// Transactions still to submit (burst/trickle quota).
+/// Burst: each of `writers` opens its whole `quota` up front into
+/// committers with window cap `cap` at `depth`.
+fn burst_spec(
+    groups: usize,
+    cap: usize,
+    depth: usize,
+    writers: usize,
     quota: usize,
-    burst: bool,
-    interarrival: Option<SimDuration>,
-    outstanding: usize,
-    seq: u64,
-    /// Submission time per outstanding request id.
-    pending: HashMap<u64, SimTime>,
-    metrics: Arc<Mutex<RunMetrics>>,
-}
-
-impl RouteWriter {
-    fn submit_one(&mut self, ctx: &mut Context<Msg>) {
-        let read_position = self
-            .directory
-            .core(self.home)
-            .lock()
-            .read_position(self.group);
-        let node = ctx.node().0;
-        self.seq += 1;
-        let item = self.items[(self.seq as usize - 1) % self.items.len()];
-        let txn = Transaction::builder(TxnId::new(node, self.seq), self.group, read_position)
-            .write(item, format!("v{}-{}", node, self.seq))
-            .build();
-        self.outstanding += 1;
-        self.pending.insert(self.seq, ctx.now());
-        ctx.send(
-            self.service,
-            Msg::CommitRequest {
-                req_id: self.seq,
-                txn,
-            },
-        );
-    }
-
-    fn tick(&mut self, ctx: &mut Context<Msg>) {
-        if self.interarrival.is_some() {
-            // Trickle: one transaction per tick.
-            if self.quota > 0 {
-                self.quota -= 1;
-                self.submit_one(ctx);
-                if self.quota > 0 {
-                    // lint:allow(timer-refire): bench driver, never crashed
-                    ctx.set_timer(self.interarrival.unwrap(), NEXT_ROUND_TAG);
-                }
-            }
-        } else if self.burst {
-            // Burst: the whole quota up front; the service committer
-            // pipelines it.
-            while self.quota > 0 {
-                self.quota -= 1;
-                self.submit_one(ctx);
-            }
-        } else {
-            // Closed loop: one window's worth per round.
-            if self.rounds_left == 0 {
-                return;
-            }
-            self.rounds_left -= 1;
-            for _ in 0..self.items.len() {
-                self.submit_one(ctx);
-            }
-        }
-    }
-}
-
-impl Actor<Msg> for RouteWriter {
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.tick(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
-        let Msg::CommitReply {
-            req_id,
-            txn,
-            committed,
-            promotions,
-            combined,
-            rounds,
-            abort_reason,
-            ..
-        } = msg
-        else {
-            return;
-        };
-        let Some(submitted_at) = self.pending.remove(&req_id) else {
-            return;
-        };
-        let latency = ctx.now().since(submitted_at);
-        {
-            let mut metrics = self.metrics.lock();
-            metrics.record(&TxnResult {
-                committed,
-                read_only: false,
-                promotions,
-                combined,
-                rounds,
-                latency,
-                total_latency: latency,
-                abort_reason,
-                txn: Some(txn),
-            });
-            metrics.last_decision_us = metrics.last_decision_us.max(ctx.now().as_micros());
-        }
-        self.outstanding = self.outstanding.saturating_sub(1);
-        if self.outstanding == 0
-            && self.rounds_left > 0
-            && !self.burst
-            && self.interarrival.is_none()
-        {
-            ctx.set_timer(SimDuration::from_millis(1), NEXT_ROUND_TAG);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
-        if tag == NEXT_ROUND_TAG {
-            self.tick(ctx);
-        }
-    }
-}
-
-/// Run one sweep point to completion, verify it, and measure it.
-pub fn run_scaling(spec: &ScalingSpec) -> ScalingResult {
-    let mut cluster = Cluster::build(
-        ClusterConfig::new(spec.topology.clone(), CommitProtocol::PaxosCp)
-            .with_batch(spec.batch_config())
-            .with_seed(spec.seed),
-    );
-    let directory = cluster.directory();
-    // Intern the group names first so their ids (and therefore their homes
-    // in the leader map) are dense and round-robin over the datacenters.
-    let groups: Vec<GroupId> = (0..spec.groups)
-        .map(|g| directory.symbols().group(&format!("g{g}")))
-        .collect();
-
-    let mut sinks: Vec<Arc<Mutex<RunMetrics>>> = Vec::with_capacity(spec.writers);
-    for w in 0..spec.writers {
-        let group = groups[w % groups.len()];
-        // Home each writer in its group's leader datacenter: the sharded
-        // locality the leader map exists for, and one intra-site hop to the
-        // service hosting the group's committer.
-        let home = directory.group_home(group);
-        let row = directory.symbols().key(&format!("row{w}"));
-        let items: Vec<ItemRef> = (0..spec.batch_size)
-            .map(|s| ItemRef::new(row, directory.symbols().attr(&format!("w{w}s{s}"))))
-            .collect();
-        let metrics = Arc::new(Mutex::new(RunMetrics::default()));
-        sinks.push(metrics.clone());
-        let dir = directory.clone();
-        let service = cluster.service_node(home);
-        let rounds = spec.rounds;
-        let quota = spec.rounds * spec.batch_size;
-        let burst = spec.burst;
-        let interarrival = spec.interarrival;
-        let sink = metrics;
-        cluster.add_client(home, move |_node| {
-            Box::new(RouteWriter {
-                directory: dir,
-                group,
-                service,
-                home,
-                items,
-                rounds_left: rounds,
-                quota,
-                burst,
-                interarrival,
-                outstanding: 0,
-                seq: 0,
-                pending: HashMap::new(),
-                metrics: sink,
-            })
-        });
-    }
-
-    let started = cluster.now();
-    cluster.run_to_completion();
-    cluster
-        .verify()
-        .expect("scaling run produced a non-serializable or diverged history");
-
-    let mut totals = RunMetrics::default();
-    for sink in &sinks {
-        totals.merge(&sink.lock());
-    }
-    // The windowing/pipelining observables live with the service-hosted
-    // committers now.
-    totals.merge(&cluster.service_commit_metrics());
-    totals.reclaimed_versions = cluster.reclaimed_version_counts().iter().sum();
-    let instances: usize = groups
-        .iter()
-        .map(|g| cluster.decided_instances_id(0, *g))
-        .sum();
-    // Measure the working span — start to the last commit/abort decision —
-    // not the idle tail of trailing reply-timeout timers the run-until-idle
-    // loop waits out.
-    let worked = totals.last_decision_us.saturating_sub(started.as_micros());
-    let sim_seconds = worked as f64 / 1_000_000.0;
-    ScalingResult {
-        groups: spec.groups,
-        batch_size: spec.batch_size,
-        pipeline_depth: spec.pipeline_depth,
-        adaptive: spec.adaptive,
-        attempted: totals.attempted,
-        committed: totals.committed,
-        aborted: totals.aborted,
-        instances,
-        txns_per_instance: if instances == 0 {
-            0.0
-        } else {
-            totals.committed as f64 / instances as f64
-        },
-        mean_window_occupancy: totals.mean_window_occupancy(),
-        max_pipeline_depth: totals.max_pipeline_depth(),
-        commit_p50_ms: totals.commit_latency().p50_ms,
-        reclaimed_versions: totals.reclaimed_versions,
-        sim_seconds,
-        throughput_tps: if sim_seconds > 0.0 {
-            totals.committed as f64 / sim_seconds
-        } else {
-            0.0
-        },
-    }
+    seed: u64,
+) -> LoadSpec {
+    let name = format!("pipeline-d{depth}-c{cap}");
+    scaling_spec(name, groups, windows(cap, depth, false), seed)
+        .with_clients(writers, quota)
+        .with_max_open(quota)
 }
 
 /// The group-count sweep: the same writer pool sharded over 1, 4, 16 and
-/// 64 groups (batch size 4; depth 1, static windows for PR 2
-/// comparability).
-pub fn group_sweep_specs(quick: bool) -> Vec<ScalingSpec> {
+/// 64 groups (batch size 4; depth 1, static windows, so only the group
+/// count varies).
+pub fn group_sweep_specs(quick: bool) -> Vec<LoadSpec> {
+    let rounds = if quick { 1 } else { 2 };
     [1usize, 4, 16, 64]
         .into_iter()
-        .map(|groups| {
-            ScalingSpec::new(groups, 4)
-                .with_writers(64)
-                .with_rounds(if quick { 1 } else { 2 })
-                .with_seed(90 + groups as u64)
-        })
+        .map(|groups| rounds_spec(groups, 4, 64, rounds, 90 + groups as u64))
         .collect()
 }
 
 /// The batch-size sweep: 4 groups, window sizes 1, 2, 4 and 8 (depth 1,
-/// static windows for PR 2 comparability).
-pub fn batch_sweep_specs(quick: bool) -> Vec<ScalingSpec> {
+/// static windows, so only the window size varies).
+pub fn batch_sweep_specs(quick: bool) -> Vec<LoadSpec> {
+    let rounds = if quick { 2 } else { 4 };
     [1usize, 2, 4, 8]
         .into_iter()
-        .map(|batch| {
-            ScalingSpec::new(4, batch)
-                .with_writers(16)
-                .with_rounds(if quick { 2 } else { 4 })
-                .with_seed(190 + batch as u64)
-        })
+        .map(|batch| rounds_spec(4, batch, 16, rounds, 190 + batch as u64))
         .collect()
 }
 
 /// The pipeline sweep: depth 1/2/4 × batch cap 1/4/8 at **equal offered
 /// load** — every cell bursts the same per-writer quota up front, so the
 /// depth axis isolates what overlapping instances buys at each window
-/// size. 4 writers over 4 groups (one per group: uncontended logs).
-pub fn pipeline_sweep_specs(quick: bool) -> Vec<ScalingSpec> {
+/// size. 4 writers over 4 groups.
+pub fn pipeline_sweep_specs(quick: bool) -> Vec<LoadSpec> {
     let quota = if quick { 8 } else { 16 };
     let mut specs = Vec::new();
     for depth in [1usize, 2, 4] {
         for cap in [1usize, 4, 8] {
-            specs.push(
-                ScalingSpec::new(4, cap)
-                    .with_writers(4)
-                    .with_rounds(quota / cap.max(1))
-                    .with_pipeline_depth(depth)
-                    .with_burst(true)
-                    .with_seed(290 + (depth * 10 + cap) as u64),
-            );
+            let seed = 290 + (depth * 10 + cap) as u64;
+            specs.push(burst_spec(4, cap, depth, 4, quota, seed));
         }
     }
     specs
@@ -475,22 +139,33 @@ pub fn pipeline_sweep_specs(quick: bool) -> Vec<ScalingSpec> {
 /// static batch-4 window versus the adaptive controller. The static window
 /// pays the 5 ms window deadline on every commit; the adaptive controller
 /// shrinks to latency mode and commits on submit.
-pub fn adaptive_latency_specs(quick: bool) -> Vec<ScalingSpec> {
-    let rounds = if quick { 2 } else { 8 };
-    let base = |adaptive: bool| {
-        ScalingSpec::new(4, 4)
-            .with_writers(4)
-            .with_rounds(rounds)
-            .with_pipeline_depth(2)
-            .with_interarrival(SimDuration::from_millis(25))
-            .with_adaptive(adaptive)
-            .with_seed(410)
+pub fn adaptive_latency_specs(quick: bool) -> Vec<LoadSpec> {
+    let quota = if quick { 8 } else { 32 };
+    let trickle = |adaptive: bool| {
+        let name = format!("adaptive-{}", if adaptive { "on" } else { "off" });
+        scaling_spec(name, 4, windows(4, 2, adaptive), 410)
+            .with_clients(4, quota)
+            .with_max_open(quota)
+            .with_target_tps(40.0)
     };
-    vec![base(false), base(true)]
+    vec![trickle(false), trickle(true)]
+}
+
+/// Decided non-noop log positions across every group: the number of Paxos
+/// instances that committed work.
+fn instances(result: &LoadResult) -> usize {
+    let checks = result.check.iter();
+    checks.map(|(_, r)| r.positions - r.noop_positions).sum()
+}
+
+/// Committed transactions per Paxos instance (batching/combination
+/// amortization).
+fn txns_per_instance(result: &LoadResult) -> f64 {
+    result.totals.committed as f64 / instances(result).max(1) as f64
 }
 
 /// Format a sweep as an aligned text table.
-pub fn format_scaling_table(results: &[ScalingResult]) -> String {
+pub fn format_scaling_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(
         "groups  batch  attempted  committed  aborted  instances  txns/inst  sim_s    agg tx/s\n",
@@ -498,15 +173,15 @@ pub fn format_scaling_table(results: &[ScalingResult]) -> String {
     for r in results {
         out.push_str(&format!(
             "{:>6}  {:>5}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9.2}  {:>7.2}  {:>9.1}\n",
-            r.groups,
-            r.batch_size,
-            r.attempted,
-            r.committed,
-            r.aborted,
-            r.instances,
-            r.txns_per_instance,
-            r.sim_seconds,
-            r.throughput_tps,
+            r.spec.keyspace.groups,
+            r.spec.batch.max_batch,
+            r.totals.attempted,
+            r.totals.committed,
+            r.totals.aborted,
+            instances(r),
+            txns_per_instance(r),
+            r.offered_secs(),
+            r.committed_tps(),
         ));
     }
     out
@@ -514,7 +189,7 @@ pub fn format_scaling_table(results: &[ScalingResult]) -> String {
 
 /// Format the pipeline sweep (and the adaptive-latency pair) as an aligned
 /// text table with the pipeline/controller observables.
-pub fn format_pipeline_table(results: &[ScalingResult]) -> String {
+pub fn format_pipeline_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(
         "depth  batch  adapt  attempted  committed  occ(avg)  depth(max)  p50(ms)  sim_s    agg tx/s\n",
@@ -522,16 +197,16 @@ pub fn format_pipeline_table(results: &[ScalingResult]) -> String {
     for r in results {
         out.push_str(&format!(
             "{:>5}  {:>5}  {:>5}  {:>9}  {:>9}  {:>8.2}  {:>10}  {:>7.2}  {:>7.2}  {:>9.1}\n",
-            r.pipeline_depth,
-            r.batch_size,
-            if r.adaptive { "yes" } else { "no" },
-            r.attempted,
-            r.committed,
-            r.mean_window_occupancy,
-            r.max_pipeline_depth,
-            r.commit_p50_ms,
-            r.sim_seconds,
-            r.throughput_tps,
+            r.spec.batch.pipeline_depth,
+            r.spec.batch.max_batch,
+            if r.spec.batch.adaptive { "yes" } else { "no" },
+            r.totals.attempted,
+            r.totals.committed,
+            r.totals.mean_window_occupancy(),
+            r.totals.max_pipeline_depth(),
+            r.totals.commit_latency().p50_ms,
+            r.offered_secs(),
+            r.committed_tps(),
         ));
     }
     out
@@ -540,66 +215,77 @@ pub fn format_pipeline_table(results: &[ScalingResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::{run_load, Arrival};
 
     #[test]
     fn small_scaling_run_commits_and_batches() {
-        let spec = ScalingSpec::new(4, 4)
-            .with_writers(4)
-            .with_rounds(2)
-            .with_seed(7);
-        let result = run_scaling(&spec);
-        assert_eq!(result.attempted, spec.total_transactions());
-        assert_eq!(result.committed + result.aborted, result.attempted);
-        assert!(result.committed > 0);
+        let spec = rounds_spec(4, 4, 4, 2, 7);
+        let result = run_load(&spec);
+        assert_eq!(Some(result.totals.attempted), spec.total_transactions());
+        assert_eq!(
+            result.totals.committed + result.totals.aborted,
+            result.totals.attempted
+        );
+        assert!(result.totals.committed > 0);
         // Windows of 4 independent transactions must amortize: at least two
         // committed transactions per Paxos instance on average.
         assert!(
-            result.txns_per_instance >= 2.0,
+            txns_per_instance(&result) >= 2.0,
             "batch amortization missing: {} txns / {} instances",
-            result.committed,
-            result.instances
+            result.totals.committed,
+            instances(&result)
         );
-        assert!(result.throughput_tps > 0.0);
+        assert!(result.committed_tps() > 0.0);
     }
 
     #[test]
     fn sweep_specs_cover_the_documented_points() {
-        let groups: Vec<usize> = group_sweep_specs(true).iter().map(|s| s.groups).collect();
+        let groups: Vec<usize> = group_sweep_specs(true)
+            .iter()
+            .map(|s| s.keyspace.groups)
+            .collect();
         assert_eq!(groups, vec![1, 4, 16, 64]);
         let batches: Vec<usize> = batch_sweep_specs(true)
             .iter()
-            .map(|s| s.batch_size)
+            .map(|s| s.batch.max_batch)
             .collect();
         assert_eq!(batches, vec![1, 2, 4, 8]);
-        assert!(group_sweep_specs(false)[0].total_transactions() > 0);
-        // Pipeline sweep: 3 depths × 3 caps, equal per-writer quota.
+        assert!(group_sweep_specs(false)[0].total_transactions() > Some(0));
+        // Pipeline sweep: 3 depths × 3 caps, equal per-writer quota, all of
+        // it open at once.
         let specs = pipeline_sweep_specs(false);
         assert_eq!(specs.len(), 9);
-        assert!(specs
-            .iter()
-            .all(|s| s.rounds * s.batch_size == 16 && s.burst));
+        let bursts = |s: &LoadSpec| {
+            matches!(s.arrival, Arrival::Closed { max_open: 16, target_tps, txns_per_actor: 16, .. }
+                if target_tps == 0.0)
+        };
+        assert!(specs.iter().all(bursts));
         let latency = adaptive_latency_specs(true);
         assert_eq!(latency.len(), 2);
-        assert!(!latency[0].adaptive && latency[1].adaptive);
+        assert!(!latency[0].batch.adaptive && latency[1].batch.adaptive);
     }
 
     #[test]
     fn pipeline_depth_two_raises_throughput_at_equal_offered_load() {
-        let base = ScalingSpec::new(2, 4)
-            .with_writers(2)
-            .with_rounds(4)
-            .with_burst(true)
-            .with_seed(33);
-        let d1 = run_scaling(&base.clone().with_pipeline_depth(1));
-        let d2 = run_scaling(&base.with_pipeline_depth(2));
-        assert_eq!(d1.attempted, d2.attempted, "equal offered load");
-        assert_eq!(d2.committed, d2.attempted, "pipelined burst must drain");
-        assert!(d2.max_pipeline_depth >= 2, "depth 2 must actually overlap");
+        let d1 = run_load(&burst_spec(2, 4, 1, 2, 16, 33));
+        let d2 = run_load(&burst_spec(2, 4, 2, 2, 16, 33));
+        assert_eq!(
+            d1.totals.attempted, d2.totals.attempted,
+            "equal offered load"
+        );
+        assert_eq!(
+            d2.totals.committed, d2.totals.attempted,
+            "pipelined burst must drain"
+        );
         assert!(
-            d2.throughput_tps > d1.throughput_tps,
+            d2.totals.max_pipeline_depth() >= 2,
+            "depth 2 must actually overlap"
+        );
+        assert!(
+            d2.committed_tps() > d1.committed_tps(),
             "pipelining must raise throughput: depth1 {:.1} tx/s vs depth2 {:.1} tx/s",
-            d1.throughput_tps,
-            d2.throughput_tps
+            d1.committed_tps(),
+            d2.committed_tps()
         );
     }
 
@@ -608,14 +294,15 @@ mod tests {
         // Full-size specs: the controller needs a handful of low-occupancy
         // windows to shrink, so the quick pair's p50 still straddles them.
         let specs = adaptive_latency_specs(false);
-        let fixed = run_scaling(&specs[0]);
-        let adaptive = run_scaling(&specs[1]);
-        assert_eq!(fixed.attempted, adaptive.attempted);
+        let fixed = run_load(&specs[0]);
+        let adaptive = run_load(&specs[1]);
+        assert_eq!(fixed.totals.attempted, adaptive.totals.attempted);
+        let p50 = |r: &LoadResult| r.totals.commit_latency().p50_ms;
         assert!(
-            adaptive.commit_p50_ms < fixed.commit_p50_ms,
+            p50(&adaptive) < p50(&fixed),
             "adaptive windows must cut uncontended p50: static {:.2} ms vs adaptive {:.2} ms",
-            fixed.commit_p50_ms,
-            adaptive.commit_p50_ms
+            p50(&fixed),
+            p50(&adaptive)
         );
     }
 }
