@@ -40,12 +40,20 @@ pub fn format_commit_table(results: &[LoadResult]) -> String {
 }
 
 /// Latency table: mean/median/p95 commit latency overall and for round 0
-/// (the stacked-latency view of Figures 4(b) and 5(b)).
+/// (the stacked-latency view of Figures 4(b) and 5(b)), with the direct
+/// route's back-offs and the positions it learned from its home log.
 pub fn format_latency_table(results: &[LoadResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<28} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
-        "experiment", "mean(ms)", "p50(ms)", "p95(ms)", "round0(ms)", "promoted(ms)"
+        "{:<28} {:>10} {:>10} {:>10} {:>12} {:>12} {:>9} {:>8}\n",
+        "experiment",
+        "mean(ms)",
+        "p50(ms)",
+        "p95(ms)",
+        "round0(ms)",
+        "promoted(ms)",
+        "backoffs",
+        "learned"
     ));
     for result in results {
         let all = result.totals.commit_latency();
@@ -60,8 +68,15 @@ pub fn format_latency_table(results: &[LoadResult]) -> String {
             .collect();
         let promoted = mdstore::LatencyStats::from_samples(&promoted_samples);
         out.push_str(&format!(
-            "{:<28} {:>10.1} {:>10.1} {:>10.1} {:>12.1} {:>12.1}\n",
-            result.spec.name, all.mean_ms, all.p50_ms, all.p95_ms, round0.mean_ms, promoted.mean_ms
+            "{:<28} {:>10.1} {:>10.1} {:>10.1} {:>12.1} {:>12.1} {:>9} {:>8}\n",
+            result.spec.name,
+            all.mean_ms,
+            all.p50_ms,
+            all.p95_ms,
+            round0.mean_ms,
+            promoted.mean_ms,
+            result.totals.direct_backoffs,
+            result.totals.learned_from_home_log
         ));
     }
     out
@@ -138,6 +153,7 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
                 "\"max_pipeline_depth\": {}, ",
                 "\"faults_injected\": {}, \"resubmissions\": {}, ",
                 "\"duplicate_suppressions\": {}, \"last_decision_us\": {}, ",
+                "\"direct_backoffs\": {}, \"learned_from_home_log\": {}, ",
                 "\"commits_by_promotion\": [{}], ",
                 "\"commit_latency_ms\": {{\"mean\": {:.3}, \"p50\": {:.3}, \"p95\": {:.3}, \"max\": {:.3}}}, ",
                 "\"abort_latency_ms\": {{\"mean\": {:.3}, \"p50\": {:.3}, \"p95\": {:.3}, \"max\": {:.3}}}, ",
@@ -162,6 +178,8 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
             r.totals.resubmissions,
             r.totals.duplicate_suppressions,
             r.totals.last_decision_us,
+            r.totals.direct_backoffs,
+            r.totals.learned_from_home_log,
             rounds,
             latency.mean_ms,
             latency.p50_ms,
@@ -234,6 +252,8 @@ mod tests {
         results[0].totals.resubmissions = 8;
         results[0].totals.duplicate_suppressions = 5;
         results[0].totals.last_decision_us = 900_000;
+        results[0].totals.direct_backoffs = 9;
+        results[0].totals.learned_from_home_log = 12;
         results[0].totals.abort_latency_us = vec![3_000];
         let json = results_to_json(&results);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
@@ -251,6 +271,7 @@ mod tests {
         assert!(json.contains("\"resubmissions\": 8"));
         assert!(json.contains("\"duplicate_suppressions\": 5"));
         assert!(json.contains("\"last_decision_us\": 900000"));
+        assert!(json.contains("\"direct_backoffs\": 9, \"learned_from_home_log\": 12"));
         assert!(json.contains("\"abort_latency_ms\": {\"mean\": 3.000"));
     }
 

@@ -120,6 +120,13 @@ pub struct RunMetrics {
     /// in-flight transactions and retries answered from the decided-fate
     /// memory, none of which reached the commit pipeline again.
     pub duplicate_suppressions: u64,
+    /// Randomized back-offs the sessions' direct commits armed before
+    /// re-preparing a position (sessions count them; the harness copies
+    /// the cumulative count like `resubmissions`).
+    pub direct_backoffs: u64,
+    /// Positions the sessions' direct commits resolved from their home
+    /// datacenter's log instead of another protocol round.
+    pub learned_from_home_log: u64,
 }
 
 impl RunMetrics {
@@ -168,6 +175,8 @@ impl RunMetrics {
         self.faults_injected += other.faults_injected;
         self.resubmissions += other.resubmissions;
         self.duplicate_suppressions += other.duplicate_suppressions;
+        self.direct_backoffs += other.direct_backoffs;
+        self.learned_from_home_log += other.learned_from_home_log;
         if self.commits_by_promotion.len() < other.commits_by_promotion.len() {
             self.commits_by_promotion
                 .resize(other.commits_by_promotion.len(), 0);
@@ -369,7 +378,10 @@ mod tests {
         b.reclaimed_versions = 7;
         b.window_occupancy = vec![4, 2];
         b.pipeline_depth = vec![1, 2];
+        b.direct_backoffs = 2;
+        b.learned_from_home_log = 5;
         a.expired_reads = 1;
+        a.learned_from_home_log = 1;
         a.window_occupancy = vec![6];
         a.pipeline_depth = vec![1];
         a.merge(&b);
@@ -381,6 +393,7 @@ mod tests {
         assert_eq!(a.batch_splits, 2);
         assert_eq!(a.stale_member_aborts, 1);
         assert_eq!(a.reclaimed_versions, 7);
+        assert_eq!((a.direct_backoffs, a.learned_from_home_log), (2, 6));
         assert_eq!(a.window_occupancy, vec![6, 4, 2]);
         assert_eq!(a.max_pipeline_depth(), 2);
         assert!((a.mean_window_occupancy() - 4.0).abs() < 1e-9);

@@ -20,6 +20,11 @@
 //! removed and its [`CommitOutcome`] handed back. The caller keeps only what
 //! is its own: queueing, leases and results (session), windows, pipelining
 //! and survivors (committer), the janitor and parked reads (service).
+//!
+//! One input is the session's alone: [`Input::Decided`] hands an instance
+//! the decided value of its position from the host datacenter's log, so a
+//! direct commit that lost an already-settled position moves on at once
+//! instead of re-preparing it after a back-off.
 
 use crate::directory::Directory;
 use crate::msg::Msg;
@@ -27,7 +32,8 @@ use crate::session::ClientAction;
 use paxos::{CommitOutcome, PaxosMsg, Proposer, ProposerAction, ProposerEvent, TimerKind};
 use simnet::{NodeId, SimDuration};
 use std::collections::BTreeMap;
-use walog::GroupId;
+use std::sync::Arc;
+use walog::{GroupId, LogEntry, LogPosition};
 
 /// What a host call feeds its instances.
 pub(crate) enum Input<'m, K> {
@@ -39,6 +45,10 @@ pub(crate) enum Input<'m, K> {
     Reply(K, NodeId, &'m PaxosMsg),
     /// A timer tag fired; tags this host never armed are ignored.
     Timer(u64),
+    /// The host's datacenter log holds `entry` at `position`: the instance
+    /// under `key` resolves that position if it still competes there
+    /// ([`ProposerEvent::Decided`]).
+    Decided(K, LogPosition, Arc<LogEntry>),
 }
 
 /// The embedding actor's side of a host call.
@@ -95,6 +105,17 @@ impl<K: Ord + Copy> Proposers<K> {
         self.timers.keys().copied()
     }
 
+    /// The instance a timer tag is armed for.
+    pub fn timer_key(&self, tag: u64) -> Option<K> {
+        self.timers.get(&tag).map(|(key, _)| *key)
+    }
+
+    /// The group and position the instance under `key` competes for.
+    pub fn competing(&self, key: &K) -> Option<(GroupId, LogPosition)> {
+        let proposer = self.running.get(key)?;
+        Some((proposer.group(), proposer.current_position()))
+    }
+
     /// Feed one input to its instance and carry out what the instance asks
     /// for. Sends and timers go to `out`; an instance that finished is
     /// removed and returned with its outcome.
@@ -122,6 +143,11 @@ impl<K: Ord + Copy> Proposers<K> {
                 let (key, token) = self.timers.remove(&tag)?;
                 let proposer = self.running.get_mut(&key)?;
                 let actions = proposer.on_event(ProposerEvent::Timer { token });
+                (key, proposer.group(), actions)
+            }
+            Input::Decided(key, position, entry) => {
+                let proposer = self.running.get_mut(&key)?;
+                let actions = proposer.on_event(ProposerEvent::Decided { position, entry });
                 (key, proposer.group(), actions)
             }
         };
@@ -385,11 +411,14 @@ mod tests {
             position: key,
             ballot: Ballot::initial(4),
         };
+        let noop = Arc::new(LogEntry::noop());
         for input in [
             Input::Reply(key, NodeId(9), &promise),
             Input::Reply(LogPosition(2), NodeId(0), &promise),
             Input::Reply(key, NodeId(0), &request),
             Input::Timer(99),
+            Input::Decided(LogPosition(2), key, Arc::clone(&noop)),
+            Input::Decided(key, LogPosition(2), noop),
         ] {
             let (out, finished) = drive(&mut host, &dir, &mut next_tag, input);
             assert!(out.is_empty() && finished.is_none());

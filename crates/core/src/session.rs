@@ -389,6 +389,10 @@ pub struct Session {
     proposers: Proposers<u64>,
     /// Automatic re-submissions performed over the session's lifetime.
     resubmissions: u64,
+    /// Back-off timers the direct route armed over the session's lifetime.
+    direct_backoffs: u64,
+    /// Positions the direct route learned from its home log.
+    learned_from_home_log: u64,
 }
 
 impl Session {
@@ -417,6 +421,8 @@ impl Session {
             patience: BTreeMap::new(),
             proposers: Proposers::default(),
             resubmissions: 0,
+            direct_backoffs: 0,
+            learned_from_home_log: 0,
         }
     }
 
@@ -424,6 +430,17 @@ impl Session {
     /// [`ClientConfig::max_resubmissions`]).
     pub fn resubmissions(&self) -> u64 {
         self.resubmissions
+    }
+
+    /// Randomized back-offs the session's direct commits have armed.
+    pub fn direct_backoffs(&self) -> u64 {
+        self.direct_backoffs
+    }
+
+    /// Positions the session's direct commits resolved from the home
+    /// datacenter's log instead of another protocol round.
+    pub fn learned_from_home_log(&self) -> u64 {
+        self.learned_from_home_log
     }
 
     /// The datacenter this session currently considers local.
@@ -990,16 +1007,54 @@ impl Session {
         })]
     }
 
-    /// Feed the direct route's proposer host (learned entries install at
-    /// the session's datacenter, timers use the session's delay policy),
-    /// then finish the commit it decided, if any.
+    /// Feed the direct route's proposer host, then — after a reply or a
+    /// timer, never after a start, so that `commit` returns with its
+    /// transaction still open — hand the instance every position it
+    /// competes for that the home log already holds. Promotion may land on
+    /// a position that is decided too, so this repeats.
     fn drive(&mut self, now: SimTime, input: Input<'_, u64>, out: &mut Vec<ClientAction>) {
-        let (config, rng) = (&self.config, &mut self.rng);
+        let key = match &input {
+            Input::Reply(key, ..) => Some(*key),
+            Input::Timer(tag) => self.proposers.timer_key(*tag),
+            Input::Start(..) | Input::Decided(..) => None,
+        };
+        self.feed(now, input, out);
+        let Some(key) = key else {
+            return;
+        };
+        while let Some((group, position)) = self.proposers.competing(&key) {
+            let decided = self
+                .home_core()
+                .lock()
+                .log(group)
+                .and_then(|log| log.get(position))
+                .cloned();
+            let Some(entry) = decided else {
+                break;
+            };
+            self.learned_from_home_log += 1;
+            self.feed(now, Input::Decided(key, position, entry), out);
+            debug_assert_ne!(
+                self.proposers.competing(&key),
+                Some((group, position)),
+                "a decided position always resolves"
+            );
+        }
+    }
+
+    /// Feed one input to the proposer host (learned entries install at the
+    /// session's datacenter, timers use the session's delay policy), then
+    /// finish the commit it decided, if any.
+    fn feed(&mut self, now: SimTime, input: Input<'_, u64>, out: &mut Vec<ClientAction>) {
+        let (config, rng, backoffs) = (&self.config, &mut self.rng, &mut self.direct_backoffs);
         let env = Env {
             directory: &self.directory,
             home: self.home_replica,
             next_tag: &mut self.next_tag,
-            delay: &mut |kind| config.timer_delay(kind, rng),
+            delay: &mut |kind| {
+                *backoffs += u64::from(kind == TimerKind::Backoff);
+                config.timer_delay(kind, rng)
+            },
         };
         if let Some((handle, outcome)) = self.proposers.drive(input, env, out) {
             self.finish_direct(now, handle, outcome, out);
@@ -1054,7 +1109,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use paxos::{PaxosMsg, ProposerAction};
+    use paxos::{Ballot, PaxosMsg, ProposerAction};
     use walog::LogEntry;
 
     fn directory_with_one_dc() -> (Arc<Directory>, SharedCore) {
@@ -1378,6 +1433,92 @@ mod tests {
             "the learned entry must install even though the transaction is gone"
         );
         assert_eq!(core.lock().read_position(group), LogPosition(1));
+    }
+
+    #[test]
+    fn a_stale_direct_commit_learns_its_lost_position_from_the_home_log_without_backing_off() {
+        // The transaction reads at position 0, but position 1 is already
+        // decided at home (a rival's blind write of another attribute). The
+        // first denied leader claim, or the first refused prepare, must move
+        // the commit on to position 2 — not leave it to re-prepare position
+        // 1 after a randomized back-off.
+        for fast_path in [true, false] {
+            let dir = Directory::new();
+            for replica in 0..3 {
+                dir.register_datacenter(
+                    NodeId(replica),
+                    DatacenterCore::shared(format!("dc{replica}"), replica as usize),
+                );
+            }
+            let home = dir.core(0);
+            let config = ClientConfig {
+                fast_path,
+                ..ClientConfig::cp()
+            };
+            let timeout = config.message_timeout;
+            let mut session = Session::new(NodeId(5), 0, dir.clone(), config);
+            let h = session.begin(SimTime::ZERO, "g");
+            assert_eq!(session.read(h, "row", "a").unwrap(), None);
+            session.write(h, "row", "a", "mine").unwrap();
+            seeded_entry(&dir, &home, 1, "b", "rival");
+            let group = dir.symbols().group("g");
+
+            let started = session.commit(SimTime::ZERO, h).unwrap();
+            assert!(
+                session.committing(h),
+                "a commit never resolves inside the commit call"
+            );
+            let ballot = started.iter().find_map(|a| match a {
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { ballot, .. })) => {
+                    Some(*ballot)
+                }
+                _ => None,
+            });
+            let refusal = match ballot {
+                None => PaxosMsg::LeaderClaimReply {
+                    group,
+                    position: LogPosition(1),
+                    granted: false,
+                },
+                Some(ballot) => PaxosMsg::PrepareReply {
+                    group,
+                    position: LogPosition(1),
+                    ballot,
+                    promised: false,
+                    next_bal: Some(Ballot {
+                        round: 9,
+                        proposer: 1,
+                    }),
+                    last_vote: None,
+                },
+            };
+            let actions = session.on_message(SimTime::ZERO, NodeId(0), &Msg::Paxos(refusal));
+            let prepared: Vec<LogPosition> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { position, .. })) => {
+                        Some(*position)
+                    }
+                    _ => None,
+                })
+                .collect();
+            // A denied claim still sends its prepare for position 1 first.
+            assert_eq!(
+                prepared.last(),
+                Some(&LogPosition(2)),
+                "fast path {fast_path}: promoted at once, got {actions:?}"
+            );
+            for action in &actions {
+                if let ClientAction::ArmTimer { delay, .. } = action {
+                    assert_eq!(
+                        *delay, timeout,
+                        "fast path {fast_path}: a back-off was armed"
+                    );
+                }
+            }
+            assert_eq!(session.learned_from_home_log(), 1);
+            assert_eq!(session.direct_backoffs(), 0);
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! The embedding layer (`mdstore`'s one proposer host, which the
 //! transaction client, the batching [`mdstore` group committer] and the
 //! recovery janitor share) feeds the machine with [`ProposerEvent`]s —
-//! replica replies ([`ProposerEvent::from_reply`]) and timer expirations —
-//! and executes the [`ProposerAction`]s it returns: broadcasting messages,
+//! replica replies ([`ProposerEvent::from_reply`]), timer expirations and
+//! positions its datacenter's log already holds ([`ProposerEvent::Decided`])
+//! — and executes the [`ProposerAction`]s it returns: broadcasting messages,
 //! arming timers, installing learned log entries, and finally reporting the
 //! [`CommitOutcome`] to the application.
 //!
@@ -98,6 +99,25 @@ pub enum ProposerEvent {
     Timer {
         /// Token returned by the matching [`ProposerAction::ArmTimer`].
         token: u64,
+    },
+    /// The host knows `entry` is the decided value of `position`: it is
+    /// installed in the host datacenter's log. A no-op unless the instance
+    /// is still competing at `position`; otherwise the position resolves
+    /// the way the protocol would after learning the winner the long way
+    /// (members the entry contains commit there, basic Paxos aborts the
+    /// rest with [`AbortReason::Conflict`], Paxos-CP drops the members the
+    /// entry invalidates and promotes the survivors), without another
+    /// prepare round or back-off at a position that is already settled.
+    ///
+    /// Only an *installed* entry may be fed here. The votes in a refused
+    /// prepare reply never are: a majority of votes seen by one proposer
+    /// is not a decision (the ballots may differ, or a higher ballot may
+    /// still be choosing), and reading one as such would break R1.
+    Decided {
+        /// The decided position.
+        position: LogPosition,
+        /// Its decided value.
+        entry: Arc<LogEntry>,
     },
 }
 
@@ -533,6 +553,11 @@ impl Proposer {
                     self.on_timeout(&mut out);
                 }
             }
+            ProposerEvent::Decided { position, entry } => {
+                if self.phase != Phase::Idle && position == self.position {
+                    self.settle(&entry, &mut out);
+                }
+            }
         }
         out
     }
@@ -746,6 +771,12 @@ impl Proposer {
             position: self.position,
             entry: Arc::clone(&decided),
         });
+        self.settle(&decided, out);
+    }
+
+    /// `decided` is the decided value of the current position: the members
+    /// it contains committed there, and the rest lost the position.
+    fn settle(&mut self, decided: &LogEntry, out: &mut Vec<ProposerAction>) {
         let Goal::Commit(members) = &mut self.goal else {
             // Recovery: the position is now learned; report a non-commit
             // outcome (nothing of ours was committed).
@@ -772,12 +803,12 @@ impl Proposer {
             self.finish_final(out);
             return;
         }
-        // We pushed a value through (mandated by the Paxos safety rule) that
-        // did not include these members: they lost this position.
+        // The position decided a value that does not include these
+        // members: they lost it.
         *members = rest;
         match self.cfg.protocol {
             CommitProtocol::BasicPaxos => self.finish_abort(AbortReason::Conflict, out),
-            CommitProtocol::PaxosCp => self.handle_loss(&decided, out),
+            CommitProtocol::PaxosCp => self.handle_loss(decided, out),
         }
     }
 
@@ -1840,5 +1871,135 @@ mod tests {
                 msg.kind()
             );
         }
+    }
+
+    fn decided(position: u64, entry: &Arc<LogEntry>) -> ProposerEvent {
+        ProposerEvent::Decided {
+            position: LogPosition(position),
+            entry: Arc::clone(entry),
+        }
+    }
+
+    #[test]
+    fn a_decided_entry_holding_every_member_commits_them_without_another_round() {
+        let m1 = batch_txn(1, &[0], &[0]);
+        let m2 = batch_txn(2, &[1], &[1]);
+        let mut p = batch(vec![m1.clone(), m2.clone()]);
+        p.start();
+        let foreign = Transaction::builder(TxnId::new(9, 50), GroupId(0), LogPosition(0))
+            .write(item(Z), "y")
+            .build();
+        let winner = Arc::new(LogEntry::combined(vec![m1.clone(), foreign, m2.clone()]));
+        let actions = p.on_event(decided(1, &winner));
+        // The entry is already installed where it was found: nothing is
+        // broadcast or learned again.
+        assert_eq!(actions.len(), 1, "only the outcome: {actions:?}");
+        let outcome = finished(&actions).unwrap();
+        assert!(outcome.committed && outcome.combined);
+        assert_eq!(outcome.position, Some(LogPosition(1)));
+        assert_eq!(outcome.committed_txns, vec![m1.id, m2.id]);
+        assert!(outcome.aborted_txns.is_empty());
+    }
+
+    #[test]
+    fn a_decided_rival_promotes_paxos_cp_survivors_out_of_a_back_off() {
+        // Member 1 reads a0, which the winner writes; member 2 survives.
+        let mut p = batch(vec![batch_txn(1, &[0], &[0]), batch_txn(2, &[1], &[1])]);
+        p.start();
+        let first_ballot = current_ballot(&p);
+        // Every replica refuses: the proposer backs off.
+        let rival = Some(Ballot {
+            round: 40,
+            proposer: 2,
+        });
+        let mut backoff = None;
+        for from in 0..3 {
+            let actions = p.on_event(ProposerEvent::PrepareReply {
+                from,
+                position: LogPosition(1),
+                ballot: current_ballot(&p),
+                promised: false,
+                next_bal: rival,
+                last_vote: None,
+            });
+            backoff = backoff.or(actions.iter().find_map(|a| match a {
+                ProposerAction::ArmTimer {
+                    token,
+                    kind: TimerKind::Backoff,
+                } => Some(*token),
+                _ => None,
+            }));
+        }
+        let backoff = backoff.expect("a refused round backs off");
+        let actions = p.on_event(decided(1, &other_entry(&[A])));
+        match &actions[0] {
+            ProposerAction::Broadcast(PaxosMsg::Prepare {
+                position, ballot, ..
+            }) => {
+                assert_eq!(*position, LogPosition(2));
+                assert_eq!(*ballot, first_ballot, "a new position starts afresh");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(p.promotions(), 1);
+        assert_eq!(p.transactions().len(), 1);
+        assert_eq!(p.transactions()[0].id, TxnId::new(7, 2));
+        // The back-off armed at position 1 fires into nothing.
+        assert!(p
+            .on_event(ProposerEvent::Timer { token: backoff })
+            .is_empty());
+        p.on_event(prepare_reply(&p, 0, true, None));
+        p.on_event(prepare_reply(&p, 1, true, None));
+        p.on_event(accept_reply(&p, 0, true));
+        let outcome = p.on_event(accept_reply(&p, 1, true));
+        let outcome = finished(&outcome).unwrap();
+        assert_eq!(outcome.committed_txns, vec![TxnId::new(7, 2)]);
+        assert_eq!(
+            outcome.aborted_txns,
+            vec![(TxnId::new(7, 1), AbortReason::Conflict)]
+        );
+        assert_eq!(outcome.position, Some(LogPosition(2)));
+    }
+
+    #[test]
+    fn a_decided_rival_aborts_a_basic_paxos_commit() {
+        let mut p = proposer(ProposerConfig::basic(3));
+        p.start();
+        let actions = p.on_event(decided(1, &other_entry(&[Z])));
+        let outcome = finished(&actions).unwrap();
+        assert!(!outcome.committed);
+        assert_eq!(outcome.abort_reason, Some(AbortReason::Conflict));
+        assert_eq!(outcome.promotions, 0);
+    }
+
+    #[test]
+    fn a_decision_elsewhere_or_after_the_outcome_changes_nothing() {
+        let mut p = proposer(ProposerConfig::cp(3).with_fast_path(false));
+        let winner = other_entry(&[Z]);
+        assert!(
+            p.on_event(decided(1, &winner)).is_empty(),
+            "not started yet"
+        );
+        p.start();
+        for position in [0, 2, 9] {
+            assert!(p.on_event(decided(position, &winner)).is_empty());
+        }
+        assert_eq!(p.current_position(), LogPosition(1));
+        assert_eq!(p.promotions(), 0);
+        let own = Arc::new(LogEntry::single(own_txn(&[A], &[A])));
+        assert!(finished(&p.on_event(decided(1, &own))).unwrap().committed);
+        assert!(p.on_event(decided(1, &winner)).is_empty());
+        assert!(p.on_event(decided(2, &winner)).is_empty());
+    }
+
+    #[test]
+    fn a_recovery_instance_finishes_on_a_decided_entry() {
+        let mut p = Proposer::new_recovery(ProposerConfig::cp(3), GroupId(0), 4, LogPosition(3));
+        p.start();
+        let actions = p.on_event(decided(3, &other_entry(&[Z])));
+        let outcome = finished(&actions).unwrap();
+        assert!(!outcome.committed);
+        assert!(outcome.committed_txns.is_empty() && outcome.aborted_txns.is_empty());
+        assert!(p.is_finished());
     }
 }

@@ -482,9 +482,21 @@ impl LoadActor {
                     let at = self.awaiting_id.iter().position(closed)?;
                     Some(self.awaiting_id.swap_remove(at).1)
                 });
-            let resubmissions = session.resubmissions();
+            let counters = (
+                session.resubmissions(),
+                session.direct_backoffs(),
+                session.learned_from_home_log(),
+            );
             if let Some(entry) = seq.and_then(|seq| self.in_flight.remove(&seq)) {
-                self.record(now_us, &entry, result, resubmissions);
+                self.record(now_us, &entry, result);
+                // The session's counters are cumulative, so overwrite rather
+                // than add (this sink belongs to this actor alone).
+                let mut metrics = self.sinks.metrics.lock();
+                (
+                    metrics.resubmissions,
+                    metrics.direct_backoffs,
+                    metrics.learned_from_home_log,
+                ) = counters;
             }
         }
     }
@@ -635,7 +647,7 @@ impl LoadActor {
                     abort_reason,
                     txn: Some(txn),
                 };
-                self.record(now_us, &entry, result, 0);
+                self.record(now_us, &entry, result);
             }
             Msg::SnapshotReadReply {
                 req_id,
@@ -674,7 +686,7 @@ impl LoadActor {
     /// The one outcome recorder. The closed loop on a session keeps the
     /// session's own latency (commit call → decision, what Figures 4(b) and
     /// 5(b) plot); everything else is charged from the request's origin.
-    fn record(&mut self, now_us: u64, entry: &InFlight, mut result: TxnResult, resubmissions: u64) {
+    fn record(&mut self, now_us: u64, entry: &InFlight, mut result: TxnResult) {
         let closed = matches!(self.arrival, Arrival::Closed { .. });
         if !(closed && self.port.is_some()) {
             result.latency = SimDuration::from_micros(now_us - entry.origin_us);
@@ -684,9 +696,6 @@ impl LoadActor {
             let mut metrics = self.sinks.metrics.lock();
             metrics.record(&result);
             metrics.last_decision_us = metrics.last_decision_us.max(now_us);
-            // The session's counter is cumulative, so overwrite rather than
-            // add (this sink belongs to this actor alone).
-            metrics.resubmissions = resubmissions;
         }
         let mut tally = self.sinks.tally.lock();
         if let (true, Some(id)) = (result.committed, result.txn) {

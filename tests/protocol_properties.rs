@@ -43,6 +43,31 @@ fn paxos_cp_commits_strictly_more_than_basic_under_contention() {
 }
 
 #[test]
+fn paxos_cp_direct_commits_never_back_off_at_a_position_their_home_log_holds() {
+    // Paper §5: a transaction that lost its position moves on to the next
+    // one. On this run every round a direct commit loses is at a position
+    // its home log already holds, so the commit must learn the winner
+    // there and promote at once: no back-off at all, and no commit as slow
+    // as one back-off window. (Re-preparing such a position after a
+    // back-off only learns the same winner, and was this run's whole tail.)
+    for seed in [3, 5, 8] {
+        let spec = contended_spec(CommitProtocol::PaxosCp, seed);
+        let result = run_load(&spec);
+        let totals = &result.totals;
+        assert!(
+            totals.learned_from_home_log > 0,
+            "seed {seed}: the contended run must lose positions"
+        );
+        assert_eq!(totals.direct_backoffs, 0, "seed {seed}");
+        let slowest = totals.commit_latency().max_ms;
+        assert!(
+            slowest < spec.client.backoff_max.as_millis_f64(),
+            "seed {seed}: a commit took {slowest} ms"
+        );
+    }
+}
+
+#[test]
 fn promotion_cap_bounds_the_promotion_rounds() {
     let mut spec = contended_spec(CommitProtocol::PaxosCp, 13);
     spec.client.max_promotions = Some(1);
