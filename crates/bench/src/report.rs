@@ -147,7 +147,7 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
                 "  {{\"name\": \"{}\", \"cluster\": \"{}\", \"protocol\": \"{}\", ",
                 "\"attempted\": {}, \"committed\": {}, \"aborted\": {}, ",
                 "\"read_only\": {}, \"timed_out\": {}, ",
-                "\"combined_commits\": {}, \"expired_reads\": {}, ",
+                "\"combined_commits\": {}, ",
                 "\"reclaimed_versions\": {}, \"batch_splits\": {}, ",
                 "\"stale_member_aborts\": {}, \"mean_window_occupancy\": {:.3}, ",
                 "\"max_pipeline_depth\": {}, ",
@@ -168,7 +168,6 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
             r.totals.read_only,
             r.totals.timed_out,
             r.totals.combined_commits,
-            r.totals.expired_reads,
             r.totals.reclaimed_versions,
             r.totals.batch_splits,
             r.totals.stale_member_aborts,

@@ -440,16 +440,11 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// Per-replica counts of remote reads expired by the Transaction
-    /// Services (answered `unavailable` after the requester's timeout), in
-    /// replica order. Harnesses fold these into
-    /// [`RunMetrics::expired_reads`](crate::RunMetrics).
+    /// Per-replica counts of expired remote reads, in replica order: all
+    /// zero, since no Transaction Service parks reads. Kept only because
+    /// the `benchmark/` harness still reports `service.expired_reads`.
     pub fn expired_read_counts(&self) -> Vec<u64> {
-        self.directory
-            .cores()
-            .iter()
-            .map(|core| core.lock().expired_read_count())
-            .collect()
+        vec![0; self.directory.num_replicas()]
     }
 
     /// Per-replica counts of multi-version store versions reclaimed by the

@@ -30,34 +30,11 @@ pub type SharedCore = Arc<Mutex<DatacenterCore>>;
 /// watermark (see the `gc_horizon` field of [`DatacenterCore`]).
 const DEFAULT_GC_HORIZON: u64 = 16;
 
-/// Failure returned when a read cannot be served because the local log has
-/// gaps below the requested read position; the caller must catch up first.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CatchUpNeeded {
-    /// The positions that are missing locally.
-    pub missing: Vec<LogPosition>,
-}
-
-/// What one [`DatacenterCore::install_entry`] did to the group's gap-free
-/// prefix. The Transaction Service reacts to *prefix advances* (pipeline
-/// completions at the head), not to every decided position: a position
-/// decided above a gap installs durably but cannot apply or unblock reads
-/// until the gap fills.
+/// Failure returned when a read cannot be served here yet: the local log
+/// has a gap at or below the requested read position, or the sync the read
+/// needed failed. The reader retries at another replica or later.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ApplyOutcome {
-    /// The group's gap-free prefix before the install.
-    pub prefix_before: LogPosition,
-    /// The group's gap-free prefix after the install (applied through).
-    pub prefix: LogPosition,
-}
-
-impl ApplyOutcome {
-    /// Whether the install advanced the applied prefix (and may therefore
-    /// have made parked reads servable).
-    pub fn advanced(&self) -> bool {
-        self.prefix > self.prefix_before
-    }
-}
+pub struct CatchUpNeeded;
 
 /// The durable state of one datacenter: multi-version store, write-ahead
 /// logs (one per transaction group) and leader bookkeeping for the fast
@@ -72,16 +49,12 @@ pub struct DatacenterCore {
     /// First client to claim each (group, position) via the leader fast
     /// path; later claimants are denied.
     leader_claims: BTreeMap<(GroupId, LogPosition), u64>,
-    /// Remote reads the local Transaction Service answered `unavailable`
-    /// and evicted because the requester timed out before the log caught
-    /// up. Lives here (not in the service actor) so harnesses can read it
-    /// after a run — the paper's services are stateless for a reason.
-    expired_reads: u64,
     /// Active read leases per group: position → number of readers pinned at
     /// it. Local clients lease their read position between `begin` and the
-    /// commit decision, and the Transaction Service leases the position of
-    /// every parked remote read; the per-group minimum is the version-GC
-    /// watermark — no version a leased reader can still need is reclaimed.
+    /// commit decision, and snapshot sessions lease their watermark at the
+    /// serving replica until the handle closes; the per-group minimum is
+    /// the version-GC watermark — no version a leased reader can still need
+    /// is reclaimed.
     read_leases: BTreeMap<GroupId, BTreeMap<u64, usize>>,
     /// Every transaction id carried by a locally installed (decided) entry,
     /// per group. This is the dedup index that makes commit retries safe
@@ -89,11 +62,9 @@ pub struct DatacenterCore {
     /// committed" in O(1) without scanning its log, so a re-submitted
     /// transaction can never be proposed (and committed) twice.
     committed_ids: BTreeMap<GroupId, BTreeSet<TxnId>>,
-    /// Positions of history the GC always keeps below the watermark.
-    /// Leases cover every *local* reader and every *parked* remote read,
-    /// but a remote read served on arrival reads at a position its
-    /// requester leased in a different datacenter — the horizon keeps the
-    /// few positions such a read can lag by (a WAN round trip) servable.
+    /// Positions of history the GC always keeps below the applied prefix,
+    /// whatever the leases allow. Every reader holds a lease at the replica
+    /// it reads, so this is slack, not what keeps a read correct.
     gc_horizon: u64,
     /// Multi-version store versions reclaimed by the apply-time GC.
     reclaimed_versions: u64,
@@ -165,7 +136,6 @@ impl DatacenterCore {
             logs: BTreeMap::new(),
             leader_claims: BTreeMap::new(),
             committed_ids: BTreeMap::new(),
-            expired_reads: 0,
             read_leases: BTreeMap::new(),
             gc_horizon: DEFAULT_GC_HORIZON,
             reclaimed_versions: 0,
@@ -294,7 +264,7 @@ impl DatacenterCore {
 
     /// Override the version-GC horizon (positions of history always kept
     /// below the watermark). Tests pin it to 0 to exercise the lease
-    /// machinery exactly; deployments trade memory for remote-read slack.
+    /// machinery exactly; deployments trade memory for reader slack.
     pub fn set_gc_horizon(&mut self, horizon: u64) {
         self.gc_horizon = horizon;
     }
@@ -356,10 +326,10 @@ impl DatacenterCore {
     }
 
     /// Install a decided entry into the local log (idempotent) and eagerly
-    /// apply every gap-free entry to the key-value store, reporting how far
-    /// the gap-free prefix moved. Entries decided out of pipeline order
-    /// install at once but apply strictly in position order: an entry above
-    /// a gap waits, and the returned [`ApplyOutcome`] does not advance.
+    /// apply every gap-free entry to the key-value store, returning the
+    /// group's gap-free prefix after the install. Entries decided out of
+    /// pipeline order install at once but apply strictly in position order:
+    /// an entry above a gap waits, and the prefix stays below it.
     /// Keys written by newly applied entries are version-GC'd behind the
     /// group's read-lease watermark (see
     /// [`DatacenterCore::begin_read_lease`]).
@@ -379,9 +349,8 @@ impl DatacenterCore {
         group: GroupId,
         position: LogPosition,
         entry: Arc<LogEntry>,
-    ) -> ApplyOutcome {
+    ) -> LogPosition {
         let log = self.logs.entry(group).or_default();
-        let prefix_before = log.contiguous_prefix();
         // One `Decided` record per installed entry: a re-install (the group
         // home learns a value and then hears its own `Apply`) or an install
         // at or below the snapshot base changes nothing, so it logs nothing.
@@ -413,10 +382,7 @@ impl DatacenterCore {
             }
         }
         self.apply_durable(group);
-        ApplyOutcome {
-            prefix_before,
-            prefix,
-        }
+        prefix
     }
 
     /// Apply the group's gap-free entries below its first undurable one and
@@ -586,7 +552,7 @@ impl DatacenterCore {
 
     /// The version-GC watermark of a group: no reader is (or will be)
     /// pinned below it. Future readers begin at the applied prefix; active
-    /// ones hold leases; the horizon covers remote reads leased elsewhere.
+    /// ones hold leases; the horizon adds slack below both.
     fn gc_watermark(&self, group: GroupId) -> LogPosition {
         let prefix = self.read_position(group);
         let horizon_cap = LogPosition(prefix.0.saturating_sub(self.gc_horizon));
@@ -665,12 +631,11 @@ impl DatacenterCore {
         rows
     }
 
-    /// Read one item as of `read_position` (A2). Fails with the list of
-    /// missing log positions when the local log has gaps at or below the
-    /// read position, in which case the caller must catch up first (§4.1,
-    /// Fault Tolerance and Recovery). A read covering an entry that is not
-    /// yet durable syncs first, so it never observes state a crash could
-    /// take back; if that sync fails the read fails with nothing missing.
+    /// Read one item as of `read_position` (A2). Fails when the local log
+    /// has a gap at or below the read position: this replica must catch up
+    /// first (§4.1, Fault Tolerance and Recovery). A read covering an entry
+    /// that is not yet durable syncs first, so it never observes state a
+    /// crash could take back; if that sync fails the read fails too.
     pub fn read(
         &mut self,
         group: GroupId,
@@ -679,23 +644,18 @@ impl DatacenterCore {
         read_position: LogPosition,
     ) -> Result<Option<String>, CatchUpNeeded> {
         if read_position > LogPosition::ZERO {
-            let log = self.logs.entry(group).or_default();
-            let missing = log.missing_up_to(read_position);
-            if !missing.is_empty() {
-                return Err(CatchUpNeeded { missing });
+            if self.read_position(group) < read_position {
+                return Err(CatchUpNeeded);
             }
             if self
                 .first_unsynced(group)
                 .is_some_and(|position| position <= read_position)
                 && !self.flush()
             {
-                return Err(CatchUpNeeded {
-                    missing: Vec::new(),
-                });
+                return Err(CatchUpNeeded);
             }
-            // Apply but do not GC here: a read being served right now may
-            // have just released its parked-read lease, so reclamation is
-            // deferred to the next install (GC runs only on apply).
+            // Apply but do not GC here: GC runs only on install, behind the
+            // lease watermark.
             let through = self.durable_through(group);
             if let Some(log) = self.logs.get_mut(&group) {
                 let _ = Self::apply_contiguous(log, &self.store, group, through);
@@ -706,18 +666,6 @@ impl DatacenterCore {
             attr.into(),
             Timestamp(read_position.0),
         ))
-    }
-
-    /// Count one remote read answered `unavailable` and evicted after its
-    /// requester timed out (recorded by the local Transaction Service).
-    pub fn note_expired_read(&mut self) {
-        self.expired_reads += 1;
-    }
-
-    /// Remote reads answered `unavailable` because their requester timed
-    /// out before the log caught up.
-    pub fn expired_read_count(&self) -> u64 {
-        self.expired_reads
     }
 
     /// Whether `id` rides any locally installed (decided) entry of `group`
@@ -788,8 +736,8 @@ impl DatacenterCore {
     /// each WAL segment and snapshot file once).
     ///
     /// Read leases are deliberately **preserved**: they are owned by
-    /// clients and services in *other* processes (parked remote reads,
-    /// open snapshot sessions), so wiping them would let version GC — and
+    /// clients in *other* processes (open transactions and snapshot
+    /// sessions), so wiping them would let version GC — and
     /// WAL truncation, whose floor they bound — reclaim state a still-live
     /// reader needs.
     ///
@@ -1105,15 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_read_counter_accumulates() {
-        let mut core = DatacenterCore::new("dc0", 0);
-        assert_eq!(core.expired_read_count(), 0);
-        core.note_expired_read();
-        core.note_expired_read();
-        assert_eq!(core.expired_read_count(), 2);
-    }
-
-    #[test]
     fn committed_id_index_tracks_installed_entries() {
         let mut core = DatacenterCore::new("dc0", 0);
         let id = TxnId::new(0, 1);
@@ -1152,8 +1091,7 @@ mod tests {
         core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "1"));
         core.install_entry(GROUP, LogPosition(3), write_entry(0, 3, 2, A, "3"));
         // Read position 3 needs position 2, which is missing.
-        let err = core.read(GROUP, ROW, A, LogPosition(3)).unwrap_err();
-        assert_eq!(err.missing, vec![LogPosition(2)]);
+        assert_eq!(core.read(GROUP, ROW, A, LogPosition(3)), Err(CatchUpNeeded));
         // Reads below the gap still work.
         assert_eq!(
             core.read(GROUP, ROW, A, LogPosition(1)).unwrap(),
@@ -1209,15 +1147,12 @@ mod tests {
     fn install_reports_prefix_advance_and_defers_out_of_order_applies() {
         let mut core = DatacenterCore::new("dc0", 0);
         // Position 2 installs above a gap: durable but not applied.
-        let out = core.install_entry(GROUP, LogPosition(2), write_entry(0, 2, 1, A, "2"));
-        assert!(!out.advanced());
-        assert_eq!(out.prefix, LogPosition::ZERO);
+        let prefix = core.install_entry(GROUP, LogPosition(2), write_entry(0, 2, 1, A, "2"));
+        assert_eq!(prefix, LogPosition::ZERO);
         assert!(core.has_entry(GROUP, LogPosition(2)));
         // Filling position 1 advances the prefix through both.
-        let out = core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "1"));
-        assert!(out.advanced());
-        assert_eq!(out.prefix_before, LogPosition::ZERO);
-        assert_eq!(out.prefix, LogPosition(2));
+        let prefix = core.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "1"));
+        assert_eq!(prefix, LogPosition(2));
         assert_eq!(
             core.read(GROUP, ROW, A, LogPosition(2)).unwrap(),
             Some("2".to_string())
@@ -1237,8 +1172,8 @@ mod tests {
         for p in 1..=INSTALLS {
             let written = AttrId((p % 5) as u32);
             let entry = write_entry(0, p, p - 1, written, "v");
-            let out = core.install_entry(GROUP, LogPosition(p), entry);
-            assert_eq!(out.prefix, LogPosition(p));
+            let prefix = core.install_entry(GROUP, LogPosition(p), entry);
+            assert_eq!(prefix, LogPosition(p));
             let at = core.read_position(GROUP);
             for attr in (0..5).map(AttrId) {
                 let value = core.read(GROUP, ROW, attr, at).unwrap();

@@ -21,10 +21,10 @@
 //!   the fast path. Shared by the local Transaction Services and Transaction
 //!   Clients, mirroring the paper's "client executes operations directly on
 //!   its local key-value store" optimization.
-//! * [`TransactionService`] — the per-datacenter service actor: answers
-//!   begin/read requests from remote clients, plays the Paxos acceptor role
-//!   (Algorithm 1), installs decided entries, catches up missing log
-//!   positions by running recovery Paxos instances with no-op values.
+//! * [`TransactionService`] — the per-datacenter service actor: plays the
+//!   Paxos acceptor role (Algorithm 1), installs decided entries, serves
+//!   snapshot reads, and catches up missing log positions by running
+//!   recovery Paxos instances with no-op values.
 //! * [`Session`] — the client library: `begin` returns a [`TxnHandle`];
 //!   `read` / `write` / `commit` take the handle, so any number of
 //!   transactions may be open concurrently. Commit routes down

@@ -74,13 +74,6 @@ pub struct RunMetrics {
     /// tick this counter; the closed-loop session never times out, so it
     /// stays 0 there).
     pub timed_out: u64,
-    /// Remote reads the Transaction Services answered `unavailable` and
-    /// evicted because the requester timed out before the local log caught
-    /// up. Service-side (not per-transaction): harnesses populate it from
-    /// the datacenter cores after a run (see
-    /// `TransactionService::expired_read_count`), and [`RunMetrics::merge`]
-    /// accumulates it like every other counter.
-    pub expired_reads: u64,
     /// Windows a [`GroupCommitter`](crate::GroupCommitter) split because
     /// they were internally conflicting (a member read an earlier member's
     /// write — the `walog::combine::can_append` rule): the deferred
@@ -164,7 +157,6 @@ impl RunMetrics {
         self.combined_commits += other.combined_commits;
         self.read_only += other.read_only;
         self.timed_out += other.timed_out;
-        self.expired_reads += other.expired_reads;
         self.batch_splits += other.batch_splits;
         self.stale_member_aborts += other.stale_member_aborts;
         self.reclaimed_versions += other.reclaimed_versions;
@@ -372,7 +364,6 @@ mod tests {
         let mut b = RunMetrics::default();
         b.record(&result(true, 3, 15));
         b.record(&result(false, 0, 5));
-        b.expired_reads = 3;
         b.batch_splits = 2;
         b.stale_member_aborts = 1;
         b.reclaimed_versions = 7;
@@ -380,7 +371,6 @@ mod tests {
         b.pipeline_depth = vec![1, 2];
         b.direct_backoffs = 2;
         b.learned_from_home_log = 5;
-        a.expired_reads = 1;
         a.learned_from_home_log = 1;
         a.window_occupancy = vec![6];
         a.pipeline_depth = vec![1];
@@ -389,7 +379,6 @@ mod tests {
         assert_eq!(a.committed, 2);
         assert_eq!(a.commits_by_promotion, vec![1, 0, 0, 1]);
         assert_eq!(a.abort_latency_us.len(), 1);
-        assert_eq!(a.expired_reads, 4);
         assert_eq!(a.batch_splits, 2);
         assert_eq!(a.stale_member_aborts, 1);
         assert_eq!(a.reclaimed_versions, 7);

@@ -1,14 +1,11 @@
 //! The wire protocol between Transaction Clients and Transaction Services.
 //!
 //! Everything a client cannot do against its local datacenter's store goes
-//! over the simulated network: the Paxos commit protocol, the begin/read
-//! fallback used when the local datacenter is unavailable (§2.2: "If a
-//! Transaction Client cannot access the Transaction Service within its own
-//! datacenter, it can access the Transaction Service in another
-//! datacenter"), and the **submitted commit route**: a session that commits
-//! with [`crate::session::CommitRoute::Submitted`] ships its finished
-//! transaction to the group home's Transaction Service as a
-//! [`Msg::CommitRequest`] and receives the decision as a
+//! over the simulated network: the Paxos commit protocol, snapshot reads
+//! served by any replica of a group, and the **submitted commit route**: a
+//! session that commits with [`crate::session::CommitRoute::Submitted`]
+//! ships its finished transaction to the group home's Transaction Service
+//! as a [`Msg::CommitRequest`] and receives the decision as a
 //! [`Msg::CommitReply`], letting the service-hosted
 //! [`crate::GroupCommitter`] batch and pipeline commits from every client
 //! of the group.
@@ -26,60 +23,12 @@ use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
 pub enum Msg {
     /// A commit-protocol message (client → service or service → client).
     Paxos(PaxosMsg),
-    /// Remote `begin`: ask a service for the current read position of a
-    /// transaction group.
-    BeginRequest {
-        /// Client-chosen correlation id.
-        req_id: u64,
-        /// Transaction group.
-        group: GroupId,
-    },
-    /// Answer to [`Msg::BeginRequest`].
-    BeginReply {
-        /// Echoed correlation id.
-        req_id: u64,
-        /// Transaction group.
-        group: GroupId,
-        /// Read position the transaction should use.
-        read_position: LogPosition,
-    },
-    /// Remote read: ask a service for the value of one item as of a read
-    /// position.
-    ReadRequest {
-        /// Client-chosen correlation id.
-        req_id: u64,
-        /// Transaction group.
-        group: GroupId,
-        /// Row key.
-        key: KeyId,
-        /// Attribute id.
-        attr: AttrId,
-        /// Read position (A2: every read of the transaction uses this).
-        read_position: LogPosition,
-    },
-    /// Answer to [`Msg::ReadRequest`].
-    ReadReply {
-        /// Echoed correlation id.
-        req_id: u64,
-        /// Transaction group.
-        group: GroupId,
-        /// Row key.
-        key: KeyId,
-        /// Attribute id.
-        attr: AttrId,
-        /// The value observed, or `None` if the item has never been written
-        /// as of the read position.
-        value: Option<String>,
-        /// True when the service could not serve the read (e.g. it is still
-        /// catching up); the client should retry elsewhere.
-        unavailable: bool,
-    },
     /// Snapshot read: ask *any* replica of the group — not just the home —
-    /// for the value of one item at or below a snapshot watermark. Unlike
-    /// [`Msg::ReadRequest`], a snapshot read never parks behind a log gap,
-    /// never triggers recovery, and never expires: a replica that has not
-    /// applied up to `at` answers `unavailable` immediately and the client
-    /// retries elsewhere (or at the same replica later).
+    /// for the value of one item at or below a snapshot watermark. A
+    /// snapshot read never waits behind a log gap and never triggers
+    /// recovery: a replica that has not applied up to `at` answers
+    /// `unavailable` immediately and the client retries elsewhere (or at the
+    /// same replica later).
     SnapshotRead {
         /// Client-chosen correlation id.
         req_id: u64,
@@ -153,10 +102,6 @@ impl Msg {
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::Paxos(p) => p.kind(),
-            Msg::BeginRequest { .. } => "begin_request",
-            Msg::BeginReply { .. } => "begin_reply",
-            Msg::ReadRequest { .. } => "read_request",
-            Msg::ReadReply { .. } => "read_reply",
             Msg::SnapshotRead { .. } => "snapshot_read",
             Msg::SnapshotReadReply { .. } => "snapshot_read_reply",
             Msg::CommitRequest { .. } => "commit_request",
@@ -187,15 +132,7 @@ mod tests {
         .into();
         assert_eq!(m.kind(), "prepare");
         assert_eq!(
-            Msg::BeginRequest {
-                req_id: 1,
-                group: GroupId(0)
-            }
-            .kind(),
-            "begin_request"
-        );
-        assert_eq!(
-            Msg::ReadReply {
+            Msg::SnapshotReadReply {
                 req_id: 1,
                 group: GroupId(0),
                 key: KeyId(0),
@@ -204,7 +141,7 @@ mod tests {
                 unavailable: false
             }
             .kind(),
-            "read_reply"
+            "snapshot_read_reply"
         );
     }
 }

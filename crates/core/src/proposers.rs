@@ -19,7 +19,7 @@
 //! entries install at the host's datacenter, and a finished instance is
 //! removed and its [`CommitOutcome`] handed back. The caller keeps only what
 //! is its own: queueing, leases and results (session), windows, pipelining
-//! and survivors (committer), the janitor and parked reads (service).
+//! and survivors (committer), the janitor (service).
 //!
 //! One input is the session's alone: [`Input::Decided`] hands an instance
 //! the decided value of its position from the host datacenter's log, so a

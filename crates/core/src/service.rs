@@ -3,13 +3,11 @@
 //! datacenter is behaviourally identical).
 //!
 //! Responsibilities (§2.2, §4):
-//! * answer remote `begin` and `read` requests from Transaction Clients
-//!   whose local datacenter is unavailable;
 //! * serve **snapshot reads** ([`Msg::SnapshotRead`]): watermark-bounded
 //!   reads from read-only sessions, answered synchronously off the local
-//!   store at or below the carried position — never parked, never expiring,
-//!   never triggering recovery (`unavailable` on a gap, retry elsewhere) —
-//!   so *any* replica of a group can serve its read traffic, not just the
+//!   store at or below the carried position — never waiting, never
+//!   triggering recovery (`unavailable` on a gap, retry elsewhere) — so
+//!   *any* replica of a group can serve its read traffic, not just the
 //!   group home;
 //! * play the Paxos acceptor role (Algorithm 1) for every log position —
 //!   with durable storage, a granted promise or cast vote is appended to
@@ -25,7 +23,8 @@
 //!   restart from disk with its group state ([`Msg::CatchUp`]) instead of a
 //!   promise or a vote, and adopt such a state from a peer when it lags;
 //! * catch up missing log positions by running recovery Paxos instances
-//!   proposing no-ops (§4.1, Fault Tolerance and Recovery);
+//!   proposing no-ops (§4.1, Fault Tolerance and Recovery), started by the
+//!   janitor below;
 //! * host the **group commit engine** for the submitted commit route: a
 //!   [`Msg::CommitRequest`] carrying a finished transaction is submitted to
 //!   a lazily-created per-group [`GroupCommitter`], which batches commits
@@ -43,19 +42,9 @@
 //! [`DatacenterCore`](crate::DatacenterCore) (one log per group,
 //! group-qualified store rows), and a decided `Apply` — whether it carries
 //! a single transaction or a whole batched/combined entry — installs in
-//! one step and unblocks only its own group's parked reads. Sharding the
-//! workload over many groups therefore needs no service-side changes:
-//! each datacenter leads its subset of groups (see
+//! one step. Sharding the workload over many groups therefore needs no
+//! service-side changes: each datacenter leads its subset of groups (see
 //! [`crate::Directory::group_home`]) while acting as acceptor for all.
-//!
-//! Reads that arrive before the local log caught up are parked in a map
-//! keyed by `(group, read position)`: one bucket per position being waited
-//! on, duplicate requests (same requester and correlation id) replace their
-//! earlier entry instead of accumulating, and a re-attempted read that is
-//! *still* gapped after its requester's timeout is answered
-//! `unavailable` (retry elsewhere) and evicted — the unbounded-growth
-//! failure mode of the original flat list cannot occur, and a read whose
-//! data became servable is always served, however late.
 
 use crate::batch::{BatchConfig, GroupCommitter};
 use crate::datacenter::{GroupState, SharedCore};
@@ -103,7 +92,7 @@ const RECOVERY_BALLOT_BIT: u64 = 1 << 40;
 
 /// Janitor attempts per orphaned position before giving up (a position
 /// that cannot decide — e.g. behind a long partition — must not keep the
-/// simulation busy forever; reads still trigger recovery on demand).
+/// simulation busy forever; new traffic re-hints the group).
 const JANITOR_MAX_ATTEMPTS: u32 = 5;
 
 /// The remembered outcome of a decided member: everything needed to
@@ -126,20 +115,6 @@ struct HeldReply {
     incarnation: u64,
 }
 
-/// A remote read waiting for the local log to catch up.
-#[derive(Clone, Debug)]
-struct PendingRead {
-    from: NodeId,
-    req_id: u64,
-    group: GroupId,
-    key: KeyId,
-    attr: AttrId,
-    read_position: LogPosition,
-    /// When the read was first parked; re-attempts that still cannot be
-    /// served after the requester's timeout answer `unavailable` and evict.
-    enqueued_at: SimTime,
-}
-
 /// The per-datacenter Transaction Service actor.
 pub struct TransactionService {
     replica: usize,
@@ -150,16 +125,6 @@ pub struct TransactionService {
     /// Running recovery instances, by the `(group, position)` they learn.
     recovery: Proposers<(GroupId, LogPosition)>,
     next_tag: u64,
-    /// Parked remote reads, bucketed by the (group, read position) they
-    /// wait for.
-    pending_reads: BTreeMap<(GroupId, LogPosition), Vec<PendingRead>>,
-    /// The applied prefix this service last reacted to, per group. The
-    /// shared core's prefix can advance *between* Apply messages (a local
-    /// proposer's `Learned` installs directly), so the service compares
-    /// against what it last saw rather than the per-install delta — every
-    /// decide is followed by an Apply broadcast to every service, so no
-    /// advance goes unobserved for long.
-    flushed_through: BTreeMap<GroupId, LogPosition>,
     /// Protocol settings of the hosted commit engine (promotion cap,
     /// combination, timeouts); the route field is irrelevant here.
     commit_config: ClientConfig,
@@ -228,8 +193,6 @@ impl TransactionService {
             backoff_max: SimDuration::from_millis(100),
             recovery: Proposers::default(),
             next_tag: 0,
-            pending_reads: BTreeMap::new(),
-            flushed_through: BTreeMap::new(),
             commit_config,
             batch_config: BatchConfig::default(),
             committers: BTreeMap::new(),
@@ -278,19 +241,6 @@ impl TransactionService {
     /// Groups this service currently hosts a commit engine for.
     pub fn hosted_committer_groups(&self) -> Vec<GroupId> {
         self.committers.keys().copied().collect()
-    }
-
-    /// Number of remote reads currently parked waiting for log catch-up.
-    pub fn pending_read_count(&self) -> usize {
-        self.pending_reads.values().map(Vec::len).sum()
-    }
-
-    /// Parked reads answered `unavailable` because their requester timed
-    /// out. The counter lives in the datacenter's shared [`SharedCore`], so
-    /// experiment harnesses can surface it in their run metrics after the
-    /// service actor has been consumed by the simulation.
-    pub fn expired_read_count(&self) -> u64 {
-        self.core.lock().expired_read_count()
     }
 
     fn handle_paxos(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: PaxosMsg) {
@@ -404,12 +354,12 @@ impl TransactionService {
                 ballot,
                 value,
             } => {
-                let (outcome, unsynced) = {
+                let (prefix, unsynced) = {
                     let mut core = self.core.lock();
                     core.acceptor()
                         .handle_apply(group, position, ballot, &value);
-                    let outcome = core.install_entry(group, position, value);
-                    (outcome, core.has_unsynced())
+                    let prefix = core.install_entry(group, position, value);
+                    (prefix, core.has_unsynced())
                 };
                 // Every decided entry reaches its datacenter's service as an
                 // `Apply` (the proposer broadcasts to every replica), so
@@ -419,16 +369,13 @@ impl TransactionService {
                     self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
                 }
                 // The decide makes any recovery instance for the position
-                // redundant; parked reads react only to *prefix advances*
-                // (a pipelined decide above a gap cannot unblock anything —
-                // entries apply strictly in position order).
+                // redundant.
                 self.recovery.remove(&(group, position));
                 // An out-of-order install means a gap below a decided
                 // position: the first undecided position may be orphaned.
-                if position > outcome.prefix {
+                if position > prefix {
                     self.hint_orphan(ctx, group);
                 }
-                self.react_to_prefix(ctx, group, outcome.prefix);
             }
             PaxosMsg::LeaderClaim { group, position } => {
                 let granted = self
@@ -553,8 +500,7 @@ impl TransactionService {
     }
 
     /// Adopt a peer's group state that reaches past the local prefix: the
-    /// recovery instances and committer slots it covers are done, and the
-    /// parked reads it unblocks are served.
+    /// recovery instances and committer slots it covers are done.
     fn adopt(&mut self, ctx: &mut Context<Msg>, state: &GroupState) {
         let group = state.group;
         let prefix = {
@@ -570,7 +516,6 @@ impl TransactionService {
             let actions = committer.abandon_through(ctx.now(), prefix);
             self.apply_committer_actions(ctx, group, actions);
         }
-        self.react_to_prefix(ctx, group, prefix);
     }
 
     /// Offer a proposer reply to the hosted committer of its group (the
@@ -822,15 +767,13 @@ impl TransactionService {
         self.ensure_janitor(ctx);
     }
 
-    /// Serve a snapshot read synchronously at its watermark. The snapshot
-    /// plane deliberately bypasses the whole pending-read machinery: no
-    /// parking, no recovery instances, no expiry. A replica that has not
-    /// applied up to the watermark answers `unavailable` immediately and
-    /// the client retries elsewhere — snapshot reads are the non-blocking,
-    /// non-aborting path, and blocking here would reintroduce exactly the
-    /// coupling to the commit plane they exist to avoid. Consistency across
-    /// the calls of one snapshot handle comes from the client-held read
-    /// lease on the serving replica (see
+    /// Serve a snapshot read synchronously at its watermark: no waiting, no
+    /// recovery instances. A replica that has not applied up to the
+    /// watermark answers `unavailable` immediately and the client retries
+    /// elsewhere — snapshot reads are the non-blocking, non-aborting path,
+    /// and blocking here would couple them to the commit plane they exist
+    /// to stay out of. Consistency across the calls of one snapshot handle
+    /// comes from the client-held read lease on the serving replica (see
     /// [`crate::Session::begin_read_only`]), not from anything the service
     /// retains: the core lock is held for the duration of the serve, so
     /// apply-time version GC can never interleave within a single read.
@@ -862,204 +805,6 @@ impl TransactionService {
         );
     }
 
-    fn handle_begin(&mut self, ctx: &mut Context<Msg>, from: NodeId, req_id: u64, group: GroupId) {
-        let read_position = self.core.lock().read_position(group);
-        ctx.send(
-            from,
-            Msg::BeginReply {
-                req_id,
-                group,
-                read_position,
-            },
-        );
-    }
-
-    fn handle_read(&mut self, ctx: &mut Context<Msg>, pending: PendingRead) {
-        let result = self.core.lock().read(
-            pending.group,
-            pending.key,
-            pending.attr,
-            pending.read_position,
-        );
-        match result {
-            Ok(value) => {
-                ctx.send(
-                    pending.from,
-                    Msg::ReadReply {
-                        req_id: pending.req_id,
-                        group: pending.group,
-                        key: pending.key,
-                        attr: pending.attr,
-                        value,
-                        unavailable: false,
-                    },
-                );
-            }
-            Err(gap) => {
-                // Still gapped. If the requester has been waiting longer
-                // than the message timeout it has given up client-side:
-                // answer `unavailable` (so a patient requester can retry
-                // elsewhere) and evict instead of re-parking forever. A
-                // fresh request is never expired — expiry only applies to
-                // re-attempts of parked reads, after serving was tried.
-                if ctx.now().since(pending.enqueued_at) > self.message_timeout {
-                    self.expire_read(ctx, pending);
-                    return;
-                }
-                // Start a recovery instance for every missing position, then
-                // park the read until the log catches up.
-                for position in gap.missing {
-                    self.start_recovery(ctx, pending.group, position);
-                }
-                self.park_read(pending);
-            }
-        }
-    }
-
-    /// Give up on a read whose requester's patience ran out: answer
-    /// `unavailable` (so a patient requester can retry elsewhere) and
-    /// count it. The caller has already removed it from the parked map.
-    fn expire_read(&mut self, ctx: &mut Context<Msg>, read: PendingRead) {
-        self.core.lock().note_expired_read();
-        ctx.send(
-            read.from,
-            Msg::ReadReply {
-                req_id: read.req_id,
-                group: read.group,
-                key: read.key,
-                attr: read.attr,
-                value: None,
-                unavailable: true,
-            },
-        );
-    }
-
-    /// Park a read in its `(group, read position)` bucket, replacing any
-    /// earlier entry for the same requester and correlation id (a retried
-    /// request must not accumulate). A newly parked read leases its
-    /// position in the datacenter core so version GC cannot reclaim what
-    /// it will need once servable.
-    fn park_read(&mut self, pending: PendingRead) {
-        let bucket = self
-            .pending_reads
-            .entry((pending.group, pending.read_position))
-            .or_default();
-        if let Some(existing) = bucket
-            .iter_mut()
-            .find(|p| p.from == pending.from && p.req_id == pending.req_id)
-        {
-            *existing = pending;
-        } else {
-            self.core
-                .lock()
-                .begin_read_lease(pending.group, pending.read_position);
-            bucket.push(pending);
-        }
-    }
-
-    /// Remove one bucket from the parked-read map, releasing its leases.
-    /// Reads the caller re-parks (still gapped, within their requester's
-    /// patience) take a fresh lease in [`TransactionService::park_read`].
-    fn unpark_bucket(&mut self, key: (GroupId, LogPosition)) -> Vec<PendingRead> {
-        let bucket = self.pending_reads.remove(&key).unwrap_or_default();
-        if !bucket.is_empty() {
-            let mut core = self.core.lock();
-            for _ in &bucket {
-                core.end_read_lease(key.0, key.1);
-            }
-        }
-        bucket
-    }
-
-    /// Re-attempt every parked read (all groups): used after an outage,
-    /// when anything might have changed. Serving is always attempted
-    /// first; only reads that are *still* gapped are expired or re-parked
-    /// (see [`TransactionService::handle_read`]).
-    fn flush_pending_reads(&mut self, ctx: &mut Context<Msg>) {
-        let keys: Vec<(GroupId, LogPosition)> = self.pending_reads.keys().copied().collect();
-        for key in keys {
-            for read in self.unpark_bucket(key) {
-                self.handle_read(ctx, read);
-            }
-        }
-    }
-
-    /// React iff `prefix` moved past what this service last flushed at —
-    /// whether this install advanced it or a local proposer's `Learned`
-    /// already had. Serving is advance-driven, but overdue reads are
-    /// expired on every decide of the group regardless: a wedged prefix
-    /// (stalled recovery below pipelined decides) must not leave a
-    /// requester waiting forever, nor its lease pinning the GC watermark.
-    fn react_to_prefix(&mut self, ctx: &mut Context<Msg>, group: GroupId, prefix: LogPosition) {
-        let seen = self
-            .flushed_through
-            .get(&group)
-            .copied()
-            .unwrap_or(LogPosition::ZERO);
-        if prefix > seen {
-            self.flushed_through.insert(group, prefix);
-            self.on_prefix_advance(ctx, group, prefix);
-        } else {
-            self.expire_overdue_gapped(ctx, group, prefix);
-        }
-    }
-
-    /// The group's applied prefix advanced (a pipeline completion at the
-    /// head): serve every parked read the new prefix covers, and evict
-    /// overdue reads that are still gapped above it. Reads of other groups
-    /// and reads parked above a prefix that did not move are untouched —
-    /// the service loop is driven by completions, not by per-flush polling.
-    fn on_prefix_advance(&mut self, ctx: &mut Context<Msg>, group: GroupId, prefix: LogPosition) {
-        let (servable, gapped): (Vec<_>, Vec<_>) = self
-            .pending_reads
-            .keys()
-            .filter(|(g, _)| *g == group)
-            .copied()
-            .partition(|(_, position)| *position <= prefix);
-        for key in servable {
-            for read in self.unpark_bucket(key) {
-                self.handle_read(ctx, read);
-            }
-        }
-        // Reads still gapped whose requester has given up are answered
-        // `unavailable` and evicted; the rest keep waiting (and keep their
-        // leases).
-        for key in gapped {
-            self.expire_overdue_in_bucket(ctx, key);
-        }
-    }
-
-    /// Evict the overdue reads of every still-gapped bucket of `group`
-    /// (parked above `prefix`): answer `unavailable`, release the lease.
-    /// Patient reads are re-parked untouched.
-    fn expire_overdue_gapped(
-        &mut self,
-        ctx: &mut Context<Msg>,
-        group: GroupId,
-        prefix: LogPosition,
-    ) {
-        let gapped: Vec<(GroupId, LogPosition)> = self
-            .pending_reads
-            .keys()
-            .filter(|(g, position)| *g == group && *position > prefix)
-            .copied()
-            .collect();
-        for key in gapped {
-            self.expire_overdue_in_bucket(ctx, key);
-        }
-    }
-
-    fn expire_overdue_in_bucket(&mut self, ctx: &mut Context<Msg>, key: (GroupId, LogPosition)) {
-        let bucket = self.unpark_bucket(key);
-        for read in bucket {
-            if ctx.now().since(read.enqueued_at) > self.message_timeout {
-                self.expire_read(ctx, read);
-            } else {
-                self.park_read(read);
-            }
-        }
-    }
-
     fn start_recovery(&mut self, ctx: &mut Context<Msg>, group: GroupId, position: LogPosition) {
         if self.recovery.contains(&(group, position)) {
             return;
@@ -1077,9 +822,7 @@ impl TransactionService {
 
     /// Feed the recovery instances' proposer host: learned entries install
     /// in this datacenter, and timers wait the message timeout, a backoff
-    /// drawn from the simulation RNG, or a fixed 50 ms gather window. A
-    /// finished instance learned (and installed) its position, so react to
-    /// however far the prefix reaches now.
+    /// drawn from the simulation RNG, or a fixed 50 ms gather window.
     fn drive_recovery(&mut self, ctx: &mut Context<Msg>, input: Input<'_, (GroupId, LogPosition)>) {
         let (timeout, backoff_max) = (self.message_timeout, self.backoff_max);
         let mut out = Vec::new();
@@ -1093,12 +836,8 @@ impl TransactionService {
                 TimerKind::Gather => SimDuration::from_millis(50),
             },
         };
-        let finished = self.recovery.drive(input, env, &mut out);
+        self.recovery.drive(input, env, &mut out);
         apply_client_actions(ctx, out);
-        if let Some(((group, _), _)) = finished {
-            let prefix = self.core.lock().read_position(group);
-            self.react_to_prefix(ctx, group, prefix);
-        }
     }
 }
 
@@ -1106,25 +845,6 @@ impl Actor<Msg> for TransactionService {
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::Paxos(p) => self.handle_paxos(ctx, from, p),
-            Msg::BeginRequest { req_id, group } => self.handle_begin(ctx, from, req_id, group),
-            Msg::ReadRequest {
-                req_id,
-                group,
-                key,
-                attr,
-                read_position,
-            } => {
-                let pending = PendingRead {
-                    from,
-                    req_id,
-                    group,
-                    key,
-                    attr,
-                    read_position,
-                    enqueued_at: ctx.now(),
-                };
-                self.handle_read(ctx, pending);
-            }
             Msg::SnapshotRead {
                 req_id,
                 group,
@@ -1138,11 +858,8 @@ impl Actor<Msg> for TransactionService {
                 self.handle_commit_request(ctx, from, req_id, txn);
             }
             Msg::CatchUp(state) => self.adopt(ctx, &state),
-            Msg::BeginReply { .. }
-            | Msg::ReadReply { .. }
-            | Msg::SnapshotReadReply { .. }
-            | Msg::CommitReply { .. } => {
-                // Services never issue begin/read/commit requests; stray
+            Msg::SnapshotReadReply { .. } | Msg::CommitReply { .. } => {
+                // Services never issue read or commit requests; stray
                 // replies are ignored.
             }
         }
@@ -1169,11 +886,6 @@ impl Actor<Msg> for TransactionService {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Msg>) {
-        // After an outage the service proactively catches up: it asks itself
-        // for the read position (a no-op) and relies on incoming traffic plus
-        // recovery instances started by reads to fill gaps. Pending reads
-        // accumulated before the crash are re-examined.
-        self.flush_pending_reads(ctx);
         // Groups whose home migrated away during the outage: every client
         // with a member still waiting in the local window has long timed
         // out and re-submitted to the new home (pending means unanswered),
@@ -1292,28 +1004,6 @@ mod tests {
                 .write(ItemRef::new(ROW, attr), value)
                 .build(),
         ))
-    }
-
-    #[test]
-    fn service_answers_begin_requests_with_read_position() {
-        let (mut sim, core, received) = single_dc_harness(|svc| {
-            vec![(
-                svc,
-                Msg::BeginRequest {
-                    req_id: 1,
-                    group: GROUP,
-                },
-            )]
-        });
-        core.lock()
-            .install_entry(GROUP, LogPosition(1), entry(1, A, "1"));
-        sim.run_until_idle_capped(1_000);
-        let got = received.lock();
-        assert_eq!(got.len(), 1);
-        match &got[0] {
-            Msg::BeginReply { read_position, .. } => assert_eq!(*read_position, LogPosition(1)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -1460,40 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_read_is_served_at_the_requested_position() {
-        let (mut sim, core, received) = single_dc_harness(|svc| {
-            vec![(
-                svc,
-                Msg::ReadRequest {
-                    req_id: 9,
-                    group: GROUP,
-                    key: ROW,
-                    attr: A,
-                    read_position: LogPosition(1),
-                },
-            )]
-        });
-        core.lock()
-            .install_entry(GROUP, LogPosition(1), entry(1, A, "42"));
-        sim.run_until_idle_capped(1_000);
-        let got = received.lock();
-        assert_eq!(got.len(), 1);
-        match &got[0] {
-            Msg::ReadReply {
-                req_id,
-                value,
-                unavailable,
-                ..
-            } => {
-                assert_eq!(*req_id, 9);
-                assert_eq!(value.as_deref(), Some("42"));
-                assert!(!unavailable);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn snapshot_read_is_served_at_the_watermark() {
         // Two versions of the row exist (positions 1 and 2); a snapshot
         // read at watermark 1 must observe position 1's value even though
@@ -1536,10 +1192,10 @@ mod tests {
     #[test]
     fn gapped_snapshot_read_answers_unavailable_immediately_without_recovery() {
         // The peer is crashed so any recovery instance would stall forever;
-        // a snapshot read above the applied prefix must NOT park or start
+        // a snapshot read above the applied prefix must NOT wait or start
         // recovery — it answers `unavailable` straight away so the client
         // can retry at another replica.
-        let (mut sim, _service_node, received) =
+        let (mut sim, _service_node, _core, received) =
             stalled_recovery_harness(vec![Msg::SnapshotRead {
                 req_id: 13,
                 group: GROUP,
@@ -1762,50 +1418,45 @@ mod tests {
         ));
     }
 
+    /// A decided `Apply` of `GROUP` at `position`, as its proposer
+    /// broadcasts it.
+    fn apply(position: u64, value: &str) -> Msg {
+        Msg::Paxos(PaxosMsg::Apply {
+            group: GROUP,
+            position: LogPosition(position),
+            ballot: Ballot::initial(9),
+            value: entry(position, A, value),
+        })
+    }
+
     #[test]
-    fn read_with_log_gap_triggers_recovery_and_eventually_answers() {
-        // The service is missing position 1 but a read at position 1 arrives.
-        // With a single replica, the recovery instance reaches a majority (1
-        // of 1) by talking to itself and decides a no-op, after which the
-        // read is answered (with no value, since only a no-op committed).
-        let (mut sim, core, received) = single_dc_harness(|svc| {
-            vec![(
-                svc,
-                Msg::ReadRequest {
-                    req_id: 3,
-                    group: GROUP,
-                    key: ROW,
-                    attr: A,
-                    read_position: LogPosition(1),
-                },
-            )]
-        });
+    fn the_janitor_fills_a_gap_below_a_decided_position_with_a_no_op() {
+        // Position 2 decides before position 1 ever did. With a single
+        // replica, the janitor's recovery instance reaches a majority (1 of
+        // 1) by talking to itself and decides a no-op at position 1, after
+        // which position 2 applies.
+        let (mut sim, core, _) = single_dc_harness(|svc| vec![(svc, apply(2, "v2"))]);
         sim.run_until_idle_capped(10_000);
-        let got = received.lock();
-        assert_eq!(got.len(), 1, "read must eventually be answered");
-        match &got[0] {
-            Msg::ReadReply {
-                value, unavailable, ..
-            } => {
-                assert_eq!(value, &None);
-                assert!(!unavailable);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The gap was filled with a no-op entry.
-        let core = core.lock();
+        let mut core = core.lock();
         let log = core.log(GROUP).unwrap();
         assert!(log.get(LogPosition(1)).unwrap().is_noop());
+        assert_eq!(core.read_position(GROUP), LogPosition(2));
+        assert_eq!(
+            core.read(GROUP, ROW, A, LogPosition(2)).unwrap().as_deref(),
+            Some("v2")
+        );
     }
 
     /// Two-service harness where the peer datacenter is crashed, so recovery
-    /// (majority 2) cannot finish and parked reads stay parked until an
-    /// Apply arrives from outside.
+    /// (majority 2) cannot finish. Returns the simulation, the live
+    /// service's node and core, and what a prober that sent it `msgs` hears
+    /// back.
     fn stalled_recovery_harness(
-        reads: Vec<Msg>,
+        msgs: Vec<Msg>,
     ) -> (
         Simulation<Msg>,
         NodeId,
+        SharedCore,
         StdArc<parking_lot::Mutex<Vec<Msg>>>,
     ) {
         let mut sim: Simulation<Msg> =
@@ -1830,257 +1481,40 @@ mod tests {
         let received = StdArc::new(parking_lot::Mutex::new(Vec::new()));
         let target = nodes[0];
         let prober = Prober {
-            to_send: reads.into_iter().map(|m| (target, m)).collect(),
+            to_send: msgs.into_iter().map(|m| (target, m)).collect(),
             received: received.clone(),
         };
         let site0 = sim.network().site_of(target);
         let prober_node = sim.add_node(site0, Box::new(prober));
         directory.register_client(prober_node, 0);
-        (sim, target, received)
-    }
-
-    fn read_request_at(req_id: u64, position: u64) -> Msg {
-        Msg::ReadRequest {
-            req_id,
-            group: GROUP,
-            key: ROW,
-            attr: A,
-            read_position: LogPosition(position),
-        }
-    }
-
-    fn read_request(req_id: u64) -> Msg {
-        read_request_at(req_id, 1)
-    }
-
-    /// Decide position 1 of GROUP at service_node via an injected Apply.
-    fn apply_position_one(sim: &mut Simulation<Msg>, service_node: NodeId, value: &str) {
-        let helper = Prober {
-            to_send: vec![(
-                service_node,
-                Msg::Paxos(PaxosMsg::Apply {
-                    group: GROUP,
-                    position: LogPosition(1),
-                    ballot: Ballot::initial(9),
-                    value: entry(1, A, value),
-                }),
-            )],
-            received: StdArc::new(parking_lot::Mutex::new(Vec::new())),
-        };
-        let site = sim.network().site_of(service_node);
-        sim.add_node(site, Box::new(helper));
-    }
-
-    #[test]
-    fn parked_read_that_becomes_servable_is_served_even_after_the_timeout() {
-        // The read waits at position 1; the position decides long after the
-        // 2 s requester timeout. Serving is attempted before expiry, so the
-        // requester gets the real value, not an `unavailable` brush-off.
-        let (mut sim, service_node, received) = stalled_recovery_harness(vec![read_request(3)]);
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(
-            received.lock().is_empty(),
-            "read must be parked, not answered"
-        );
-        sim.run_for(SimDuration::from_secs(10));
-        apply_position_one(&mut sim, service_node, "late");
-        sim.run_for(SimDuration::from_secs(5));
-        let got = received.lock();
-        assert_eq!(got.len(), 1, "late-but-servable read must get one answer");
-        match &got[0] {
-            Msg::ReadReply {
-                req_id: 3,
-                value,
-                unavailable: false,
-                ..
-            } => assert_eq!(value.as_deref(), Some("late")),
-            other => panic!("expected the real value, got {other:?}"),
-        }
+        (sim, target, directory.core(0), received)
     }
 
     #[test]
     fn a_recovery_instance_outliving_a_crash_finishes_once_its_timers_refire() {
-        // The read at position 1 starts a recovery instance that cannot
+        // Position 2 decides above a gap, so after its patience (2 s) the
+        // janitor starts a recovery instance for position 1, which cannot
         // reach its majority while the peer is down. Then the service
         // crashes too, so the instance's pending timer fires into the
         // outage and is suppressed. Once both datacenters are back, only
         // `on_recover` re-firing the proposer host's armed tags restarts the
-        // instance (the janitor and new reads all see it still running).
-        let (mut sim, service_node, _) = stalled_recovery_harness(vec![read_request(3)]);
+        // instance (the janitor sees it still running and starts no other).
+        let (mut sim, service_node, core, _) = stalled_recovery_harness(vec![apply(2, "p2")]);
         // The harness adds the peer right after the service under test.
         let peer = NodeId(service_node.0 + 1);
-        sim.run_for(SimDuration::from_millis(500));
+        sim.run_for(SimDuration::from_millis(3_500));
+        assert!(!core.lock().has_entry(GROUP, LogPosition(1)));
         sim.crash_node(service_node);
         sim.run_for(SimDuration::from_secs(10));
         sim.recover_node(peer);
         sim.recover_node(service_node);
         sim.run_for(SimDuration::from_secs(5));
-        // A fresh read at the once-missing position is served at once only
-        // if the recovery instance filled it.
-        let received = StdArc::new(parking_lot::Mutex::new(Vec::new()));
-        let prober = Prober {
-            to_send: vec![(service_node, read_request(4))],
-            received: received.clone(),
-        };
-        let site = sim.network().site_of(service_node);
-        sim.add_node(site, Box::new(prober));
-        sim.run_for(SimDuration::from_secs(1));
-        let got = received.lock();
+        let core = core.lock();
+        let filled = core.log(GROUP).unwrap().get(LogPosition(1)).cloned();
         assert!(
-            matches!(
-                got.as_slice(),
-                [Msg::ReadReply {
-                    req_id: 4,
-                    unavailable: false,
-                    ..
-                }]
-            ),
-            "the refired recovery must fill the gap, got {got:?}"
+            filled.is_some_and(|entry| entry.is_noop()),
+            "the refired recovery must fill the gap with a no-op"
         );
-    }
-
-    #[test]
-    fn parked_reads_still_gapped_after_the_timeout_are_answered_unavailable_and_evicted() {
-        // The read waits at position 2. Position 1 decides long after the
-        // 2 s requester timeout, which triggers a flush — but position 2 is
-        // still missing, so the read cannot be served: it is answered
-        // `unavailable` (retry elsewhere) and evicted instead of being
-        // re-parked forever.
-        let (mut sim, service_node, received) =
-            stalled_recovery_harness(vec![read_request_at(3, 2)]);
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(
-            received.lock().is_empty(),
-            "read must be parked, not answered"
-        );
-        sim.run_for(SimDuration::from_secs(10));
-        apply_position_one(&mut sim, service_node, "p1");
-        sim.run_for(SimDuration::from_secs(5));
-        let got = received.lock();
-        assert_eq!(
-            got.len(),
-            1,
-            "expired gapped read must get exactly one answer"
-        );
-        assert!(
-            matches!(
-                &got[0],
-                Msg::ReadReply {
-                    req_id: 3,
-                    unavailable: true,
-                    value: None,
-                    ..
-                }
-            ),
-            "expired gapped read must be answered unavailable, got {got:?}"
-        );
-    }
-
-    #[test]
-    fn decides_in_one_group_do_not_disturb_other_groups_parked_reads() {
-        // A read parked on group 0 must stay parked (not be re-attempted or
-        // expired) when an unrelated group's position decides.
-        let (mut sim, service_node, received) = stalled_recovery_harness(vec![read_request(5)]);
-        sim.run_for(SimDuration::from_millis(500));
-        let other_group = GroupId(1);
-        let helper = Prober {
-            to_send: vec![(
-                service_node,
-                Msg::Paxos(PaxosMsg::Apply {
-                    group: other_group,
-                    position: LogPosition(1),
-                    ballot: Ballot::initial(9),
-                    value: StdArc::new(walog::LogEntry::noop()),
-                }),
-            )],
-            received: StdArc::new(parking_lot::Mutex::new(Vec::new())),
-        };
-        let site = sim.network().site_of(service_node);
-        sim.add_node(site, Box::new(helper));
-        sim.run_for(SimDuration::from_millis(500));
-        assert!(
-            received.lock().is_empty(),
-            "an unrelated group's decide must not answer group 0's parked read"
-        );
-    }
-
-    #[test]
-    fn out_of_order_applies_leave_reads_parked_until_the_prefix_advances() {
-        // A read waits at position 2. Position 2's entry decides FIRST
-        // (a pipelined out-of-order completion): it installs durably but
-        // the prefix stays 0, so the read stays parked — no premature
-        // serve, no premature expiry. Position 1 then decides, the prefix
-        // jumps to 2, and the read is served with position 2's value.
-        let (mut sim, service_node, received) =
-            stalled_recovery_harness(vec![read_request_at(3, 2)]);
-        sim.run_for(SimDuration::from_secs(1));
-        let helper = Prober {
-            to_send: vec![(
-                service_node,
-                Msg::Paxos(PaxosMsg::Apply {
-                    group: GROUP,
-                    position: LogPosition(2),
-                    ballot: Ballot::initial(9),
-                    value: entry(2, A, "p2"),
-                }),
-            )],
-            received: StdArc::new(parking_lot::Mutex::new(Vec::new())),
-        };
-        let site = sim.network().site_of(service_node);
-        sim.add_node(site, Box::new(helper));
-        // Run far past the 2 s requester timeout: with only position 2
-        // decided the prefix has not advanced, so the read must neither be
-        // answered nor expired.
-        sim.run_for(SimDuration::from_secs(10));
-        assert!(
-            received.lock().is_empty(),
-            "an out-of-order decide must not disturb the parked read"
-        );
-        apply_position_one(&mut sim, service_node, "p1");
-        sim.run_for(SimDuration::from_secs(5));
-        let got = received.lock();
-        assert_eq!(got.len(), 1);
-        match &got[0] {
-            Msg::ReadReply {
-                req_id: 3,
-                value,
-                unavailable: false,
-                ..
-            } => assert_eq!(value.as_deref(), Some("p2")),
-            other => panic!("expected position 2's value, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn duplicate_parked_reads_are_replaced_not_accumulated() {
-        // The same (requester, req_id) read arrives three times (client
-        // retries); once the position decides within the timeout, exactly
-        // one reply is sent.
-        let (mut sim, service_node, received) =
-            stalled_recovery_harness(vec![read_request(7), read_request(7), read_request(7)]);
-        sim.run_for(SimDuration::from_millis(500));
-        assert!(received.lock().is_empty());
-        let helper = Prober {
-            to_send: vec![(
-                service_node,
-                Msg::Paxos(PaxosMsg::Apply {
-                    group: GROUP,
-                    position: LogPosition(1),
-                    ballot: Ballot::initial(9),
-                    value: entry(1, A, "v"),
-                }),
-            )],
-            received: StdArc::new(parking_lot::Mutex::new(Vec::new())),
-        };
-        let site = sim.network().site_of(service_node);
-        sim.add_node(site, Box::new(helper));
-        sim.run_for(SimDuration::from_secs(5));
-        let got = received.lock();
-        assert_eq!(
-            got.len(),
-            1,
-            "duplicate parked reads must collapse to one reply, got {got:?}"
-        );
-        assert!(matches!(&got[0], Msg::ReadReply { req_id: 7, .. }));
+        assert_eq!(core.read_position(GROUP), LogPosition(2));
     }
 }

@@ -184,17 +184,6 @@ impl GroupLog {
         self.prefix
     }
 
-    /// Positions `base+1..=through` that are not yet decided locally (the
-    /// gaps a recovering replica must learn before serving reads at
-    /// `through`). Nothing at or below the gap-free prefix can be missing,
-    /// so a read at or below it costs no probe at all.
-    pub fn missing_up_to(&self, through: LogPosition) -> Vec<LogPosition> {
-        (self.prefix.0 + 1..=through.0)
-            .map(LogPosition)
-            .filter(|p| !self.entries.contains_key(p))
-            .collect()
-    }
-
     /// Iterate decided entries in position order.
     pub fn iter(&self) -> impl Iterator<Item = (LogPosition, &Arc<LogEntry>)> {
         self.entries.iter().map(|(p, e)| (*p, e))
@@ -296,8 +285,7 @@ mod tests {
         log.install(LogPosition(4), entry(4)).unwrap();
         assert_eq!(log.last_decided(), LogPosition(4));
         assert_eq!(log.contiguous_prefix(), LogPosition(2));
-        assert_eq!(log.missing_up_to(LogPosition(4)), vec![LogPosition(3)]);
-        assert_eq!(log.missing_up_to(LogPosition(2)), vec![]);
+        assert!(!log.contains(LogPosition(3)));
         log.install(LogPosition(3), entry(3)).unwrap();
         assert_eq!(log.contiguous_prefix(), LogPosition(4));
     }
@@ -336,7 +324,6 @@ mod tests {
         assert_eq!(log.len(), 3);
         // The prefix still counts truncated positions as decided.
         assert_eq!(log.contiguous_prefix(), LogPosition(6));
-        assert_eq!(log.missing_up_to(LogPosition(6)), vec![]);
         assert_eq!(log.last_decided(), LogPosition(6));
         // Re-learning a truncated position is a silent no-op, even with a
         // different value (the decided value is gone; trust the snapshot).
@@ -358,10 +345,6 @@ mod tests {
         // Entries after the base extend the prefix normally.
         log.install(LogPosition(6), entry(6)).unwrap();
         assert_eq!(log.contiguous_prefix(), LogPosition(6));
-        assert_eq!(
-            log.missing_up_to(LogPosition(8)),
-            vec![LogPosition(7), LogPosition(8)]
-        );
         let pending = log.unapplied_range(LogPosition(6)).unwrap();
         assert_eq!(pending.len(), 1);
     }
@@ -380,7 +363,7 @@ mod tests {
         assert_eq!(log.base(), LogPosition(3));
         assert_eq!(log.applied_through(), LogPosition(3));
         assert_eq!(log.contiguous_prefix(), LogPosition(6));
-        assert_eq!(log.missing_up_to(LogPosition(8)), vec![LogPosition(7)]);
+        assert!(!log.contains(LogPosition(7)) && log.contains(LogPosition(8)));
         // Everything at or below the base left the log, as after a
         // truncation to the same base.
         let mut truncated = GroupLog::new();
@@ -413,7 +396,6 @@ mod tests {
             log.install(LogPosition(i), Arc::clone(&shared)).unwrap();
             let prefix = log.contiguous_prefix();
             assert_eq!(prefix, LogPosition(i));
-            assert!(log.missing_up_to(prefix).is_empty());
         }
         let took = began.elapsed();
         assert!(

@@ -35,14 +35,6 @@ fn scanned_prefix(log: &GroupLog) -> LogPosition {
     expect.prev()
 }
 
-/// Reference: probe every position `base + 1 ..= through`.
-fn scanned_missing(log: &GroupLog, through: LogPosition) -> Vec<LogPosition> {
-    (log.base().0 + 1..=through.0)
-        .map(LogPosition)
-        .filter(|p| !log.contains(*p))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -82,15 +74,6 @@ proptest! {
 
             let prefix = log.contiguous_prefix();
             prop_assert_eq!(prefix, scanned_prefix(&log));
-            for through in [
-                prefix.prev(),
-                prefix,
-                prefix.next(),
-                LogPosition(UNIVERSE),
-                LogPosition(UNIVERSE + 3),
-            ] {
-                prop_assert_eq!(log.missing_up_to(through), scanned_missing(&log, through));
-            }
 
             // `truncate_below` and `restore_base` agree on what a base means:
             // nothing at or below it is retained, by whichever route it rose.

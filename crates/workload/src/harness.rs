@@ -234,7 +234,6 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
     totals.merge(&driven.service);
     totals.faults_injected += driven.replay.faults_applied;
     for core in &distinct {
-        totals.expired_reads += core.lock().expired_read_count();
         totals.reclaimed_versions += core.lock().reclaimed_version_count();
     }
 

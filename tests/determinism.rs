@@ -18,16 +18,19 @@ use simnet::{ChaosSpec, SimDuration};
 /// transaction ids) and the aggregate counters.
 ///
 /// Counters `RunMetrics` gained after the fingerprints below were pinned
-/// are left out, so a run's rendering moves only when the run itself does.
+/// are left out, and a counter it lost since (`expired_reads`, zero in
+/// every pinned run: no client sent a remote read) is rendered back at
+/// zero, so a run's rendering moves only when the run itself does.
 fn run_digest(spec: &LoadSpec) -> String {
     let result = run_load(spec);
     let digest = format!(
         "check={:?} totals={:?} per_actor={:?} duration={:?}",
         result.check, result.totals, result.per_actor, result.duration
     );
-    ["direct_backoffs", "learned_from_home_log"]
+    let digest = ["direct_backoffs", "learned_from_home_log"]
         .iter()
-        .fold(digest, |text, field| without_counter(&text, field))
+        .fold(digest, |text, field| without_counter(&text, field));
+    digest.replace(", batch_splits: ", ", expired_reads: 0, batch_splits: ")
 }
 
 /// `text` with every `, field: <number>` of a `Debug` rendering removed.
@@ -62,8 +65,8 @@ fn same_seed_runs_are_byte_identical() {
 
 #[test]
 fn same_seed_chaos_runs_are_byte_identical() {
-    // Crashes drive the recovery paths (timer re-fires, pending-read
-    // flushes) that iterate the converted service maps.
+    // Crashes drive the recovery paths (timer re-fires, dropped committer
+    // windows) that iterate the converted service maps.
     let spec = LoadSpec::paper_default(Topology::vvv(), CommitProtocol::PaxosCp)
         .named("determinism-chaos-regression")
         .with_clients(3, 12)

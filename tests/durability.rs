@@ -466,18 +466,28 @@ fn probe(cluster: &mut Cluster, replica: usize, msgs: Vec<Msg>) -> Vec<Msg> {
 
 fn read_reply_value(replies: &[Msg]) -> Option<String> {
     match replies {
-        [Msg::ReadReply {
-            value,
-            unavailable: false,
-            ..
-        }
-        | Msg::SnapshotReadReply {
+        [Msg::SnapshotReadReply {
             value,
             unavailable: false,
             ..
         }] => value.clone(),
         other => panic!("expected one served read, got {other:?}"),
     }
+}
+
+/// The value of `row`.`attr` in group `g` at `position`, read straight from
+/// `replica`'s store.
+fn value_at(
+    cluster: &Cluster,
+    replica: usize,
+    attr: &str,
+    position: LogPosition,
+) -> Option<String> {
+    let symbols = cluster.symbols();
+    let (g, row, attr) = (symbols.group("g"), symbols.key("row"), symbols.attr(attr));
+    let core = cluster.core(replica);
+    let value = core.lock().read(g, row, attr, position).unwrap();
+    value
 }
 
 /// Run until datacenter 0 installed position 1 of `g` — the session's own
@@ -522,22 +532,19 @@ fn crash_between_decided_append_and_sync(cluster: &mut Cluster) -> Transaction {
 /// A crash between a `Decided` append and its sync loses exactly that
 /// entry: the restart reproduces the durable state (asserted inside the
 /// restart), and the entry comes back from the votes the replicas — this
-/// datacenter's own among them — made durable before acknowledging.
+/// datacenter's own among them — made durable before acknowledging. The
+/// position is orphaned at datacenter 0 (its vote survived, its entry did
+/// not), so the next Paxos round there adopts the voted entry.
 #[test]
 fn a_crash_before_the_decided_sync_loses_the_entry_until_its_votes_restore_it() {
     let dir = storage::scratch_dir("decided-crash");
     let mut cluster = durable_cluster(&dir, |_| {});
     let txn = crash_between_decided_append_and_sync(&mut cluster);
-    let symbols = cluster.symbols();
-    let read = Msg::ReadRequest {
-        req_id: 1,
-        group: txn.group,
-        key: symbols.key("row"),
-        attr: symbols.attr("a1"),
-        read_position: LogPosition(1),
-    };
-    let replies = probe(&mut cluster, 0, vec![read]);
-    assert_eq!(read_reply_value(&replies).as_deref(), Some("v1"));
+    cluster.run_to_completion();
+    assert_eq!(
+        value_at(&cluster, 0, "a1", LogPosition(1)).as_deref(),
+        Some("v1")
+    );
     assert!(cluster.core(0).lock().is_committed(txn.group, txn.id));
     cluster.verify().unwrap();
     storage::remove_scratch_dir(&dir);
@@ -585,9 +592,9 @@ fn a_retry_of_a_transaction_in_a_lost_decided_entry_is_answered_committed_once()
     storage::remove_scratch_dir(&dir);
 }
 
-/// A read, and a snapshot read whose watermark covers an entry whose
-/// `Decided` record is still buffered, sync before they are served: they
-/// never observe state a crash could take back.
+/// Snapshot reads whose watermark covers an entry whose `Decided` record is
+/// still buffered sync before they are served: they never observe state a
+/// crash could take back.
 #[test]
 fn reads_covering_an_unsynced_entry_sync_before_they_are_served() {
     let dir = storage::scratch_dir("read-forces-sync");
@@ -616,12 +623,12 @@ fn reads_covering_an_unsynced_entry_sync_before_they_are_served() {
         ),
         (
             2,
-            Msg::ReadRequest {
+            Msg::SnapshotRead {
                 req_id: 2,
                 group: g,
                 key: row,
                 attr,
-                read_position: LogPosition(2),
+                at: LogPosition(2),
             },
         ),
     ] {
@@ -675,22 +682,19 @@ fn a_lagging_replica_adopts_what_its_restarted_peers_forgot_instead_of_deciding_
     const TXNS: u64 = 12;
     let dir = storage::scratch_dir("forgetful-acceptors");
     let (mut cluster, g) = lagging_behind_forgetful_peers(&dir, TXNS);
-    // A read at the lagging replica starts recovery for every position it
+    // One more commit decides above the lagging replica's gap, so its
+    // janitor starts a no-op recovery instance for the first position it
     // lacks.
-    let symbols = cluster.symbols();
-    let read = Msg::ReadRequest {
-        req_id: 1,
-        group: g,
-        key: symbols.key("row"),
-        attr: symbols.attr("a1"),
-        read_position: LogPosition(TXNS),
-    };
-    let replies = probe(&mut cluster, 1, vec![read]);
-    assert_eq!(read_reply_value(&replies).as_deref(), Some("v1"));
+    add_writer(&mut cluster, 0, 1);
+    cluster.run_to_completion();
+    assert_eq!(
+        value_at(&cluster, 1, "a12", LogPosition(TXNS + 1)).as_deref(),
+        Some("v12")
+    );
     let committed = cluster.core(0).lock().committed_through_prefix(g);
-    assert_eq!(committed.len() as u64, TXNS);
+    assert_eq!(committed.len() as u64, TXNS + 1);
     let lagging = cluster.core(1);
-    assert_eq!(lagging.lock().read_position(g), LogPosition(TXNS));
+    assert_eq!(lagging.lock().read_position(g), LogPosition(TXNS + 1));
     assert_eq!(lagging.lock().committed_through_prefix(g), committed);
     cluster.verify().unwrap();
     storage::remove_scratch_dir(&dir);

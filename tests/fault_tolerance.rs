@@ -1,6 +1,5 @@
-//! Availability and recovery: datacenter outages, lossy networks, remote
-//! reads and log catch-up — the behaviours §2.2 and §4.1 of the paper
-//! promise — plus the failure edges of batched commits: internally
+//! Availability and recovery: datacenter outages, lossy networks and log
+//! catch-up — the behaviours §2.2 and §4.1 of the paper promise — plus the failure edges of batched commits: internally
 //! conflicting windows must split, and a leader failover mid-batch must
 //! commit every member exactly once.
 
@@ -11,7 +10,7 @@ use paxos_cp::mdstore::{
 };
 use paxos_cp::paxos::{Ballot, PaxosMsg};
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
-use paxos_cp::walog::{ItemRef, LogEntry, LogPosition, Transaction, TxnId};
+use paxos_cp::walog::{LogEntry, LogPosition, Transaction, TxnId};
 use std::sync::Arc;
 
 /// A minimal closed-loop writer client used by the fault-injection tests.
@@ -136,13 +135,13 @@ fn commits_continue_while_a_minority_datacenter_is_down() {
 }
 
 #[test]
-fn recovered_datacenter_catches_up_through_remote_reads() {
+fn recovered_datacenter_catches_up_once_a_new_commit_reaches_it() {
     let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
     let metrics = add_writer(&mut cluster, 0, 25);
 
     // Crash California before anything commits, so it misses the whole run.
     cluster.crash_datacenter(2);
-    cluster.run_for(SimDuration::from_secs(30));
+    cluster.run_to_completion();
     let committed = metrics.lock().committed;
     assert!(committed > 0);
     assert_eq!(
@@ -151,67 +150,33 @@ fn recovered_datacenter_catches_up_through_remote_reads() {
         "the dead replica saw nothing"
     );
 
-    // Recover it and ask its Transaction Service for a remote read at the
-    // latest position: the service must run recovery instances to learn the
-    // missing log prefix before answering.
+    // Recover it. Nothing reaches it until the next commit, whose decided
+    // entry lands above the whole missing prefix: the service's janitor
+    // then learns the prefix position by position through recovery
+    // instances.
     cluster.recover_datacenter(2);
-    use paxos_cp::walog;
+    let late = add_writer_with(&mut cluster, 0, 1, Some("late".to_string()));
+    cluster.run_to_completion();
+    assert_eq!(late.lock().committed, 1);
+
     let symbols = cluster.symbols();
     let group = symbols.group("g");
     let item = symbols.item("row", "counter");
-    let latest = cluster.core(0).lock().read_position(group);
-    struct RemoteReader {
-        target: NodeId,
-        group: walog::GroupId,
-        item: walog::ItemRef,
-        read_position: walog::LogPosition,
-        answer: Arc<Mutex<Option<Option<String>>>>,
-    }
-    impl Actor<Msg> for RemoteReader {
-        fn on_start(&mut self, ctx: &mut Context<Msg>) {
-            ctx.send(
-                self.target,
-                Msg::ReadRequest {
-                    req_id: 1,
-                    group: self.group,
-                    key: self.item.key,
-                    attr: self.item.attr,
-                    read_position: self.read_position,
-                },
-            );
-        }
-        fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
-            if let Msg::ReadReply { value, .. } = msg {
-                *self.answer.lock() = Some(value);
-            }
-        }
-    }
-    let answer: Arc<Mutex<Option<Option<String>>>> = Arc::new(Mutex::new(None));
-    let target = cluster.service_node(2);
-    let answer_clone = answer.clone();
-    cluster.add_client(1, move |_node| {
-        Box::new(RemoteReader {
-            target,
-            group,
-            item,
-            read_position: latest,
-            answer: answer_clone,
-        })
-    });
-    cluster.run_to_completion();
-
-    let got = answer
-        .lock()
-        .clone()
-        .expect("the remote read must be answered");
+    let head = cluster.core(0).lock().read_position(group);
     assert_eq!(
-        got,
+        cluster.core(2).lock().read_position(group),
+        head,
+        "catch-up must have installed the missing log prefix"
+    );
+    assert_eq!(cluster.committed_in_log(2, "g"), committed + 1);
+    assert_eq!(
+        cluster
+            .core(2)
+            .lock()
+            .read(group, item.key, item.attr, head)
+            .unwrap(),
         Some(committed.to_string()),
         "the recovered replica must serve the latest committed counter value"
-    );
-    assert!(
-        cluster.committed_in_log(2, "g") >= committed,
-        "catch-up must have installed the missing log prefix"
     );
     cluster.verify().expect("logs agree after catch-up");
 }
@@ -254,93 +219,6 @@ impl Actor<Msg> for Prober {
     fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
         self.received.lock().push(msg);
     }
-}
-
-#[test]
-fn expired_remote_reads_are_counted_and_surfaced_in_run_metrics() {
-    // Two datacenters, peer down: recovery instances can never reach the
-    // majority of 2, so a remote read at position 2 parks. Long after the
-    // requester's 2 s timeout, position 1 decides (injected Apply), which
-    // re-attempts the parked read — still gapped at position 2, so it is
-    // answered `unavailable`, evicted, and counted.
-    let mut cluster = Cluster::build(ClusterConfig::new(
-        Topology::from_name("VV").unwrap(),
-        CommitProtocol::BasicPaxos,
-    ));
-    let symbols = cluster.symbols();
-    let group = symbols.group("g");
-    let item = symbols.item("row", "counter");
-    cluster.crash_datacenter(1);
-
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let target = cluster.service_node(0);
-    let sink = received.clone();
-    cluster.add_client(0, move |_node| {
-        Box::new(Prober {
-            to_send: vec![(
-                target,
-                Msg::ReadRequest {
-                    req_id: 7,
-                    group,
-                    key: item.key,
-                    attr: item.attr,
-                    read_position: LogPosition(2),
-                },
-            )],
-            received: sink,
-        })
-    });
-    cluster.run_for(SimDuration::from_secs(10));
-    assert!(received.lock().is_empty(), "the read must be parked");
-    assert_eq!(cluster.expired_read_counts(), vec![0, 0]);
-
-    // Decide position 1 at dc0: the flush finds the read still gapped and
-    // past its requester's patience.
-    let decided = Transaction::builder(TxnId::new(0, 1), group, LogPosition(0))
-        .write(ItemRef::new(item.key, item.attr), "1")
-        .build();
-    cluster.add_client(0, move |_node| {
-        Box::new(Prober {
-            to_send: vec![(
-                target,
-                Msg::Paxos(PaxosMsg::Apply {
-                    group,
-                    position: LogPosition(1),
-                    ballot: Ballot::initial(9),
-                    value: Arc::new(LogEntry::single(decided)),
-                }),
-            )],
-            received: Arc::new(Mutex::new(Vec::new())),
-        })
-    });
-    cluster.run_for(SimDuration::from_secs(5));
-
-    let got = received.lock();
-    assert!(
-        matches!(
-            got.first(),
-            Some(Msg::ReadReply {
-                unavailable: true,
-                value: None,
-                ..
-            })
-        ),
-        "expired read must be answered unavailable, got {got:?}"
-    );
-    drop(got);
-    assert_eq!(cluster.expired_read_counts(), vec![1, 0]);
-
-    // The ROADMAP follow-up: the counter surfaces through RunMetrics like
-    // every other aggregate (the experiment runner populates it the same
-    // way).
-    let mut service_side = RunMetrics {
-        expired_reads: cluster.expired_read_counts().iter().sum(),
-        ..RunMetrics::default()
-    };
-    let mut totals = RunMetrics::default();
-    totals.merge(&service_side);
-    service_side.expired_reads = 0;
-    assert_eq!(totals.expired_reads, 1);
 }
 
 /// Reserved timer tag for a [`BatchSubmitter`]'s delayed start (committer
