@@ -7,8 +7,8 @@
 //! cargo run --release -p bench-suite --bin experiments -- scaling
 //! ```
 //!
-//! `scaling` runs the sharded multi-group, batch-size, pipeline-depth and
-//! adaptive-window sweeps, and
+//! `scaling` runs the sharded multi-group, batch-size and pipeline-depth
+//! sweeps, and
 //! `routes` the direct-vs-submitted commit-route comparison (neither part
 //! of the paper; see `docs/BENCHMARKS.md`); `all` includes them alongside
 //! the paper figures and the ablation.
@@ -28,12 +28,12 @@
 //! anything runs.
 
 use bench_suite::{
-    ablation_specs, adaptive_latency_specs, batch_sweep_specs, fig4_specs, fig5_specs, fig6_specs,
-    fig7_specs, fig8_specs, format_commit_table, format_latency_table, format_openloop_summary,
-    format_openloop_table, format_per_replica_table, format_pipeline_table,
-    format_readmostly_table, format_route_table, format_scaling_table, group_sweep_specs,
-    openloop_ladder, pipeline_sweep_specs, read_scaling, readmostly_sweep, results_to_json,
-    route_compare_specs, OpenLoopSweepConfig, ReadMostlySweepConfig,
+    ablation_specs, batch_sweep_specs, fig4_specs, fig5_specs, fig6_specs, fig7_specs, fig8_specs,
+    format_commit_table, format_latency_table, format_openloop_summary, format_openloop_table,
+    format_per_replica_table, format_pipeline_table, format_readmostly_table, format_route_table,
+    format_scaling_table, group_sweep_specs, openloop_ladder, pipeline_sweep_specs, read_scaling,
+    readmostly_sweep, results_to_json, route_compare_specs, OpenLoopSweepConfig,
+    ReadMostlySweepConfig,
 };
 use std::fs::File;
 use std::io::Write;
@@ -188,10 +188,6 @@ fn main() {
         println!(
             "=== Pipeline: depth 1/2/4 x batch cap 1/4/8, equal offered load (burst, VVV) ==="
         );
-        println!("{}", format_pipeline_table(&results));
-        all_results.extend(results);
-        let results = run_batch("adaptive windows", adaptive_latency_specs(opts.quick));
-        println!("=== Adaptive windows: uncontended trickle, static batch-4 vs adaptive (VVV) ===");
         println!("{}", format_pipeline_table(&results));
         all_results.extend(results);
     }

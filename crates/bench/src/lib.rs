@@ -39,6 +39,6 @@ pub use report::{
 };
 pub use routes::{format_route_table, route_compare_specs, route_spec};
 pub use scaling::{
-    adaptive_latency_specs, batch_sweep_specs, format_pipeline_table, format_scaling_table,
-    group_sweep_specs, pipeline_sweep_specs,
+    batch_sweep_specs, format_pipeline_table, format_scaling_table, group_sweep_specs,
+    pipeline_sweep_specs,
 };

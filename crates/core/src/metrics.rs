@@ -90,8 +90,9 @@ pub struct RunMetrics {
     /// `DatacenterCore::reclaimed_version_count`). Service-side; harnesses
     /// populate it from the datacenter cores after a run.
     pub reclaimed_versions: u64,
-    /// Transactions per flushed committer window, one sample per window —
-    /// the occupancy signal the adaptive window controller steers on.
+    /// Transactions per opened committer instance, one sample per instance:
+    /// 1 while a pipeline slot is free on arrival, more when members piled
+    /// up behind a full pipeline.
     pub window_occupancy: Vec<u32>,
     /// Commit-pipeline depth in flight, sampled when each instance opens
     /// (1 = flush-and-wait behaviour, ≥ 2 = overlapping instances).

@@ -1223,32 +1223,25 @@ mod tests {
 
     #[test]
     fn commit_request_is_batched_and_answered_with_the_member_fate() {
-        // Two clients' transactions arrive as CommitRequests; the hosted
-        // committer windows them into one instance (single replica: its own
-        // acceptor is the majority) and answers each requester.
-        let txn_a = Transaction::builder(TxnId::new(9, 1), GROUP, LogPosition(0))
-            .write(ItemRef::new(ROW, A), "a")
-            .build();
-        let txn_b = Transaction::builder(TxnId::new(9, 2), GROUP, LogPosition(0))
-            .write(ItemRef::new(ROW, AttrId(1)), "b")
-            .build();
+        // Four clients' transactions arrive as CommitRequests. The first two
+        // fill the hosted committer's two pipeline slots; the other two pile
+        // up behind them and board the next free slot as one instance
+        // (single replica: its own acceptor is the majority). Every
+        // requester is answered.
+        let txns: Vec<Transaction> = (0..4u32)
+            .map(|i| {
+                Transaction::builder(TxnId::new(9, u64::from(i) + 1), GROUP, LogPosition(0))
+                    .write(ItemRef::new(ROW, AttrId(i)), "v")
+                    .build()
+            })
+            .collect();
         let (mut sim, core, received) = single_dc_harness(move |svc| {
-            vec![
-                (
-                    svc,
-                    Msg::CommitRequest {
-                        req_id: 1,
-                        txn: txn_a.clone(),
-                    },
-                ),
-                (
-                    svc,
-                    Msg::CommitRequest {
-                        req_id: 2,
-                        txn: txn_b.clone(),
-                    },
-                ),
-            ]
+            let request = |(i, txn): (usize, &Transaction)| {
+                let req_id = i as u64 + 1;
+                let txn = txn.clone();
+                (svc, Msg::CommitRequest { req_id, txn })
+            };
+            txns.iter().enumerate().map(request).collect()
         });
         sim.run_until_idle_capped(100_000);
         let got = received.lock();
@@ -1261,14 +1254,17 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(replies.len(), 2, "every request gets one reply: {got:?}");
+        assert_eq!(replies.len(), 4, "every request gets one reply: {got:?}");
         assert!(replies.iter().all(|(_, committed)| *committed));
         drop(got);
-        // Both members rode one combined entry at position 1.
+        // The two that waited rode one combined entry at position 3.
         let core = core.lock();
         let log = core.log(GROUP).expect("group log");
-        assert_eq!(log.get(LogPosition(1)).unwrap().txn_ids().len(), 2);
-        assert_eq!(core.read_position(GROUP), LogPosition(1));
+        let ids_at = |p| log.get(LogPosition(p)).unwrap().txn_ids();
+        assert_eq!(ids_at(1), [TxnId::new(9, 1)]);
+        assert_eq!(ids_at(2), [TxnId::new(9, 2)]);
+        assert_eq!(ids_at(3), [TxnId::new(9, 3), TxnId::new(9, 4)]);
+        assert_eq!(core.read_position(GROUP), LogPosition(3));
     }
 
     #[test]

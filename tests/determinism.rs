@@ -96,16 +96,18 @@ fn fnv1a64(text: &str) -> u64 {
 
 #[test]
 fn every_proposer_host_reproduces_the_pinned_runs() {
-    // The group-committer and recovery-janitor literals were captured at
-    // commit b36922b, before the direct route, the group committer and the
-    // recovery janitor moved onto one proposer host. The three direct-route
-    // literals were re-taken on top of commit ef242d9, when direct commits
-    // began resolving positions their home log already holds
-    // (`ProposerEvent::Decided`) instead of re-preparing them after a
-    // back-off: that change drops rounds and timers from the direct route
-    // on purpose, and only from it. A refactor that moves a message, a
-    // timer or an RNG draw on any of the three paths changes one of these
-    // fingerprints.
+    // The three direct-route literals were re-taken on top of commit
+    // ef242d9, when direct commits began resolving positions their home log
+    // already holds (`ProposerEvent::Decided`) instead of re-preparing them
+    // after a back-off: that change drops rounds and timers from the direct
+    // route on purpose, and only from it. The group-committer and
+    // recovery-janitor literals were re-taken on top of commit 4723bc9, when
+    // the group committer began opening an instance as soon as a pipeline
+    // slot is free instead of waiting for its window to fill, and a demoted
+    // home stopped proposing its window: that change moves when committer
+    // instances open and how many members they carry, and only that. A
+    // refactor that moves a message, a timer or an RNG draw on any of the
+    // three paths changes one of these fingerprints.
     let paper = |protocol| {
         LoadSpec::paper_default(Topology::vvv(), protocol)
             .named("determinism-regression")
@@ -139,7 +141,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
             paper(CommitProtocol::PaxosCp),
             0xe6ba879ff9dd66bb,
         ),
-        ("group committer", committer, 0xf7111b476909f19c),
+        ("group committer", committer, 0xf2ab1b50da00c26a),
         (
             "direct route under rolling crashes",
             crashes,
@@ -150,7 +152,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
         (
             "recovery janitor",
             LoadSpec::rolling_failure(SimDuration::from_secs(4)).with_seed(777),
-            0xeda20264c42beaec,
+            0x8170d410d7ab78f1,
         ),
     ];
     let moved: Vec<String> = pinned

@@ -352,7 +352,9 @@ fn leader_failover_mid_batch_commits_every_member_exactly_once() {
     // Lead the group from Oregon (replica 1); the batching client lives in
     // Virginia (replica 0), so its fast-path leader claim crosses the WAN.
     directory.set_group_home(group, 1);
-    let window: Vec<Transaction> = (0..4)
+    // A filler takes the committer's only pipeline slot; the four batch
+    // members pile up behind it and board the next instance together.
+    let window: Vec<Transaction> = (0..5)
         .map(|s| {
             Transaction::builder(TxnId::new(3, s + 1), group, LogPosition(0))
                 .write(symbols.item("row", &format!("a{s}")), format!("v{s}"))
@@ -364,12 +366,18 @@ fn leader_failover_mid_batch_commits_every_member_exactly_once() {
         0,
         group,
         window,
-        BatchConfig::default().with_max_batch(4),
+        BatchConfig::default()
+            .with_max_batch(4)
+            .with_pipeline_depth(1),
         None,
     );
+    // The filler's commit and the batch's opening are one event.
+    while metrics.lock().committed == 0 {
+        cluster.run_for(SimDuration::from_millis(1));
+    }
 
-    // Crash the leader while the claim is still in flight (Virginia ↔
-    // Oregon is a 45 ms one-way hop): the committer must time out, fall
+    // Crash the leader while the batch's claim is still in flight (Virginia
+    // ↔ Oregon is a 45 ms one-way hop): the committer must time out, fall
     // back to the full prepare path, and decide through the remaining
     // majority — without re-proposing any member that already went out.
     cluster.run_for(SimDuration::from_millis(5));
@@ -377,17 +385,18 @@ fn leader_failover_mid_batch_commits_every_member_exactly_once() {
     cluster.run_for(SimDuration::from_secs(30));
 
     let m = metrics.lock();
-    assert_eq!(m.committed, 4, "every batch member commits exactly once");
+    assert_eq!(m.committed, 5, "every member commits exactly once");
     assert_eq!(m.aborted, 0);
     assert!(
         m.combined_commits >= 4,
         "the batch rides one combined entry"
     );
     drop(m);
-    // One instance decided the whole batch; no member appears twice (L2 is
-    // checked by verify, the counts pin it down explicitly).
-    assert_eq!(cluster.committed_in_log(0, "g"), 4);
-    assert_eq!(cluster.decided_instances_id(0, group), 1);
+    // One instance decided the filler and one the whole batch; no member
+    // appears twice (L2 is checked by verify, the counts pin it down
+    // explicitly).
+    assert_eq!(cluster.committed_in_log(0, "g"), 5);
+    assert_eq!(cluster.decided_instances_id(0, group), 2);
 
     // The recovered leader catches up and agrees.
     cluster.recover_datacenter(1);
@@ -650,16 +659,19 @@ fn janitor_attempt_budget_resets_when_traffic_rehints_after_healing() {
 #[test]
 fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once() {
     // Oregon (dc1) leads the group; the pipelined committer in Virginia
-    // opens two slots at positions 1 and 2 whose fast-path grants return
-    // at ~90 ms and whose accept broadcasts leave immediately after. The
-    // leader crashes at 100 ms — while BOTH slots are mid-accept — so each
-    // slot must reach its majority through the surviving datacenters, and
-    // every member must commit exactly once (no double-apply, no loss).
+    // fills its two slots with one filler each, and the eight batch members
+    // pile up behind them. When the fillers decide, two batches of four
+    // open slots at positions 3 and 4, whose fast-path grants return ~90 ms
+    // later and whose accept broadcasts leave immediately after. The leader
+    // crashes 100 ms after the fillers decide — while BOTH batch slots are
+    // mid-accept — so each slot must reach its majority through the
+    // surviving datacenters, and every member must commit exactly once (no
+    // double-apply, no loss).
     let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
     let symbols = cluster.symbols();
     let group = symbols.group("g");
     cluster.directory().set_group_home(group, 1);
-    let window: Vec<Transaction> = (0..8)
+    let window: Vec<Transaction> = (0..10)
         .map(|s| {
             Transaction::builder(TxnId::new(3, s + 1), group, LogPosition(0))
                 .write(symbols.item("row", &format!("a{s}")), format!("v{s}"))
@@ -673,26 +685,33 @@ fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once
         window,
         BatchConfig::default()
             .with_max_batch(4)
-            .with_pipeline_depth(2)
-            .with_adaptive(false),
+            .with_pipeline_depth(2),
         None,
     );
+    while metrics.lock().committed < 2 {
+        cluster.run_for(SimDuration::from_millis(1));
+    }
 
     cluster.run_for(SimDuration::from_millis(100));
     cluster.crash_datacenter(1);
     cluster.run_for(SimDuration::from_secs(30));
 
     let m = metrics.lock();
-    assert_eq!(m.committed, 8, "every member of both slots commits");
+    assert_eq!(m.committed, 10, "every member of every slot commits");
     assert_eq!(m.aborted, 0);
     assert_eq!(
         m.max_pipeline_depth(),
         2,
         "both instances must have been in flight together"
     );
+    assert_eq!(
+        m.window_occupancy,
+        [1, 1, 4, 4],
+        "two fillers, then two full batches"
+    );
     drop(m);
-    assert_eq!(cluster.committed_in_log(0, "g"), 8, "no double-apply");
-    assert_eq!(cluster.decided_instances_id(0, group), 2);
+    assert_eq!(cluster.committed_in_log(0, "g"), 10, "no double-apply");
+    assert_eq!(cluster.decided_instances_id(0, group), 4);
 
     cluster.recover_datacenter(1);
     cluster.run_to_completion();
@@ -703,14 +722,16 @@ fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once
 
 #[test]
 fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
-    // A competing committer (same datacenter) claims position 1 first and
-    // decides its own value there. The pipelined committer's head slot —
-    // already mid-flight for position 1 with members t1..t4 while its
-    // speculative slot drives t5..t8 at position 2 — loses: it must adopt
-    // and push the winner through (so position 1 still decides locally),
-    // then reschedule t1..t4, in order, at the pipeline tail (position 3).
-    // Every transaction commits exactly once and the per-position entries
-    // prove the recovery order.
+    // A dead proposer's value at position 3 is chosen: every acceptor
+    // voted for it, so any prepare quorum reports it as decided. The
+    // pipelined committer fills its two slots with fillers at positions 1
+    // and 2, and its eight members pile up behind them. When the fillers
+    // decide, t1..t4 open a slot at position 3 and t5..t8 one at position
+    // 4. The slot at position 3 loses: it must adopt and push the voted
+    // value through (so position 3 decides locally), then reschedule
+    // t1..t4, in order, at the pipeline tail (position 5). Every
+    // transaction commits exactly once and the per-position entries prove
+    // the recovery order.
     let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
     let symbols = cluster.symbols();
     let group = symbols.group("g");
@@ -718,19 +739,44 @@ fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
     let foreign = Transaction::builder(TxnId::new(9, 1), group, LogPosition(0))
         .write(symbols.item("row", "theirs"), "b")
         .build();
-    let b_metrics = add_batch_submitter(
+    let value = Arc::new(LogEntry::single(foreign));
+    let ballot = Ballot::initial(99);
+    let position = LogPosition(3);
+    let seed_at_every_acceptor = |cluster: &mut Cluster, msg: PaxosMsg| {
+        let to_send = (0..3)
+            .map(|replica| (cluster.service_node(replica), Msg::Paxos(msg.clone())))
+            .collect();
+        cluster.add_client(0, move |_node| {
+            Box::new(Prober {
+                to_send,
+                received: Arc::new(Mutex::new(Vec::new())),
+            })
+        });
+    };
+    seed_at_every_acceptor(
         &mut cluster,
-        0,
-        group,
-        vec![foreign],
-        BatchConfig::default()
-            .with_max_batch(1)
-            .with_pipeline_depth(1),
-        None,
+        PaxosMsg::Prepare {
+            group,
+            position,
+            ballot,
+        },
     );
-    let window: Vec<Transaction> = (0..8)
+    // Wide-area deliveries may overtake each other, and an accept that
+    // arrives before its prepare is refused: vote once every promise landed.
+    cluster.run_for(SimDuration::from_millis(60));
+    seed_at_every_acceptor(
+        &mut cluster,
+        PaxosMsg::Accept {
+            group,
+            position,
+            ballot,
+            value,
+        },
+    );
+    let window: Vec<Transaction> = (0..10)
         .map(|s| {
-            Transaction::builder(TxnId::new(3, s + 1), group, LogPosition(0))
+            let id = if s < 2 { 100 + s } else { s - 1 };
+            Transaction::builder(TxnId::new(3, id), group, LogPosition(0))
                 .write(symbols.item("row", &format!("a{s}")), format!("v{s}"))
                 .build()
         })
@@ -742,41 +788,41 @@ fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
         window,
         BatchConfig::default()
             .with_max_batch(4)
-            .with_pipeline_depth(2)
-            .with_adaptive(false),
+            .with_pipeline_depth(2),
         Some(SimDuration::from_millis(5)),
     );
     cluster.run_to_completion();
 
     let a = a_metrics.lock();
-    assert_eq!(a.committed, 8, "all pipelined members commit exactly once");
+    assert_eq!(a.committed, 10, "all pipelined members commit exactly once");
     assert_eq!(a.aborted, 0);
     assert_eq!(
         a.commits_by_promotion,
-        vec![4, 4],
-        "the speculative slot commits directly, the lost head's survivors \
-         commit after exactly one rescheduling"
+        vec![6, 4],
+        "the fillers and t5..t8 commit directly, the lost slot's \
+         survivors commit after exactly one rescheduling"
     );
     drop(a);
-    assert_eq!(b_metrics.lock().committed, 1);
-    assert_eq!(cluster.committed_in_log(0, "g"), 9, "no double-apply");
-    assert_eq!(cluster.decided_instances_id(0, group), 3);
+    assert_eq!(cluster.committed_in_log(0, "g"), 11, "no double-apply");
+    assert_eq!(cluster.decided_instances_id(0, group), 5);
 
-    // The per-position entries prove in-order recovery: the competitor won
-    // position 1, the speculative slot kept position 2, and the lost
-    // head's survivors were rescheduled — as one block, in submission
-    // order — at the tail position 3.
+    // The per-position entries prove in-order recovery: the fillers kept
+    // positions 1 and 2, the voted value won position 3, t5..t8 kept
+    // position 4, and the lost slot's survivors were rescheduled — as one
+    // block, in submission order — at the tail position 5.
     let core = cluster.core(0);
     let core = core.lock();
     let log = core.log(group).expect("group log");
     let ids_at = |p: u64| -> Vec<TxnId> { log.get(LogPosition(p)).unwrap().txn_ids() };
-    assert_eq!(ids_at(1), vec![TxnId::new(9, 1)]);
+    assert_eq!(ids_at(1), vec![TxnId::new(3, 100)]);
+    assert_eq!(ids_at(2), vec![TxnId::new(3, 101)]);
+    assert_eq!(ids_at(3), vec![TxnId::new(9, 1)]);
     assert_eq!(
-        ids_at(2),
+        ids_at(4),
         (5..=8).map(|s| TxnId::new(3, s)).collect::<Vec<_>>()
     );
     assert_eq!(
-        ids_at(3),
+        ids_at(5),
         (1..=4).map(|s| TxnId::new(3, s)).collect::<Vec<_>>()
     );
     drop(core);
