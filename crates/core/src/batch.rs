@@ -73,6 +73,12 @@ use std::sync::Arc;
 use walog::combine::can_append;
 use walog::{GroupId, LogPosition, Transaction, TxnId};
 
+/// How often members that cannot board a free slot poll again: a read
+/// position ahead of the home's prefix, or reads above the head slot.
+/// Members waiting behind a full pipeline board when a slot completes and
+/// never wait on this.
+const REPOLL: SimDuration = SimDuration::from_millis(5);
+
 /// Tuning knobs of a [`GroupCommitter`].
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -80,11 +86,6 @@ pub struct BatchConfig {
     /// Batching is a Paxos-CP mechanism (one log entry, many transactions);
     /// under [`CommitProtocol::BasicPaxos`] the effective batch size is 1.
     pub max_batch: usize,
-    /// How often members that cannot board a free slot poll again: a read
-    /// position ahead of the home's prefix, or reads above the head slot.
-    /// Members waiting behind a full pipeline board when a slot completes
-    /// and never wait on this.
-    pub window: SimDuration,
     /// Maximum commit instances in flight at consecutive log positions
     /// (1 = the flush-and-wait behaviour of one instance at a time).
     pub pipeline_depth: usize,
@@ -94,7 +95,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            window: SimDuration::from_millis(5),
             pipeline_depth: 2,
         }
     }
@@ -112,22 +112,6 @@ impl BatchConfig {
         self.pipeline_depth = depth.max(1);
         self
     }
-}
-
-/// Observable counters of one [`GroupCommitter`] (also mirrored into a
-/// shared [`RunMetrics`] when wired with [`GroupCommitter::with_metrics`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommitterStats {
-    /// Windows flushed into instances.
-    pub windows_flushed: u64,
-    /// Windows split because a member read an earlier member's write.
-    pub batch_splits: u64,
-    /// Members aborted by optimistic revalidation at flush time.
-    pub stale_member_aborts: u64,
-    /// Members rescheduled after their slot lost its position.
-    pub survivor_resubmissions: u64,
-    /// Deepest pipeline observed (instances in flight).
-    pub max_depth_in_flight: u32,
 }
 
 /// A transaction waiting for an instance, with its pipeline bookkeeping.
@@ -208,7 +192,6 @@ pub struct GroupCommitter {
     /// The slots' running proposers, by slot position.
     proposers: Proposers<LogPosition>,
     next_tag: u64,
-    stats: CommitterStats,
     metrics: Option<Arc<Mutex<RunMetrics>>>,
 }
 
@@ -238,7 +221,6 @@ impl GroupCommitter {
             highest_opened: LogPosition::ZERO,
             proposers: Proposers::default(),
             next_tag: 0,
-            stats: CommitterStats::default(),
             metrics: None,
         }
     }
@@ -280,11 +262,6 @@ impl GroupCommitter {
     /// The log positions of the in-flight instances, ascending.
     pub fn slot_positions(&self) -> Vec<LogPosition> {
         self.slots.iter().map(|s| s.position).collect()
-    }
-
-    /// Snapshot of the committer's observability counters.
-    pub fn stats(&self) -> CommitterStats {
-        self.stats
     }
 
     fn home_core(&self) -> SharedCore {
@@ -406,10 +383,7 @@ impl GroupCommitter {
         self.next_tag += 1;
         let tag = self.next_tag;
         self.window_tag = Some(tag);
-        out.push(ClientAction::ArmTimer {
-            delay: self.batch.window,
-            tag,
-        });
+        out.push(ClientAction::ArmTimer { delay: REPOLL, tag });
     }
 
     /// Open as many pipeline slots as the window, the depth and the
@@ -483,7 +457,6 @@ impl GroupCommitter {
                             .any(|entry| entry.invalidates_reads_of(&pending.txn))
                     });
                     if invalidated {
-                        self.stats.stale_member_aborts += 1;
                         if let Some(metrics) = &self.metrics {
                             metrics.lock().stale_member_aborts += 1;
                         }
@@ -530,7 +503,6 @@ impl GroupCommitter {
             drop(core_guard);
             self.window = kept;
             if split {
-                self.stats.batch_splits += 1;
                 if let Some(metrics) = &self.metrics {
                     metrics.lock().batch_splits += 1;
                 }
@@ -558,8 +530,6 @@ impl GroupCommitter {
             });
             self.highest_opened = self.highest_opened.max(position);
             let depth = self.slots.len() as u32;
-            self.stats.windows_flushed += 1;
-            self.stats.max_depth_in_flight = self.stats.max_depth_in_flight.max(depth);
             if let Some(metrics) = &self.metrics {
                 let mut metrics = metrics.lock();
                 metrics.window_occupancy.push(occupancy as u32);
@@ -666,7 +636,6 @@ impl GroupCommitter {
             }));
         }
         for txn in outcome.survivors.into_iter().rev() {
-            self.stats.survivor_resubmissions += 1;
             let enqueued_at = slot.enqueued.get(&txn.id).copied().unwrap_or(now);
             // Survivors revalidate from scratch: the winner that displaced
             // them was checked (`invalidates_reads_of`), but other
@@ -707,6 +676,12 @@ mod tests {
 
     fn harness() -> (Arc<Directory>, GroupCommitter) {
         harness_with(BatchConfig::default().with_max_batch(2))
+    }
+
+    /// `committer` wired to a fresh metrics sink.
+    fn metered(committer: GroupCommitter) -> (GroupCommitter, Arc<Mutex<RunMetrics>>) {
+        let sink = Arc::new(Mutex::new(RunMetrics::default()));
+        (committer.with_metrics(Arc::clone(&sink)), sink)
     }
 
     fn txn(dir: &Directory, seq: u64, attr: &str, read_position: LogPosition) -> Transaction {
@@ -855,11 +830,12 @@ mod tests {
 
     #[test]
     fn a_full_pipeline_batches_what_arrives_and_boards_it_on_completion() {
-        let (dir, mut committer) = harness_with(
+        let (dir, committer) = harness_with(
             BatchConfig::default()
                 .with_max_batch(8)
                 .with_pipeline_depth(2),
         );
+        let (mut committer, sink) = metered(committer);
         let now = SimTime::ZERO;
         let head = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
         committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
@@ -885,7 +861,7 @@ mod tests {
             fates(&done),
             [(3, true, None), (4, true, None), (5, true, None)]
         );
-        assert_eq!(committer.stats().windows_flushed, 3);
+        assert_eq!(sink.lock().window_occupancy, [1, 1, 3]);
     }
 
     #[test]
@@ -965,11 +941,12 @@ mod tests {
     fn conflicting_window_members_are_deferred_not_combined() {
         // Depth 1: the writer and the reader pile up behind a filler and
         // reach the freed slot together.
-        let (dir, mut committer) = harness_with(
+        let (dir, committer) = harness_with(
             BatchConfig::default()
                 .with_max_batch(2)
                 .with_pipeline_depth(1),
         );
+        let (mut committer, sink) = metered(committer);
         let filler = committer.submit(SimTime::ZERO, txn(&dir, 3, "f", LogPosition::ZERO));
         let item = dir.symbols().item("row", "a");
         let writer = Transaction::builder(TxnId::new(5, 1), GroupId(0), LogPosition::ZERO)
@@ -987,7 +964,7 @@ mod tests {
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
         assert_eq!(committer.depth_in_flight(), 1);
         assert_eq!(committer.pending(), 1);
-        assert_eq!(committer.stats().batch_splits, 1);
+        assert_eq!(sink.lock().batch_splits, 1);
     }
 
     #[test]
@@ -1073,7 +1050,8 @@ mod tests {
 
     #[test]
     fn stale_members_abort_at_flush() {
-        let (dir, mut committer) = harness();
+        let (dir, committer) = harness();
+        let (mut committer, sink) = metered(committer);
         // Decide position 1 writing "a"; a member that read "a" at position
         // 0 is stale by flush time.
         let decided = txn(&dir, 9, "a", LogPosition::ZERO);
@@ -1098,16 +1076,17 @@ mod tests {
             })
         )));
         assert!(!committer.committing());
-        assert_eq!(committer.stats().stale_member_aborts, 1);
+        assert_eq!(sink.lock().stale_member_aborts, 1);
     }
 
     #[test]
     fn pipeline_opens_a_second_slot_while_the_first_is_in_flight() {
-        let (dir, mut committer) = harness_with(
+        let (dir, committer) = harness_with(
             BatchConfig::default()
                 .with_max_batch(2)
                 .with_pipeline_depth(2),
         );
+        let (mut committer, sink) = metered(committer);
         let now = SimTime::ZERO;
         committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
         assert_eq!(committer.depth_in_flight(), 1);
@@ -1130,7 +1109,7 @@ mod tests {
                 })
             )
         )));
-        assert_eq!(committer.stats().max_depth_in_flight, 2);
+        assert_eq!(sink.lock().pipeline_depth.iter().max(), Some(&2));
     }
 
     #[test]
@@ -1311,7 +1290,6 @@ mod tests {
         assert!(!actions
             .iter()
             .any(|a| matches!(a, ClientAction::Finished(r) if r.committed)));
-        assert_eq!(committer.stats().survivor_resubmissions, 2);
         assert_eq!(committer.slot_positions(), vec![LogPosition(3)]);
         assert_eq!(committer.pending(), 0);
         // Completing the new instance commits both members exactly once,
@@ -1327,5 +1305,17 @@ mod tests {
         assert_eq!(commits.len(), 2);
         assert!(commits.iter().all(|r| r.promotions == 1));
         assert!(!committer.committing());
+        // The next instance carried both survivors, in their order.
+        let entry = dir
+            .core(0)
+            .lock()
+            .log(GroupId(0))
+            .unwrap()
+            .get(LogPosition(3))
+            .cloned();
+        assert_eq!(
+            entry.expect("position 3 decided").txn_ids(),
+            [TxnId::new(5, 1), TxnId::new(5, 2)]
+        );
     }
 }

@@ -30,8 +30,6 @@ pub struct ClusterConfig {
     /// Window/pipeline settings of the commit engines the Transaction
     /// Services host for the submitted commit route.
     pub batch: BatchConfig,
-    /// Whether the services run the orphaned-position janitor.
-    pub janitor: bool,
     /// Simulation seed (same seed ⇒ identical execution).
     pub seed: u64,
     /// Whether datacenters persist to disk ([`StorageConfig::InMemory`] by
@@ -47,7 +45,6 @@ impl ClusterConfig {
             topology,
             protocol,
             batch: BatchConfig::default(),
-            janitor: true,
             seed: 42,
             storage: StorageConfig::InMemory,
         }
@@ -63,12 +60,6 @@ impl ClusterConfig {
     /// window/pipeline settings.
     pub fn with_batch(mut self, batch: BatchConfig) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Builder-style switch for the services' orphaned-position janitor.
-    pub fn with_janitor(mut self, enabled: bool) -> Self {
-        self.janitor = enabled;
         self
     }
 
@@ -145,8 +136,7 @@ impl Cluster {
                 config.topology.message_timeout,
             )
             .with_commit_engine(commit_config.clone(), config.batch.clone())
-            .with_commit_metrics(service_metrics.register())
-            .with_janitor(config.janitor);
+            .with_commit_metrics(service_metrics.register());
             if let Some(durable) = config.durable_config(replica) {
                 let storage =
                     DcStorage::open(durable).expect("durable storage directory must be creatable");

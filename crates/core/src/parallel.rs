@@ -51,8 +51,6 @@ pub struct ParallelClusterConfig {
     pub protocol: CommitProtocol,
     /// Window/pipeline settings of the service-hosted commit engines.
     pub batch: BatchConfig,
-    /// Whether the services run the orphaned-position janitor.
-    pub janitor: bool,
     /// Seed deriving the per-worker RNGs (scheduling is still wall-clock,
     /// so runs are *not* deterministic).
     pub seed: u64,
@@ -72,7 +70,6 @@ impl ParallelClusterConfig {
             topology,
             protocol,
             batch: BatchConfig::default(),
-            janitor: true,
             seed: 42,
             workers: 2,
             rtt_scale: 1.0,
@@ -100,12 +97,6 @@ impl ParallelClusterConfig {
     /// Builder-style latency scale override (clamped positive).
     pub fn with_rtt_scale(mut self, scale: f64) -> Self {
         self.rtt_scale = if scale > 0.0 { scale } else { 1.0 };
-        self
-    }
-
-    /// Builder-style janitor switch.
-    pub fn with_janitor(mut self, enabled: bool) -> Self {
-        self.janitor = enabled;
         self
     }
 }
@@ -153,8 +144,7 @@ impl ParallelCluster {
                     config.topology.message_timeout,
                 )
                 .with_commit_engine(commit_config.clone(), config.batch.clone())
-                .with_commit_metrics(service_metrics.register())
-                .with_janitor(config.janitor);
+                .with_commit_metrics(service_metrics.register());
                 let node = runtime.add_node(site, worker, Box::new(service));
                 directory.register_datacenter(node, core);
             }

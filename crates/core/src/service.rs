@@ -11,14 +11,10 @@
 //!   group home;
 //! * play the Paxos acceptor role (Algorithm 1) for every log position —
 //!   with durable storage, a granted promise or cast vote is appended to
-//!   the WAL and its reply held; one sync per batch of held
-//!   acknowledgements, at most [`ACK_SYNC_LATENCY`] after the first of them
-//!   was held, releases them all;
+//!   the WAL and its reply held until a sync ([`HeldAcks`]);
 //! * install decided entries into the local write-ahead log and apply them
 //!   to the local key-value store — with durable storage, once their
-//!   `Decided` record rides a sync: the one that releases the next batch of
-//!   held acknowledgements, a read that needs them, or at the latest
-//!   [`DECIDED_FLUSH_DEADLINE`] later;
+//!   `Decided` record rides a sync;
 //! * answer a prepare or accept at a position this datacenter forgot in a
 //!   restart from disk with its group state ([`Msg::CatchUp`]) instead of a
 //!   promise or a vote, and adopt such a state from a peer when it lags;
@@ -29,36 +25,48 @@
 //!   [`Msg::CommitRequest`] carrying a finished transaction is submitted to
 //!   a lazily-created per-group [`GroupCommitter`], which batches commits
 //!   from every client of the group into pipelined Paxos-CP instances; the
-//!   per-member fate returns to the requester as a [`Msg::CommitReply`];
-//! * run the **orphaned-position janitor**: when the first undecided
-//!   position of a group stays orphaned past a timeout — a dead proposer's
-//!   majority-voted value that nobody pushes through, which wedges
-//!   read-carrying transactions into conflict-abort loops — the service
-//!   re-proposes it through a recovery instance, adopting the voted value
-//!   (or filling a no-op) so the prefix advances and liveness returns.
+//!   per-member fate returns to the requester as a [`Msg::CommitReply`],
+//!   and a retried request never proposes its member twice
+//!   ([`CommitTable`]);
+//! * run the **orphaned-position janitor** (`OrphanWatch`): re-propose a
+//!   group's first undecided position through a recovery instance once it
+//!   has stayed orphaned past a timeout, so the prefix advances and
+//!   liveness returns.
+//!
+//! The service is a router: it owns the simulation context, the core lock
+//! and the timers, and the parts named above hold their jobs' state as
+//! plain structs that take `(now, input)` and return what to do.
 //!
 //! The service is group-agnostic by construction: every message names its
 //! transaction group, per-group state lives in the shared
-//! [`DatacenterCore`](crate::DatacenterCore) (one log per group,
+//! [`DatacenterCore`] (one log per group,
 //! group-qualified store rows), and a decided `Apply` — whether it carries
 //! a single transaction or a whole batched/combined entry — installs in
 //! one step. Sharding the workload over many groups therefore needs no
 //! service-side changes: each datacenter leads its subset of groups (see
 //! [`crate::Directory::group_home`]) while acting as acceptor for all.
 
+mod commit_table;
+mod held_acks;
+mod orphan_watch;
+
+pub use commit_table::{Admission, CommitTable};
+pub use held_acks::{HeldAcks, Rearm, ACK_SYNC_LATENCY, DECIDED_FLUSH_DEADLINE};
+use orphan_watch::{FirstUndecided, OrphanWatch};
+
 use crate::batch::{BatchConfig, GroupCommitter};
-use crate::datacenter::{GroupState, SharedCore};
+use crate::datacenter::{DatacenterCore, GroupState, SharedCore};
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
 use crate::proposers::{Env, Input, Proposers};
 use crate::session::{apply_client_actions, ClientAction, ClientConfig};
 use parking_lot::Mutex;
-use paxos::{AbortReason, PaxosMsg, Proposer, ProposerConfig, TimerKind};
+use paxos::{PaxosMsg, Proposer, ProposerConfig, TimerKind};
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
+use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction};
 
 /// Timer tag reserved for the janitor tick (recovery/committer tags count
 /// up from 1 and can never collide with it).
@@ -68,52 +76,12 @@ const JANITOR_TAG: u64 = u64::MAX;
 /// acknowledgements and makes buffered `Decided` records durable.
 const FLUSH_TAG: u64 = u64::MAX - 1;
 
-/// The modelled latency of one WAL sync on the simulated clock: a held
-/// acknowledgement leaves at most this long after the first reply its sync
-/// covers was held, and every reply held meanwhile rides the same sync.
-/// 500 µs is the sync latency of a cloud block device; the simulated
-/// network runs on the paper's EC2 round trips, so the simulated disk is
-/// modelled on the same platform.
-pub const ACK_SYNC_LATENCY: SimDuration = SimDuration::from_micros(500);
-
-/// The longest a decided entry's buffered `Decided` record waits for a sync
-/// some held acknowledgement pays for before the service syncs it on its
-/// own.
-/// No acknowledgement depends on the record (the decision is replicated),
-/// but the entry applies only once it is durable.
-pub const DECIDED_FLUSH_DEADLINE: SimDuration = SimDuration::from_millis(1);
-
 /// High bit mixed into the ballot identity of service-side recovery
 /// proposers. The service's hosted committers propose under the service
 /// node's own id; a recovery instance racing a committer slot for the same
 /// position must not share its ballot identity, or the acceptors (and the
 /// two proposers' reply filters) could not tell their rounds apart.
 const RECOVERY_BALLOT_BIT: u64 = 1 << 40;
-
-/// Janitor attempts per orphaned position before giving up (a position
-/// that cannot decide — e.g. behind a long partition — must not keep the
-/// simulation busy forever; new traffic re-hints the group).
-const JANITOR_MAX_ATTEMPTS: u32 = 5;
-
-/// The remembered outcome of a decided member: everything needed to
-/// reconstruct the original [`Msg::CommitReply`] for a retried submission.
-#[derive(Clone, Debug)]
-struct DecidedFate {
-    group: GroupId,
-    committed: bool,
-    promotions: u32,
-    combined: bool,
-    rounds: u32,
-    abort_reason: Option<AbortReason>,
-}
-
-/// An acceptor reply waiting for the sync that makes its promise or vote
-/// durable, tagged with the datacenter incarnation it was appended in.
-struct HeldReply {
-    to: NodeId,
-    reply: Msg,
-    incarnation: u64,
-}
 
 /// The per-datacenter Transaction Service actor.
 pub struct TransactionService {
@@ -135,37 +103,15 @@ pub struct TransactionService {
     committers: BTreeMap<GroupId, GroupCommitter>,
     /// Timer tag → (group, committer-local timer tag).
     committer_timers: BTreeMap<u64, (GroupId, u64)>,
-    /// In-flight submitted commits: the member's id → (requester,
-    /// correlation id). Duplicate requests for an in-flight id are not
-    /// resubmitted — the committer already carries the member and proposing
-    /// it twice could commit it twice — but they do re-point the reply at
-    /// the latest requester so a retried submission still gets answered.
-    commit_requests: BTreeMap<TxnId, (NodeId, u64)>,
-    /// Fates of members this service has already decided, so a retry of a
-    /// decided transaction (a reply lost to a crash or partition) is
-    /// answered with the original outcome instead of being re-proposed.
-    decided_fates: BTreeMap<TxnId, DecidedFate>,
     /// Optional sink the hosted committers record window occupancy,
     /// pipeline depth and split/stale counters into.
     commit_metrics: Option<Arc<Mutex<RunMetrics>>>,
-    /// Whether the orphaned-position janitor runs.
-    janitor_enabled: bool,
-    /// How long the first undecided position may stay orphaned before the
-    /// janitor re-proposes it.
-    janitor_patience: SimDuration,
-    /// Whether a janitor tick timer is currently armed.
-    janitor_armed: bool,
-    /// Groups whose recent traffic (votes cast, out-of-order installs) may
-    /// have left an orphaned position; the tick scans only these.
-    orphan_hints: BTreeSet<GroupId>,
-    /// Per-group watch state: the first undecided position last observed,
-    /// when it was first seen there, and re-proposal attempts made for it.
-    orphan_watch: BTreeMap<GroupId, (LogPosition, SimTime, u32)>,
-    /// Acceptor replies held for the next sync, in arrival order.
-    held: Vec<HeldReply>,
-    /// The armed sync deadline and its timer: the earliest of the held
-    /// replies' and the buffered `Decided` records' deadlines.
-    sync_timer: Option<(SimTime, TimerId)>,
+    /// The exactly-once table of the submitted commit route.
+    commits: CommitTable,
+    /// The orphaned-position janitor's watch.
+    orphans: OrphanWatch,
+    /// Acceptor replies held for the next sync, and its deadline.
+    acks: HeldAcks<TimerId>,
     /// When this service last sent its group state to a datacenter, by
     /// (replica, group): a lagging replica prepares every missing position
     /// at once, and one state answers them all.
@@ -197,16 +143,10 @@ impl TransactionService {
             batch_config: BatchConfig::default(),
             committers: BTreeMap::new(),
             committer_timers: BTreeMap::new(),
-            commit_requests: BTreeMap::new(),
-            decided_fates: BTreeMap::new(),
             commit_metrics: None,
-            janitor_enabled: true,
-            janitor_patience: message_timeout,
-            janitor_armed: false,
-            orphan_hints: BTreeSet::new(),
-            orphan_watch: BTreeMap::new(),
-            held: Vec::new(),
-            sync_timer: None,
+            commits: CommitTable::default(),
+            orphans: OrphanWatch::new(message_timeout),
+            acks: HeldAcks::default(),
             catch_up_sent: BTreeMap::new(),
         }
     }
@@ -220,27 +160,12 @@ impl TransactionService {
     }
 
     /// Record the hosted committers' window occupancy, pipeline depth and
-    /// split/stale counters into a shared [`RunMetrics`] sink.
+    /// split/stale counters, and the duplicate submissions suppressed, into
+    /// a shared [`RunMetrics`] sink.
     pub fn with_commit_metrics(mut self, metrics: Arc<Mutex<RunMetrics>>) -> Self {
+        self.commits = CommitTable::with_metrics(Arc::clone(&metrics));
         self.commit_metrics = Some(metrics);
         self
-    }
-
-    /// Enable or disable the orphaned-position janitor (enabled by
-    /// default; regression tests disable it to demonstrate the wedge).
-    pub fn with_janitor(mut self, enabled: bool) -> Self {
-        self.janitor_enabled = enabled;
-        self
-    }
-
-    /// The replica index this service belongs to.
-    pub fn replica(&self) -> usize {
-        self.replica
-    }
-
-    /// Groups this service currently hosts a commit engine for.
-    pub fn hosted_committer_groups(&self) -> Vec<GroupId> {
-        self.committers.keys().copied().collect()
     }
 
     fn handle_paxos(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: PaxosMsg) {
@@ -268,41 +193,20 @@ impl TransactionService {
                 // sync drops the reply — indistinguishable from a crash just
                 // before answering, which Paxos already tolerates.
                 // Rejections create no new durable state (the promise they
-                // reveal already is) and leave at once. A position this
-                // datacenter forgot gets no promise at all.
-                let reply = {
-                    let mut core = self.core.lock();
-                    if core.forgot(group, position) {
-                        None
-                    } else {
-                        let outcome = core.acceptor().handle_prepare(group, position, ballot);
-                        let held = (outcome.promised
-                            && core.persist_promise(group, position, ballot))
-                        .then(|| core.incarnation());
-                        Some((outcome, held))
-                    }
-                };
-                let Some((outcome, held)) = reply else {
-                    self.send_catch_up(ctx, from, group);
-                    return;
-                };
-                self.ack_after_sync(
-                    ctx,
-                    from,
-                    held,
-                    Msg::Paxos(PaxosMsg::PrepareReply {
+                // reveal already is) and leave at once.
+                self.acceptor_step(ctx, from, group, position, |core| {
+                    let outcome = core.acceptor().handle_prepare(group, position, ballot);
+                    let held = outcome.promised && core.persist_promise(group, position, ballot);
+                    let reply = PaxosMsg::PrepareReply {
                         group,
                         position,
                         ballot,
                         promised: outcome.promised,
                         next_bal: outcome.next_bal,
                         last_vote: outcome.last_vote,
-                    }),
-                );
-                // A prepare at an undecided position is exactly the wedge
-                // signal — read-carrying clients re-preparing behind an
-                // orphaned vote — so let the janitor take a look.
-                self.hint_orphan(ctx, group);
+                    };
+                    (held, Msg::Paxos(reply))
+                });
             }
             PaxosMsg::Accept {
                 group,
@@ -312,41 +216,19 @@ impl TransactionService {
             } => {
                 // Persist-before-ack, as for promises: a cast vote must be
                 // durable before the acceptance is acknowledged.
-                let reply = {
-                    let mut core = self.core.lock();
-                    if core.forgot(group, position) {
-                        None
-                    } else {
-                        let accepted = core
-                            .acceptor()
-                            .handle_accept(group, position, ballot, &value);
-                        let held = (accepted && core.persist_vote(group, position, ballot, &value))
-                            .then(|| core.incarnation());
-                        Some((accepted, held))
-                    }
-                };
-                let Some((accepted, held)) = reply else {
-                    self.send_catch_up(ctx, from, group);
-                    return;
-                };
-                self.ack_after_sync(
-                    ctx,
-                    from,
-                    held,
-                    Msg::Paxos(PaxosMsg::AcceptReply {
+                self.acceptor_step(ctx, from, group, position, |core| {
+                    let accepted = core
+                        .acceptor()
+                        .handle_accept(group, position, ballot, &value);
+                    let held = accepted && core.persist_vote(group, position, ballot, &value);
+                    let reply = PaxosMsg::AcceptReply {
                         group,
                         position,
                         ballot,
                         accepted,
-                    }),
-                );
-                // A cast vote is what an orphaned position is made of: if
-                // its proposer dies before the decide, only the janitor (or
-                // a pipelined slot) will push the value through. A rejected
-                // accept still signals proposer activity at an undecided
-                // position (e.g. a stale retry after a partition healed), so
-                // hint regardless — the tick validates orphanhood.
-                self.hint_orphan(ctx, group);
+                    };
+                    (held, Msg::Paxos(reply))
+                });
             }
             PaxosMsg::Apply {
                 group,
@@ -366,7 +248,8 @@ impl TransactionService {
                 // this is where a buffered `Decided` record gets its
                 // deadline.
                 if unsynced {
-                    self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
+                    let rearm = self.acks.sync_within(ctx.now(), DECIDED_FLUSH_DEADLINE);
+                    self.arm_sync(ctx, rearm);
                 }
                 // The decide makes any recovery instance for the position
                 // redundant.
@@ -406,11 +289,44 @@ impl TransactionService {
         }
     }
 
+    /// Answer a prepare or accept from `from` at `position` with the reply
+    /// `step` builds under the core lock, which also says whether it
+    /// appended a record the reply must wait for. A position this
+    /// datacenter forgot gets its group state instead. Every answer hints
+    /// the janitor: a prepare at an undecided position is the wedge signal
+    /// (read-carrying clients re-preparing behind an orphaned vote), a cast
+    /// vote is what an orphaned position is made of, and a rejected accept
+    /// still signals proposer activity at an undecided position (e.g. a
+    /// stale retry after a partition healed); the tick validates orphanhood.
+    fn acceptor_step(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        from: NodeId,
+        group: GroupId,
+        position: LogPosition,
+        step: impl FnOnce(&mut DatacenterCore) -> (bool, Msg),
+    ) {
+        let reply = {
+            let mut core = self.core.lock();
+            if core.forgot(group, position) {
+                None
+            } else {
+                let (held, reply) = step(&mut core);
+                Some((held.then(|| core.incarnation()), reply))
+            }
+        };
+        let Some((held, reply)) = reply else {
+            self.send_catch_up(ctx, from, group);
+            return;
+        };
+        self.ack_after_sync(ctx, from, held, reply);
+        self.hint_orphan(ctx, group);
+    }
+
     /// The release path of an acceptor reply. It leaves at once when its
     /// state needs no sync (`held` is `None`: a rejection, or an in-memory
     /// datacenter). Otherwise it is held, with the incarnation its record
-    /// was appended in, until the next sync, due [`ACK_SYNC_LATENCY`] from
-    /// now at the latest.
+    /// was appended in, until the next sync.
     fn ack_after_sync(
         &mut self,
         ctx: &mut Context<Msg>,
@@ -422,51 +338,36 @@ impl TransactionService {
             ctx.send(to, reply);
             return;
         };
-        self.held.push(HeldReply {
-            to,
-            reply,
-            incarnation,
-        });
-        self.arm_sync(ctx, ACK_SYNC_LATENCY);
+        let rearm = self.acks.hold(ctx.now(), to, reply, incarnation);
+        self.arm_sync(ctx, rearm);
     }
 
-    /// Make sure a sync happens within `within`: keep an armed deadline at
-    /// or before it, or replace a later one.
-    fn arm_sync(&mut self, ctx: &mut Context<Msg>, within: SimDuration) {
-        let due = ctx.now() + within;
-        if let Some((armed, timer)) = self.sync_timer {
-            if armed <= due {
-                return;
+    /// Move the sync timer as [`HeldAcks`] asks.
+    fn arm_sync(&mut self, ctx: &mut Context<Msg>, rearm: Option<Rearm<TimerId>>) {
+        if let Some((due, cancel)) = rearm {
+            if let Some(timer) = cancel {
+                ctx.cancel_timer(timer);
             }
-            ctx.cancel_timer(timer);
+            let timer = ctx.set_timer(due.since(ctx.now()), FLUSH_TAG);
+            self.acks.armed(due, timer);
         }
-        self.sync_timer = Some((due, ctx.set_timer(within, FLUSH_TAG)));
     }
 
     /// The sync deadline fired: one WAL sync makes every buffered record
     /// durable, applies the decided entries waiting for it, and releases
-    /// the held replies in arrival order — except those appended before a
-    /// restart from disk, whose records may have gone with a torn tail. A
-    /// failed sync drops the held replies (crash-equivalent); their records
-    /// stay buffered for the next sync, which sends nothing for them.
+    /// the held replies its outcome lets go.
     fn sync_and_release(&mut self, ctx: &mut Context<Msg>) {
-        self.sync_timer = None;
         let (synced, incarnation, unsynced) = {
             let mut core = self.core.lock();
             let synced = core.flush();
             (synced, core.incarnation(), core.has_unsynced())
         };
-        if !synced {
-            self.held.clear();
-            if unsynced {
-                self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
-            }
-            return;
+        for (to, reply) in self.acks.release(synced, incarnation) {
+            ctx.send(to, reply);
         }
-        for held in self.held.drain(..) {
-            if held.incarnation == incarnation {
-                ctx.send(held.to, held.reply);
-            }
+        if !synced && unsynced {
+            let rearm = self.acks.sync_within(ctx.now(), DECIDED_FLUSH_DEADLINE);
+            self.arm_sync(ctx, rearm);
         }
     }
 
@@ -532,6 +433,14 @@ impl TransactionService {
         self.apply_committer_actions(ctx, group, actions);
     }
 
+    /// Fire a hosted committer's timer.
+    fn fire_committer_timer(&mut self, ctx: &mut Context<Msg>, group: GroupId, tag: u64) {
+        if let Some(committer) = self.committers.get_mut(&group) {
+            let actions = committer.on_timer(ctx.now(), tag);
+            self.apply_committer_actions(ctx, group, actions);
+        }
+    }
+
     /// Submitted commit route: feed the finished transaction into the
     /// group's hosted commit engine, creating it on first use.
     fn handle_commit_request(
@@ -542,58 +451,14 @@ impl TransactionService {
         txn: Transaction,
     ) {
         let group = txn.group;
-        // A retry of an already-decided member is answered with the
-        // original fate; re-proposing it could commit it twice.
-        if let Some(fate) = self.decided_fates.get(&txn.id) {
-            let fate = fate.clone();
-            self.note_duplicate_suppressed();
-            ctx.send(
-                from,
-                Msg::CommitReply {
-                    req_id,
-                    group: fate.group,
-                    txn: txn.id,
-                    committed: fate.committed,
-                    promotions: fate.promotions,
-                    combined: fate.combined,
-                    rounds: fate.rounds,
-                    abort_reason: fate.abort_reason,
-                },
-            );
-            return;
+        let in_log = self.core.lock().is_committed(group, txn.id);
+        match self.commits.request(from, req_id, txn.id, group, in_log) {
+            Admission::Submit => {}
+            Admission::Answer(reply) => return ctx.send(from, reply),
+            Admission::Absorbed => return,
         }
-        // A retry that lands here after a group-home migration: this
-        // service never saw the original submission, but the replicated log
-        // may already carry the member (the old home decided it before
-        // failing over). Answer committed rather than double-committing.
-        if self.core.lock().is_committed(group, txn.id) {
-            self.note_duplicate_suppressed();
-            ctx.send(
-                from,
-                Msg::CommitReply {
-                    req_id,
-                    group,
-                    txn: txn.id,
-                    committed: true,
-                    promotions: 0,
-                    combined: false,
-                    rounds: 0,
-                    abort_reason: None,
-                },
-            );
-            return;
-        }
-        // A duplicate of an in-flight member must not be resubmitted — the
-        // committer already carries it — but the reply is re-pointed at the
-        // latest requester so the retry still gets answered.
-        if let Some(slot) = self.commit_requests.get_mut(&txn.id) {
-            *slot = (from, req_id);
-            self.note_duplicate_suppressed();
-            return;
-        }
-        self.commit_requests.insert(txn.id, (from, req_id));
-        if !self.committers.contains_key(&group) {
-            let mut committer = GroupCommitter::new(
+        let committer = self.committers.entry(group).or_insert_with(|| {
+            let committer = GroupCommitter::new(
                 ctx.node(),
                 self.replica,
                 group,
@@ -601,16 +466,12 @@ impl TransactionService {
                 self.commit_config.clone(),
                 self.batch_config.clone(),
             );
-            if let Some(sink) = &self.commit_metrics {
-                committer = committer.with_metrics(Arc::clone(sink));
+            match &self.commit_metrics {
+                Some(sink) => committer.with_metrics(Arc::clone(sink)),
+                None => committer,
             }
-            self.committers.insert(group, committer);
-        }
-        let actions = self
-            .committers
-            .get_mut(&group)
-            .expect("inserted above")
-            .submit(ctx.now(), txn);
+        });
+        let actions = committer.submit(ctx.now(), txn);
         self.apply_committer_actions(ctx, group, actions);
     }
 
@@ -634,133 +495,50 @@ impl TransactionService {
                     ctx.set_timer(delay, service_tag);
                 }
                 ClientAction::Finished(result) => {
-                    let Some(id) = result.txn else {
-                        continue;
-                    };
-                    // Remember the fate before answering: a retry arriving
-                    // after the reply was lost must get the same outcome.
-                    // `Unavailable` is not a fate — the member may still be
-                    // undecided, and a retry must be allowed to re-drive it.
-                    if result.abort_reason != Some(AbortReason::Unavailable) {
-                        self.decided_fates.insert(
-                            id,
-                            DecidedFate {
-                                group,
-                                committed: result.committed,
-                                promotions: result.promotions,
-                                combined: result.combined,
-                                rounds: result.rounds,
-                                abort_reason: result.abort_reason,
-                            },
-                        );
+                    if let Some((requester, reply)) = self.commits.finished(group, &result) {
+                        ctx.send(requester, reply);
                     }
-                    let Some((requester, req_id)) = self.commit_requests.remove(&id) else {
-                        continue;
-                    };
-                    ctx.send(
-                        requester,
-                        Msg::CommitReply {
-                            req_id,
-                            group,
-                            txn: id,
-                            committed: result.committed,
-                            promotions: result.promotions,
-                            combined: result.combined,
-                            rounds: result.rounds,
-                            abort_reason: result.abort_reason,
-                        },
-                    );
                 }
             }
-        }
-    }
-
-    /// Count a duplicate submission this service absorbed instead of
-    /// re-proposing.
-    fn note_duplicate_suppressed(&self) {
-        if let Some(sink) = &self.commit_metrics {
-            sink.lock().duplicate_suppressions += 1;
         }
     }
 
     /// Note that `group` may have an orphaned position and make sure a
     /// janitor tick is scheduled to look.
     fn hint_orphan(&mut self, ctx: &mut Context<Msg>, group: GroupId) {
-        if !self.janitor_enabled {
-            return;
-        }
-        self.orphan_hints.insert(group);
+        self.orphans.hint(group);
         self.ensure_janitor(ctx);
     }
 
-    fn janitor_period(&self) -> SimDuration {
-        SimDuration::from_micros((self.janitor_patience.as_micros() / 2).max(1))
-    }
-
     fn ensure_janitor(&mut self, ctx: &mut Context<Msg>) {
-        if !self.janitor_enabled || self.janitor_armed || self.orphan_hints.is_empty() {
-            return;
+        if let Some(period) = self.orphans.arm() {
+            ctx.set_timer(period, JANITOR_TAG);
         }
-        self.janitor_armed = true;
-        ctx.set_timer(self.janitor_period(), JANITOR_TAG);
     }
 
-    /// One janitor pass: for every hinted group, find the first undecided
-    /// position; if it is orphaned — decided entries sit above it, or a
-    /// majority-voted value lingers at it, and nobody is pushing it through
-    /// — and it has stayed put past the patience window, re-propose it via
-    /// a recovery instance (which adopts any voted value per the Paxos
-    /// safety rule, or fills a no-op).
+    /// One janitor pass: answer the watch's questions about every hinted
+    /// group under one core lock, and start a recovery instance for each
+    /// orphaned position it hands back.
     fn janitor_tick(&mut self, ctx: &mut Context<Msg>) {
-        self.janitor_armed = false;
-        let now = ctx.now();
-        let hinted: Vec<GroupId> = self.orphan_hints.iter().copied().collect();
-        let mut to_recover = Vec::new();
-        {
+        let to_recover = {
             let core = self.core.lock();
-            for group in hinted {
-                let prefix = core.read_position(group);
-                let candidate = prefix.next();
-                let orphaned = !core.has_entry(group, candidate)
-                    && (core
+            let (committers, recovery) = (&self.committers, &self.recovery);
+            self.orphans.tick(ctx.now(), |group| {
+                let position = core.read_position(group).next();
+                FirstUndecided {
+                    position,
+                    installed: core.has_entry(group, position),
+                    decided_above: core
                         .log(group)
-                        .is_some_and(|log| log.last_decided() > candidate)
-                        || core.acceptor().current_vote(group, candidate).is_some());
-                if !orphaned {
-                    self.orphan_hints.remove(&group);
-                    self.orphan_watch.remove(&group);
-                    continue;
+                        .is_some_and(|log| log.last_decided() > position),
+                    voted: core.acceptor().current_vote(group, position).is_some(),
+                    proposing: committers
+                        .get(&group)
+                        .is_some_and(|c| c.slot_positions().contains(&position))
+                        || recovery.contains(&(group, position)),
                 }
-                let watch = self
-                    .orphan_watch
-                    .entry(group)
-                    .or_insert((candidate, now, 0));
-                if watch.0 != candidate {
-                    *watch = (candidate, now, 0);
-                }
-                if watch.2 >= JANITOR_MAX_ATTEMPTS {
-                    // Stop burning ticks on a position that cannot decide
-                    // (e.g. behind a partition). Drop the watch along with
-                    // the hint: when new traffic re-hints the group (say,
-                    // after the partition heals), the position gets a fresh
-                    // budget of attempts instead of being abandoned forever.
-                    self.orphan_hints.remove(&group);
-                    self.orphan_watch.remove(&group);
-                    continue;
-                }
-                let committer_competing = self
-                    .committers
-                    .get(&group)
-                    .is_some_and(|c| c.slot_positions().contains(&candidate));
-                if now.since(watch.1) >= self.janitor_patience
-                    && !committer_competing
-                    && !self.recovery.contains(&(group, candidate))
-                {
-                    watch.2 += 1;
-                    to_recover.push((group, candidate));
-                }
-            }
-        }
+            })
+        };
         for (group, position) in to_recover {
             self.start_recovery(ctx, group, position);
         }
@@ -874,15 +652,10 @@ impl Actor<Msg> for TransactionService {
             self.sync_and_release(ctx);
             return;
         }
-        if let Some((group, committer_tag)) = self.committer_timers.remove(&tag) {
-            let actions = match self.committers.get_mut(&group) {
-                Some(committer) => committer.on_timer(ctx.now(), committer_tag),
-                None => return,
-            };
-            self.apply_committer_actions(ctx, group, actions);
-            return;
+        match self.committer_timers.remove(&tag) {
+            Some((group, committer_tag)) => self.fire_committer_timer(ctx, group, committer_tag),
+            None => self.drive_recovery(ctx, Input::Timer(tag)),
         }
-        self.drive_recovery(ctx, Input::Timer(tag));
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Msg>) {
@@ -892,16 +665,10 @@ impl Actor<Msg> for TransactionService {
         // so flushing the stale copies below would race the new home's
         // instance and could commit a transaction at two positions. Drop
         // them; the new home owns the reply.
-        let moved: Vec<GroupId> = self
-            .committers
-            .keys()
-            .filter(|group| self.directory.group_home(**group) != self.replica)
-            .copied()
-            .collect();
-        for group in moved {
-            if let Some(committer) = self.committers.get_mut(&group) {
+        for (group, committer) in &mut self.committers {
+            if self.directory.group_home(*group) != self.replica {
                 for id in committer.drop_pending_window() {
-                    self.commit_requests.remove(&id);
+                    self.commits.withdraw(id);
                 }
             }
         }
@@ -912,11 +679,7 @@ impl Actor<Msg> for TransactionService {
         // triggers a spurious-but-safe timeout round; a later real fire
         // finds its map entry gone and is a no-op.
         for (_, (group, committer_tag)) in std::mem::take(&mut self.committer_timers) {
-            let actions = match self.committers.get_mut(&group) {
-                Some(committer) => committer.on_timer(ctx.now(), committer_tag),
-                None => continue,
-            };
-            self.apply_committer_actions(ctx, group, actions);
+            self.fire_committer_timer(ctx, group, committer_tag);
         }
         let recovery_tags: Vec<u64> = self.recovery.armed_tags().collect();
         for tag in recovery_tags {
@@ -924,15 +687,13 @@ impl Actor<Msg> for TransactionService {
         }
         // The janitor tick may also have been suppressed; re-arm it. So
         // may the sync deadline, while records still wait for a sync. Held
-        // acknowledgements die with the crash: their records may have gone
-        // with a torn tail, and their proposers time out as for any lost
-        // reply.
-        self.janitor_armed = false;
+        // acknowledgements die with the crash (see `HeldAcks::crash`).
+        self.orphans.crash();
         self.ensure_janitor(ctx);
-        self.held.clear();
-        self.sync_timer = None;
+        self.acks.crash();
         if self.core.lock().has_unsynced() {
-            self.arm_sync(ctx, DECIDED_FLUSH_DEADLINE);
+            let rearm = self.acks.sync_within(ctx.now(), DECIDED_FLUSH_DEADLINE);
+            self.arm_sync(ctx, rearm);
         }
     }
 }

@@ -763,16 +763,18 @@ impl Session {
                     Ok(out)
                 }
             }
-            CommitRoute::Submitted => Ok(self.start_submitted(handle.0)),
+            CommitRoute::Submitted => Ok(self.send_submitted(handle.0)),
         }
     }
 
-    /// Build the wire transaction of an open handle and assign its id.
+    /// Build the wire transaction of an open handle, assigning its id on
+    /// the first build.
     fn build_transaction(&mut self, handle: u64) -> Transaction {
-        self.seq += 1;
-        let id = TxnId::new(self.node.0, self.seq);
         let txn = self.open.get_mut(&handle).expect("caller checked");
-        txn.id = Some(id);
+        let id = *txn.id.get_or_insert_with(|| {
+            self.seq += 1;
+            TxnId::new(self.node.0, self.seq)
+        });
         Transaction::new(
             id,
             txn.group,
@@ -801,33 +803,6 @@ impl Session {
         self.drive(now, Input::Start(handle, proposer), out);
     }
 
-    /// Ship `handle`'s finished transaction to the group home's service.
-    fn start_submitted(&mut self, handle: u64) -> Vec<ClientAction> {
-        let transaction = self.build_transaction(handle);
-        let group = transaction.group;
-        self.next_req += 1;
-        let req_id = self.next_req;
-        let txn = self.open.get_mut(&handle).expect("caller checked");
-        txn.phase = Phase::Submitted { req_id };
-        self.submitted.insert(req_id, handle);
-        let home = self.directory.group_home(group);
-        let mut out = vec![ClientAction::Send(
-            self.directory.service_node(home),
-            Msg::CommitRequest {
-                req_id,
-                txn: transaction,
-            },
-        )];
-        self.next_tag += 1;
-        let tag = self.next_tag;
-        self.patience.insert(tag, (handle, req_id));
-        out.push(ClientAction::ArmTimer {
-            delay: self.config.submit_patience(),
-            tag,
-        });
-        out
-    }
-
     /// Re-fire every armed timer — the proposer host's and the patience
     /// timers, in one tag order. After a crash/recovery the simulator has
     /// suppressed any timer that expired during the outage — it will never
@@ -851,51 +826,48 @@ impl Session {
         out
     }
 
-    /// Re-submit `handle`'s already-built transaction: same transaction id
-    /// (service-side dedup makes the retry exactly-once), fresh request id,
-    /// freshly resolved group home (the home may have migrated since the
-    /// last attempt), and a new patience timer with a growing randomized
-    /// backoff on top of the patience window.
-    fn resubmit_submitted(&mut self, handle: u64) -> Vec<ClientAction> {
-        self.resubmissions += 1;
+    /// Ship `handle`'s finished transaction to the group home's service,
+    /// under a fresh request id and a patience timer. The first attempt
+    /// assigns the transaction its id. A re-submission keeps that id
+    /// (service-side dedup makes the retry exactly-once), resolves the
+    /// group home afresh (it may have migrated since the last attempt) and
+    /// adds a growing randomized backoff to the patience window.
+    fn send_submitted(&mut self, handle: u64) -> Vec<ClientAction> {
         self.next_req += 1;
         let req_id = self.next_req;
-        let txn = self.open.get_mut(&handle).expect("caller checked");
-        txn.submit_attempts += 1;
-        let attempts = txn.submit_attempts;
-        let group = txn.group;
-        let transaction = Transaction::new(
-            txn.id.expect("submitted commits carry an id"),
-            group,
-            txn.read_position,
-            txn.reads.clone(),
-            txn.writes.clone(),
-        );
-        txn.phase = Phase::Submitted { req_id };
         self.submitted.insert(req_id, handle);
-        let home = self.directory.group_home(group);
-        let mut out = vec![ClientAction::Send(
-            self.directory.service_node(home),
-            Msg::CommitRequest {
-                req_id,
-                txn: transaction,
-            },
-        )];
+        let txn = self.open.get_mut(&handle).expect("caller checked");
+        txn.phase = Phase::Submitted { req_id };
+        if txn.id.is_some() {
+            txn.submit_attempts += 1;
+            self.resubmissions += 1;
+        }
+        let attempts = txn.submit_attempts;
+        let transaction = self.build_transaction(handle);
+        let home = self.directory.group_home(transaction.group);
         self.next_tag += 1;
         let tag = self.next_tag;
         self.patience.insert(tag, (handle, req_id));
-        let backoff_cap = self
-            .config
-            .backoff_max
-            .as_micros()
-            .saturating_mul(attempts as u64)
-            .max(1);
-        let backoff = SimDuration::from_micros(self.rng.gen_range(0..backoff_cap));
-        out.push(ClientAction::ArmTimer {
-            delay: self.config.submit_patience() + backoff,
-            tag,
-        });
-        out
+        let mut delay = self.config.submit_patience();
+        if attempts > 0 {
+            let backoff_cap = self
+                .config
+                .backoff_max
+                .as_micros()
+                .saturating_mul(attempts as u64)
+                .max(1);
+            delay += SimDuration::from_micros(self.rng.gen_range(0..backoff_cap));
+        }
+        vec![
+            ClientAction::Send(
+                self.directory.service_node(home),
+                Msg::CommitRequest {
+                    req_id,
+                    txn: transaction,
+                },
+            ),
+            ClientAction::ArmTimer { delay, tag },
+        ]
     }
 
     /// Feed an incoming message (commit-protocol or commit-reply traffic)
@@ -935,7 +907,7 @@ impl Session {
                         .map(|t| t.submit_attempts)
                         .unwrap_or(u32::MAX);
                     if attempts < self.config.max_resubmissions {
-                        return self.resubmit_submitted(handle);
+                        return self.send_submitted(handle);
                     }
                 }
                 let txn = self
@@ -986,7 +958,7 @@ impl Session {
             .map(|t| t.submit_attempts)
             .unwrap_or(u32::MAX);
         if attempts < self.config.max_resubmissions {
-            return self.resubmit_submitted(handle);
+            return self.send_submitted(handle);
         }
         let txn = self
             .open

@@ -532,35 +532,30 @@ fn seed_orphaned_position(cluster: &mut Cluster) {
 }
 
 #[test]
-fn orphaned_majority_voted_position_wedges_read_transactions_without_the_janitor() {
-    // Control arm: with the janitor disabled, the orphaned value at
-    // position 1 conflict-aborts every read-carrying transaction forever —
-    // the liveness failure mode of the ROADMAP.
-    let mut cluster = Cluster::build(
-        ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp).with_janitor(false),
-    );
+fn janitor_reproposes_the_orphaned_position_and_unwedges_read_transactions() {
+    // The orphaned value at position 1 conflict-aborts every read-carrying
+    // transaction — the liveness failure mode of the ROADMAP — until the
+    // first undecided position has stayed orphaned past the janitor's
+    // patience window. Then the service re-proposes it through a recovery
+    // instance, which adopts the majority-voted value per the Paxos safety
+    // rule. The position decides, the prefix advances, and read-carrying
+    // transactions commit again.
+    let mut cluster = Cluster::build(ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp));
+    // The first hint comes with the orphan's own prepares, and the window
+    // is one message timeout long: no re-proposal can start before this.
+    let patience_ends = cluster.now() + cluster.config().topology.message_timeout;
     seed_orphaned_position(&mut cluster);
-    let metrics = add_writer(&mut cluster, 0, 30);
-    cluster.run_for(SimDuration::from_secs(20));
+    let writer_started = cluster.now();
+    let metrics = add_writer(&mut cluster, 0, 100);
+    cluster.run_for(patience_ends.since(cluster.now()) - SimDuration::from_micros(1));
     let m = metrics.lock();
     assert_eq!(
         m.committed, 0,
         "read-carrying transactions must stay wedged behind the orphan"
     );
     assert!(m.aborted > 0, "the writer must have tried and aborted");
-}
-
-#[test]
-fn janitor_reproposes_the_orphaned_position_and_unwedges_read_transactions() {
-    // Same wedge, janitor on (the default): once the first undecided
-    // position stays orphaned past the patience window, the service
-    // re-proposes it through a recovery instance, which adopts the
-    // majority-voted value per the Paxos safety rule. The position decides,
-    // the prefix advances, and read-carrying transactions commit again.
-    let mut cluster = Cluster::build(ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp));
-    seed_orphaned_position(&mut cluster);
-    let metrics = add_writer(&mut cluster, 0, 100);
-    cluster.run_for(SimDuration::from_secs(30));
+    drop(m);
+    cluster.run_for(SimDuration::from_secs(30) - cluster.now().since(writer_started));
     let m = metrics.lock();
     assert!(
         m.committed > 0,
