@@ -45,14 +45,28 @@
 //!    at the pipeline tail. Members the winner contains are recognized as
 //!    committed and never proposed twice.
 //!
-//! The committer routes its fast-path leader claims through the directory's
-//! per-group leader map ([`Directory::group_home`]), so a sharded workload
-//! has each datacenter leading — and batching for — its own subset of
-//! groups. A committer whose datacenter was the group's home at its last
-//! opening and no longer is proposes nothing more from its window: it
-//! answers each waiting member [`AbortReason::Unavailable`], so the
-//! session resubmits to the new home at once instead of racing it with a
-//! second copy. In-flight slots still drive to a decision.
+//! A committer runs in its group's home service (the directory's per-group
+//! leader map, [`Directory::group_home`]), so a sharded workload has each
+//! datacenter leading — and batching for — its own subset of groups. Being
+//! the leader of every position after one it won, the committer claims each
+//! slot's fast path at its own datacenter's core in the step that opens the
+//! slot, with no `LeaderClaim` message to its own service or to the
+//! datacenter of whichever session's member won the previous position; the
+//! unanimous fast round keeps this safe against a direct-route client that
+//! claimed the same position elsewhere. Outside the home (a group it never
+//! homed, or one whose home moved away) its claims go out as messages
+//! routed by [`Directory::leader_replica`], like a session's, so two
+//! committers racing for one position meet at one core. A slot re-sends an
+//! incomplete fast accept once to the replicas that have not answered
+//! ([`paxos::ProposerConfig::fast_resends`]): unanimity would otherwise
+//! let one accept lost to a brief outage hold the position for the whole
+//! reply timeout.
+//!
+//! A committer whose datacenter was the group's home at its last opening
+//! and no longer is proposes nothing more from its window: it answers each
+//! waiting member [`AbortReason::Unavailable`], so the session resubmits
+//! to the new home at once instead of racing it with a second copy.
+//! In-flight slots still drive to a decision.
 //! Wire a committer with [`GroupCommitter::with_metrics`] to record
 //! per-window occupancy, pipeline depth and split/stale counters into a
 //! shared [`RunMetrics`].
@@ -78,6 +92,11 @@ use walog::{GroupId, LogPosition, Transaction, TxnId};
 /// Members waiting behind a full pipeline board when a slot completes and
 /// never wait on this.
 const REPOLL: SimDuration = SimDuration::from_millis(5);
+
+/// How many times a slot re-sends an incomplete fast accept to the
+/// replicas that have not answered ([`paxos::ProposerConfig::fast_resends`])
+/// before it waits out the reply timeout and re-prepares.
+pub(crate) const FAST_RESENDS: u32 = 1;
 
 /// Tuning knobs of a [`GroupCommitter`].
 #[derive(Clone, Debug)]
@@ -511,7 +530,10 @@ impl GroupCommitter {
                 break;
             }
             let prior = promo_class.unwrap_or(0);
-            let cfg = self.config.proposer_config(self.directory.num_replicas());
+            let cfg = self
+                .config
+                .proposer_config(self.directory.num_replicas())
+                .with_fast_resends(FAST_RESENDS);
             let proposer = Box::new(Proposer::new_batch_pipelined(
                 cfg,
                 self.group,
@@ -577,6 +599,7 @@ impl GroupCommitter {
             home: self.home_replica,
             next_tag: &mut self.next_tag,
             delay: &mut |kind| config.timer_delay(kind, rng),
+            claim_as: Some(self.node.0 as u64),
         };
         if let Some((position, outcome)) = self.proposers.drive(input, env, out) {
             self.finish_slot(now, position, outcome, out);
@@ -691,43 +714,47 @@ mod tests {
             .build()
     }
 
+    /// The accepts `actions` send, as `(to, position, ballot)`.
+    fn accepts(actions: &[ClientAction]) -> Vec<(NodeId, LogPosition, Ballot)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ClientAction::Send(
+                    to,
+                    Msg::Paxos(PaxosMsg::Accept {
+                        position, ballot, ..
+                    }),
+                ) => Some((*to, *position, *ballot)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The position and ballot of the first accept `actions` send.
+    fn accept_of(actions: &[ClientAction]) -> Option<(LogPosition, Ballot)> {
+        let (_, position, ballot) = *accepts(actions).first()?;
+        Some((position, ballot))
+    }
+
+    /// Whether `actions` send any leader claim.
+    fn claims(actions: &[ClientAction]) -> bool {
+        actions.iter().any(|a| {
+            matches!(
+                a,
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { .. }))
+            )
+        })
+    }
+
     /// Drive one slot's instance to completion against the single-replica
-    /// harness: grant its fast-path claim, then ack its accept.
+    /// harness: the slot claimed its position at home when it opened, so
+    /// `actions` already broadcast its accept; ack it.
     fn complete_instance(
         committer: &mut GroupCommitter,
         now: SimTime,
         actions: &[ClientAction],
     ) -> Vec<ClientAction> {
-        let claim_position = actions
-            .iter()
-            .find_map(|a| match a {
-                ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. })) => {
-                    Some(*position)
-                }
-                _ => None,
-            })
-            .expect("fast path claim");
-        let actions = committer.on_message(
-            now,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
-                group: GroupId(0),
-                position: claim_position,
-                granted: true,
-            }),
-        );
-        let (position, ballot) = actions
-            .iter()
-            .find_map(|a| match a {
-                ClientAction::Send(
-                    _,
-                    Msg::Paxos(PaxosMsg::Accept {
-                        position, ballot, ..
-                    }),
-                ) => Some((*position, *ballot)),
-                _ => None,
-            })
-            .expect("accept broadcast");
+        let (position, ballot) = accept_of(actions).expect("accept broadcast");
         committer.on_message(
             now,
             NodeId(0),
@@ -807,25 +834,183 @@ mod tests {
         );
         // The blind write reopens at the next position.
         assert_eq!(committer.slot_positions(), [LogPosition(3)]);
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. }))
-                if *position == LogPosition(3)
-        )));
+        assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(3)));
     }
 
     #[test]
     fn a_lone_submission_starts_its_instance_at_once() {
         let (dir, mut committer) = harness();
         let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
-        // A free slot takes the member now, with a fast-path claim, instead
-        // of holding it in the window for company.
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { .. }))
-        )));
+        // A free slot takes the member now, on the fast path, instead of
+        // holding it in the window for company.
+        assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(1)));
         assert_eq!(committer.pending(), 0);
         assert_eq!(committer.slot_positions(), [LogPosition(1)]);
+    }
+
+    /// Three datacenters whose services are nodes 0, 1 and 2, a client
+    /// node 7 local to datacenter 2, and the committer for `GroupId(0)`
+    /// hosted by datacenter 0's service, the group's home.
+    fn three_dc_harness() -> (Arc<Directory>, GroupCommitter) {
+        let dir = Directory::new();
+        for replica in 0..3 {
+            dir.register_datacenter(
+                NodeId(replica),
+                DatacenterCore::shared(format!("dc{replica}"), replica as usize),
+            );
+        }
+        dir.register_client(NodeId(7), 2);
+        dir.set_group_home(GroupId(0), 0);
+        let committer = GroupCommitter::new(
+            NodeId(0),
+            0,
+            GroupId(0),
+            dir.clone(),
+            ClientConfig::cp(),
+            BatchConfig::default(),
+        );
+        (dir, committer)
+    }
+
+    #[test]
+    fn a_home_committer_claims_its_position_without_a_message() {
+        let (dir, mut committer) = three_dc_harness();
+        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        assert!(!claims(&actions), "a leader claim was sent: {actions:?}");
+        // The claim was granted at home in the same step: the instance's
+        // first actions are its fast-round accept to every replica.
+        let fast = Ballot::fast(0);
+        let broadcast: Vec<_> = (0..3).map(|r| (NodeId(r), LogPosition(1), fast)).collect();
+        assert_eq!(accepts(&actions[..3]), broadcast);
+        // Only the accept round waits on a timer: the claim's own reply
+        // timer was superseded before it was armed.
+        let timers = actions
+            .iter()
+            .filter(|a| matches!(a, ClientAction::ArmTimer { .. }))
+            .count();
+        assert_eq!(timers, 1, "{actions:?}");
+        // The home recorded the claim: any other claimant is refused.
+        assert!(!dir
+            .core(0)
+            .lock()
+            .leader_claim(GroupId(0), LogPosition(1), 7));
+    }
+
+    #[test]
+    fn a_committer_claims_at_home_even_when_a_remote_clients_member_won_the_previous_position() {
+        let (dir, mut committer) = three_dc_harness();
+        // Position 1 was won by an entry whose first member came from
+        // client 7, a session in datacenter 2: the §4.1 previous-winner rule
+        // names datacenter 2 the leader of position 2.
+        let remote = Transaction::builder(TxnId::new(7, 1), GroupId(0), LogPosition::ZERO)
+            .write(dir.symbols().item("row", "r"), "v")
+            .build();
+        dir.core(0).lock().install_entry(
+            GroupId(0),
+            LogPosition(1),
+            Arc::new(LogEntry::single(remote)),
+        );
+        assert_eq!(dir.leader_replica(0, GroupId(0), LogPosition(2)), 2);
+        // The committer still runs in the group's home and claims there,
+        // without a message to datacenter 2 or to itself.
+        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition(1)));
+        assert!(!claims(&actions), "a leader claim was sent: {actions:?}");
+        let fast = Ballot::fast(0);
+        let broadcast: Vec<_> = (0..3).map(|r| (NodeId(r), LogPosition(2), fast)).collect();
+        assert_eq!(accepts(&actions), broadcast);
+        assert!(!dir
+            .core(0)
+            .lock()
+            .leader_claim(GroupId(0), LogPosition(2), 7));
+        assert!(
+            dir.core(2)
+                .lock()
+                .leader_claim(GroupId(0), LogPosition(2), 7),
+            "nothing was claimed at datacenter 2"
+        );
+    }
+
+    #[test]
+    fn only_the_home_of_two_committers_opening_one_position_gets_the_fast_path() {
+        // The group's home (datacenter 0) and a committer that never homed
+        // the group (datacenter 1) open the same first position.
+        let (dir, mut home) = three_dc_harness();
+        let mut other = GroupCommitter::new(
+            NodeId(1),
+            1,
+            GroupId(0),
+            dir.clone(),
+            ClientConfig::cp(),
+            BatchConfig::default(),
+        );
+        let actions = home.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        assert_eq!(accept_of(&actions), Some((LogPosition(1), Ballot::fast(0))));
+        // The other committer is not at home, so its claim is a message to
+        // the leader the directory names: the home's service.
+        let actions = other.submit(SimTime::ZERO, txn(&dir, 2, "b", LogPosition::ZERO));
+        assert_eq!(accept_of(&actions), None);
+        let claim = actions.iter().find_map(|a| match a {
+            ClientAction::Send(to, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. })) => {
+                Some((*to, *position))
+            }
+            _ => None,
+        });
+        assert_eq!(claim, Some((NodeId(0), LogPosition(1))));
+        // The home's core already granted the position in-process, so the
+        // service refuses the claim, and the other committer prepares.
+        let granted = dir
+            .core(0)
+            .lock()
+            .leader_claim(GroupId(0), LogPosition(1), 1);
+        assert!(!granted);
+        let actions = other.on_message(
+            SimTime::ZERO,
+            NodeId(0),
+            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
+                group: GroupId(0),
+                position: LogPosition(1),
+                granted,
+            }),
+        );
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { ballot, .. }))
+                if !ballot.is_fast()
+        )));
+    }
+
+    #[test]
+    fn a_slot_resends_its_fast_accept_to_the_replica_that_missed_it() {
+        let (dir, mut committer) = three_dc_harness();
+        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        let (position, ballot) = accept_of(&actions).expect("accept broadcast");
+        let tag = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::ArmTimer { delay, tag } => {
+                    // A quarter of the message timeout.
+                    assert_eq!(*delay, SimDuration::from_millis(500));
+                    Some(*tag)
+                }
+                _ => None,
+            })
+            .expect("resend timer");
+        let ack = Msg::Paxos(PaxosMsg::AcceptReply {
+            group: GroupId(0),
+            position,
+            ballot,
+            accepted: true,
+        });
+        let now = SimTime::ZERO + SimDuration::from_millis(1);
+        committer.on_message(now, NodeId(0), &ack);
+        committer.on_message(now, NodeId(1), &ack);
+        // Datacenter 2 never answered: the resend goes to it alone.
+        let now = SimTime::ZERO + SimDuration::from_millis(500);
+        let actions = committer.on_timer(now, tag);
+        assert_eq!(accepts(&actions), [(NodeId(2), position, ballot)]);
+        // Its vote completes the fast round.
+        let actions = committer.on_message(now, NodeId(2), &ack);
+        assert_eq!(fates(&actions), [(1, true, None)]);
     }
 
     #[test]
@@ -1099,16 +1284,7 @@ mod tests {
             vec![LogPosition(1), LogPosition(2)]
         );
         assert_eq!(committer.pending(), 0);
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            ClientAction::Send(
-                _,
-                Msg::Paxos(PaxosMsg::LeaderClaim {
-                    position: LogPosition(2),
-                    ..
-                })
-            )
-        )));
+        assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(2)));
         assert_eq!(sink.lock().pipeline_depth.iter().max(), Some(&2));
     }
 
@@ -1212,27 +1388,14 @@ mod tests {
         let filler = committer.submit(now, txn(&dir, 3, "x", LogPosition::ZERO));
         committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
         committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
+        // Another client claimed position 2 first, so the slot there is
+        // denied the fast path and runs a full prepare.
+        assert!(dir
+            .core(0)
+            .lock()
+            .leader_claim(GroupId(0), LogPosition(2), 9));
         let actions = complete_instance(&mut committer, now, &filler);
         assert_eq!(committer.slot_positions(), vec![LogPosition(2)]);
-        // Deny the fast path so the slot runs a full prepare.
-        let claim_position = actions
-            .iter()
-            .find_map(|a| match a {
-                ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. })) => {
-                    Some(*position)
-                }
-                _ => None,
-            })
-            .expect("claim");
-        let actions = committer.on_message(
-            now,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
-                group: GroupId(0),
-                position: claim_position,
-                granted: false,
-            }),
-        );
         let (position, ballot) = actions
             .iter()
             .find_map(|a| match a {

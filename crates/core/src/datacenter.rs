@@ -47,7 +47,10 @@ pub struct DatacenterCore {
     store: MvKvStore,
     logs: BTreeMap<GroupId, GroupLog>,
     /// First client to claim each (group, position) via the leader fast
-    /// path; later claimants are denied.
+    /// path; later claimants are denied. A position's claim goes when its
+    /// entry installs (or a base adopted from a peer covers it): from then
+    /// on [`DatacenterCore::has_entry`] refuses every claim there, so the
+    /// map holds only undecided positions.
     leader_claims: BTreeMap<(GroupId, LogPosition), u64>,
     /// Active read leases per group: position → number of readers pinned at
     /// it. Local clients lease their read position between `begin` and the
@@ -362,6 +365,7 @@ impl DatacenterCore {
         log.install(position, Arc::clone(&entry))
             .expect("replication property R1 violated: conflicting entry for a decided position");
         let prefix = log.contiguous_prefix();
+        self.leader_claims.remove(&(group, position));
         let ids = self.committed_ids.entry(group).or_default();
         for txn in entry.transactions() {
             ids.insert(txn.id);
@@ -885,6 +889,8 @@ impl DatacenterCore {
             .or_default()
             .extend(state.committed.iter().copied());
         self.logs.entry(group).or_default().restore_base(state.base);
+        self.leader_claims
+            .retain(|&(g, position), _| g != group || position > state.base);
         for (key, versions) in &state.rows {
             for (ts, row) in versions {
                 self.store.apply_idempotent(*key, row.clone(), *ts);
@@ -1245,6 +1251,25 @@ mod tests {
         // A position that already has a decided entry is never granted.
         core.install_entry(GROUP, LogPosition(2), write_entry(0, 1, 1, A, "1"));
         assert!(!core.leader_claim(GROUP, LogPosition(2), 10));
+    }
+
+    #[test]
+    fn an_installed_position_leaves_no_leader_claim_behind() {
+        let mut core = DatacenterCore::new("dc0", 0);
+        for p in 1..=3 {
+            assert!(core.leader_claim(GROUP, LogPosition(p), 10));
+        }
+        assert_eq!(core.leader_claims.len(), 3);
+        core.install_entry(GROUP, LogPosition(2), write_entry(0, 1, 1, A, "1"));
+        assert_eq!(
+            core.leader_claims.keys().collect::<Vec<_>>(),
+            [&(GROUP, LogPosition(1)), &(GROUP, LogPosition(3))]
+        );
+        // The installed position still refuses every claimant, its first
+        // one included.
+        assert!(!core.leader_claim(GROUP, LogPosition(2), 10));
+        assert!(!core.leader_claim(GROUP, LogPosition(2), 11));
+        assert_eq!(core.leader_claims.len(), 2);
     }
 
     #[test]

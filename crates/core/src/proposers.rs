@@ -13,11 +13,14 @@
 //! [`Proposers`] holds the running instances by key plus a
 //! `tag → (key, token)` timer route, turns a replica's reply into a
 //! [`ProposerEvent`] ([`ProposerEvent::from_reply`]), and carries out every
-//! [`ProposerAction`] itself: broadcasts go to every replica's service,
-//! leader claims to [`Directory::leader_replica`], timers are tagged from
-//! the embedding actor's counter with the delay its policy chooses, learned
-//! entries install at the host's datacenter, and a finished instance is
-//! removed and its [`CommitOutcome`] handed back. The caller keeps only what
+//! [`ProposerAction`] itself: broadcasts go to every replica's service, a
+//! single send to its replica's service, leader claims to
+//! [`Directory::leader_replica`] — or, for a caller that claims at home
+//! ([`Env::claim_as`]) while its datacenter is the group's home, to the
+//! host datacenter's core in the same step, with no message — timers are
+//! tagged from the embedding actor's counter with the delay its policy
+//! chooses, learned entries install at the host's datacenter, and a
+//! finished instance is removed and its [`CommitOutcome`] handed back. The caller keeps only what
 //! is its own: queueing, leases and results (session), windows, pipelining
 //! and survivors (committer), the janitor (service).
 //!
@@ -31,7 +34,7 @@ use crate::msg::Msg;
 use crate::session::ClientAction;
 use paxos::{CommitOutcome, PaxosMsg, Proposer, ProposerAction, ProposerEvent, TimerKind};
 use simnet::{NodeId, SimDuration};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use walog::{GroupId, LogEntry, LogPosition};
 
@@ -63,6 +66,15 @@ pub(crate) struct Env<'a> {
     /// The delay of each timer kind: the one policy the three callers
     /// deliberately choose differently.
     pub delay: &'a mut dyn FnMut(TimerKind) -> SimDuration,
+    /// Claim fast-path leadership at `home`'s core under this client
+    /// identity, in-process, instead of sending a `LeaderClaim`, while
+    /// `home` is the group's home ([`Directory::group_home`]). The group
+    /// committer runs in its group's home service, so it is the leader of
+    /// every position after one it won; once the home moves away (or if it
+    /// never was here) its claims go out as messages again, so the old and
+    /// the new home meet at one core. A session is a node of its own and
+    /// leaves this `None`, so its claim is a real hop.
+    pub claim_as: Option<u64>,
 }
 
 /// The running proposer instances of one caller, by key.
@@ -156,7 +168,10 @@ impl<K: Ord + Copy> Proposers<K> {
 
     /// Carry out every action of one batch, in order — a `Learned` after
     /// the `Finished` that removed its instance still installs: the learned
-    /// value is the group's decided history, not instance state.
+    /// value is the group's decided history, not instance state. A claim
+    /// made in-process is answered at once, and the answer's actions run
+    /// before the rest of the batch, which leaves the claim's reply timer
+    /// superseded and unarmed.
     pub fn apply(
         &mut self,
         key: K,
@@ -166,7 +181,12 @@ impl<K: Ord + Copy> Proposers<K> {
         out: &mut Vec<ClientAction>,
     ) -> Option<(K, CommitOutcome)> {
         let mut finished = None;
-        for action in actions {
+        // Arming supersedes every earlier timer of the instance, so a timer
+        // met after a later one is never armed: the reply timer of a claim
+        // answered in-process, which follows the answer's own timer.
+        let mut armed = 0;
+        let mut actions = VecDeque::from(actions);
+        while let Some(action) = actions.pop_front() {
             match action {
                 ProposerAction::Broadcast(msg) => {
                     for replica in 0..env.directory.num_replicas() {
@@ -176,16 +196,42 @@ impl<K: Ord + Copy> Proposers<K> {
                         ));
                     }
                 }
-                ProposerAction::SendToLeader(msg) => {
-                    let leader = env
-                        .directory
-                        .leader_replica(env.home, group, msg.position());
+                ProposerAction::SendToLeader(msg) => match env.claim_as {
+                    Some(client) if env.directory.group_home(group) == env.home => {
+                        let position = msg.position();
+                        let granted = env
+                            .directory
+                            .core(env.home)
+                            .lock()
+                            .leader_claim(group, position, client);
+                        let Some(proposer) = self.running.get_mut(&key) else {
+                            continue;
+                        };
+                        let answer =
+                            proposer.on_event(ProposerEvent::FastPathReply { position, granted });
+                        for action in answer.into_iter().rev() {
+                            actions.push_front(action);
+                        }
+                    }
+                    _ => {
+                        let leader = env
+                            .directory
+                            .leader_replica(env.home, group, msg.position());
+                        out.push(ClientAction::Send(
+                            env.directory.service_node(leader),
+                            Msg::Paxos(msg),
+                        ));
+                    }
+                },
+                ProposerAction::Send(replica, msg) => {
                     out.push(ClientAction::Send(
-                        env.directory.service_node(leader),
+                        env.directory.service_node(replica),
                         Msg::Paxos(msg),
                     ));
                 }
+                ProposerAction::ArmTimer { token, .. } if token < armed => {}
                 ProposerAction::ArmTimer { token, kind } => {
+                    armed = token;
                     let delay = (env.delay)(kind);
                     *env.next_tag += 1;
                     let tag = *env.next_tag;
@@ -245,6 +291,7 @@ mod tests {
             home: HOME,
             next_tag,
             delay: &mut |_| DELAY,
+            claim_as: None,
         };
         let finished = host.drive(input, env, &mut out);
         (out, finished)

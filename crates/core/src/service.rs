@@ -600,7 +600,8 @@ impl TransactionService {
 
     /// Feed the recovery instances' proposer host: learned entries install
     /// in this datacenter, and timers wait the message timeout, a backoff
-    /// drawn from the simulation RNG, or a fixed 50 ms gather window.
+    /// drawn from the simulation RNG, or a fixed 50 ms gather window (a
+    /// recovery instance never runs a fast round, so it never re-sends).
     fn drive_recovery(&mut self, ctx: &mut Context<Msg>, input: Input<'_, (GroupId, LogPosition)>) {
         let (timeout, backoff_max) = (self.message_timeout, self.backoff_max);
         let mut out = Vec::new();
@@ -609,10 +610,11 @@ impl TransactionService {
             home: self.replica,
             next_tag: &mut self.next_tag,
             delay: &mut |kind| match kind {
-                TimerKind::ReplyTimeout => timeout,
+                TimerKind::ReplyTimeout | TimerKind::Resend => timeout,
                 TimerKind::Backoff => ctx.rand_backoff(backoff_max),
                 TimerKind::Gather => SimDuration::from_millis(50),
             },
+            claim_as: None,
         };
         self.recovery.drive(input, env, &mut out);
         apply_client_actions(ctx, out);

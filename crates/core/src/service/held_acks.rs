@@ -22,8 +22,12 @@ pub const ACK_SYNC_LATENCY: SimDuration = SimDuration::from_micros(500);
 /// some held acknowledgement pays for before the service syncs it on its
 /// own.
 /// No acknowledgement depends on the record (the decision is replicated),
-/// but the entry applies only once it is durable.
-pub const DECIDED_FLUSH_DEADLINE: SimDuration = SimDuration::from_millis(1);
+/// but the entry applies only once it is durable. A read that needs the
+/// entry syncs at once, so the deadline bounds only how long the store
+/// lags the log, and how much a crash makes the votes restore. Long
+/// enough that, at low load, the record rides the next instance's vote
+/// sync instead of costing a sync of its own.
+pub const DECIDED_FLUSH_DEADLINE: SimDuration = SimDuration::from_millis(20);
 
 /// A sync deadline to arm: cancel the later timer it replaces, if any, set
 /// one for the deadline and hand it to [`HeldAcks::armed`].

@@ -193,6 +193,12 @@ impl ClientConfig {
                 SimDuration::from_micros(rng.gen_range(0..max))
             }
             TimerKind::Gather => self.gather_window,
+            // Only a group committer's slots re-send (`batch::FAST_RESENDS`).
+            // A quarter of the timeout outlasts an outage of a few hundred
+            // milliseconds (the rolling-failure scenarios' crashes and
+            // flaps last 300–400 ms); after the re-send the round waits the
+            // full timeout before it re-prepares.
+            TimerKind::Resend => SimDuration::from_micros(self.message_timeout.as_micros() / 4),
         }
     }
 
@@ -1027,6 +1033,7 @@ impl Session {
                 *backoffs += u64::from(kind == TimerKind::Backoff);
                 config.timer_delay(kind, rng)
             },
+            claim_as: None,
         };
         if let Some((handle, outcome)) = self.proposers.drive(input, env, out) {
             self.finish_direct(now, handle, outcome, out);
@@ -1391,6 +1398,7 @@ mod tests {
             home: 0,
             next_tag,
             delay: &mut |_| SimDuration::ZERO,
+            claim_as: None,
         };
         let (handle, outcome) = proposers
             .apply(h.raw(), group, actions, env, &mut out)

@@ -44,6 +44,13 @@ pub struct ProposerConfig {
     /// a single position without a decision (safety valve against pathological
     /// message loss; generous enough to never trigger in normal runs).
     pub max_rounds_per_position: u32,
+    /// How many times an incomplete fast round re-sends its accept to the
+    /// replicas that have not answered, one [`crate::TimerKind::Resend`]
+    /// apart, before it waits out the reply timeout. A fast round needs
+    /// every replica's vote, so one accept lost to a crash or a partition
+    /// that has since healed would otherwise hold the position for the
+    /// whole timeout. 0, the default, never re-sends.
+    pub fast_resends: u32,
 }
 
 impl ProposerConfig {
@@ -56,6 +63,7 @@ impl ProposerConfig {
             combination_enabled: false,
             fast_path: true,
             max_rounds_per_position: 64,
+            fast_resends: 0,
         }
     }
 
@@ -69,6 +77,7 @@ impl ProposerConfig {
             combination_enabled: true,
             fast_path: true,
             max_rounds_per_position: 64,
+            fast_resends: 0,
         }
     }
 
@@ -92,6 +101,12 @@ impl ProposerConfig {
     /// Builder-style override of the fast path switch.
     pub fn with_fast_path(mut self, enabled: bool) -> Self {
         self.fast_path = enabled;
+        self
+    }
+
+    /// Builder-style override of the fast-accept re-send count.
+    pub fn with_fast_resends(mut self, resends: u32) -> Self {
+        self.fast_resends = resends;
         self
     }
 }

@@ -57,6 +57,9 @@ pub enum TimerKind {
     /// waits a short extra window so `enhancedFindWinningVal` sees "more
     /// than a simple majority" of responses (§5), then chooses.
     Gather,
+    /// An incomplete fast round re-sends its accept to the replicas that
+    /// have not answered (see [`ProposerConfig::fast_resends`]).
+    Resend,
 }
 
 /// Inputs to the proposer state machine.
@@ -175,6 +178,8 @@ pub enum ProposerAction {
     /// Send the message to the leader of the current position (the driver
     /// knows which replica that is).
     SendToLeader(PaxosMsg),
+    /// Send the message to one replica.
+    Send(ReplicaId, PaxosMsg),
     /// Arm a timer of the given kind; deliver `ProposerEvent::Timer { token }`
     /// when it fires. Arming implicitly cancels any earlier timer.
     ArmTimer {
@@ -262,8 +267,26 @@ struct RoundState {
     prepare_replies: BTreeMap<ReplicaId, Vote>,
     accept_acks: usize,
     accept_rejects: usize,
+    /// The replicas whose accept reply was counted, one bit each: a second
+    /// reply from one replica (a duplicated delivery, or the answer to a
+    /// re-sent accept) is not a second vote.
+    accept_answered: u64,
+    /// Re-sends of this round's fast accept still allowed.
+    resends_left: u32,
     proposed: Option<Arc<LogEntry>>,
     gathering: bool,
+}
+
+impl RoundState {
+    /// Record `from`'s accept reply; false if one from it was counted
+    /// already.
+    fn first_answer_from(&mut self, from: ReplicaId) -> bool {
+        assert!(from < 64, "replica {from}: at most 64 replicas");
+        let bit = 1 << from;
+        let first = self.accept_answered & bit == 0;
+        self.accept_answered |= bit;
+        first
+    }
 }
 
 /// What the proposer is trying to get decided.
@@ -533,12 +556,15 @@ impl Proposer {
                 }
             }
             ProposerEvent::AcceptReply {
-                from: _,
+                from,
                 position,
                 ballot,
                 accepted,
             } => {
-                if self.phase == Phase::Accept && position == self.position && ballot == self.ballot
+                if self.phase == Phase::Accept
+                    && position == self.position
+                    && ballot == self.ballot
+                    && self.round.first_answer_from(from)
                 {
                     if accepted {
                         self.round.accept_acks += 1;
@@ -600,6 +626,12 @@ impl Proposer {
         self.phase = Phase::Accept;
         self.round.accept_acks = 0;
         self.round.accept_rejects = 0;
+        self.round.accept_answered = 0;
+        self.round.resends_left = if self.ballot.is_fast() {
+            self.cfg.fast_resends
+        } else {
+            0
+        };
         self.round.proposed = Some(Arc::clone(&value));
         out.push(ProposerAction::Broadcast(PaxosMsg::Accept {
             group: self.group,
@@ -607,7 +639,45 @@ impl Proposer {
             ballot: self.ballot,
             value,
         }));
-        out.push(self.arm_timer(TimerKind::ReplyTimeout));
+        out.push(self.arm_accept_timer());
+    }
+
+    /// The accept round waits for its replies under a [`TimerKind::Resend`]
+    /// while it may still re-send, then under the reply timeout.
+    fn arm_accept_timer(&mut self) -> ProposerAction {
+        if self.round.resends_left > 0 {
+            self.arm_timer(TimerKind::Resend)
+        } else {
+            self.arm_timer(TimerKind::ReplyTimeout)
+        }
+    }
+
+    /// Re-send the fast accept to every replica that has not answered it.
+    /// The acceptor treats the copy as a late delivery of the original (a
+    /// vote it already cast is cast again, a position it promised away
+    /// refuses it), so this changes nothing but how long a message lost to
+    /// a crash or a partition that has since healed holds the round up.
+    fn resend_accept(&mut self, out: &mut Vec<ProposerAction>) {
+        self.round.resends_left -= 1;
+        let value = self
+            .round
+            .proposed
+            .clone()
+            .expect("accept phase always has a proposed value");
+        for replica in 0..self.cfg.num_replicas {
+            if self.round.accept_answered & (1 << replica) == 0 {
+                out.push(ProposerAction::Send(
+                    replica,
+                    PaxosMsg::Accept {
+                        group: self.group,
+                        position: self.position,
+                        ballot: self.ballot,
+                        value: Arc::clone(&value),
+                    },
+                ));
+            }
+        }
+        out.push(self.arm_accept_timer());
     }
 
     fn maybe_finish_prepare(&mut self, out: &mut Vec<ProposerAction>) {
@@ -912,6 +982,7 @@ impl Proposer {
                     self.enter_backoff(out);
                 }
             }
+            Phase::Accept if self.round.resends_left > 0 => self.resend_accept(out),
             Phase::Accept => {
                 if self.round.accept_acks >= self.quorum_for_ballot() {
                     self.on_decided(out);
@@ -1156,6 +1227,93 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The token of the timer `actions` arm, with its kind.
+    fn armed(actions: &[ProposerAction]) -> (u64, TimerKind) {
+        actions
+            .iter()
+            .find_map(|a| match a {
+                ProposerAction::ArmTimer { token, kind } => Some((*token, *kind)),
+                _ => None,
+            })
+            .expect("a timer")
+    }
+
+    #[test]
+    fn a_duplicated_fast_accept_reply_is_not_a_second_vote() {
+        let mut p = proposer(ProposerConfig::basic(3));
+        p.start();
+        p.on_event(ProposerEvent::FastPathReply {
+            position: LogPosition(1),
+            granted: true,
+        });
+        assert!(p.on_event(accept_reply(&p, 0, true)).is_empty());
+        assert!(p.on_event(accept_reply(&p, 1, true)).is_empty());
+        // Replica 1's reply delivered twice: still two voters of three.
+        assert!(p.on_event(accept_reply(&p, 1, true)).is_empty());
+        let actions = p.on_event(accept_reply(&p, 2, true));
+        assert!(finished(&actions).unwrap().committed);
+    }
+
+    #[test]
+    fn an_incomplete_fast_round_resends_its_accept_to_the_silent_replicas_only() {
+        let mut p = proposer(ProposerConfig::basic(3).with_fast_resends(1));
+        p.start();
+        let actions = p.on_event(ProposerEvent::FastPathReply {
+            position: LogPosition(1),
+            granted: true,
+        });
+        let (token, kind) = armed(&actions);
+        assert_eq!(kind, TimerKind::Resend);
+        p.on_event(accept_reply(&p, 0, true));
+        p.on_event(accept_reply(&p, 2, true));
+        // Replica 1 never answered: only it gets the accept again, and the
+        // round then waits out the reply timeout as before.
+        let actions = p.on_event(ProposerEvent::Timer { token });
+        match &actions[..] {
+            [ProposerAction::Send(1, PaxosMsg::Accept { ballot, .. }), ProposerAction::ArmTimer {
+                kind: TimerKind::ReplyTimeout,
+                ..
+            }] => assert!(ballot.is_fast()),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Its vote completes the unanimous fast round.
+        let actions = p.on_event(accept_reply(&p, 1, true));
+        assert!(finished(&actions).unwrap().committed);
+    }
+
+    #[test]
+    fn a_fast_round_out_of_resends_recovers_through_prepare() {
+        let mut p = proposer(ProposerConfig::basic(3).with_fast_resends(1));
+        p.start();
+        let actions = p.on_event(ProposerEvent::FastPathReply {
+            position: LogPosition(1),
+            granted: true,
+        });
+        let (token, _) = armed(&actions);
+        let (token, kind) = armed(&p.on_event(ProposerEvent::Timer { token }));
+        assert_eq!(kind, TimerKind::ReplyTimeout);
+        let actions = p.on_event(ProposerEvent::Timer { token });
+        match &actions[0] {
+            ProposerAction::Broadcast(PaxosMsg::Prepare { ballot, .. }) => {
+                assert!(!ballot.is_fast())
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_classic_accept_round_never_resends() {
+        let mut p = proposer(
+            ProposerConfig::basic(3)
+                .with_fast_path(false)
+                .with_fast_resends(1),
+        );
+        p.start();
+        p.on_event(prepare_reply(&p, 0, true, None));
+        let actions = p.on_event(prepare_reply(&p, 1, true, None));
+        assert_eq!(armed(&actions).1, TimerKind::ReplyTimeout);
     }
 
     #[test]

@@ -95,6 +95,16 @@ impl Harness {
                         }
                     }
                 }
+                ProposerAction::Send(acceptor_idx, msg) => {
+                    if !self.dropped() {
+                        let reply = self.acceptor_handle(acceptor_idx, &msg);
+                        if let Some(reply) = reply {
+                            if !self.dropped() {
+                                self.inboxes[proposer_idx].push_back(reply);
+                            }
+                        }
+                    }
+                }
                 ProposerAction::ArmTimer { token, .. } => {
                     self.pending_timers[proposer_idx].push(token);
                 }

@@ -101,13 +101,17 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
     // already holds (`ProposerEvent::Decided`) instead of re-preparing them
     // after a back-off: that change drops rounds and timers from the direct
     // route on purpose, and only from it. The group-committer and
-    // recovery-janitor literals were re-taken on top of commit 4723bc9, when
-    // the group committer began opening an instance as soon as a pipeline
-    // slot is free instead of waiting for its window to fill, and a demoted
-    // home stopped proposing its window: that change moves when committer
-    // instances open and how many members they carry, and only that. A
-    // refactor that moves a message, a timer or an RNG draw on any of the
-    // three paths changes one of these fingerprints.
+    // recovery-janitor literals were re-taken on top of commit d6ae05d, when
+    // the group committer began claiming each slot's position at its own
+    // datacenter's core in-process while it homes the group, instead of
+    // sending a `LeaderClaim` (to its own service, or to the datacenter of
+    // the client whose member won the previous position), and a slot began
+    // re-sending an incomplete fast accept once to the replicas that had
+    // not answered (`ProposerConfig::fast_resends`): that change removes
+    // the committer's claim round trips, moves when its accepts leave and
+    // shortens its fast rounds under faults, and only that. A refactor that
+    // moves a message, a timer or an RNG draw on any of the three paths
+    // changes one of these fingerprints.
     let paper = |protocol| {
         LoadSpec::paper_default(Topology::vvv(), protocol)
             .named("determinism-regression")
@@ -141,7 +145,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
             paper(CommitProtocol::PaxosCp),
             0xe6ba879ff9dd66bb,
         ),
-        ("group committer", committer, 0xf2ab1b50da00c26a),
+        ("group committer", committer, 0x3547ebe84b8e8abb),
         (
             "direct route under rolling crashes",
             crashes,
@@ -152,7 +156,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
         (
             "recovery janitor",
             LoadSpec::rolling_failure(SimDuration::from_secs(4)).with_seed(777),
-            0x8170d410d7ab78f1,
+            0x3c292b1e2846be89,
         ),
     ];
     let moved: Vec<String> = pinned
