@@ -6,10 +6,11 @@
 //! on disk: a `PrepareReply`/`AcceptReply` sent before the `persist_*`
 //! call would let the proposer count a quorum member whose state can
 //! evaporate in a crash, which is exactly the lost-promise anomaly the WAL
-//! exists to rule out. This lint finds every non-test *construction* of
-//! `PaxosMsg::PrepareReply { .. }` / `PaxosMsg::AcceptReply { .. }` and
-//! requires an earlier call to an ident starting with `persist` inside the
-//! same function body. Match arms that *destructure* those variants
+//! exists to rule out. A vote's copy to a member's client (`Msg::VoteCopy`)
+//! is an acknowledgement too: the client counts it towards a decision. This
+//! lint finds every non-test *construction* of the [`ACKS`] and requires an
+//! earlier call to an ident starting with `persist` inside the same
+//! function body. Match arms that *destructure* those variants
 //! (proposer-side handling) are not constructions and are skipped — a
 //! pattern is recognised by a `..` rest inside the braces or a `=>` / `|`
 //! after them.
@@ -34,6 +35,14 @@ use crate::source::Workspace;
 /// sync covers its record.
 pub const RELEASE_PATH: &str = "ack_after_sync";
 
+/// The acknowledgements an acceptor sends, as `(enum, variant)`: a promise,
+/// a vote, and a vote's copy to a member's client.
+pub const ACKS: [(&str, &str); 3] = [
+    ("PaxosMsg", "PrepareReply"),
+    ("PaxosMsg", "AcceptReply"),
+    ("Msg", "VoteCopy"),
+];
+
 /// Run the persist-before-ack lint over the workspace.
 pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -42,12 +51,17 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         let bodies = fn_body_ranges(toks);
         for i in 0..toks.len() {
             let t = &toks[i];
-            if t.in_test || (t.text != "PrepareReply" && t.text != "AcceptReply") {
-                continue;
-            }
             // Only the message variants carry the ack; `ProposerEvent::*`
             // constructions are the proposer ingesting replies, not acks.
-            if i < 2 || toks[i - 1].text != "::" || toks[i - 2].text != "PaxosMsg" {
+            let Some(&(enum_name, _)) = ACKS.iter().find(|(enum_name, variant)| {
+                t.text == *variant
+                    && i >= 2
+                    && toks[i - 1].text == "::"
+                    && toks[i - 2].text == *enum_name
+            }) else {
+                continue;
+            };
+            if t.in_test {
                 continue;
             }
             if toks.get(i + 1).is_none_or(|n| n.text != "{") {
@@ -72,12 +86,12 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
             });
             let message = if !persisted {
                 format!(
-                    "`PaxosMsg::{}` is constructed with no preceding `persist*(...)` call in this handler — the acceptor must be durable before it acks",
+                    "`{enum_name}::{}` is constructed with no preceding `persist*(...)` call in this handler — the acceptor must be durable before it acks",
                     t.text
                 )
             } else if sent_by_ctx(toks, i - 2, start) {
                 format!(
-                    "`PaxosMsg::{}` goes straight to `ctx.send` after a deferred `persist*(...)` append — hand it to `{RELEASE_PATH}` so it leaves only once a sync covers its record",
+                    "`{enum_name}::{}` goes straight to `ctx.send` after a deferred `persist*(...)` append — hand it to `{RELEASE_PATH}` so it leaves only once a sync covers its record",
                     t.text
                 )
             } else {
@@ -258,6 +272,20 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("ctx.send"), "{f:?}");
         assert!(f[0].message.contains(RELEASE_PATH), "{f:?}");
+    }
+
+    #[test]
+    fn a_vote_copy_sent_straight_to_ctx_send_fires_and_one_held_with_the_vote_does_not() {
+        let src = "fn on_accept(&mut self, ctx: &mut Context<Msg>) {\n\
+                   let held = accepted && core.persist_vote(g, p, b, &v);\n\
+                   self.ack_after_sync(ctx, from, held, Msg::Paxos(PaxosMsg::AcceptReply { group: g, position: p, ballot: b, accepted }));\n\
+                   self.ack_after_sync(ctx, client, held, Msg::VoteCopy { group: g, position: p, ballot: b, entry: e, promotions: 0 });\n\
+                   ctx.send(client, Msg::VoteCopy { group: g, position: p, ballot: b, entry: e, promotions: 0 });\n\
+                   }";
+        let f = findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("Msg::VoteCopy"), "{f:?}");
+        assert!(f[0].message.contains("ctx.send"), "{f:?}");
     }
 
     #[test]

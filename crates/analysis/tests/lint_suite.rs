@@ -226,6 +226,27 @@ fn persist_before_ack_fires_on_replies_sent_before_the_sync() {
 }
 
 #[test]
+fn persist_before_ack_fires_on_a_vote_copy_sent_before_the_sync() {
+    let ws = ws(
+        &[(
+            "crates/core/src/service.rs",
+            "persist/copy_sent_before_sync.rs",
+        )],
+        &[],
+    );
+    let report = analysis::run(&ws);
+    assert_eq!(report.active.len(), 1, "{}", report.render());
+    let finding = &report.active[0];
+    assert_eq!(finding.lint, lints::PERSIST_BEFORE_ACK);
+    assert!(
+        finding.message.contains("Msg::VoteCopy"),
+        "{}",
+        finding.message
+    );
+    assert!(finding.message.contains("ctx.send"), "{}", finding.message);
+}
+
+#[test]
 fn stale_waiver_fails_the_run() {
     let ws = Workspace::from_sources(
         &[(

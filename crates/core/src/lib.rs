@@ -31,7 +31,9 @@
 //!   [`CommitRoute::Direct`] (the paper's client-driven proposer,
 //!   Algorithm 2) or [`CommitRoute::Submitted`] (ship the transaction to
 //!   the group home's service, which batches it with other clients'
-//!   commits).
+//!   commits). A submitted commit from outside the group's home learns
+//!   its fate from copies of the acceptors' votes ([`VoteTally`]) one
+//!   wide-area hop before the home's reply would bring it.
 //! * [`GroupCommitter`] — the batching commit pipeline: independent
 //!   transactions ride a single Paxos-CP instance as one combined entry,
 //!   amortizing the wide-area round trips. Hosted by the group home's
@@ -54,6 +56,7 @@ pub mod batch;
 pub mod cluster;
 pub mod datacenter;
 pub mod directory;
+pub mod learner;
 pub mod metrics;
 pub mod msg;
 pub mod parallel;
@@ -66,6 +69,7 @@ pub use batch::{BatchConfig, GroupCommitter};
 pub use cluster::{ChaosReplay, Cluster, ClusterConfig};
 pub use datacenter::{DatacenterCore, GroupState, RestartReport};
 pub use directory::Directory;
+pub use learner::{Learned, VoteTally};
 pub use metrics::{LatencyStats, MetricsHub, RunMetrics};
 pub use msg::Msg;
 pub use parallel::{ParallelCluster, ParallelClusterConfig};

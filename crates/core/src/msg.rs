@@ -14,7 +14,7 @@
 //! *values* are owned strings.
 
 use crate::datacenter::GroupState;
-use paxos::{AbortReason, PaxosMsg};
+use paxos::{AbortReason, Ballot, PaxosMsg};
 use std::sync::Arc;
 use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction, TxnId};
 
@@ -89,6 +89,27 @@ pub enum Msg {
         /// Abort reason when not committed.
         abort_reason: Option<AbortReason>,
     },
+    /// A copy of an acceptor's vote on a group committer slot's own entry,
+    /// sent by the voting datacenter's service to the client of each of
+    /// the entry's members outside the committer's datacenter, behind the
+    /// same sync as the vote itself. Once copies from the ballot's quorum
+    /// ([`paxos::quorum_for_ballot`]) name one entry at one position, the
+    /// entry is decided there and the client answers its members without
+    /// waiting for the [`Msg::CommitReply`] ([`crate::VoteTally`]).
+    VoteCopy {
+        /// Transaction group.
+        group: GroupId,
+        /// Log position voted on.
+        position: LogPosition,
+        /// Ballot of the vote.
+        ballot: Ballot,
+        /// The voted entry's transactions, in entry order: which value the
+        /// vote is for, and the members it carries. More than one member
+        /// means they commit combined.
+        entry: Arc<[TxnId]>,
+        /// Promotions every member of the entry went through.
+        promotions: u32,
+    },
     /// A datacenter's answer to a prepare or accept at a position it
     /// forgot — at or below the snapshot base its last restart restored —
     /// sent to the service of the requester's datacenter instead of a
@@ -106,6 +127,7 @@ impl Msg {
             Msg::SnapshotReadReply { .. } => "snapshot_read_reply",
             Msg::CommitRequest { .. } => "commit_request",
             Msg::CommitReply { .. } => "commit_reply",
+            Msg::VoteCopy { .. } => "vote_copy",
             Msg::CatchUp(_) => "catch_up",
         }
     }
@@ -120,7 +142,6 @@ impl From<PaxosMsg> for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxos::Ballot;
 
     #[test]
     fn kinds_and_conversion() {

@@ -66,7 +66,7 @@ use paxos::{PaxosMsg, Proposer, ProposerConfig, TimerKind};
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use walog::{AttrId, GroupId, KeyId, LogPosition, Transaction};
+use walog::{AttrId, GroupId, KeyId, LogEntry, LogPosition, Transaction};
 
 /// Timer tag reserved for the janitor tick (recovery/committer tags count
 /// up from 1 and can never collide with it).
@@ -205,7 +205,7 @@ impl TransactionService {
                         next_bal: outcome.next_bal,
                         last_vote: outcome.last_vote,
                     };
-                    (held, Msg::Paxos(reply))
+                    (held, Msg::Paxos(reply), Vec::new())
                 });
             }
             PaxosMsg::Accept {
@@ -213,9 +213,17 @@ impl TransactionService {
                 position,
                 ballot,
                 value,
+                promotions,
             } => {
                 // Persist-before-ack, as for promises: a cast vote must be
-                // durable before the acceptance is acknowledged.
+                // durable before the acceptance is acknowledged. A vote on
+                // a committer slot's own entry is also copied to its
+                // members' clients outside the committer's datacenter,
+                // behind the same sync.
+                let copy_to = match promotions {
+                    Some(_) => self.vote_copy_targets(from, &value),
+                    None => Vec::new(),
+                };
                 self.acceptor_step(ctx, from, group, position, |core| {
                     let accepted = core
                         .acceptor()
@@ -227,7 +235,24 @@ impl TransactionService {
                         ballot,
                         accepted,
                     };
-                    (held, Msg::Paxos(reply))
+                    let copies = match promotions {
+                        Some(promotions) if accepted && !copy_to.is_empty() => {
+                            let entry = value.transactions().iter().map(|t| t.id).collect();
+                            let copy = Msg::VoteCopy {
+                                group,
+                                position,
+                                ballot,
+                                entry,
+                                promotions,
+                            };
+                            copy_to
+                                .iter()
+                                .map(|&client| (client, copy.clone()))
+                                .collect()
+                        }
+                        _ => Vec::new(),
+                    };
+                    (held, Msg::Paxos(reply), copies)
                 });
             }
             PaxosMsg::Apply {
@@ -289,10 +314,31 @@ impl TransactionService {
         }
     }
 
+    /// The clients a vote on `value`, proposed by `from`, is copied to:
+    /// each member's registered client outside the proposer's datacenter,
+    /// once, in entry order. A client in the proposer's datacenter learns
+    /// nearly as soon from the proposer's reply.
+    fn vote_copy_targets(&self, from: NodeId, value: &LogEntry) -> Vec<NodeId> {
+        let Some(proposer) = self.directory.replica_of_service(from) else {
+            return Vec::new();
+        };
+        let mut clients = Vec::new();
+        for txn in value.transactions() {
+            let client = txn.id.client;
+            let replica = self.directory.replica_of_client_raw(u64::from(client));
+            let node = NodeId(client);
+            if replica.is_some_and(|r| r != proposer) && !clients.contains(&node) {
+                clients.push(node);
+            }
+        }
+        clients
+    }
+
     /// Answer a prepare or accept from `from` at `position` with the reply
     /// `step` builds under the core lock, which also says whether it
-    /// appended a record the reply must wait for. A position this
-    /// datacenter forgot gets its group state instead. Every answer hints
+    /// appended a record the reply must wait for, and which vote copies
+    /// wait with the reply. A position this datacenter forgot gets its
+    /// group state instead. Every answer hints
     /// the janitor: a prepare at an undecided position is the wedge signal
     /// (read-carrying clients re-preparing behind an orphaned vote), a cast
     /// vote is what an orphaned position is made of, and a rejected accept
@@ -304,22 +350,25 @@ impl TransactionService {
         from: NodeId,
         group: GroupId,
         position: LogPosition,
-        step: impl FnOnce(&mut DatacenterCore) -> (bool, Msg),
+        step: impl FnOnce(&mut DatacenterCore) -> (bool, Msg, Vec<(NodeId, Msg)>),
     ) {
         let reply = {
             let mut core = self.core.lock();
             if core.forgot(group, position) {
                 None
             } else {
-                let (held, reply) = step(&mut core);
-                Some((held.then(|| core.incarnation()), reply))
+                let (held, reply, copies) = step(&mut core);
+                Some((held.then(|| core.incarnation()), reply, copies))
             }
         };
-        let Some((held, reply)) = reply else {
+        let Some((held, reply, copies)) = reply else {
             self.send_catch_up(ctx, from, group);
             return;
         };
         self.ack_after_sync(ctx, from, held, reply);
+        for (client, copy) in copies {
+            self.ack_after_sync(ctx, client, held, copy);
+        }
         self.hint_orphan(ctx, group);
     }
 
@@ -638,7 +687,7 @@ impl Actor<Msg> for TransactionService {
                 self.handle_commit_request(ctx, from, req_id, txn);
             }
             Msg::CatchUp(state) => self.adopt(ctx, &state),
-            Msg::SnapshotReadReply { .. } | Msg::CommitReply { .. } => {
+            Msg::SnapshotReadReply { .. } | Msg::CommitReply { .. } | Msg::VoteCopy { .. } => {
                 // Services never issue read or commit requests; stray
                 // replies are ignored.
             }
@@ -707,7 +756,7 @@ mod tests {
     use paxos::Ballot;
     use simnet::{NetworkConfig, Simulation};
     use std::sync::Arc as StdArc;
-    use walog::{ItemRef, LogEntry, Transaction, TxnId};
+    use walog::{ItemRef, TxnId};
 
     const GROUP: GroupId = GroupId(0);
     const ROW: KeyId = KeyId(0);
@@ -791,6 +840,7 @@ mod tests {
                         position: LogPosition(1),
                         ballot,
                         value: Arc::clone(&value_clone),
+                        promotions: None,
                     }),
                 ),
                 (
@@ -870,6 +920,7 @@ mod tests {
                 proposer: 1,
             },
             value: entry(3, A, "v"),
+            promotions: None,
         });
         let (mut sim, core, received) = single_dc_harness(move |svc| {
             [prepare(1, 5), prepare(2, 5), accept.clone(), prepare(1, 3)]
@@ -1156,6 +1207,90 @@ mod tests {
             1,
             "the retry must not commit the member a second time"
         );
+    }
+
+    #[test]
+    fn a_vote_on_a_committer_slots_own_entry_is_copied_to_its_remote_members_clients() {
+        // Datacenter 0's service votes on accepts from datacenter 1's
+        // service (a prober registered as that replica's service node).
+        // The entry's members belong to a client in datacenter 0 (two of
+        // them), a client in the proposer's datacenter and a client no one
+        // registered: only the first gets a copy, and only one.
+        let mut sim: Simulation<Msg> =
+            Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
+        let (dc0, dc1) = (sim.add_site("dc0"), sim.add_site("dc1"));
+        let directory = Directory::new();
+        let core = DatacenterCore::shared("dc0", 0);
+        let timeout = SimDuration::from_secs(2);
+        let service = TransactionService::new(0, core.clone(), directory.clone(), timeout);
+        let service_node = sim.add_node(dc0, Box::new(service));
+        directory.register_datacenter(service_node, core);
+        let mut client = |site, replica| {
+            let received = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+            let to_send = Vec::new();
+            let prober = Prober {
+                to_send,
+                received: received.clone(),
+            };
+            let node = sim.add_node(site, Box::new(prober));
+            directory.register_client(node, replica);
+            (node, received)
+        };
+        let (local, local_got) = client(dc0, 0);
+        let (remote, remote_got) = client(dc1, 1);
+        let ids = [
+            TxnId::new(local.0, 1),
+            TxnId::new(remote.0, 2),
+            TxnId::new(77, 3),
+            TxnId::new(local.0, 4),
+        ];
+        let value = Arc::new(LogEntry::combined(
+            ids.iter()
+                .enumerate()
+                .map(|(i, id)| {
+                    Transaction::builder(*id, GROUP, LogPosition(0))
+                        .write(ItemRef::new(ROW, AttrId(i as u32)), "v")
+                        .build()
+                })
+                .collect(),
+        ));
+        let ballot = Ballot::fast(9);
+        let accept = |position, promotions| {
+            let value = Arc::clone(&value);
+            let position = LogPosition(position);
+            let accept = PaxosMsg::Accept {
+                group: GROUP,
+                position,
+                ballot,
+                value,
+                promotions,
+            };
+            (service_node, Msg::Paxos(accept))
+        };
+        let proposer_got = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        let proposer = Prober {
+            to_send: vec![accept(1, Some(1)), accept(2, None)],
+            received: proposer_got.clone(),
+        };
+        let proposer_node = sim.add_node(dc1, Box::new(proposer));
+        directory.register_datacenter(proposer_node, DatacenterCore::shared("dc1", 1));
+        sim.run_for(SimDuration::from_millis(50));
+
+        let votes = proposer_got.lock();
+        assert_eq!(votes.len(), 2, "both accepts are voted on: {votes:?}");
+        let copies = local_got.lock().clone();
+        let entry: Arc<[TxnId]> = ids.into();
+        assert_eq!(
+            copies,
+            [Msg::VoteCopy {
+                group: GROUP,
+                position: LogPosition(1),
+                ballot,
+                entry,
+                promotions: 1,
+            }]
+        );
+        assert!(remote_got.lock().is_empty(), "the proposer's datacenter");
     }
 
     #[test]

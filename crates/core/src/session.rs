@@ -24,7 +24,10 @@
 //!   [`Msg::CommitRequest`]; the service-hosted
 //!   [`crate::GroupCommitter`] batches it with commits from every client
 //!   of the group into pipelined Paxos-CP instances and answers with a
-//!   [`Msg::CommitReply`]. Any number of submitted commits may be in
+//!   [`Msg::CommitReply`]. A session outside the group's home usually
+//!   learns a commit one wide-area hop sooner, from copies of the
+//!   acceptors' votes ([`Msg::VoteCopy`], counted by a
+//!   [`crate::VoteTally`]). Any number of submitted commits may be in
 //!   flight at once — this is where overlapping transactions pay off.
 //!
 //! Read-mostly traffic has a third path that skips the commit machinery
@@ -47,6 +50,7 @@
 
 use crate::datacenter::SharedCore;
 use crate::directory::Directory;
+use crate::learner::VoteTally;
 use crate::msg::Msg;
 use crate::proposers::{Env, Input, Proposers};
 use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer, ProposerConfig, TimerKind};
@@ -337,7 +341,8 @@ enum Phase {
     Queued,
     /// Direct route: the session's proposer host runs this commit.
     Direct,
-    /// Submitted route: waiting for the group home's `CommitReply`.
+    /// Submitted route: waiting for the vote copies or the group home's
+    /// `CommitReply`, whichever answers first.
     Submitted {
         /// Correlation id of the outstanding `CommitRequest`.
         req_id: u64,
@@ -391,6 +396,9 @@ pub struct Session {
     /// Armed patience timers of submitted commits: tag → (raw handle,
     /// request id).
     patience: BTreeMap<u64, (u64, u64)>,
+    /// Copies of the acceptors' votes on submitted commits, counted until
+    /// one value reaches its quorum; keyed by raw handle.
+    votes: VoteTally<u64>,
     /// The direct route's running proposers, by raw handle.
     proposers: Proposers<u64>,
     /// Automatic re-submissions performed over the session's lifetime.
@@ -425,6 +433,7 @@ impl Session {
             direct_queue: BTreeMap::new(),
             submitted: BTreeMap::new(),
             patience: BTreeMap::new(),
+            votes: VoteTally::default(),
             proposers: Proposers::default(),
             resubmissions: 0,
             direct_backoffs: 0,
@@ -850,6 +859,7 @@ impl Session {
         }
         let attempts = txn.submit_attempts;
         let transaction = self.build_transaction(handle);
+        self.votes.expect(transaction.id, handle);
         let home = self.directory.group_home(transaction.group);
         self.next_tag += 1;
         let tag = self.next_tag;
@@ -916,30 +926,79 @@ impl Session {
                         return self.send_submitted(handle);
                     }
                 }
-                let txn = self
-                    .open
-                    .remove(&handle)
-                    .expect("submitted commits stay open until their reply");
                 debug_assert!(
-                    matches!(txn.phase, Phase::Submitted { req_id: r } if r == *req_id),
+                    matches!(
+                        self.open.get(&handle).map(|t| &t.phase),
+                        Some(Phase::Submitted { req_id: r }) if r == req_id
+                    ),
                     "commit reply must match the handle's outstanding request"
                 );
-                self.release_lease(&txn);
-                let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
-                vec![ClientAction::Finished(TxnResult {
+                let fate = TxnResult {
                     committed: *committed,
                     read_only: false,
                     promotions: *promotions,
                     combined: *combined,
                     rounds: *rounds,
-                    latency: now.since(commit_started),
-                    total_latency: now.since(txn.began_at),
+                    latency: SimDuration::ZERO,
+                    total_latency: SimDuration::ZERO,
                     abort_reason: *abort_reason,
-                    txn: txn.id,
-                })]
+                    txn: None,
+                };
+                vec![self.answer_submitted(now, handle, fate)]
+            }
+            Msg::VoteCopy {
+                group,
+                position,
+                ballot,
+                entry,
+                promotions,
+            } => {
+                let Some(voter) = self.directory.replica_of_service(from) else {
+                    return Vec::new();
+                };
+                let replicas = self.directory.num_replicas();
+                let learned = self.votes.count(
+                    voter,
+                    replicas,
+                    *group,
+                    *position,
+                    *ballot,
+                    entry,
+                    *promotions,
+                );
+                let Some(learned) = learned else {
+                    return Vec::new();
+                };
+                learned
+                    .members
+                    .iter()
+                    .map(|&(_, handle)| self.answer_submitted(now, handle, learned.fate()))
+                    .collect()
             }
             _ => Vec::new(),
         }
+    }
+
+    /// Close the submitted commit `handle` with `fate`: its outstanding
+    /// request is settled, so a late reply or patience timer finds nothing.
+    fn answer_submitted(&mut self, now: SimTime, handle: u64, fate: TxnResult) -> ClientAction {
+        let txn = self
+            .open
+            .remove(&handle)
+            .expect("submitted commits stay open until they are answered");
+        if let Phase::Submitted { req_id } = txn.phase {
+            self.submitted.remove(&req_id);
+        }
+        let id = txn.id.expect("a submitted commit has its id");
+        self.votes.forget(id);
+        self.release_lease(&txn);
+        let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
+        ClientAction::Finished(TxnResult {
+            latency: now.since(commit_started),
+            total_latency: now.since(txn.began_at),
+            txn: Some(id),
+            ..fate
+        })
     }
 
     /// Feed a timer expiration (tag previously returned in
@@ -966,23 +1025,18 @@ impl Session {
         if attempts < self.config.max_resubmissions {
             return self.send_submitted(handle);
         }
-        let txn = self
-            .open
-            .remove(&handle)
-            .expect("submitted commits stay open until their reply");
-        self.release_lease(&txn);
-        let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
-        vec![ClientAction::Finished(TxnResult {
+        let fate = TxnResult {
             committed: false,
             read_only: false,
             promotions: 0,
             combined: false,
             rounds: 0,
-            latency: now.since(commit_started),
-            total_latency: now.since(txn.began_at),
+            latency: SimDuration::ZERO,
+            total_latency: SimDuration::ZERO,
             abort_reason: Some(AbortReason::Unavailable),
-            txn: txn.id,
-        })]
+            txn: None,
+        };
+        vec![self.answer_submitted(now, handle, fate)]
     }
 
     /// Feed the direct route's proposer host, then — after a reply or a
@@ -1545,6 +1599,86 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(!session.is_open(h));
+    }
+
+    #[test]
+    fn a_remote_submitted_commit_is_answered_from_the_vote_copies_before_its_reply() {
+        // Three datacenters; the group's home is datacenter 0 and the
+        // session lives in datacenter 1. The home's committer proposes the
+        // member under a fast ballot, so it is decided once every replica
+        // voted: the third distinct copy answers it, a duplicate does not
+        // count, and the home's late reply and the patience timer find
+        // nothing left to answer.
+        let dir = Directory::new();
+        for replica in 0..3u32 {
+            let core = DatacenterCore::shared(format!("dc{replica}"), replica as usize);
+            dir.register_datacenter(NodeId(replica), core);
+        }
+        let config = ClientConfig::cp().with_route(CommitRoute::Submitted);
+        let mut session = Session::new(NodeId(5), 1, dir, config);
+        register(&session);
+        let h = session.begin(SimTime::ZERO, "g");
+        session.write(h, "row", "a", "1").unwrap();
+        let actions = session.commit(SimTime::from_micros(50), h).unwrap();
+        let (req_id, txn_id, group) = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::Send(NodeId(0), Msg::CommitRequest { req_id, txn }) => {
+                    Some((*req_id, txn.id, txn.group))
+                }
+                _ => None,
+            })
+            .expect("commit request to the group home service");
+        let tag = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::ArmTimer { tag, .. } => Some(*tag),
+                _ => None,
+            })
+            .expect("patience timer");
+        let copy = Msg::VoteCopy {
+            group,
+            position: LogPosition(1),
+            ballot: Ballot::fast(0),
+            entry: [TxnId::new(9, 1), txn_id].into(),
+            promotions: 1,
+        };
+        let at = SimTime::from_micros(2_300);
+        assert!(session.on_message(at, NodeId(1), &copy).is_empty());
+        assert!(session.on_message(at, NodeId(1), &copy).is_empty());
+        assert!(session.on_message(at, NodeId(0), &copy).is_empty());
+        let done = session.on_message(at, NodeId(2), &copy);
+        match &done[..] {
+            [ClientAction::Finished(r)] => {
+                assert!(r.committed);
+                assert!(r.combined, "two transactions share the entry");
+                assert_eq!(r.promotions, 1);
+                assert_eq!(r.txn, Some(txn_id));
+                assert_eq!(r.latency, SimDuration::from_micros(2_250));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(!session.is_open(h));
+        assert!(!session.votes.holds(txn_id));
+
+        let reply = Msg::CommitReply {
+            req_id,
+            group,
+            txn: txn_id,
+            committed: true,
+            promotions: 1,
+            combined: true,
+            rounds: 0,
+            abort_reason: None,
+        };
+        let late = SimTime::from_micros(3_000);
+        assert!(session.on_message(late, NodeId(0), &reply).is_empty());
+        assert!(session
+            .on_timer(SimTime::from_micros(16_000_000), tag)
+            .is_empty());
+        assert!(session.on_message(late, NodeId(2), &copy).is_empty());
+        assert_eq!(session.resubmissions(), 0);
+        assert_eq!(session.open_transactions(), 0);
     }
 
     #[test]

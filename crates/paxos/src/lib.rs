@@ -36,6 +36,7 @@ pub use ballot::Ballot;
 pub use config::{CommitProtocol, ProposerConfig};
 pub use msg::{PaxosMsg, ReplicaId};
 pub use proposer::{
-    AbortReason, CommitOutcome, Proposer, ProposerAction, ProposerEvent, TimerKind,
+    quorum_for_ballot, AbortReason, CommitOutcome, Proposer, ProposerAction, ProposerEvent,
+    TimerKind,
 };
 pub use selector::{enhanced_find_winning_val, find_winning_val, ValueChoice, Vote};

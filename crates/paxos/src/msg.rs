@@ -55,6 +55,13 @@ pub enum PaxosMsg {
         /// Proposed value: one transaction (basic Paxos) or an ordered list
         /// (Paxos-CP combination), or a no-op (recovery).
         value: Arc<LogEntry>,
+        /// Set only when a pipelined batch proposes its own entry: the
+        /// promotions its members went through, the same for every member.
+        /// An acceptor that casts such a vote also copies it to the
+        /// members' clients, which learn their fate from the copies; a
+        /// direct client's accept, a recovery no-op, an adopted value and
+        /// a combination with other proposers' members carry `None`.
+        promotions: Option<u32>,
     },
     /// Step 4: a replica's answer to an accept.
     AcceptReply {
@@ -166,6 +173,7 @@ mod tests {
                 position: LogPosition(3),
                 ballot: Ballot::initial(1),
                 value: Arc::new(LogEntry::noop()),
+                promotions: None,
             },
             PaxosMsg::AcceptReply {
                 group: g,
@@ -205,6 +213,7 @@ mod tests {
             position: LogPosition(1),
             ballot: Ballot::initial(1),
             value: Arc::clone(&value),
+            promotions: None,
         };
         let copy = msg.clone();
         match (&msg, &copy) {

@@ -302,6 +302,18 @@ enum Goal {
     Recover,
 }
 
+/// Accepts at one ballot that decide its value among `num_replicas`
+/// acceptors: every replica for a fast (round-0) ballot, a simple majority
+/// otherwise. The proposer decides by it, and so does a client counting
+/// copies of the acceptors' votes.
+pub fn quorum_for_ballot(ballot: Ballot, num_replicas: usize) -> usize {
+    if ballot.is_fast() {
+        num_replicas
+    } else {
+        num_replicas / 2 + 1
+    }
+}
+
 /// The proposer state machine for one transaction's commit attempt.
 pub struct Proposer {
     cfg: ProposerConfig,
@@ -632,14 +644,26 @@ impl Proposer {
         } else {
             0
         };
-        self.round.proposed = Some(Arc::clone(&value));
-        out.push(ProposerAction::Broadcast(PaxosMsg::Accept {
+        let accept = self.accept(&value);
+        self.round.proposed = Some(value);
+        out.push(ProposerAction::Broadcast(accept));
+        out.push(self.arm_accept_timer());
+    }
+
+    /// The accept of `value` at the current position and ballot. A
+    /// pipelined batch's own entry carries the members' promotions, which
+    /// lets its acceptors copy their votes to the members' clients; any
+    /// other value carries none.
+    fn accept(&self, value: &Arc<LogEntry>) -> PaxosMsg {
+        let own = self.defer_promotion
+            && (Arc::ptr_eq(value, &self.own_entry) || **value == *self.own_entry);
+        PaxosMsg::Accept {
             group: self.group,
             position: self.position,
             ballot: self.ballot,
-            value,
-        }));
-        out.push(self.arm_accept_timer());
+            value: Arc::clone(value),
+            promotions: own.then_some(self.promotions),
+        }
     }
 
     /// The accept round waits for its replies under a [`TimerKind::Resend`]
@@ -664,17 +688,10 @@ impl Proposer {
             .proposed
             .clone()
             .expect("accept phase always has a proposed value");
+        let accept = self.accept(&value);
         for replica in 0..self.cfg.num_replicas {
             if self.round.accept_answered & (1 << replica) == 0 {
-                out.push(ProposerAction::Send(
-                    replica,
-                    PaxosMsg::Accept {
-                        group: self.group,
-                        position: self.position,
-                        ballot: self.ballot,
-                        value: Arc::clone(&value),
-                    },
-                ));
+                out.push(ProposerAction::Send(replica, accept.clone()));
             }
         }
         out.push(self.arm_accept_timer());
@@ -796,7 +813,7 @@ impl Proposer {
         // replica, so any quorum the prepare reaches either sees it or sees
         // two conflicting round-0 votes — in which case neither was decided
         // and the choice is free.
-        let needed = self.quorum_for_ballot();
+        let needed = quorum_for_ballot(self.ballot, self.cfg.num_replicas);
         if acks >= needed {
             self.on_decided(out);
         } else if acks + outstanding < needed {
@@ -809,16 +826,6 @@ impl Proposer {
                 // A majority can no longer be reached in this round.
                 self.enter_backoff(out);
             }
-        }
-    }
-
-    /// Accepts required to decide at the current ballot: all replicas for a
-    /// fast (round-0) ballot, a simple majority otherwise.
-    fn quorum_for_ballot(&self) -> usize {
-        if self.ballot.is_fast() {
-            self.cfg.num_replicas
-        } else {
-            self.cfg.majority()
         }
     }
 
@@ -984,7 +991,7 @@ impl Proposer {
             }
             Phase::Accept if self.round.resends_left > 0 => self.resend_accept(out),
             Phase::Accept => {
-                if self.round.accept_acks >= self.quorum_for_ballot() {
+                if self.round.accept_acks >= quorum_for_ballot(self.ballot, self.cfg.num_replicas) {
                     self.on_decided(out);
                 } else if self.ballot.is_fast() {
                     // An incomplete fast round is never decided; recover it
@@ -2010,6 +2017,7 @@ mod tests {
                 position: LogPosition(1),
                 ballot,
                 value: Arc::clone(&vote),
+                promotions: None,
             },
             PaxosMsg::Apply {
                 group: g,
@@ -2159,5 +2167,77 @@ mod tests {
         assert!(!outcome.committed);
         assert!(outcome.committed_txns.is_empty() && outcome.aborted_txns.is_empty());
         assert!(p.is_finished());
+    }
+
+    #[test]
+    fn a_fast_ballot_needs_every_replica_and_a_classic_one_a_majority() {
+        let fast = Ballot::fast(7);
+        let classic = Ballot::initial(7);
+        for (replicas, majority) in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3)] {
+            assert_eq!(quorum_for_ballot(fast, replicas), replicas);
+            assert_eq!(quorum_for_ballot(classic, replicas), majority);
+            assert_eq!(
+                quorum_for_ballot(classic.advance_past(Some(Ballot::initial(9))), replicas),
+                majority
+            );
+        }
+    }
+
+    /// The `promotions` of the accepts `actions` send.
+    fn accepted_promotions(actions: &[ProposerAction]) -> Vec<Option<u32>> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ProposerAction::Broadcast(PaxosMsg::Accept { promotions, .. })
+                | ProposerAction::Send(_, PaxosMsg::Accept { promotions, .. }) => Some(*promotions),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_a_pipelined_batchs_own_entry_carries_its_promotions() {
+        let batch = || vec![own_txn(&[], &[A])];
+        let granted = |p: &mut Proposer| {
+            p.start();
+            p.on_event(ProposerEvent::FastPathReply {
+                position: p.current_position(),
+                granted: true,
+            })
+        };
+        // A pipelined slot's own entry, on the fast path and on its re-send.
+        let cfg = ProposerConfig::cp(3).with_fast_resends(1);
+        let mut slot =
+            Proposer::new_batch_pipelined(cfg, GroupId(0), 7, batch(), LogPosition(1), 2, false);
+        assert_eq!(accepted_promotions(&granted(&mut slot)), [Some(2)]);
+        let token = slot.timer_token;
+        let resent = slot.on_event(ProposerEvent::Timer { token });
+        assert_eq!(accepted_promotions(&resent), [Some(2), Some(2), Some(2)]);
+
+        // A slot that adopts another proposer's vote carries none.
+        let cfg = ProposerConfig::cp(3).with_fast_path(false);
+        let mut slot =
+            Proposer::new_batch_pipelined(cfg, GroupId(0), 7, batch(), LogPosition(1), 0, false);
+        slot.start();
+        let vote = Some((Ballot::initial(9), other_entry(&[A])));
+        slot.on_event(prepare_reply(&slot, 0, true, vote.clone()));
+        let adopted = slot.on_event(prepare_reply(&slot, 1, true, vote));
+        assert_eq!(accepted_promotions(&adopted), [None]);
+
+        // A direct client's accept and a recovery no-op carry none either.
+        let mut direct = Proposer::new(
+            ProposerConfig::cp(3),
+            GroupId(0),
+            7,
+            batch(),
+            LogPosition(1),
+        );
+        assert_eq!(accepted_promotions(&granted(&mut direct)), [None]);
+        let mut recovery =
+            Proposer::new_recovery(ProposerConfig::basic(3), GroupId(0), 7, LogPosition(1));
+        recovery.start();
+        recovery.on_event(prepare_reply(&recovery, 0, true, None));
+        let noop = recovery.on_event(prepare_reply(&recovery, 1, true, None));
+        assert_eq!(accepted_promotions(&noop), [None]);
     }
 }

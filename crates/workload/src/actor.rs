@@ -13,7 +13,8 @@ use crate::spec::{Arrival, Keyspace, LoadSpec, OpMix};
 use crate::zipf::KeySampler;
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    apply_client_actions, AbortReason, ClientAction, Msg, RunMetrics, Session, TxnHandle, TxnResult,
+    apply_client_actions, AbortReason, ClientAction, Msg, RunMetrics, Session, TxnHandle,
+    TxnResult, VoteTally,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -97,6 +98,9 @@ pub struct SnapshotReadSample {
 pub(crate) struct Tally {
     /// Every commit the client saw: group, id and decision instant (µs).
     pub committed: Vec<(GroupId, TxnId, u64)>,
+    /// Commits answered from vote copies before the home's reply: group,
+    /// id and the position the copies named.
+    pub early: Vec<(GroupId, TxnId, LogPosition)>,
     /// Outcomes surfaced as `Unavailable` after the retry budget ran out.
     pub unavailable: u64,
     /// Times the clock timer fired.
@@ -198,6 +202,9 @@ pub struct LoadActor {
     /// `max_open_snapshots` slots, as (scheduled arrival, key).
     backlog: VecDeque<(u64, u64)>,
     open_snapshots: usize,
+    /// Wire port: copies of the acceptors' votes on the actor's commits,
+    /// keyed by in-flight key.
+    votes: VoteTally<u64>,
     /// The instant the clock timer is armed for, if it is.
     armed_for: Option<u64>,
     finished: bool,
@@ -249,6 +256,7 @@ impl LoadActor {
             awaiting_id: Vec::new(),
             backlog: VecDeque::new(),
             open_snapshots: 0,
+            votes: VoteTally::default(),
             armed_for: None,
             finished: false,
             sinks,
@@ -306,7 +314,7 @@ impl LoadActor {
         }
         let now_us = ctx.now().as_micros();
         self.run_due_ops(ctx, now_us);
-        self.expire(now_us);
+        self.expire(ctx.node(), now_us);
         self.issue_due(ctx, now_us);
         if self.exhausted && self.in_flight.is_empty() && self.backlog.is_empty() {
             self.finished = true;
@@ -520,6 +528,7 @@ impl LoadActor {
             req_id: self.seq,
             txn: txn.build(),
         };
+        self.votes.expect(id, self.seq);
         ctx.send(target.services[target.home], request);
         self.track(now_us, origin_us, target.group, Stage::Committing);
     }
@@ -589,7 +598,8 @@ impl LoadActor {
 
     /// Give up on the requests this actor minds whose patience ran out —
     /// all of them at the deadline. Every outcome is charged from its origin.
-    fn expire(&mut self, now_us: u64) {
+    /// `node` is the actor's own, which its wire commits' ids name.
+    fn expire(&mut self, node: NodeId, now_us: u64) {
         let force = self.deadline_us.is_some_and(|deadline| now_us >= deadline);
         let patience_us = self.patience_us;
         let overdue = |since_us: u64| force || since_us + patience_us <= now_us;
@@ -599,12 +609,16 @@ impl LoadActor {
             .take_while(|(_, entry)| overdue(entry.submitted_us))
             .filter_map(|(seq, entry)| self.minds(entry).then_some(*seq))
             .collect();
-        for entry in given_up.iter().filter_map(|seq| self.in_flight.remove(seq)) {
+        for (seq, entry) in given_up
+            .into_iter()
+            .filter_map(|seq| Some((seq, self.in_flight.remove(&seq)?)))
+        {
             if let Stage::Reading { core, sample, .. } = &entry.stage {
                 core.lock().end_read_lease(sample.group, sample.at);
                 self.open_snapshots -= 1;
                 self.sinks.tally.lock().reads_shed += 1;
             } else {
+                self.votes.forget(TxnId::new(node.0, seq));
                 let mut metrics = self.sinks.metrics.lock();
                 metrics.attempted += 1;
                 metrics.aborted += 1;
@@ -619,7 +633,7 @@ impl LoadActor {
         self.exhausted |= force;
     }
 
-    fn on_wire_reply(&mut self, ctx: &mut Context<Msg>, msg: Msg) {
+    fn on_wire_reply(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
         let now_us = ctx.now().as_micros();
         match msg {
             Msg::CommitReply {
@@ -632,10 +646,12 @@ impl LoadActor {
                 abort_reason,
                 ..
             } => {
-                // Late replies for already-expired requests are dropped.
+                // Late replies for requests already answered from vote
+                // copies, or expired, are dropped.
                 let Some(entry) = self.in_flight.remove(&req_id) else {
                     return;
                 };
+                self.votes.forget(txn);
                 let result = TxnResult {
                     committed,
                     read_only: false,
@@ -648,6 +664,39 @@ impl LoadActor {
                     txn: Some(txn),
                 };
                 self.record(now_us, &entry, result);
+            }
+            Msg::VoteCopy {
+                group,
+                position,
+                ballot,
+                entry,
+                promotions,
+            } => {
+                let Some(target) = self.targets.iter().find(|t| t.group == group) else {
+                    return;
+                };
+                let Some(voter) = target.services.iter().position(|s| *s == from) else {
+                    return;
+                };
+                let replicas = target.services.len();
+                let learned = self
+                    .votes
+                    .count(voter, replicas, group, position, ballot, &entry, promotions);
+                let Some(learned) = learned else {
+                    return;
+                };
+                let fate = learned.fate();
+                for (txn, seq) in learned.members {
+                    let Some(in_flight) = self.in_flight.remove(&seq) else {
+                        continue;
+                    };
+                    self.sinks.tally.lock().early.push((group, txn, position));
+                    let result = TxnResult {
+                        txn: Some(txn),
+                        ..fate.clone()
+                    };
+                    self.record(now_us, &in_flight, result);
+                }
             }
             Msg::SnapshotReadReply {
                 req_id,
@@ -720,9 +769,22 @@ impl Actor<Msg> for LoadActor {
         match &mut self.port {
             Some(session) if !matches!(msg, Msg::SnapshotReadReply { .. }) => {
                 let actions = session.on_message(ctx.now(), from, &msg);
+                if let Msg::VoteCopy {
+                    group, position, ..
+                } = msg
+                {
+                    // What a copy finishes, the session answered from the
+                    // copies.
+                    let mut tally = self.sinks.tally.lock();
+                    for action in &actions {
+                        if let ClientAction::Finished(TxnResult { txn: Some(id), .. }) = action {
+                            tally.early.push((group, *id, position));
+                        }
+                    }
+                }
                 self.settle(ctx, actions);
             }
-            _ => self.on_wire_reply(ctx, msg),
+            _ => self.on_wire_reply(ctx, from, msg),
         }
         self.tick(ctx);
     }

@@ -101,7 +101,8 @@ struct Driven {
 ///
 /// Panics if the decided logs violate replica agreement or one-copy
 /// serializability; if a commit a client observed is missing from — or
-/// duplicated in — the merged decided log; if a snapshot read came back
+/// duplicated in — the merged decided log, or one it learned from vote
+/// copies is not at the position they named; if a snapshot read came back
 /// unavailable or unexplained at its watermark; if a read lease leaked; if
 /// a closed-loop transaction never reached an outcome; or if a
 /// [`LoadSpec::liveness_window`] of the load phase committed nothing.
@@ -195,8 +196,25 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
                 } => Duration::from_micros((duration + grace).as_micros()) + Duration::from_secs(2),
                 Arrival::Closed { .. } => Duration::from_secs(600),
             };
+            // A commit answered from vote copies can finish its actor
+            // before its entry reaches any log, so the run also waits for
+            // every such entry to be installed at its group's home.
             let done = Arc::clone(&fleet.done);
-            let report = cluster.run(budget, move || done.load(Ordering::SeqCst) >= actors);
+            let tallies = fleet.tallies.clone();
+            let homes: HashMap<GroupId, SharedCore> = targets
+                .iter()
+                .map(|t| (t.group, Arc::clone(&t.cores[t.home])))
+                .collect();
+            let installed = move || {
+                tallies.iter().all(|tally| {
+                    let tally = tally.lock();
+                    let mut early = tally.early.iter();
+                    early.all(|(group, _, at)| homes[group].lock().has_entry(*group, *at))
+                })
+            };
+            let report = cluster.run(budget, move || {
+                done.load(Ordering::SeqCst) >= actors && installed()
+            });
             let driven = Driven {
                 symbols: cluster.symbols(),
                 check: cluster.verify().expect(DIVERGED),
@@ -241,6 +259,7 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
     for actor in &fleet.tallies {
         let mut actor = actor.lock();
         tally.committed.append(&mut actor.committed);
+        tally.early.append(&mut actor.early);
         tally.unavailable += actor.unavailable;
         tally.clock_firings += actor.clock_firings;
         tally.reads_unavailable += actor.reads_unavailable;
@@ -283,6 +302,29 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
             times == 1 || (times == 0 && indexed()),
             "{name}: client-observed commit {id:?} appears {times} times in the merged decided \
              log (and, if behind a truncation floor, in no committed-id index)"
+        );
+    }
+
+    // Early answers: a commit a client learned from vote copies is decided
+    // at the position the copies named — or, behind every replica's
+    // truncation floor, in a committed-id index.
+    for &(group, id, position) in &tally.early {
+        let at = groups.iter().position(|g| *g == group);
+        let replicas = at.map_or(&[][..], |at| &logs[at][..]);
+        let truncated = || replicas.iter().all(|log| position <= log.base());
+        let indexed = || {
+            distinct
+                .iter()
+                .any(|core| core.lock().is_committed(group, id))
+        };
+        let found = match replicas.iter().find_map(|log| log.get(position)) {
+            Some(entry) => entry.contains(id),
+            None => truncated() && indexed(),
+        };
+        assert!(
+            found,
+            "{name}: commit {id:?} was answered from vote copies at {position:?}, which the \
+             decided log does not hold it at"
         );
     }
 
@@ -365,6 +407,7 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
         durable_restarts: driven.replay.durable_restarts,
         torn_wal_tails: driven.replay.torn_wal_tails,
         clock_firings: tally.clock_firings,
+        early_answers: tally.early.len(),
     }
 }
 

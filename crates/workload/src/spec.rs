@@ -542,6 +542,9 @@ pub struct LoadResult {
     pub torn_wal_tails: u64,
     /// Times the actors' arrival clocks fired, summed.
     pub clock_firings: u64,
+    /// Commits answered from copies of the acceptors' votes before the
+    /// home's reply, each audited against the decided log.
+    pub early_answers: usize,
 }
 
 impl LoadResult {

@@ -109,7 +109,13 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
     // re-sending an incomplete fast accept once to the replicas that had
     // not answered (`ProposerConfig::fast_resends`): that change removes
     // the committer's claim round trips, moves when its accepts leave and
-    // shortens its fast rounds under faults, and only that. A refactor that
+    // shortens its fast rounds under faults, and only that. Both were
+    // re-taken again on top of commit 1461d29, when an acceptor's vote on a
+    // committer slot's own entry began to be copied to the clients of its
+    // members outside the committer's datacenter, which answer a commit
+    // once the copies show its entry decided: that change adds the copy
+    // messages and moves those clients' decision instants, and only on the
+    // submitted route; the direct route sends no copies. A refactor that
     // moves a message, a timer or an RNG draw on any of the three paths
     // changes one of these fingerprints.
     let paper = |protocol| {
@@ -145,7 +151,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
             paper(CommitProtocol::PaxosCp),
             0xe6ba879ff9dd66bb,
         ),
-        ("group committer", committer, 0x3547ebe84b8e8abb),
+        ("group committer", committer, 0x4f3adca91ccce109),
         (
             "direct route under rolling crashes",
             crashes,
@@ -156,7 +162,7 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
         (
             "recovery janitor",
             LoadSpec::rolling_failure(SimDuration::from_secs(4)).with_seed(777),
-            0x3c292b1e2846be89,
+            0x2e6c8034f0074e40,
         ),
     ];
     let moved: Vec<String> = pinned

@@ -6,8 +6,9 @@
 //! typed behaviours: replay stops at the first bad frame and never
 //! resynchronises past it, a short read of the final record costs exactly
 //! that record, and an injected fsync error withholds the ack without
-//! poisoning the log. Acknowledgements the service holds for a sync never
-//! leave when that sync fails or a crash comes first.
+//! poisoning the log. Acknowledgements the service holds for a sync, and
+//! the vote copies held with them, never leave when that sync fails or a
+//! crash comes first.
 
 use mdstore::{
     apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, DatacenterCore,
@@ -783,6 +784,7 @@ fn hold_a_vote_and_a_promise(cluster: &mut Cluster, g: GroupId) -> Arc<Mutex<Vec
             proposer: 88,
         },
         value,
+        promotions: None,
     });
     let received = add_prober(cluster, 1, 0, vec![vote, prepare(g, 2)]);
     let core = cluster.core(0);
@@ -829,6 +831,83 @@ fn held_acknowledgements_die_with_a_crash_before_their_sync() {
     cluster.run_for(SimDuration::from_millis(50));
     assert_eq!(acked_positions(&fresh), [3]);
     assert_eq!(acked_positions(&received), Vec::<u64>::new());
+    storage::remove_scratch_dir(&dir);
+}
+
+/// A client in datacenter 1 that submits one blind write to the service of
+/// datacenter `home` and records who sent it each vote copy.
+struct CopyRecorder {
+    home: NodeId,
+    group: GroupId,
+    voters: Arc<Mutex<Vec<NodeId>>>,
+}
+
+impl Actor<Msg> for CopyRecorder {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
+        let txn = Transaction::builder(TxnId::new(ctx.node().0, 1), self.group, LogPosition::ZERO)
+            .write(ItemRef::new(ROW, A), "copied")
+            .build();
+        ctx.send(self.home, Msg::CommitRequest { req_id: 1, txn });
+    }
+    fn on_message(&mut self, _ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+        if matches!(msg, Msg::VoteCopy { .. }) {
+            self.voters.lock().push(from);
+        }
+    }
+}
+
+/// A vote's copy to a member's client waits for the same sync as the vote
+/// reply, so it dies with it: datacenter 2 votes on the home's accept and
+/// crashes with a torn tail before its sync. After the restart from disk
+/// and the recovery, the client has copies from datacenters 0 and 1 only —
+/// until the committer's re-send, 500 ms in, draws a fresh vote.
+#[test]
+fn a_held_vote_copy_dies_with_a_crash_before_its_sync() {
+    let dir = storage::scratch_dir("held-copy-crash");
+    let mut cluster = durable_cluster(&dir, |_| {});
+    let g = cluster.symbols().group("g");
+    cluster.directory().set_group_home(g, 0);
+    let voters = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&voters);
+    let home = cluster.service_node(0);
+    cluster.add_client(1, |_| {
+        Box::new(CopyRecorder {
+            home,
+            group: g,
+            voters: sink,
+        })
+    });
+    let core = cluster.core(2);
+    while core
+        .lock()
+        .acceptor()
+        .current_vote(g, LogPosition(1))
+        .is_none()
+    {
+        assert!(cluster.sim_mut().step(), "the accept never arrived");
+    }
+    assert_eq!(
+        core.lock().storage_stats().unwrap().syncs,
+        0,
+        "nothing synced yet"
+    );
+    cluster.crash_datacenter(2);
+    core.lock().inject_torn_wal_tail();
+    cluster.restart_datacenter_from_disk(2).unwrap();
+    assert!(core
+        .lock()
+        .acceptor()
+        .current_vote(g, LogPosition(1))
+        .is_none());
+    cluster.recover_datacenter(2);
+    cluster.run_for(SimDuration::from_millis(50));
+    let voters = voters.lock().clone();
+    let from = |replica| voters.contains(&cluster.service_node(replica));
+    assert!(
+        from(0) && from(1),
+        "the synced votes are copied: {voters:?}"
+    );
+    assert!(!from(2), "the held copy left after the crash: {voters:?}");
     storage::remove_scratch_dir(&dir);
 }
 

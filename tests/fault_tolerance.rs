@@ -506,6 +506,7 @@ fn seed_orphaned_position(cluster: &mut Cluster) {
                     position: LogPosition(1),
                     ballot,
                     value: Arc::clone(&value),
+                    promotions: None,
                 }),
             )
         })
@@ -617,6 +618,7 @@ fn janitor_attempt_budget_resets_when_traffic_rehints_after_healing() {
                     position: LogPosition(1),
                     ballot,
                     value: Arc::clone(&value),
+                    promotions: None,
                 }),
             ),
         ];
@@ -766,6 +768,7 @@ fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
             position,
             ballot,
             value,
+            promotions: None,
         },
     );
     let window: Vec<Transaction> = (0..10)
