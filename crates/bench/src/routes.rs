@@ -9,7 +9,7 @@
 //! overlapping commits of one group are dueling Paxos proposers: they race
 //! for the same position, promote past each other and pay a round trip per
 //! transaction. Under `Submitted`, every client's commits funnel into the
-//! group home's one [`mdstore::GroupCommitter`], which windows compatible
+//! group home's one group committer, which windows compatible
 //! transactions into shared instances and pipelines the rest — one
 //! prepare/accept exchange decides many transactions and nobody duels.
 //!

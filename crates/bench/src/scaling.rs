@@ -9,8 +9,8 @@
 //! runs: writers placed round-robin over the VVV datacenters commit blind
 //! single-write transactions over a million uniform keys, each routed to
 //! group `key % groups`, through the **submitted commit route**. The
-//! group home's service-hosted [`mdstore::GroupCommitter`] batches and
-//! pipelines them, the same engine real client sessions use.
+//! group home's service-hosted group committer batches and pipelines
+//! them, the same engine real client sessions use.
 //!
 //! Two load shapes:
 //!

@@ -1,11 +1,12 @@
-//! Client-side proposal batching: the per-group pipelined commit engine.
+//! Group commit: the per-group pipelined commit engine the Transaction
+//! Service hosts for the submitted commit route.
 //!
 //! The paper's evaluation runs one Paxos instance per transaction, one at a
-//! time. A [`GroupCommitter`] instead drives a **pipelined,
+//! time. A `GroupCommitter` instead drives a **pipelined,
 //! work-conserving** commit engine for one transaction group:
 //!
-//! * **Batching** — the independent transactions a client produces within a
-//!   submission window commit in a *single* Paxos-CP instance: the window
+//! * **Batching** — the independent transactions clients submit within a
+//!   window commit in a *single* Paxos-CP instance: the window
 //!   travels as one combined log entry, so one prepare/accept exchange plus
 //!   one piggybacked apply broadcast decide every member, amortizing the
 //!   wide-area round trips that dominate geo-replicated commit latency.
@@ -53,23 +54,20 @@
 //! slot, with no `LeaderClaim` message to its own service or to the
 //! datacenter of whichever session's member won the previous position; the
 //! unanimous fast round keeps this safe against a direct-route client that
-//! claimed the same position elsewhere. Outside the home (a group it never
-//! homed, or one whose home moved away) its claims go out as messages
-//! routed by [`Directory::leader_replica`], like a session's, so two
-//! committers racing for one position meet at one core. A slot re-sends an
-//! incomplete fast accept once to the replicas that have not answered
-//! ([`paxos::ProposerConfig::fast_resends`]): unanimity would otherwise
-//! let one accept lost to a brief outage hold the position for the whole
-//! reply timeout.
+//! claimed the same position elsewhere. A slot re-sends an incomplete fast
+//! accept once to the replicas that have not answered
+//! ([`paxos::ProposerConfig::fast_resends`]): unanimity would otherwise let
+//! one accept lost to a brief outage hold the position for the whole reply
+//! timeout.
 //!
-//! A committer whose datacenter was the group's home at its last opening
-//! and no longer is proposes nothing more from its window: it answers each
-//! waiting member [`AbortReason::Unavailable`], so the session resubmits
-//! to the new home at once instead of racing it with a second copy.
-//! In-flight slots still drive to a decision.
-//! Wire a committer with [`GroupCommitter::with_metrics`] to record
-//! per-window occupancy, pipeline depth and split/stale counters into a
-//! shared [`RunMetrics`].
+//! Only the group's home proposes. A committer whose datacenter is not the
+//! home — the home moved away, or the service never homed the group and
+//! received a request in flight across a home move — opens nothing from its
+//! window: it answers each waiting member [`AbortReason::Unavailable`], and
+//! the session re-sends to the home the directory names at once. In-flight
+//! slots still drive to a decision.
+//! A committer given a shared [`RunMetrics`] sink records per-window
+//! occupancy, pipeline depth and split/stale counters into it.
 
 use crate::datacenter::SharedCore;
 use crate::directory::Directory;
@@ -98,7 +96,7 @@ const REPOLL: SimDuration = SimDuration::from_millis(5);
 /// before it waits out the reply timeout and re-prepares.
 pub(crate) const FAST_RESENDS: u32 = 1;
 
-/// Tuning knobs of a [`GroupCommitter`].
+/// Tuning knobs of the service-hosted group committers.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
     /// Hard cap on transactions per window (= per Paxos-CP instance).
@@ -195,10 +193,6 @@ pub struct GroupCommitter {
     window: VecDeque<PendingTxn>,
     /// Tag of the armed window re-poll timer, if any.
     window_tag: Option<u64>,
-    /// Whether this committer's datacenter was the group's home at any
-    /// opening so far. Once it has been, the committer proposes nothing
-    /// from its window while another replica is home.
-    has_been_home: bool,
     /// In-flight instances, ascending by position.
     slots: Vec<Slot>,
     /// Highest position any slot has competed for. A speculative open must
@@ -216,7 +210,8 @@ pub struct GroupCommitter {
 
 impl GroupCommitter {
     /// Create a committer for `group`, running on `node` and homed in the
-    /// datacenter with replica index `home_replica`.
+    /// datacenter with replica index `home_replica`, recording its window
+    /// and pipeline counters into `metrics` if given.
     pub fn new(
         node: NodeId,
         home_replica: usize,
@@ -224,6 +219,7 @@ impl GroupCommitter {
         directory: Arc<Directory>,
         config: ClientConfig,
         batch: BatchConfig,
+        metrics: Option<Arc<Mutex<RunMetrics>>>,
     ) -> Self {
         GroupCommitter {
             node,
@@ -235,47 +231,12 @@ impl GroupCommitter {
             rng: StdRng::seed_from_u64(0x51ed_270b ^ node.0 as u64),
             window: VecDeque::new(),
             window_tag: None,
-            has_been_home: false,
             slots: Vec::new(),
             highest_opened: LogPosition::ZERO,
             proposers: Proposers::default(),
             next_tag: 0,
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Record per-window occupancy, pipeline depth and split/stale counters
-    /// into a shared [`RunMetrics`] sink as they happen (the same sink the
-    /// embedding actor typically records [`TxnResult`]s into).
-    pub fn with_metrics(mut self, metrics: Arc<Mutex<RunMetrics>>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The group this committer serves.
-    pub fn group(&self) -> GroupId {
-        self.group
-    }
-
-    /// The group's current read position at the local datacenter: the
-    /// position new transactions for this committer should read at.
-    pub fn read_position(&self) -> LogPosition {
-        self.home_core().lock().read_position(self.group)
-    }
-
-    /// Transactions buffered for a future instance.
-    pub fn pending(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Whether any instance is currently in flight.
-    pub fn committing(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    /// Number of instances currently in flight (pipeline occupancy).
-    pub fn depth_in_flight(&self) -> usize {
-        self.slots.len()
     }
 
     /// The log positions of the in-flight instances, ascending.
@@ -297,19 +258,6 @@ impl GroupCommitter {
 
     fn pipeline_full(&self) -> bool {
         self.slots.len() >= self.batch.pipeline_depth.max(1)
-    }
-
-    /// Drop every not-yet-proposed window member and return their ids.
-    ///
-    /// Used by a service recovering from a crash for groups it no longer
-    /// homes: each dropped member's client timed out during the outage and
-    /// re-submitted to the new home (nothing pending was ever answered), so
-    /// flushing the stale copy here would race the new home's instance and
-    /// could commit the transaction twice. In-flight slots are untouched —
-    /// their instances were already proposed and must be driven to a
-    /// decision either way.
-    pub fn drop_pending_window(&mut self) -> Vec<TxnId> {
-        self.window.drain(..).map(|p| p.txn.id).collect()
     }
 
     /// Give up the in-flight slots at or below `through`: positions the
@@ -381,7 +329,8 @@ impl GroupCommitter {
     }
 
     /// Open whatever free slots the waiting members can board now (into a
-    /// speculative slot when instances are already in flight).
+    /// speculative slot when instances are already in flight); outside the
+    /// group's home, answer them all `Unavailable` instead.
     pub fn flush(&mut self, now: SimTime) -> Vec<ClientAction> {
         let mut out = Vec::new();
         self.open_slots(now, &mut out);
@@ -408,18 +357,14 @@ impl GroupCommitter {
     /// Open as many pipeline slots as the window, the depth and the
     /// speculation rules allow, each taking up to the cap of eligible
     /// members, then arm the re-poll for whoever could not board. A
-    /// demoted home answers its whole window instead.
+    /// committer outside the group's home answers its whole window instead.
     fn open_slots(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
-        if !self.window.is_empty() {
-            let home = self.directory.group_home(self.group) == self.home_replica;
-            self.has_been_home |= home;
-            if self.has_been_home && !home {
-                // The new home owns these members: a copy proposed here
-                // would race the session's retry there and could commit
-                // twice. `Unavailable` sends the session to the new home.
-                let unavailable = Some(AbortReason::Unavailable);
-                out.extend(self.window.drain(..).map(|p| p.settle(now, unavailable)));
-            }
+        if !self.window.is_empty() && self.directory.group_home(self.group) != self.home_replica {
+            // The home owns these members: a copy proposed here would race
+            // the session's retry there and could commit twice.
+            // `Unavailable` sends the session to the home.
+            let unavailable = Some(AbortReason::Unavailable);
+            out.extend(self.window.drain(..).map(|p| p.settle(now, unavailable)));
         }
         loop {
             if self.pipeline_full() || self.window.is_empty() {
@@ -693,6 +638,7 @@ mod tests {
             dir.clone(),
             ClientConfig::cp(),
             batch,
+            None,
         );
         (dir, committer)
     }
@@ -702,9 +648,10 @@ mod tests {
     }
 
     /// `committer` wired to a fresh metrics sink.
-    fn metered(committer: GroupCommitter) -> (GroupCommitter, Arc<Mutex<RunMetrics>>) {
+    fn metered(mut committer: GroupCommitter) -> (GroupCommitter, Arc<Mutex<RunMetrics>>) {
         let sink = Arc::new(Mutex::new(RunMetrics::default()));
-        (committer.with_metrics(Arc::clone(&sink)), sink)
+        committer.metrics = Some(Arc::clone(&sink));
+        (committer, sink)
     }
 
     fn txn(dir: &Directory, seq: u64, attr: &str, read_position: LogPosition) -> Transaction {
@@ -818,7 +765,7 @@ mod tests {
         committer.submit(now, blind);
         complete_instance(&mut committer, now, &filler);
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
-        assert_eq!(committer.pending(), 0);
+        assert_eq!(committer.window.len(), 0);
         // The home adopted a peer's state covering position 2, where the
         // first member committed.
         dir.core(0).lock().install_entry(
@@ -844,7 +791,7 @@ mod tests {
         // A free slot takes the member now, on the fast path, instead of
         // holding it in the window for company.
         assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(1)));
-        assert_eq!(committer.pending(), 0);
+        assert_eq!(committer.window.len(), 0);
         assert_eq!(committer.slot_positions(), [LogPosition(1)]);
     }
 
@@ -868,6 +815,7 @@ mod tests {
             dir.clone(),
             ClientConfig::cp(),
             BatchConfig::default(),
+            None,
         );
         (dir, committer)
     }
@@ -931,55 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn only_the_home_of_two_committers_opening_one_position_gets_the_fast_path() {
-        // The group's home (datacenter 0) and a committer that never homed
-        // the group (datacenter 1) open the same first position.
-        let (dir, mut home) = three_dc_harness();
-        let mut other = GroupCommitter::new(
-            NodeId(1),
-            1,
-            GroupId(0),
-            dir.clone(),
-            ClientConfig::cp(),
-            BatchConfig::default(),
-        );
-        let actions = home.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
-        assert_eq!(accept_of(&actions), Some((LogPosition(1), Ballot::fast(0))));
-        // The other committer is not at home, so its claim is a message to
-        // the leader the directory names: the home's service.
-        let actions = other.submit(SimTime::ZERO, txn(&dir, 2, "b", LogPosition::ZERO));
-        assert_eq!(accept_of(&actions), None);
-        let claim = actions.iter().find_map(|a| match a {
-            ClientAction::Send(to, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. })) => {
-                Some((*to, *position))
-            }
-            _ => None,
-        });
-        assert_eq!(claim, Some((NodeId(0), LogPosition(1))));
-        // The home's core already granted the position in-process, so the
-        // service refuses the claim, and the other committer prepares.
-        let granted = dir
-            .core(0)
-            .lock()
-            .leader_claim(GroupId(0), LogPosition(1), 1);
-        assert!(!granted);
-        let actions = other.on_message(
-            SimTime::ZERO,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
-                group: GroupId(0),
-                position: LogPosition(1),
-                granted,
-            }),
-        );
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { ballot, .. }))
-                if !ballot.is_fast()
-        )));
-    }
-
-    #[test]
     fn a_slot_resends_its_fast_accept_to_the_replica_that_missed_it() {
         let (dir, mut committer) = three_dc_harness();
         let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
@@ -1034,12 +933,12 @@ mod tests {
                 "a full pipeline arms nothing: {actions:?}"
             );
         }
-        assert_eq!(committer.pending(), 3);
+        assert_eq!(committer.window.len(), 3);
         // The head completes: the whole pile boards the freed slot as one
         // instance, above the one still in flight.
         let actions = complete_instance(&mut committer, now, &head);
         assert_eq!(fates(&actions), [(1, true, None)]);
-        assert_eq!(committer.pending(), 0);
+        assert_eq!(committer.window.len(), 0);
         assert_eq!(committer.slot_positions(), [LogPosition(2), LogPosition(3)]);
         let done = complete_instance(&mut committer, now, &actions);
         assert_eq!(
@@ -1060,7 +959,7 @@ mod tests {
         let head = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
         committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
         committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
-        assert_eq!(committer.pending(), 2);
+        assert_eq!(committer.window.len(), 2);
         // The group's home moves to another replica while the window waits.
         dir.set_group_home(GroupId(0), 1);
         // The in-flight slot still decides; the window proposes nothing and
@@ -1077,8 +976,8 @@ mod tests {
                 (3, false, unavailable)
             ]
         );
-        assert!(!committer.committing());
-        assert_eq!(committer.pending(), 0);
+        assert!(committer.slots.is_empty());
+        assert_eq!(committer.window.len(), 0);
         // A late submission is answered the same way, at once.
         let actions = committer.submit(now, txn(&dir, 4, "d", LogPosition(1)));
         assert!(!proposes(&actions));
@@ -1090,15 +989,22 @@ mod tests {
     }
 
     #[test]
-    fn a_committer_that_never_homed_the_group_keeps_proposing() {
-        // A service may commit for a group it does not home (a lagging or
-        // stand-in home): only a home change stops the window.
+    fn a_committer_that_never_homed_the_group_answers_its_window_unavailable_and_proposes_nothing()
+    {
+        // A request in flight across a home move reaches a service that
+        // never homed the group: only the home proposes, so the member is
+        // answered at once and its session re-sends to the home.
         let (dir, mut committer) = harness();
         dir.register_datacenter(NodeId(1), DatacenterCore::shared("dc1", 1));
         dir.set_group_home(GroupId(0), 1);
         let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
-        assert!(proposes(&actions));
-        assert!(fates(&actions).is_empty());
+        assert!(!proposes(&actions), "a committer outside the home proposed");
+        assert_eq!(
+            fates(&actions),
+            [(1, false, Some(AbortReason::Unavailable))]
+        );
+        assert_eq!(committer.window.len(), 0);
+        assert!(committer.slots.is_empty());
     }
 
     #[test]
@@ -1110,7 +1016,7 @@ mod tests {
         let [ClientAction::ArmTimer { tag, .. }] = actions[..] else {
             panic!("expected only the window timer: {actions:?}");
         };
-        assert!(!committer.committing());
+        assert!(committer.slots.is_empty());
         let filler = txn(&dir, 9, "z", LogPosition::ZERO);
         dir.core(0).lock().install_entry(
             GroupId(0),
@@ -1147,8 +1053,8 @@ mod tests {
         // The reader reads the writer's item: it must not ride in the same
         // entry, so it stays pending while the writer's instance runs.
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
-        assert_eq!(committer.depth_in_flight(), 1);
-        assert_eq!(committer.pending(), 1);
+        assert_eq!(committer.slots.len(), 1);
+        assert_eq!(committer.window.len(), 1);
         assert_eq!(sink.lock().batch_splits, 1);
     }
 
@@ -1165,8 +1071,8 @@ mod tests {
         committer.submit(SimTime::ZERO, txn(&dir, 2, "b", LogPosition(3)));
         // Both tried to board the free slot, but position 1 sits at or
         // below both snapshots: nothing proposes, everything stays pending.
-        assert!(!committer.committing());
-        assert_eq!(committer.pending(), 2);
+        assert!(committer.slots.is_empty());
+        assert_eq!(committer.window.len(), 2);
         // Catch-up: decided entries from the rest of the cluster land.
         let core = dir.core(0);
         for p in 1..=3u64 {
@@ -1180,25 +1086,11 @@ mod tests {
             );
         }
         committer.flush(SimTime::from_micros(5_000));
-        assert!(committer.committing(), "prefix 3 unlocks the slot at 4");
-        assert_eq!(committer.pending(), 0);
-    }
-
-    #[test]
-    fn drop_pending_window_returns_every_buffered_member() {
-        let (dir, mut committer) = harness_with(
-            BatchConfig::default()
-                .with_max_batch(8)
-                .with_pipeline_depth(1),
+        assert!(
+            !committer.slots.is_empty(),
+            "prefix 3 unlocks the slot at 4"
         );
-        committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
-        committer.submit(SimTime::ZERO, txn(&dir, 2, "b", LogPosition::ZERO));
-        committer.submit(SimTime::ZERO, txn(&dir, 3, "c", LogPosition::ZERO));
-        let dropped = committer.drop_pending_window();
-        assert_eq!(dropped, vec![TxnId::new(5, 2), TxnId::new(5, 3)]);
-        assert_eq!(committer.pending(), 0);
-        // The in-flight slot is untouched.
-        assert_eq!(committer.slot_positions(), [LogPosition(1)]);
+        assert_eq!(committer.window.len(), 0);
     }
 
     #[test]
@@ -1214,18 +1106,18 @@ mod tests {
         );
         let now = SimTime::ZERO;
         let actions = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        assert!(committer.committing());
+        assert!(!committer.slots.is_empty());
         for (i, attr) in ["b", "c", "d"].iter().enumerate() {
             committer.submit(now, txn(&dir, 2 + i as u64, attr, LogPosition::ZERO));
         }
-        assert_eq!(committer.pending(), 3);
+        assert_eq!(committer.window.len(), 3);
 
         let actions = complete_instance(&mut committer, now, &actions);
         assert_eq!(fates(&actions), [(1, true, None)], "instance 1 commits t1");
         // Instance 2 took t2,t3 (the cap); t4 spilled back into the window.
-        assert!(committer.committing());
+        assert!(!committer.slots.is_empty());
         assert_eq!(
-            committer.pending(),
+            committer.window.len(),
             1,
             "the member past the cap must stay pending, not vanish"
         );
@@ -1260,7 +1152,7 @@ mod tests {
                 ..
             })
         )));
-        assert!(!committer.committing());
+        assert!(committer.slots.is_empty());
         assert_eq!(sink.lock().stale_member_aborts, 1);
     }
 
@@ -1274,16 +1166,16 @@ mod tests {
         let (mut committer, sink) = metered(committer);
         let now = SimTime::ZERO;
         committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        assert_eq!(committer.depth_in_flight(), 1);
+        assert_eq!(committer.slots.len(), 1);
         let actions = committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
         // The second submission opens instance p+1 while p is still in
         // flight.
-        assert_eq!(committer.depth_in_flight(), 2);
+        assert_eq!(committer.slots.len(), 2);
         assert_eq!(
             committer.slot_positions(),
             vec![LogPosition(1), LogPosition(2)]
         );
-        assert_eq!(committer.pending(), 0);
+        assert_eq!(committer.window.len(), 0);
         assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(2)));
         assert_eq!(sink.lock().pipeline_depth.iter().max(), Some(&2));
     }
@@ -1301,7 +1193,7 @@ mod tests {
         let now = SimTime::ZERO;
         let a1 = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
         let a2 = committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
-        assert_eq!(committer.depth_in_flight(), 2);
+        assert_eq!(committer.slots.len(), 2);
         // Complete slot 2 (position 2) first.
         let done2 = complete_instance(&mut committer, now, &a2);
         assert!(done2
@@ -1316,7 +1208,7 @@ mod tests {
         // Now complete slot 1; the prefix catches up through both.
         complete_instance(&mut committer, now, &a1);
         assert_eq!(dir.core(0).lock().read_position(GroupId(0)), LogPosition(2));
-        assert!(!committer.committing());
+        assert!(committer.slots.is_empty());
     }
 
     #[test]
@@ -1351,7 +1243,7 @@ mod tests {
         );
         let now = SimTime::ZERO;
         committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        assert_eq!(committer.depth_in_flight(), 1);
+        assert_eq!(committer.slots.len(), 1);
         // A member with reads must not board a speculative slot.
         let item = dir.symbols().item("row", "z");
         let reader = Transaction::builder(TxnId::new(5, 2), GroupId(0), LogPosition::ZERO)
@@ -1359,12 +1251,12 @@ mod tests {
             .write(dir.symbols().item("row", "y"), "w")
             .build();
         committer.submit(now, reader);
-        assert_eq!(committer.depth_in_flight(), 1, "reader must not speculate");
-        assert_eq!(committer.pending(), 1);
+        assert_eq!(committer.slots.len(), 1, "reader must not speculate");
+        assert_eq!(committer.window.len(), 1);
         // A blind write may.
         committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
-        assert_eq!(committer.depth_in_flight(), 2);
-        assert_eq!(committer.pending(), 1, "the reader still waits");
+        assert_eq!(committer.slots.len(), 2);
+        assert_eq!(committer.window.len(), 1, "the reader still waits");
     }
 
     #[test]
@@ -1454,7 +1346,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, ClientAction::Finished(r) if r.committed)));
         assert_eq!(committer.slot_positions(), vec![LogPosition(3)]);
-        assert_eq!(committer.pending(), 0);
+        assert_eq!(committer.window.len(), 0);
         // Completing the new instance commits both members exactly once,
         // with the lost position counted as a promotion.
         let done = complete_instance(&mut committer, now, &actions);
@@ -1467,7 +1359,7 @@ mod tests {
             .collect();
         assert_eq!(commits.len(), 2);
         assert!(commits.iter().all(|r| r.promotions == 1));
-        assert!(!committer.committing());
+        assert!(committer.slots.is_empty());
         // The next instance carried both survivors, in their order.
         let entry = dir
             .core(0)

@@ -187,9 +187,9 @@ impl Directory {
     /// map when unknown — the very first position, a no-op entry, or a
     /// winner from an unregistered client. The home default is what shards
     /// leadership: each datacenter seeds the fast path for its own subset
-    /// of groups. This is where a direct-route client sends its claim, and
-    /// a group committer outside its group's home; a committer at home
-    /// claims at its own datacenter's core in-process instead.
+    /// of groups. This is where a direct-route client sends its claim; the
+    /// group committer runs only at the home and claims at its own
+    /// datacenter's core in-process instead.
     pub fn leader_replica(
         &self,
         home_replica: usize,

@@ -34,15 +34,15 @@
 //!   commits). A submitted commit from outside the group's home learns
 //!   its fate from copies of the acceptors' votes ([`VoteTally`]) one
 //!   wide-area hop before the home's reply would bring it.
-//! * [`GroupCommitter`] — the batching commit pipeline: independent
-//!   transactions ride a single Paxos-CP instance as one combined entry,
-//!   amortizing the wide-area round trips. Hosted by the group home's
-//!   [`TransactionService`] for the submitted route (one committer per led
-//!   group, serving every client of the group), or embedded directly by
-//!   harness actors; the [`Directory`]'s per-group leader map shards
-//!   leadership (and batching) across datacenters.
-//! * `proposers` — the one proposer host the [`Session`], the
-//!   [`GroupCommitter`] and the [`TransactionService`] share: every Paxos
+//! * [`batch`] — the batching commit pipeline: independent transactions
+//!   ride a single Paxos-CP instance as one combined entry, amortizing the
+//!   wide-area round trips. Its group committers live only in the
+//!   [`TransactionService`]s, and only the group home's proposes (one
+//!   committer per led group, serving every client of the group); the
+//!   [`Directory`]'s per-group leader map shards leadership (and batching)
+//!   across datacenters.
+//! * `proposers` — the one proposer host the [`Session`], the group
+//!   committer and the [`TransactionService`] share: every Paxos
 //!   instance this crate runs (a direct commit, a pipeline slot, a recovery
 //!   no-op) is started, fed and finished there.
 //! * [`Cluster`] — the harness that wires everything into a deterministic
@@ -65,7 +65,7 @@ pub mod service;
 pub mod session;
 pub mod topology;
 
-pub use batch::{BatchConfig, GroupCommitter};
+pub use batch::BatchConfig;
 pub use cluster::{ChaosReplay, Cluster, ClusterConfig};
 pub use datacenter::{DatacenterCore, GroupState, RestartReport};
 pub use directory::Directory;

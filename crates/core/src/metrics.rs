@@ -74,12 +74,12 @@ pub struct RunMetrics {
     /// tick this counter; the closed-loop session never times out, so it
     /// stays 0 there).
     pub timed_out: u64,
-    /// Windows a [`GroupCommitter`](crate::GroupCommitter) split because
+    /// Windows a service-hosted group committer split because
     /// they were internally conflicting (a member read an earlier member's
     /// write — the `walog::combine::can_append` rule): the deferred
     /// members waited for a later instance instead of riding an invalid
-    /// combination. Recorded by committers wired with
-    /// [`GroupCommitter::with_metrics`](crate::GroupCommitter::with_metrics).
+    /// combination. Recorded by the committers of a service wired with
+    /// [`TransactionService::with_commit_metrics`](crate::TransactionService::with_commit_metrics).
     pub batch_splits: u64,
     /// Window members aborted by the committer's optimistic revalidation at
     /// flush time: an entry decided since the member's read position had

@@ -6,9 +6,8 @@
 //! session that commits with [`crate::session::CommitRoute::Submitted`]
 //! ships its finished transaction to the group home's Transaction Service
 //! as a [`Msg::CommitRequest`] and receives the decision as a
-//! [`Msg::CommitReply`], letting the service-hosted
-//! [`crate::GroupCommitter`] batch and pipeline commits from every client
-//! of the group.
+//! [`Msg::CommitReply`], letting the service-hosted group committer batch
+//! and pipeline commits from every client of the group.
 //!
 //! Groups, keys and attributes travel as interned `Copy` ids; only read
 //! *values* are owned strings.
@@ -60,9 +59,8 @@ pub enum Msg {
         unavailable: bool,
     },
     /// Submitted commit route: ship a finished transaction to the group
-    /// home's Transaction Service, whose hosted
-    /// [`crate::GroupCommitter`] batches it with other clients' commits
-    /// into pipelined Paxos-CP instances.
+    /// home's Transaction Service, whose hosted group committer batches it
+    /// with other clients' commits into pipelined Paxos-CP instances.
     CommitRequest {
         /// Client-chosen correlation id.
         req_id: u64,

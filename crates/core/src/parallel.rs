@@ -7,7 +7,7 @@
 //! deterministic simulation, and **once per worker thread**: each worker
 //! owns a complete replica set (a *shard*) that leads a disjoint subset of
 //! transaction groups. A group's entire commit pipeline — the clients'
-//! requests, the service-hosted [`GroupCommitter`](crate::GroupCommitter),
+//! requests, the service-hosted group committer,
 //! the Paxos acceptors, the replica logs — lives on its shard's worker, so
 //! consensus traffic never crosses threads; only driver→service commit
 //! requests and replies do (over the runtime's bounded channels).

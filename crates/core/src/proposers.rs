@@ -6,7 +6,7 @@
 //! callers, each keying its instances its own way:
 //!
 //! * the [`crate::Session`]'s direct route, by transaction handle;
-//! * the [`crate::GroupCommitter`]'s pipeline slots, by slot position;
+//! * the group committer's pipeline slots, by slot position;
 //! * the [`crate::TransactionService`]'s recovery instances, by
 //!   `(group, position)`.
 //!
@@ -16,8 +16,9 @@
 //! [`ProposerAction`] itself: broadcasts go to every replica's service, a
 //! single send to its replica's service, leader claims to
 //! [`Directory::leader_replica`] — or, for a caller that claims at home
-//! ([`Env::claim_as`]) while its datacenter is the group's home, to the
-//! host datacenter's core in the same step, with no message — timers are
+//! ([`Env::claim_as`]: the group committer, which proposes only at its
+//! group's home), to the host datacenter's core in the same step, with no
+//! message — timers are
 //! tagged from the embedding actor's counter with the delay its policy
 //! chooses, learned entries install at the host's datacenter, and a
 //! finished instance is removed and its [`CommitOutcome`] handed back. The caller keeps only what
@@ -67,13 +68,11 @@ pub(crate) struct Env<'a> {
     /// deliberately choose differently.
     pub delay: &'a mut dyn FnMut(TimerKind) -> SimDuration,
     /// Claim fast-path leadership at `home`'s core under this client
-    /// identity, in-process, instead of sending a `LeaderClaim`, while
-    /// `home` is the group's home ([`Directory::group_home`]). The group
-    /// committer runs in its group's home service, so it is the leader of
-    /// every position after one it won; once the home moves away (or if it
-    /// never was here) its claims go out as messages again, so the old and
-    /// the new home meet at one core. A session is a node of its own and
-    /// leaves this `None`, so its claim is a real hop.
+    /// identity, in-process, instead of sending a `LeaderClaim`. The group
+    /// committer proposes only while `home` is the group's home
+    /// ([`Directory::group_home`]), so it is the leader of every position
+    /// after one it won. A session is a node of its own and leaves this
+    /// `None`, so its claim is a real hop.
     pub claim_as: Option<u64>,
 }
 
@@ -197,7 +196,12 @@ impl<K: Ord + Copy> Proposers<K> {
                     }
                 }
                 ProposerAction::SendToLeader(msg) => match env.claim_as {
-                    Some(client) if env.directory.group_home(group) == env.home => {
+                    Some(client) => {
+                        debug_assert_eq!(
+                            env.directory.group_home(group),
+                            env.home,
+                            "only the group's home claims in-process"
+                        );
                         let position = msg.position();
                         let granted = env
                             .directory
@@ -213,7 +217,7 @@ impl<K: Ord + Copy> Proposers<K> {
                             actions.push_front(action);
                         }
                     }
-                    _ => {
+                    None => {
                         let leader = env
                             .directory
                             .leader_replica(env.home, group, msg.position());

@@ -23,11 +23,12 @@
 //!   janitor below;
 //! * host the **group commit engine** for the submitted commit route: a
 //!   [`Msg::CommitRequest`] carrying a finished transaction is submitted to
-//!   a lazily-created per-group [`GroupCommitter`], which batches commits
-//!   from every client of the group into pipelined Paxos-CP instances; the
-//!   per-member fate returns to the requester as a [`Msg::CommitReply`],
-//!   and a retried request never proposes its member twice
-//!   ([`CommitTable`]);
+//!   a lazily-created per-group committer, which batches commits from every
+//!   client of the group into pipelined Paxos-CP instances while this
+//!   datacenter is the group's home, and answers `Unavailable` otherwise;
+//!   the per-member fate returns to the requester as a
+//!   [`Msg::CommitReply`], and a retried request never proposes its member
+//!   twice ([`CommitTable`]);
 //! * run the **orphaned-position janitor** (`OrphanWatch`): re-propose a
 //!   group's first undecided position through a recovery instance once it
 //!   has stayed orphaned past a timeout, so the prefix advances and
@@ -99,7 +100,7 @@ pub struct TransactionService {
     /// Window/pipeline settings of the hosted committers.
     batch_config: BatchConfig,
     /// One lazily-created commit engine per group this service has received
-    /// `CommitRequest`s for (normally the groups it is the home of).
+    /// `CommitRequest`s for; only those of the groups it homes propose.
     committers: BTreeMap<GroupId, GroupCommitter>,
     /// Timer tag → (group, committer-local timer tag).
     committer_timers: BTreeMap<u64, (GroupId, u64)>,
@@ -176,9 +177,7 @@ impl TransactionService {
         // `RECOVERY_BALLOT_BIT`).
         if matches!(
             msg,
-            PaxosMsg::PrepareReply { .. }
-                | PaxosMsg::AcceptReply { .. }
-                | PaxosMsg::LeaderClaimReply { .. }
+            PaxosMsg::PrepareReply { .. } | PaxosMsg::AcceptReply { .. }
         ) {
             self.drive_committer_reply(ctx, from, &msg);
         }
@@ -308,8 +307,8 @@ impl TransactionService {
                 self.drive_recovery(ctx, Input::Reply((group, position), from, &msg));
             }
             PaxosMsg::LeaderClaimReply { .. } => {
-                // Recovery proposers never use the fast path; the hosted
-                // committers were offered the reply above.
+                // Recovery proposers never use the fast path, and the hosted
+                // committers claim in-process.
             }
         }
     }
@@ -491,7 +490,8 @@ impl TransactionService {
     }
 
     /// Submitted commit route: feed the finished transaction into the
-    /// group's hosted commit engine, creating it on first use.
+    /// group's hosted commit engine, creating it on first use. Outside the
+    /// group's home the engine answers it `Unavailable`.
     fn handle_commit_request(
         &mut self,
         ctx: &mut Context<Msg>,
@@ -507,18 +507,15 @@ impl TransactionService {
             Admission::Absorbed => return,
         }
         let committer = self.committers.entry(group).or_insert_with(|| {
-            let committer = GroupCommitter::new(
+            GroupCommitter::new(
                 ctx.node(),
                 self.replica,
                 group,
                 Arc::clone(&self.directory),
                 self.commit_config.clone(),
                 self.batch_config.clone(),
-            );
-            match &self.commit_metrics {
-                Some(sink) => committer.with_metrics(Arc::clone(sink)),
-                None => committer,
-            }
+                self.commit_metrics.clone(),
+            )
         });
         let actions = committer.submit(ctx.now(), txn);
         self.apply_committer_actions(ctx, group, actions);
@@ -710,18 +707,16 @@ impl Actor<Msg> for TransactionService {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<Msg>) {
-        // Groups whose home migrated away during the outage: every client
-        // with a member still waiting in the local window has long timed
-        // out and re-submitted to the new home (pending means unanswered),
-        // so flushing the stale copies below would race the new home's
-        // instance and could commit a transaction at two positions. Drop
-        // them; the new home owns the reply.
-        for (group, committer) in &mut self.committers {
-            if self.directory.group_home(*group) != self.replica {
-                for id in committer.drop_pending_window() {
-                    self.commits.withdraw(id);
-                }
-            }
+        // Groups whose home migrated away during the outage: their windows
+        // are answered `Unavailable`, so each waiting session re-sends to
+        // the new home now instead of at its patience expiry.
+        let (now, directory, replica) = (ctx.now(), &self.directory, self.replica);
+        let answered: Vec<_> = (self.committers.iter_mut())
+            .filter(|(group, _)| directory.group_home(**group) != replica)
+            .map(|(group, committer)| (*group, committer.flush(now)))
+            .collect();
+        for (group, actions) in answered {
+            self.apply_committer_actions(ctx, group, actions);
         }
         // Timers that fired during the outage were suppressed, which would
         // leave committer slots and recovery proposers wedged forever.
@@ -753,7 +748,8 @@ impl Actor<Msg> for TransactionService {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use paxos::Ballot;
+    use crate::session::{CommitRoute, Session, TxnResult};
+    use paxos::{AbortReason, Ballot};
     use simnet::{NetworkConfig, Simulation};
     use std::sync::Arc as StdArc;
     use walog::{ItemRef, TxnId};
@@ -762,11 +758,14 @@ mod tests {
     const ROW: KeyId = KeyId(0);
     const A: AttrId = AttrId(0);
 
+    /// What a test actor heard.
+    type Inbox = StdArc<parking_lot::Mutex<Vec<Msg>>>;
+
     /// A scripted prober actor that sends a batch of messages at start and
     /// records everything it receives.
     struct Prober {
         to_send: Vec<(NodeId, Msg)>,
-        received: StdArc<parking_lot::Mutex<Vec<Msg>>>,
+        received: Inbox,
     }
 
     impl Actor<Msg> for Prober {
@@ -782,11 +781,7 @@ mod tests {
 
     fn single_dc_harness(
         to_send: impl Fn(NodeId) -> Vec<(NodeId, Msg)>,
-    ) -> (
-        Simulation<Msg>,
-        SharedCore,
-        StdArc<parking_lot::Mutex<Vec<Msg>>>,
-    ) {
+    ) -> (Simulation<Msg>, SharedCore, Inbox) {
         let mut sim: Simulation<Msg> =
             Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
         let site = sim.add_site("dc0");
@@ -931,7 +926,7 @@ mod tests {
         let cfg = storage::DurableConfig::new(storage::scratch_dir("service-held-acks"));
         core.lock()
             .attach_storage(storage::DcStorage::open(cfg.clone()).unwrap());
-        let replies = |received: &StdArc<parking_lot::Mutex<Vec<Msg>>>| -> Vec<(u64, bool)> {
+        let replies = |received: &Inbox| -> Vec<(u64, bool)> {
             received
                 .lock()
                 .iter()
@@ -1009,7 +1004,7 @@ mod tests {
         // a snapshot read above the applied prefix must NOT wait or start
         // recovery — it answers `unavailable` straight away so the client
         // can retry at another replica.
-        let (mut sim, _service_node, _core, received) =
+        let (mut sim, _service_node, _directory, received) =
             stalled_recovery_harness(vec![Msg::SnapshotRead {
                 req_id: 13,
                 group: GROUP,
@@ -1130,7 +1125,7 @@ mod tests {
         struct RetryProber {
             service: NodeId,
             txn: Transaction,
-            received: StdArc<parking_lot::Mutex<Vec<Msg>>>,
+            received: Inbox,
         }
         impl Actor<Msg> for RetryProber {
             fn on_start(&mut self, ctx: &mut Context<Msg>) {
@@ -1343,16 +1338,11 @@ mod tests {
 
     /// Two-service harness where the peer datacenter is crashed, so recovery
     /// (majority 2) cannot finish. Returns the simulation, the live
-    /// service's node and core, and what a prober that sent it `msgs` hears
-    /// back.
+    /// service's node, the directory, and what a prober that sent it `msgs`
+    /// hears back.
     fn stalled_recovery_harness(
         msgs: Vec<Msg>,
-    ) -> (
-        Simulation<Msg>,
-        NodeId,
-        SharedCore,
-        StdArc<parking_lot::Mutex<Vec<Msg>>>,
-    ) {
+    ) -> (Simulation<Msg>, NodeId, Arc<Directory>, Inbox) {
         let mut sim: Simulation<Msg> =
             Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
         let directory = Directory::new();
@@ -1381,7 +1371,146 @@ mod tests {
         let site0 = sim.network().site_of(target);
         let prober_node = sim.add_node(site0, Box::new(prober));
         directory.register_client(prober_node, 0);
-        (sim, target, directory.core(0), received)
+        (sim, target, directory, received)
+    }
+
+    #[test]
+    fn a_service_that_recovers_after_its_groups_home_moved_answers_its_window_unavailable() {
+        // Three blind writes reach the group's home while its only peer is
+        // down: two fill the committer's pipeline (their fast rounds wait
+        // for the peer) and the third waits in the window. The home
+        // crashes, the group's home moves to the peer, and the service
+        // recovers: the waiting member is answered `Unavailable`, so its
+        // session re-sends to the new home at once.
+        let requests = (1..=3u32)
+            .map(|seq| {
+                let id = TxnId::new(9, u64::from(seq));
+                let txn = Transaction::builder(id, GROUP, LogPosition(0))
+                    .write(ItemRef::new(ROW, AttrId(seq)), "v")
+                    .build();
+                Msg::CommitRequest {
+                    req_id: id.seq,
+                    txn,
+                }
+            })
+            .collect();
+        let (mut sim, service_node, directory, received) = stalled_recovery_harness(requests);
+        sim.run_for(SimDuration::from_millis(10));
+        sim.crash_node(service_node);
+        sim.run_for(SimDuration::from_millis(10));
+        directory.set_group_home(GROUP, 1);
+        sim.recover_node(service_node);
+        sim.run_for(SimDuration::from_millis(10));
+        let replies: Vec<_> = (received.lock().iter())
+            .filter_map(|m| match m {
+                Msg::CommitReply {
+                    req_id,
+                    abort_reason,
+                    ..
+                } => Some((*req_id, *abort_reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, [(3, Some(AbortReason::Unavailable))]);
+    }
+
+    /// A Transaction Service that records who sent it which kind of message.
+    struct Tapped(
+        TransactionService,
+        StdArc<parking_lot::Mutex<Vec<(NodeId, &'static str)>>>,
+    );
+
+    impl Actor<Msg> for Tapped {
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            self.1.lock().push((from, msg.kind()));
+            self.0.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+            self.0.on_timer(ctx, tag);
+        }
+    }
+
+    /// A session that commits one write of group "g" at start and records
+    /// its answers.
+    struct OneCommit(Session, StdArc<parking_lot::Mutex<Vec<TxnResult>>>);
+
+    impl OneCommit {
+        fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
+            self.1.lock().extend(apply_client_actions(ctx, actions));
+        }
+    }
+
+    impl Actor<Msg> for OneCommit {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            let h = self.0.begin(ctx.now(), "g");
+            self.0.write(h, "row", "a", "v").unwrap();
+            let actions = self.0.commit(ctx.now(), h).unwrap();
+            self.apply(ctx, actions);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            let actions = self.0.on_message(ctx.now(), from, &msg);
+            self.apply(ctx, actions);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+            let actions = self.0.on_timer(ctx.now(), tag);
+            self.apply(ctx, actions);
+        }
+    }
+
+    #[test]
+    fn a_commit_request_outside_the_groups_home_is_answered_unavailable_and_proposes_nothing() {
+        // A session in datacenter 2 submits to datacenter 0, the home of
+        // "g", and the home moves to datacenter 1 while the request is in
+        // flight. Datacenter 0 never hosted the group's committer and is not
+        // its home, so it answers at once and proposes nothing; the session
+        // re-sends to the home, which commits the transaction once.
+        let mut sim: Simulation<Msg> =
+            Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
+        let directory = Directory::new();
+        let heard = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        for replica in 0..3 {
+            let site = sim.add_site(format!("dc{replica}"));
+            let core = DatacenterCore::shared(format!("dc{replica}"), replica);
+            let timeout = SimDuration::from_secs(2);
+            let service =
+                TransactionService::new(replica, core.clone(), directory.clone(), timeout);
+            let node = sim.add_node(site, Box::new(Tapped(service, StdArc::clone(&heard))));
+            directory.register_datacenter(node, core);
+        }
+        let group = directory.symbols().group("g");
+        directory.set_group_home(group, 0);
+        let config = ClientConfig::cp().with_route(CommitRoute::Submitted);
+        let patience = config.submit_patience();
+        let client = NodeId(sim.node_count() as u32);
+        directory.register_client(client, 2);
+        let session = Session::new(client, 2, directory.clone(), config);
+        let results = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        let site = sim.network().site_of(directory.service_node(2));
+        sim.add_node(site, Box::new(OneCommit(session, StdArc::clone(&results))));
+        sim.run_for(SimDuration::from_micros(500));
+        directory.set_group_home(group, 1);
+        sim.run_until_idle_capped(100_000);
+
+        let results = results.lock();
+        let [result] = results.as_slice() else {
+            panic!("one answer: {results:?}");
+        };
+        assert!(result.committed && result.latency < patience, "{result:?}");
+        let heard = heard.lock();
+        let requests = heard.iter().filter(|(_, kind)| *kind == "commit_request");
+        assert_eq!(requests.count(), 2, "one request and one re-send");
+        let proposals = ["prepare", "accept", "leader_claim"];
+        let proposed = (heard.iter())
+            .filter(|(from, kind)| *from == directory.service_node(0) && proposals.contains(kind));
+        assert_eq!(proposed.count(), 0, "datacenter 0 proposed");
+        for replica in 0..3 {
+            let core = directory.core(replica);
+            let log = core
+                .lock()
+                .log(group)
+                .map(|log| log.committed_transaction_count());
+            assert_eq!(log, Some(1), "replica {replica}");
+        }
     }
 
     #[test]
@@ -1393,7 +1522,8 @@ mod tests {
         // outage and is suppressed. Once both datacenters are back, only
         // `on_recover` re-firing the proposer host's armed tags restarts the
         // instance (the janitor sees it still running and starts no other).
-        let (mut sim, service_node, core, _) = stalled_recovery_harness(vec![apply(2, "p2")]);
+        let (mut sim, service_node, directory, _) = stalled_recovery_harness(vec![apply(2, "p2")]);
+        let core = directory.core(0);
         // The harness adds the peer right after the service under test.
         let peer = NodeId(service_node.0 + 1);
         sim.run_for(SimDuration::from_millis(3_500));

@@ -147,9 +147,4 @@ impl CommitTable {
         }
         reply
     }
-
-    /// Stop waiting for `txn`: its committer dropped the member unanswered.
-    pub fn withdraw(&mut self, txn: TxnId) {
-        self.requests.remove(&txn);
-    }
 }

@@ -21,9 +21,8 @@
 //!   groups run concurrently.
 //! * [`CommitRoute::Submitted`] — the scalable path: the finished
 //!   [`Transaction`] ships to the group home's Transaction Service as a
-//!   [`Msg::CommitRequest`]; the service-hosted
-//!   [`crate::GroupCommitter`] batches it with commits from every client
-//!   of the group into pipelined Paxos-CP instances and answers with a
+//!   [`Msg::CommitRequest`]; the service-hosted group committer batches
+//!   it with commits from every client of the group into pipelined Paxos-CP instances and answers with a
 //!   [`Msg::CommitReply`]. A session outside the group's home usually
 //!   learns a commit one wide-area hop sooner, from copies of the
 //!   acceptors' votes ([`Msg::VoteCopy`], counted by a
@@ -72,9 +71,8 @@ pub enum CommitRoute {
     #[default]
     Direct,
     /// Ship the finished transaction to the group home's Transaction
-    /// Service ([`Msg::CommitRequest`]), whose hosted
-    /// [`crate::GroupCommitter`] batches and pipelines it with other
-    /// clients' commits.
+    /// Service ([`Msg::CommitRequest`]), whose hosted group committer
+    /// batches and pipelines it with other clients' commits.
     Submitted,
 }
 

@@ -69,11 +69,17 @@ fn sixty_seconds_of_rolling_chaos_stays_serializable_available_and_live() {
 /// never raise it.
 const DUPLICATE_SEEDS_AT_MOST: usize = 1;
 
+/// The seeds that commit a transaction twice today. A change that cures
+/// one of them but breaks another seed still fails the sweep: the
+/// duplicates must be a subset of these. Remove a seed once it is cured.
+const KNOWN_DUPLICATE_SEEDS: [u64; 1] = [43];
+
 /// The exactly-once ratchet: the 60 s rolling-failure scenario at seeds
 /// 1..=60, one verdict printed per seed — `ok`, `DuplicateCommit`,
 /// `flatline` (a liveness window committed nothing) or `unavailable` (an
 /// operation surfaced `Unavailable`). At most [`DUPLICATE_SEEDS_AT_MOST`]
-/// seeds may end in `DuplicateCommit`, no seed may surface `Unavailable`,
+/// seeds may end in `DuplicateCommit`, all of them among
+/// [`KNOWN_DUPLICATE_SEEDS`], no seed may surface `Unavailable`,
 /// and no seed may fail any other way. Sixty full runs: run it with
 /// `cargo test --release --test chaos -- --ignored`.
 #[test]
@@ -139,6 +145,13 @@ fn rolling_failure_seed_sweep() {
         "{} seeds commit a transaction twice, more than the {DUPLICATE_SEEDS_AT_MOST} \
          measured: {duplicates:?}",
         duplicates.len()
+    );
+    let unknown: Vec<&u64> = (duplicates.iter())
+        .filter(|seed| !KNOWN_DUPLICATE_SEEDS.contains(seed))
+        .collect();
+    assert!(
+        unknown.is_empty(),
+        "seeds outside {KNOWN_DUPLICATE_SEEDS:?} commit a transaction twice: {unknown:?}"
     );
 }
 

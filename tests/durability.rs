@@ -710,6 +710,7 @@ fn a_lagging_home_commits_past_the_positions_its_peers_forgot() {
     const TXNS: u64 = 12;
     let dir = storage::scratch_dir("forgetful-acceptors-commit");
     let (mut cluster, g) = lagging_behind_forgetful_peers(&dir, TXNS);
+    cluster.directory().set_group_home(g, 1);
     let item = cluster.symbols().item("row", "late");
     let txn = Transaction::builder(TxnId::new(77, 1), g, LogPosition::ZERO)
         .write(item, "x")

@@ -6,7 +6,7 @@
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
     apply_client_actions, BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol,
-    GroupCommitter, MetricsHub, Msg, RunMetrics, Session, Topology,
+    MetricsHub, Msg, RunMetrics, Session, Topology, TxnResult,
 };
 use paxos_cp::paxos::{Ballot, PaxosMsg};
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
@@ -221,83 +221,64 @@ impl Actor<Msg> for Prober {
     }
 }
 
-/// Reserved timer tag for a [`BatchSubmitter`]'s delayed start (committer
-/// tags count up from 1 and can never collide with it).
-const SUBMITTER_START_TAG: u64 = u64::MAX;
-
-/// Embeds a [`GroupCommitter`], submits one window of transactions at
-/// start (optionally after a delay), and records per-member outcomes.
+/// Submits one window of transactions to its group's home service as
+/// `CommitRequest`s at start, and records each
+/// member's fate from its `CommitReply`. The home's hosted committer
+/// batches and pipelines the window; its occupancy and pipeline depth are
+/// in [`Cluster::service_commit_metrics`].
 struct BatchSubmitter {
-    committer: Option<GroupCommitter>,
+    service: NodeId,
     window: Vec<Transaction>,
-    start_after: Option<SimDuration>,
     metrics: Arc<Mutex<RunMetrics>>,
-}
-
-impl BatchSubmitter {
-    fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for result in apply_client_actions(ctx, actions) {
-            self.metrics.lock().record(&result);
-        }
-    }
-
-    fn submit_window(&mut self, ctx: &mut Context<Msg>) {
-        let mut actions = Vec::new();
-        let committer = self.committer.as_mut().unwrap();
-        for txn in self.window.drain(..) {
-            actions.extend(committer.submit(ctx.now(), txn));
-        }
-        let committer = self.committer.as_mut().unwrap();
-        actions.extend(committer.flush(ctx.now()));
-        self.apply(ctx, actions);
-    }
 }
 
 impl Actor<Msg> for BatchSubmitter {
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        match self.start_after.take() {
-            Some(delay) => {
-                ctx.set_timer(delay, SUBMITTER_START_TAG);
-            }
-            None => self.submit_window(ctx),
+        for (req_id, txn) in (1..).zip(self.window.drain(..)) {
+            ctx.send(self.service, Msg::CommitRequest { req_id, txn });
         }
     }
-    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
-        let committer = self.committer.as_mut().unwrap();
-        let actions = committer.on_message(ctx.now(), from, &msg);
-        self.apply(ctx, actions);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
-        if tag == SUBMITTER_START_TAG {
-            self.submit_window(ctx);
-            return;
+    fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+        if let Msg::CommitReply {
+            txn,
+            committed,
+            promotions,
+            combined,
+            rounds,
+            abort_reason,
+            ..
+        } = msg
+        {
+            self.metrics.lock().record(&TxnResult {
+                committed,
+                read_only: false,
+                promotions,
+                combined,
+                rounds,
+                latency: SimDuration::ZERO,
+                total_latency: SimDuration::ZERO,
+                abort_reason,
+                txn: Some(txn),
+            });
         }
-        let committer = self.committer.as_mut().unwrap();
-        let actions = committer.on_timer(ctx.now(), tag);
-        self.apply(ctx, actions);
     }
 }
 
+/// Add a [`BatchSubmitter`] in `replica`'s datacenter that sends `window`
+/// to the service of `group`'s home.
 fn add_batch_submitter(
     cluster: &mut Cluster,
     replica: usize,
     group: paxos_cp::walog::GroupId,
     window: Vec<Transaction>,
-    batch_config: BatchConfig,
-    start_after: Option<SimDuration>,
 ) -> Arc<Mutex<RunMetrics>> {
     let metrics = MetricsHub::new().register();
-    let directory = cluster.directory();
-    let client_config = cluster.client_config();
+    let service = cluster.service_node(cluster.directory().group_home(group));
     let sink = metrics.clone();
-    cluster.add_client(replica, move |node| {
+    cluster.add_client(replica, move |_node| {
         Box::new(BatchSubmitter {
-            committer: Some(
-                GroupCommitter::new(node, replica, group, directory, client_config, batch_config)
-                    .with_metrics(sink.clone()),
-            ),
+            service,
             window,
-            start_after,
             metrics: sink,
         })
     });
@@ -306,7 +287,10 @@ fn add_batch_submitter(
 
 #[test]
 fn internally_conflicting_batch_splits_instead_of_committing_invalid_entry() {
-    let mut cluster = Cluster::build(ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp));
+    // Jitter-free, so the home receives the window in submission order.
+    let config = ClusterConfig::new(Topology::vvv().with_jitter(0.0), CommitProtocol::PaxosCp)
+        .with_batch(BatchConfig::default().with_max_batch(2));
+    let mut cluster = Cluster::build(config);
     let symbols = cluster.symbols();
     let group = symbols.group("g");
     let x = symbols.item("row", "x");
@@ -322,14 +306,7 @@ fn internally_conflicting_batch_splits_instead_of_committing_invalid_entry() {
         .read(x, None)
         .write(y, "reader")
         .build();
-    let metrics = add_batch_submitter(
-        &mut cluster,
-        0,
-        group,
-        vec![writer, reader],
-        BatchConfig::default().with_max_batch(2),
-        None,
-    );
+    let metrics = add_batch_submitter(&mut cluster, 0, group, vec![writer, reader]);
     cluster.run_to_completion();
 
     let m = metrics.lock();
@@ -343,15 +320,33 @@ fn internally_conflicting_batch_splits_instead_of_committing_invalid_entry() {
     cluster.verify().expect("split batch stays serializable");
 }
 
+/// The home's votes at `positions` were cast in a classic round: the fast
+/// round there never became unanimous, and a majority decided instead.
+fn assert_classic_decision(cluster: &Cluster, group: paxos_cp::walog::GroupId, positions: &[u64]) {
+    let core = cluster.core(0);
+    let core = core.lock();
+    for &position in positions {
+        let vote = core.acceptor().current_vote(group, LogPosition(position));
+        let ballot = vote.map(|(ballot, _)| ballot);
+        assert!(
+            ballot.is_some_and(|b| !b.is_fast()),
+            "{position}: {ballot:?}"
+        );
+    }
+}
+
 #[test]
 fn leader_failover_mid_batch_commits_every_member_exactly_once() {
-    let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
+    let batch = BatchConfig::default()
+        .with_max_batch(4)
+        .with_pipeline_depth(1);
+    let config = ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp).with_batch(batch);
+    let mut cluster = Cluster::build(config);
     let symbols = cluster.symbols();
     let group = symbols.group("g");
-    let directory = cluster.directory();
-    // Lead the group from Oregon (replica 1); the batching client lives in
-    // Virginia (replica 0), so its fast-path leader claim crosses the WAN.
-    directory.set_group_home(group, 1);
+    // Lead the group from Virginia (replica 0), where the batching client
+    // lives too.
+    cluster.directory().set_group_home(group, 0);
     // A filler takes the committer's only pipeline slot; the four batch
     // members pile up behind it and board the next instance together.
     let window: Vec<Transaction> = (0..5)
@@ -361,25 +356,18 @@ fn leader_failover_mid_batch_commits_every_member_exactly_once() {
                 .build()
         })
         .collect();
-    let metrics = add_batch_submitter(
-        &mut cluster,
-        0,
-        group,
-        window,
-        BatchConfig::default()
-            .with_max_batch(4)
-            .with_pipeline_depth(1),
-        None,
-    );
-    // The filler's commit and the batch's opening are one event.
+    let metrics = add_batch_submitter(&mut cluster, 0, group, window);
+    // The batch opens as the filler decides, one local hop before the
+    // filler's reply arrives.
     while metrics.lock().committed == 0 {
         cluster.run_for(SimDuration::from_millis(1));
     }
 
-    // Crash the leader while the batch's claim is still in flight (Virginia
-    // ↔ Oregon is a 45 ms one-way hop): the committer must time out, fall
-    // back to the full prepare path, and decide through the remaining
-    // majority — without re-proposing any member that already went out.
+    // Crash Oregon while the batch's fast accept to it is still in flight
+    // (Virginia ↔ Oregon is a 45 ms one-way hop): the fast round can never
+    // be unanimous, so the slot must time out, fall back to a classic
+    // round and decide through the surviving majority — without
+    // re-proposing any member that already went out.
     cluster.run_for(SimDuration::from_millis(5));
     cluster.crash_datacenter(1);
     cluster.run_for(SimDuration::from_secs(30));
@@ -397,8 +385,9 @@ fn leader_failover_mid_batch_commits_every_member_exactly_once() {
     // explicitly).
     assert_eq!(cluster.committed_in_log(0, "g"), 5);
     assert_eq!(cluster.decided_instances_id(0, group), 2);
+    assert_classic_decision(&cluster, group, &[2]);
 
-    // The recovered leader catches up and agrees.
+    // The recovered datacenter catches up and agrees.
     cluster.recover_datacenter(1);
     cluster.run_to_completion();
     cluster
@@ -655,19 +644,23 @@ fn janitor_attempt_budget_resets_when_traffic_rehints_after_healing() {
 
 #[test]
 fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once() {
-    // Oregon (dc1) leads the group; the pipelined committer in Virginia
-    // fills its two slots with one filler each, and the eight batch members
-    // pile up behind them. When the fillers decide, two batches of four
-    // open slots at positions 3 and 4, whose fast-path grants return ~90 ms
-    // later and whose accept broadcasts leave immediately after. The leader
-    // crashes 100 ms after the fillers decide — while BOTH batch slots are
-    // mid-accept — so each slot must reach its majority through the
-    // surviving datacenters, and every member must commit exactly once (no
-    // double-apply, no loss).
-    let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
+    // Virginia (dc0) leads the group and hosts its pipelined committer,
+    // which fills its two slots with one filler each while the eight batch
+    // members pile up behind them. When the fillers decide, two batches of
+    // four open slots at positions 3 and 4, whose fast accepts leave at
+    // once. Oregon (dc1) crashes 5 ms after the fillers' replies — while
+    // BOTH batch slots are mid-accept, their accepts to it still crossing
+    // the 45 ms hop — so neither fast round can be unanimous: each slot
+    // must reach its majority through the surviving datacenters, and every
+    // member must commit exactly once (no double-apply, no loss).
+    let batch = BatchConfig::default()
+        .with_max_batch(4)
+        .with_pipeline_depth(2);
+    let config = ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp).with_batch(batch);
+    let mut cluster = Cluster::build(config);
     let symbols = cluster.symbols();
     let group = symbols.group("g");
-    cluster.directory().set_group_home(group, 1);
+    cluster.directory().set_group_home(group, 0);
     let window: Vec<Transaction> = (0..10)
         .map(|s| {
             Transaction::builder(TxnId::new(3, s + 1), group, LogPosition(0))
@@ -675,40 +668,33 @@ fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once
                 .build()
         })
         .collect();
-    let metrics = add_batch_submitter(
-        &mut cluster,
-        0,
-        group,
-        window,
-        BatchConfig::default()
-            .with_max_batch(4)
-            .with_pipeline_depth(2),
-        None,
-    );
+    let metrics = add_batch_submitter(&mut cluster, 0, group, window);
     while metrics.lock().committed < 2 {
         cluster.run_for(SimDuration::from_millis(1));
     }
 
-    cluster.run_for(SimDuration::from_millis(100));
+    cluster.run_for(SimDuration::from_millis(5));
     cluster.crash_datacenter(1);
     cluster.run_for(SimDuration::from_secs(30));
 
     let m = metrics.lock();
     assert_eq!(m.committed, 10, "every member of every slot commits");
     assert_eq!(m.aborted, 0);
+    drop(m);
+    let engine = cluster.service_commit_metrics();
     assert_eq!(
-        m.max_pipeline_depth(),
+        engine.max_pipeline_depth(),
         2,
         "both instances must have been in flight together"
     );
     assert_eq!(
-        m.window_occupancy,
+        engine.window_occupancy,
         [1, 1, 4, 4],
         "two fillers, then two full batches"
     );
-    drop(m);
     assert_eq!(cluster.committed_in_log(0, "g"), 10, "no double-apply");
     assert_eq!(cluster.decided_instances_id(0, group), 4);
+    assert_classic_decision(&cluster, group, &[3, 4]);
 
     cluster.recover_datacenter(1);
     cluster.run_to_completion();
@@ -728,8 +714,14 @@ fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
     // value through (so position 3 decides locally), then reschedule
     // t1..t4, in order, at the pipeline tail (position 5). Every
     // transaction commits exactly once and the per-position entries prove
-    // the recovery order.
-    let mut cluster = Cluster::build(ClusterConfig::new(Topology::voc(), CommitProtocol::PaxosCp));
+    // the recovery order. Jitter-free, so the home receives the window in
+    // submission order.
+    let batch = BatchConfig::default()
+        .with_max_batch(4)
+        .with_pipeline_depth(2);
+    let config = ClusterConfig::new(Topology::voc().with_jitter(0.0), CommitProtocol::PaxosCp)
+        .with_batch(batch);
+    let mut cluster = Cluster::build(config);
     let symbols = cluster.symbols();
     let group = symbols.group("g");
     cluster.directory().set_group_home(group, 0);
@@ -779,16 +771,7 @@ fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
                 .build()
         })
         .collect();
-    let a_metrics = add_batch_submitter(
-        &mut cluster,
-        0,
-        group,
-        window,
-        BatchConfig::default()
-            .with_max_batch(4)
-            .with_pipeline_depth(2),
-        Some(SimDuration::from_millis(5)),
-    );
+    let a_metrics = add_batch_submitter(&mut cluster, 0, group, window);
     cluster.run_to_completion();
 
     let a = a_metrics.lock();

@@ -12,18 +12,25 @@
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
     apply_client_actions, BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol,
-    GroupCommitter, MetricsHub, Msg, RunMetrics, Session, Topology,
+    CommitRoute, MetricsHub, Msg, RunMetrics, Session, Topology,
 };
 use paxos_cp::simnet::{Actor, Context, NodeId, SimDuration};
-use paxos_cp::walog::{GroupId, GroupLog, ItemRef, Transaction, TxnId};
+use paxos_cp::walog::{GroupId, GroupLog};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A client that issues `count` increment transactions against one group.
+/// A client that runs `rounds` rounds against one group. Each round
+/// increments every attribute of `attrs` in its row, one transaction per
+/// attribute, all open at once; the next round starts `pause` after the
+/// round's last answer.
 struct GroupWriter {
-    session: Option<Session>,
+    session: Session,
     group: String,
-    count: usize,
+    row: String,
+    attrs: Vec<String>,
+    rounds: usize,
+    outstanding: usize,
+    pause: SimDuration,
     metrics: Arc<Mutex<RunMetrics>>,
 }
 
@@ -31,25 +38,33 @@ impl GroupWriter {
     fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
         for result in apply_client_actions(ctx, actions) {
             self.metrics.lock().record(&result);
-            ctx.set_timer(SimDuration::from_millis(40), u64::MAX);
+            self.outstanding -= 1;
+            if self.outstanding == 0 {
+                ctx.set_timer(self.pause, u64::MAX);
+            }
         }
     }
 
     fn start(&mut self, ctx: &mut Context<Msg>) {
-        if self.count == 0 {
+        if self.rounds == 0 {
             return;
         }
-        self.count -= 1;
-        let session = self.session.as_mut().unwrap();
-        let h = session.begin(ctx.now(), &self.group);
-        let n = session
-            .read(h, "row", "n")
-            .unwrap()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        session.write(h, "row", "n", (n + 1).to_string()).unwrap();
-        let actions = session.commit(ctx.now(), h).unwrap();
-        self.apply(ctx, actions);
+        self.rounds -= 1;
+        self.outstanding = self.attrs.len();
+        for attr in self.attrs.clone() {
+            let session = &mut self.session;
+            let h = session.begin(ctx.now(), &self.group);
+            let n = session
+                .read(h, &self.row, &attr)
+                .unwrap()
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or(0);
+            session
+                .write(h, &self.row, &attr, (n + 1).to_string())
+                .unwrap();
+            let actions = session.commit(ctx.now(), h).unwrap();
+            self.apply(ctx, actions);
+        }
     }
 }
 
@@ -58,16 +73,14 @@ impl Actor<Msg> for GroupWriter {
         self.start(ctx);
     }
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
-        let session = self.session.as_mut().unwrap();
-        let actions = session.on_message(ctx.now(), from, &msg);
+        let actions = self.session.on_message(ctx.now(), from, &msg);
         self.apply(ctx, actions);
     }
     fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
         if tag == u64::MAX {
             self.start(ctx);
         } else {
-            let session = self.session.as_mut().unwrap();
-            let actions = session.on_timer(ctx.now(), tag);
+            let actions = self.session.on_timer(ctx.now(), tag);
             self.apply(ctx, actions);
         }
     }
@@ -86,9 +99,13 @@ fn add_group_writer(
     let group = group.to_string();
     cluster.add_client(replica, |node| {
         Box::new(GroupWriter {
-            session: Some(Session::new(node, replica, directory, client_config)),
+            session: Session::new(node, replica, directory, client_config),
             group,
-            count,
+            row: "row".into(),
+            attrs: vec!["n".into()],
+            rounds: count,
+            outstanding: 0,
+            pause: SimDuration::from_millis(40),
             metrics: sink,
         })
     });
@@ -198,88 +215,6 @@ fn contention_in_one_group_does_not_abort_transactions_in_another() {
     cluster.verify().expect("both groups serializable");
 }
 
-/// A batching writer: each round it submits `batch` read-modify-write
-/// transactions over its own private attributes to its group's committer,
-/// so a whole window rides one Paxos-CP instance.
-struct BatchingWriter {
-    committer: Option<GroupCommitter>,
-    directory: Arc<paxos_cp::mdstore::Directory>,
-    home: usize,
-    items: Vec<ItemRef>,
-    rounds_left: usize,
-    outstanding: usize,
-    seq: u64,
-    metrics: Arc<Mutex<RunMetrics>>,
-}
-
-impl BatchingWriter {
-    fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
-        for result in apply_client_actions(ctx, actions) {
-            self.metrics.lock().record(&result);
-            self.outstanding = self.outstanding.saturating_sub(1);
-            if self.outstanding == 0 && self.rounds_left > 0 {
-                ctx.set_timer(SimDuration::from_millis(5), u64::MAX);
-            }
-        }
-    }
-
-    fn start_round(&mut self, ctx: &mut Context<Msg>) {
-        if self.rounds_left == 0 {
-            return;
-        }
-        self.rounds_left -= 1;
-        let committer = self.committer.as_mut().unwrap();
-        let group = committer.group();
-        let read_position = committer.read_position();
-        self.outstanding = self.items.len();
-        let node = ctx.node().0;
-        let mut actions = Vec::new();
-        for item in self.items.clone() {
-            // Read-modify-write of the writer's private attribute: the reads
-            // give the cross-group replay check real reads-from edges.
-            let observed = self
-                .directory
-                .core(self.home)
-                .lock()
-                .read(group, item.key, item.attr, read_position)
-                .expect("local read below the gap-free prefix");
-            self.seq += 1;
-            let next = observed
-                .as_deref()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0)
-                + 1;
-            let txn = Transaction::builder(TxnId::new(node, self.seq), group, read_position)
-                .read(item, observed.as_deref())
-                .write(item, next.to_string())
-                .build();
-            let committer = self.committer.as_mut().unwrap();
-            actions.extend(committer.submit(ctx.now(), txn));
-        }
-        self.apply(ctx, actions);
-    }
-}
-
-impl Actor<Msg> for BatchingWriter {
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.start_round(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
-        let committer = self.committer.as_mut().unwrap();
-        let actions = committer.on_message(ctx.now(), from, &msg);
-        self.apply(ctx, actions);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
-        if tag == u64::MAX {
-            self.start_round(ctx);
-        } else {
-            let committer = self.committer.as_mut().unwrap();
-            let actions = committer.on_timer(ctx.now(), tag);
-            self.apply(ctx, actions);
-        }
-    }
-}
-
 /// One globally interleaved history: entries from several groups' logs in
 /// an order that preserves each group's position order.
 type MergedHistory = Vec<(GroupId, Arc<paxos_cp::walog::LogEntry>)>;
@@ -336,52 +271,38 @@ fn replay_interleaving(merged: &MergedHistory) -> HashMap<(GroupId, u64), String
 
 #[test]
 fn sharded_batched_workload_is_serializable_under_any_log_interleaving() {
-    let mut cluster =
-        Cluster::build(ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp).with_seed(9));
+    let config = ClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp)
+        .with_seed(9)
+        .with_batch(BatchConfig::default().with_max_batch(3));
+    let mut cluster = Cluster::build(config);
     let directory = cluster.directory();
     let groups: Vec<GroupId> = (0..6)
         .map(|g| directory.symbols().group(&format!("shard{g}")))
         .collect();
 
     // Per group: one batching writer homed at the group's leader datacenter
-    // (windows of 3 independent transactions per instance) plus one counter
-    // writer homed *elsewhere*, so positions are contended and promotions/
-    // combinations happen alongside batches.
+    // (each round submits 3 independent read-modify-writes of its private
+    // attributes, which the home's committer windows into shared instances)
+    // plus one counter writer homed *elsewhere*, so positions are contended
+    // and promotions/combinations happen alongside batches.
     let mut batch_metrics = Vec::new();
     let mut counter_metrics = Vec::new();
     for (g, group) in groups.iter().enumerate() {
         let home = directory.group_home(*group);
         let metrics = MetricsHub::new().register();
         batch_metrics.push(metrics.clone());
-        let items: Vec<ItemRef> = (0..3)
-            .map(|s| {
-                ItemRef::new(
-                    directory.symbols().key(&format!("shard{g}-row")),
-                    directory.symbols().attr(&format!("s{s}")),
-                )
-            })
-            .collect();
         let dir = directory.clone();
-        let client_config = cluster.client_config();
-        let sink = metrics;
-        let group = *group;
+        let config = cluster.client_config().with_route(CommitRoute::Submitted);
         cluster.add_client(home, move |node| {
-            Box::new(BatchingWriter {
-                committer: Some(GroupCommitter::new(
-                    node,
-                    home,
-                    group,
-                    dir.clone(),
-                    client_config,
-                    BatchConfig::default().with_max_batch(3),
-                )),
-                directory: dir,
-                home,
-                items,
-                rounds_left: 4,
+            Box::new(GroupWriter {
+                session: Session::new(node, home, dir, config),
+                group: format!("shard{g}"),
+                row: format!("shard{g}-row"),
+                attrs: (0..3).map(|s| format!("s{s}")).collect(),
+                rounds: 4,
                 outstanding: 0,
-                seq: 0,
-                metrics: sink,
+                pause: SimDuration::from_millis(5),
+                metrics,
             })
         });
         let contender_home = (home + 1) % cluster.num_datacenters();
