@@ -66,6 +66,22 @@
 //! window: it answers each waiting member [`AbortReason::Unavailable`], and
 //! the session re-sends to the home the directory names at once. In-flight
 //! slots still drive to a decision.
+//!
+//! A new home takes over before it proposes. Each real home move bumps the
+//! group's [`Directory::home_epoch`]; a committer at the home whose last
+//! taken-over epoch is older opens nothing. It asks every replica's service
+//! for the highest position of the group its acceptor promised or voted at,
+//! or its log decided ([`Msg::TakeoverQuery`]), asking the silent ones
+//! again after a patience. Once a majority answered, the target is the
+//! highest answer (or its own highest opened position) plus one pipeline:
+//! every position the old home knew decided holds votes at a majority, so
+//! some answer reaches it, and its slots lie at most a pipeline above. The
+//! service settles every undecided position through the target that no
+//! slot of this committer holds with a recovery instance, and the window
+//! waits until the prefix reaches the target. So a member still in the old
+//! home's stalled slot is decided there, or nowhere, before its retry can
+//! board a slot here, and the retry finds it committed. Fault-free runs
+//! never move a home, so they never take anything over.
 //! A committer given a shared [`RunMetrics`] sink records per-window
 //! occupancy, pipeline depth and split/stale counters into it.
 
@@ -91,6 +107,10 @@ use walog::{GroupId, LogPosition, Transaction, TxnId};
 /// never wait on this.
 const REPOLL: SimDuration = SimDuration::from_millis(5);
 
+/// How long a takeover waits for a majority of replicas to answer its
+/// query before it asks the silent ones again.
+const TAKEOVER_PATIENCE: SimDuration = SimDuration::from_millis(500);
+
 /// How many times a slot re-sends an incomplete fast accept to the
 /// replicas that have not answered ([`paxos::ProposerConfig::fast_resends`])
 /// before it waits out the reply timeout and re-prepares.
@@ -112,7 +132,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            pipeline_depth: 2,
+            pipeline_depth: 8,
         }
     }
 }
@@ -170,6 +190,23 @@ struct Slot {
     enqueued: HashMap<TxnId, SimTime>,
 }
 
+/// A committer's takeover of a home epoch it has not settled: the replicas'
+/// answers to its [`Msg::TakeoverQuery`] so far, and, once a majority
+/// answered, the position the group's prefix must reach before it opens a
+/// slot.
+struct Takeover {
+    epoch: u64,
+    /// Replicas that answered, as a bit set.
+    answered: u64,
+    /// The highest position any answer named.
+    highest: LogPosition,
+    /// `max(answers, highest_opened) + pipeline_depth`, once a majority
+    /// answered.
+    target: Option<LogPosition>,
+    /// Tag of the armed patience timer.
+    tag: u64,
+}
+
 /// The pipelined, work-conserving commit engine for one transaction group.
 ///
 /// Unlike [`crate::Session`] — which owns the read/write sets of its open
@@ -202,6 +239,11 @@ pub struct GroupCommitter {
     /// prefix regardless — re-proposing a possibly-orphaned position there
     /// is the self-healing path.)
     highest_opened: LogPosition,
+    /// The home epoch ([`Directory::home_epoch`]) this committer last took
+    /// over; it opens a slot only while that is the current epoch.
+    taken_over: u64,
+    /// The takeover of a newer epoch, while it runs.
+    takeover: Option<Takeover>,
     /// The slots' running proposers, by slot position.
     proposers: Proposers<LogPosition>,
     next_tag: u64,
@@ -233,6 +275,8 @@ impl GroupCommitter {
             window_tag: None,
             slots: Vec::new(),
             highest_opened: LogPosition::ZERO,
+            taken_over: 0,
+            takeover: None,
             proposers: Proposers::default(),
             next_tag: 0,
             metrics,
@@ -365,6 +409,11 @@ impl GroupCommitter {
             // `Unavailable` sends the session to the home.
             let unavailable = Some(AbortReason::Unavailable);
             out.extend(self.window.drain(..).map(|p| p.settle(now, unavailable)));
+        }
+        if !self.window.is_empty() && !self.taken_over_epoch(out) {
+            // The members wait for the takeover; the re-poll looks again.
+            self.ensure_window_timer(out);
+            return;
         }
         loop {
             if self.pipeline_full() || self.window.is_empty() {
@@ -507,6 +556,95 @@ impl GroupCommitter {
         self.ensure_window_timer(out);
     }
 
+    /// Whether the committer has taken over the group's current home epoch.
+    /// If not, start the epoch's takeover (ask every replica how far the
+    /// group's positions were touched), or finish it once the prefix has
+    /// reached its target.
+    fn taken_over_epoch(&mut self, out: &mut Vec<ClientAction>) -> bool {
+        let epoch = self.directory.home_epoch(self.group);
+        if epoch == self.taken_over {
+            return true;
+        }
+        match &self.takeover {
+            Some(takeover) if takeover.epoch == epoch => {
+                let Some(target) = takeover.target else {
+                    return false;
+                };
+                if self.home_core().lock().read_position(self.group) < target {
+                    return false;
+                }
+                self.taken_over = epoch;
+                self.takeover = None;
+                true
+            }
+            _ => {
+                self.takeover = Some(Takeover {
+                    epoch,
+                    answered: 0,
+                    highest: LogPosition::ZERO,
+                    target: None,
+                    tag: 0,
+                });
+                self.ask(out);
+                false
+            }
+        }
+    }
+
+    /// Send the takeover query to every replica that has not answered yet,
+    /// and arm the patience after which the silent ones are asked again.
+    fn ask(&mut self, out: &mut Vec<ClientAction>) {
+        let Some(takeover) = &mut self.takeover else {
+            return;
+        };
+        for replica in 0..self.directory.num_replicas() {
+            if takeover.answered & (1 << replica) == 0 {
+                let query = Msg::TakeoverQuery {
+                    group: self.group,
+                    epoch: takeover.epoch,
+                };
+                out.push(ClientAction::Send(
+                    self.directory.service_node(replica),
+                    query,
+                ));
+            }
+        }
+        self.next_tag += 1;
+        takeover.tag = self.next_tag;
+        out.push(ClientAction::ArmTimer {
+            delay: TAKEOVER_PATIENCE,
+            tag: takeover.tag,
+        });
+    }
+
+    /// Record `replica`'s answer to the takeover query of `epoch`: the
+    /// highest position of the group it touched. Returns the takeover's
+    /// target once a majority has answered, the first time only; the host
+    /// then settles every undecided position through it that no slot of
+    /// this committer holds.
+    pub(crate) fn on_takeover_reply(
+        &mut self,
+        epoch: u64,
+        replica: usize,
+        highest: LogPosition,
+    ) -> Option<LogPosition> {
+        let takeover =
+            (self.takeover.as_mut()).filter(|t| t.epoch == epoch && t.target.is_none())?;
+        takeover.answered |= 1 << replica;
+        takeover.highest = takeover.highest.max(highest);
+        let majority = self.directory.num_replicas() / 2 + 1;
+        if (takeover.answered.count_ones() as usize) < majority {
+            return None;
+        }
+        // Every decided position holds votes at a majority, so one answer
+        // reaches the highest position the previous home knew decided, and
+        // its slots lie at most a pipeline above that.
+        let depth = self.batch.pipeline_depth.max(1) as u64;
+        let target = LogPosition(takeover.highest.max(self.highest_opened).0 + depth);
+        takeover.target = Some(target);
+        Some(target)
+    }
+
     /// Feed an incoming message (commit-protocol replies) into the
     /// committer; the carried position routes it to its pipeline slot.
     pub fn on_message(&mut self, now: SimTime, from: NodeId, msg: &Msg) -> Vec<ClientAction> {
@@ -528,6 +666,18 @@ impl GroupCommitter {
         if self.window_tag == Some(tag) {
             self.window_tag = None;
             return self.flush(now);
+        }
+        let waiting = |t: &&Takeover| t.tag == tag && t.target.is_none();
+        if let Some(takeover) = self.takeover.as_ref().filter(waiting) {
+            // The patience of a takeover still short of a majority: ask the
+            // silent replicas again, unless the home has moved on.
+            let mut out = Vec::new();
+            if takeover.epoch == self.directory.home_epoch(self.group) {
+                self.ask(&mut out);
+            } else {
+                self.takeover = None;
+            }
+            return out;
         }
         let mut out = Vec::new();
         self.drive(now, Input::Timer(tag), &mut out);
@@ -720,6 +870,17 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 ClientAction::Finished(r) => Some((r.txn?.seq, r.committed, r.abort_reason)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `(to, epoch)` of every takeover query `actions` send.
+    fn queries(actions: &[ClientAction]) -> Vec<(NodeId, u64)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ClientAction::Send(to, Msg::TakeoverQuery { epoch, .. }) => Some((*to, *epoch)),
                 _ => None,
             })
             .collect()
@@ -982,10 +1143,91 @@ mod tests {
         let actions = committer.submit(now, txn(&dir, 4, "d", LogPosition(1)));
         assert!(!proposes(&actions));
         assert_eq!(fates(&actions), [(4, false, unavailable)]);
-        // Once the home returns, the committer proposes again.
+        // Once the home returns, the committer first takes over: it asks
+        // the replicas how far the group was touched, and proposes nothing.
         dir.set_group_home(GroupId(0), 0);
         let actions = committer.submit(now, txn(&dir, 5, "e", LogPosition(1)));
-        assert!(proposes(&actions));
+        assert!(
+            !proposes(&actions),
+            "proposed before the takeover: {actions:?}"
+        );
+        assert_eq!(queries(&actions), [(NodeId(0), 2)]);
+        // The only replica answers position 1; the target is one pipeline
+        // (depth 1) above it.
+        let target = committer.on_takeover_reply(2, 0, LogPosition(1));
+        assert_eq!(target, Some(LogPosition(2)));
+        assert!(!proposes(&committer.flush(now)));
+        // Once its host has settled position 2, the committer proposes
+        // above the target.
+        dir.core(0)
+            .lock()
+            .install_entry(GroupId(0), LogPosition(2), Arc::new(LogEntry::noop()));
+        let actions = committer.flush(now);
+        assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(3)));
+    }
+
+    #[test]
+    fn a_new_home_asks_a_majority_and_waits_for_its_range_to_decide_before_it_proposes() {
+        let (dir, mut committer) = three_dc_harness();
+        let now = SimTime::ZERO;
+        // Setting the home it already has moves no epoch: the committer
+        // proposes at once and asks nobody.
+        dir.set_group_home(GroupId(0), 0);
+        let actions = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
+        assert!(queries(&actions).is_empty());
+        let (position, ballot) = accept_of(&actions).expect("accept broadcast");
+        let ack = Msg::Paxos(PaxosMsg::AcceptReply {
+            group: GroupId(0),
+            position,
+            ballot,
+            accepted: true,
+        });
+        for replica in 0..3 {
+            committer.on_message(now, NodeId(replica), &ack);
+        }
+        assert!(committer.slots.is_empty());
+        // The home moves away and back: epoch 2, which this committer has
+        // not taken over. It asks every replica and proposes nothing.
+        dir.set_group_home(GroupId(0), 1);
+        dir.set_group_home(GroupId(0), 0);
+        let actions = committer.submit(now, txn(&dir, 2, "b", LogPosition(1)));
+        assert!(!proposes(&actions), "{actions:?}");
+        let everyone: Vec<_> = (0..3).map(|r| (NodeId(r), 2)).collect();
+        assert_eq!(queries(&actions), everyone);
+        let patience = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::ArmTimer { delay, tag } if *delay == TAKEOVER_PATIENCE => Some(*tag),
+                _ => None,
+            })
+            .expect("takeover patience timer");
+        // One answer is no majority; nor is a stale epoch's answer.
+        assert_eq!(committer.on_takeover_reply(2, 1, LogPosition(1)), None);
+        assert_eq!(committer.on_takeover_reply(1, 2, LogPosition(9)), None);
+        // The patience expires: only the silent replicas are asked again.
+        let actions = committer.on_timer(now + TAKEOVER_PATIENCE, patience);
+        assert_eq!(queries(&actions), [(NodeId(0), 2), (NodeId(2), 2)]);
+        // Replica 2 touched position 3: the target is a pipeline above it.
+        let depth = BatchConfig::default().pipeline_depth as u64;
+        let target = committer.on_takeover_reply(2, 2, LogPosition(3));
+        assert_eq!(target, Some(LogPosition(3 + depth)));
+        assert_eq!(committer.on_takeover_reply(2, 0, LogPosition(1)), None);
+        // Nothing opens until every position through the target decided.
+        let core = dir.core(0);
+        for p in 2..3 + depth {
+            let noop = Arc::new(LogEntry::noop());
+            core.lock().install_entry(GroupId(0), LogPosition(p), noop);
+        }
+        assert!(!proposes(&committer.flush(now)));
+        let noop = Arc::new(LogEntry::noop());
+        core.lock()
+            .install_entry(GroupId(0), LogPosition(3 + depth), noop);
+        let actions = committer.flush(now);
+        let opened = accept_of(&actions).map(|(p, _)| p);
+        assert_eq!(opened, Some(LogPosition(4 + depth)));
+        // The epoch is taken over: later submissions ask nobody.
+        let actions = committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
+        assert!(queries(&actions).is_empty() && proposes(&actions));
     }
 
     #[test]

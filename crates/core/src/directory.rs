@@ -22,13 +22,16 @@ use walog::{GroupId, LogPosition, SymbolTable};
 /// datacenters and commit in parallel with no cross-group coordination.
 /// By default homes are assigned round-robin by group id; explicit
 /// assignments override (e.g. to co-locate a group with the datacenter
-/// that generates its traffic).
+/// that generates its traffic). Each real move of a group's home bumps
+/// the group's *home epoch*, which a new home's committer settles before
+/// it proposes ([`Directory::home_epoch`]).
 pub struct Directory {
     symbols: Arc<SymbolTable>,
     service_nodes: RwLock<Vec<NodeId>>,
     cores: RwLock<Vec<SharedCore>>,
     client_replica: RwLock<HashMap<NodeId, usize>>,
-    group_homes: RwLock<HashMap<GroupId, usize>>,
+    /// Explicit homes, each with its group's home epoch.
+    group_homes: RwLock<HashMap<GroupId, (usize, u64)>>,
 }
 
 impl Default for Directory {
@@ -131,7 +134,7 @@ impl Directory {
     /// round-robin by group id so a cluster with `D` datacenters leads `D`
     /// disjoint shards of the group space in parallel.
     pub fn group_home(&self, group: GroupId) -> usize {
-        if let Some(home) = self.group_homes.read().get(&group) {
+        if let Some((home, _)) = self.group_homes.read().get(&group) {
             return *home;
         }
         let replicas = self.num_replicas();
@@ -142,9 +145,25 @@ impl Directory {
         }
     }
 
+    /// How many times `group`'s home has moved: 0 until a
+    /// [`Directory::set_group_home`] names a datacenter other than the
+    /// current home.
+    pub fn home_epoch(&self, group: GroupId) -> u64 {
+        self.group_homes
+            .read()
+            .get(&group)
+            .map_or(0, |(_, epoch)| *epoch)
+    }
+
     /// Pin a group's home datacenter, overriding the round-robin default.
+    /// The home epoch moves only when the home does: naming the current
+    /// home again changes nothing a committer sees.
     pub fn set_group_home(&self, group: GroupId, replica: usize) {
-        self.group_homes.write().insert(group, replica);
+        let current = self.group_home(group);
+        let mut homes = self.group_homes.write();
+        let epoch = homes.get(&group).map_or(0, |(_, epoch)| *epoch);
+        let epoch = if current == replica { epoch } else { epoch + 1 };
+        homes.insert(group, (replica, epoch));
     }
 
     /// Pick the datacenter a snapshot (read-only) handle reads `group`
@@ -242,6 +261,19 @@ mod tests {
         assert_eq!(dir.group_home(GroupId(3)), 0);
         dir.set_group_home(GroupId(3), 2);
         assert_eq!(dir.group_home(GroupId(3)), 2);
+        // Only a real move bumps the home epoch.
+        assert_eq!(dir.home_epoch(GroupId(3)), 1);
+        dir.set_group_home(GroupId(3), 2);
+        dir.set_group_home(GroupId(1), 1);
+        assert_eq!(
+            (dir.home_epoch(GroupId(3)), dir.home_epoch(GroupId(1))),
+            (1, 0)
+        );
+        dir.set_group_home(GroupId(3), 0);
+        assert_eq!(
+            (dir.group_home(GroupId(3)), dir.home_epoch(GroupId(3))),
+            (0, 2)
+        );
         // A directory with no datacenters yet falls back to replica 0.
         assert_eq!(Directory::new().group_home(GroupId(7)), 0);
     }

@@ -114,6 +114,25 @@ pub enum Msg {
     /// promise or a vote: its decided state of the group, for the lagging
     /// service to adopt.
     CatchUp(Arc<GroupState>),
+    /// A new group home's committer asks each replica's service how far
+    /// the group's log positions were touched, before it proposes
+    /// anything: the previous home may still have slots in flight.
+    TakeoverQuery {
+        /// Transaction group.
+        group: GroupId,
+        /// The home epoch being taken over ([`crate::Directory::home_epoch`]).
+        epoch: u64,
+    },
+    /// Answer to [`Msg::TakeoverQuery`].
+    TakeoverReply {
+        /// Transaction group.
+        group: GroupId,
+        /// Echoed home epoch.
+        epoch: u64,
+        /// The highest position of the group this datacenter's acceptor
+        /// promised or voted at, or its log decided, whichever is higher.
+        highest: LogPosition,
+    },
 }
 
 impl Msg {
@@ -127,6 +146,8 @@ impl Msg {
             Msg::CommitReply { .. } => "commit_reply",
             Msg::VoteCopy { .. } => "vote_copy",
             Msg::CatchUp(_) => "catch_up",
+            Msg::TakeoverQuery { .. } => "takeover_query",
+            Msg::TakeoverReply { .. } => "takeover_reply",
         }
     }
 }

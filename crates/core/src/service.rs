@@ -29,6 +29,11 @@
 //!   the per-member fate returns to the requester as a
 //!   [`Msg::CommitReply`], and a retried request never proposes its member
 //!   twice ([`CommitTable`]);
+//! * take a group over when this datacenter becomes its home: a hosted
+//!   committer asks every service how far the group's positions were
+//!   touched ([`Msg::TakeoverQuery`]), and this service settles every
+//!   position the old home could still have in flight through recovery
+//!   instances before the committer proposes;
 //! * run the **orphaned-position janitor** (`OrphanWatch`): re-propose a
 //!   group's first undecided position through a recovery instance once it
 //!   has stayed orphaned past a timeout, so the prefix advances and
@@ -489,6 +494,65 @@ impl TransactionService {
         }
     }
 
+    /// Answer a new home's takeover query: the highest position of `group`
+    /// this datacenter's acceptor promised or voted at, or its log decided.
+    fn answer_takeover(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        from: NodeId,
+        group: GroupId,
+        epoch: u64,
+    ) {
+        let highest = {
+            let core = self.core.lock();
+            let decided = core.log(group).map(|log| log.last_decided());
+            let touched = core.acceptor().highest_touched(group);
+            decided.unwrap_or(LogPosition::ZERO).max(touched)
+        };
+        let reply = Msg::TakeoverReply {
+            group,
+            epoch,
+            highest,
+        };
+        ctx.send(from, reply);
+    }
+
+    /// Feed a replica's answer to a hosted committer's takeover query. Once
+    /// a majority has answered, settle every undecided position from the
+    /// prefix through the takeover's target that the committer's own slots
+    /// do not hold, through recovery instances: whatever the previous home
+    /// left in flight there decides, or a no-op does.
+    fn settle_takeover(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        from: NodeId,
+        group: GroupId,
+        epoch: u64,
+        highest: LogPosition,
+    ) {
+        let Some(replica) = self.directory.replica_of_service(from) else {
+            return;
+        };
+        let Some(committer) = self.committers.get_mut(&group) else {
+            return;
+        };
+        let Some(target) = committer.on_takeover_reply(epoch, replica, highest) else {
+            return;
+        };
+        let held = committer.slot_positions();
+        let prefix = self.core.lock().read_position(group);
+        for position in (prefix.0 + 1..=target.0).map(LogPosition) {
+            if !held.contains(&position) {
+                self.start_recovery(ctx, group, position);
+            }
+        }
+        // The prefix may be past the target already.
+        if let Some(committer) = self.committers.get_mut(&group) {
+            let actions = committer.flush(ctx.now());
+            self.apply_committer_actions(ctx, group, actions);
+        }
+    }
+
     /// Submitted commit route: feed the finished transaction into the
     /// group's hosted commit engine, creating it on first use. Outside the
     /// group's home the engine answers it `Unavailable`.
@@ -684,6 +748,12 @@ impl Actor<Msg> for TransactionService {
                 self.handle_commit_request(ctx, from, req_id, txn);
             }
             Msg::CatchUp(state) => self.adopt(ctx, &state),
+            Msg::TakeoverQuery { group, epoch } => self.answer_takeover(ctx, from, group, epoch),
+            Msg::TakeoverReply {
+                group,
+                epoch,
+                highest,
+            } => self.settle_takeover(ctx, from, group, epoch, highest),
             Msg::SnapshotReadReply { .. } | Msg::CommitReply { .. } | Msg::VoteCopy { .. } => {
                 // Services never issue read or commit requests; stray
                 // replies are ignored.
@@ -782,6 +852,14 @@ mod tests {
     fn single_dc_harness(
         to_send: impl Fn(NodeId) -> Vec<(NodeId, Msg)>,
     ) -> (Simulation<Msg>, SharedCore, Inbox) {
+        single_dc_harness_with(BatchConfig::default(), to_send)
+    }
+
+    /// [`single_dc_harness`] whose service's committers run with `batch`.
+    fn single_dc_harness_with(
+        batch: BatchConfig,
+        to_send: impl Fn(NodeId) -> Vec<(NodeId, Msg)>,
+    ) -> (Simulation<Msg>, SharedCore, Inbox) {
         let mut sim: Simulation<Msg> =
             Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
         let site = sim.add_site("dc0");
@@ -792,7 +870,8 @@ mod tests {
             core.clone(),
             directory.clone(),
             SimDuration::from_secs(2),
-        );
+        )
+        .with_commit_engine(ClientConfig::cp(), batch);
         let service_node = sim.add_node(site, Box::new(service));
         directory.register_datacenter(service_node, core.clone());
         let received = StdArc::new(parking_lot::Mutex::new(Vec::new()));
@@ -1033,10 +1112,10 @@ mod tests {
     #[test]
     fn commit_request_is_batched_and_answered_with_the_member_fate() {
         // Four clients' transactions arrive as CommitRequests. The first two
-        // fill the hosted committer's two pipeline slots; the other two pile
-        // up behind them and board the next free slot as one instance
-        // (single replica: its own acceptor is the majority). Every
-        // requester is answered.
+        // fill the hosted committer's two pipeline slots (the depth is
+        // pinned: the subject is the window); the other two pile up behind
+        // them and board the next free slot as one instance (single replica:
+        // its own acceptor is the majority). Every requester is answered.
         let txns: Vec<Transaction> = (0..4u32)
             .map(|i| {
                 Transaction::builder(TxnId::new(9, u64::from(i) + 1), GROUP, LogPosition(0))
@@ -1044,7 +1123,8 @@ mod tests {
                     .build()
             })
             .collect();
-        let (mut sim, core, received) = single_dc_harness(move |svc| {
+        let depth_two = BatchConfig::default().with_pipeline_depth(2);
+        let (mut sim, core, received) = single_dc_harness_with(depth_two, move |svc| {
             let request = |(i, txn): (usize, &Transaction)| {
                 let req_id = i as u64 + 1;
                 let txn = txn.clone();
@@ -1343,6 +1423,15 @@ mod tests {
     fn stalled_recovery_harness(
         msgs: Vec<Msg>,
     ) -> (Simulation<Msg>, NodeId, Arc<Directory>, Inbox) {
+        stalled_recovery_harness_with(BatchConfig::default(), msgs)
+    }
+
+    /// [`stalled_recovery_harness`] whose services' committers run with
+    /// `batch`.
+    fn stalled_recovery_harness_with(
+        batch: BatchConfig,
+        msgs: Vec<Msg>,
+    ) -> (Simulation<Msg>, NodeId, Arc<Directory>, Inbox) {
         let mut sim: Simulation<Msg> =
             Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
         let directory = Directory::new();
@@ -1355,7 +1444,8 @@ mod tests {
                 core.clone(),
                 directory.clone(),
                 SimDuration::from_secs(2),
-            );
+            )
+            .with_commit_engine(ClientConfig::cp(), batch.clone());
             let node = sim.add_node(site, Box::new(service));
             directory.register_datacenter(node, core);
             nodes.push(node);
@@ -1377,8 +1467,9 @@ mod tests {
     #[test]
     fn a_service_that_recovers_after_its_groups_home_moved_answers_its_window_unavailable() {
         // Three blind writes reach the group's home while its only peer is
-        // down: two fill the committer's pipeline (their fast rounds wait
-        // for the peer) and the third waits in the window. The home
+        // down: two fill the committer's pipeline (pinned at depth 2, since
+        // the subject is the window; their fast rounds wait for the peer)
+        // and the third waits in the window. The home
         // crashes, the group's home moves to the peer, and the service
         // recovers: the waiting member is answered `Unavailable`, so its
         // session re-sends to the new home at once.
@@ -1394,7 +1485,9 @@ mod tests {
                 }
             })
             .collect();
-        let (mut sim, service_node, directory, received) = stalled_recovery_harness(requests);
+        let depth_two = BatchConfig::default().with_pipeline_depth(2);
+        let (mut sim, service_node, directory, received) =
+            stalled_recovery_harness_with(depth_two, requests);
         sim.run_for(SimDuration::from_millis(10));
         sim.crash_node(service_node);
         sim.run_for(SimDuration::from_millis(10));
@@ -1511,6 +1604,79 @@ mod tests {
                 .map(|log| log.committed_transaction_count());
             assert_eq!(log, Some(1), "replica {replica}");
         }
+    }
+
+    /// A session that commits one write to each of its groups at start
+    /// and records its answers.
+    struct EveryGroup(
+        Session,
+        Vec<&'static str>,
+        StdArc<parking_lot::Mutex<Vec<TxnResult>>>,
+    );
+
+    impl Actor<Msg> for EveryGroup {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            for group in self.1.clone() {
+                let h = self.0.begin(ctx.now(), group);
+                self.0.write(h, "row", "a", "v").unwrap();
+                let actions = self.0.commit(ctx.now(), h).unwrap();
+                self.2.lock().extend(apply_client_actions(ctx, actions));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            let actions = self.0.on_message(ctx.now(), from, &msg);
+            self.2.lock().extend(apply_client_actions(ctx, actions));
+        }
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+            let actions = self.0.on_timer(ctx.now(), tag);
+            self.2.lock().extend(apply_client_actions(ctx, actions));
+        }
+    }
+
+    #[test]
+    fn a_fault_free_run_sends_no_takeover_message() {
+        // Three datacenters, three groups homed round-robin, and a client
+        // in each datacenter committing to every group. Naming a group's
+        // current home again moves no home epoch, so no committer takes
+        // anything over.
+        let mut sim: Simulation<Msg> =
+            Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
+        let directory = Directory::new();
+        let heard = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        for replica in 0..3 {
+            let site = sim.add_site(format!("dc{replica}"));
+            let core = DatacenterCore::shared(format!("dc{replica}"), replica);
+            let timeout = SimDuration::from_secs(2);
+            let service =
+                TransactionService::new(replica, core.clone(), directory.clone(), timeout);
+            let node = sim.add_node(site, Box::new(Tapped(service, StdArc::clone(&heard))));
+            directory.register_datacenter(node, core);
+        }
+        let groups = vec!["g0", "g1", "g2"];
+        for (replica, name) in groups.iter().enumerate() {
+            let group = directory.symbols().group(name);
+            assert_eq!(directory.group_home(group), replica);
+            directory.set_group_home(group, replica);
+        }
+        let config = ClientConfig::cp().with_route(CommitRoute::Submitted);
+        let results = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+        for replica in 0..3 {
+            let client = NodeId(sim.node_count() as u32);
+            directory.register_client(client, replica);
+            let session = Session::new(client, replica, directory.clone(), config.clone());
+            let site = sim.network().site_of(directory.service_node(replica));
+            let actor = EveryGroup(session, groups.clone(), StdArc::clone(&results));
+            sim.add_node(site, Box::new(actor));
+        }
+        sim.run_until_idle_capped(100_000);
+
+        let results = results.lock();
+        assert_eq!(results.len(), 9, "{results:?}");
+        assert!(results.iter().all(|r| r.committed), "{results:?}");
+        let heard = heard.lock();
+        let takeovers = (heard.iter()).filter(|(_, kind)| kind.starts_with("takeover_"));
+        assert_eq!(takeovers.count(), 0);
+        assert!(heard.iter().any(|(_, kind)| *kind == "commit_request"));
     }
 
     #[test]

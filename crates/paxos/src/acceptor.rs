@@ -185,6 +185,16 @@ impl<'a> AcceptorStore<'a> {
             .get(&(group, position))
             .is_some_and(|slot| slot.next_bal.is_some() || slot.vote.is_some())
     }
+
+    /// The highest position of `group` holding a promise or a vote
+    /// ([`LogPosition::ZERO`] when none does): a new group home's bound on
+    /// where the previous home's proposals may have reached.
+    pub fn highest_touched(&self, group: GroupId) -> LogPosition {
+        // Every slot holds a promise or a vote: none is created empty.
+        let range = (group, LogPosition::ZERO)..=(group, LogPosition(u64::MAX));
+        let highest = self.slots().range(range).next_back().map(|(key, _)| key.1);
+        highest.unwrap_or(LogPosition::ZERO)
+    }
 }
 
 #[cfg(test)]
@@ -448,6 +458,14 @@ mod tests {
         assert!(acc.promised_ballot(group(), LogPosition(2)).is_none());
         assert!(acc.promised_ballot(GroupId(9), LogPosition(1)).is_none());
         assert!(!acc.touched(group(), LogPosition(2)));
+        // The highest touched position is per group: a vote at 4 of another
+        // group does not count, a fast vote at 3 of this one does.
+        acc.handle_accept(GroupId(9), LogPosition(4), Ballot::fast(2), &entry(4));
+        assert_eq!(acc.highest_touched(group()), LogPosition(1));
+        acc.handle_accept(group(), LogPosition(3), Ballot::fast(2), &entry(3));
+        assert_eq!(acc.highest_touched(group()), LogPosition(3));
+        assert_eq!(acc.highest_touched(GroupId(9)), LogPosition(4));
+        assert_eq!(acc.highest_touched(GroupId(5)), LogPosition::ZERO);
         // Acceptor state is never an application row, and every view of one
         // store shares its slots.
         assert_eq!(store.key_count(), 0);

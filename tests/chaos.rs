@@ -55,32 +55,16 @@ fn sixty_seconds_of_rolling_chaos_stays_serializable_available_and_live() {
     );
 }
 
-/// Seeds of the 60 s rolling-failure scenario at which a transaction
-/// commits at two log positions, as measured when the sweep below was
-/// written (25 before a committer whose group home moved away stopped
-/// proposing its window, 14 before a committer claimed its positions at
-/// home in-process and re-sent an incomplete fast accept once, which cut
-/// the fast rounds that waited out the whole reply timeout; 3 before a
-/// client outside the home began learning its commits from the acceptors'
-/// vote copies, after which seeds 49 and 50 no longer commit twice, for
-/// reasons not traced). The remaining
-/// cause is a member already in an old home's in-flight slot when its
-/// retry reaches the new home. Lower this number when a fix removes seeds;
-/// never raise it.
-const DUPLICATE_SEEDS_AT_MOST: usize = 1;
-
-/// The seeds that commit a transaction twice today. A change that cures
-/// one of them but breaks another seed still fails the sweep: the
-/// duplicates must be a subset of these. Remove a seed once it is cured.
-const KNOWN_DUPLICATE_SEEDS: [u64; 1] = [43];
-
-/// The exactly-once ratchet: the 60 s rolling-failure scenario at seeds
+/// The exactly-once sweep: the 60 s rolling-failure scenario at seeds
 /// 1..=60, one verdict printed per seed — `ok`, `DuplicateCommit`,
 /// `flatline` (a liveness window committed nothing) or `unavailable` (an
-/// operation surfaced `Unavailable`). At most [`DUPLICATE_SEEDS_AT_MOST`]
-/// seeds may end in `DuplicateCommit`, all of them among
-/// [`KNOWN_DUPLICATE_SEEDS`], no seed may surface `Unavailable`,
-/// and no seed may fail any other way. Sixty full runs: run it with
+/// operation surfaced `Unavailable`). No seed may commit a transaction
+/// twice, no seed may surface `Unavailable`, and no seed may fail any
+/// other way. Duplicates were a ratchet that fell 25 → 14 → 3 → 1 seeds;
+/// the last cause, a member already in an old home's in-flight slot when
+/// its retry reached the new home, is gone since a new home settles every
+/// position the old home could still have in flight before it proposes.
+/// Sixty full runs: run it with
 /// `cargo test --release --test chaos -- --ignored`.
 #[test]
 #[ignore = "sixty full chaos runs; run in release with --ignored"]
@@ -141,17 +125,8 @@ fn rolling_failure_seed_sweep() {
         "automatic re-submission must absorb every fault window"
     );
     assert!(
-        duplicates.len() <= DUPLICATE_SEEDS_AT_MOST,
-        "{} seeds commit a transaction twice, more than the {DUPLICATE_SEEDS_AT_MOST} \
-         measured: {duplicates:?}",
-        duplicates.len()
-    );
-    let unknown: Vec<&u64> = (duplicates.iter())
-        .filter(|seed| !KNOWN_DUPLICATE_SEEDS.contains(seed))
-        .collect();
-    assert!(
-        unknown.is_empty(),
-        "seeds outside {KNOWN_DUPLICATE_SEEDS:?} commit a transaction twice: {unknown:?}"
+        duplicates.is_empty(),
+        "seeds commit a transaction twice: {duplicates:?}"
     );
 }
 

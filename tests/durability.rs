@@ -11,8 +11,8 @@
 //! crash comes first.
 
 use mdstore::{
-    apply_client_actions, ClientAction, Cluster, ClusterConfig, CommitProtocol, DatacenterCore,
-    DurableConfig, Msg, Session, StorageConfig, Topology,
+    apply_client_actions, BatchConfig, ClientAction, Cluster, ClusterConfig, CommitProtocol,
+    DatacenterCore, DurableConfig, Msg, Session, StorageConfig, Topology,
 };
 use parking_lot::Mutex;
 use paxos::{Ballot, PaxosMsg};
@@ -701,10 +701,11 @@ fn a_lagging_replica_adopts_what_its_restarted_peers_forgot_instead_of_deciding_
     storage::remove_scratch_dir(&dir);
 }
 
-/// The lagging datacenter homes a commit: its committer proposes at the
-/// first position it lacks, which its peers forgot and will never promise.
-/// Once their group state arrives it gives that slot up and commits the
-/// member at the first position after the adopted prefix.
+/// The lagging datacenter becomes the group's home and takes a commit: its
+/// committer first takes the group over, settling positions its peers
+/// forgot and will never promise; their group state arrives instead, and
+/// it adopts it. The member then commits once, above the takeover's
+/// target.
 #[test]
 fn a_lagging_home_commits_past_the_positions_its_peers_forgot() {
     const TXNS: u64 = 12;
@@ -730,16 +731,24 @@ fn a_lagging_home_commits_past_the_positions_its_peers_forgot() {
         ),
         "{replies:?}"
     );
-    let position = LogPosition(TXNS + 1);
-    for replica in 0..3 {
-        let core = cluster.core(replica);
-        let core = core.lock();
-        let entry = core.log(g).and_then(|log| log.get(position).cloned());
-        assert!(
-            entry.is_some_and(|entry| entry.contains(txn.id)),
-            "replica {replica}"
-        );
-    }
+    // The home moved, so the committer took over first: its peers touched
+    // the group through TXNS, so nothing opened at or below TXNS plus one
+    // pipeline. The member sits at one position, the same everywhere.
+    let target = TXNS + BatchConfig::default().pipeline_depth as u64;
+    let positions: Vec<Vec<u64>> = (0..3)
+        .map(|replica| {
+            let core = cluster.core(replica);
+            let core = core.lock();
+            let log = core.log(g).expect("group log");
+            let holding = log.iter().filter(|(_, entry)| entry.contains(txn.id));
+            holding.map(|(position, _)| position.0).collect()
+        })
+        .collect();
+    let [position] = positions[0][..] else {
+        panic!("the member sits at one position: {positions:?}");
+    };
+    assert!(position > target, "{positions:?}, target {target}");
+    assert!(positions.iter().all(|p| *p == [position]), "{positions:?}");
     cluster.verify().unwrap();
     storage::remove_scratch_dir(&dir);
 }

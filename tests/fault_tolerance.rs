@@ -704,6 +704,71 @@ fn correlated_crash_during_accept_across_two_pipeline_slots_commits_exactly_once
 }
 
 #[test]
+fn a_retry_that_reaches_the_new_home_commits_once_beside_the_old_homes_stalled_slot() {
+    // Virginia (dc0) homes "g", and dc2 is down, so no fast round can be
+    // unanimous. M's first request opens a slot at dc0 for position 1; dc0
+    // and dc1 vote for it, and the slot waits. The home moves to dc1, and a
+    // filler F and then M's retry reach dc1 back to back. Without a
+    // takeover, F's slot at 1 would adopt the stalled vote, so M commits at
+    // 1, while M's retry, already in a speculative slot at 2, commits again
+    // there. The new home first settles every position dc0 could still have
+    // in flight: through the highest one a majority touched (1) plus one
+    // pipeline (depth 8).
+    const DEPTH: u64 = 8;
+    let batch = BatchConfig::default().with_pipeline_depth(DEPTH as usize);
+    let config = ClusterConfig::new(Topology::vvv().with_jitter(0.0), CommitProtocol::PaxosCp)
+        .with_batch(batch);
+    let mut cluster = Cluster::build(config);
+    let symbols = cluster.symbols();
+    let group = symbols.group("g");
+    assert_eq!(cluster.directory().group_home(group), 0);
+    let write = |seq: u64, attr: &str| {
+        Transaction::builder(TxnId::new(3, seq), group, LogPosition(0))
+            .write(symbols.item("row", attr), "v")
+            .build()
+    };
+    let (member, filler) = (write(1, "m"), write(2, "f"));
+    cluster.crash_datacenter(2);
+    let first = add_batch_submitter(&mut cluster, 1, group, vec![member.clone()]);
+    cluster.run_for(SimDuration::from_millis(10));
+    assert_eq!(first.lock().attempted, 0, "the old home's slot stalls");
+    cluster.directory().set_group_home(group, 1);
+    let retry = add_batch_submitter(&mut cluster, 1, group, vec![filler.clone(), member.clone()]);
+    cluster.run_for(SimDuration::from_secs(30));
+    assert_eq!(retry.lock().committed, 2, "both commit at the new home");
+    // Two slots opened in all: M's at the old home, F's above the target.
+    assert_eq!(cluster.service_commit_metrics().window_occupancy, [1, 1]);
+    // dc2 comes back, and a last commit decides above its gap, so it
+    // learns the positions it missed.
+    cluster.recover_datacenter(2);
+    let last = add_batch_submitter(&mut cluster, 1, group, vec![write(3, "l")]);
+    cluster.run_to_completion();
+    assert_eq!(last.lock().committed, 1);
+
+    let target = 1 + DEPTH;
+    for replica in 0..3 {
+        let core = cluster.core(replica);
+        let core = core.lock();
+        let log = core.log(group).expect("group log");
+        let at = |id: TxnId| -> Vec<u64> {
+            let holding = log.iter().filter(|(_, entry)| entry.contains(id));
+            holding.map(|(position, _)| position.0).collect()
+        };
+        assert_eq!(at(member.id), [1], "replica {replica}");
+        let [position] = at(filler.id)[..] else {
+            panic!("replica {replica}: F at {:?}", at(filler.id));
+        };
+        assert!(position > target, "replica {replica}: F at {position}");
+        // Everything between M and the target was settled with no-ops.
+        let noops = (2..=target).filter(|p| log.get(LogPosition(*p)).is_some_and(|e| e.is_noop()));
+        assert_eq!(noops.count() as u64, target - 1, "replica {replica}");
+    }
+    cluster
+        .verify()
+        .expect("a takeover keeps the logs agreed and serializable");
+}
+
+#[test]
 fn lost_pipeline_slot_resubmits_survivors_in_order_exactly_once() {
     // A dead proposer's value at position 3 is chosen: every acceptor
     // voted for it, so any prepare quorum reports it as decided. The
