@@ -460,14 +460,14 @@ impl GroupCommitter {
                 // since the member's last validated position must not have
                 // written anything it read. One core lock covers the whole
                 // opening; a member already validated through this prefix
-                // costs nothing.
+                // costs nothing. The rule is the direct route's too
+                // (`GroupLog::promotable_through`); positions at or below
+                // the log base were truncated away and go unchecked.
                 if pending.validated_through < prefix {
                     let log = core_guard.log(self.group);
                     let invalidated = log.is_some_and(|log| {
-                        (pending.validated_through.0 + 1..=prefix.0)
-                            .map(LogPosition)
-                            .filter_map(|p| log.get(p))
-                            .any(|entry| entry.invalidates_reads_of(&pending.txn))
+                        let from = pending.validated_through.max(log.base());
+                        log.promotable_through(&pending.txn, from, None) < prefix
                     });
                     if invalidated {
                         if let Some(metrics) = &self.metrics {

@@ -119,7 +119,8 @@ pub struct RunMetrics {
     /// the cumulative count like `resubmissions`).
     pub direct_backoffs: u64,
     /// Positions the sessions' direct commits resolved from their home
-    /// datacenter's log instead of another protocol round.
+    /// datacenter's log instead of another protocol round: skipped at the
+    /// start, or lost while a round was in flight.
     pub learned_from_home_log: u64,
 }
 

@@ -27,8 +27,13 @@
 //!
 //! One input is the session's alone: [`Input::Decided`] hands an instance
 //! the decided value of its position from the host datacenter's log, so a
-//! direct commit that lost an already-settled position moves on at once
-//! instead of re-preparing it after a back-off.
+//! direct commit that lost a position settled while its round was in
+//! flight moves on at once instead of re-preparing it after a back-off.
+//! Positions already settled when the commit starts never reach the
+//! instance: the session promotes past them before it builds the proposer
+//! ([`walog::GroupLog::promotable_through`], the rule the group committer
+//! revalidates its members with) and starts it at the first position the
+//! walk stopped at.
 
 use crate::directory::Directory;
 use crate::msg::Msg;
@@ -428,6 +433,7 @@ mod tests {
             3,
             vec![txn],
             key,
+            0,
         ));
         let mut host = Proposers::default();
         let mut next_tag = 0;

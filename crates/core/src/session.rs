@@ -798,17 +798,33 @@ impl Session {
     }
 
     /// Start a direct-route proposer for `handle` (the group slot is free).
+    /// A Paxos-CP commit first promotes in-process past the decided
+    /// positions of the home log above its snapshot that wrote nothing it
+    /// read, and starts at the position the walk stopped at: a gap, where
+    /// it claims the fast path as a fresh commit does; an entry that
+    /// invalidates it, which the first reply resolves; or the promotion
+    /// cap. Basic Paxos (cap 0) starts at the read position + 1.
     fn start_direct(&mut self, now: SimTime, handle: u64, out: &mut Vec<ClientAction>) {
         let transaction = self.build_transaction(handle);
         let group = transaction.group;
-        let commit_position = transaction.read_position.next();
         let cfg = self.config.proposer_config(self.directory.num_replicas());
+        let read_position = transaction.read_position;
+        let through = self
+            .home_core()
+            .lock()
+            .log(group)
+            .map_or(read_position, |log| {
+                log.promotable_through(&transaction, read_position, cfg.max_promotions)
+            });
+        let skipped = through.0 - read_position.0;
+        self.learned_from_home_log += skipped;
         let proposer = Box::new(Proposer::new(
             cfg,
             group,
             self.node.0 as u64,
             vec![transaction],
-            commit_position,
+            through.next(),
+            u32::try_from(skipped).unwrap_or(u32::MAX),
         ));
         let txn = self.open.get_mut(&handle).expect("caller checked");
         txn.phase = Phase::Direct;
@@ -1038,10 +1054,13 @@ impl Session {
     }
 
     /// Feed the direct route's proposer host, then — after a reply or a
-    /// timer, never after a start, so that `commit` returns with its
-    /// transaction still open — hand the instance every position it
-    /// competes for that the home log already holds. Promotion may land on
-    /// a position that is decided too, so this repeats.
+    /// timer — hand the instance every position it competes for that the
+    /// home log holds by now. Promotion may land on a position that is
+    /// decided too, so this repeats. A start is not followed up: the
+    /// decided positions the commit could step over were already skipped
+    /// in `start_direct`, and the one it starts at is a gap or an entry
+    /// that invalidates it, which its first reply resolves — so `commit`
+    /// returns with its transaction still open.
     fn drive(&mut self, now: SimTime, input: Input<'_, u64>, out: &mut Vec<ClientAction>) {
         let key = match &input {
             Input::Reply(key, ..) => Some(*key),
@@ -1467,32 +1486,74 @@ mod tests {
         assert_eq!(core.lock().read_position(group), LogPosition(1));
     }
 
+    /// Three datacenters whose services are nodes 0, 1 and 2, and a session
+    /// at datacenter 0 that read `row.a` (absent) at position 0 and writes
+    /// it. A rival client at datacenter 2 wins what `rivals` later installs.
+    fn stale_session(config: ClientConfig) -> (Arc<Directory>, Session, TxnHandle) {
+        let dir = Directory::new();
+        for replica in 0..3 {
+            dir.register_datacenter(
+                NodeId(replica),
+                DatacenterCore::shared(format!("dc{replica}"), replica as usize),
+            );
+        }
+        dir.register_client(NodeId(RIVAL), 2);
+        let mut session = Session::new(NodeId(5), 0, dir.clone(), config);
+        let h = session.begin(SimTime::ZERO, "g");
+        assert_eq!(session.read(h, "row", "a").unwrap(), None);
+        session.write(h, "row", "a", "mine").unwrap();
+        (dir, session, h)
+    }
+
+    /// The rival client of [`stale_session`].
+    const RIVAL: u32 = 9;
+
+    /// Install, at datacenter 0, the rival's blind write of `row.<attr>`
+    /// at each `(position, attr)`.
+    fn rivals(dir: &Directory, won: &[(u64, &str)]) {
+        let group = dir.symbols().group("g");
+        for &(position, attr) in won {
+            let txn = Transaction::builder(
+                TxnId::new(RIVAL, position),
+                group,
+                LogPosition(position - 1),
+            )
+            .write(dir.symbols().item("row", attr), "rival")
+            .build();
+            dir.core(0).lock().install_entry(
+                group,
+                LogPosition(position),
+                Arc::new(LogEntry::single(txn)),
+            );
+        }
+    }
+
+    /// The position of the first commit-protocol message in `actions`.
+    fn first_position(actions: &[ClientAction]) -> LogPosition {
+        actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::Send(_, Msg::Paxos(msg)) => Some(msg.position()),
+                _ => None,
+            })
+            .expect("a commit-protocol message")
+    }
+
     #[test]
     fn a_stale_direct_commit_learns_its_lost_position_from_the_home_log_without_backing_off() {
-        // The transaction reads at position 0, but position 1 is already
-        // decided at home (a rival's blind write of another attribute). The
+        // The transaction reads at position 0; position 1 is still open when
+        // it commits, and a rival's blind write of another attribute is
+        // decided there at home while the first round is in flight. The
         // first denied leader claim, or the first refused prepare, must move
         // the commit on to position 2 — not leave it to re-prepare position
         // 1 after a randomized back-off.
         for fast_path in [true, false] {
-            let dir = Directory::new();
-            for replica in 0..3 {
-                dir.register_datacenter(
-                    NodeId(replica),
-                    DatacenterCore::shared(format!("dc{replica}"), replica as usize),
-                );
-            }
-            let home = dir.core(0);
             let config = ClientConfig {
                 fast_path,
                 ..ClientConfig::cp()
             };
             let timeout = config.message_timeout;
-            let mut session = Session::new(NodeId(5), 0, dir.clone(), config);
-            let h = session.begin(SimTime::ZERO, "g");
-            assert_eq!(session.read(h, "row", "a").unwrap(), None);
-            session.write(h, "row", "a", "mine").unwrap();
-            seeded_entry(&dir, &home, 1, "b", "rival");
+            let (dir, mut session, h) = stale_session(config);
             let group = dir.symbols().group("g");
 
             let started = session.commit(SimTime::ZERO, h).unwrap();
@@ -1500,6 +1561,8 @@ mod tests {
                 session.committing(h),
                 "a commit never resolves inside the commit call"
             );
+            assert_eq!(first_position(&started), LogPosition(1));
+            rivals(&dir, &[(1, "b")]);
             let ballot = started.iter().find_map(|a| match a {
                 ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { ballot, .. })) => {
                     Some(*ballot)
@@ -1551,6 +1614,164 @@ mod tests {
             assert_eq!(session.learned_from_home_log(), 1);
             assert_eq!(session.direct_backoffs(), 0);
         }
+    }
+
+    #[test]
+    fn a_stale_direct_commit_claims_the_fast_path_past_decided_positions_that_left_its_reads_alone()
+    {
+        // Positions 1 and 2 are decided at home before the commit starts,
+        // and neither wrote `row.a`: the commit promotes past both
+        // in-process and claims position 3 from its leader — the datacenter
+        // of the client that won position 2 — with no prepare anywhere.
+        let (dir, mut session, h) = stale_session(ClientConfig::cp());
+        let group = dir.symbols().group("g");
+        rivals(&dir, &[(1, "b"), (2, "c")]);
+        let leader = dir.service_node(dir.leader_replica(0, group, LogPosition(3)));
+        assert_eq!(leader, NodeId(2), "the rival's datacenter leads position 3");
+
+        let started = session.commit(SimTime::ZERO, h).unwrap();
+        assert!(
+            matches!(
+                &started[0],
+                ClientAction::Send(to, Msg::Paxos(PaxosMsg::LeaderClaim { position, .. }))
+                    if *to == leader && *position == LogPosition(3)
+            ),
+            "got {started:?}"
+        );
+        assert!(session.committing(h));
+        assert_eq!(session.learned_from_home_log(), 2);
+        // The claim is granted and every replica accepts the fast round.
+        let mut actions = session.on_message(
+            SimTime::ZERO,
+            leader,
+            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
+                group,
+                position: LogPosition(3),
+                granted: true,
+            }),
+        );
+        let ballot = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Accept { ballot, .. })) => Some(*ballot),
+                _ => None,
+            })
+            .expect("accept broadcast");
+        for replica in 0..3 {
+            actions.extend(session.on_message(
+                SimTime::ZERO,
+                NodeId(replica),
+                &Msg::Paxos(PaxosMsg::AcceptReply {
+                    group,
+                    position: LogPosition(3),
+                    ballot,
+                    accepted: true,
+                }),
+            ));
+        }
+        assert!(
+            !actions.iter().any(|a| matches!(
+                a,
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { .. }))
+            )),
+            "no prepare at any position: {actions:?}"
+        );
+        let result = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::Finished(result) => Some(result),
+                _ => None,
+            })
+            .expect("the commit finished");
+        assert!(result.committed);
+        assert_eq!(result.promotions, 2);
+        assert_eq!(dir.core(0).lock().read_position(group), LogPosition(3));
+    }
+
+    #[test]
+    fn a_stale_direct_commit_stops_at_an_entry_that_invalidates_its_reads() {
+        // Position 1 wrote the item the transaction read: nothing is
+        // promoted past, the commit starts at position 1 with its
+        // transaction open, and its first reply aborts it.
+        let (dir, mut session, h) = stale_session(ClientConfig::cp());
+        let group = dir.symbols().group("g");
+        rivals(&dir, &[(1, "a"), (2, "c")]);
+        let started = session.commit(SimTime::ZERO, h).unwrap();
+        assert_eq!(first_position(&started), LogPosition(1));
+        assert!(session.txn_id(h).is_some());
+        assert_eq!(session.learned_from_home_log(), 0);
+        let actions = session.on_message(
+            SimTime::ZERO,
+            NodeId(0),
+            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
+                group,
+                position: LogPosition(1),
+                granted: false,
+            }),
+        );
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                ClientAction::Finished(r)
+                    if !r.committed && r.abort_reason == Some(AbortReason::Conflict)
+            )),
+            "got {actions:?}"
+        );
+        assert!(!session.is_open(h));
+    }
+
+    #[test]
+    fn basic_paxos_starts_a_direct_commit_at_the_position_after_its_snapshot() {
+        let (dir, mut session, h) = stale_session(ClientConfig::basic());
+        rivals(&dir, &[(1, "b"), (2, "c")]);
+        let started = session.commit(SimTime::ZERO, h).unwrap();
+        assert_eq!(first_position(&started), LogPosition(1));
+        assert_eq!(session.learned_from_home_log(), 0);
+    }
+
+    #[test]
+    fn a_log_gap_stops_the_promotion_walk() {
+        // Position 2 is not decided at home: the commit promotes past 1
+        // only, and competes for 2 even though 3 is decided.
+        let (dir, mut session, h) = stale_session(ClientConfig::cp());
+        rivals(&dir, &[(1, "b"), (3, "c")]);
+        let started = session.commit(SimTime::ZERO, h).unwrap();
+        assert_eq!(first_position(&started), LogPosition(2));
+        assert_eq!(session.learned_from_home_log(), 1);
+    }
+
+    #[test]
+    fn the_promotion_cap_bounds_the_walk() {
+        // One promotion allowed: the commit skips position 1 and competes
+        // for 2; losing 2 exceeds the cap.
+        let config = ClientConfig {
+            max_promotions: Some(1),
+            ..ClientConfig::cp()
+        };
+        let (dir, mut session, h) = stale_session(config);
+        let group = dir.symbols().group("g");
+        rivals(&dir, &[(1, "b"), (2, "c")]);
+        let started = session.commit(SimTime::ZERO, h).unwrap();
+        assert_eq!(first_position(&started), LogPosition(2));
+        assert_eq!(session.learned_from_home_log(), 1);
+        let actions = session.on_message(
+            SimTime::ZERO,
+            NodeId(2),
+            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
+                group,
+                position: LogPosition(2),
+                granted: false,
+            }),
+        );
+        assert!(
+            actions.iter().any(|a| matches!(
+                a,
+                ClientAction::Finished(r) if !r.committed
+                    && r.promotions == 1
+                    && r.abort_reason == Some(AbortReason::PromotionLimit)
+            )),
+            "got {actions:?}"
+        );
     }
 
     #[test]

@@ -356,10 +356,15 @@ pub struct Proposer {
 
 impl Proposer {
     /// Create a proposer that commits an ordered batch of transactions to
-    /// `commit_position` (= the read position + 1) in a single Paxos-CP
-    /// instance: the whole batch is proposed as one combined log entry, so
-    /// one prepare/accept exchange and one apply broadcast decide every
-    /// member. A single transaction is a batch of one.
+    /// `commit_position` in a single Paxos-CP instance: the whole batch is
+    /// proposed as one combined log entry, so one prepare/accept exchange
+    /// and one apply broadcast decide every member. A single transaction is
+    /// a batch of one.
+    ///
+    /// `commit_position` is the read position + 1 + `prior_promotions`: the
+    /// number of decided positions the caller already promoted the batch
+    /// past, each of which wrote nothing a member read. They count toward
+    /// the promotion cap and are reported in the outcome.
     ///
     /// The batch must be a valid combination in the order given — no member
     /// may read an item written by an earlier member (callers build such
@@ -371,13 +376,17 @@ impl Proposer {
         client_id: u64,
         batch: Vec<Transaction>,
         commit_position: LogPosition,
+        prior_promotions: u32,
     ) -> Self {
         assert!(!batch.is_empty(), "a batch needs at least one transaction");
         debug_assert!(
             walog::combine::is_valid_combination(&batch),
             "batch members must form a valid combination; partition first"
         );
-        Self::with_goal(cfg, group, client_id, Goal::Commit(batch), commit_position)
+        let mut proposer =
+            Self::with_goal(cfg, group, client_id, Goal::Commit(batch), commit_position);
+        proposer.promotions = prior_promotions;
+        proposer
     }
 
     /// Create a proposer for one slot of a commit *pipeline*: it competes
@@ -394,9 +403,9 @@ impl Proposer {
     /// prefix keeps advancing.
     ///
     /// `prior_promotions` carries the number of positions the batch already
-    /// lost in earlier slots (for the promotion cap and reporting), and
-    /// `speculative` marks a slot above still-undecided positions, which
-    /// restricts combination to blind-write candidates.
+    /// lost in earlier slots (as for [`Proposer::new`]), and `speculative`
+    /// marks a slot above still-undecided positions, which restricts
+    /// combination to blind-write candidates.
     pub fn new_batch_pipelined(
         cfg: ProposerConfig,
         group: GroupId,
@@ -406,10 +415,16 @@ impl Proposer {
         prior_promotions: u32,
         speculative: bool,
     ) -> Self {
-        let mut proposer = Self::new(cfg, group, client_id, batch, commit_position);
+        let mut proposer = Self::new(
+            cfg,
+            group,
+            client_id,
+            batch,
+            commit_position,
+            prior_promotions,
+        );
         proposer.defer_promotion = true;
         proposer.speculative = speculative;
-        proposer.promotions = prior_promotions;
         proposer
     }
 
@@ -1084,6 +1099,7 @@ mod tests {
             7,
             vec![own_txn(&[A], &[A])],
             LogPosition(1),
+            0,
         )
     }
 
@@ -1452,6 +1468,7 @@ mod tests {
             7,
             vec![own_txn(&[A], &[A])],
             LogPosition(1),
+            0,
         );
         p.start();
         let winner = other_entry(&[Z]);
@@ -1598,6 +1615,7 @@ mod tests {
             7,
             vec![own_txn(&[], &[A])],
             LogPosition(1),
+            0,
         );
         let mut actions = p.start();
         // Repeatedly time out every phase; the round safety valve must fire.
@@ -1632,6 +1650,7 @@ mod tests {
             7,
             txns,
             LogPosition(1),
+            0,
         )
     }
 
@@ -2231,6 +2250,7 @@ mod tests {
             7,
             batch(),
             LogPosition(1),
+            0,
         );
         assert_eq!(accepted_promotions(&granted(&mut direct)), [None]);
         let mut recovery =

@@ -56,7 +56,7 @@ impl Harness {
                 } else {
                     ProposerConfig::basic(num_acceptors).with_fast_path(false)
                 };
-                Proposer::new(cfg, group, i as u64, vec![txn], LogPosition(1))
+                Proposer::new(cfg, group, i as u64, vec![txn], LogPosition(1), 0)
             })
             .collect();
         Harness {

@@ -174,7 +174,7 @@ proptest! {
         let cfg = base
             .with_fast_path(false)
             .with_max_promotions(if capped || !cp { Some(0) } else { None });
-        let new = || Proposer::new(cfg.clone(), GroupId(0), u64::from(CLIENT), members.clone(), LogPosition(1));
+        let new = || Proposer::new(cfg.clone(), GroupId(0), u64::from(CLIENT), members.clone(), LogPosition(1), 0);
 
         // Told: the host found the winner installed at position 1.
         let mut told = new();

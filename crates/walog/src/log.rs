@@ -1,7 +1,7 @@
 //! A single replica's copy of a transaction group's write-ahead log.
 
 use crate::entry::LogEntry;
-use crate::types::LogPosition;
+use crate::types::{LogPosition, Transaction};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -237,6 +237,34 @@ impl GroupLog {
         Some(out)
     }
 
+    /// How far `txn`, validated through `validated`, may be promoted past
+    /// the entries decided since: the last position of the run of retained
+    /// entries `validated + 1, validated + 2, …` none of which holds `txn`
+    /// or wrote an item it read (the Paxos-CP promotion test, paper §5),
+    /// at most `limit` long (`None`: unbounded). Returns `validated` when
+    /// the run is empty. The position after the returned one is a gap, the
+    /// limit, or the first entry `txn` cannot be promoted past.
+    pub fn promotable_through(
+        &self,
+        txn: &Transaction,
+        validated: LogPosition,
+        limit: Option<u32>,
+    ) -> LogPosition {
+        let mut through = validated;
+        for (position, entry) in self.entries.range(validated.next()..) {
+            let stepped = through.0 - validated.0;
+            if *position != through.next()
+                || limit.is_some_and(|limit| stepped >= u64::from(limit))
+                || entry.contains(txn.id)
+                || entry.invalidates_reads_of(txn)
+            {
+                break;
+            }
+            through = *position;
+        }
+        through
+    }
+
     /// Total number of committed transactions across all decided entries.
     pub fn committed_transaction_count(&self) -> usize {
         self.entries.values().map(|e| e.len()).sum()
@@ -402,6 +430,41 @@ mod tests {
             took < std::time::Duration::from_secs(20),
             "{INSTALLS} installs with prefix queries took {took:?}: quadratic again?"
         );
+    }
+
+    #[test]
+    fn promotion_steps_over_decided_entries_that_leave_the_reads_alone() {
+        let item = |attr| ItemRef::new(KeyId(0), AttrId(attr));
+        let reader = Transaction::builder(TxnId::new(1, 1), GroupId(0), LogPosition(0))
+            .read(item(7), None)
+            .write(item(8), "mine")
+            .build();
+        let write = |seq, attr| {
+            Arc::new(LogEntry::single(
+                Transaction::builder(TxnId::new(0, seq), GroupId(0), LogPosition(0))
+                    .write(item(attr), "theirs")
+                    .build(),
+            ))
+        };
+        // Blind writes of other items at 1 and 2, a write of the read item
+        // at 3, and a gap at 5 before 6.
+        let mut log = GroupLog::new();
+        for (position, attr) in [(1, 1), (2, 2), (3, 7), (4, 4), (6, 6)] {
+            log.install(LogPosition(position), write(position, attr))
+                .unwrap();
+        }
+        let through = |log: &GroupLog, from, limit| {
+            log.promotable_through(&reader, LogPosition(from), limit).0
+        };
+        assert_eq!(through(&log, 0, None), 2, "stops below the writer");
+        assert_eq!(through(&log, 0, Some(1)), 1, "stops at the limit");
+        assert_eq!(through(&log, 0, Some(0)), 0);
+        assert_eq!(through(&log, 3, None), 4, "stops at the gap");
+        assert_eq!(through(&log, 6, None), 6, "nothing decided above");
+        // An entry that already holds the transaction stops the walk too.
+        log.install(LogPosition(5), Arc::new(LogEntry::single(reader.clone())))
+            .unwrap();
+        assert_eq!(through(&log, 3, None), 4);
     }
 
     #[test]

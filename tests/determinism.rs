@@ -122,7 +122,14 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
     // every replica, then recovery instances through the target) and the
     // default pipeline depth went from 2 to 8: its rolling-failure run moves
     // group homes and runs at the default depth, while the committer run
-    // pins depth 2 and moves no home. A refactor that
+    // pins depth 2 and moves no home. The two Paxos-CP direct-route
+    // literals were re-taken on top of commit 86f7532, when a direct commit
+    // began promoting in-process past the decided positions of its home log
+    // above its snapshot that wrote nothing it read, and claiming the fast
+    // path at the first position the log does not hold: that change drops
+    // a refused claim and a prepare-and-accept round from stale direct
+    // commits, and only from Paxos-CP direct commits (basic Paxos never
+    // promotes). A refactor that
     // moves a message, a timer or an RNG draw on any of the three paths
     // changes one of these fingerprints.
     let paper = |protocol| {
@@ -156,13 +163,13 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
         (
             "direct route, Paxos-CP",
             paper(CommitProtocol::PaxosCp),
-            0xe6ba879ff9dd66bb,
+            0xc271ba4243fdf795,
         ),
         ("group committer", committer, 0x4f3adca91ccce109),
         (
             "direct route under rolling crashes",
             crashes,
-            0xe99bcd06f6a070d8,
+            0xb37ea0bb697e4777,
         ),
         // The rolling-crash spec above starts no recovery instance (counted
         // at the parent); this one starts them from the janitor and from
