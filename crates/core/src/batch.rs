@@ -89,7 +89,7 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
-use crate::proposers::{Env, Input, Proposers};
+use crate::proposers::{Claim, Env, Input, Proposers};
 use crate::session::{ClientAction, ClientConfig, TxnResult};
 use parking_lot::Mutex;
 use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer};
@@ -694,7 +694,7 @@ impl GroupCommitter {
             home: self.home_replica,
             next_tag: &mut self.next_tag,
             delay: &mut |kind| config.timer_delay(kind, rng),
-            claim_as: Some(self.node.0 as u64),
+            claim: Claim::AtHome(self.node.0 as u64),
         };
         if let Some((position, outcome)) = self.proposers.drive(input, env, out) {
             self.finish_slot(now, position, outcome, out);

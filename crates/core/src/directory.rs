@@ -2,7 +2,7 @@
 //! symbol table they intern names through, and the per-group leader map
 //! that shards log leadership across datacenters.
 
-use crate::datacenter::SharedCore;
+use crate::datacenter::{DatacenterCore, SharedCore};
 use parking_lot::RwLock;
 use simnet::NodeId;
 use std::collections::HashMap;
@@ -206,18 +206,41 @@ impl Directory {
     /// map when unknown — the very first position, a no-op entry, or a
     /// winner from an unregistered client. The home default is what shards
     /// leadership: each datacenter seeds the fast path for its own subset
-    /// of groups. This is where a direct-route client sends its claim; the
-    /// group committer runs only at the home and claims at its own
-    /// datacenter's core in-process instead.
+    /// of groups. This is where a direct-route client claims
+    /// ([`Directory::claim_if_leader`]); the group committer runs only at
+    /// the home and claims at its own datacenter's core without a lookup.
     pub fn leader_replica(
         &self,
         home_replica: usize,
         group: GroupId,
         position: LogPosition,
     ) -> usize {
-        self.core(home_replica)
-            .lock()
-            .previous_winner_client(group, position)
+        self.leader_in(&self.core(home_replica).lock(), group, position)
+    }
+
+    /// Claim the fast path of `position` in `group` for `client` at
+    /// `home_replica`'s core if that datacenter leads the position
+    /// ([`Directory::leader_replica`]), looking the leader up and claiming
+    /// under one lock of the core: `Ok(granted)`. Otherwise
+    /// `Err(leader)`, the replica the claim must be sent to.
+    pub fn claim_if_leader(
+        &self,
+        home_replica: usize,
+        group: GroupId,
+        position: LogPosition,
+        client: u64,
+    ) -> Result<bool, usize> {
+        let core = self.core(home_replica);
+        let mut core = core.lock();
+        match self.leader_in(&core, group, position) {
+            leader if leader == home_replica => Ok(core.leader_claim(group, position, client)),
+            leader => Err(leader),
+        }
+    }
+
+    /// The leader of `position` as `core`'s log names it.
+    fn leader_in(&self, core: &DatacenterCore, group: GroupId, position: LogPosition) -> usize {
+        core.previous_winner_client(group, position)
             .and_then(|client| self.replica_of_client_raw(client))
             .unwrap_or_else(|| self.group_home(group))
     }

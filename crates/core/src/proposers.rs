@@ -14,16 +14,18 @@
 //! `tag → (key, token)` timer route, turns a replica's reply into a
 //! [`ProposerEvent`] ([`ProposerEvent::from_reply`]), and carries out every
 //! [`ProposerAction`] itself: broadcasts go to every replica's service, a
-//! single send to its replica's service, leader claims to
-//! [`Directory::leader_replica`] — or, for a caller that claims at home
-//! ([`Env::claim_as`]: the group committer, which proposes only at its
-//! group's home), to the host datacenter's core in the same step, with no
-//! message — timers are
-//! tagged from the embedding actor's counter with the delay its policy
-//! chooses, learned entries install at the host's datacenter, and a
-//! finished instance is removed and its [`CommitOutcome`] handed back. The caller keeps only what
-//! is its own: queueing, leases and results (session), windows, pipelining
-//! and survivors (committer), the janitor (service).
+//! single send to its replica's service, and a leader claim is made
+//! in-process at the host datacenter's core whenever that datacenter leads
+//! the position, answered in the same step with no message ([`Claim`]: a
+//! session looks the leader up with [`Directory::claim_if_leader`] and
+//! sends its claim only to a remote leader; the group committer, which
+//! proposes only at its group's home, claims there without a lookup).
+//! Timers are tagged from the embedding actor's counter with the delay its
+//! policy chooses, learned entries install at the host's datacenter, and a
+//! finished instance is removed and its [`CommitOutcome`] handed back. The
+//! caller keeps only what is its own: queueing, leases and results
+//! (session), windows, pipelining and survivors (committer), the janitor
+//! (service).
 //!
 //! One input is the session's alone: [`Input::Decided`] hands an instance
 //! the decided value of its position from the host datacenter's log, so a
@@ -72,13 +74,29 @@ pub(crate) struct Env<'a> {
     /// The delay of each timer kind: the one policy the three callers
     /// deliberately choose differently.
     pub delay: &'a mut dyn FnMut(TimerKind) -> SimDuration,
-    /// Claim fast-path leadership at `home`'s core under this client
-    /// identity, in-process, instead of sending a `LeaderClaim`. The group
-    /// committer proposes only while `home` is the group's home
-    /// ([`Directory::group_home`]), so it is the leader of every position
-    /// after one it won. A session is a node of its own and leaves this
-    /// `None`, so its claim is a real hop.
-    pub claim_as: Option<u64>,
+    /// Where the caller's instances claim fast-path leadership.
+    pub claim: Claim,
+}
+
+/// How a host claims fast-path leadership for its instances
+/// ([`ProposerAction::SendToLeader`]). A claim made in-process is the call
+/// the service's `LeaderClaim` handler makes, under the same identity.
+#[derive(Clone, Copy)]
+pub(crate) enum Claim {
+    /// Recovery instances never take the fast path, so never claim.
+    Never,
+    /// At `home`'s core under this client identity, in-process, with no
+    /// leader lookup. The group committer proposes only while `home` is
+    /// the group's home ([`Directory::group_home`]), so it is the leader of
+    /// every position after one it won, whoever submitted that position's
+    /// members.
+    AtHome(u64),
+    /// At the position's leader under this client identity
+    /// ([`Directory::claim_if_leader`]): in-process when `home` leads it,
+    /// else as a `LeaderClaim` message to the leader's service. The
+    /// session's rule: a session wins a position under its own node id, so
+    /// it leads the next one from its own datacenter.
+    AtLeader(u64),
 }
 
 /// The running proposer instances of one caller, by key.
@@ -200,38 +218,43 @@ impl<K: Ord + Copy> Proposers<K> {
                         ));
                     }
                 }
-                ProposerAction::SendToLeader(msg) => match env.claim_as {
-                    Some(client) => {
-                        debug_assert_eq!(
-                            env.directory.group_home(group),
-                            env.home,
-                            "only the group's home claims in-process"
-                        );
-                        let position = msg.position();
-                        let granted = env
-                            .directory
-                            .core(env.home)
-                            .lock()
-                            .leader_claim(group, position, client);
-                        let Some(proposer) = self.running.get_mut(&key) else {
-                            continue;
-                        };
-                        let answer =
-                            proposer.on_event(ProposerEvent::FastPathReply { position, granted });
-                        for action in answer.into_iter().rev() {
-                            actions.push_front(action);
+                ProposerAction::SendToLeader(msg) => {
+                    let position = msg.position();
+                    let claimed = match env.claim {
+                        Claim::Never => unreachable!("recovery instances never claim"),
+                        Claim::AtHome(client) => {
+                            debug_assert_eq!(
+                                env.directory.group_home(group),
+                                env.home,
+                                "only the group's home claims without a lookup"
+                            );
+                            Ok(env
+                                .directory
+                                .core(env.home)
+                                .lock()
+                                .leader_claim(group, position, client))
                         }
-                    }
-                    None => {
-                        let leader = env
+                        Claim::AtLeader(client) => env
                             .directory
-                            .leader_replica(env.home, group, msg.position());
-                        out.push(ClientAction::Send(
+                            .claim_if_leader(env.home, group, position, client),
+                    };
+                    match claimed {
+                        Ok(granted) => {
+                            let Some(proposer) = self.running.get_mut(&key) else {
+                                continue;
+                            };
+                            let answer = proposer
+                                .on_event(ProposerEvent::FastPathReply { position, granted });
+                            for action in answer.into_iter().rev() {
+                                actions.push_front(action);
+                            }
+                        }
+                        Err(leader) => out.push(ClientAction::Send(
                             env.directory.service_node(leader),
                             Msg::Paxos(msg),
-                        ));
+                        )),
                     }
-                },
+                }
                 ProposerAction::Send(replica, msg) => {
                     out.push(ClientAction::Send(
                         env.directory.service_node(replica),
@@ -274,6 +297,8 @@ mod tests {
     const DELAY: SimDuration = SimDuration::from_millis(7);
     /// The datacenter the host under test runs in.
     const HOME: usize = 1;
+    /// The client identity the host under test claims under.
+    const CLIENT: u64 = 3;
 
     /// Three datacenters whose services are nodes 0, 1 and 2.
     fn three_dcs() -> (Arc<Directory>, GroupId) {
@@ -300,7 +325,7 @@ mod tests {
             home: HOME,
             next_tag,
             delay: &mut |_| DELAY,
-            claim_as: None,
+            claim: Claim::AtLeader(CLIENT),
         };
         let finished = host.drive(input, env, &mut out);
         (out, finished)
@@ -422,24 +447,55 @@ mod tests {
     #[test]
     fn leader_claims_go_to_the_groups_leader() {
         let (dir, group) = three_dcs();
-        dir.set_group_home(group, 2);
-        let txn = Transaction::builder(TxnId::new(3, 1), group, LogPosition(0))
+        let txn = Transaction::builder(TxnId::new(CLIENT as u32, 1), group, LogPosition(0))
             .write(dir.symbols().item("row", "a"), "1")
             .build();
-        let key = LogPosition(1);
-        let proposer = Box::new(Proposer::new(
-            ProposerConfig::cp(3),
-            group,
-            3,
-            vec![txn],
-            key,
-            0,
-        ));
+        let start = |key: LogPosition| {
+            Input::Start(
+                key,
+                Box::new(Proposer::new(
+                    ProposerConfig::cp(3),
+                    group,
+                    CLIENT,
+                    vec![txn.clone()],
+                    key,
+                    0,
+                )),
+            )
+        };
         let mut host = Proposers::default();
         let mut next_tag = 0;
-        let (out, _) = drive(&mut host, &dir, &mut next_tag, Input::Start(key, proposer));
+
+        // Another datacenter leads: the claim is a message to its service,
+        // under a reply timer.
+        dir.set_group_home(group, 2);
+        let (out, _) = drive(&mut host, &dir, &mut next_tag, start(LogPosition(1)));
         assert_eq!(sends_of(&out, "leader_claim"), [NodeId(2)]);
+        assert!(sends_of(&out, "accept").is_empty());
         assert_eq!(timers_of(&out), [(DELAY, 1)]);
+        assert!(
+            dir.core(HOME).lock().leader_claim(group, LogPosition(1), 9),
+            "nothing was claimed at the host's own core"
+        );
+
+        // The host's datacenter leads: the claim is granted at its core in
+        // the same step, the ballot-0 accept goes to every replica, and
+        // only the accept's timer is armed.
+        dir.set_group_home(group, HOME);
+        let (out, _) = drive(&mut host, &dir, &mut next_tag, start(LogPosition(2)));
+        assert!(sends_of(&out, "leader_claim").is_empty());
+        assert_eq!(sends_of(&out, "accept"), [NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(out.iter().all(|action| !matches!(
+            action,
+            ClientAction::Send(_, Msg::Paxos(PaxosMsg::Accept { ballot, .. })) if !ballot.is_fast()
+        )));
+        assert_eq!(timers_of(&out), [(DELAY, 2)]);
+        let home = dir.core(HOME);
+        assert!(home.lock().leader_claim(group, LogPosition(2), CLIENT));
+        assert!(
+            !home.lock().leader_claim(group, LogPosition(2), 9),
+            "the claim is held under the host's client identity"
+        );
     }
 
     #[test]

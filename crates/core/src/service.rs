@@ -65,7 +65,7 @@ use crate::datacenter::{DatacenterCore, GroupState, SharedCore};
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
-use crate::proposers::{Env, Input, Proposers};
+use crate::proposers::{Claim, Env, Input, Proposers};
 use crate::session::{apply_client_actions, ClientAction, ClientConfig};
 use parking_lot::Mutex;
 use paxos::{PaxosMsg, Proposer, ProposerConfig, TimerKind};
@@ -724,7 +724,7 @@ impl TransactionService {
                 TimerKind::Backoff => ctx.rand_backoff(backoff_max),
                 TimerKind::Gather => SimDuration::from_millis(50),
             },
-            claim_as: None,
+            claim: Claim::Never,
         };
         self.recovery.drive(input, env, &mut out);
         apply_client_actions(ctx, out);

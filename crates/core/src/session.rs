@@ -18,7 +18,12 @@
 //!   in-flight proposers from one node would share ballot identities and
 //!   race for the same position); a commit issued while another is in
 //!   flight queues and starts when the slot frees. Commits of different
-//!   groups run concurrently.
+//!   groups run concurrently. The fast path's leader claim (§4.1: the
+//!   leader of a position is the datacenter of the client that won the
+//!   previous one) is made in-process at the session's own datacenter
+//!   when that datacenter leads the position, as the service would
+//!   answer it, so such a commit's first actions are its fast accept;
+//!   only a claim on a remote leader is a message.
 //! * [`CommitRoute::Submitted`] — the scalable path: the finished
 //!   [`Transaction`] ships to the group home's Transaction Service as a
 //!   [`Msg::CommitRequest`]; the service-hosted group committer batches
@@ -51,7 +56,7 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::learner::VoteTally;
 use crate::msg::Msg;
-use crate::proposers::{Env, Input, Proposers};
+use crate::proposers::{Claim, Env, Input, Proposers};
 use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer, ProposerConfig, TimerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1104,7 +1109,7 @@ impl Session {
                 *backoffs += u64::from(kind == TimerKind::Backoff);
                 config.timer_delay(kind, rng)
             },
-            claim_as: None,
+            claim: Claim::AtLeader(self.node.0 as u64),
         };
         if let Some((handle, outcome)) = self.proposers.drive(input, env, out) {
             self.finish_direct(now, handle, outcome, out);
@@ -1342,11 +1347,13 @@ mod tests {
         let h = session.begin(SimTime::ZERO, "g");
         session.write(h, "row", "a", "1").unwrap();
         let actions = session.commit(SimTime::ZERO, h).unwrap();
-        // Fast path enabled: first action is a leader claim to the local
-        // service, plus a timer.
+        // Fast path enabled, and the session's datacenter leads position 1:
+        // the claim is granted in-process, so the first action is the fast
+        // accept to the leader's service, plus its timer.
         assert!(matches!(
             &actions[0],
-            ClientAction::Send(NodeId(0), Msg::Paxos(PaxosMsg::LeaderClaim { .. }))
+            ClientAction::Send(NodeId(0), Msg::Paxos(PaxosMsg::Accept { ballot, .. }))
+                if ballot.is_fast()
         ));
         assert!(matches!(actions[1], ClientAction::ArmTimer { .. }));
         assert!(session.committing(h));
@@ -1375,17 +1382,9 @@ mod tests {
         let second = session.commit(SimTime::ZERO, h2).unwrap();
         assert!(second.is_empty(), "same-group direct commit must queue");
         assert!(session.committing(h2));
-        // Complete h1's instance: claim granted, accept acked.
-        let actions = session.on_message(
-            SimTime::ZERO,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
-                group: session.symbols().group("g"),
-                position: LogPosition(1),
-                granted: true,
-            }),
-        );
-        let (position, ballot) = actions
+        // Complete h1's instance: its claim was granted in-process, so its
+        // accept is already out; ack it.
+        let (position, ballot) = first
             .iter()
             .find_map(|a| match a {
                 ClientAction::Send(
@@ -1414,12 +1413,102 @@ mod tests {
         assert!(
             actions.iter().any(|a| matches!(
                 a,
-                ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { .. }))
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Accept { position, .. }))
+                    if *position == LogPosition(2)
             )),
             "the queued commit must start when the slot frees"
         );
         assert!(!session.is_open(h1));
         assert!(session.committing(h2));
+    }
+
+    /// Every commit-protocol message in `actions` of `kind`, as
+    /// `(to, position)`.
+    fn sends_of(actions: &[ClientAction], kind: &str) -> Vec<(NodeId, LogPosition)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                ClientAction::Send(to, Msg::Paxos(msg)) if msg.kind() == kind => {
+                    Some((*to, msg.position()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn timers_of(actions: &[ClientAction]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, ClientAction::ArmTimer { .. }))
+            .count()
+    }
+
+    #[test]
+    fn a_direct_commit_whose_datacenter_leads_the_position_claims_it_without_a_message() {
+        let (dir, mut session, h) = stale_session(ClientConfig::cp());
+        let group = dir.symbols().group("g");
+        assert_eq!(dir.leader_replica(0, group, LogPosition(1)), 0);
+
+        let actions = session.commit(SimTime::ZERO, h).unwrap();
+        assert!(sends_of(&actions, "leader_claim").is_empty(), "{actions:?}");
+        let position = LogPosition(1);
+        assert_eq!(
+            sends_of(&actions, "accept"),
+            [
+                (NodeId(0), position),
+                (NodeId(1), position),
+                (NodeId(2), position)
+            ]
+        );
+        assert!(actions.iter().all(|a| match a {
+            ClientAction::Send(_, Msg::Paxos(PaxosMsg::Accept { ballot, .. })) => ballot.is_fast(),
+            _ => true,
+        }));
+        assert_eq!(timers_of(&actions), 1, "only the accept's timer is armed");
+        assert_eq!(session.proposers.armed_tags().count(), 1);
+        assert!(session.committing(h));
+        assert!(
+            !dir.core(0)
+                .lock()
+                .leader_claim(group, position, u64::from(RIVAL)),
+            "the session holds the claim at its datacenter's core"
+        );
+    }
+
+    #[test]
+    fn a_direct_commit_whose_leader_is_elsewhere_sends_its_claim_there() {
+        // The rival, whose client is registered at datacenter 2, won
+        // position 1; a session at datacenter 0 that read it commits at
+        // position 2, which datacenter 2 leads.
+        let (dir, ..) = stale_session(ClientConfig::cp());
+        rivals(&dir, &[(1, "a")]);
+        let group = dir.symbols().group("g");
+        let mut session = Session::new(NodeId(6), 0, dir.clone(), ClientConfig::cp());
+        let h = session.begin(SimTime::ZERO, "g");
+        session.write(h, "row", "a", "mine").unwrap();
+
+        let actions = session.commit(SimTime::ZERO, h).unwrap();
+        let position = LogPosition(2);
+        assert_eq!(sends_of(&actions, "leader_claim"), [(NodeId(2), position)]);
+        assert!(sends_of(&actions, "accept").is_empty());
+        assert_eq!(timers_of(&actions), 1, "the claim's reply timer");
+        assert!(
+            dir.core(0)
+                .lock()
+                .leader_claim(group, position, u64::from(RIVAL)),
+            "nothing was claimed at the session's own core"
+        );
+        // The leader's answer starts the fast round.
+        let actions = session.on_message(
+            SimTime::ZERO,
+            NodeId(2),
+            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
+                group,
+                position,
+                granted: true,
+            }),
+        );
+        assert_eq!(sends_of(&actions, "accept").len(), 3);
     }
 
     #[test]
@@ -1469,7 +1558,7 @@ mod tests {
             home: 0,
             next_tag,
             delay: &mut |_| SimDuration::ZERO,
-            claim_as: None,
+            claim: Claim::Never,
         };
         let (handle, outcome) = proposers
             .apply(h.raw(), group, actions, env, &mut out)
@@ -1539,12 +1628,45 @@ mod tests {
             .expect("a commit-protocol message")
     }
 
+    /// A refusal of the first commit-protocol message in `actions`, an
+    /// accept or a prepare.
+    fn refusal_of(actions: &[ClientAction]) -> PaxosMsg {
+        let msg = actions
+            .iter()
+            .find_map(|a| match a {
+                ClientAction::Send(_, Msg::Paxos(msg)) => Some(msg),
+                _ => None,
+            })
+            .expect("a commit-protocol message");
+        let (group, position) = (msg.group(), msg.position());
+        match msg {
+            PaxosMsg::Accept { ballot, .. } => PaxosMsg::AcceptReply {
+                group,
+                position,
+                ballot: *ballot,
+                accepted: false,
+            },
+            PaxosMsg::Prepare { ballot, .. } => PaxosMsg::PrepareReply {
+                group,
+                position,
+                ballot: *ballot,
+                promised: false,
+                next_bal: Some(Ballot {
+                    round: 9,
+                    proposer: 1,
+                }),
+                last_vote: None,
+            },
+            other => panic!("not an accept or a prepare: {other:?}"),
+        }
+    }
+
     #[test]
     fn a_stale_direct_commit_learns_its_lost_position_from_the_home_log_without_backing_off() {
         // The transaction reads at position 0; position 1 is still open when
         // it commits, and a rival's blind write of another attribute is
         // decided there at home while the first round is in flight. The
-        // first denied leader claim, or the first refused prepare, must move
+        // first refused fast accept, or the first refused prepare, must move
         // the commit on to position 2 — not leave it to re-prepare position
         // 1 after a randomized back-off.
         for fast_path in [true, false] {
@@ -1554,7 +1676,6 @@ mod tests {
             };
             let timeout = config.message_timeout;
             let (dir, mut session, h) = stale_session(config);
-            let group = dir.symbols().group("g");
 
             let started = session.commit(SimTime::ZERO, h).unwrap();
             assert!(
@@ -1563,30 +1684,9 @@ mod tests {
             );
             assert_eq!(first_position(&started), LogPosition(1));
             rivals(&dir, &[(1, "b")]);
-            let ballot = started.iter().find_map(|a| match a {
-                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Prepare { ballot, .. })) => {
-                    Some(*ballot)
-                }
-                _ => None,
-            });
-            let refusal = match ballot {
-                None => PaxosMsg::LeaderClaimReply {
-                    group,
-                    position: LogPosition(1),
-                    granted: false,
-                },
-                Some(ballot) => PaxosMsg::PrepareReply {
-                    group,
-                    position: LogPosition(1),
-                    ballot,
-                    promised: false,
-                    next_bal: Some(Ballot {
-                        round: 9,
-                        proposer: 1,
-                    }),
-                    last_vote: None,
-                },
-            };
+            // With the fast path the claim was granted in-process and the
+            // fast accept is out; without it, the prepare is.
+            let refusal = refusal_of(&started);
             let actions = session.on_message(SimTime::ZERO, NodeId(0), &Msg::Paxos(refusal));
             let prepared: Vec<LogPosition> = actions
                 .iter()
@@ -1597,7 +1697,8 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            // A denied claim still sends its prepare for position 1 first.
+            // A refused round may still send its prepare for position 1
+            // first.
             assert_eq!(
                 prepared.last(),
                 Some(&LogPosition(2)),
@@ -1694,21 +1795,19 @@ mod tests {
         // promoted past, the commit starts at position 1 with its
         // transaction open, and its first reply aborts it.
         let (dir, mut session, h) = stale_session(ClientConfig::cp());
-        let group = dir.symbols().group("g");
         rivals(&dir, &[(1, "a"), (2, "c")]);
         let started = session.commit(SimTime::ZERO, h).unwrap();
         assert_eq!(first_position(&started), LogPosition(1));
         assert!(session.txn_id(h).is_some());
         assert_eq!(session.learned_from_home_log(), 0);
-        let actions = session.on_message(
-            SimTime::ZERO,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::LeaderClaimReply {
-                group,
-                position: LogPosition(1),
-                granted: false,
-            }),
-        );
+        // Datacenter 0 leads position 1 and refused the claim in-process:
+        // the prepare is out.
+        assert!(matches!(
+            refusal_of(&started),
+            PaxosMsg::PrepareReply { .. }
+        ));
+        let actions =
+            session.on_message(SimTime::ZERO, NodeId(0), &Msg::Paxos(refusal_of(&started)));
         assert!(
             actions.iter().any(|a| matches!(
                 a,

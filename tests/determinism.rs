@@ -129,7 +129,13 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
     // path at the first position the log does not hold: that change drops
     // a refused claim and a prepare-and-accept round from stale direct
     // commits, and only from Paxos-CP direct commits (basic Paxos never
-    // promotes). A refactor that
+    // promotes). The three direct-route literals were re-taken on top of
+    // commit 278a1bd, when a direct commit whose own datacenter leads its
+    // position began claiming the fast path at that datacenter's core
+    // in-process instead of sending a `LeaderClaim` to its own service:
+    // that change drops the claim's message pair and its reply timer from
+    // direct commits, and only from them (the committer already claimed
+    // in-process, and recovery instances never claim). A refactor that
     // moves a message, a timer or an RNG draw on any of the three paths
     // changes one of these fingerprints.
     let paper = |protocol| {
@@ -158,18 +164,18 @@ fn every_proposer_host_reproduces_the_pinned_runs() {
         (
             "direct route, basic Paxos",
             paper(CommitProtocol::BasicPaxos),
-            0x3b1e9380721e2aa8,
+            0x53124bf88ef9b758,
         ),
         (
             "direct route, Paxos-CP",
             paper(CommitProtocol::PaxosCp),
-            0xc271ba4243fdf795,
+            0xcbcdd5f0d4355dc7,
         ),
         ("group committer", committer, 0x4f3adca91ccce109),
         (
             "direct route under rolling crashes",
             crashes,
-            0xb37ea0bb697e4777,
+            0xea612e5486f700d3,
         ),
         // The rolling-crash spec above starts no recovery instance (counted
         // at the parent); this one starts them from the janitor and from

@@ -1,7 +1,14 @@
 //! Protocol-level properties of basic Paxos vs. Paxos-CP, checked on whole
 //! simulated runs: the claims of §4–§6 of the paper as executable tests.
 
-use paxos_cp::mdstore::{Cluster, ClusterConfig, CommitProtocol, Topology};
+use parking_lot::Mutex;
+use paxos_cp::mdstore::{
+    apply_client_actions, AbortReason, ClientAction, Cluster, ClusterConfig, CommitProtocol, Msg,
+    Session, Topology, TxnResult,
+};
+use paxos_cp::paxos::PaxosMsg;
+use paxos_cp::simnet::{Actor, Context, NodeId};
+use paxos_cp::walog::{LogPosition, TxnId};
 use paxos_cp::workload::{place, run_load, LoadSpec, Names};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -183,5 +190,145 @@ fn after_a_contended_run_the_store_holds_only_application_rows() {
                 assert_eq!(vote, *entry, "replica {replica}: vote at {position}");
             }
         }
+    }
+}
+
+/// What a [`Racer`]'s one commit did: whether `commit()` itself broadcast a
+/// fast-ballot accept (the claim was granted in-process), and its result.
+#[derive(Default)]
+struct Race {
+    fast: Option<bool>,
+    result: Option<TxnResult>,
+}
+
+/// A direct-route client that, at start, writes `row.a` — after reading it
+/// when `reads` — and commits.
+struct Racer {
+    session: Session,
+    reads: bool,
+    race: Arc<Mutex<Race>>,
+}
+
+impl Racer {
+    fn apply(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
+        for result in apply_client_actions(ctx, actions) {
+            self.race.lock().result = Some(result);
+        }
+    }
+}
+
+impl Actor<Msg> for Racer {
+    fn on_start(&mut self, ctx: &mut Context<Msg>) {
+        let h = self.session.begin(ctx.now(), "g");
+        if self.reads {
+            self.session
+                .read(h, "row", "a")
+                .expect("an open handle reads");
+        }
+        self.session
+            .write(h, "row", "a", "mine")
+            .expect("an open handle takes writes");
+        let actions = self.session.commit(ctx.now(), h).expect("commits");
+        let fast = actions.iter().any(|action| {
+            matches!(
+                action,
+                ClientAction::Send(_, Msg::Paxos(PaxosMsg::Accept { ballot, .. })) if ballot.is_fast()
+            )
+        });
+        self.race.lock().fast = Some(fast);
+        self.apply(ctx, actions);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+        let actions = self.session.on_message(ctx.now(), from, &msg);
+        self.apply(ctx, actions);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<Msg>, tag: u64) {
+        let actions = self.session.on_timer(ctx.now(), tag);
+        self.apply(ctx, actions);
+    }
+}
+
+#[test]
+fn two_sessions_in_the_leaders_datacenter_race_for_one_position_and_one_gets_the_fast_path() {
+    // Both sessions live in the group's home, which leads position 1, and
+    // claim it in-process in the same instant. Exactly one claim is
+    // granted; the other commit takes the classic path and loses the
+    // position. A commit that read `row.a` aborts on the winner's write
+    // (paper §5); a blind write is promoted past it to a later position.
+    for reads in [true, false] {
+        let mut cluster = Cluster::build(
+            ClusterConfig::new(Topology::vvv().with_jitter(0.0), CommitProtocol::PaxosCp)
+                .with_seed(7),
+        );
+        let directory = cluster.directory();
+        let group = directory.symbols().group("g");
+        directory.set_group_home(group, 0);
+        let races: Vec<Arc<Mutex<Race>>> = (0..2)
+            .map(|_| {
+                let race = Arc::new(Mutex::new(Race::default()));
+                let sink = Arc::clone(&race);
+                let (directory, config) = (cluster.directory(), cluster.client_config());
+                cluster.add_client(0, move |node| {
+                    Box::new(Racer {
+                        session: Session::new(node, 0, directory, config),
+                        reads,
+                        race: sink,
+                    })
+                });
+                race
+            })
+            .collect();
+        cluster.run_to_completion();
+
+        let fast: Vec<bool> = races.iter().map(|r| r.lock().fast.unwrap()).collect();
+        assert_eq!(
+            fast.iter().filter(|&&f| f).count(),
+            1,
+            "reads {reads}: exactly one claim is granted, got {fast:?}"
+        );
+        let results: Vec<TxnResult> = races
+            .iter()
+            .map(|r| r.lock().result.clone().expect("every commit finishes"))
+            .collect();
+        let winner = fast.iter().position(|&f| f).unwrap();
+        let (won, lost) = (&results[winner], &results[1 - winner]);
+        assert!(won.committed, "reads {reads}: the fast path commits");
+
+        let core = cluster.core(0);
+        let core = core.lock();
+        let log = core.log(group).expect("the group has a log");
+        let position_of = |id: TxnId| -> Vec<LogPosition> {
+            log.iter()
+                .filter(|(_, entry)| entry.transactions().iter().any(|t| t.id == id))
+                .map(|(position, _)| position)
+                .collect()
+        };
+        assert_eq!(position_of(won.txn.unwrap()), [LogPosition(1)]);
+        if reads {
+            assert!(!lost.committed);
+            assert_eq!(lost.abort_reason, Some(AbortReason::Conflict));
+            assert!(position_of(lost.txn.unwrap()).is_empty());
+        } else {
+            assert!(lost.committed, "a blind write is promoted");
+            assert_eq!(position_of(lost.txn.unwrap()), [LogPosition(2)]);
+        }
+        drop(core);
+        for replica in 0..cluster.num_datacenters() {
+            for result in &results {
+                let id = result.txn.unwrap();
+                let held = cluster.core(replica).lock().log(group).map_or(0, |log| {
+                    log.iter()
+                        .filter(|(_, e)| e.transactions().iter().any(|t| t.id == id))
+                        .count()
+                });
+                assert!(
+                    held <= 1,
+                    "replica {replica}: {id} is in the log {held} times"
+                );
+            }
+        }
+        cluster.verify().expect("serializable");
     }
 }
