@@ -412,7 +412,9 @@ impl DatacenterCore {
 
     /// Snapshot-and-truncate trigger, run after every sync that made some
     /// of the group's entries durable: when its gap-free prefix has advanced
-    /// `snapshot_every` positions past its last snapshot, cut a snapshot
+    /// at least `snapshot_every` positions past its last snapshot and a
+    /// sealed WAL segment still holds the group's records
+    /// ([`DcStorage::snapshot_due`]), cut a snapshot
     /// ([`DatacenterCore::snapshot`]).
     fn maybe_snapshot(&mut self, group: GroupId, prefix: LogPosition) {
         if self.replaying {
@@ -1291,6 +1293,12 @@ mod tests {
         let mut cfg = DurableConfig::new(storage::scratch_dir(label));
         cfg.snapshot_every = snapshot_every;
         cfg.segment_bytes = 128; // rotate nearly every record
+        core_on(cfg)
+    }
+
+    /// A fresh core over `cfg`'s storage, version-GC'ing right behind the
+    /// prefix.
+    fn core_on(cfg: DurableConfig) -> (DatacenterCore, DurableConfig) {
         let mut core = DatacenterCore::new("dc0", 0);
         core.set_gc_horizon(0);
         core.attach_storage(DcStorage::open(cfg.clone()).unwrap());
@@ -1545,6 +1553,57 @@ mod tests {
         assert_eq!(lagging.state_fingerprint(), fingerprint);
         storage::remove_scratch_dir(&cfg.dir);
         storage::remove_scratch_dir(&lagging_cfg.dir);
+    }
+
+    /// With the default 256 KiB segments a group's records sit in the
+    /// active segment for hundreds of positions, and no snapshot of them
+    /// could let the WAL delete anything: the first snapshots wait for the
+    /// rotation that seals them.
+    #[test]
+    fn snapshots_wait_for_the_rotation_that_seals_the_groups_records() {
+        let (mut core, cfg) = core_on(DurableConfig::new(storage::scratch_dir("core-sealed-gate")));
+        let groups = [GroupId(0), GroupId(1)];
+        let value = "x".repeat(1000);
+        let mut next = 1;
+        let mut decide_both = |core: &mut DatacenterCore| {
+            for g in groups {
+                let txn = Transaction::builder(TxnId::new(g.0, next), g, LogPosition(next - 1))
+                    .write(ItemRef::new(ROW, A), value.as_str())
+                    .build();
+                core.install_entry(g, LogPosition(next), Arc::new(LogEntry::single(txn)));
+            }
+            assert!(core.flush());
+            next += 1;
+        };
+        let stats = |core: &DatacenterCore| core.storage_stats().unwrap();
+        // 200 positions, each group far past `snapshot_every`, all in the
+        // active segment.
+        for _ in 0..100 {
+            decide_both(&mut core);
+        }
+        assert_eq!(stats(&core).segments_on_disk, 1);
+        assert_eq!(stats(&core).snapshots_written, 0);
+        for g in groups {
+            assert_eq!(core.log(g).unwrap().base(), LogPosition::ZERO);
+        }
+        // The rotation seals both groups' records: each snapshots once.
+        while stats(&core).segments_on_disk == 1 {
+            decide_both(&mut core);
+        }
+        assert_eq!(stats(&core).snapshots_written, 2);
+        assert_eq!(stats(&core).segments_truncated, 0);
+        for g in groups {
+            assert!(core.log(g).unwrap().base() > LogPosition::ZERO);
+        }
+        // The next snapshots, `snapshot_every` later, lift both floors past
+        // the sealed segment, which goes.
+        for _ in 0..cfg.snapshot_every {
+            decide_both(&mut core);
+        }
+        assert_eq!(stats(&core).snapshots_written, 4);
+        assert_eq!(stats(&core).segments_truncated, 1);
+        assert_eq!(stats(&core).segments_on_disk, 1);
+        storage::remove_scratch_dir(&cfg.dir);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   together with whole-segment WAL truncation bound recovery time and
 //!   disk usage — truncation never crosses an open read lease's position
 //!   or the MVCC version floor (the caller computes floors from the GC
-//!   watermark, which already encodes both);
+//!   watermark, which already encodes both). A snapshot exists only to let
+//!   the WAL be truncated, so one is cut only while a *sealed* segment
+//!   still holds the group's records ([`DcStorage::snapshot_due`]);
+//!   `snapshot_every` is the minimum spacing between two of them;
 //! * **typed disk faults** ([`fault`]): torn tails, short reads and fsync
 //!   failures as first-class, injectable outcomes.
 //!
@@ -69,14 +72,19 @@ pub struct DurableConfig {
     pub dir: PathBuf,
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// Decided entries between per-group snapshots (0 disables snapshots
-    /// and therefore WAL truncation).
+    /// Minimum decided entries between two snapshots of a group (0
+    /// disables snapshots and therefore WAL truncation). A snapshot is cut
+    /// only once the group's prefix is this far past its last one *and* a
+    /// sealed WAL segment still holds the group's records
+    /// ([`DcStorage::snapshot_due`]): a run whose WAL never seals a segment
+    /// never snapshots and never truncates.
     pub snapshot_every: u64,
 }
 
 impl DurableConfig {
-    /// Defaults tuned for the simulation workloads: 256 KiB segments and a
-    /// snapshot every 32 decided entries.
+    /// Defaults tuned for the simulation workloads: 256 KiB segments, and
+    /// at least 32 decided entries between two snapshots of a group — each
+    /// cut only while a sealed segment holds the group's records.
     pub fn new(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
@@ -215,18 +223,18 @@ impl DcStorage {
         self.sync()
     }
 
-    /// True when the group's decided prefix has advanced far enough past
-    /// the last snapshot to warrant a new one.
+    /// True when a snapshot of the group could free disk: its decided
+    /// prefix is at least `snapshot_every` positions past its last
+    /// snapshot, and a sealed WAL segment still holds its records
+    /// ([`Wal::holds_sealed`]). A group whose records sit only in the
+    /// active segment pins nothing a snapshot could release, so it waits
+    /// for the rotation that seals them.
     pub fn snapshot_due(&self, group: GroupId, prefix: LogPosition) -> bool {
         if self.cfg.snapshot_every == 0 {
             return false;
         }
-        let last = self
-            .last_snapshot
-            .get(&group)
-            .copied()
-            .unwrap_or(LogPosition::ZERO);
-        prefix.0 >= last.0 + self.cfg.snapshot_every
+        let last = self.last_snapshot(group);
+        prefix.0 >= last.0 + self.cfg.snapshot_every && self.wal.holds_sealed(group)
     }
 
     /// Atomically write the group's snapshot.
@@ -384,6 +392,56 @@ mod tests {
             .iter()
             .all(|r| r.position() >= LogPosition(4)));
         assert_eq!(dc.last_snapshot(GroupId(0)), LogPosition(4));
+        remove_scratch_dir(&cfg.dir);
+    }
+
+    /// A snapshot exists to let the WAL be truncated, so it is due only
+    /// while a sealed segment holds the group's records: never for records
+    /// that sit only in the active segment, however far the prefix ran.
+    #[test]
+    fn a_snapshot_is_due_only_while_a_sealed_segment_holds_the_group() {
+        let mut cfg = temp_cfg("dc-snap-sealed");
+        cfg.snapshot_every = 4;
+        cfg.segment_bytes = 1024;
+        let mut dc = DcStorage::open(cfg.clone()).unwrap();
+        for p in 1..=8 {
+            assert!(dc.log(&decided(0, p)));
+        }
+        assert_eq!(dc.stats().segments_on_disk, 1, "no rotation yet");
+        assert!(!dc.snapshot_due(GroupId(0), LogPosition(8)));
+        assert!(!dc.snapshot_due(GroupId(0), LogPosition(100)));
+        // Another group's records fill the active segment until a rotation
+        // seals group 0's records with it.
+        let mut p1 = 0;
+        while dc.stats().segments_on_disk == 1 {
+            p1 += 1;
+            assert!(dc.log(&decided(1, p1)));
+        }
+        assert!(dc.snapshot_due(GroupId(0), LogPosition(8)));
+        assert!(dc.snapshot_due(GroupId(1), LogPosition(p1)));
+        // `snapshot_every` stays the minimum spacing.
+        assert!(!dc.snapshot_due(GroupId(0), LogPosition(3)));
+        assert!(!dc.snapshot_due(GroupId(2), LogPosition(100)), "no records");
+        for (group, position) in [(0, 8), (1, p1)] {
+            dc.save_snapshot(&GroupSnapshot::<String> {
+                group: GroupId(group),
+                position: LogPosition(position),
+                log_base: LogPosition(position),
+                committed: vec![],
+                rows: vec![],
+            })
+            .unwrap();
+        }
+        let floors = BTreeMap::from([
+            (GroupId(0), LogPosition(9)),
+            (GroupId(1), LogPosition(p1 + 1)),
+        ]);
+        assert_eq!(dc.truncate_wal(&floors), 1);
+        // The sealed segment is gone, and the active one holds nothing of
+        // either group: nothing left to free.
+        assert_eq!(dc.stats().segments_on_disk, 1);
+        assert!(!dc.snapshot_due(GroupId(0), LogPosition(100)));
+        assert!(!dc.snapshot_due(GroupId(1), LogPosition(p1 + 100)));
         remove_scratch_dir(&cfg.dir);
     }
 

@@ -19,9 +19,14 @@
 //!
 //! * the **active** segment is preallocated — `set_len(segment_bytes)` once
 //!   at creation, sparse — and records are written at the tracked logical
-//!   length, so `fdatasync` has no size change to commit to the file
-//!   system's journal per record. Only the active segment ever carries a
-//!   zero tail (a sync larger than what is left simply grows the file);
+//!   length, so `fdatasync` has no *size* change to commit to the file
+//!   system's journal per record. The preallocation reserves no blocks,
+//!   though: the first write into each sparse block still allocates it,
+//!   and the sync that covers that write commits the allocation. (A
+//!   zero-filled segment would avoid that, at the cost of writing the
+//!   whole segment when it is created; docs/BENCHMARKS.md records the
+//!   measurement.) Only the active segment ever carries a zero tail (a
+//!   sync larger than what is left simply grows the file);
 //! * a **sealed** segment is exactly its frames: rotation cuts the file back
 //!   to its logical length before the next segment is created.
 //!
@@ -568,6 +573,16 @@ impl Wal {
     /// Number of `fsync` calls issued (each may cover many records).
     pub fn syncs(&self) -> u64 {
         self.syncs
+    }
+
+    /// Whether a sealed segment (any below the active one) still holds a
+    /// record of `group`. Only then can raising the group's truncation
+    /// floor let [`Wal::truncate_below`] delete a segment: the active one is
+    /// never deleted.
+    pub fn holds_sealed(&self, group: GroupId) -> bool {
+        self.index
+            .range(..self.active_seq)
+            .any(|(_, segment)| segment.contains_key(&group))
     }
 
     /// Number of segments currently on disk (sealed + active).

@@ -339,7 +339,9 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
         assert!(
             replicas.iter().any(|log| log.base() == LogPosition::ZERO),
             "{name}: every replica truncated {group:?} behind a snapshot, so its reads cannot \
-             be replayed; raise `DurableConfig::snapshot_every` for read-plane runs"
+             be replayed; raise `DurableConfig::snapshot_every` (or `segment_bytes`: a snapshot \
+             is cut only while a sealed WAL segment holds the group's records, so a run whose \
+             WAL never seals a segment never truncates) for read-plane runs"
         );
         let refs: Vec<&GroupLog> = replicas.iter().collect();
         merged.insert(*group, checker::merged_log(&refs));

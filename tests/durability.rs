@@ -49,6 +49,11 @@ fn durable_core(label: &str) -> (DatacenterCore, DurableConfig) {
     let mut cfg = DurableConfig::new(storage::scratch_dir(label));
     cfg.snapshot_every = 4;
     cfg.segment_bytes = 128;
+    core_on(cfg)
+}
+
+/// A fresh datacenter core over `cfg`'s storage.
+fn core_on(cfg: DurableConfig) -> (DatacenterCore, DurableConfig) {
     let mut core = DatacenterCore::new("dc0", 0);
     core.set_gc_horizon(0);
     core.attach_storage(DcStorage::open(cfg.clone()).unwrap());
@@ -137,6 +142,78 @@ fn restart_from_disk_reproduces_the_acknowledged_state_exactly() {
         core.acceptor().promised_ballot(GROUP, LogPosition(30)),
         Some(ballot),
         "undecided-position promises ride the WAL too"
+    );
+    storage::remove_scratch_dir(&cfg.dir);
+}
+
+/// With the default 256 KiB segments a group snapshots nothing until its
+/// WAL seals a segment, so a restart before that rebuilds the group from
+/// the WAL alone — the path most restarted groups now take.
+#[test]
+fn a_restart_before_any_snapshot_rebuilds_the_durable_state_from_the_wal_alone() {
+    let (mut core, cfg) = core_on(DurableConfig::new(storage::scratch_dir("restart-wal-only")));
+    for p in 1..=100 {
+        install_synced(&mut core, p, &format!("v{p}"));
+    }
+    core.install_entry(GROUP, LogPosition(101), write_entry(0, 101, 100, "v101"));
+    let stats = core.storage_stats().unwrap();
+    assert_eq!(stats.snapshots_written, 0, "no sealed segment, no snapshot");
+    assert_eq!(stats.segments_on_disk, 1);
+    let fingerprint = core.state_fingerprint();
+    core.inject_torn_wal_tail();
+    let report = core.restart_from_disk(&cfg).unwrap();
+    assert!(report.torn_tail);
+    assert_eq!(report.snapshots_restored, 0);
+    assert_eq!(report.wal_records_replayed, 100);
+    assert_eq!(
+        core.state_fingerprint(),
+        fingerprint,
+        "the WAL alone must rebuild exactly the durable state"
+    );
+    assert_eq!(core.log(GROUP).unwrap().base(), LogPosition::ZERO);
+    assert_eq!(
+        core.read(GROUP, ROW, A, LogPosition(100)).unwrap(),
+        Some("v100".to_string())
+    );
+    assert!(!core.is_committed(GROUP, TxnId::new(0, 101)));
+    storage::remove_scratch_dir(&cfg.dir);
+}
+
+/// Past a rotation of the default 256 KiB segments the group has
+/// snapshotted, so the restart rebuilds it from that snapshot plus the WAL
+/// tail above it.
+#[test]
+fn a_restart_after_a_rotation_rebuilds_the_durable_state_from_snapshot_and_wal_tail() {
+    let cfg = DurableConfig::new(storage::scratch_dir("restart-after-rotation"));
+    let (mut core, cfg) = core_on(cfg);
+    let value = "x".repeat(1000);
+    let mut p = 0;
+    while core.storage_stats().unwrap().segments_on_disk == 1 {
+        p += 1;
+        install_synced(&mut core, p, &value);
+    }
+    assert_eq!(core.storage_stats().unwrap().snapshots_written, 1);
+    for _ in 0..10 {
+        p += 1;
+        install_synced(&mut core, p, &format!("v{p}"));
+    }
+    let base = core.log(GROUP).unwrap().base();
+    assert!(base > LogPosition::ZERO, "the snapshot raised the base");
+    let fingerprint = core.state_fingerprint();
+    core.inject_torn_wal_tail();
+    let report = core.restart_from_disk(&cfg).unwrap();
+    assert!(report.torn_tail);
+    assert_eq!(report.snapshots_restored, 1);
+    assert!(report.wal_records_replayed >= 10, "the tail replays");
+    assert_eq!(
+        core.state_fingerprint(),
+        fingerprint,
+        "snapshot plus WAL tail must rebuild exactly the durable state"
+    );
+    assert_eq!(core.log(GROUP).unwrap().base(), base);
+    assert_eq!(
+        core.read(GROUP, ROW, A, LogPosition(p)).unwrap(),
+        Some(format!("v{p}"))
     );
     storage::remove_scratch_dir(&cfg.dir);
 }
