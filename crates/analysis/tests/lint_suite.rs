@@ -279,11 +279,11 @@ fn live_workspace_is_clean() {
     let report = analysis::run(&ws);
     assert!(report.is_clean(), "\n{}", report.render());
     // The waiver inventory is intentional and exact: wall-clock use in the
-    // parallel (real-time) runtime, five sites in `simnet/src/parallel.rs`.
+    // parallel (real-time) runtime, three sites in `simnet/src/parallel.rs`.
     // A new waiver updates this count and docs/ANALYSIS.md together.
     assert_eq!(
         report.waived.len(),
-        5,
+        3,
         "expected exactly the inventoried exceptions: {:?}",
         report.waived
     );

@@ -104,7 +104,6 @@ pub struct Cluster {
     sim: Simulation<Msg>,
     directory: Arc<Directory>,
     config: ClusterConfig,
-    service_nodes: Vec<NodeId>,
     /// One sink per service-hosted commit engine (window occupancy,
     /// pipeline depth, split/stale counters), registered in a
     /// [`MetricsHub`] and merged at run end — the same aggregation shape
@@ -122,35 +121,21 @@ impl Cluster {
         let mut sim: Simulation<Msg> =
             Simulation::new(config.topology.network_config(), config.seed);
         let directory = Directory::new();
-        let mut service_nodes = Vec::new();
         let service_metrics = MetricsHub::new();
-        let mut commit_config = ClientConfig::for_protocol(config.protocol);
-        commit_config.message_timeout = config.topology.message_timeout;
-        for (replica, region) in config.topology.regions().iter().enumerate() {
-            let site = sim.add_site(format!("{region}-{replica}"));
-            let core: SharedCore = DatacenterCore::shared(format!("{region}-{replica}"), replica);
-            let service = TransactionService::new(
-                replica,
-                core.clone(),
-                directory.clone(),
-                config.topology.message_timeout,
-            )
-            .with_commit_engine(commit_config.clone(), config.batch.clone())
-            .with_commit_metrics(service_metrics.register());
-            if let Some(durable) = config.durable_config(replica) {
-                let storage =
-                    DcStorage::open(durable).expect("durable storage directory must be creatable");
-                core.lock().attach_storage(storage);
-            }
-            let node = sim.add_node(site, Box::new(service));
-            directory.register_datacenter(node, core);
-            service_nodes.push(node);
-        }
+        build_replica_set(
+            &config,
+            &directory,
+            &service_metrics,
+            "",
+            |name, service| {
+                let site = sim.add_site(name);
+                sim.add_node(site, Box::new(service))
+            },
+        );
         Cluster {
             sim,
             directory,
             config,
-            service_nodes,
             service_metrics,
         }
     }
@@ -172,12 +157,12 @@ impl Cluster {
 
     /// Number of datacenters.
     pub fn num_datacenters(&self) -> usize {
-        self.service_nodes.len()
+        self.directory.num_replicas()
     }
 
     /// The Transaction Service node of a replica.
     pub fn service_node(&self, replica: usize) -> NodeId {
-        self.service_nodes[replica]
+        self.directory.service_node(replica)
     }
 
     /// The storage core of a replica.
@@ -336,64 +321,22 @@ impl Cluster {
 
     /// All transaction groups any datacenter has a log for.
     pub fn groups(&self) -> Vec<GroupId> {
-        let mut groups = BTreeSet::new();
-        for core in self.directory.cores() {
-            for (group, _) in core.lock().logs() {
-                groups.insert(group);
-            }
-        }
-        groups.into_iter().collect()
+        logged_groups(&self.directory)
     }
 
     /// Snapshot every datacenter's log for one group (entries are shared
     /// with the live logs, not deep-copied).
     pub fn replica_logs(&self, group: GroupId) -> Vec<GroupLog> {
-        self.directory
-            .cores()
-            .iter()
-            .map(|core| core.lock().log(group).cloned().unwrap_or_default())
-            .collect()
+        replica_logs(&self.directory, group)
     }
 
-    /// Verify the paper's correctness properties over everything the cluster
-    /// decided: replica agreement (R1) and one-copy serializability
-    /// (Definition 1 / L1–L3) of the merged history, per transaction group.
-    /// Agreement also covers positions some replicas truncated away:
-    /// replicas at an equal gap-free prefix must index equal committed
-    /// transaction sets through it. Returns the merged check report of
-    /// every group.
+    /// Verify the paper's correctness properties over everything the
+    /// cluster decided: replica agreement (R1), one-copy serializability
+    /// (Definition 1 / L1–L3) of the merged history per transaction group,
+    /// and equal committed transaction sets at equal gap-free prefixes.
+    /// Returns the merged check report of every group.
     pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
-        let mut reports = Vec::new();
-        for group in self.groups() {
-            let logs = self.replica_logs(group);
-            let refs: Vec<&GroupLog> = logs.iter().collect();
-            let report = checker::check_all(&refs)?;
-            self.check_committed_sets(group)?;
-            reports.push((group, report));
-        }
-        Ok(reports)
-    }
-
-    /// Replicas at an equal gap-free prefix of `group` hold equal
-    /// committed-id sets through it.
-    fn check_committed_sets(&self, group: GroupId) -> Result<(), Violation> {
-        let mut by_prefix: BTreeMap<LogPosition, BTreeSet<TxnId>> = BTreeMap::new();
-        for core in self.directory.cores() {
-            let core = core.lock();
-            let prefix = core.read_position(group);
-            let ids = core.committed_through_prefix(group);
-            match by_prefix.entry(prefix) {
-                Entry::Vacant(slot) => {
-                    slot.insert(ids);
-                }
-                Entry::Occupied(seen) => {
-                    if let Some(txn) = seen.get().symmetric_difference(&ids).next() {
-                        return Err(Violation::DivergentCommittedSets { prefix, txn: *txn });
-                    }
-                }
-            }
-        }
-        Ok(())
+        verify_replica_set(&self.directory)
     }
 
     /// Total committed transactions recorded in a replica's log for a named
@@ -456,6 +399,105 @@ impl Cluster {
     pub fn service_commit_metrics(&self) -> RunMetrics {
         self.service_metrics.merged()
     }
+}
+
+/// Assemble one replica set of `config` into `directory`: per datacenter
+/// of the topology, a storage core (durable when the config says so) and a
+/// Transaction Service hosting a commit engine for the submitted route.
+/// `place` registers each service at a new site named
+/// `{prefix}{region}-{replica}` and returns its node id. Both cluster
+/// runtimes build their replica sets here.
+pub(crate) fn build_replica_set(
+    config: &ClusterConfig,
+    directory: &Arc<Directory>,
+    metrics: &MetricsHub,
+    prefix: &str,
+    mut place: impl FnMut(String, TransactionService) -> NodeId,
+) {
+    let topology = &config.topology;
+    let mut commit_config = ClientConfig::for_protocol(config.protocol);
+    commit_config.message_timeout = topology.message_timeout;
+    for (replica, region) in topology.regions().iter().enumerate() {
+        let name = format!("{prefix}{region}-{replica}");
+        let core: SharedCore = DatacenterCore::shared(name.clone(), replica);
+        let service = TransactionService::new(
+            replica,
+            core.clone(),
+            directory.clone(),
+            topology.message_timeout,
+        )
+        .with_commit_engine(commit_config.clone(), config.batch.clone())
+        .with_commit_metrics(metrics.register());
+        if let Some(durable) = config.durable_config(replica) {
+            let storage =
+                DcStorage::open(durable).expect("durable storage directory must be creatable");
+            core.lock().attach_storage(storage);
+        }
+        let node = place(name, service);
+        directory.register_datacenter(node, core);
+    }
+}
+
+/// Verify the paper's correctness properties over everything one replica
+/// set decided: replica agreement (R1) and one-copy serializability
+/// (Definition 1 / L1–L3) of the merged history, per transaction group.
+/// Agreement also covers positions some replicas truncated away: replicas
+/// at an equal gap-free prefix must index equal committed transaction sets
+/// through it. Returns the check report of every group.
+pub(crate) fn verify_replica_set(
+    directory: &Directory,
+) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
+    let mut reports = Vec::new();
+    for group in logged_groups(directory) {
+        let logs = replica_logs(directory, group);
+        let refs: Vec<&GroupLog> = logs.iter().collect();
+        let report = checker::check_all(&refs)?;
+        check_committed_sets(directory, group)?;
+        reports.push((group, report));
+    }
+    Ok(reports)
+}
+
+/// Every group any replica of the set has a log for.
+fn logged_groups(directory: &Directory) -> Vec<GroupId> {
+    let mut groups = BTreeSet::new();
+    for core in directory.cores() {
+        for (group, _) in core.lock().logs() {
+            groups.insert(group);
+        }
+    }
+    groups.into_iter().collect()
+}
+
+/// Every replica's log for one group, in replica order.
+fn replica_logs(directory: &Directory, group: GroupId) -> Vec<GroupLog> {
+    directory
+        .cores()
+        .iter()
+        .map(|core| core.lock().log(group).cloned().unwrap_or_default())
+        .collect()
+}
+
+/// Replicas at an equal gap-free prefix of `group` hold equal committed-id
+/// sets through it.
+fn check_committed_sets(directory: &Directory, group: GroupId) -> Result<(), Violation> {
+    let mut by_prefix: BTreeMap<LogPosition, BTreeSet<TxnId>> = BTreeMap::new();
+    for core in directory.cores() {
+        let core = core.lock();
+        let prefix = core.read_position(group);
+        let ids = core.committed_through_prefix(group);
+        match by_prefix.entry(prefix) {
+            Entry::Vacant(slot) => {
+                slot.insert(ids);
+            }
+            Entry::Occupied(seen) => {
+                if let Some(txn) = seen.get().symmetric_difference(&ids).next() {
+                    return Err(Violation::DivergentCommittedSets { prefix, txn: *txn });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

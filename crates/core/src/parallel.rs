@@ -1,22 +1,26 @@
 //! Multi-core cluster bring-up: shard the data plane over worker threads.
 //!
-//! [`ParallelCluster`] assembles the same pieces as
+//! [`ParallelCluster`] assembles the same replica set as
 //! [`Cluster`](crate::Cluster) — one storage core and one
-//! [`TransactionService`] per datacenter, a [`Directory`] wiring them
-//! together — but on the [`simnet::ParallelRuntime`] instead of the
-//! deterministic simulation, and **once per worker thread**: each worker
-//! owns a complete replica set (a *shard*) that leads a disjoint subset of
-//! transaction groups. A group's entire commit pipeline — the clients'
-//! requests, the service-hosted group committer,
-//! the Paxos acceptors, the replica logs — lives on its shard's worker, so
-//! consensus traffic never crosses threads; only driver→service commit
-//! requests and replies do (over the runtime's bounded channels).
+//! [`TransactionService`](crate::TransactionService) per datacenter, a
+//! [`Directory`] wiring them together, built by the same code — but on the
+//! [`simnet::ParallelRuntime`] instead of the deterministic simulation, and
+//! **once per worker thread**: each worker owns a complete replica set (a
+//! *shard*) that leads a disjoint subset of transaction groups. A group's
+//! entire commit pipeline — the clients' requests, the service-hosted
+//! group committer, the Paxos acceptors, the replica logs — lives on its
+//! shard's worker, so consensus traffic never crosses threads; only
+//! driver→service commit requests and replies do (over the runtime's
+//! bounded channels).
 //!
 //! This is the sharding the paper's data model promises (§2.1: transaction
 //! groups are independent units of consistency) projected onto cores:
 //! adding a worker adds a full set of group pipelines. Protocol code is
 //! untouched — the services and committers are byte-for-byte the actors
-//! the simulation runs; only the harness differs.
+//! the simulation runs, on the same event engine and network model; only
+//! the clock (wall time instead of virtual time) and the harness differ.
+//! Every shard is verified by the simulation's own check, committed-set
+//! cross-check included.
 //!
 //! Every shard keeps its own [`Directory`] (its three services, its
 //! cores), but all shards intern names through one cluster-wide
@@ -24,23 +28,19 @@
 //! routing — agree across workers.
 
 use crate::batch::BatchConfig;
-use crate::datacenter::{DatacenterCore, SharedCore};
+use crate::cluster::{build_replica_set, verify_replica_set, ClusterConfig};
+use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::metrics::{MetricsHub, RunMetrics};
 use crate::msg::Msg;
-use crate::service::TransactionService;
-use crate::session::ClientConfig;
 use crate::topology::Topology;
 use paxos::CommitProtocol;
-use simnet::{
-    Actor, LatencyMatrix, NetworkConfig, NodeId, ParallelReport, ParallelRuntime, SimDuration,
-    SiteId,
-};
-use std::collections::{BTreeSet, HashMap};
+use simnet::{Actor, NodeId, ParallelReport, ParallelRuntime, SiteId};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use walog::checker::{self, CheckReport, Violation};
-use walog::{AttrId, GroupId, GroupLog, KeyId, SymbolTable};
+use walog::checker::{CheckReport, Violation};
+use walog::{AttrId, GroupId, KeyId, SymbolTable};
 
 /// Configuration of a sharded parallel cluster.
 #[derive(Clone, Debug)]
@@ -101,17 +101,14 @@ impl ParallelClusterConfig {
     }
 }
 
-/// One worker's replica set: its directory (services, cores, leader map).
-struct Shard {
-    directory: Arc<Directory>,
-}
-
 /// A sharded multi-core cluster on the parallel runtime.
 pub struct ParallelCluster {
     config: ParallelClusterConfig,
     runtime: Option<ParallelRuntime<Msg>>,
     symbols: Arc<SymbolTable>,
-    shards: Vec<Shard>,
+    /// One replica set per worker: its directory (services, cores, leader
+    /// map).
+    shards: Vec<Arc<Directory>>,
     /// Shard owning each registered group.
     group_shard: HashMap<GroupId, usize>,
     /// Groups in registration order.
@@ -124,31 +121,30 @@ impl ParallelCluster {
     /// storage core and one Transaction Service per datacenter of the
     /// topology, all interning through one shared symbol table.
     pub fn build(config: ParallelClusterConfig) -> Self {
+        let network = config
+            .topology
+            .sharded_network_config(config.workers, config.rtt_scale);
         let mut runtime: ParallelRuntime<Msg> =
-            ParallelRuntime::new(network_config(&config), config.workers, config.seed);
+            ParallelRuntime::new(network, config.workers, config.seed);
         let symbols = SymbolTable::shared();
         let service_metrics = MetricsHub::new();
-        let mut commit_config = ClientConfig::for_protocol(config.protocol);
-        commit_config.message_timeout = config.topology.message_timeout;
+        let replica_set = ClusterConfig::new(config.topology.clone(), config.protocol)
+            .with_batch(config.batch.clone());
         let mut shards = Vec::with_capacity(config.workers);
         for worker in 0..config.workers {
             let directory = Directory::with_symbols(Arc::clone(&symbols));
-            for (replica, region) in config.topology.regions().iter().enumerate() {
-                let name = format!("w{worker}-{region}-{replica}");
-                let site = runtime.add_site(name.clone());
-                let core: SharedCore = DatacenterCore::shared(name, replica);
-                let service = TransactionService::new(
-                    replica,
-                    core.clone(),
-                    directory.clone(),
-                    config.topology.message_timeout,
-                )
-                .with_commit_engine(commit_config.clone(), config.batch.clone())
-                .with_commit_metrics(service_metrics.register());
-                let node = runtime.add_node(site, worker, Box::new(service));
-                directory.register_datacenter(node, core);
-            }
-            shards.push(Shard { directory });
+            let prefix = format!("w{worker}-");
+            build_replica_set(
+                &replica_set,
+                &directory,
+                &service_metrics,
+                &prefix,
+                |name, service| {
+                    let site = runtime.add_site(name);
+                    runtime.add_node(site, worker, Box::new(service))
+                },
+            );
+            shards.push(directory);
         }
         ParallelCluster {
             config,
@@ -208,16 +204,14 @@ impl ParallelCluster {
     /// group home's service within the owning shard.
     pub fn service_for_group(&self, group: GroupId) -> NodeId {
         let shard = &self.shards[self.shard_of_group(group)];
-        shard
-            .directory
-            .service_node(shard.directory.group_home(group))
+        shard.service_node(shard.group_home(group))
     }
 
     /// The storage core of the group home's datacenter within the owning
     /// shard (drivers refresh read positions from it).
     pub fn home_core(&self, group: GroupId) -> SharedCore {
         let shard = &self.shards[self.shard_of_group(group)];
-        shard.directory.core(shard.directory.group_home(group))
+        shard.core(shard.group_home(group))
     }
 
     /// The Transaction Service node of `replica` within the shard owning
@@ -225,18 +219,14 @@ impl ParallelCluster {
     /// — any replica of the owning shard can serve the group's watermark
     /// reads, which is what the scale-out read plane measures.
     pub fn service_for_group_at(&self, group: GroupId, replica: usize) -> NodeId {
-        self.shards[self.shard_of_group(group)]
-            .directory
-            .service_node(replica)
+        self.shards[self.shard_of_group(group)].service_node(replica)
     }
 
     /// The storage core of `replica` within the shard owning `group`
     /// (snapshot-read harnesses refresh watermarks from — and hold read
     /// leases on — the serving replica, not just the home).
     pub fn core_for_group_at(&self, group: GroupId, replica: usize) -> SharedCore {
-        self.shards[self.shard_of_group(group)]
-            .directory
-            .core(replica)
+        self.shards[self.shard_of_group(group)].core(replica)
     }
 
     /// Add a driver actor on `worker`, placed at that shard's `replica`
@@ -250,9 +240,7 @@ impl ParallelCluster {
             .as_mut()
             .expect("drivers must be added before run()");
         let expected = NodeId(runtime.node_count() as u32);
-        self.shards[worker]
-            .directory
-            .register_client(expected, replica);
+        self.shards[worker].register_client(expected, replica);
         let site = SiteId((worker * self.config.topology.num_datacenters() + replica) as u32);
         let node = runtime.add_node(site, worker, make_actor(expected));
         assert_eq!(
@@ -274,33 +262,13 @@ impl ParallelCluster {
             .run(max_wall, done)
     }
 
-    /// Every group any shard has a log for (registered or recovered).
-    fn logged_groups(&self, shard: &Shard) -> Vec<GroupId> {
-        let mut groups = BTreeSet::new();
-        for core in shard.directory.cores() {
-            for (group, _) in core.lock().logs() {
-                groups.insert(group);
-            }
-        }
-        groups.into_iter().collect()
-    }
-
     /// Verify replica agreement and one-copy serializability of everything
-    /// every shard decided, per group (same checker the simulation harness
-    /// runs after every experiment).
+    /// every shard decided, per group — the check
+    /// [`Cluster::verify`](crate::Cluster::verify) runs, once per shard.
     pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
         let mut reports = Vec::new();
         for shard in &self.shards {
-            for group in self.logged_groups(shard) {
-                let logs: Vec<GroupLog> = shard
-                    .directory
-                    .cores()
-                    .iter()
-                    .map(|core| core.lock().log(group).cloned().unwrap_or_default())
-                    .collect();
-                let refs: Vec<&GroupLog> = logs.iter().collect();
-                reports.push((group, checker::check_all(&refs)?));
-            }
+            reports.extend(verify_replica_set(shard)?);
         }
         Ok(reports)
     }
@@ -309,7 +277,6 @@ impl ParallelCluster {
     /// for a group.
     pub fn committed_in_log(&self, group: GroupId) -> usize {
         self.shards[self.shard_of_group(group)]
-            .directory
             .core(0)
             .lock()
             .log(group)
@@ -341,44 +308,11 @@ impl ParallelCluster {
     pub fn service_side_counters(&self) -> (u64, u64) {
         let mut reclaimed = 0;
         for shard in &self.shards {
-            for core in shard.directory.cores() {
+            for core in shard.cores() {
                 reclaimed += core.lock().reclaimed_version_count();
             }
         }
         (0, reclaimed)
-    }
-}
-
-/// Build the runtime's network configuration: one site per (shard,
-/// datacenter) pair, with every latency scaled by
-/// [`ParallelClusterConfig::rtt_scale`]. Latencies between shards follow
-/// the same region-to-region RTTs as within a shard — two workers'
-/// Virginia sites are two machines in the same region, not one machine.
-fn network_config(config: &ParallelClusterConfig) -> NetworkConfig {
-    let scale = |d: SimDuration| -> SimDuration {
-        SimDuration::from_micros(((d.as_micros() as f64 * config.rtt_scale) as u64).max(1))
-    };
-    let mut latency = LatencyMatrix::new(
-        scale(SimDuration::from_micros(250)),
-        scale(SimDuration::from_millis(45)),
-    );
-    let regions = config.topology.regions();
-    let d = regions.len();
-    let sites = config.workers * d;
-    for i in 0..sites {
-        for j in (i + 1)..sites {
-            let rtt = regions[i % d].rtt_to(regions[j % d]);
-            latency.set_rtt(SiteId(i as u32), SiteId(j as u32), scale(rtt));
-        }
-    }
-    NetworkConfig {
-        latency,
-        loss_probability: config.topology.loss_probability,
-        jitter: config.topology.jitter,
-        // The wall-clock runtime ignores chaos policies (see
-        // `simnet::ParallelRuntime`): deterministic chaos runs belong to
-        // the simulation, which the equivalence tests compare against.
-        chaos: simnet::ChaosConfig::default(),
     }
 }
 
@@ -412,28 +346,5 @@ mod tests {
         assert!(cluster.verify().unwrap().is_empty());
         let (expired, reclaimed) = cluster.service_side_counters();
         assert_eq!((expired, reclaimed), (0, 0));
-    }
-
-    #[test]
-    fn scaled_network_keeps_region_shape() {
-        let config = ParallelClusterConfig::new(
-            Topology::from_name("VOC").unwrap(),
-            CommitProtocol::PaxosCp,
-        )
-        .with_workers(2)
-        .with_rtt_scale(0.1);
-        let net = network_config(&config);
-        // Within shard 0: Virginia (site 0) to Oregon (site 1) is a 90 ms
-        // RTT scaled to 9 ms, i.e. 4.5 ms one way.
-        assert_eq!(
-            net.latency.one_way(SiteId(0), SiteId(1)),
-            SimDuration::from_micros(4_500)
-        );
-        // Across shards, same region (Virginia of shard 0 and of shard 1):
-        // the intra-region 1.5 ms RTT scaled to 150 us, 75 us one way.
-        assert_eq!(
-            net.latency.one_way(SiteId(0), SiteId(3)),
-            SimDuration::from_micros(75)
-        );
     }
 }

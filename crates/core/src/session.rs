@@ -488,13 +488,6 @@ impl Session {
         self.open.contains_key(&handle.0)
     }
 
-    /// Reconstruct the handle for a raw id (see [`TxnHandle::raw`]) if it
-    /// still names an open transaction — for embedding actors that key
-    /// their own per-transaction state or timer tags by the raw id.
-    pub fn handle_from_raw(&self, raw: u64) -> Option<TxnHandle> {
-        self.open.contains_key(&raw).then_some(TxnHandle(raw))
-    }
-
     /// The transaction id assigned to `handle`'s commit, once it has been
     /// submitted (None while the transaction is still executing, or when the
     /// handle is unknown). Embedding harnesses use this to correlate the

@@ -13,7 +13,7 @@
 //! region — `VV`, `OV`, `VVV`, `COV`, `VVVO`, `VVVOC` — and this module can
 //! parse those names directly.
 
-use simnet::{LatencyMatrix, NetworkConfig, SimDuration};
+use simnet::{LatencyMatrix, NetworkConfig, SimDuration, SiteId};
 use std::fmt;
 
 /// Geographic region a datacenter lives in.
@@ -149,17 +149,29 @@ impl Topology {
     /// matrix is filled with per-pair one-way latencies (half the region
     /// RTT); intra-datacenter hops take 0.25 ms.
     pub fn network_config(&self) -> NetworkConfig {
-        let mut latency =
-            LatencyMatrix::new(SimDuration::from_micros(250), SimDuration::from_millis(45));
-        for (i, a) in self.datacenters.iter().enumerate() {
-            for (j, b) in self.datacenters.iter().enumerate() {
-                if i < j {
-                    latency.set_rtt(
-                        simnet::SiteId(i as u32),
-                        simnet::SiteId(j as u32),
-                        a.rtt_to(*b),
-                    );
-                }
+        self.sharded_network_config(1, 1.0)
+    }
+
+    /// The network of `shards` copies of this topology side by side: one
+    /// site per (shard, datacenter) pair, numbered shard by shard, with
+    /// every latency scaled by `rtt_scale` (at least 1 µs). Latencies
+    /// between shards follow the same region-to-region RTTs as within a
+    /// shard — two shards' Virginia sites are two machines in the same
+    /// region, not one machine.
+    pub fn sharded_network_config(&self, shards: usize, rtt_scale: f64) -> NetworkConfig {
+        let scale = |d: SimDuration| {
+            SimDuration::from_micros(((d.as_micros() as f64 * rtt_scale) as u64).max(1))
+        };
+        let mut latency = LatencyMatrix::new(
+            scale(SimDuration::from_micros(250)),
+            scale(SimDuration::from_millis(45)),
+        );
+        let d = self.datacenters.len();
+        let sites = shards * d;
+        for i in 0..sites {
+            for j in (i + 1)..sites {
+                let rtt = self.datacenters[i % d].rtt_to(self.datacenters[j % d]);
+                latency.set_rtt(SiteId(i as u32), SiteId(j as u32), scale(rtt));
             }
         }
         NetworkConfig {
@@ -240,6 +252,56 @@ mod tests {
         let cfg = t.network_config();
         assert!((cfg.loss_probability - 0.1).abs() < 1e-12);
         assert!((cfg.jitter - 0.2).abs() < 1e-12);
+    }
+
+    /// One shard at scale 1.0 is the unsharded topology: every site pair,
+    /// and the fallback past the last site, reads the latency the
+    /// pairwise region RTTs give.
+    #[test]
+    fn one_unscaled_shard_builds_the_plain_matrix() {
+        for name in ["VVV", "VOC", "VVVOC", "OV"] {
+            let topology = Topology::from_name(name).unwrap();
+            let cfg = topology.sharded_network_config(1, 1.0);
+            let sites = topology.num_datacenters() as u32;
+            for a in 0..=sites {
+                for b in 0..=sites {
+                    let expected = match (a.min(b), a.max(b)) {
+                        (a, b) if a == b => SimDuration::from_micros(250),
+                        (_, b) if b == sites => SimDuration::from_millis(45),
+                        (a, b) => SimDuration::from_micros(
+                            topology.regions()[a as usize]
+                                .rtt_to(topology.regions()[b as usize])
+                                .as_micros()
+                                / 2,
+                        ),
+                    };
+                    assert_eq!(
+                        cfg.latency.one_way(SiteId(a), SiteId(b)),
+                        expected,
+                        "{name}: sites {a} and {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_network_keeps_region_shape() {
+        let net = Topology::from_name("VOC")
+            .unwrap()
+            .sharded_network_config(2, 0.1);
+        // Within shard 0: Virginia (site 0) to Oregon (site 1) is a 90 ms
+        // RTT scaled to 9 ms, i.e. 4.5 ms one way.
+        assert_eq!(
+            net.latency.one_way(SiteId(0), SiteId(1)),
+            SimDuration::from_micros(4_500)
+        );
+        // Across shards, same region (Virginia of shard 0 and of shard 1):
+        // the intra-region 1.5 ms RTT scaled to 150 us, 75 us one way.
+        assert_eq!(
+            net.latency.one_way(SiteId(0), SiteId(3)),
+            SimDuration::from_micros(75)
+        );
     }
 
     #[test]

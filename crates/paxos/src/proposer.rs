@@ -483,11 +483,6 @@ impl Proposer {
         Arc::clone(&self.own_entry)
     }
 
-    /// True when this proposer is a recovery (no-op) proposer.
-    pub fn is_recovery(&self) -> bool {
-        matches!(self.goal, Goal::Recover)
-    }
-
     /// The transaction group whose log this proposer appends to.
     pub fn group(&self) -> GroupId {
         self.group

@@ -56,8 +56,13 @@ pub fn find_winning_val(votes: &[Vote], own: &Arc<LogEntry>) -> Arc<LogEntry> {
 ///   (`maxVotes + (D − |responseSet|) < majority`), the proposer is free to
 ///   choose — it proposes the longest valid combination of its own
 ///   transaction with the transactions seen in other votes.
-/// * If some value already has a majority of votes and the proposer's
-///   transaction is not part of it, the position is lost: promote.
+/// * If some value already has a majority of votes under one ballot and
+///   the proposer's transaction is not part of it, the position is lost:
+///   promote. Algorithm 2 counts a value's votes across ballots here; a
+///   majority assembled from different ballots is not a chosen value (a
+///   higher ballot can still choose another), so this rule counts votes
+///   per ballot. The count across ballots still bounds the free-choice
+///   test above, where it never under-counts a chosen value.
 /// * Otherwise fall back to the basic rule.
 ///
 /// `own_entry` is the proposer's cached single-transaction entry for
@@ -117,24 +122,25 @@ pub fn enhanced_find_winning_val_batch(
     let majority = num_replicas / 2 + 1;
     let responses = votes.len();
 
-    // Count votes per distinct value (non-null votes only).
+    // Count votes per distinct value (non-null votes only), across ballots
+    // for the free-choice bound, and per ballot for the "chosen" test.
+    let same = |a: &Arc<LogEntry>, b: &Arc<LogEntry>| Arc::ptr_eq(a, b) || **a == **b;
     let mut tallies: Vec<(&Arc<LogEntry>, usize)> = Vec::new();
-    for vote in votes {
-        if let Some((_, value)) = &vote.last_vote {
-            match tallies
-                .iter_mut()
-                .find(|(v, _)| Arc::ptr_eq(v, value) || ***v == **value)
-            {
-                Some((_, count)) => *count += 1,
-                None => tallies.push((value, 1)),
-            }
+    let mut per_ballot: Vec<(Ballot, &Arc<LogEntry>, usize)> = Vec::new();
+    for (ballot, value) in votes.iter().filter_map(|v| v.last_vote.as_ref()) {
+        match tallies.iter_mut().find(|(v, _)| same(v, value)) {
+            Some((_, count)) => *count += 1,
+            None => tallies.push((value, 1)),
+        }
+        match per_ballot
+            .iter_mut()
+            .find(|(b, v, _)| b == ballot && same(v, value))
+        {
+            Some((_, _, count)) => *count += 1,
+            None => per_ballot.push((*ballot, value, 1)),
         }
     }
-    let (max_val, max_votes) = tallies
-        .iter()
-        .max_by_key(|(_, count)| *count)
-        .map(|(v, c)| (Some(*v), *c))
-        .unwrap_or((None, 0));
+    let max_votes = tallies.iter().map(|(_, count)| *count).max().unwrap_or(0);
 
     let missing = num_replicas.saturating_sub(responses);
 
@@ -173,8 +179,13 @@ pub fn enhanced_find_winning_val_batch(
         return ValueChoice::Propose(Arc::new(LogEntry::combined(combined)));
     }
 
-    if max_votes >= majority {
-        let decided = Arc::clone(max_val.expect("max_votes > 0 implies a value"));
+    // A value is chosen only when a majority voted for it under one ballot.
+    // Votes for one value under different ballots do not add up: a higher
+    // ballot may still choose another value at the acceptors that voted
+    // for it earlier.
+    let chosen = per_ballot.iter().find(|(_, _, count)| *count >= majority);
+    if let Some((_, decided, _)) = chosen {
+        let decided = Arc::clone(decided);
         if !own_txns.iter().all(|t| decided.contains(t.id)) {
             return ValueChoice::Promote { decided };
         }

@@ -21,6 +21,13 @@
 //! The kernel is generic over the message type `M`, so protocol crates define
 //! their own strongly-typed message enums.
 //!
+//! One event engine ([`Simulation`]) serves both runtimes. The
+//! single-threaded simulation steps it on virtual time; the multi-threaded
+//! [`ParallelRuntime`] gives each worker thread its own engine holding that
+//! worker's actors and steps it on the wall clock, carrying deliveries for
+//! other workers' nodes over bounded channels. Either way every message is
+//! routed by the same network model, chaos policies included.
+//!
 //! ## Example
 //!
 //! ```

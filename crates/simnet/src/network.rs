@@ -49,13 +49,6 @@ impl LatencyMatrix {
         self
     }
 
-    /// Set the one-way latency between two sites directly (both directions).
-    pub fn set_one_way(&mut self, a: SiteId, b: SiteId, lat: SimDuration) -> &mut Self {
-        self.one_way.insert((a, b), lat);
-        self.one_way.insert((b, a), lat);
-        self
-    }
-
     /// The one-way latency from site `a` to site `b`.
     pub fn one_way(&self, a: SiteId, b: SiteId) -> SimDuration {
         if a == b {
@@ -127,13 +120,6 @@ impl ChaosConfig {
         self.burst_probability = p.clamp(0.0, 1.0);
         self.burst_factor = factor.max(1.0);
         self
-    }
-
-    /// Whether any chaos policy can fire (any probability above zero).
-    pub fn is_active(&self) -> bool {
-        self.duplicate_probability > 0.0
-            || self.reorder_probability > 0.0
-            || self.burst_probability > 0.0
     }
 }
 

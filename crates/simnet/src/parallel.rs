@@ -1,42 +1,43 @@
-//! The parallel runtime: the same actors, sharded over OS worker threads.
+//! The parallel runtime: the same actors and the same engine, sharded over
+//! OS worker threads and stepped on the wall clock.
 //!
-//! The deterministic [`Simulation`](crate::Simulation) executes every actor
-//! on one thread under virtual time — perfect for reproducibility, but "as
-//! fast as the hardware allows" means one core. [`ParallelRuntime`] is the
-//! second execution mode: actors are partitioned across worker threads
-//! (the caller picks the worker when adding a node — e.g. shard by
-//! transaction-group home), each worker runs its own event loop with a
-//! local timer heap, and cross-worker messages travel over bounded MPSC
-//! channels stamped with a wall-clock delivery deadline.
+//! The deterministic [`Simulation`] executes every actor on one thread under
+//! virtual time — perfect for reproducibility, but "as fast as the hardware
+//! allows" means one core. [`ParallelRuntime`] is the second execution
+//! mode: actors are partitioned across worker threads (the caller picks the
+//! worker when adding a node — e.g. shard by transaction-group home), and
+//! each worker runs its own [`Simulation`] engine holding its own actors.
+//! Every engine registers every node; another worker's nodes carry no
+//! actor, so a delivery routed to one leaves the engine and travels to its
+//! worker over a bounded MPSC channel, stamped with its delivery instant.
 //!
-//! The [`Actor`]/[`Context`] surface is identical to the simulation's, so
-//! protocol code runs unmodified on either runtime; the only extra
-//! requirement is `Send` (an actor moves to its worker's thread). Virtual
-//! time maps to wall-clock time: `ctx.now()` is the microseconds elapsed
-//! since the run started, and latencies from the [`NetworkConfig`] become
-//! real delays on the per-worker timer heaps. There is no crash/partition
-//! injection and no determinism here — the single-threaded simulation
-//! remains the canonical test and repro mode.
+//! One engine means one network model: latency, jitter, loss and the chaos
+//! policies are drawn by the same code, in the same order, under either
+//! runtime. What differs is the clock. A worker steps its engine through
+//! the events due by the wall clock, and each callback's `ctx.now()` is the
+//! microseconds elapsed since the run started, so latencies from the
+//! [`NetworkConfig`] become real delays. The protocol code sees the same
+//! [`Actor`] surface; the only extra requirement is `Send` (an actor moves
+//! to its worker's thread). There is no crash/partition injection and no
+//! determinism here — the single-threaded simulation remains the canonical
+//! test and repro mode.
 //!
 //! ## Backpressure, not deadlock
 //!
 //! Cross-worker channels are bounded. A worker never blocks on a send:
-//! when a peer's channel is full the wire message parks in a local outbox
-//! that is retried at the top of every loop iteration (counted in
+//! when a peer's channel is full the delivery parks in a local outbox that
+//! is retried at the top of every loop iteration (counted in
 //! [`ParallelReport::backpressure`]). Since workers only block in
 //! `recv_timeout` while their outbox is empty, a full cycle of workers
 //! waiting on each other's channels cannot form.
 
-use crate::actor::{Action, Actor, Context};
+use crate::actor::Actor;
 use crate::network::{NetworkConfig, SiteId};
-use crate::sim::NodeId;
+use crate::sim::{NodeId, Remote, Simulation};
 use crate::stats::NetStats;
 use crate::time::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 // lint:allow(determinism): the parallel runtime is the real-time execution
@@ -44,76 +45,28 @@ use std::sync::Arc;
 // single-threaded `Simulation` instead (see docs/ANALYSIS.md).
 use std::time::{Duration, Instant};
 
-/// Capacity of each worker's inbound wire channel. Deep enough that
+/// Capacity of each worker's inbound channel. Deep enough that
 /// backpressure is rare under normal load; shallow enough that a stalled
 /// worker propagates pressure instead of buffering unboundedly.
 const CHANNEL_CAPACITY: usize = 16_384;
 
-/// Per-iteration cap on wires drained from the inbound channel.
+/// Per-iteration cap on deliveries drained from the inbound channel.
 const DRAIN_BATCH: usize = 1_024;
 
 /// Per-iteration cap on due events dispatched before rechecking the
 /// channel and the stop flag.
 const DISPATCH_BATCH: usize = 4_096;
 
-/// A message crossing between workers: deliver `msg` from `from` to `to`
-/// no earlier than `at_us` microseconds after the run started.
-struct Wire<M> {
-    at_us: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-/// What a due heap entry does when it fires.
-enum DueKind<M> {
-    /// Deliver a network message to the owning node.
-    Deliver { from: NodeId, msg: M },
-    /// Fire a timer (raw id + actor tag) on the owning node.
-    Timer { id: u64, tag: u64 },
-}
-
-/// An entry in a worker's local heap, ordered by `(at_us, seq)` so ties
-/// break in scheduling order.
-struct Due<M> {
-    at_us: u64,
-    seq: u64,
-    node: NodeId,
-    kind: DueKind<M>,
-}
-
-impl<M> PartialEq for Due<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Due<M> {}
-
-impl<M> PartialOrd for Due<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Due<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
-    }
-}
+/// The engine a worker runs: its actors must move to its thread.
+type Engine<M> = Simulation<M, dyn Actor<M> + Send>;
 
 /// State shared by every worker thread (read-only after launch, except the
-/// atomics).
+/// stop flag).
 struct Shared<M> {
-    config: NetworkConfig,
-    /// Site of each node, indexed by raw node id.
-    node_site: Vec<SiteId>,
     /// Owning worker of each node, indexed by raw node id.
     node_worker: Vec<usize>,
     /// Inbound channel of each worker.
-    senders: Vec<SyncSender<Wire<M>>>,
-    /// Messages routed but not yet delivered, across all workers.
-    in_flight: AtomicI64,
+    senders: Vec<SyncSender<Remote<M>>>,
     /// Set once by the control thread; workers exit their loops on it.
     stop: AtomicBool,
 }
@@ -124,236 +77,86 @@ struct WorkerReport {
     backpressure: u64,
 }
 
-/// One worker: the actors it owns, its timer/delivery heap, its RNG and
-/// its inbound channel.
+/// One worker: its engine, its inbound channel and the deliveries parked
+/// behind a full peer channel.
 struct Worker<M> {
-    index: usize,
-    actors: BTreeMap<u32, Box<dyn Actor<M> + Send>>,
-    heap: BinaryHeap<Reverse<Due<M>>>,
-    seq: u64,
-    rng: StdRng,
-    next_timer_id: u64,
-    cancelled: HashSet<u64>,
-    rx: Receiver<Wire<M>>,
-    outbox: VecDeque<(usize, Wire<M>)>,
-    stats: NetStats,
+    engine: Engine<M>,
+    rx: Receiver<Remote<M>>,
+    outbox: VecDeque<(usize, Remote<M>)>,
     backpressure: u64,
 }
 
-impl<M: Send> Worker<M> {
-    /// Run one actor callback at the current wall-mapped time and apply the
-    /// actions it buffered.
-    // lint:allow(determinism): wall-mapped time is this runtime's contract
-    fn invoke<F>(&mut self, shared: &Shared<M>, start: Instant, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut dyn Actor<M>, &mut Context<M>),
-    {
-        let Some(mut actor) = self.actors.remove(&node.0) else {
-            return;
-        };
-        let now = SimTime::from_micros(start.elapsed().as_micros() as u64);
-        let mut actions: Vec<Action<M>> = Vec::new();
-        {
-            let mut ctx = Context {
-                now,
-                node,
-                actions: &mut actions,
-                rng: &mut self.rng,
-                next_timer_id: &mut self.next_timer_id,
-            };
-            f(actor.as_mut(), &mut ctx);
-        }
-        self.actors.insert(node.0, actor);
-        let now_us = now.as_micros();
-        for action in actions {
-            self.apply(shared, now_us, node, action);
-        }
-    }
-
-    fn apply(&mut self, shared: &Shared<M>, now_us: u64, from: NodeId, action: Action<M>) {
-        match action {
-            Action::Send { to, msg } => self.route(shared, now_us, from, to, msg),
-            Action::SetTimer { id, delay, tag } => {
-                self.seq += 1;
-                self.heap.push(Reverse(Due {
-                    at_us: now_us + delay.as_micros().max(1),
-                    seq: self.seq,
-                    node: from,
-                    kind: DueKind::Timer { id: id.0, tag },
-                }));
+impl<M: Clone + Send + 'static> Worker<M> {
+    /// Hand the engine's deliveries for other workers' nodes to their
+    /// channels, without blocking; a full channel parks them in the outbox.
+    fn ship(&mut self, shared: &Shared<M>) {
+        for delivery in self.engine.take_remote() {
+            let dest = shared.node_worker[delivery.to.0 as usize];
+            if !self.outbox.is_empty() {
+                // Preserve send order behind already-parked deliveries.
+                self.outbox.push_back((dest, delivery));
+                continue;
             }
-            Action::CancelTimer(id) => {
-                self.stats.timers_cancelled += 1;
-                self.cancelled.insert(id.0);
-            }
-        }
-    }
-
-    /// Apply the network model (latency, jitter, loss) and schedule the
-    /// delivery locally or ship it to the destination's worker.
-    fn route(&mut self, shared: &Shared<M>, now_us: u64, from: NodeId, to: NodeId, msg: M) {
-        self.stats.sent += 1;
-        if to.0 as usize >= shared.node_site.len() {
-            return;
-        }
-        let p = shared.config.loss_probability;
-        if p > 0.0 && self.rng.gen::<f64>() < p {
-            self.stats.dropped_loss += 1;
-            return;
-        }
-        let base = shared.config.latency.one_way(
-            shared.node_site[from.0 as usize],
-            shared.node_site[to.0 as usize],
-        );
-        let mut lat_us = base.as_micros();
-        if shared.config.jitter > 0.0 {
-            let factor = 1.0 + shared.config.jitter * (2.0 * self.rng.gen::<f64>() - 1.0);
-            lat_us = (lat_us as f64 * factor) as u64;
-        }
-        let at_us = now_us + lat_us.max(1);
-        let dest = shared.node_worker[to.0 as usize];
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        if dest == self.index {
-            self.seq += 1;
-            self.heap.push(Reverse(Due {
-                at_us,
-                seq: self.seq,
-                node: to,
-                kind: DueKind::Deliver { from, msg },
-            }));
-        } else {
-            self.post(
-                shared,
-                dest,
-                Wire {
-                    at_us,
-                    from,
-                    to,
-                    msg,
-                },
-            );
-        }
-    }
-
-    /// Non-blocking cross-worker send; parks in the outbox on backpressure.
-    fn post(&mut self, shared: &Shared<M>, dest: usize, wire: Wire<M>) {
-        if !self.outbox.is_empty() {
-            // Preserve send order behind already-parked wires.
-            self.outbox.push_back((dest, wire));
-            return;
-        }
-        match shared.senders[dest].try_send(wire) {
-            Ok(()) => {}
-            Err(TrySendError::Full(wire)) => {
+            if let Err(TrySendError::Full(delivery)) = shared.senders[dest].try_send(delivery) {
                 self.backpressure += 1;
-                self.outbox.push_back((dest, wire));
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                self.outbox.push_back((dest, delivery));
             }
         }
     }
 
     fn flush_outbox(&mut self, shared: &Shared<M>) {
-        while let Some((dest, wire)) = self.outbox.pop_front() {
-            match shared.senders[dest].try_send(wire) {
-                Ok(()) => {}
-                Err(TrySendError::Full(wire)) => {
-                    self.outbox.push_front((dest, wire));
-                    return;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
+        while let Some((dest, delivery)) = self.outbox.pop_front() {
+            if let Err(TrySendError::Full(delivery)) = shared.senders[dest].try_send(delivery) {
+                self.outbox.push_front((dest, delivery));
+                return;
             }
         }
     }
 
-    /// Move a received wire onto the local heap.
-    fn accept(&mut self, wire: Wire<M>) {
-        self.seq += 1;
-        self.heap.push(Reverse(Due {
-            at_us: wire.at_us,
-            seq: self.seq,
-            node: wire.to,
-            kind: DueKind::Deliver {
-                from: wire.from,
-                msg: wire.msg,
-            },
-        }));
-    }
-
-    // lint:allow(determinism): wall-mapped time is this runtime's contract
-    fn dispatch(&mut self, shared: &Shared<M>, start: Instant, due: Due<M>) {
-        match due.kind {
-            DueKind::Deliver { from, msg } => {
-                self.stats.delivered += 1;
-                self.invoke(shared, start, due.node, |actor, ctx| {
-                    actor.on_message(ctx, from, msg)
-                });
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
-            DueKind::Timer { id, tag } => {
-                if self.cancelled.remove(&id) {
-                    return;
-                }
-                self.stats.timers_fired += 1;
-                self.invoke(shared, start, due.node, |actor, ctx| {
-                    actor.on_timer(ctx, tag)
-                });
-            }
-        }
-    }
-
-    /// The worker's event loop: flush the outbox, drain the channel,
-    /// dispatch everything due, then sleep until the next deadline (or the
-    /// next inbound wire, whichever comes first).
+    /// The worker's loop: flush the outbox, drain the channel, run every
+    /// event due by the wall clock, then sleep until the next event is due
+    /// (or the next delivery arrives, whichever comes first).
     // lint:allow(determinism): wall-mapped time is this runtime's contract
     fn run(mut self, shared: &Shared<M>, start: Instant) -> WorkerReport {
-        let ids: Vec<u32> = self.actors.keys().copied().collect();
-        for id in ids {
-            self.invoke(shared, start, NodeId(id), |actor, ctx| actor.on_start(ctx));
-        }
+        let clock = || SimTime::from_micros(start.elapsed().as_micros() as u64);
         while !shared.stop.load(Ordering::Relaxed) {
             self.flush_outbox(shared);
             let mut drained = 0;
             while drained < DRAIN_BATCH {
                 match self.rx.try_recv() {
-                    Ok(wire) => {
-                        self.accept(wire);
+                    Ok(delivery) => {
+                        self.engine.deliver_at(delivery);
                         drained += 1;
                     }
                     Err(_) => break,
                 }
             }
-            let now_us = start.elapsed().as_micros() as u64;
+            // The due limit is read once per iteration, so a burst of due
+            // events cannot keep the worker from its channel; each callback
+            // still reads the clock afresh for its `now`.
+            let due = clock();
             let mut fired = 0;
-            while fired < DISPATCH_BATCH {
-                match self.heap.peek() {
-                    Some(Reverse(due)) if due.at_us <= now_us => {}
-                    _ => break,
-                }
-                let Reverse(due) = self.heap.pop().expect("peeked entry exists");
-                self.dispatch(shared, start, due);
+            while fired < DISPATCH_BATCH && self.engine.step_due(due, clock) {
+                self.ship(shared);
                 fired += 1;
             }
             if drained == 0 && fired == 0 && self.outbox.is_empty() {
-                let wait_us = match self.heap.peek() {
-                    Some(Reverse(due)) => due
-                        .at_us
-                        .saturating_sub(start.elapsed().as_micros() as u64)
+                let wait_us = match self.engine.next_due() {
+                    Some(at) => at
+                        .as_micros()
+                        .saturating_sub(clock().as_micros())
                         .clamp(20, 1_000),
                     None => 1_000,
                 };
                 match self.rx.recv_timeout(Duration::from_micros(wait_us)) {
-                    Ok(wire) => self.accept(wire),
+                    Ok(delivery) => self.engine.deliver_at(delivery),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
         }
         WorkerReport {
-            stats: self.stats,
+            stats: self.engine.stats().clone(),
             backpressure: self.backpressure,
         }
     }
@@ -369,7 +172,7 @@ pub struct ParallelReport {
     /// Network counters merged over all workers.
     pub stats: NetStats,
     /// Cross-worker sends that found the destination channel full and had
-    /// to park in an outbox (each parked wire counts once).
+    /// to park in an outbox (each parked delivery counts once).
     pub backpressure: u64,
     /// Messages still routed-but-undelivered when the run stopped.
     pub undelivered: u64,
@@ -377,71 +180,74 @@ pub struct ParallelReport {
 
 /// A multi-threaded actor runtime: the caller assigns each node to a
 /// worker thread at registration time, then [`ParallelRuntime::run`]
-/// drives every worker's event loop until a stop condition holds.
+/// drives every worker's engine until a stop condition holds.
 ///
 /// Node ids are assigned densely in registration order, exactly like
-/// [`Simulation::add_node`](crate::Simulation::add_node), so directory
-/// wiring built for the simulation works unchanged.
+/// [`Simulation::add_node`], so directory wiring built for the simulation
+/// works unchanged.
 pub struct ParallelRuntime<M> {
-    config: NetworkConfig,
-    seed: u64,
-    sites: Vec<String>,
-    node_site: Vec<SiteId>,
+    /// One engine per worker. Each registers every site and node, and holds
+    /// only its own worker's actors.
+    engines: Vec<Engine<M>>,
+    /// Owning worker of each node, indexed by raw node id.
     node_worker: Vec<usize>,
-    staged: Vec<Vec<StagedActor<M>>>,
 }
 
-/// An actor staged for a worker thread, keyed by its node id.
-type StagedActor<M> = (NodeId, Box<dyn Actor<M> + Send>);
-
-impl<M: Send + 'static> ParallelRuntime<M> {
+impl<M: Clone + Send + 'static> ParallelRuntime<M> {
     /// Create a runtime with `workers` threads (clamped to at least 1).
     /// The seed derives each worker's RNG; scheduling is *not*
     /// deterministic (wall-clock interleavings differ run to run).
     pub fn new(config: NetworkConfig, workers: usize, seed: u64) -> Self {
-        let workers = workers.max(1);
+        let engines = (0..workers.max(1) as u64)
+            .map(|index| {
+                let seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (index + 1);
+                Simulation::empty(config.clone(), seed)
+            })
+            .collect();
         ParallelRuntime {
-            config,
-            seed,
-            sites: Vec::new(),
-            node_site: Vec::new(),
+            engines,
             node_worker: Vec::new(),
-            staged: (0..workers).map(|_| Vec::new()).collect(),
         }
     }
 
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
-        self.staged.len()
+        self.engines.len()
     }
 
     /// Register a site (a latency-matrix endpoint, e.g. one datacenter of
     /// one shard).
     pub fn add_site(&mut self, name: impl Into<String>) -> SiteId {
-        self.sites.push(name.into());
-        SiteId(self.sites.len() as u32 - 1)
+        let name = name.into();
+        let mut site = SiteId(0);
+        for engine in &mut self.engines {
+            site = engine.add_site(name.as_str());
+        }
+        site
     }
 
     /// Register an actor at `site`, owned by worker `worker`. Returns the
-    /// node's dense id. Panics if the site or worker is unknown.
+    /// node's dense id. Panics if the worker is unknown.
     pub fn add_node(
         &mut self,
         site: SiteId,
         worker: usize,
         actor: Box<dyn Actor<M> + Send>,
     ) -> NodeId {
-        assert!((site.0 as usize) < self.sites.len(), "unknown site");
-        assert!(worker < self.staged.len(), "unknown worker");
-        let node = NodeId(self.node_site.len() as u32);
-        self.node_site.push(site);
+        assert!(worker < self.engines.len(), "unknown worker");
+        let mut actor = Some(actor);
+        let mut node = NodeId(0);
+        for (index, engine) in self.engines.iter_mut().enumerate() {
+            let owned = if index == worker { actor.take() } else { None };
+            node = engine.place(site, owned);
+        }
         self.node_worker.push(worker);
-        self.staged[worker].push((node, actor));
         node
     }
 
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.node_site.len()
+        self.node_worker.len()
     }
 
     /// Launch the worker threads and run until `done()` returns true or
@@ -456,45 +262,28 @@ impl<M: Send + 'static> ParallelRuntime<M> {
         let mut senders = Vec::with_capacity(workers);
         let mut receivers = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Wire<M>>(CHANNEL_CAPACITY);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Remote<M>>(CHANNEL_CAPACITY);
             senders.push(tx);
             receivers.push(rx);
         }
         let shared = Arc::new(Shared {
-            config: self.config,
-            node_site: self.node_site,
             node_worker: self.node_worker,
             senders,
-            in_flight: AtomicI64::new(0),
             stop: AtomicBool::new(false),
         });
-        let mut worker_states: Vec<Worker<M>> = Vec::with_capacity(workers);
-        for (index, (staged, rx)) in self.staged.into_iter().zip(receivers).enumerate() {
-            worker_states.push(Worker {
-                index,
-                actors: staged.into_iter().map(|(n, a)| (n.0, a)).collect(),
-                heap: BinaryHeap::new(),
-                seq: 0,
-                rng: StdRng::seed_from_u64(
-                    self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (index as u64 + 1),
-                ),
-                // Worker-local counters offset into disjoint ranges so
-                // TimerIds are globally unique.
-                next_timer_id: (index as u64) << 48,
-                cancelled: HashSet::new(),
-                rx,
-                outbox: VecDeque::new(),
-                stats: NetStats::default(),
-                backpressure: 0,
-            });
-        }
 
         // lint:allow(determinism): the run's epoch is real time by design
         let start = Instant::now();
         let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
-            for worker in worker_states.drain(..) {
+            for (engine, rx) in self.engines.into_iter().zip(receivers) {
+                let worker = Worker {
+                    engine,
+                    rx,
+                    outbox: VecDeque::new(),
+                    backpressure: 0,
+                };
                 let shared = Arc::clone(&shared);
                 handles.push(scope.spawn(move || worker.run(&shared, start)));
             }
@@ -511,15 +300,13 @@ impl<M: Send + 'static> ParallelRuntime<M> {
         let mut stats = NetStats::default();
         let mut backpressure = 0;
         for report in &reports {
-            let s = &report.stats;
-            stats.sent += s.sent;
-            stats.delivered += s.delivered;
-            stats.dropped_loss += s.dropped_loss;
-            stats.timers_fired += s.timers_fired;
-            stats.timers_cancelled += s.timers_cancelled;
+            stats.merge(&report.stats);
             backpressure += report.backpressure;
         }
-        let undelivered = shared.in_flight.load(Ordering::SeqCst).max(0) as u64;
+        // Every routed copy (a duplicate is a second copy) is delivered,
+        // dropped, or still in a channel, an outbox or a worker's queue.
+        let undelivered =
+            (stats.sent + stats.duplicated).saturating_sub(stats.delivered + stats.dropped());
         ParallelReport {
             workers,
             elapsed,
@@ -538,6 +325,7 @@ impl<M: Send + 'static> ParallelRuntime<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::Context;
     use crate::time::SimDuration;
     use std::sync::atomic::AtomicUsize;
 
@@ -653,5 +441,49 @@ mod tests {
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert_eq!(report.stats.timers_fired, 5);
         assert_eq!(report.stats.timers_cancelled, 5);
+    }
+
+    /// Both runtimes draw one network model, chaos policies included: with
+    /// every message duplicated, each send arrives twice, across workers
+    /// as well as within one.
+    #[test]
+    fn duplicating_chaos_delivers_every_message_twice() {
+        let config = NetworkConfig::uniform(SimDuration::from_micros(50))
+            .with_chaos(crate::network::ChaosConfig::default().with_duplicates(1.0));
+        let mut rt: ParallelRuntime<Msg> = ParallelRuntime::new(config, 2, 11);
+        let site = rt.add_site("only");
+        let done = Arc::new(AtomicUsize::new(0));
+        let ponger = rt.add_node(site, 0, Box::new(Ponger));
+        rt.add_node(
+            site,
+            1,
+            Box::new(Pinger {
+                target: ponger,
+                rounds: 3,
+                done: done.clone(),
+            }),
+        );
+        let local = rt.add_node(site, 1, Box::new(Ponger));
+        rt.add_node(
+            site,
+            1,
+            Box::new(Pinger {
+                target: local,
+                rounds: 3,
+                done: done.clone(),
+            }),
+        );
+        // Each copy gets its own echo, so a pinger's three rounds send
+        // 1 + 2 + 4 + 8 + 16 + 32 = 63 messages and finish 64 times.
+        let flag = done.clone();
+        let report = rt.run(Duration::from_secs(10), move || {
+            flag.load(Ordering::SeqCst) == 128
+        });
+        let stats = &report.stats;
+        assert_eq!(done.load(Ordering::SeqCst), 128);
+        assert_eq!(stats.sent, 126);
+        assert_eq!(stats.duplicated, 126, "every send is duplicated");
+        assert_eq!(stats.delivered, 252, "every send arrives twice");
+        assert_eq!(report.undelivered, 0);
     }
 }

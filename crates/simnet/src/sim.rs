@@ -88,19 +88,37 @@ impl<M> EventQueue<M> {
 
 /// A deterministic discrete-event simulation over actors exchanging messages
 /// of type `M`.
-pub struct Simulation<M> {
+///
+/// `A` is how actors are boxed: the simulation holds `dyn Actor<M>`; a
+/// [`ParallelRuntime`](crate::ParallelRuntime) worker runs the same engine
+/// over `dyn Actor<M> + Send` so its actors can move to the worker's thread.
+pub struct Simulation<M, A: ?Sized = dyn Actor<M>> {
     now: SimTime,
     events: EventQueue<M>,
     /// The action buffer every callback fills, reused across events.
     actions: Vec<Action<M>>,
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    /// One slot per registered node. A node registered without an actor is
+    /// another worker's: deliveries to it are left in `remote`.
+    actors: Vec<Option<Box<A>>>,
     network: Network,
     rng: StdRng,
     stats: NetStats,
     cancelled_timers: HashSet<TimerId>,
     next_timer_id: u64,
-    site_names: Vec<String>,
+    sites: u32,
     started: bool,
+    /// Deliveries routed to nodes this engine holds no actor for, in send
+    /// order, until the parallel runtime takes them.
+    remote: Vec<Remote<M>>,
+}
+
+/// A delivery for a node whose actor runs on another worker thread: deliver
+/// `msg` from `from` to `to` at `at` (wall-mapped time on that worker).
+pub(crate) struct Remote<M> {
+    pub(crate) at: SimTime,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) msg: M,
 }
 
 impl<M: Clone + 'static> Simulation<M> {
@@ -108,6 +126,13 @@ impl<M: Clone + 'static> Simulation<M> {
     /// RNG seed. The same seed and the same sequence of calls produce the
     /// same execution, bit for bit.
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
+        Simulation::empty(config, seed)
+    }
+}
+
+impl<M: Clone + 'static, A: ?Sized + Actor<M>> Simulation<M, A> {
+    /// An engine with no sites and no nodes, for any actor box.
+    pub(crate) fn empty(config: NetworkConfig, seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
             events: EventQueue::new(),
@@ -118,34 +143,31 @@ impl<M: Clone + 'static> Simulation<M> {
             stats: NetStats::default(),
             cancelled_timers: HashSet::new(),
             next_timer_id: 0,
-            site_names: Vec::new(),
+            sites: 0,
             started: false,
+            remote: Vec::new(),
         }
     }
 
-    /// Register a site (datacenter) and return its id.
-    pub fn add_site(&mut self, name: impl Into<String>) -> SiteId {
-        let id = SiteId(self.site_names.len() as u32);
-        self.site_names.push(name.into());
-        id
-    }
-
-    /// The human-readable name a site was registered with.
-    pub fn site_name(&self, site: SiteId) -> &str {
-        &self.site_names[site.0 as usize]
-    }
-
-    /// Number of registered sites.
-    pub fn site_count(&self) -> usize {
-        self.site_names.len()
+    /// Register a site (datacenter) and return its id. Site ids are dense
+    /// in registration order; the name is not kept.
+    pub fn add_site(&mut self, _name: impl Into<String>) -> SiteId {
+        self.sites += 1;
+        SiteId(self.sites - 1)
     }
 
     /// Add an actor placed at `site`; returns its node id. If the simulation
     /// has already started running, the actor's `on_start` is scheduled for
     /// the current instant.
-    pub fn add_node(&mut self, site: SiteId, actor: Box<dyn Actor<M>>) -> NodeId {
+    pub fn add_node(&mut self, site: SiteId, actor: Box<A>) -> NodeId {
+        self.place(site, Some(actor))
+    }
+
+    /// Register a node at `site`, with its actor or — for a node another
+    /// parallel worker runs — without one.
+    pub(crate) fn place(&mut self, site: SiteId, actor: Option<Box<A>>) -> NodeId {
         let id = NodeId(self.actors.len() as u32);
-        self.actors.push(Some(actor));
+        self.actors.push(actor);
         self.network.register_node(id, site);
         if self.started {
             self.events.push(self.now, EventKind::Start { node: id });
@@ -182,7 +204,7 @@ impl<M: Clone + 'static> Simulation<M> {
     ///
     /// Returns `None` while that actor is being invoked (never observable
     /// from outside the run loop).
-    pub fn actor(&self, node: NodeId) -> Option<&dyn Actor<M>> {
+    pub fn actor(&self, node: NodeId) -> Option<&A> {
         self.actors
             .get(node.0 as usize)
             .and_then(|slot| slot.as_deref())
@@ -238,16 +260,53 @@ impl<M: Clone + 'static> Simulation<M> {
             return false;
         };
         debug_assert!(time >= self.now, "time went backwards");
+        self.run_event(kind, || time);
+        true
+    }
+
+    /// Process the earliest event if it is due by `due`, running its
+    /// callback at the instant `now` reads. The parallel runtime steps its
+    /// workers' engines this way on the wall clock. Returns `false` when no
+    /// event is due.
+    pub(crate) fn step_due(&mut self, due: SimTime, now: impl FnOnce() -> SimTime) -> bool {
+        self.ensure_started();
+        if self.events.next_time().is_none_or(|time| time > due) {
+            return false;
+        }
+        let (_, kind) = self.events.pop().expect("a due event was peeked");
+        self.run_event(kind, now);
+        true
+    }
+
+    /// When the earliest queued event is due.
+    pub(crate) fn next_due(&self) -> Option<SimTime> {
+        self.events.next_time()
+    }
+
+    /// Queue a delivery another worker's engine routed to one of this
+    /// engine's actors.
+    pub(crate) fn deliver_at(&mut self, delivery: Remote<M>) {
+        let Remote { at, from, to, msg } = delivery;
+        self.events.push(at, EventKind::Deliver { from, to, msg });
+    }
+
+    /// The deliveries routed to nodes without an actor here since the last
+    /// call, in send order.
+    pub(crate) fn take_remote(&mut self) -> std::vec::Drain<'_, Remote<M>> {
+        self.remote.drain(..)
+    }
+
+    fn run_event(&mut self, kind: EventKind<M>, now: impl FnOnce() -> SimTime) {
         // Cancelled timers are purged lazily without advancing the visible
         // clock, so a cancelled retransmission timer far in the future does
         // not make an otherwise-finished simulation look longer than it was.
         if let EventKind::Timer { id, .. } = &kind {
             if self.cancelled_timers.remove(id) {
                 self.stats.timers_cancelled += 1;
-                return true;
+                return;
             }
         }
-        self.now = time;
+        self.now = now();
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 if !self.network.is_node_up(to) {
@@ -274,12 +333,11 @@ impl<M: Clone + 'static> Simulation<M> {
                 }
             }
         }
-        true
     }
 
     fn invoke<F>(&mut self, node: NodeId, f: F)
     where
-        F: FnOnce(&mut dyn Actor<M>, &mut Context<M>),
+        F: FnOnce(&mut A, &mut Context<M>),
     {
         let mut actor = match self.actors[node.0 as usize].take() {
             Some(a) => a,
@@ -328,27 +386,14 @@ impl<M: Clone + 'static> Simulation<M> {
                             self.stats.reordered += 1;
                             latency += chaos.reorder_delay;
                         }
+                        let at = self.now + latency;
                         if chaos.duplicate_probability > 0.0
                             && self.rng.gen::<f64>() < chaos.duplicate_probability
                         {
                             self.stats.duplicated += 1;
-                            self.events.push(
-                                self.now + latency,
-                                EventKind::Deliver {
-                                    from: source,
-                                    to,
-                                    msg: msg.clone(),
-                                },
-                            );
+                            self.schedule_delivery(at, source, to, msg.clone());
                         }
-                        self.events.push(
-                            self.now + latency,
-                            EventKind::Deliver {
-                                from: source,
-                                to,
-                                msg,
-                            },
-                        );
+                        self.schedule_delivery(at, source, to, msg);
                     }
                     Delivery::Drop(reason) => match reason {
                         DropReason::RandomLoss => self.stats.dropped_loss += 1,
@@ -372,6 +417,17 @@ impl<M: Clone + 'static> Simulation<M> {
             Action::CancelTimer(id) => {
                 self.cancelled_timers.insert(id);
             }
+        }
+    }
+
+    /// Queue a delivery, or leave it for the parallel runtime when `to` has
+    /// no actor in this engine. The check draws no randomness, so the
+    /// simulation's trace does not depend on it.
+    fn schedule_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: M) {
+        if self.actors[to.0 as usize].is_some() {
+            self.events.push(at, EventKind::Deliver { from, to, msg });
+        } else {
+            self.remote.push(Remote { at, from, to, msg });
         }
     }
 

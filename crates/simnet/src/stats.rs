@@ -34,6 +34,35 @@ impl NetStats {
         self.dropped_loss + self.dropped_partition + self.dropped_down
     }
 
+    /// Add every counter of `other` into `self` (the parallel runtime
+    /// merges its workers' counters this way).
+    pub(crate) fn merge(&mut self, other: &NetStats) {
+        let NetStats {
+            sent,
+            delivered,
+            dropped_loss,
+            dropped_partition,
+            dropped_down,
+            timers_fired,
+            timers_cancelled,
+            timers_suppressed,
+            duplicated,
+            reordered,
+            delay_bursts,
+        } = other;
+        self.sent += sent;
+        self.delivered += delivered;
+        self.dropped_loss += dropped_loss;
+        self.dropped_partition += dropped_partition;
+        self.dropped_down += dropped_down;
+        self.timers_fired += timers_fired;
+        self.timers_cancelled += timers_cancelled;
+        self.timers_suppressed += timers_suppressed;
+        self.duplicated += duplicated;
+        self.reordered += reordered;
+        self.delay_bursts += delay_bursts;
+    }
+
     /// Fraction of sent messages that were delivered (1.0 when nothing sent).
     pub fn delivery_ratio(&self) -> f64 {
         if self.sent == 0 {

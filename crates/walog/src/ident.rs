@@ -187,11 +187,6 @@ impl SymbolTable {
         self.keys.lookup(name).map(KeyId)
     }
 
-    /// The id of an already-interned attribute name, if any.
-    pub fn try_attr(&self, name: &str) -> Option<AttrId> {
-        self.attrs.lookup(name).map(AttrId)
-    }
-
     /// The name a group id was interned from (`None` for foreign ids).
     pub fn group_name(&self, id: GroupId) -> Option<String> {
         self.groups.resolve(id.0)
