@@ -62,7 +62,7 @@ impl ReadMostlySweepConfig {
             tune: |spec| {
                 let ms = SimDuration::from_millis;
                 spec.with_keys(20_000)
-                    .with_windows(ms(300), ms(700), ms(600))
+                    .with_windows(ms(300), ms(600))
                     .with_topology(Topology::vvv())
                     .with_rtt_scale(0.5)
             },
@@ -130,7 +130,7 @@ mod tests {
     fn fake(serving: usize, reads: usize) -> LoadResult {
         let second = SimDuration::from_secs(1);
         LoadResult {
-            spec: LoadSpec::read_mostly(2, 4_000.0, serving).with_windows(second, second, second),
+            spec: LoadSpec::read_mostly(2, 4_000.0, serving).with_windows(second, second),
             reads: ReadTotals {
                 completed: reads,
                 verified: reads,

@@ -146,7 +146,7 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
             concat!(
                 "  {{\"name\": \"{}\", \"cluster\": \"{}\", \"protocol\": \"{}\", ",
                 "\"attempted\": {}, \"committed\": {}, \"aborted\": {}, ",
-                "\"read_only\": {}, \"timed_out\": {}, ",
+                "\"read_only\": {}, \"unavailable\": {}, ",
                 "\"combined_commits\": {}, ",
                 "\"reclaimed_versions\": {}, \"batch_splits\": {}, ",
                 "\"stale_member_aborts\": {}, \"mean_window_occupancy\": {:.3}, ",
@@ -166,7 +166,7 @@ pub fn results_to_json(results: &[LoadResult]) -> String {
             r.totals.committed,
             r.totals.aborted,
             r.totals.read_only,
-            r.totals.timed_out,
+            r.unavailable,
             r.totals.combined_commits,
             r.totals.reclaimed_versions,
             r.totals.batch_splits,
@@ -246,7 +246,7 @@ mod tests {
         results[0].totals.window_occupancy = vec![4];
         results[0].totals.pipeline_depth = vec![2];
         results[0].totals.read_only = 1;
-        results[0].totals.timed_out = 4;
+        results[0].unavailable = 4;
         results[0].totals.faults_injected = 6;
         results[0].totals.resubmissions = 8;
         results[0].totals.duplicate_suppressions = 5;
@@ -265,7 +265,7 @@ mod tests {
         assert!(json.contains("\"mean_window_occupancy\": 4.000"));
         assert!(json.contains("\"max_pipeline_depth\": 2"));
         assert!(json.contains("\"read_only\": 1"));
-        assert!(json.contains("\"timed_out\": 4"));
+        assert!(json.contains("\"unavailable\": 4"));
         assert!(json.contains("\"faults_injected\": 6"));
         assert!(json.contains("\"resubmissions\": 8"));
         assert!(json.contains("\"duplicate_suppressions\": 5"));

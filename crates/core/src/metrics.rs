@@ -69,11 +69,6 @@ pub struct RunMetrics {
     pub commit_latency_us_by_promotion: Vec<Vec<u64>>,
     /// Latency samples of aborted transactions, in microseconds.
     pub abort_latency_us: Vec<u64>,
-    /// Transactions that timed out waiting for a commit decision (open-loop
-    /// harnesses count a request whose patience expired as an abort *and*
-    /// tick this counter; the closed-loop session never times out, so it
-    /// stays 0 there).
-    pub timed_out: u64,
     /// Windows a service-hosted group committer split because
     /// they were internally conflicting (a member read an earlier member's
     /// write — the `walog::combine::can_append` rule): the deferred
@@ -107,8 +102,8 @@ pub struct RunMetrics {
     /// chaos harnesses from `ChaosSchedule::faults_injected`.
     pub faults_injected: u64,
     /// Commit attempts automatically re-submitted after an `Unavailable`
-    /// outcome or a submit-patience expiry (sessions and open-loop drivers
-    /// count each re-send; the transaction id never changes).
+    /// outcome or a submit-patience expiry (sessions count each re-send;
+    /// the transaction id never changes).
     pub resubmissions: u64,
     /// Duplicate commit submissions the services absorbed: retries of
     /// in-flight transactions and retries answered from the decided-fate
@@ -158,7 +153,6 @@ impl RunMetrics {
         self.aborted += other.aborted;
         self.combined_commits += other.combined_commits;
         self.read_only += other.read_only;
-        self.timed_out += other.timed_out;
         self.batch_splits += other.batch_splits;
         self.stale_member_aborts += other.stale_member_aborts;
         self.reclaimed_versions += other.reclaimed_versions;
@@ -413,12 +407,12 @@ mod tests {
         let b = hub.register();
         a.lock().record(&result(true, 0, 10));
         b.lock().record(&result(false, 0, 20));
-        b.lock().timed_out = 3;
+        b.lock().resubmissions = 3;
         assert_eq!(hub.len(), 2);
         let total = hub.merged();
         assert_eq!(total.attempted, 2);
         assert_eq!(total.committed, 1);
         assert_eq!(total.aborted, 1);
-        assert_eq!(total.timed_out, 3);
+        assert_eq!(total.resubmissions, 3);
     }
 }

@@ -7,20 +7,24 @@
 //! [`simnet::ParallelRuntime`] instead of the deterministic simulation, and
 //! **once per worker thread**: each worker owns a complete replica set (a
 //! *shard*) that leads a disjoint subset of transaction groups. A group's
-//! entire commit pipeline — the clients' requests, the service-hosted
-//! group committer, the Paxos acceptors, the replica logs — lives on its
-//! shard's worker, so consensus traffic never crosses threads; only
-//! driver→service commit requests and replies do (over the runtime's
-//! bounded channels).
+//! entire commit pipeline — the service-hosted group committer, the Paxos
+//! acceptors, the replica logs — lives on its shard's worker, so the
+//! services' own consensus traffic never crosses threads. A client may
+//! live on any worker: its [`Session`] reaches each group through the
+//! directory of the shard owning it, so its commit traffic (requests,
+//! replies, vote copies, a direct commit's Paxos rounds) crosses the
+//! runtime's bounded channels, and it takes read positions, read leases
+//! and in-process leader claims at another worker's cores under their
+//! locks, as the wire read plane does.
 //!
 //! This is the sharding the paper's data model promises (§2.1: transaction
 //! groups are independent units of consistency) projected onto cores:
 //! adding a worker adds a full set of group pipelines. Protocol code is
-//! untouched — the services and committers are byte-for-byte the actors
-//! the simulation runs, on the same event engine and network model; only
-//! the clock (wall time instead of virtual time) and the harness differ.
-//! Every shard is verified by the simulation's own check, committed-set
-//! cross-check included.
+//! untouched — the services, committers and sessions are byte-for-byte the
+//! ones the simulation runs, on the same event engine and network model;
+//! only the clock (wall time instead of virtual time) and the harness
+//! differ. Every shard is verified by the simulation's own check,
+//! committed-set cross-check included.
 //!
 //! Every shard keeps its own [`Directory`] (its three services, its
 //! cores), but all shards intern names through one cluster-wide
@@ -33,7 +37,9 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::metrics::{MetricsHub, RunMetrics};
 use crate::msg::Msg;
+use crate::session::{ClientConfig, Session};
 use crate::topology::Topology;
+use parking_lot::RwLock;
 use paxos::CommitProtocol;
 use simnet::{Actor, NodeId, ParallelReport, ParallelRuntime, SiteId};
 use std::collections::HashMap;
@@ -101,16 +107,52 @@ impl ParallelClusterConfig {
     }
 }
 
+/// The shards' replica sets and the shard owning each registered group,
+/// shared by a cluster and its sessions: where a session looks a group's
+/// replica set up. A simulated cluster is one shard that owns every group.
+pub(crate) struct Shards {
+    /// One replica set per worker: its directory (services, cores, leader
+    /// map).
+    directories: Vec<Arc<Directory>>,
+    /// Shard owning each registered group.
+    owner: RwLock<HashMap<GroupId, usize>>,
+}
+
+impl Shards {
+    /// Shards owning no group yet; the only one owns every group.
+    pub(crate) fn new(directories: Vec<Arc<Directory>>) -> Arc<Shards> {
+        let owner = RwLock::default();
+        Arc::new(Shards { directories, owner })
+    }
+
+    /// The shard (worker) owning a registered group.
+    pub(crate) fn shard_of(&self, group: GroupId) -> usize {
+        *self
+            .owner
+            .read()
+            .get(&group)
+            .expect("group was registered with register_group")
+    }
+
+    /// The directory of the shard owning a registered group.
+    pub(crate) fn of(&self, group: GroupId) -> &Directory {
+        match &self.directories[..] {
+            [one] => one,
+            shards => &shards[self.shard_of(group)],
+        }
+    }
+
+    /// The cluster-wide symbol table every shard interns through.
+    pub(crate) fn symbols(&self) -> &Arc<SymbolTable> {
+        self.directories[0].symbols()
+    }
+}
+
 /// A sharded multi-core cluster on the parallel runtime.
 pub struct ParallelCluster {
     config: ParallelClusterConfig,
     runtime: Option<ParallelRuntime<Msg>>,
-    symbols: Arc<SymbolTable>,
-    /// One replica set per worker: its directory (services, cores, leader
-    /// map).
-    shards: Vec<Arc<Directory>>,
-    /// Shard owning each registered group.
-    group_shard: HashMap<GroupId, usize>,
+    shards: Arc<Shards>,
     /// Groups in registration order.
     groups: Vec<GroupId>,
     service_metrics: MetricsHub,
@@ -130,7 +172,7 @@ impl ParallelCluster {
         let service_metrics = MetricsHub::new();
         let replica_set = ClusterConfig::new(config.topology.clone(), config.protocol)
             .with_batch(config.batch.clone());
-        let mut shards = Vec::with_capacity(config.workers);
+        let mut directories = Vec::with_capacity(config.workers);
         for worker in 0..config.workers {
             let directory = Directory::with_symbols(Arc::clone(&symbols));
             let prefix = format!("w{worker}-");
@@ -144,14 +186,12 @@ impl ParallelCluster {
                     runtime.add_node(site, worker, Box::new(service))
                 },
             );
-            shards.push(directory);
+            directories.push(directory);
         }
         ParallelCluster {
             config,
             runtime: Some(runtime),
-            symbols,
-            shards,
-            group_shard: HashMap::new(),
+            shards: Shards::new(directories),
             groups: Vec::new(),
             service_metrics,
         }
@@ -164,12 +204,12 @@ impl ParallelCluster {
 
     /// The cluster-wide symbol table.
     pub fn symbols(&self) -> Arc<SymbolTable> {
-        Arc::clone(&self.symbols)
+        Arc::clone(self.shards.symbols())
     }
 
     /// Number of worker threads (= shards).
     pub fn num_workers(&self) -> usize {
-        self.shards.len()
+        self.shards.directories.len()
     }
 
     /// Datacenters per shard.
@@ -180,9 +220,9 @@ impl ParallelCluster {
     /// Intern a group name and assign it to a shard (round-robin over the
     /// workers in registration order). Returns its cluster-wide id.
     pub fn register_group(&mut self, name: &str) -> GroupId {
-        let group = self.symbols.group(name);
-        let shard = self.groups.len() % self.shards.len();
-        self.group_shard.entry(group).or_insert(shard);
+        let group = self.shards.symbols().group(name);
+        let shard = self.groups.len() % self.num_workers();
+        self.shards.owner.write().entry(group).or_insert(shard);
         self.groups.push(group);
         group
     }
@@ -194,23 +234,20 @@ impl ParallelCluster {
 
     /// The shard (worker) owning a registered group.
     pub fn shard_of_group(&self, group: GroupId) -> usize {
-        *self
-            .group_shard
-            .get(&group)
-            .expect("group was registered with register_group")
+        self.shards.shard_of(group)
     }
 
     /// The Transaction Service node commit requests for `group` go to: the
     /// group home's service within the owning shard.
     pub fn service_for_group(&self, group: GroupId) -> NodeId {
-        let shard = &self.shards[self.shard_of_group(group)];
+        let shard = self.shards.of(group);
         shard.service_node(shard.group_home(group))
     }
 
     /// The storage core of the group home's datacenter within the owning
     /// shard (drivers refresh read positions from it).
     pub fn home_core(&self, group: GroupId) -> SharedCore {
-        let shard = &self.shards[self.shard_of_group(group)];
+        let shard = self.shards.of(group);
         shard.core(shard.group_home(group))
     }
 
@@ -219,18 +256,48 @@ impl ParallelCluster {
     /// — any replica of the owning shard can serve the group's watermark
     /// reads, which is what the scale-out read plane measures.
     pub fn service_for_group_at(&self, group: GroupId, replica: usize) -> NodeId {
-        self.shards[self.shard_of_group(group)].service_node(replica)
+        self.shards.of(group).service_node(replica)
     }
 
     /// The storage core of `replica` within the shard owning `group`
     /// (snapshot-read harnesses refresh watermarks from — and hold read
     /// leases on — the serving replica, not just the home).
     pub fn core_for_group_at(&self, group: GroupId, replica: usize) -> SharedCore {
-        self.shards[self.shard_of_group(group)].core(replica)
+        self.shards.of(group).core(replica)
     }
 
-    /// Add a driver actor on `worker`, placed at that shard's `replica`
-    /// site. The closure receives the node id the actor will run as.
+    /// Add a client on `worker`, living in `replica`'s datacenter: a
+    /// [`Session`] that reaches each group through the directory of the
+    /// shard owning it, handed to `make_actor` to embed. The client is
+    /// registered at `replica` in **every** shard's directory, so any
+    /// shard's services copy their votes to it and resolve the positions it
+    /// wins to its datacenter. Register every group it touches before the run.
+    pub fn add_client<F>(
+        &mut self,
+        worker: usize,
+        replica: usize,
+        config: ClientConfig,
+        make_actor: F,
+    ) -> NodeId
+    where
+        F: FnOnce(Session) -> Box<dyn Actor<Msg> + Send>,
+    {
+        let shards = Arc::clone(&self.shards);
+        self.add_driver(worker, replica, |node| {
+            for directory in &shards.directories {
+                directory.register_client(node, replica);
+            }
+            make_actor(Session::sharded(node, replica, shards, config))
+        })
+    }
+
+    /// Add a raw driver actor on `worker`, placed at that shard's
+    /// `replica` site; the closure receives the node id the actor will run
+    /// as. A driver builds its own messages instead of running a
+    /// [`Session`], and is registered only in `worker`'s shard: the other
+    /// shards copy it no votes, which keeps a raw port that waits for the
+    /// home's reply (the benchmark's wire actor, the raw test writers) free
+    /// of traffic it would ignore.
     pub fn add_driver<F>(&mut self, worker: usize, replica: usize, make_actor: F) -> NodeId
     where
         F: FnOnce(NodeId) -> Box<dyn Actor<Msg> + Send>,
@@ -238,9 +305,9 @@ impl ParallelCluster {
         let runtime = self
             .runtime
             .as_mut()
-            .expect("drivers must be added before run()");
+            .expect("actors must be added before run()");
         let expected = NodeId(runtime.node_count() as u32);
-        self.shards[worker].register_client(expected, replica);
+        self.shards.directories[worker].register_client(expected, replica);
         let site = SiteId((worker * self.config.topology.num_datacenters() + replica) as u32);
         let node = runtime.add_node(site, worker, make_actor(expected));
         assert_eq!(
@@ -267,7 +334,7 @@ impl ParallelCluster {
     /// [`Cluster::verify`](crate::Cluster::verify) runs, once per shard.
     pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
         let mut reports = Vec::new();
-        for shard in &self.shards {
+        for shard in &self.shards.directories {
             reports.extend(verify_replica_set(shard)?);
         }
         Ok(reports)
@@ -276,7 +343,8 @@ impl ParallelCluster {
     /// Committed transactions recorded in the owning shard's replica-0 log
     /// for a group.
     pub fn committed_in_log(&self, group: GroupId) -> usize {
-        self.shards[self.shard_of_group(group)]
+        self.shards
+            .of(group)
             .core(0)
             .lock()
             .log(group)
@@ -307,7 +375,7 @@ impl ParallelCluster {
     /// `service.expired_reads`.
     pub fn service_side_counters(&self) -> (u64, u64) {
         let mut reclaimed = 0;
-        for shard in &self.shards {
+        for shard in &self.shards.directories {
             for core in shard.cores() {
                 reclaimed += core.lock().reclaimed_version_count();
             }
@@ -346,5 +414,44 @@ mod tests {
         assert!(cluster.verify().unwrap().is_empty());
         let (expired, reclaimed) = cluster.service_side_counters();
         assert_eq!((expired, reclaimed), (0, 0));
+    }
+
+    /// A client lives on one worker but is registered at its datacenter in
+    /// every shard, where a raw driver is registered in its own shard only;
+    /// its session reaches each group through the group's own shard.
+    #[test]
+    fn a_client_is_registered_in_every_shard() {
+        struct Idle;
+        impl Actor<Msg> for Idle {
+            fn on_message(&mut self, _: &mut simnet::Context<Msg>, _: NodeId, _: Msg) {}
+        }
+        let mut cluster = ParallelCluster::build(
+            ParallelClusterConfig::new(Topology::vvv(), CommitProtocol::PaxosCp).with_workers(3),
+        );
+        let groups: Vec<GroupId> = (0..3)
+            .map(|g| cluster.register_group(&format!("g{g}")))
+            .collect();
+        let client = cluster.add_client(0, 2, ClientConfig::cp(), |mut session| {
+            for group in &groups {
+                session.begin_id(simnet::SimTime::ZERO, *group);
+            }
+            Box::new(Idle)
+        });
+        let driver = cluster.add_driver(0, 1, |_| Box::new(Idle));
+        let registered = |node| {
+            let shards = cluster.shards.directories.iter();
+            shards
+                .map(|shard| shard.replica_of_client(node))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(registered(client), [Some(2); 3]);
+        assert_eq!(registered(driver), [Some(1), None, None]);
+        for (worker, group) in groups.iter().enumerate() {
+            assert_eq!(cluster.shard_of_group(*group), worker);
+            // Each `begin` leased its read position at the client's
+            // datacenter of the group's own shard.
+            let core = cluster.core_for_group_at(*group, 2);
+            assert_eq!(core.lock().read_lease_count(), 1);
+        }
     }
 }

@@ -139,6 +139,11 @@ impl<K: Ord + Copy> Proposers<K> {
         self.timers.keys().copied()
     }
 
+    /// Forget a timer tag without firing it: its instance has finished.
+    pub fn disarm(&mut self, tag: u64) {
+        self.timers.remove(&tag);
+    }
+
     /// The instance a timer tag is armed for.
     pub fn timer_key(&self, tag: u64) -> Option<K> {
         self.timers.get(&tag).map(|(key, _)| *key)

@@ -56,6 +56,7 @@ use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::learner::VoteTally;
 use crate::msg::Msg;
+use crate::parallel::Shards;
 use crate::proposers::{Claim, Env, Input, Proposers};
 use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer, ProposerConfig, TimerKind};
 use rand::rngs::StdRng;
@@ -381,7 +382,10 @@ struct OpenTxn {
 pub struct Session {
     node: NodeId,
     home_replica: usize,
-    directory: Arc<Directory>,
+    /// Where each group's replica set is found: a simulated cluster's one
+    /// directory, or the directory of the parallel-runtime shard owning
+    /// the group ([`crate::ParallelCluster::add_client`]).
+    replicas: Arc<Shards>,
     config: ClientConfig,
     rng: StdRng,
     seq: u64,
@@ -421,10 +425,21 @@ impl Session {
         directory: Arc<Directory>,
         config: ClientConfig,
     ) -> Self {
+        Session::sharded(node, home_replica, Shards::new(vec![directory]), config)
+    }
+
+    /// A session reaching each group through the directory of the shard
+    /// owning it.
+    pub(crate) fn sharded(
+        node: NodeId,
+        home_replica: usize,
+        replicas: Arc<Shards>,
+        config: ClientConfig,
+    ) -> Self {
         Session {
             node,
             home_replica,
-            directory,
+            replicas,
             config,
             rng: StdRng::seed_from_u64(0x9e37_79b9 ^ node.0 as u64),
             seq: 0,
@@ -475,7 +490,7 @@ impl Session {
 
     /// The cluster's shared symbol table (for callers that pre-intern).
     pub fn symbols(&self) -> &Arc<walog::SymbolTable> {
-        self.directory.symbols()
+        self.replicas.symbols()
     }
 
     /// Number of open transactions (executing, queued or committing).
@@ -504,14 +519,15 @@ impl Session {
             .is_some_and(|t| !matches!(t.phase, Phase::Executing))
     }
 
-    fn home_core(&self) -> SharedCore {
-        self.directory.core(self.home_replica)
+    /// The core of the session's datacenter in `group`'s replica set.
+    fn home_core(&self, group: GroupId) -> SharedCore {
+        self.replicas.of(group).core(self.home_replica)
     }
 
     /// Open a transaction on the named group at simulated time `now`,
     /// interning the name through the cluster symbol table.
     pub fn begin(&mut self, now: SimTime, group: &str) -> TxnHandle {
-        let group = self.directory.symbols().group(group);
+        let group = self.symbols().group(group);
         self.begin_id(now, group)
     }
 
@@ -521,7 +537,7 @@ impl Session {
     /// need until the commit decision.
     pub fn begin_id(&mut self, now: SimTime, group: GroupId) -> TxnHandle {
         let read_position = {
-            let core = self.home_core();
+            let core = self.home_core(group);
             let mut core = core.lock();
             let read_position = core.read_position(group);
             core.begin_read_lease(group, read_position);
@@ -553,7 +569,7 @@ impl Session {
     /// interning the name through the cluster symbol table. See
     /// [`Session::begin_read_only_id`].
     pub fn begin_read_only(&mut self, now: SimTime, group: &str) -> TxnHandle {
-        let group = self.directory.symbols().group(group);
+        let group = self.symbols().group(group);
         self.begin_read_only_id(now, group)
     }
 
@@ -579,14 +595,11 @@ impl Session {
     pub fn begin_read_only_id(&mut self, now: SimTime, group: GroupId) -> TxnHandle {
         self.next_handle += 1;
         let handle = self.next_handle;
-        let serving = self.directory.snapshot_replica(
-            group,
-            self.home_replica,
-            handle,
-            self.directory.num_replicas(),
-        );
+        let directory = self.replicas.of(group);
+        let serving =
+            directory.snapshot_replica(group, self.home_replica, handle, directory.num_replicas());
         let read_position = {
-            let core = self.directory.core(serving);
+            let core = directory.core(serving);
             let mut core = core.lock();
             let read_position = core.read_position(group);
             core.begin_read_lease(group, read_position);
@@ -626,7 +639,8 @@ impl Session {
 
     /// Release the read lease a finished transaction held.
     fn release_lease(&self, txn: &OpenTxn) {
-        self.directory
+        self.replicas
+            .of(txn.group)
             .core(txn.lease_replica)
             .lock()
             .end_read_lease(txn.group, txn.read_position);
@@ -639,7 +653,7 @@ impl Session {
         key: &str,
         attr: &str,
     ) -> Result<Option<String>, SessionError> {
-        let item = self.directory.symbols().item(key, attr);
+        let item = self.symbols().item(key, attr);
         self.read_id(handle, item.key, item.attr)
     }
 
@@ -668,7 +682,8 @@ impl Session {
             return Ok(Some(value.clone()));
         }
         let observed = self
-            .directory
+            .replicas
+            .of(txn.group)
             .core(txn.lease_replica)
             .lock()
             .read(txn.group, key, attr, txn.read_position)
@@ -698,7 +713,7 @@ impl Session {
         attr: &str,
         value: impl Into<String>,
     ) -> Result<(), SessionError> {
-        let item = self.directory.symbols().item(key, attr);
+        let item = self.symbols().item(key, attr);
         self.write_id(handle, item.key, item.attr, value)
     }
 
@@ -805,10 +820,12 @@ impl Session {
     fn start_direct(&mut self, now: SimTime, handle: u64, out: &mut Vec<ClientAction>) {
         let transaction = self.build_transaction(handle);
         let group = transaction.group;
-        let cfg = self.config.proposer_config(self.directory.num_replicas());
+        let cfg = self
+            .config
+            .proposer_config(self.replicas.of(group).num_replicas());
         let read_position = transaction.read_position;
         let through = self
-            .home_core()
+            .home_core(group)
             .lock()
             .log(group)
             .map_or(read_position, |log| {
@@ -872,7 +889,8 @@ impl Session {
         let attempts = txn.submit_attempts;
         let transaction = self.build_transaction(handle);
         self.votes.expect(transaction.id, handle);
-        let home = self.directory.group_home(transaction.group);
+        let directory = self.replicas.of(transaction.group);
+        let service = directory.service_node(directory.group_home(transaction.group));
         self.next_tag += 1;
         let tag = self.next_tag;
         self.patience.insert(tag, (handle, req_id));
@@ -888,7 +906,7 @@ impl Session {
         }
         vec![
             ClientAction::Send(
-                self.directory.service_node(home),
+                service,
                 Msg::CommitRequest {
                     req_id,
                     txn: transaction,
@@ -965,10 +983,11 @@ impl Session {
                 entry,
                 promotions,
             } => {
-                let Some(voter) = self.directory.replica_of_service(from) else {
+                let directory = self.replicas.of(*group);
+                let Some(voter) = directory.replica_of_service(from) else {
                     return Vec::new();
                 };
-                let replicas = self.directory.num_replicas();
+                let replicas = directory.num_replicas();
                 let learned = self.votes.count(
                     voter,
                     replicas,
@@ -1071,7 +1090,7 @@ impl Session {
         };
         while let Some((group, position)) = self.proposers.competing(&key) {
             let decided = self
-                .home_core()
+                .home_core(group)
                 .lock()
                 .log(group)
                 .and_then(|log| log.get(position))
@@ -1093,9 +1112,20 @@ impl Session {
     /// session's datacenter, timers use the session's delay policy), then
     /// finish the commit it decided, if any.
     fn feed(&mut self, now: SimTime, input: Input<'_, u64>, out: &mut Vec<ClientAction>) {
+        let key = match &input {
+            Input::Start(key, _) | Input::Reply(key, ..) | Input::Decided(key, ..) => Some(*key),
+            Input::Timer(tag) => self.proposers.timer_key(*tag),
+        };
+        let Some(group) = key.and_then(|key| self.open.get(&key)).map(|txn| txn.group) else {
+            // The instance finished: a timer it left only disarms.
+            if let Input::Timer(tag) = input {
+                self.proposers.disarm(tag);
+            }
+            return;
+        };
         let (config, rng, backoffs) = (&self.config, &mut self.rng, &mut self.direct_backoffs);
         let env = Env {
-            directory: &self.directory,
+            directory: self.replicas.of(group),
             home: self.home_replica,
             next_tag: &mut self.next_tag,
             delay: &mut |kind| {
@@ -1180,9 +1210,8 @@ mod tests {
     }
 
     fn register(session: &Session) {
-        session
-            .directory
-            .register_client(session.node, session.home_replica);
+        let directory = session.replicas.of(GroupId(0));
+        directory.register_client(session.node, session.home_replica);
     }
 
     #[test]
@@ -1542,12 +1571,12 @@ mod tests {
         let mut out = Vec::new();
         let Session {
             proposers,
-            directory,
+            replicas,
             next_tag,
             ..
         } = &mut session;
         let env = Env {
-            directory,
+            directory: replicas.of(group),
             home: 0,
             next_tag,
             delay: &mut |_| SimDuration::ZERO,

@@ -1,10 +1,13 @@
 //! The load actor: one type for every workload, parameterised by arrival
-//! process × operation mix, reaching the system through whichever port its
-//! cluster shape offers.
+//! process × operation mix. Transactions run through an embedded
+//! [`Session`] on both cluster shapes, so each commit ends the way the
+//! session ends it (decision, or `Unavailable` once its patience and
+//! re-submission budget run out); snapshot reads travel the wire read
+//! plane ([`Msg::SnapshotRead`]) and the actor minds their patience.
 //!
 //! The actor keeps **one clock**: a single timer armed for the earliest
 //! instant anything is due — the next arrival, the next operation of an
-//! executing transaction, the oldest wire request's patience — and re-armed
+//! executing transaction, the oldest snapshot read's patience — and re-armed
 //! only when nothing is armed or something earlier came up. There is no
 //! polling tick, and a recovery cannot multiply timers: the actor knows the
 //! instant its clock is armed for and whether that instant has passed.
@@ -13,8 +16,7 @@ use crate::spec::{Arrival, Keyspace, LoadSpec, OpMix};
 use crate::zipf::KeySampler;
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    apply_client_actions, AbortReason, ClientAction, Msg, RunMetrics, Session, TxnHandle,
-    TxnResult, VoteTally,
+    apply_client_actions, AbortReason, ClientAction, Msg, RunMetrics, Session, TxnHandle, TxnResult,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -23,7 +25,7 @@ use simnet::{Actor, Context, NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use walog::{AttrId, GroupId, ItemRef, KeyId, LogPosition, SymbolTable, Transaction, TxnId};
+use walog::{AttrId, GroupId, ItemRef, KeyId, LogPosition, SymbolTable, TxnId};
 
 /// The actor's only timer tag (session tags count up from 1).
 const CLOCK_TAG: u64 = u64::MAX;
@@ -112,8 +114,9 @@ pub(crate) struct Tally {
     pub reads: Vec<(SnapshotReadSample, u64, u64)>,
 }
 
-/// Where one group's wire requests go: every replica serves its snapshot
-/// reads, the `home` replica takes the wire port's commits.
+/// Where one group's snapshot reads go: every replica serves them, and the
+/// `home` replica's applied prefix is what their staleness is measured
+/// against.
 pub(crate) struct WireTarget {
     pub group: GroupId,
     pub home: usize,
@@ -121,15 +124,8 @@ pub(crate) struct WireTarget {
     pub cores: Vec<SharedCore>,
 }
 
-/// How transactions reach the system, decided by the cluster shape the
-/// actor is placed on: through the client library on the simulation, as
-/// [`Msg::CommitRequest`]s built directly on the parallel runtime (whose
-/// shards expose services and cores, not a directory a session could use).
-/// Snapshot reads travel the wire read plane on both.
-pub(crate) type Port = Option<Box<Session>>;
-
 enum Stage {
-    /// Session port: between `begin` and `commit`; the next operation runs
+    /// Between `begin` and `commit`; the next operation runs
     /// at `op_due_us`. `first_key` is the key that routed the transaction
     /// to its group, kept for the first operation.
     Executing {
@@ -140,8 +136,8 @@ enum Stage {
     },
     /// The commit decision is outstanding.
     Committing,
-    /// Wire port: a snapshot read is outstanding, holding a read lease at
-    /// the serving core; `lag` is its staleness at issue.
+    /// A snapshot read is outstanding, holding a read lease at the serving
+    /// core; `lag` is its staleness at issue.
     Reading {
         core: SharedCore,
         sample: SnapshotReadSample,
@@ -168,7 +164,7 @@ pub(crate) struct Sinks {
 
 /// The load generator. Built by [`crate::place`] / [`crate::run_load`].
 pub struct LoadActor {
-    port: Port,
+    session: Session,
     targets: Arc<Vec<WireTarget>>,
     arrival: Arrival,
     mix: OpMix,
@@ -179,9 +175,7 @@ pub struct LoadActor {
     replica: usize,
     mean_gap: SimDuration,
     patience_us: u64,
-    /// Wire port, open loop: everything outstanding is given up on here.
-    deadline_us: Option<u64>,
-    /// Submission counter: in-flight key and wire request id, so the table
+    /// Submission counter: in-flight key and snapshot-read request id, so the table
     /// iterates in scheduled-arrival order, oldest first.
     seq: u64,
     issued: usize,
@@ -192,19 +186,16 @@ pub struct LoadActor {
     /// No further arrivals will be offered.
     exhausted: bool,
     in_flight: BTreeMap<u64, InFlight>,
-    /// Session port: in-flight key of each commit the session has given an
-    /// id, and the commits without one yet — read-only ones (finished inside
+    /// In-flight key of each commit the session has given an id, and the
+    /// commits without one yet — read-only ones (finished inside
     /// the commit call) and direct-route ones queued behind their group's
     /// in-flight commit — recognised when their handle closes.
     by_id: HashMap<TxnId, u64>,
     awaiting_id: Vec<(TxnHandle, u64)>,
-    /// Wire port: snapshot-read arrivals waiting for one of the actor's
+    /// Snapshot-read arrivals waiting for one of the actor's
     /// `max_open_snapshots` slots, as (scheduled arrival, key).
     backlog: VecDeque<(u64, u64)>,
     open_snapshots: usize,
-    /// Wire port: copies of the acceptors' votes on the actor's commits,
-    /// keyed by in-flight key.
-    votes: VoteTally<u64>,
     /// The instant the clock timer is armed for, if it is.
     armed_for: Option<u64>,
     finished: bool,
@@ -213,7 +204,7 @@ pub struct LoadActor {
 
 impl LoadActor {
     pub(crate) fn new(
-        port: Port,
+        session: Session,
         targets: &Arc<Vec<WireTarget>>,
         spec: &LoadSpec,
         index: usize,
@@ -224,19 +215,16 @@ impl LoadActor {
         let seed = spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (index as u64 + 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mean_gap = spec.arrival.mean_gap(spec.num_actors());
-        let (first_due_us, drained_us) = match spec.arrival {
-            Arrival::Closed { stagger, .. } => (stagger.as_micros() * index as u64, None),
-            Arrival::Open {
-                duration, grace, ..
-            } => {
+        let first_due_us = match spec.arrival {
+            Arrival::Closed { stagger, .. } => stagger.as_micros() * index as u64,
+            Arrival::Open { .. } => {
                 // A random phase so the actors' arrivals do not align.
                 let phase = rng.gen::<f64>() * mean_gap.as_micros().min(1_000_000) as f64;
-                (1 + phase as u64, Some((duration + grace).as_micros()))
+                1 + phase as u64
             }
         };
         LoadActor {
-            deadline_us: drained_us.filter(|_| port.is_none()),
-            port,
+            session,
             targets: Arc::clone(targets),
             arrival: spec.arrival,
             mix: spec.mix,
@@ -256,16 +244,10 @@ impl LoadActor {
             awaiting_id: Vec::new(),
             backlog: VecDeque::new(),
             open_snapshots: 0,
-            votes: VoteTally::default(),
             armed_for: None,
             finished: false,
             sinks,
         }
-    }
-
-    fn session(&mut self) -> &mut Session {
-        let session = self.port.as_mut();
-        session.expect("transactions execute on the session port")
     }
 
     /// Enter the request just submitted under `self.seq` into the table.
@@ -314,7 +296,7 @@ impl LoadActor {
         }
         let now_us = ctx.now().as_micros();
         self.run_due_ops(ctx, now_us);
-        self.expire(ctx.node(), now_us);
+        self.expire(now_us);
         self.issue_due(ctx, now_us);
         if self.exhausted && self.in_flight.is_empty() && self.backlog.is_empty() {
             self.finished = true;
@@ -327,7 +309,8 @@ impl LoadActor {
             Stage::Executing { op_due_us, .. } => Some(op_due_us),
             _ => None,
         };
-        let oldest = self.in_flight.values().find(|entry| self.minds(entry));
+        let reading = |entry: &&InFlight| matches!(entry.stage, Stage::Reading { .. });
+        let oldest = self.in_flight.values().find(reading);
         let wakeups = [
             self.next_due_us.filter(|_| may_start),
             self.in_flight.values().filter_map(op_due).min(),
@@ -335,7 +318,6 @@ impl LoadActor {
             self.backlog
                 .front()
                 .map(|queued| queued.0 + self.patience_us),
-            self.deadline_us,
         ];
         if let Some(due_us) = wakeups.into_iter().flatten().min() {
             if self.armed_for.is_none_or(|at| due_us < at) {
@@ -376,15 +358,11 @@ impl LoadActor {
             if snapshot {
                 let key = self.sampler.sample(&mut self.rng);
                 self.send_or_queue_snapshot(ctx, now_us, origin_us, key);
-            } else if self.port.is_some() {
-                self.begin_txn(ctx, now_us, origin_us);
             } else {
-                self.submit_write(ctx, now_us, origin_us);
+                self.begin_txn(ctx, now_us, origin_us);
             }
         }
     }
-
-    // ---- session port ------------------------------------------------------
 
     fn begin_txn(&mut self, ctx: &mut Context<Msg>, now_us: u64, origin_us: u64) {
         // With one group each key is drawn when its operation runs (the
@@ -392,7 +370,7 @@ impl LoadActor {
         // drawn up front because it routes the transaction.
         let first_key = (self.names.groups.len() > 1).then(|| self.sampler.sample(&mut self.rng));
         let group = self.names.groups[first_key.map_or(0, |k| self.names.group_index(k))];
-        let handle = self.session().begin_id(ctx.now(), group);
+        let handle = self.session.begin_id(ctx.now(), group);
         // Each operation costs `op_delay` of simulated execution time; the
         // transaction stays open while they run.
         let stage = Stage::Executing {
@@ -445,12 +423,12 @@ impl LoadActor {
             let key = key.unwrap_or_else(|| self.sampler.sample(&mut self.rng));
             let item = self.names.item(key);
             if self.rng.gen::<f64>() < self.mix.read_fraction {
-                self.session()
+                self.session
                     .read_id(handle, item.key, item.attr)
                     .expect("read inside an open transaction");
             } else {
                 let value = format!("v{}-{seq}-{ops_left}", ctx.node().0);
-                self.session()
+                self.session
                     .write_id(handle, item.key, item.attr, value)
                     .expect("write inside an open transaction");
             }
@@ -462,11 +440,11 @@ impl LoadActor {
         }
         entry.stage = Stage::Committing;
         self.in_flight.insert(seq, entry);
-        let session = self.session();
-        let actions = session
+        let actions = self
+            .session
             .commit(ctx.now(), handle)
             .expect("commit of the just-built transaction");
-        match session.txn_id(handle) {
+        match self.session.txn_id(handle) {
             Some(id) => {
                 self.by_id.insert(id, seq);
             }
@@ -480,8 +458,7 @@ impl LoadActor {
     fn settle(&mut self, ctx: &mut Context<Msg>, actions: Vec<ClientAction>) {
         let now_us = ctx.now().as_micros();
         for result in apply_client_actions(ctx, actions) {
-            let session = self.port.as_ref();
-            let session = session.expect("only the session port produces client actions");
+            let session = &self.session;
             let seq = result
                 .txn
                 .and_then(|id| self.by_id.remove(&id))
@@ -507,30 +484,6 @@ impl LoadActor {
                 ) = counters;
             }
         }
-    }
-
-    // ---- wire port ---------------------------------------------------------
-
-    fn submit_write(&mut self, ctx: &mut Context<Msg>, now_us: u64, origin_us: u64) {
-        let mut key = self.sampler.sample(&mut self.rng);
-        let target = &self.targets[self.names.group_index(key)];
-        let read_position = target.cores[target.home].lock().read_position(target.group);
-        self.seq += 1;
-        let id = TxnId::new(ctx.node().0, self.seq);
-        let mut txn = Transaction::builder(id, target.group, read_position);
-        for op in 0..self.mix.ops_per_txn.max(1) {
-            if op > 0 {
-                key = self.sampler.sample(&mut self.rng);
-            }
-            txn = txn.write(self.names.item(key), format!("k{key}-s{}", self.seq));
-        }
-        let request = Msg::CommitRequest {
-            req_id: self.seq,
-            txn: txn.build(),
-        };
-        self.votes.expect(id, self.seq);
-        ctx.send(target.services[target.home], request);
-        self.track(now_us, origin_us, target.group, Stage::Committing);
     }
 
     /// Issue one snapshot read, or queue it when the actor's in-flight cap
@@ -590,154 +543,69 @@ impl LoadActor {
         );
     }
 
-    /// Whether this actor minds the request's patience: a session minds
-    /// its own commits, nobody else minds a snapshot read or a wire commit.
-    fn minds(&self, entry: &InFlight) -> bool {
-        self.port.is_none() || matches!(entry.stage, Stage::Reading { .. })
-    }
-
-    /// Give up on the requests this actor minds whose patience ran out —
-    /// all of them at the deadline. Every outcome is charged from its origin.
-    /// `node` is the actor's own, which its wire commits' ids name.
-    fn expire(&mut self, node: NodeId, now_us: u64) {
-        let force = self.deadline_us.is_some_and(|deadline| now_us >= deadline);
-        let patience_us = self.patience_us;
-        let overdue = |since_us: u64| force || since_us + patience_us <= now_us;
+    /// Shed the snapshot reads whose patience ran out, in flight or still
+    /// queued; the session ends its own commits.
+    fn expire(&mut self, now_us: u64) {
+        let overdue = |since_us: u64| since_us + self.patience_us <= now_us;
         let given_up: Vec<u64> = self
             .in_flight
             .iter()
             .take_while(|(_, entry)| overdue(entry.submitted_us))
-            .filter_map(|(seq, entry)| self.minds(entry).then_some(*seq))
+            .filter(|(_, entry)| matches!(entry.stage, Stage::Reading { .. }))
+            .map(|(seq, _)| *seq)
             .collect();
-        for (seq, entry) in given_up
-            .into_iter()
-            .filter_map(|seq| Some((seq, self.in_flight.remove(&seq)?)))
-        {
+        for entry in given_up.iter().filter_map(|seq| self.in_flight.remove(seq)) {
             if let Stage::Reading { core, sample, .. } = &entry.stage {
                 core.lock().end_read_lease(sample.group, sample.at);
                 self.open_snapshots -= 1;
                 self.sinks.tally.lock().reads_shed += 1;
-            } else {
-                self.votes.forget(TxnId::new(node.0, seq));
-                let mut metrics = self.sinks.metrics.lock();
-                metrics.attempted += 1;
-                metrics.aborted += 1;
-                metrics.timed_out += 1;
-                metrics.abort_latency_us.push(now_us - entry.origin_us);
             }
         }
         while self.backlog.front().is_some_and(|(at, _)| overdue(*at)) {
             self.backlog.pop_front();
             self.sinks.tally.lock().reads_shed += 1;
         }
-        self.exhausted |= force;
     }
 
-    fn on_wire_reply(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+    /// A snapshot read came back: release its lease, book it, and let the
+    /// freed slot pull the oldest queued read.
+    fn on_read_reply(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        req_id: u64,
+        value: Option<String>,
+        unavailable: bool,
+    ) {
         let now_us = ctx.now().as_micros();
-        match msg {
-            Msg::CommitReply {
-                req_id,
-                txn,
-                committed,
-                promotions,
-                combined,
-                rounds,
-                abort_reason,
-                ..
-            } => {
-                // Late replies for requests already answered from vote
-                // copies, or expired, are dropped.
-                let Some(entry) = self.in_flight.remove(&req_id) else {
-                    return;
-                };
-                self.votes.forget(txn);
-                let result = TxnResult {
-                    committed,
-                    read_only: false,
-                    promotions,
-                    combined,
-                    rounds,
-                    latency: SimDuration::ZERO,
-                    total_latency: SimDuration::ZERO,
-                    abort_reason,
-                    txn: Some(txn),
-                };
-                self.record(now_us, &entry, result);
+        let Some(entry) = self.in_flight.remove(&req_id) else {
+            return;
+        };
+        if let Stage::Reading {
+            core,
+            mut sample,
+            lag,
+        } = entry.stage
+        {
+            core.lock().end_read_lease(sample.group, sample.at);
+            self.open_snapshots -= 1;
+            let mut tally = self.sinks.tally.lock();
+            if unavailable {
+                tally.reads_unavailable += 1;
+            } else {
+                sample.observed = value;
+                tally.reads.push((sample, now_us - entry.origin_us, lag));
             }
-            Msg::VoteCopy {
-                group,
-                position,
-                ballot,
-                entry,
-                promotions,
-            } => {
-                let Some(target) = self.targets.iter().find(|t| t.group == group) else {
-                    return;
-                };
-                let Some(voter) = target.services.iter().position(|s| *s == from) else {
-                    return;
-                };
-                let replicas = target.services.len();
-                let learned = self
-                    .votes
-                    .count(voter, replicas, group, position, ballot, &entry, promotions);
-                let Some(learned) = learned else {
-                    return;
-                };
-                let fate = learned.fate();
-                for (txn, seq) in learned.members {
-                    let Some(in_flight) = self.in_flight.remove(&seq) else {
-                        continue;
-                    };
-                    self.sinks.tally.lock().early.push((group, txn, position));
-                    let result = TxnResult {
-                        txn: Some(txn),
-                        ..fate.clone()
-                    };
-                    self.record(now_us, &in_flight, result);
-                }
-            }
-            Msg::SnapshotReadReply {
-                req_id,
-                value,
-                unavailable,
-                ..
-            } => {
-                let Some(entry) = self.in_flight.remove(&req_id) else {
-                    return;
-                };
-                if let Stage::Reading {
-                    core,
-                    mut sample,
-                    lag,
-                } = entry.stage
-                {
-                    core.lock().end_read_lease(sample.group, sample.at);
-                    self.open_snapshots -= 1;
-                    let mut tally = self.sinks.tally.lock();
-                    if unavailable {
-                        tally.reads_unavailable += 1;
-                    } else {
-                        sample.observed = value;
-                        tally.reads.push((sample, now_us - entry.origin_us, lag));
-                    }
-                }
-                // A freed slot pulls the oldest queued read immediately.
-                if let Some((origin_us, key)) = self.backlog.pop_front() {
-                    self.send_or_queue_snapshot(ctx, now_us, origin_us, key);
-                }
-            }
-            _ => {}
+        }
+        if let Some((origin_us, key)) = self.backlog.pop_front() {
+            self.send_or_queue_snapshot(ctx, now_us, origin_us, key);
         }
     }
 
-    /// The one outcome recorder. The closed loop on a session keeps the
-    /// session's own latency (commit call → decision, what Figures 4(b) and
-    /// 5(b) plot); everything else is charged from the request's origin.
+    /// The one outcome recorder. The closed loop keeps the session's own
+    /// latency (commit call → decision, what Figures 4(b) and 5(b) plot);
+    /// the open loop charges every outcome from its scheduled arrival.
     fn record(&mut self, now_us: u64, entry: &InFlight, mut result: TxnResult) {
-        let closed = matches!(self.arrival, Arrival::Closed { .. });
-        if !(closed && self.port.is_some()) {
+        if let Arrival::Open { .. } = self.arrival {
             result.latency = SimDuration::from_micros(now_us - entry.origin_us);
             result.total_latency = result.latency;
         }
@@ -766,9 +634,15 @@ impl Actor<Msg> for LoadActor {
     }
 
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
-        match &mut self.port {
-            Some(session) if !matches!(msg, Msg::SnapshotReadReply { .. }) => {
-                let actions = session.on_message(ctx.now(), from, &msg);
+        match msg {
+            Msg::SnapshotReadReply {
+                req_id,
+                value,
+                unavailable,
+                ..
+            } => self.on_read_reply(ctx, req_id, value, unavailable),
+            msg => {
+                let actions = self.session.on_message(ctx.now(), from, &msg);
                 if let Msg::VoteCopy {
                     group, position, ..
                 } = msg
@@ -784,7 +658,6 @@ impl Actor<Msg> for LoadActor {
                 }
                 self.settle(ctx, actions);
             }
-            _ => self.on_wire_reply(ctx, from, msg),
         }
         self.tick(ctx);
     }
@@ -798,8 +671,8 @@ impl Actor<Msg> for LoadActor {
                 return;
             }
             self.armed_for = None;
-        } else if let Some(session) = &mut self.port {
-            let actions = session.on_timer(ctx.now(), tag);
+        } else {
+            let actions = self.session.on_timer(ctx.now(), tag);
             self.settle(ctx, actions);
         }
         self.tick(ctx);
@@ -810,10 +683,8 @@ impl Actor<Msg> for LoadActor {
         // never fire. Re-fire the session's — early fires are safe, they
         // degrade to deduplicated retries — and catch the clock up, unless
         // the instant it is armed for is still ahead (that timer survived).
-        if let Some(session) = &mut self.port {
-            let actions = session.refire_timers(ctx.now());
-            self.settle(ctx, actions);
-        }
+        let actions = self.session.refire_timers(ctx.now());
+        self.settle(ctx, actions);
         if self.armed_for.is_some_and(|at| at <= ctx.now().as_micros()) {
             self.armed_for = None;
         }
@@ -824,27 +695,28 @@ impl Actor<Msg> for LoadActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdstore::DatacenterCore;
+    use mdstore::{DatacenterCore, Directory};
     use simnet::{NetworkConfig, SimTime, Simulation};
 
-    /// A request that was offered late is charged from its *scheduled*
-    /// arrival when its patience expires, not from the instant it was sent
-    /// (and not a constant): the expiry latency includes the queueing delay.
+    /// A commit that was offered late is charged from its *scheduled*
+    /// arrival when the session gives it up, not from the instant it was
+    /// sent (and not a constant): the latency includes the queueing delay.
     #[test]
     fn expiry_is_charged_from_the_scheduled_arrival() {
         let patience = SimDuration::from_millis(200);
-        let second = SimDuration::from_secs(1);
         let mut spec = LoadSpec::open_loop(1, 100.0)
             .with_groups(1)
             .with_keys(8)
-            .with_windows(second, SimDuration::from_secs(5), patience);
+            .with_windows(SimDuration::from_secs(1), patience);
         spec.actors = Some(1);
         let mut sim: Simulation<Msg> =
             Simulation::new(NetworkConfig::uniform(SimDuration::from_millis(1)), 1);
         // Nobody answers: the actor is its own "service" and ignores requests.
         let (site, service) = (sim.add_site("client"), NodeId(0));
-        let names = Arc::new(Names::intern(&SymbolTable::shared(), &spec.keyspace));
+        let directory = Directory::new();
         let core = DatacenterCore::shared("dc0", 0);
+        directory.register_datacenter(service, Arc::clone(&core));
+        let names = Arc::new(Names::intern(directory.symbols(), &spec.keyspace));
         let targets = Arc::new(vec![WireTarget {
             group: names.groups[0],
             home: 0,
@@ -856,14 +728,18 @@ mod tests {
             tally: Arc::new(Mutex::new(Tally::default())),
             done: Arc::new(AtomicUsize::new(0)),
         };
-        let metrics = Arc::clone(&sinks.metrics);
+        let (metrics, tally) = (Arc::clone(&sinks.metrics), Arc::clone(&sinks.tally));
         let sampler = KeySampler::new(spec.keyspace.distribution, spec.keyspace.keys);
-        let actor = LoadActor::new(None, &targets, &spec, 0, &names, &sampler, sinks);
+        // With no re-submission, the session gives a commit up one patience
+        // after it sent it.
+        let config = spec.client.clone().with_max_resubmissions(0);
+        let session = Session::new(service, 0, directory, config);
+        let actor = LoadActor::new(session, &targets, &spec, 0, &names, &sampler, sinks);
         assert_eq!(sim.add_node(site, Box::new(actor)), service);
 
         // The client's site is down for the first 600 ms of the offered
         // second: ~60 arrivals queue behind the outage, are sent at recovery
-        // and expire one patience later.
+        // and are given up one patience later.
         sim.crash_site(site);
         sim.run_until(SimTime::from_micros(600_000));
         sim.recover_site(site);
@@ -872,7 +748,8 @@ mod tests {
         let metrics = metrics.lock();
         assert!(metrics.attempted > 80, "about 100 arrivals were scheduled");
         assert_eq!(
-            metrics.timed_out as usize, metrics.attempted,
+            tally.lock().unavailable as usize,
+            metrics.attempted,
             "nobody answers"
         );
         let slowest = metrics.abort_latency_us.iter().copied().max().unwrap();
@@ -884,7 +761,7 @@ mod tests {
         let fastest = metrics.abort_latency_us.iter().copied().min().unwrap();
         assert!(
             (200_000..250_000).contains(&fastest),
-            "arrivals offered on time expire after exactly their patience: {fastest} µs"
+            "arrivals offered on time are given up after exactly their patience: {fastest} µs"
         );
     }
 }

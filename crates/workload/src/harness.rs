@@ -3,12 +3,12 @@
 //! fault schedule on the simulation), verify serializability, audit what
 //! the clients observed against what the logs decided, aggregate.
 
-use crate::actor::{LoadActor, Names, Port, Sinks, SnapshotReadSample, Tally, WireTarget};
+use crate::actor::{LoadActor, Names, Sinks, SnapshotReadSample, Tally, WireTarget};
 use crate::spec::{Arrival, ClusterShape, LoadResult, LoadSpec, ReadTotals};
 use crate::zipf::KeySampler;
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    ChaosReplay, Cluster, ClusterConfig, LatencyStats, MetricsHub, ParallelCluster,
+    ChaosReplay, ClientConfig, Cluster, ClusterConfig, LatencyStats, MetricsHub, ParallelCluster,
     ParallelClusterConfig, RunMetrics, Session,
 };
 use parking_lot::Mutex;
@@ -72,9 +72,8 @@ pub fn place(cluster: &mut Cluster, spec: &LoadSpec, names: &Arc<Names>) -> Flee
         let sinks = fleet.enlist();
         cluster.add_client(replica, |node| {
             let session = Session::new(node, replica, Arc::clone(&directory), config.clone());
-            let port: Port = Some(Box::new(session));
             Box::new(LoadActor::new(
-                port, &targets, spec, index, names, &sampler, sinks,
+                session, &targets, spec, index, names, &sampler, sinks,
             ))
         });
     }
@@ -143,12 +142,6 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
             (fleet, driven)
         }
         ClusterShape::Parallel { workers, rtt_scale } => {
-            assert!(
-                spec.mix.read_fraction == 0.0 && spec.mix.op_delay == SimDuration::ZERO,
-                "{}: in-transaction reads and operation delays need a session; the parallel \
-                 shape offers blind writes and snapshot reads",
-                spec.name
-            );
             let workers = (*workers).max(1);
             let mut cluster = ParallelCluster::build(
                 ParallelClusterConfig::new(spec.topology.clone(), spec.client.protocol)
@@ -180,20 +173,23 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
             }
             let targets = Arc::new(targets);
             let sampler = KeySampler::new(spec.keyspace.distribution, spec.keyspace.keys);
+            let mut config = spec.client.clone();
+            config.message_timeout = cluster.config().topology.message_timeout;
             let mut fleet = Fleet::default();
             let actors = spec.num_actors();
             for index in 0..actors {
                 let sinks = fleet.enlist();
-                let actor = LoadActor::new(None, &targets, spec, index, &names, &sampler, sinks);
                 let replica = spec.replica_for_actor(index);
-                cluster.add_driver(index % workers, replica, move |_node| Box::new(actor));
+                cluster.add_client(index % workers, replica, config.clone(), |session| {
+                    Box::new(LoadActor::new(
+                        session, &targets, spec, index, &names, &sampler, sinks,
+                    ))
+                });
             }
-            // The offered span and the drain, plus slack; a closed loop ends
-            // when its last transaction does, patience bounding each.
             let budget = match spec.arrival {
-                Arrival::Open {
-                    duration, grace, ..
-                } => Duration::from_micros((duration + grace).as_micros()) + Duration::from_secs(2),
+                Arrival::Open { duration, .. } => {
+                    Duration::from_micros((duration + open_drain(spec, &config)).as_micros())
+                }
                 Arrival::Closed { .. } => Duration::from_secs(600),
             };
             // A commit answered from vote copies can finish its actor
@@ -230,6 +226,23 @@ pub fn run_load(spec: &LoadSpec) -> LoadResult {
         }
     };
     conclude(spec, &fleet, driven)
+}
+
+/// How long after the last open-loop arrival a parallel run may still be
+/// busy, plus two seconds of slack: the arrival's operations (each up to
+/// 1.5 × `op_delay` with jitter), then every attempt of its submitted
+/// commit, each waiting out its patience plus a back-off of up to
+/// `backoff_max` per attempt made before it — a session ends each such
+/// commit itself once its re-submission budget runs out — or a snapshot
+/// read queued for one patience and in flight for another. A direct commit
+/// has no patience; the slack covers it.
+fn open_drain(spec: &LoadSpec, config: &ClientConfig) -> SimDuration {
+    let ops = spec.mix.op_delay.as_micros() * spec.mix.ops_per_txn as u64 * 3 / 2;
+    let attempts = u64::from(config.max_resubmissions) + 1;
+    let patience = config.submit_patience().as_micros();
+    let backoffs = config.backoff_max.as_micros() * attempts * (attempts - 1) / 2;
+    let commit = ops + patience * attempts + backoffs;
+    SimDuration::from_micros(commit.max(2 * patience) + 2_000_000)
 }
 
 /// Audit and aggregate a driven run.

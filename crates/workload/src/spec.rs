@@ -25,8 +25,10 @@ pub enum ClusterShape {
         chaos: Option<ChaosSpec>,
     },
     /// OS worker threads, one replica set (shard) each, groups spread
-    /// round-robin over them. Load actors reach it through
-    /// [`mdstore::Msg::CommitRequest`] / [`mdstore::Msg::SnapshotRead`].
+    /// round-robin over them. Load actors reach it through an
+    /// [`mdstore::Session`] too, added on a worker by
+    /// [`mdstore::ParallelCluster::add_client`], which reaches each group
+    /// through the directory of the shard owning it.
     Parallel {
         /// Worker threads (= shards).
         workers: usize,
@@ -58,11 +60,10 @@ pub enum Arrival {
         offered_tps: f64,
         /// Poisson arrivals (true) or a fixed interarrival interval.
         poisson: bool,
-        /// Span over which load is offered.
+        /// Span over which load is offered. Every arrival's commit ends
+        /// when its session ends it: decided, or given up once its
+        /// patience and re-submission budget run out.
         duration: SimDuration,
-        /// Parallel shape: span after `duration` before in-flight requests
-        /// are force-expired (the simulation always drains to completion).
-        grace: SimDuration,
     },
 }
 
@@ -96,8 +97,8 @@ pub struct OpMix {
     /// Snapshot reads one actor keeps in flight, queueing the rest: what
     /// turns a remote serving replica's RTT into a throughput ceiling.
     pub max_open_snapshots: usize,
-    /// Simulated execution cost per operation: keeps a transaction open,
-    /// which creates contention for its log position. `Sim` only.
+    /// Execution cost per operation (virtual or wall time): keeps a
+    /// transaction open, which creates contention for its log position.
     pub op_delay: SimDuration,
 }
 
@@ -147,8 +148,8 @@ pub struct LoadSpec {
     pub keyspace: Keyspace,
     /// Protocol, commit route, promotion/combination/fast-path switches,
     /// patience and re-submission budget — the session's own configuration
-    /// (the message timeout is taken from the topology). On the parallel
-    /// shape the patience bounds each wire request, without re-submission.
+    /// on both shapes (the message timeout is taken from the topology). The
+    /// patience also bounds each snapshot read.
     pub client: ClientConfig,
     /// Window/pipeline settings of the service-hosted commit engines.
     pub batch: BatchConfig,
@@ -210,7 +211,8 @@ impl LoadSpec {
     /// An open-loop latency-vs-throughput point on the parallel runtime:
     /// `workers` shards of the VOC wide-area cluster with 8 groups and 2
     /// actors each, Poisson blind writes over a million zipfian keys at
-    /// `offered_tps`, submitted route.
+    /// `offered_tps`, submitted route. Patience bounds each commit, with no
+    /// re-submission.
     pub fn open_loop(workers: usize, offered_tps: f64) -> Self {
         let workers = workers.max(1);
         let paper = Self::paper_default(Topology::voc(), CommitProtocol::PaxosCp);
@@ -227,7 +229,6 @@ impl LoadSpec {
                 offered_tps: offered_tps.max(1.0),
                 poisson: true,
                 duration: SimDuration::from_millis(1_200),
-                grace: SimDuration::from_millis(2_000),
             },
             mix: OpMix {
                 ops_per_txn: 1,
@@ -243,7 +244,8 @@ impl LoadSpec {
             },
             client: ClientConfig::cp()
                 .with_route(CommitRoute::Submitted)
-                .with_submit_patience(patience),
+                .with_submit_patience(patience)
+                .with_max_resubmissions(0),
             ..paper
         }
     }
@@ -290,7 +292,6 @@ impl LoadSpec {
                 offered_tps: 200.0,
                 poisson: true,
                 duration,
-                grace: SimDuration::ZERO,
             },
             keyspace: Keyspace {
                 groups: 4,
@@ -393,17 +394,10 @@ impl LoadSpec {
         self
     }
 
-    /// Builder-style offered span, drain span and per-request patience.
-    pub fn with_windows(
-        mut self,
-        offered: SimDuration,
-        drain: SimDuration,
-        patience: SimDuration,
-    ) -> Self {
+    /// Builder-style offered span and per-request patience.
+    pub fn with_windows(mut self, offered: SimDuration, patience: SimDuration) -> Self {
         match &mut self.arrival {
-            Arrival::Open {
-                duration, grace, ..
-            } => (*duration, *grace) = (offered, drain),
+            Arrival::Open { duration, .. } => *duration = offered,
             Arrival::Closed { .. } => panic!("{}: windows are an open-loop knob", self.name),
         }
         self.client = self.client.with_submit_patience(patience);
@@ -589,10 +583,11 @@ impl LoadResult {
         self.reads.completed as f64 / self.offered_secs()
     }
 
-    /// Write plane saturated: commits below 90 % of offered, or a timeout.
+    /// Write plane saturated: commits below 90 % of offered, or a commit
+    /// given up as unavailable.
     pub fn saturated(&self) -> bool {
         let offered_writes = self.spec.offered_tps() * (1.0 - self.spec.mix.snapshot_fraction);
-        self.committed_tps() < 0.90 * offered_writes || self.totals.timed_out > 0
+        self.committed_tps() < 0.90 * offered_writes || self.unavailable > 0
     }
 
     /// Read plane saturated: reads shed, or completions below 90 % of offered.

@@ -25,7 +25,7 @@ fn small_parallel(spec: LoadSpec) -> LoadSpec {
         .with_keys(10_000)
         .with_topology(Topology::vvv())
         .with_rtt_scale(0.5)
-        .with_windows(ms(300), ms(700), ms(600))
+        .with_windows(ms(300), ms(600))
         .with_seed(7)
 }
 
@@ -225,7 +225,7 @@ fn read_mostly_on_the_simulation_is_deterministic_and_explained() {
     let mut spec = LoadSpec::read_mostly(1, 400.0, 2)
         .with_topology(Topology::vvv())
         .with_keys(2_000)
-        .with_windows(SimDuration::from_secs(2), SimDuration::ZERO, ms(600))
+        .with_windows(SimDuration::from_secs(2), ms(600))
         .with_seed(31);
     // Crashes on top: reads in flight to (or from) a crashed site are shed
     // after their patience, commits ride the session's re-submission.

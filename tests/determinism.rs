@@ -18,9 +18,10 @@ use simnet::{ChaosSpec, SimDuration};
 /// transaction ids) and the aggregate counters.
 ///
 /// Counters `RunMetrics` gained after the fingerprints below were pinned
-/// are left out, and a counter it lost since (`expired_reads`, zero in
-/// every pinned run: no client sent a remote read) is rendered back at
-/// zero, so a run's rendering moves only when the run itself does.
+/// are left out, and the counters it lost since, zero in every pinned run,
+/// are rendered back at zero (`timed_out`: no wire port expired a commit;
+/// `expired_reads`: no client sent a remote read), so a run's rendering
+/// moves only when the run itself does.
 fn run_digest(spec: &LoadSpec) -> String {
     let result = run_load(spec);
     let digest = format!(
@@ -30,7 +31,10 @@ fn run_digest(spec: &LoadSpec) -> String {
     let digest = ["direct_backoffs", "learned_from_home_log"]
         .iter()
         .fold(digest, |text, field| without_counter(&text, field));
-    digest.replace(", batch_splits: ", ", expired_reads: 0, batch_splits: ")
+    digest.replace(
+        ", batch_splits: ",
+        ", timed_out: 0, expired_reads: 0, batch_splits: ",
+    )
 }
 
 /// `text` with every `, field: <number>` of a `Debug` rendering removed.

@@ -10,10 +10,14 @@
 //!   checker, and converge to the identical final store state (writer
 //!   values are keyed by writer index, not node id, so the states are
 //!   comparable across runtimes).
+//! * **One client** — load actors drive the same session on both
+//!   runtimes, so the parallel runtime runs read-write transactions,
+//!   operation delays and exactly-once re-submission too.
 
 use mdstore::datacenter::SharedCore;
 use mdstore::{
-    Cluster, ClusterConfig, CommitProtocol, Msg, ParallelCluster, ParallelClusterConfig, Topology,
+    Cluster, ClusterConfig, CommitProtocol, CommitRoute, Msg, ParallelCluster,
+    ParallelClusterConfig, Topology,
 };
 use simnet::{Actor, Context, NodeId, SimDuration};
 use std::collections::BTreeMap;
@@ -21,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use walog::{GroupId, ItemRef, Transaction, TxnId};
-use workload::{place, KeyDistribution, LoadSpec, Names};
+use workload::{place, run_load, KeyDistribution, LoadSpec, Names};
 
 /// Concatenate every decided log entry of every replica and group into one
 /// printable fingerprint (group ids are dense and sorted, replicas are in
@@ -320,4 +324,62 @@ fn parallel_runtime_matches_simnet_on_conflict_free_workload() {
             );
         }
     }
+}
+
+/// Read-write transactions through sessions on the parallel runtime, on
+/// both commit routes: reads at the client's datacenter, an operation
+/// delay holding each transaction open, and — on the submitted route — a
+/// patience shorter than a commit, so sessions re-submit under the same
+/// transaction id. `run_load` verifies every shard and audits that each
+/// observed commit is decided exactly once; no commit may be given up.
+fn sessions_commit_read_write_transactions(workers: usize) {
+    let spec = |route: CommitRoute| {
+        let mut spec = LoadSpec::open_loop(workers, 100.0 * workers as f64)
+            .named(format!("sessions-w{workers}-{}", route.name()))
+            .with_topology(Topology::vvv())
+            .with_rtt_scale(0.5)
+            .with_groups(2 * workers)
+            .with_keys(4_000)
+            .with_windows(SimDuration::from_millis(400), SimDuration::from_micros(500))
+            .with_route(route)
+            .with_seed(11 + workers as u64);
+        spec.mix.ops_per_txn = 4;
+        spec.mix.read_fraction = 0.5;
+        spec.mix.op_delay = SimDuration::from_millis(1);
+        spec.client = spec.client.with_max_resubmissions(16);
+        spec
+    };
+    for route in [CommitRoute::Submitted, CommitRoute::Direct] {
+        let result = run_load(&spec(route));
+        let name = &result.spec.name;
+        let totals = &result.totals;
+        assert!(totals.committed > 0, "{name}: nothing committed");
+        assert_eq!(
+            totals.attempted,
+            totals.committed + totals.aborted,
+            "{name}"
+        );
+        assert!(
+            totals.read_only < totals.attempted,
+            "{name}: the mix must write"
+        );
+        assert_eq!(result.unavailable, 0, "{name}: a commit was given up");
+        assert!(
+            !result.check.is_empty(),
+            "{name}: the checker must have run"
+        );
+        if route == CommitRoute::Submitted {
+            assert!(totals.resubmissions > 0, "{name}: nothing re-submitted");
+        }
+    }
+}
+
+#[test]
+fn sessions_commit_read_write_transactions_on_2_workers() {
+    sessions_commit_read_write_transactions(2);
+}
+
+#[test]
+fn sessions_commit_read_write_transactions_on_4_workers() {
+    sessions_commit_read_write_transactions(4);
 }
