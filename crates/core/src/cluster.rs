@@ -1,6 +1,16 @@
-//! Cluster assembly: wire datacenters, services and clients into one
-//! deterministic simulation, with failure injection and post-run
-//! verification.
+//! Cluster assembly: one body for both runtimes.
+//!
+//! A cluster is a set of *shards*, each a complete replica set — one
+//! storage core and one [`TransactionService`] per datacenter of the
+//! topology, wired by a [`Directory`] — owning a disjoint subset of the
+//! transaction groups, all interning names through one [`SymbolTable`].
+//! [`ShardedCluster`] defines once what every runtime offers: the build,
+//! group registration and lookup, session clients, post-run verification
+//! and counters. Each runtime adds only what its own clock has:
+//! [`Cluster`] is the one-shard case on the deterministic simulation
+//! (virtual time, crash / recovery, chaos replay, durable storage and
+//! restart from disk); [`ParallelCluster`](crate::ParallelCluster) runs
+//! one shard per worker thread on the wall clock.
 
 use crate::batch::BatchConfig;
 use crate::datacenter::RestartReport;
@@ -9,16 +19,20 @@ use crate::directory::Directory;
 use crate::metrics::{MetricsHub, RunMetrics};
 use crate::msg::Msg;
 use crate::service::TransactionService;
-use crate::session::ClientConfig;
+use crate::session::{ClientConfig, Session};
 use crate::topology::Topology;
+use parking_lot::RwLock;
 use paxos::CommitProtocol;
-use simnet::{Actor, ChaosEvent, ChaosSchedule, NodeId, SimDuration, SimTime, Simulation};
+use simnet::{
+    Actor, ChaosEvent, ChaosSchedule, NetworkConfig, NodeId, SimDuration, SimTime, Simulation,
+    SiteId,
+};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use storage::{DcStorage, DurableConfig, StorageConfig, StorageError};
 use walog::checker::{self, CheckReport, Violation};
-use walog::{GroupId, GroupLog, LogPosition, SymbolTable, TxnId};
+use walog::{AttrId, GroupId, GroupLog, KeyId, LogPosition, SymbolTable, TxnId};
 
 /// Configuration of a cluster.
 #[derive(Clone, Debug)]
@@ -97,45 +111,157 @@ pub struct ChaosReplay {
     pub torn_wal_tails: u64,
 }
 
-/// A running multi-datacenter cluster: the simulation, the datacenter
-/// storage cores and the lookup directory (which also carries the shared
-/// symbol table every name is interned through).
-pub struct Cluster {
-    sim: Simulation<Msg>,
-    directory: Arc<Directory>,
+/// The node placement a cluster asks of its runtime, and nothing else:
+/// its build places every shard's services, its clients join them.
+pub(crate) trait NodePlacement {
+    /// Register a site (one datacenter of one shard).
+    fn add_site(&mut self, name: String) -> SiteId;
+    /// Register `actor` at `site`, run by `worker`; returns its node id.
+    fn add_node(
+        &mut self,
+        site: SiteId,
+        worker: usize,
+        actor: Box<dyn Actor<Msg> + Send>,
+    ) -> NodeId;
+    /// Nodes registered so far: the next node's id.
+    fn node_count(&self) -> usize;
+}
+
+impl NodePlacement for Simulation<Msg> {
+    fn add_site(&mut self, name: String) -> SiteId {
+        Simulation::add_site(self, name)
+    }
+
+    fn add_node(&mut self, site: SiteId, _: usize, actor: Box<dyn Actor<Msg> + Send>) -> NodeId {
+        Simulation::add_node(self, site, actor)
+    }
+
+    fn node_count(&self) -> usize {
+        Simulation::node_count(self)
+    }
+}
+
+/// The shards' replica sets and the shard owning each registered group,
+/// shared by a cluster and its sessions: where a session looks a group's
+/// replica set up. A single shard owns every group, registered or not.
+pub(crate) struct Shards {
+    /// One replica set per shard: its directory (services, cores, leader
+    /// map).
+    pub(crate) directories: Vec<Arc<Directory>>,
+    /// Shard owning each registered group.
+    owner: RwLock<HashMap<GroupId, usize>>,
+}
+
+impl Shards {
+    /// Shards owning no group yet.
+    pub(crate) fn new(directories: Vec<Arc<Directory>>) -> Arc<Shards> {
+        let owner = RwLock::default();
+        Arc::new(Shards { directories, owner })
+    }
+
+    /// The shard owning a group.
+    pub(crate) fn shard_of(&self, group: GroupId) -> usize {
+        if self.directories.len() == 1 {
+            return 0;
+        }
+        *self
+            .owner
+            .read()
+            .get(&group)
+            .expect("group was registered with register_group")
+    }
+
+    /// The directory of the shard owning a group.
+    pub(crate) fn of(&self, group: GroupId) -> &Directory {
+        &self.directories[self.shard_of(group)]
+    }
+
+    /// The cluster-wide symbol table every shard interns through.
+    pub(crate) fn symbols(&self) -> &Arc<SymbolTable> {
+        self.directories[0].symbols()
+    }
+
+    /// Every shard's storage cores, shard by shard, in replica order.
+    fn cores(&self) -> Vec<SharedCore> {
+        self.directories.iter().flat_map(|d| d.cores()).collect()
+    }
+}
+
+/// A cluster on the runtime `R`: its shards, the groups they own and the
+/// commit engines' metrics, with everything both runtimes offer. Built
+/// through [`Cluster::build`] or
+/// [`ParallelCluster::build`](crate::ParallelCluster::build).
+pub struct ShardedCluster<R> {
+    pub(crate) runtime: R,
+    /// Reaches `R`'s node placement. Taken at build, where `R` is known,
+    /// so the methods every runtime shares need no bound on `R` and code
+    /// generic over the runtime outside this crate can call them.
+    placement: fn(&mut R) -> &mut dyn NodePlacement,
     config: ClusterConfig,
+    pub(crate) shards: Arc<Shards>,
     /// One sink per service-hosted commit engine (window occupancy,
-    /// pipeline depth, split/stale counters), registered in a
-    /// [`MetricsHub`] and merged at run end — the same aggregation shape
-    /// the parallel runtime uses, where per-worker sinks must never share
-    /// a mutable aggregate.
+    /// pipeline depth, split/stale counters), merged at run end: engines
+    /// on different workers must never share a mutable aggregate.
     service_metrics: MetricsHub,
 }
 
-impl Cluster {
-    /// Build the cluster: one site, one storage core and one Transaction
-    /// Service per datacenter in the topology. Every service hosts a commit
-    /// engine for the submitted route, configured from
-    /// [`ClusterConfig::batch`] and the cluster's protocol.
-    pub fn build(config: ClusterConfig) -> Self {
-        let mut sim: Simulation<Msg> =
-            Simulation::new(config.topology.network_config(), config.seed);
-        let directory = Directory::new();
+/// A multi-datacenter cluster on the deterministic simulation: one shard,
+/// virtual time, failure injection and (optionally) durable storage.
+pub type Cluster = ShardedCluster<Simulation<Msg>>;
+
+impl<R> ShardedCluster<R> {
+    /// Build `shards` replica sets of `config` on the runtime `start`
+    /// makes from their network ([`Topology::sharded_network_config`] with
+    /// `rtt_scale`) and the seed. Per shard and datacenter of the
+    /// topology: a site holding a storage core (durable when the config
+    /// says so) and a Transaction Service hosting a commit engine for the
+    /// submitted route, configured from [`ClusterConfig::batch`] and the
+    /// protocol, run by the shard's worker.
+    pub(crate) fn assemble(
+        config: ClusterConfig,
+        shards: usize,
+        rtt_scale: f64,
+        start: impl FnOnce(NetworkConfig, u64) -> R,
+        placement: fn(&mut R) -> &mut dyn NodePlacement,
+    ) -> Self {
+        let topology = &config.topology;
+        let network = topology.sharded_network_config(shards, rtt_scale);
+        let mut runtime = start(network, config.seed);
+        let symbols = SymbolTable::shared();
         let service_metrics = MetricsHub::new();
-        build_replica_set(
-            &config,
-            &directory,
-            &service_metrics,
-            "",
-            |name, service| {
-                let site = sim.add_site(name);
-                sim.add_node(site, Box::new(service))
-            },
-        );
-        Cluster {
-            sim,
-            directory,
+        let mut commit_config = ClientConfig::for_protocol(config.protocol);
+        commit_config.message_timeout = topology.message_timeout;
+        let mut directories = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let directory = Directory::with_symbols(Arc::clone(&symbols));
+            for (replica, region) in topology.regions().iter().enumerate() {
+                let name = format!("s{shard}-{region}-{replica}");
+                let core: SharedCore = DatacenterCore::shared(name.clone(), replica);
+                let service = TransactionService::new(
+                    replica,
+                    core.clone(),
+                    directory.clone(),
+                    topology.message_timeout,
+                )
+                .with_commit_engine(commit_config.clone(), config.batch.clone())
+                .with_commit_metrics(service_metrics.register());
+                if let Some(durable) = config.durable_config(replica) {
+                    let storage = DcStorage::open(durable)
+                        .expect("durable storage directory must be creatable");
+                    core.lock().attach_storage(storage);
+                }
+                let place = placement(&mut runtime);
+                let site = place.add_site(name);
+                let node = place.add_node(site, shard, Box::new(service));
+                directory.register_datacenter(node, core);
+            }
+            directories.push(directory);
+        }
+        ShardedCluster {
+            runtime,
+            placement,
             config,
+            shards: Shards::new(directories),
             service_metrics,
         }
     }
@@ -145,29 +271,20 @@ impl Cluster {
         &self.config
     }
 
-    /// The shared directory (services, cores, client placement).
-    pub fn directory(&self) -> Arc<Directory> {
-        self.directory.clone()
-    }
-
     /// The cluster-wide symbol table.
     pub fn symbols(&self) -> Arc<SymbolTable> {
-        Arc::clone(self.directory.symbols())
+        Arc::clone(self.shards.symbols())
     }
 
-    /// Number of datacenters.
+    /// Number of shards (worker threads on the parallel runtime; the
+    /// simulation has one).
+    pub fn num_shards(&self) -> usize {
+        self.shards.directories.len()
+    }
+
+    /// Datacenters per shard.
     pub fn num_datacenters(&self) -> usize {
-        self.directory.num_replicas()
-    }
-
-    /// The Transaction Service node of a replica.
-    pub fn service_node(&self, replica: usize) -> NodeId {
-        self.directory.service_node(replica)
-    }
-
-    /// The storage core of a replica.
-    pub fn core(&self, replica: usize) -> SharedCore {
-        self.directory.core(replica)
+        self.config.topology.num_datacenters()
     }
 
     /// The default client configuration for this cluster's protocol, using
@@ -178,6 +295,226 @@ impl Cluster {
         cfg
     }
 
+    /// Intern a group name and assign it to a shard (round-robin over the
+    /// shards in first-registration order). Returns its cluster-wide id.
+    /// A single shard owns every group without it.
+    pub fn register_group(&mut self, name: &str) -> GroupId {
+        let group = self.shards.symbols().group(name);
+        let mut owner = self.shards.owner.write();
+        let next = owner.len() % self.num_shards();
+        owner.entry(group).or_insert(next);
+        group
+    }
+
+    /// The shard owning a group.
+    pub fn shard_of_group(&self, group: GroupId) -> usize {
+        self.shards.shard_of(group)
+    }
+
+    /// The Transaction Service node commit requests for `group` go to: the
+    /// group home's service within the owning shard.
+    pub fn service_for_group(&self, group: GroupId) -> NodeId {
+        let shard = self.shards.of(group);
+        shard.service_node(shard.group_home(group))
+    }
+
+    /// The Transaction Service node of `replica` within the shard owning
+    /// `group`: any replica of the owning shard serves the group's
+    /// watermark reads.
+    pub fn service_for_group_at(&self, group: GroupId, replica: usize) -> NodeId {
+        self.shards.of(group).service_node(replica)
+    }
+
+    /// The storage core of the group home's datacenter within the owning
+    /// shard.
+    pub fn home_core(&self, group: GroupId) -> SharedCore {
+        let shard = self.shards.of(group);
+        shard.core(shard.group_home(group))
+    }
+
+    /// The storage core of `replica` within the shard owning `group`.
+    pub fn core_for_group_at(&self, group: GroupId, replica: usize) -> SharedCore {
+        self.shards.of(group).core(replica)
+    }
+
+    /// Add a client on `worker`, living in `replica`'s datacenter: a
+    /// [`Session`] that reaches each group through the directory of the
+    /// shard owning it, handed to `make_actor` to embed. The client is
+    /// registered at `replica` in **every** shard's directory, so any
+    /// shard's services copy their votes to it and resolve the positions it
+    /// wins to its datacenter. With more than one shard, register every
+    /// group it touches before the run.
+    pub fn add_session<F>(
+        &mut self,
+        worker: usize,
+        replica: usize,
+        config: ClientConfig,
+        make_actor: F,
+    ) -> NodeId
+    where
+        F: FnOnce(Session) -> Box<dyn Actor<Msg> + Send>,
+    {
+        let shards = Arc::clone(&self.shards);
+        self.place(worker, replica, true, |node| {
+            make_actor(Session::sharded(node, replica, shards, config))
+        })
+    }
+
+    /// Place the actor `make_actor` builds for its node id on `worker`, at
+    /// `replica`'s site of that worker's shard, registered as a client at
+    /// `replica` in every shard's directory or in the worker's only.
+    pub(crate) fn place<F>(
+        &mut self,
+        worker: usize,
+        replica: usize,
+        every_shard: bool,
+        make_actor: F,
+    ) -> NodeId
+    where
+        F: FnOnce(NodeId) -> Box<dyn Actor<Msg> + Send>,
+    {
+        let site = SiteId((worker * self.num_datacenters() + replica) as u32);
+        let place = (self.placement)(&mut self.runtime);
+        let node = NodeId(place.node_count() as u32);
+        let directories = &self.shards.directories;
+        let shards = if every_shard {
+            &directories[..]
+        } else {
+            std::slice::from_ref(&directories[worker])
+        };
+        for directory in shards {
+            directory.register_client(node, replica);
+        }
+        let placed = place.add_node(site, worker, make_actor(node));
+        assert_eq!(
+            placed, node,
+            "node ids are assigned densely in registration order"
+        );
+        node
+    }
+
+    /// All transaction groups any datacenter has a log for.
+    pub fn groups(&self) -> Vec<GroupId> {
+        logged_groups(&self.shards.cores())
+    }
+
+    /// Snapshot every datacenter's log for one group in the shard owning
+    /// it (entries are shared with the live logs, not deep-copied).
+    pub fn replica_logs(&self, group: GroupId) -> Vec<GroupLog> {
+        replica_logs(self.shards.of(group), group)
+    }
+
+    /// Verify the paper's correctness properties over everything every
+    /// shard decided: replica agreement (R1) and one-copy serializability
+    /// (Definition 1 / L1–L3) of the merged history, per transaction group.
+    /// Agreement also covers positions some replicas truncated away:
+    /// replicas at an equal gap-free prefix must index equal committed
+    /// transaction sets through it. Returns the check report of every
+    /// group.
+    pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
+        let mut reports = Vec::new();
+        for directory in &self.shards.directories {
+            for group in logged_groups(&directory.cores()) {
+                let logs = replica_logs(directory, group);
+                let refs: Vec<&GroupLog> = logs.iter().collect();
+                let report = checker::check_all(&refs)?;
+                check_committed_sets(directory, group)?;
+                reports.push((group, report));
+            }
+        }
+        Ok(reports)
+    }
+
+    /// Total committed transactions recorded in a replica's log for a group
+    /// (within the shard owning it).
+    pub fn committed_in_log_id(&self, replica: usize, group: GroupId) -> usize {
+        self.core_for_group_at(group, replica)
+            .lock()
+            .log(group)
+            .map(|l| l.committed_transaction_count())
+            .unwrap_or(0)
+    }
+
+    /// Decided non-noop log entries (= Paxos instances that committed work)
+    /// in a replica's log for a group. Dividing
+    /// [`Self::committed_in_log_id`] by this gives the batching/
+    /// combination amortization: committed transactions per Paxos instance.
+    pub fn decided_instances_id(&self, replica: usize, group: GroupId) -> usize {
+        self.core_for_group_at(group, replica)
+            .lock()
+            .log(group)
+            .map(|l| l.iter().filter(|(_, e)| !e.is_noop()).count())
+            .unwrap_or(0)
+    }
+
+    /// Read one item's currently committed value from the group home's
+    /// store (as of the home's read position).
+    pub fn read_committed(&self, group: GroupId, key: KeyId, attr: AttrId) -> Option<String> {
+        let core = self.home_core(group);
+        let mut core = core.lock();
+        let position = core.read_position(group);
+        core.read(group, key, attr, position).ok().flatten()
+    }
+
+    /// Per-core storage-plane counters, shard by shard in replica order
+    /// (`None` entries for in-memory datacenters).
+    pub fn storage_stats(&self) -> Vec<Option<storage::StorageStats>> {
+        let cores = self.shards.cores();
+        cores
+            .iter()
+            .map(|core| core.lock().storage_stats())
+            .collect()
+    }
+
+    /// Per-core counts of expired remote reads, shard by shard in replica
+    /// order: all zero, since no Transaction Service parks reads. Kept only
+    /// because the `benchmark/` harness still reports
+    /// `service.expired_reads`.
+    pub fn expired_read_counts(&self) -> Vec<u64> {
+        vec![0; self.num_shards() * self.num_datacenters()]
+    }
+
+    /// Per-core counts of multi-version store versions reclaimed by the
+    /// apply-time GC behind the read-lease watermark, shard by shard in
+    /// replica order. Harnesses fold these into
+    /// [`RunMetrics::reclaimed_versions`](crate::RunMetrics).
+    pub fn reclaimed_version_counts(&self) -> Vec<u64> {
+        let cores = self.shards.cores();
+        let reclaimed = |core: &SharedCore| core.lock().reclaimed_version_count();
+        cores.iter().map(reclaimed).collect()
+    }
+
+    /// The aggregate counters the service-hosted commit engines recorded
+    /// (window occupancy, pipeline depth, batch splits, stale-member
+    /// aborts), merged over every shard and replica. Harnesses fold this
+    /// into their run totals after a submitted-route run.
+    pub fn service_commit_metrics(&self) -> RunMetrics {
+        self.service_metrics.merged()
+    }
+}
+
+impl Cluster {
+    /// Build the cluster: one site, one storage core and one Transaction
+    /// Service per datacenter in the topology, on the simulation.
+    pub fn build(config: ClusterConfig) -> Self {
+        ShardedCluster::assemble(config, 1, 1.0, Simulation::new, |sim| sim)
+    }
+
+    /// The directory (services, cores, client placement).
+    pub fn directory(&self) -> Arc<Directory> {
+        Arc::clone(&self.shards.directories[0])
+    }
+
+    /// The Transaction Service node of a replica.
+    pub fn service_node(&self, replica: usize) -> NodeId {
+        self.shards.directories[0].service_node(replica)
+    }
+
+    /// The storage core of a replica.
+    pub fn core(&self, replica: usize) -> SharedCore {
+        self.shards.directories[0].core(replica)
+    }
+
     /// Add a client actor homed in `replica`'s datacenter. The closure
     /// receives the node id the actor will run as (so it can construct its
     /// embedded [`crate::Session`]).
@@ -185,10 +522,11 @@ impl Cluster {
     where
         F: FnOnce(NodeId) -> Box<dyn Actor<Msg>>,
     {
-        let expected = NodeId(self.sim.node_count() as u32);
-        self.directory.register_client(expected, replica);
-        let actor = make_actor(expected);
-        let node = self.sim.add_node(simnet::SiteId(replica as u32), actor);
+        let expected = NodeId(self.runtime.node_count() as u32);
+        self.directory().register_client(expected, replica);
+        let node = self
+            .runtime
+            .add_node(SiteId(replica as u32), make_actor(expected));
         assert_eq!(
             node, expected,
             "node ids are assigned densely in registration order"
@@ -198,38 +536,38 @@ impl Cluster {
 
     /// Direct access to the simulation (running, failure injection, stats).
     pub fn sim(&self) -> &Simulation<Msg> {
-        &self.sim
+        &self.runtime
     }
 
     /// Mutable access to the simulation.
     pub fn sim_mut(&mut self) -> &mut Simulation<Msg> {
-        &mut self.sim
+        &mut self.runtime
     }
 
     /// Run until no events remain (capped to guard against livelock).
     pub fn run_to_completion(&mut self) -> u64 {
-        self.sim.run_until_idle_capped(200_000_000)
+        self.runtime.run_until_idle_capped(200_000_000)
     }
 
     /// Run for a span of virtual time.
     pub fn run_for(&mut self, span: SimDuration) -> u64 {
-        self.sim.run_for(span)
+        self.runtime.run_for(span)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.runtime.now()
     }
 
     /// Take a whole datacenter offline (its service stops answering and all
     /// messages to/from its site are dropped).
     pub fn crash_datacenter(&mut self, replica: usize) {
-        self.sim.crash_site(simnet::SiteId(replica as u32));
+        self.runtime.crash_site(SiteId(replica as u32));
     }
 
     /// Bring a datacenter back online.
     pub fn recover_datacenter(&mut self, replica: usize) {
-        self.sim.recover_site(simnet::SiteId(replica as u32));
+        self.runtime.recover_site(SiteId(replica as u32));
     }
 
     /// Crash-restart a datacenter's state from disk (durable mode only):
@@ -248,7 +586,7 @@ impl Cluster {
             .config
             .durable_config(replica)
             .expect("restart_datacenter_from_disk requires StorageConfig::Durable");
-        let core = self.directory.core(replica);
+        let core = self.core(replica);
         let mut core = core.lock();
         let before = core.state_fingerprint();
         let report = core.restart_from_disk(&cfg)?;
@@ -267,10 +605,10 @@ impl Cluster {
     ///
     /// [`ChaosEvent::MoveHome`] re-homes `groups[group % groups.len()]`, so
     /// `groups` must be interned up front: a group has no log — and is not
-    /// in [`Cluster::groups`] — until its first commit. In durable mode a
-    /// crash lands mid-append (a torn partial frame at the victim's WAL
-    /// tail) and the site's state is rebuilt from disk before it rejoins
-    /// ([`Cluster::restart_datacenter_from_disk`]).
+    /// in [`ShardedCluster::groups`] — until its first commit. In durable
+    /// mode a crash lands mid-append (a torn partial frame at the victim's
+    /// WAL tail) and the site's state is rebuilt from disk before it
+    /// rejoins ([`Cluster::restart_datacenter_from_disk`]).
     pub fn replay_chaos(
         &mut self,
         schedule: &mut ChaosSchedule,
@@ -280,7 +618,7 @@ impl Cluster {
         let replicas = self.num_datacenters();
         let mut replay = ChaosReplay::default();
         while let Some(due) = schedule.next_due() {
-            self.sim.run_until(due);
+            self.runtime.run_until(due);
             for event in schedule.pop_due(due) {
                 match event {
                     ChaosEvent::CrashSite(site) if durable => {
@@ -297,171 +635,33 @@ impl Cluster {
                         if groups.is_empty() {
                             continue;
                         }
-                        self.directory
+                        self.shards.directories[0]
                             .set_group_home(groups[group % groups.len()], replica % replicas);
                     }
                     _ => {}
                 }
-                ChaosSchedule::apply_network(event, &mut self.sim);
+                ChaosSchedule::apply_network(event, &mut self.runtime);
                 replay.faults_applied += u64::from(event.is_fault());
             }
         }
         replay
     }
 
-    /// Per-replica storage-plane counters (durable mode; `None` entries for
-    /// in-memory datacenters).
-    pub fn storage_stats(&self) -> Vec<Option<storage::StorageStats>> {
-        self.directory
-            .cores()
-            .iter()
-            .map(|core| core.lock().storage_stats())
-            .collect()
-    }
-
-    /// All transaction groups any datacenter has a log for.
-    pub fn groups(&self) -> Vec<GroupId> {
-        logged_groups(&self.directory)
-    }
-
-    /// Snapshot every datacenter's log for one group (entries are shared
-    /// with the live logs, not deep-copied).
-    pub fn replica_logs(&self, group: GroupId) -> Vec<GroupLog> {
-        replica_logs(&self.directory, group)
-    }
-
-    /// Verify the paper's correctness properties over everything the
-    /// cluster decided: replica agreement (R1), one-copy serializability
-    /// (Definition 1 / L1–L3) of the merged history per transaction group,
-    /// and equal committed transaction sets at equal gap-free prefixes.
-    /// Returns the merged check report of every group.
-    pub fn verify(&self) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
-        verify_replica_set(&self.directory)
-    }
-
     /// Total committed transactions recorded in a replica's log for a named
     /// group (used by experiments to cross-check client-side metrics).
     /// Returns 0 for a group name that was never interned.
     pub fn committed_in_log(&self, replica: usize, group: &str) -> usize {
-        self.directory
-            .symbols()
+        self.symbols()
             .try_group(group)
             .map(|id| self.committed_in_log_id(replica, id))
             .unwrap_or(0)
     }
-
-    /// Total committed transactions recorded in a replica's log for a group.
-    pub fn committed_in_log_id(&self, replica: usize, group: GroupId) -> usize {
-        self.directory
-            .core(replica)
-            .lock()
-            .log(group)
-            .map(|l| l.committed_transaction_count())
-            .unwrap_or(0)
-    }
-
-    /// Decided non-noop log entries (= Paxos instances that committed work)
-    /// in a replica's log for a group. Dividing
-    /// [`Cluster::committed_in_log_id`] by this gives the batching/
-    /// combination amortization: committed transactions per Paxos instance.
-    pub fn decided_instances_id(&self, replica: usize, group: GroupId) -> usize {
-        self.directory
-            .core(replica)
-            .lock()
-            .log(group)
-            .map(|l| l.iter().filter(|(_, e)| !e.is_noop()).count())
-            .unwrap_or(0)
-    }
-
-    /// Per-replica counts of expired remote reads, in replica order: all
-    /// zero, since no Transaction Service parks reads. Kept only because
-    /// the `benchmark/` harness still reports `service.expired_reads`.
-    pub fn expired_read_counts(&self) -> Vec<u64> {
-        vec![0; self.directory.num_replicas()]
-    }
-
-    /// Per-replica counts of multi-version store versions reclaimed by the
-    /// apply-time GC behind the read-lease watermark, in replica order.
-    /// Harnesses fold these into
-    /// [`RunMetrics::reclaimed_versions`](crate::RunMetrics).
-    pub fn reclaimed_version_counts(&self) -> Vec<u64> {
-        self.directory
-            .cores()
-            .iter()
-            .map(|core| core.lock().reclaimed_version_count())
-            .collect()
-    }
-
-    /// The aggregate counters the service-hosted commit engines recorded
-    /// (window occupancy, pipeline depth, batch splits, stale-member
-    /// aborts), merged over all replicas. Harnesses fold this into their
-    /// run totals after a submitted-route run.
-    pub fn service_commit_metrics(&self) -> RunMetrics {
-        self.service_metrics.merged()
-    }
 }
 
-/// Assemble one replica set of `config` into `directory`: per datacenter
-/// of the topology, a storage core (durable when the config says so) and a
-/// Transaction Service hosting a commit engine for the submitted route.
-/// `place` registers each service at a new site named
-/// `{prefix}{region}-{replica}` and returns its node id. Both cluster
-/// runtimes build their replica sets here.
-pub(crate) fn build_replica_set(
-    config: &ClusterConfig,
-    directory: &Arc<Directory>,
-    metrics: &MetricsHub,
-    prefix: &str,
-    mut place: impl FnMut(String, TransactionService) -> NodeId,
-) {
-    let topology = &config.topology;
-    let mut commit_config = ClientConfig::for_protocol(config.protocol);
-    commit_config.message_timeout = topology.message_timeout;
-    for (replica, region) in topology.regions().iter().enumerate() {
-        let name = format!("{prefix}{region}-{replica}");
-        let core: SharedCore = DatacenterCore::shared(name.clone(), replica);
-        let service = TransactionService::new(
-            replica,
-            core.clone(),
-            directory.clone(),
-            topology.message_timeout,
-        )
-        .with_commit_engine(commit_config.clone(), config.batch.clone())
-        .with_commit_metrics(metrics.register());
-        if let Some(durable) = config.durable_config(replica) {
-            let storage =
-                DcStorage::open(durable).expect("durable storage directory must be creatable");
-            core.lock().attach_storage(storage);
-        }
-        let node = place(name, service);
-        directory.register_datacenter(node, core);
-    }
-}
-
-/// Verify the paper's correctness properties over everything one replica
-/// set decided: replica agreement (R1) and one-copy serializability
-/// (Definition 1 / L1–L3) of the merged history, per transaction group.
-/// Agreement also covers positions some replicas truncated away: replicas
-/// at an equal gap-free prefix must index equal committed transaction sets
-/// through it. Returns the check report of every group.
-pub(crate) fn verify_replica_set(
-    directory: &Directory,
-) -> Result<Vec<(GroupId, CheckReport)>, Violation> {
-    let mut reports = Vec::new();
-    for group in logged_groups(directory) {
-        let logs = replica_logs(directory, group);
-        let refs: Vec<&GroupLog> = logs.iter().collect();
-        let report = checker::check_all(&refs)?;
-        check_committed_sets(directory, group)?;
-        reports.push((group, report));
-    }
-    Ok(reports)
-}
-
-/// Every group any replica of the set has a log for.
-fn logged_groups(directory: &Directory) -> Vec<GroupId> {
+/// Every group any of `cores` has a log for.
+fn logged_groups(cores: &[SharedCore]) -> Vec<GroupId> {
     let mut groups = BTreeSet::new();
-    for core in directory.cores() {
+    for core in cores {
         for (group, _) in core.lock().logs() {
             groups.insert(group);
         }
@@ -517,6 +717,47 @@ mod tests {
         assert_eq!(cluster.groups().len(), 0);
         assert!(cluster.verify().unwrap().is_empty());
         assert_eq!(cluster.committed_in_log(0, "g"), 0);
+    }
+
+    /// The simulation is the one-shard case: every group-scoped accessor
+    /// answers from its one replica set, registered or not, and a session
+    /// placed through the shared method joins that set at its replica.
+    #[test]
+    fn a_simulated_cluster_is_one_shard_owning_every_group() {
+        struct Idle;
+        impl Actor<Msg> for Idle {
+            fn on_message(&mut self, _: &mut simnet::Context<Msg>, _: NodeId, _: Msg) {}
+        }
+        let mut cluster = Cluster::build(ClusterConfig::new(
+            Topology::from_name("VOC").unwrap(),
+            CommitProtocol::PaxosCp,
+        ));
+        let registered = cluster.register_group("g0");
+        let unregistered = cluster.symbols().group("g1");
+        let directory = cluster.directory();
+        directory.set_group_home(unregistered, 2);
+        for group in [registered, unregistered] {
+            assert_eq!(cluster.shard_of_group(group), 0);
+            for replica in 0..cluster.num_datacenters() {
+                let service = cluster.service_for_group_at(group, replica);
+                assert_eq!(service, cluster.service_node(replica));
+                let core = cluster.core_for_group_at(group, replica);
+                assert!(Arc::ptr_eq(&core, &cluster.core(replica)));
+            }
+            let home = cluster.core(directory.group_home(group));
+            assert!(Arc::ptr_eq(&cluster.home_core(group), &home));
+            assert_eq!(
+                cluster.service_for_group(group),
+                cluster.service_node(directory.group_home(group))
+            );
+        }
+        let client = cluster.add_session(0, 1, cluster.client_config(), |mut session| {
+            session.begin_id(SimTime::ZERO, unregistered);
+            Box::new(Idle)
+        });
+        assert_eq!(client, NodeId(3), "placed after the three services");
+        assert_eq!(directory.replica_of_client(client), Some(1));
+        assert_eq!(cluster.core(1).lock().read_lease_count(), 1);
     }
 
     #[test]

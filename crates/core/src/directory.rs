@@ -34,28 +34,17 @@ pub struct Directory {
     group_homes: RwLock<HashMap<GroupId, (usize, u64)>>,
 }
 
-impl Default for Directory {
-    fn default() -> Self {
-        Directory {
-            symbols: SymbolTable::shared(),
-            service_nodes: RwLock::new(Vec::new()),
-            cores: RwLock::new(Vec::new()),
-            client_replica: RwLock::new(HashMap::new()),
-            group_homes: RwLock::new(HashMap::new()),
-        }
-    }
-}
-
 impl Directory {
-    /// Create an empty directory, to be populated by the cluster builder.
+    /// Create an empty directory with its own symbol table, for replica
+    /// sets built by hand.
     pub fn new() -> Arc<Self> {
-        Arc::new(Directory::default())
+        Directory::with_symbols(SymbolTable::shared())
     }
 
     /// Create an empty directory that interns through an existing symbol
-    /// table. Used by the parallel runtime's sharded bring-up: every shard
-    /// has its own replica set (and therefore its own directory), but
-    /// group/key/attribute names must resolve to the same ids cluster-wide.
+    /// table: every shard of a cluster has its own replica set (and
+    /// therefore its own directory), but group/key/attribute names must
+    /// resolve to the same ids cluster-wide.
     pub fn with_symbols(symbols: Arc<SymbolTable>) -> Arc<Self> {
         Arc::new(Directory {
             symbols,
@@ -94,11 +83,6 @@ impl Directory {
     /// The Transaction Service node of a replica.
     pub fn service_node(&self, replica: usize) -> NodeId {
         self.service_nodes.read()[replica]
-    }
-
-    /// All Transaction Service nodes, in replica order.
-    pub fn service_nodes(&self) -> Vec<NodeId> {
-        self.service_nodes.read().clone()
     }
 
     /// The replica index whose service node is `node`, if any.
@@ -262,7 +246,7 @@ mod tests {
 
         assert_eq!(dir.num_replicas(), 2);
         assert_eq!(dir.service_node(1), NodeId(1));
-        assert_eq!(dir.service_nodes(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(dir.service_node(0), NodeId(0));
         assert_eq!(dir.replica_of_service(NodeId(1)), Some(1));
         assert_eq!(dir.replica_of_service(NodeId(9)), None);
         assert_eq!(dir.replica_of_client(NodeId(5)), Some(1));

@@ -45,9 +45,12 @@
 //!   committer and the [`TransactionService`] share: every Paxos
 //!   instance this crate runs (a direct commit, a pipeline slot, a recovery
 //!   no-op) is started, fed and finished there.
-//! * [`Cluster`] — the harness that wires everything into a deterministic
-//!   simulation, injects failures, and verifies the resulting logs with the
-//!   serializability checker after every run.
+//! * [`ShardedCluster`] — the harness that wires everything into shards
+//!   of complete replica sets and verifies the resulting logs with the
+//!   serializability checker after every run, the same way on both
+//!   runtimes: [`Cluster`] is its one-shard case on the deterministic
+//!   simulation (which also injects failures), [`ParallelCluster`] runs
+//!   one shard per worker thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,7 +69,7 @@ pub mod session;
 pub mod topology;
 
 pub use batch::BatchConfig;
-pub use cluster::{ChaosReplay, Cluster, ClusterConfig};
+pub use cluster::{ChaosReplay, Cluster, ClusterConfig, ShardedCluster};
 pub use datacenter::{DatacenterCore, GroupState, RestartReport};
 pub use directory::Directory;
 pub use learner::{Learned, VoteTally};

@@ -4,8 +4,9 @@
 //!
 //! Responsibilities (§2.2, §4):
 //! * serve **snapshot reads** ([`Msg::SnapshotRead`]): watermark-bounded
-//!   reads from read-only sessions, answered synchronously off the local
-//!   store at or below the carried position — never waiting, never
+//!   reads from wire actors that run no session (a session reads its
+//!   snapshot handle's replica in-process), answered synchronously off the
+//!   local store at or below the carried position — never waiting, never
 //!   triggering recovery (`unavailable` on a gap, retry elsewhere) — so
 //!   *any* replica of a group can serve its read traffic, not just the
 //!   group home;

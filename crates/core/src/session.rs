@@ -36,11 +36,13 @@
 //!
 //! Read-mostly traffic has a third path that skips the commit machinery
 //! entirely: [`Session::begin_read_only`] opens a **snapshot handle**
-//! pinned to a per-group applied-prefix watermark and served by a chosen
-//! serving replica — any datacenter, not just the group home — over the
-//! snapshot read plane ([`Msg::SnapshotRead`]). Snapshot reads never run
+//! pinned to a per-group applied-prefix watermark of a chosen serving
+//! replica — any datacenter, not just the group home — whose reads
+//! ([`Session::read_id`]) the session answers from that replica's core
+//! in-process, under the handle's read lease. Snapshot reads never run
 //! Paxos, never park behind a log gap and never abort; commit closes the
-//! handle route-free.
+//! handle route-free. (The wire form, [`Msg::SnapshotRead`], is for actors
+//! that run no session.)
 //!
 //! The embedding actor (a workload driver or an application model)
 //! forwards incoming messages and timer expirations and executes the
@@ -52,11 +54,11 @@
 //! to the id-based fast paths (`begin_id`, `read_id`, `write_id`) that hot
 //! workload drivers call directly with pre-interned ids.
 
+use crate::cluster::Shards;
 use crate::datacenter::SharedCore;
 use crate::directory::Directory;
 use crate::learner::VoteTally;
 use crate::msg::Msg;
-use crate::parallel::Shards;
 use crate::proposers::{Claim, Env, Input, Proposers};
 use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer, ProposerConfig, TimerKind};
 use rand::rngs::StdRng;
@@ -384,7 +386,7 @@ pub struct Session {
     home_replica: usize,
     /// Where each group's replica set is found: a simulated cluster's one
     /// directory, or the directory of the parallel-runtime shard owning
-    /// the group ([`crate::ParallelCluster::add_client`]).
+    /// the group ([`crate::ShardedCluster::add_session`]).
     replicas: Arc<Shards>,
     config: ClientConfig,
     rng: StdRng,

@@ -145,19 +145,14 @@ impl Topology {
         self.datacenters.iter().map(|r| r.code()).collect()
     }
 
-    /// Translate into the simulator's network configuration: the latency
-    /// matrix is filled with per-pair one-way latencies (half the region
-    /// RTT); intra-datacenter hops take 0.25 ms.
-    pub fn network_config(&self) -> NetworkConfig {
-        self.sharded_network_config(1, 1.0)
-    }
-
-    /// The network of `shards` copies of this topology side by side: one
-    /// site per (shard, datacenter) pair, numbered shard by shard, with
-    /// every latency scaled by `rtt_scale` (at least 1 µs). Latencies
-    /// between shards follow the same region-to-region RTTs as within a
-    /// shard — two shards' Virginia sites are two machines in the same
-    /// region, not one machine.
+    /// The simulator's network of `shards` copies of this topology side by
+    /// side: one site per (shard, datacenter) pair, numbered shard by
+    /// shard, filled with per-pair one-way latencies (half the region RTT;
+    /// intra-datacenter hops take 0.25 ms), every latency scaled by
+    /// `rtt_scale` (at least 1 µs). One unscaled shard is the simulation's
+    /// network. Latencies between shards follow the same region-to-region
+    /// RTTs as within a shard — two shards' Virginia sites are two machines
+    /// in the same region, not one machine.
     pub fn sharded_network_config(&self, shards: usize, rtt_scale: f64) -> NetworkConfig {
         let scale = |d: SimDuration| {
             SimDuration::from_micros(((d.as_micros() as f64 * rtt_scale) as u64).max(1))
@@ -239,7 +234,7 @@ mod tests {
     #[test]
     fn network_config_uses_region_rtts() {
         let t = Topology::from_name("VO").unwrap();
-        let cfg = t.network_config();
+        let cfg = t.sharded_network_config(1, 1.0);
         assert_eq!(
             cfg.latency.one_way(simnet::SiteId(0), simnet::SiteId(1)),
             SimDuration::from_millis(45)
@@ -249,7 +244,7 @@ mod tests {
             SimDuration::from_micros(250)
         );
         let t = Topology::vvv().with_loss(0.1).with_jitter(0.2);
-        let cfg = t.network_config();
+        let cfg = t.sharded_network_config(1, 1.0);
         assert!((cfg.loss_probability - 0.1).abs() < 1e-12);
         assert!((cfg.jitter - 0.2).abs() < 1e-12);
     }

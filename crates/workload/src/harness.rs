@@ -1,7 +1,10 @@
 //! [`run_load`]: the one harness. Build the cluster the spec's shape names,
-//! intern the keyspace, place the load actors, drive the run (replaying the
-//! fault schedule on the simulation), verify serializability, audit what
-//! the clients observed against what the logs decided, aggregate.
+//! intern the keyspace and register its groups, place the load actors,
+//! drive the run, verify serializability, audit what the clients observed
+//! against what the logs decided, aggregate. Only the drive step differs
+//! between the shapes: the simulation replays the fault schedule and runs
+//! to completion, the parallel runtime runs its worker threads until every
+//! actor is done.
 
 use crate::actor::{LoadActor, Names, Sinks, SnapshotReadSample, Tally, WireTarget};
 use crate::spec::{Arrival, ClusterShape, LoadResult, LoadSpec, ReadTotals};
@@ -9,7 +12,7 @@ use crate::zipf::KeySampler;
 use mdstore::datacenter::SharedCore;
 use mdstore::{
     ChaosReplay, ClientConfig, Cluster, ClusterConfig, LatencyStats, MetricsHub, ParallelCluster,
-    ParallelClusterConfig, RunMetrics, Session,
+    ParallelClusterConfig, RunMetrics, ShardedCluster,
 };
 use parking_lot::Mutex;
 use simnet::{ChaosSchedule, NetStats, SimDuration};
@@ -17,17 +20,20 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use walog::checker::{self, CheckReport};
-use walog::{GroupId, GroupLog, ItemRef, LogPosition, SymbolTable, TxnId};
+use walog::checker;
+use walog::{GroupId, GroupLog, ItemRef, LogPosition, TxnId};
 
 /// The shared handles of a set of placed load actors: where their metrics
 /// and observations accumulate while the run is driven.
-#[derive(Default)]
 pub struct Fleet {
     hub: MetricsHub,
     sinks: Vec<Arc<Mutex<RunMetrics>>>,
     tallies: Vec<Arc<Mutex<Tally>>>,
     done: Arc<AtomicUsize>,
+    /// Each group's replicas and home, parallel to the actors' groups.
+    targets: Arc<Vec<WireTarget>>,
+    /// What every actor's session runs with.
+    config: ClientConfig,
 }
 
 impl Fleet {
@@ -51,46 +57,54 @@ impl Fleet {
     }
 }
 
-/// Place the spec's load actors on an already-built simulated cluster, for
-/// harnesses that drive the simulation themselves. `names` is what the
-/// actors touch — usually [`Names::intern`] of the spec's keyspace.
-pub fn place(cluster: &mut Cluster, spec: &LoadSpec, names: &Arc<Names>) -> Fleet {
+/// Place the spec's load actors on an already-built cluster, for
+/// harnesses that drive the cluster themselves: one session client each,
+/// spread round-robin over the shards. `names` is what the actors touch —
+/// usually [`Names::intern`] of the spec's keyspace; on more than one
+/// shard, its groups must be registered.
+pub fn place<R>(cluster: &mut ShardedCluster<R>, spec: &LoadSpec, names: &Arc<Names>) -> Fleet {
     let sampler = KeySampler::new(spec.keyspace.distribution, spec.keyspace.keys);
     let mut config = spec.client.clone();
     config.message_timeout = cluster.config().topology.message_timeout;
-    let directory = cluster.directory();
-    let target = |&group| WireTarget {
-        group,
-        home: directory.group_home(group),
-        services: directory.service_nodes(),
-        cores: directory.cores(),
+    let replicas = 0..cluster.num_datacenters();
+    let target = |&group| {
+        let at = |r| {
+            let service = cluster.service_for_group_at(group, r);
+            (service, cluster.core_for_group_at(group, r))
+        };
+        let (services, cores) = replicas.clone().map(at).unzip();
+        let home = cluster.home_core(group).lock().replica();
+        WireTarget {
+            group,
+            home,
+            services,
+            cores,
+        }
     };
-    let targets = Arc::new(names.groups.iter().map(target).collect());
-    let mut fleet = Fleet::default();
+    let mut fleet = Fleet {
+        hub: MetricsHub::new(),
+        sinks: Vec::new(),
+        tallies: Vec::new(),
+        done: Arc::default(),
+        targets: Arc::new(names.groups.iter().map(target).collect()),
+        config,
+    };
     for index in 0..spec.num_actors() {
-        let replica = spec.replica_for_actor(index);
         let sinks = fleet.enlist();
-        cluster.add_client(replica, |node| {
-            let session = Session::new(node, replica, Arc::clone(&directory), config.clone());
+        let replica = spec.replica_for_actor(index);
+        let worker = index % cluster.num_shards();
+        let targets = &fleet.targets;
+        cluster.add_session(worker, replica, fleet.config.clone(), |session| {
             Box::new(LoadActor::new(
-                session, &targets, spec, index, names, &sampler, sinks,
+                session, targets, spec, index, names, &sampler, sinks,
             ))
         });
     }
     fleet
 }
 
-/// What driving a cluster produced, in the form both shapes share.
+/// What a shape's drive step reports.
 struct Driven {
-    names: Arc<Names>,
-    symbols: Arc<SymbolTable>,
-    check: Vec<(GroupId, CheckReport)>,
-    /// The replica cores holding each group and its home replica when the
-    /// run ended, parallel to `names.groups`.
-    cores: Vec<Vec<SharedCore>>,
-    group_homes: Vec<usize>,
-    /// Counters of the service-hosted commit engines.
-    service: RunMetrics,
     net: NetStats,
     duration: SimDuration,
     replay: ChaosReplay,
@@ -106,126 +120,84 @@ struct Driven {
 /// a closed-loop transaction never reached an outcome; or if a
 /// [`LoadSpec::liveness_window`] of the load phase committed nothing.
 pub fn run_load(spec: &LoadSpec) -> LoadResult {
-    const DIVERGED: &str = "run produced a non-serializable or diverged history";
-    let (fleet, driven) = match &spec.shape {
+    let config = ClusterConfig::new(spec.topology.clone(), spec.client.protocol)
+        .with_seed(spec.seed)
+        .with_batch(spec.batch.clone());
+    match &spec.shape {
         ClusterShape::Sim { storage, chaos } => {
-            let mut cluster = Cluster::build(
-                ClusterConfig::new(spec.topology.clone(), spec.client.protocol)
-                    .with_seed(spec.seed)
-                    .with_batch(spec.batch.clone())
-                    .with_storage(storage.clone()),
-            );
-            let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
-            let fleet = place(&mut cluster, spec, &names);
-            let started = cluster.now();
-            let replay = chaos.as_ref().map_or_else(ChaosReplay::default, |chaos| {
-                let mut schedule = ChaosSchedule::generate(chaos, spec.seed);
-                cluster.replay_chaos(&mut schedule, &names.groups)
-            });
-            cluster.run_to_completion();
-            let directory = cluster.directory();
-            let driven = Driven {
-                symbols: cluster.symbols(),
-                check: cluster.verify().expect(DIVERGED),
-                cores: vec![directory.cores(); names.groups.len()],
-                group_homes: names
-                    .groups
-                    .iter()
-                    .map(|g| directory.group_home(*g))
-                    .collect(),
-                names,
-                service: cluster.service_commit_metrics(),
-                net: cluster.sim().stats().clone(),
-                duration: cluster.now() - started,
-                replay,
-            };
-            (fleet, driven)
+            let cluster = Cluster::build(config.with_storage(storage.clone()));
+            load(cluster, spec, |cluster, _, names| {
+                let started = cluster.now();
+                let replay = chaos.as_ref().map_or_else(ChaosReplay::default, |chaos| {
+                    let mut schedule = ChaosSchedule::generate(chaos, spec.seed);
+                    cluster.replay_chaos(&mut schedule, &names.groups)
+                });
+                cluster.run_to_completion();
+                Driven {
+                    net: cluster.sim().stats().clone(),
+                    duration: cluster.now() - started,
+                    replay,
+                }
+            })
         }
         ClusterShape::Parallel { workers, rtt_scale } => {
-            let workers = (*workers).max(1);
-            let mut cluster = ParallelCluster::build(
-                ParallelClusterConfig::new(spec.topology.clone(), spec.client.protocol)
-                    .with_workers(workers)
-                    .with_batch(spec.batch.clone())
-                    .with_rtt_scale(*rtt_scale)
-                    .with_seed(spec.seed),
-            );
-            let replicas = 0..cluster.num_datacenters();
-            let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
-            let mut targets = Vec::with_capacity(names.groups.len());
-            for g in 0..names.groups.len() {
-                let group = cluster.register_group(&format!("g{g}"));
-                assert_eq!(group, names.groups[g], "groups intern in index order");
-                let on = |r| {
-                    (
-                        cluster.service_for_group_at(group, r),
-                        cluster.core_for_group_at(group, r),
-                    )
+            let config = ParallelClusterConfig::from(config)
+                .with_workers(*workers)
+                .with_rtt_scale(*rtt_scale);
+            load(ParallelCluster::build(config), spec, |cluster, fleet, _| {
+                let budget = match spec.arrival {
+                    Arrival::Open { duration, .. } => {
+                        let drain = open_drain(spec, &fleet.config);
+                        Duration::from_micros((duration + drain).as_micros())
+                    }
+                    Arrival::Closed { .. } => Duration::from_secs(600),
                 };
-                let (services, cores) = replicas.clone().map(on).unzip();
-                let home = cluster.home_core(group).lock().replica();
-                targets.push(WireTarget {
-                    group,
-                    home,
-                    services,
-                    cores,
+                // A commit answered from vote copies can finish its actor
+                // before its entry reaches any log, so the run also waits
+                // for every such entry to be installed at its group's home.
+                let actors = fleet.sinks.len();
+                let done = Arc::clone(&fleet.done);
+                let tallies = fleet.tallies.clone();
+                let homes: HashMap<GroupId, SharedCore> = fleet
+                    .targets
+                    .iter()
+                    .map(|t| (t.group, Arc::clone(&t.cores[t.home])))
+                    .collect();
+                let installed = move || {
+                    tallies.iter().all(|tally| {
+                        let tally = tally.lock();
+                        let mut early = tally.early.iter();
+                        early.all(|(group, _, at)| homes[group].lock().has_entry(*group, *at))
+                    })
+                };
+                let report = cluster.run(budget, move || {
+                    done.load(Ordering::SeqCst) >= actors && installed()
                 });
-            }
-            let targets = Arc::new(targets);
-            let sampler = KeySampler::new(spec.keyspace.distribution, spec.keyspace.keys);
-            let mut config = spec.client.clone();
-            config.message_timeout = cluster.config().topology.message_timeout;
-            let mut fleet = Fleet::default();
-            let actors = spec.num_actors();
-            for index in 0..actors {
-                let sinks = fleet.enlist();
-                let replica = spec.replica_for_actor(index);
-                cluster.add_client(index % workers, replica, config.clone(), |session| {
-                    Box::new(LoadActor::new(
-                        session, &targets, spec, index, &names, &sampler, sinks,
-                    ))
-                });
-            }
-            let budget = match spec.arrival {
-                Arrival::Open { duration, .. } => {
-                    Duration::from_micros((duration + open_drain(spec, &config)).as_micros())
+                Driven {
+                    net: report.stats,
+                    duration: SimDuration::from_micros(report.elapsed.as_micros() as u64),
+                    replay: ChaosReplay::default(),
                 }
-                Arrival::Closed { .. } => Duration::from_secs(600),
-            };
-            // A commit answered from vote copies can finish its actor
-            // before its entry reaches any log, so the run also waits for
-            // every such entry to be installed at its group's home.
-            let done = Arc::clone(&fleet.done);
-            let tallies = fleet.tallies.clone();
-            let homes: HashMap<GroupId, SharedCore> = targets
-                .iter()
-                .map(|t| (t.group, Arc::clone(&t.cores[t.home])))
-                .collect();
-            let installed = move || {
-                tallies.iter().all(|tally| {
-                    let tally = tally.lock();
-                    let mut early = tally.early.iter();
-                    early.all(|(group, _, at)| homes[group].lock().has_entry(*group, *at))
-                })
-            };
-            let report = cluster.run(budget, move || {
-                done.load(Ordering::SeqCst) >= actors && installed()
-            });
-            let driven = Driven {
-                symbols: cluster.symbols(),
-                check: cluster.verify().expect(DIVERGED),
-                cores: targets.iter().map(|t| t.cores.clone()).collect(),
-                group_homes: targets.iter().map(|t| t.home).collect(),
-                names,
-                service: cluster.service_commit_metrics(),
-                net: report.stats,
-                duration: SimDuration::from_micros(report.elapsed.as_micros() as u64),
-                replay: ChaosReplay::default(),
-            };
-            (fleet, driven)
+            })
         }
-    };
-    conclude(spec, &fleet, driven)
+    }
+}
+
+/// The path both shapes share: intern the keyspace, register its groups,
+/// place the actors, `drive` the run, then verify and audit it.
+fn load<R>(
+    mut cluster: ShardedCluster<R>,
+    spec: &LoadSpec,
+    drive: impl FnOnce(&mut ShardedCluster<R>, &Fleet, &Names) -> Driven,
+) -> LoadResult {
+    let names = Arc::new(Names::intern(&cluster.symbols(), &spec.keyspace));
+    for (g, group) in names.groups.iter().enumerate() {
+        let registered = cluster.register_group(&format!("g{g}"));
+        assert_eq!(registered, *group, "groups intern in index order");
+    }
+    let fleet = place(&mut cluster, spec, &names);
+    let driven = drive(&mut cluster, &fleet, &names);
+    conclude(spec, &cluster, &fleet, &names, driven)
 }
 
 /// How long after the last open-loop arrival a parallel run may still be
@@ -245,28 +217,40 @@ fn open_drain(spec: &LoadSpec, config: &ClientConfig) -> SimDuration {
     SimDuration::from_micros(commit.max(2 * patience) + 2_000_000)
 }
 
-/// Audit and aggregate a driven run.
-fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
+/// Verify, audit and aggregate a driven run.
+fn conclude<R>(
+    spec: &LoadSpec,
+    cluster: &ShardedCluster<R>,
+    fleet: &Fleet,
+    names: &Names,
+    driven: Driven,
+) -> LoadResult {
     let name = &spec.name;
-    let groups = &driven.names.groups;
-    let logs: Vec<Vec<GroupLog>> = std::iter::zip(groups, &driven.cores)
-        .map(|(group, cores)| {
-            let log_at = |core: &SharedCore| core.lock().log(*group).cloned().unwrap_or_default();
-            cores.iter().map(log_at).collect()
+    let check = cluster
+        .verify()
+        .expect("run produced a non-serializable or diverged history");
+    let groups = &names.groups;
+    let logs: Vec<Vec<GroupLog>> = fleet
+        .targets
+        .iter()
+        .map(|target| {
+            let log_at = |core: &SharedCore| {
+                let core = core.lock();
+                core.log(target.group).cloned().unwrap_or_default()
+            };
+            target.cores.iter().map(log_at).collect()
         })
         .collect();
     // A (shard, replica) core serves several groups; visit each once.
     let mut seen = HashSet::new();
-    let distinct = driven.cores.iter().flatten();
+    let distinct = fleet.targets.iter().flat_map(|t| &t.cores);
     let distinct: Vec<_> = distinct.filter(|c| seen.insert(Arc::as_ptr(c))).collect();
 
     let per_actor: Vec<RunMetrics> = fleet.sinks.iter().map(|s| s.lock().clone()).collect();
     let mut totals = fleet.totals();
-    totals.merge(&driven.service);
+    totals.merge(&cluster.service_commit_metrics());
     totals.faults_injected += driven.replay.faults_applied;
-    for core in &distinct {
-        totals.reclaimed_versions += core.lock().reclaimed_version_count();
-    }
+    totals.reclaimed_versions += cluster.reclaimed_version_counts().iter().sum::<u64>();
 
     let mut tally = Tally::default();
     for actor in &fleet.tallies {
@@ -390,8 +374,9 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
         );
     }
 
+    let symbols = cluster.symbols();
     let group_name = |group: GroupId| {
-        let name = driven.symbols.group_name(group);
+        let name = symbols.group_name(group);
         name.unwrap_or_else(|| group.to_string())
     };
     LoadResult {
@@ -401,8 +386,7 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
         actor_replicas: (0..fleet.sinks.len())
             .map(|index| spec.replica_for_actor(index))
             .collect(),
-        check: driven
-            .check
+        check: check
             .into_iter()
             .map(|(group, report)| (group_name(group), report))
             .collect(),
@@ -418,7 +402,10 @@ fn conclude(spec: &LoadSpec, fleet: &Fleet, driven: Driven) -> LoadResult {
             max_staleness: tally.reads.iter().map(|r| r.2).max().unwrap_or(0),
             verified,
         },
-        group_homes: driven.group_homes,
+        group_homes: groups
+            .iter()
+            .map(|g| cluster.home_core(*g).lock().replica())
+            .collect(),
         durable_restarts: driven.replay.durable_restarts,
         torn_wal_tails: driven.replay.torn_wal_tails,
         clock_firings: tally.clock_firings,

@@ -22,10 +22,12 @@
 //! * **One client** on every shape: the actor drives an
 //!   [`mdstore::Session`] (multi-operation transactions, both commit
 //!   routes, exactly-once re-submission) on the simulation and on the
-//!   parallel runtime alike, where [`mdstore::ParallelCluster::add_client`]
-//!   gives it each group's shard. Snapshot reads travel the wire read
-//!   plane ([`mdstore::Msg::SnapshotRead`]) and the actor minds their
-//!   patience; the session ends each commit itself.
+//!   parallel runtime alike, placed by
+//!   [`mdstore::ShardedCluster::add_session`], which gives it each group's
+//!   shard. Both shapes are one cluster body, so [`run_load`] builds,
+//!   places and audits them through one path. Snapshot reads travel the
+//!   wire read plane ([`mdstore::Msg::SnapshotRead`]) and the actor minds
+//!   their patience; the session ends each commit itself.
 //! * **Arrival** decides where latency is charged from: `Closed` from the
 //!   commit call (the paper's measure), `Open` from the *scheduled* arrival
 //!   — commits, aborts, `Unavailable` outcomes and shed reads alike.
@@ -35,7 +37,7 @@
 //!   checker for in-transaction reads), the lease-leak check always,
 //!   liveness windows when [`LoadSpec::liveness_window`] is set.
 //!
-//! Harnesses that need the simulation in their own hands (mid-run
+//! Harnesses that need the cluster in their own hands (mid-run
 //! inspection, custom faults) [`place`] the same actors on their own
 //! [`mdstore::Cluster`].
 

@@ -14,8 +14,9 @@ use walog::checker::CheckReport;
 /// runtime has: the parallel runtime has no storage or faults to ask for.
 #[derive(Clone, Debug)]
 pub enum ClusterShape {
-    /// The deterministic simulation: one replica set, virtual time. Load
-    /// actors reach it through [`mdstore::Session`].
+    /// The deterministic simulation: one replica set (the one-shard
+    /// cluster), virtual time. Load actors reach it through
+    /// [`mdstore::Session`].
     Sim {
         /// Storage plane. When durable, crashes tear the victim's WAL tail
         /// and recoveries restart the datacenter from disk.
@@ -25,10 +26,14 @@ pub enum ClusterShape {
         chaos: Option<ChaosSpec>,
     },
     /// OS worker threads, one replica set (shard) each, groups spread
-    /// round-robin over them. Load actors reach it through an
-    /// [`mdstore::Session`] too, added on a worker by
-    /// [`mdstore::ParallelCluster::add_client`], which reaches each group
+    /// round-robin over them. The same cluster body as the simulation's
+    /// ([`mdstore::ShardedCluster`]) with more shards, so [`run_load`]
+    /// builds, places and audits both shapes through one path and only
+    /// drives them differently; a load actor's session, added on a worker
+    /// by [`mdstore::ShardedCluster::add_session`], reaches each group
     /// through the directory of the shard owning it.
+    ///
+    /// [`run_load`]: crate::run_load
     Parallel {
         /// Worker threads (= shards).
         workers: usize,

@@ -228,13 +228,15 @@ fn read_mostly_on_the_simulation_is_deterministic_and_explained() {
         .with_windows(SimDuration::from_secs(2), ms(600))
         .with_seed(31);
     // Crashes on top: reads in flight to (or from) a crashed site are shed
-    // after their patience, commits ride the session's re-submission.
+    // after their patience, commits ride the session's re-submission (the
+    // preset re-submits nothing; five attempts ride the crashes out).
     let crashes =
         ChaosSpec::new(SimDuration::from_secs(2)).with_rolling_crashes(3, ms(600), ms(200));
     spec.shape = ClusterShape::Sim {
         storage: StorageConfig::InMemory,
         chaos: Some(crashes),
     };
+    spec.client.max_resubmissions = 5;
     let digest = |r: &LoadResult| format!("{:?} {:?} {:?}", r.totals, r.reads, r.check);
     let first = run_load(&spec);
     assert_eq!(digest(&first), digest(&run_load(&spec)));
@@ -242,6 +244,7 @@ fn read_mostly_on_the_simulation_is_deterministic_and_explained() {
     assert!(first.totals.faults_injected >= 2 && first.reads.shed > 0);
     assert_eq!(first.reads.verified, first.reads.completed);
     assert!(first.totals.committed > 0, "the 5 % writes must commit");
+    assert_eq!(first.unavailable, 0, "re-submission absorbs every crash");
     assert_eq!(first.actor_replicas, vec![0, 1, 2]);
 }
 
