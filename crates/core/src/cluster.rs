@@ -520,18 +520,9 @@ impl Cluster {
     /// embedded [`crate::Session`]).
     pub fn add_client<F>(&mut self, replica: usize, make_actor: F) -> NodeId
     where
-        F: FnOnce(NodeId) -> Box<dyn Actor<Msg>>,
+        F: FnOnce(NodeId) -> Box<dyn Actor<Msg> + Send>,
     {
-        let expected = NodeId(self.runtime.node_count() as u32);
-        self.directory().register_client(expected, replica);
-        let node = self
-            .runtime
-            .add_node(SiteId(replica as u32), make_actor(expected));
-        assert_eq!(
-            node, expected,
-            "node ids are assigned densely in registration order"
-        );
-        node
+        self.place(0, replica, true, make_actor)
     }
 
     /// Direct access to the simulation (running, failure injection, stats).

@@ -9,7 +9,7 @@
 //! the acceptors, the replica logs) lives on its shard's worker, so the
 //! services' own consensus traffic never crosses threads. A session client
 //! ([`ShardedCluster::add_session`]) may live on any worker: its commit
-//! traffic crosses the runtime's bounded channels, and it takes read
+//! traffic crosses the runtime's per-worker inboxes, and it takes read
 //! positions, read leases and in-process leader claims at another worker's
 //! cores under their locks, as the wire read plane does.
 //!

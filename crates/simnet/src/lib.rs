@@ -25,7 +25,7 @@
 //! single-threaded simulation steps it on virtual time; the multi-threaded
 //! [`ParallelRuntime`] gives each worker thread its own engine holding that
 //! worker's actors and steps it on the wall clock, carrying deliveries for
-//! other workers' nodes over bounded channels. Either way every message is
+//! other workers' nodes to per-worker inboxes. Either way every message is
 //! routed by the same network model, chaos policies included.
 //!
 //! ## Example

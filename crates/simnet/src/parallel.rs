@@ -9,7 +9,7 @@
 //! each worker runs its own [`Simulation`] engine holding its own actors.
 //! Every engine registers every node; another worker's nodes carry no
 //! actor, so a delivery routed to one leaves the engine and travels to its
-//! worker over a bounded MPSC channel, stamped with its delivery instant.
+//! worker's inbox, stamped with its delivery instant.
 //!
 //! One engine means one network model: latency, jitter, loss and the chaos
 //! policies are drawn by the same code, in the same order, under either
@@ -22,144 +22,140 @@
 //! determinism here — the single-threaded simulation remains the canonical
 //! test and repro mode.
 //!
-//! ## Backpressure, not deadlock
+//! ## Waking a worker only for a delivery due before it wakes
 //!
-//! Cross-worker channels are bounded. A worker never blocks on a send:
-//! when a peer's channel is full the delivery parks in a local outbox that
-//! is retried at the top of every loop iteration (counted in
-//! [`ParallelReport::backpressure`]). Since workers only block in
-//! `recv_timeout` while their outbox is empty, a full cycle of workers
-//! waiting on each other's channels cannot form.
+//! Each worker has one inbox: a mutex over the deliveries peers routed to
+//! its nodes and, while it sleeps, the instant it will wake on its own
+//! (its next event, 20 µs to 1 ms away). A sender appends its whole batch
+//! under that lock and wakes the owner only if the batch holds a delivery
+//! due before that instant; a later one is taken in by the wake-up already
+//! scheduled. Stopping wakes every worker. Nothing spins, and no event
+//! fires before its due instant. The inbox is unbounded, and safely so: it
+//! holds only what actors sent, as the engine's own event queue does, and
+//! no worker ever blocks on a peer (a sender holds a peer's lock only to
+//! append), so no cycle of workers waiting on each other can form.
 
 use crate::actor::Actor;
 use crate::network::{NetworkConfig, SiteId};
 use crate::sim::{NodeId, Remote, Simulation};
 use crate::stats::NetStats;
 use crate::time::SimTime;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Condvar, Mutex, MutexGuard};
 // lint:allow(determinism): the parallel runtime is the real-time execution
 // mode — wall-clock time IS simulation time here; replayable runs use the
 // single-threaded `Simulation` instead (see docs/ANALYSIS.md).
 use std::time::{Duration, Instant};
 
-/// Capacity of each worker's inbound channel. Deep enough that
-/// backpressure is rare under normal load; shallow enough that a stalled
-/// worker propagates pressure instead of buffering unboundedly.
-const CHANNEL_CAPACITY: usize = 16_384;
-
-/// Per-iteration cap on deliveries drained from the inbound channel.
-const DRAIN_BATCH: usize = 1_024;
-
 /// Per-iteration cap on due events dispatched before rechecking the
-/// channel and the stop flag.
+/// inbox and the stop flag.
 const DISPATCH_BATCH: usize = 4_096;
 
 /// The engine a worker runs: its actors must move to its thread.
 type Engine<M> = Simulation<M, dyn Actor<M> + Send>;
 
+/// What peers routed to a worker's nodes since it last looked, and, while
+/// it sleeps, the instant it will wake on its own.
+struct Inbox<M> {
+    deliveries: Vec<Remote<M>>,
+    asleep_until: Option<SimTime>,
+}
+
+/// A worker's inbox and the condition its owner sleeps on.
+struct Mailbox<M> {
+    inbox: Mutex<Inbox<M>>,
+    wake: Condvar,
+}
+
+impl<M> Mailbox<M> {
+    fn lock(&self) -> MutexGuard<'_, Inbox<M>> {
+        self.inbox.lock().expect("inbox lock poisoned")
+    }
+
+    /// Append `batch`, waking the owner if it sleeps past a delivery's due
+    /// instant.
+    fn post(&self, batch: &mut Vec<Remote<M>>) {
+        let mut inbox = self.lock();
+        let wake = inbox
+            .asleep_until
+            .is_some_and(|until| batch.iter().any(|delivery| delivery.at < until));
+        if wake {
+            inbox.asleep_until = None;
+        }
+        inbox.deliveries.append(batch);
+        drop(inbox);
+        if wake {
+            self.wake.notify_one();
+        }
+    }
+}
+
 /// State shared by every worker thread (read-only after launch, except the
-/// stop flag).
+/// inboxes and the stop flag).
 struct Shared<M> {
     /// Owning worker of each node, indexed by raw node id.
     node_worker: Vec<usize>,
-    /// Inbound channel of each worker.
-    senders: Vec<SyncSender<Remote<M>>>,
+    /// Inbox of each worker.
+    mailboxes: Vec<Mailbox<M>>,
     /// Set once by the control thread; workers exit their loops on it.
     stop: AtomicBool,
 }
 
-/// Counters one worker hands back when its loop exits.
-struct WorkerReport {
-    stats: NetStats,
-    backpressure: u64,
-}
-
-/// One worker: its engine, its inbound channel and the deliveries parked
-/// behind a full peer channel.
-struct Worker<M> {
-    engine: Engine<M>,
-    rx: Receiver<Remote<M>>,
-    outbox: VecDeque<(usize, Remote<M>)>,
-    backpressure: u64,
-}
-
-impl<M: Clone + Send + 'static> Worker<M> {
-    /// Hand the engine's deliveries for other workers' nodes to their
-    /// channels, without blocking; a full channel parks them in the outbox.
-    fn ship(&mut self, shared: &Shared<M>) {
-        for delivery in self.engine.take_remote() {
-            let dest = shared.node_worker[delivery.to.0 as usize];
-            if !self.outbox.is_empty() {
-                // Preserve send order behind already-parked deliveries.
-                self.outbox.push_back((dest, delivery));
-                continue;
-            }
-            if let Err(TrySendError::Full(delivery)) = shared.senders[dest].try_send(delivery) {
-                self.backpressure += 1;
-                self.outbox.push_back((dest, delivery));
-            }
-        }
-    }
-
-    fn flush_outbox(&mut self, shared: &Shared<M>) {
-        while let Some((dest, delivery)) = self.outbox.pop_front() {
-            if let Err(TrySendError::Full(delivery)) = shared.senders[dest].try_send(delivery) {
-                self.outbox.push_front((dest, delivery));
-                return;
-            }
-        }
-    }
-
-    /// The worker's loop: flush the outbox, drain the channel, run every
-    /// event due by the wall clock, then sleep until the next event is due
-    /// (or the next delivery arrives, whichever comes first).
+/// The worker's loop: take the inbox in, run every event due by the wall
+/// clock, ship what the engine routed to peers, one batch per peer, then
+/// sleep until the next event is due or an earlier delivery arrives.
+fn run_worker<M: Clone + Send + 'static>(
+    mut engine: Engine<M>,
+    index: usize,
+    shared: &Shared<M>,
     // lint:allow(determinism): wall-mapped time is this runtime's contract
-    fn run(mut self, shared: &Shared<M>, start: Instant) -> WorkerReport {
-        let clock = || SimTime::from_micros(start.elapsed().as_micros() as u64);
-        while !shared.stop.load(Ordering::Relaxed) {
-            self.flush_outbox(shared);
-            let mut drained = 0;
-            while drained < DRAIN_BATCH {
-                match self.rx.try_recv() {
-                    Ok(delivery) => {
-                        self.engine.deliver_at(delivery);
-                        drained += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            // The due limit is read once per iteration, so a burst of due
-            // events cannot keep the worker from its channel; each callback
-            // still reads the clock afresh for its `now`.
-            let due = clock();
-            let mut fired = 0;
-            while fired < DISPATCH_BATCH && self.engine.step_due(due, clock) {
-                self.ship(shared);
-                fired += 1;
-            }
-            if drained == 0 && fired == 0 && self.outbox.is_empty() {
-                let wait_us = match self.engine.next_due() {
-                    Some(at) => at
-                        .as_micros()
-                        .saturating_sub(clock().as_micros())
-                        .clamp(20, 1_000),
-                    None => 1_000,
-                };
-                match self.rx.recv_timeout(Duration::from_micros(wait_us)) {
-                    Ok(delivery) => self.engine.deliver_at(delivery),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+    start: Instant,
+) -> NetStats {
+    let clock = || SimTime::from_micros(start.elapsed().as_micros() as u64);
+    let mailbox = &shared.mailboxes[index];
+    let mut arrived = Vec::new();
+    let mut outgoing: Vec<Vec<Remote<M>>> = shared.mailboxes.iter().map(|_| Vec::new()).collect();
+    while !shared.stop.load(Ordering::Relaxed) {
+        std::mem::swap(&mut mailbox.lock().deliveries, &mut arrived);
+        let drained = arrived.len();
+        for delivery in arrived.drain(..) {
+            engine.deliver_at(delivery);
+        }
+        // The due limit is read once per iteration, so a burst of due
+        // events cannot keep the worker from its inbox; each callback
+        // still reads the clock afresh for its `now`.
+        let due = clock();
+        let mut fired = 0;
+        while fired < DISPATCH_BATCH && engine.step_due(due, clock) {
+            fired += 1;
+        }
+        for delivery in engine.take_remote() {
+            outgoing[shared.node_worker[delivery.to.0 as usize]].push(delivery);
+        }
+        for (peer, batch) in shared.mailboxes.iter().zip(&mut outgoing) {
+            if !batch.is_empty() {
+                peer.post(batch);
             }
         }
-        WorkerReport {
-            stats: self.engine.stats().clone(),
-            backpressure: self.backpressure,
+        if drained == 0 && fired == 0 {
+            let now = clock().as_micros();
+            let wait_us = engine.next_due().map_or(1_000, |at| {
+                at.as_micros().saturating_sub(now).clamp(20, 1_000)
+            });
+            // `run` sets `stop` before taking each inbox's lock to wake its
+            // owner, so reading it under the lock cannot sleep through it.
+            let mut inbox = mailbox.lock();
+            if inbox.deliveries.is_empty() && !shared.stop.load(Ordering::Relaxed) {
+                inbox.asleep_until = Some(SimTime::from_micros(now + wait_us));
+                let (mut inbox, _) = mailbox
+                    .wake
+                    .wait_timeout(inbox, Duration::from_micros(wait_us))
+                    .expect("inbox lock poisoned");
+                inbox.asleep_until = None;
+            }
         }
     }
+    engine.stats().clone()
 }
 
 /// What a [`ParallelRuntime`] run measured.
@@ -171,8 +167,9 @@ pub struct ParallelReport {
     pub elapsed: Duration,
     /// Network counters merged over all workers.
     pub stats: NetStats,
-    /// Cross-worker sends that found the destination channel full and had
-    /// to park in an outbox (each parked delivery counts once).
+    /// Always 0: a cross-worker delivery is appended to an unbounded inbox
+    /// and never waits for room. Kept because the benchmark harness
+    /// (`benchmark/src/sut.rs`) reads it.
     pub backpressure: u64,
     /// Messages still routed-but-undelivered when the run stopped.
     pub undelivered: u64,
@@ -259,59 +256,55 @@ impl<M: Clone + Send + 'static> ParallelRuntime<M> {
         F: FnMut() -> bool,
     {
         let workers = self.num_workers();
-        let mut senders = Vec::with_capacity(workers);
-        let mut receivers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Remote<M>>(CHANNEL_CAPACITY);
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             node_worker: self.node_worker,
-            senders,
+            mailboxes: (0..workers)
+                .map(|_| Mailbox {
+                    inbox: Mutex::new(Inbox {
+                        deliveries: Vec::new(),
+                        asleep_until: None,
+                    }),
+                    wake: Condvar::new(),
+                })
+                .collect(),
             stop: AtomicBool::new(false),
-        });
+        };
+        let shared = &shared;
 
         // lint:allow(determinism): the run's epoch is real time by design
         let start = Instant::now();
-        let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
+        let mut stats = NetStats::default();
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (engine, rx) in self.engines.into_iter().zip(receivers) {
-                let worker = Worker {
-                    engine,
-                    rx,
-                    outbox: VecDeque::new(),
-                    backpressure: 0,
-                };
-                let shared = Arc::clone(&shared);
-                handles.push(scope.spawn(move || worker.run(&shared, start)));
-            }
+            let handles: Vec<_> = self
+                .engines
+                .into_iter()
+                .enumerate()
+                .map(|(index, engine)| {
+                    scope.spawn(move || run_worker(engine, index, shared, start))
+                })
+                .collect();
             while start.elapsed() < max_wall && !done() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             shared.stop.store(true, Ordering::SeqCst);
+            for mailbox in &shared.mailboxes {
+                mailbox.lock().asleep_until = None;
+                mailbox.wake.notify_one();
+            }
             for handle in handles {
-                reports.push(handle.join().expect("worker thread panicked"));
+                stats.merge(&handle.join().expect("worker thread panicked"));
             }
         });
         let elapsed = start.elapsed();
-
-        let mut stats = NetStats::default();
-        let mut backpressure = 0;
-        for report in &reports {
-            stats.merge(&report.stats);
-            backpressure += report.backpressure;
-        }
         // Every routed copy (a duplicate is a second copy) is delivered,
-        // dropped, or still in a channel, an outbox or a worker's queue.
+        // dropped, or still in an inbox or a worker's queue.
         let undelivered =
             (stats.sent + stats.duplicated).saturating_sub(stats.delivered + stats.dropped());
         ParallelReport {
             workers,
             elapsed,
             stats,
-            backpressure,
+            backpressure: 0,
             undelivered,
         }
     }
@@ -328,6 +321,7 @@ mod tests {
     use crate::actor::Context;
     use crate::time::SimDuration;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -391,6 +385,37 @@ mod tests {
         assert_eq!(report.workers, 2);
         assert!(report.stats.delivered >= 50, "all rounds delivered");
         assert_eq!(report.stats.dropped_loss, 0);
+    }
+
+    /// A worker with nothing of its own due sleeps for the 1 ms cap; a
+    /// delivery due before then must wake it. A lost wake-up costs up to
+    /// the cap per hop, a prompt hop about one minimum sleep.
+    #[test]
+    fn a_delivery_due_before_a_sleeping_workers_wake_reaches_it_promptly() {
+        let config = NetworkConfig::uniform(SimDuration::from_micros(20));
+        let mut rt: ParallelRuntime<Msg> = ParallelRuntime::new(config, 2, 5);
+        let site = rt.add_site("only");
+        let done = Arc::new(AtomicUsize::new(0));
+        let ponger = rt.add_node(site, 0, Box::new(Ponger));
+        rt.add_node(
+            site,
+            1,
+            Box::new(Pinger {
+                target: ponger,
+                rounds: 200,
+                done: done.clone(),
+            }),
+        );
+        let flag = done.clone();
+        let report = rt.run(Duration::from_secs(10), move || {
+            flag.load(Ordering::SeqCst) == 1
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert!(
+            report.elapsed < Duration::from_micros(200 * 500),
+            "200 round trips took {:?}",
+            report.elapsed
+        );
     }
 
     struct TimerChain {
