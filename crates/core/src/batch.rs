@@ -90,13 +90,14 @@ use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
 use crate::proposers::{Claim, Env, Input, Proposers};
-use crate::session::{ClientAction, ClientConfig, TxnResult};
+use crate::service::Fate;
+use crate::session::{ClientAction, ClientConfig};
 use parking_lot::Mutex;
-use paxos::{AbortReason, CommitOutcome, CommitProtocol, Proposer};
+use paxos::{AbortReason, CommitOutcome, CommitProtocol, PaxosMsg, Proposer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{NodeId, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use simnet::{NodeId, SimDuration};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use walog::combine::can_append;
 use walog::{GroupId, LogPosition, Transaction, TxnId};
@@ -151,43 +152,61 @@ impl BatchConfig {
     }
 }
 
+/// What a committer asks of its host, in the order it must happen.
+#[derive(Debug)]
+pub(crate) enum Effect {
+    /// Send a message as the host.
+    Send(NodeId, Msg),
+    /// Arm a timer; its tag returns through [`GroupCommitter::on_timer`].
+    ArmTimer { delay: SimDuration, tag: u64 },
+    /// A member's fate is settled: the host's exactly-once table records it
+    /// and answers whoever waits for it.
+    Settled(TxnId, Fate),
+}
+
+impl From<ClientAction> for Effect {
+    fn from(action: ClientAction) -> Self {
+        match action {
+            ClientAction::Send(to, msg) => Effect::Send(to, msg),
+            ClientAction::ArmTimer { delay, tag } => Effect::ArmTimer { delay, tag },
+            ClientAction::Finished(_) => unreachable!("the proposer host finishes no transaction"),
+        }
+    }
+}
+
 /// A transaction waiting for an instance, with its pipeline bookkeeping.
 struct PendingTxn {
     txn: Transaction,
     /// Positions this transaction already lost in earlier slots.
     promotions: u32,
-    /// When it was first submitted (end-to-end latency baseline).
-    enqueued_at: SimTime,
     /// Reads verified un-invalidated by every decided entry through this
     /// position; revalidation resumes from here at the next opening.
     validated_through: LogPosition,
 }
 
 impl PendingTxn {
-    /// Answer this member without an instance deciding it: committed when
-    /// `abort_reason` is `None`.
-    fn settle(&self, now: SimTime, abort_reason: Option<AbortReason>) -> ClientAction {
-        ClientAction::Finished(TxnResult {
-            committed: abort_reason.is_none(),
-            read_only: false,
-            promotions: self.promotions,
-            combined: false,
-            rounds: 0,
-            latency: now.since(self.enqueued_at),
-            total_latency: now.since(self.enqueued_at),
-            abort_reason,
-            txn: Some(self.txn.id),
-        })
+    /// A member whose submission starts its journey.
+    fn new(txn: Transaction, promotions: u32) -> Self {
+        let validated_through = txn.read_position;
+        PendingTxn {
+            txn,
+            promotions,
+            validated_through,
+        }
     }
-}
 
-/// One in-flight pipeline slot: an instance (run by the committer's
-/// proposer host under the slot's position) competing for one position.
-struct Slot {
-    position: LogPosition,
-    started_at: SimTime,
-    /// Submission time of each member (survivors keep theirs across slots).
-    enqueued: HashMap<TxnId, SimTime>,
+    /// Settle this member without an instance deciding it: committed when
+    /// `abort_reason` is `None`.
+    fn settle(&self, abort_reason: Option<AbortReason>) -> Effect {
+        let fate = Fate {
+            group: self.txn.group,
+            committed: abort_reason.is_none(),
+            promotions: self.promotions,
+            abort_reason,
+            ..Fate::default()
+        };
+        Effect::Settled(self.txn.id, fate)
+    }
 }
 
 /// A committer's takeover of a home epoch it has not settled: the replicas'
@@ -207,17 +226,18 @@ struct Takeover {
     tag: u64,
 }
 
-/// The pipelined, work-conserving commit engine for one transaction group.
+/// The pipelined, work-conserving commit engine for one transaction group,
+/// a part of the [`crate::TransactionService`] of the datacenter that
+/// receives the group's commit requests.
 ///
 /// Unlike [`crate::Session`] — which owns the read/write sets of its open
-/// transactions — the committer accepts fully built [`Transaction`]s
-/// (several application sessions' worth per window) and owns only their
-/// journey through the commit protocol. The embedding actor — the group
-/// home's [`crate::TransactionService`] for the submitted commit route, or
-/// a harness actor driving the committer directly — forwards
-/// messages/timers and executes the returned [`ClientAction`]s, exactly as
-/// it would for a `Session`.
-pub struct GroupCommitter {
+/// transactions and times their commits — the committer accepts fully
+/// built [`Transaction`]s (several sessions' worth per window) and owns
+/// only their journey through the commit protocol. It keeps no clock: the
+/// service feeds it submissions, proposer replies and timers, and carries
+/// out the returned [`Effect`]s in order, reporting each settled member's
+/// [`Fate`] to its exactly-once table.
+pub(crate) struct GroupCommitter {
     node: NodeId,
     group: GroupId,
     home_replica: usize,
@@ -230,8 +250,9 @@ pub struct GroupCommitter {
     window: VecDeque<PendingTxn>,
     /// Tag of the armed window re-poll timer, if any.
     window_tag: Option<u64>,
-    /// In-flight instances, ascending by position.
-    slots: Vec<Slot>,
+    /// The positions of the in-flight instances, ascending; the proposer
+    /// host runs each slot's instance under its position.
+    slots: Vec<LogPosition>,
     /// Highest position any slot has competed for. A speculative open must
     /// go strictly above it: a completed middle/tail slot's position is
     /// *decided*, and reopening it while the head is still in flight would
@@ -254,7 +275,7 @@ impl GroupCommitter {
     /// Create a committer for `group`, running on `node` and homed in the
     /// datacenter with replica index `home_replica`, recording its window
     /// and pipeline counters into `metrics` if given.
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         home_replica: usize,
         group: GroupId,
@@ -284,8 +305,8 @@ impl GroupCommitter {
     }
 
     /// The log positions of the in-flight instances, ascending.
-    pub fn slot_positions(&self) -> Vec<LogPosition> {
-        self.slots.iter().map(|s| s.position).collect()
+    pub(crate) fn slot_positions(&self) -> &[LogPosition] {
+        &self.slots
     }
 
     fn home_core(&self) -> SharedCore {
@@ -310,15 +331,11 @@ impl GroupCommitter {
     /// adopted state committed is answered committed; a blind write goes
     /// back to the window front; a member with reads aborts, because the
     /// entries it would have to be revalidated against are gone.
-    pub(crate) fn abandon_through(
-        &mut self,
-        now: SimTime,
-        through: LogPosition,
-    ) -> Vec<ClientAction> {
+    pub(crate) fn abandon_through(&mut self, through: LogPosition) -> Vec<Effect> {
         let mut out = Vec::new();
-        let (gone, kept): (Vec<Slot>, Vec<Slot>) = std::mem::take(&mut self.slots)
+        let (gone, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.slots)
             .into_iter()
-            .partition(|slot| slot.position <= through);
+            .partition(|&position| position <= through);
         self.slots = kept;
         if gone.is_empty() {
             return out;
@@ -326,65 +343,52 @@ impl GroupCommitter {
         let core = self.home_core();
         let core = core.lock();
         // Back to front, so the window keeps the slots' order.
-        for slot in gone.into_iter().rev() {
-            let Some(proposer) = self.proposers.remove(&slot.position) else {
+        for position in gone.into_iter().rev() {
+            let Some(proposer) = self.proposers.remove(&position) else {
                 continue;
             };
             let promotions = proposer.promotions();
             for txn in proposer.transactions().iter().rev() {
-                let enqueued_at = slot.enqueued.get(&txn.id).copied().unwrap_or(now);
                 let committed = core.is_committed(self.group, txn.id);
-                let pending = PendingTxn {
-                    txn: txn.clone(),
-                    promotions,
-                    enqueued_at,
-                    validated_through: txn.read_position,
-                };
+                let pending = PendingTxn::new(txn.clone(), promotions);
                 if !committed && txn.reads().is_empty() {
                     self.window.push_front(pending);
                     continue;
                 }
-                out.push(pending.settle(now, (!committed).then_some(AbortReason::Conflict)));
+                out.push(pending.settle((!committed).then_some(AbortReason::Conflict)));
             }
         }
         drop(core);
-        self.open_slots(now, &mut out);
+        self.open_slots(&mut out);
         out
     }
 
-    /// Submit a finished transaction for group commit. Returns the actions
-    /// to execute: the new instance's protocol messages when a pipeline slot
-    /// is free, or a window re-poll timer when the member cannot board it.
-    pub fn submit(&mut self, now: SimTime, txn: Transaction) -> Vec<ClientAction> {
+    /// Submit a finished transaction for group commit. Returns the effects
+    /// to carry out: the new instance's protocol messages when a pipeline
+    /// slot is free, or a window re-poll timer when the member cannot board
+    /// it.
+    pub(crate) fn submit(&mut self, txn: Transaction) -> Vec<Effect> {
         debug_assert_eq!(
             txn.group, self.group,
             "transaction routed to wrong committer"
         );
-        let validated_through = txn.read_position;
-        self.window.push_back(PendingTxn {
-            txn,
-            promotions: 0,
-            enqueued_at: now,
-            validated_through,
-        });
-        let mut out = Vec::new();
-        self.open_slots(now, &mut out);
-        out
+        self.window.push_back(PendingTxn::new(txn, 0));
+        self.flush()
     }
 
     /// Open whatever free slots the waiting members can board now (into a
     /// speculative slot when instances are already in flight); outside the
     /// group's home, answer them all `Unavailable` instead.
-    pub fn flush(&mut self, now: SimTime) -> Vec<ClientAction> {
+    pub(crate) fn flush(&mut self) -> Vec<Effect> {
         let mut out = Vec::new();
-        self.open_slots(now, &mut out);
+        self.open_slots(&mut out);
         out
     }
 
     /// Arm the window re-poll for members left waiting beside a free slot.
     /// Members waiting behind a full pipeline need none: they board when
     /// the next slot completes.
-    fn ensure_window_timer(&mut self, out: &mut Vec<ClientAction>) {
+    fn ensure_window_timer(&mut self, out: &mut Vec<Effect>) {
         if self.window.is_empty() {
             self.window_tag = None;
             return;
@@ -395,20 +399,20 @@ impl GroupCommitter {
         self.next_tag += 1;
         let tag = self.next_tag;
         self.window_tag = Some(tag);
-        out.push(ClientAction::ArmTimer { delay: REPOLL, tag });
+        out.push(Effect::ArmTimer { delay: REPOLL, tag });
     }
 
     /// Open as many pipeline slots as the window, the depth and the
     /// speculation rules allow, each taking up to the cap of eligible
     /// members, then arm the re-poll for whoever could not board. A
     /// committer outside the group's home answers its whole window instead.
-    fn open_slots(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
+    fn open_slots(&mut self, out: &mut Vec<Effect>) {
         if !self.window.is_empty() && self.directory.group_home(self.group) != self.home_replica {
             // The home owns these members: a copy proposed here would race
             // the session's retry there and could commit twice.
             // `Unavailable` sends the session to the home.
             let unavailable = Some(AbortReason::Unavailable);
-            out.extend(self.window.drain(..).map(|p| p.settle(now, unavailable)));
+            out.extend(self.window.drain(..).map(|p| p.settle(unavailable)));
         }
         if !self.window.is_empty() && !self.taken_over_epoch(out) {
             // The members wait for the takeover; the re-poll looks again.
@@ -429,16 +433,13 @@ impl GroupCommitter {
             let speculative = !self.slots.is_empty();
             let position = match self.slots.last() {
                 Some(last) => last
-                    .position
                     .next()
                     .max(prefix.next())
                     .max(self.highest_opened.next()),
                 None => prefix.next(),
             };
             let pendings: Vec<PendingTxn> = self.window.drain(..).collect();
-            // Chosen members move into `txns` (the proposer owns them);
-            // only the Copy bookkeeping survives alongside.
-            let mut chosen_meta: Vec<(TxnId, SimTime)> = Vec::new();
+            // Chosen members move into `txns`: the proposer owns them.
             let mut promo_class: Option<u32> = None;
             let mut txns: Vec<Transaction> = Vec::new();
             let mut kept: VecDeque<PendingTxn> = VecDeque::new();
@@ -453,7 +454,7 @@ impl GroupCommitter {
                     if let Some(metrics) = &self.metrics {
                         metrics.lock().duplicate_suppressions += 1;
                     }
-                    out.push(pending.settle(now, None));
+                    out.push(pending.settle(None));
                     continue;
                 }
                 // Optimistic revalidation, incremental: entries decided
@@ -473,7 +474,7 @@ impl GroupCommitter {
                         if let Some(metrics) = &self.metrics {
                             metrics.lock().stale_member_aborts += 1;
                         }
-                        out.push(pending.settle(now, Some(AbortReason::Conflict)));
+                        out.push(pending.settle(Some(AbortReason::Conflict)));
                         continue;
                     }
                     pending.validated_through = prefix;
@@ -497,10 +498,9 @@ impl GroupCommitter {
                 let eligible = snapshot_below_slot
                     && (!speculative || pending.txn.reads().is_empty())
                     && same_class;
-                if eligible && chosen_meta.len() < cap {
+                if eligible && txns.len() < cap {
                     if can_append(&txns, &pending.txn) {
                         promo_class = Some(pending.promotions);
-                        chosen_meta.push((pending.txn.id, pending.enqueued_at));
                         txns.push(pending.txn);
                         continue;
                     }
@@ -520,7 +520,7 @@ impl GroupCommitter {
                     metrics.lock().batch_splits += 1;
                 }
             }
-            if chosen_meta.is_empty() {
+            if txns.is_empty() {
                 break;
             }
             let prior = promo_class.unwrap_or(0);
@@ -528,6 +528,7 @@ impl GroupCommitter {
                 .config
                 .proposer_config(self.directory.num_replicas())
                 .with_fast_resends(FAST_RESENDS);
+            let occupancy = txns.len() as u32;
             let proposer = Box::new(Proposer::new_batch_pipelined(
                 cfg,
                 self.group,
@@ -537,21 +538,15 @@ impl GroupCommitter {
                 prior,
                 speculative,
             ));
-            let occupancy = chosen_meta.len();
-            let enqueued = chosen_meta.into_iter().collect();
-            self.slots.push(Slot {
-                position,
-                started_at: now,
-                enqueued,
-            });
+            self.slots.push(position);
             self.highest_opened = self.highest_opened.max(position);
             let depth = self.slots.len() as u32;
             if let Some(metrics) = &self.metrics {
                 let mut metrics = metrics.lock();
-                metrics.window_occupancy.push(occupancy as u32);
+                metrics.window_occupancy.push(occupancy);
                 metrics.pipeline_depth.push(depth);
             }
-            self.drive(now, Input::Start(position, proposer), out);
+            self.drive(Input::Start(position, proposer), out);
         }
         self.ensure_window_timer(out);
     }
@@ -560,7 +555,7 @@ impl GroupCommitter {
     /// If not, start the epoch's takeover (ask every replica how far the
     /// group's positions were touched), or finish it once the prefix has
     /// reached its target.
-    fn taken_over_epoch(&mut self, out: &mut Vec<ClientAction>) -> bool {
+    fn taken_over_epoch(&mut self, out: &mut Vec<Effect>) -> bool {
         let epoch = self.directory.home_epoch(self.group);
         if epoch == self.taken_over {
             return true;
@@ -593,7 +588,7 @@ impl GroupCommitter {
 
     /// Send the takeover query to every replica that has not answered yet,
     /// and arm the patience after which the silent ones are asked again.
-    fn ask(&mut self, out: &mut Vec<ClientAction>) {
+    fn ask(&mut self, out: &mut Vec<Effect>) {
         let Some(takeover) = &mut self.takeover else {
             return;
         };
@@ -603,15 +598,12 @@ impl GroupCommitter {
                     group: self.group,
                     epoch: takeover.epoch,
                 };
-                out.push(ClientAction::Send(
-                    self.directory.service_node(replica),
-                    query,
-                ));
+                out.push(Effect::Send(self.directory.service_node(replica), query));
             }
         }
         self.next_tag += 1;
         takeover.tag = self.next_tag;
-        out.push(ClientAction::ArmTimer {
+        out.push(Effect::ArmTimer {
             delay: TAKEOVER_PATIENCE,
             tag: takeover.tag,
         });
@@ -645,33 +637,26 @@ impl GroupCommitter {
         Some(target)
     }
 
-    /// Feed an incoming message (commit-protocol replies) into the
-    /// committer; the carried position routes it to its pipeline slot.
-    pub fn on_message(&mut self, now: SimTime, from: NodeId, msg: &Msg) -> Vec<ClientAction> {
-        let Msg::Paxos(paxos_msg) = msg else {
-            return Vec::new();
-        };
+    /// Feed a replica's reply to a proposer into the committer; the carried
+    /// position routes it to its pipeline slot.
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: &PaxosMsg) -> Vec<Effect> {
         let mut out = Vec::new();
-        self.drive(
-            now,
-            Input::Reply(paxos_msg.position(), from, paxos_msg),
-            &mut out,
-        );
+        self.drive(Input::Reply(msg.position(), from, msg), &mut out);
         out
     }
 
     /// Feed a timer expiration (tag previously returned in
-    /// [`ClientAction::ArmTimer`]) into the committer.
-    pub fn on_timer(&mut self, now: SimTime, tag: u64) -> Vec<ClientAction> {
+    /// [`Effect::ArmTimer`]) into the committer.
+    pub(crate) fn on_timer(&mut self, tag: u64) -> Vec<Effect> {
         if self.window_tag == Some(tag) {
             self.window_tag = None;
-            return self.flush(now);
+            return self.flush();
         }
+        let mut out = Vec::new();
         let waiting = |t: &&Takeover| t.tag == tag && t.target.is_none();
         if let Some(takeover) = self.takeover.as_ref().filter(waiting) {
             // The patience of a takeover still short of a majority: ask the
             // silent replicas again, unless the home has moved on.
-            let mut out = Vec::new();
             if takeover.epoch == self.directory.home_epoch(self.group) {
                 self.ask(&mut out);
             } else {
@@ -679,15 +664,14 @@ impl GroupCommitter {
             }
             return out;
         }
-        let mut out = Vec::new();
-        self.drive(now, Input::Timer(tag), &mut out);
+        self.drive(Input::Timer(tag), &mut out);
         out
     }
 
     /// Feed the committer's proposer host (learned entries install at the
     /// home datacenter, timers use the committer's delay policy), then
     /// finish the slot it decided, if any.
-    fn drive(&mut self, now: SimTime, input: Input<'_, LogPosition>, out: &mut Vec<ClientAction>) {
+    fn drive(&mut self, input: Input<'_, LogPosition>, out: &mut Vec<Effect>) {
         let (config, rng) = (&self.config, &mut self.rng);
         let env = Env {
             directory: &self.directory,
@@ -697,76 +681,52 @@ impl GroupCommitter {
             claim: Claim::AtHome(self.node.0 as u64),
         };
         if let Some((position, outcome)) = self.proposers.drive(input, env, out) {
-            self.finish_slot(now, position, outcome, out);
+            self.finish_slot(position, outcome, out);
         }
     }
 
-    /// A slot's instance finished: report per-member fates, reschedule
+    /// A slot's instance finished: settle per-member fates, reschedule
     /// survivors at the pipeline tail (in order, ahead of newer
     /// submissions) and refill the pipeline.
     fn finish_slot(
         &mut self,
-        now: SimTime,
         position: LogPosition,
         outcome: CommitOutcome,
-        out: &mut Vec<ClientAction>,
+        out: &mut Vec<Effect>,
     ) {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| s.position == position)
+        let idx = (self.slots.iter())
+            .position(|&slot| slot == position)
             .expect("finished implies an in-flight slot");
-        let slot = self.slots.remove(idx);
-        // For a batched commit the submission *is* the commit request, so
-        // commit latency runs from `submit` — it includes any wait in the
-        // window behind a full pipeline, not just the protocol round trips
-        // of the final instance.
-        let latency_of = |id: &TxnId| {
-            slot.enqueued
-                .get(id)
-                .map(|t| now.since(*t))
-                .unwrap_or_else(|| now.since(slot.started_at))
+        self.slots.remove(idx);
+        let fate = Fate {
+            group: self.group,
+            promotions: outcome.promotions,
+            rounds: outcome.rounds,
+            ..Fate::default()
         };
         for id in &outcome.committed_txns {
-            out.push(ClientAction::Finished(TxnResult {
+            let committed = Fate {
                 committed: true,
-                read_only: false,
-                promotions: outcome.promotions,
                 combined: outcome.combined,
-                rounds: outcome.rounds,
-                latency: latency_of(id),
-                total_latency: latency_of(id),
-                abort_reason: None,
-                txn: Some(*id),
-            }));
+                ..fate
+            };
+            out.push(Effect::Settled(*id, committed));
         }
         for (id, reason) in &outcome.aborted_txns {
-            out.push(ClientAction::Finished(TxnResult {
-                committed: false,
-                read_only: false,
-                promotions: outcome.promotions,
-                combined: false,
-                rounds: outcome.rounds,
-                latency: latency_of(id),
-                total_latency: latency_of(id),
+            let aborted = Fate {
                 abort_reason: Some(*reason),
-                txn: Some(*id),
-            }));
+                ..fate
+            };
+            out.push(Effect::Settled(*id, aborted));
         }
+        // Survivors revalidate from scratch: the winner that displaced them
+        // was checked (`invalidates_reads_of`), but other positions may have
+        // decided since their original validation.
         for txn in outcome.survivors.into_iter().rev() {
-            let enqueued_at = slot.enqueued.get(&txn.id).copied().unwrap_or(now);
-            // Survivors revalidate from scratch: the winner that displaced
-            // them was checked (`invalidates_reads_of`), but other
-            // positions may have decided since their original validation.
-            let validated_through = txn.read_position;
-            self.window.push_front(PendingTxn {
-                txn,
-                promotions: outcome.promotions,
-                enqueued_at,
-                validated_through,
-            });
+            self.window
+                .push_front(PendingTxn::new(txn, outcome.promotions));
         }
-        self.open_slots(now, out);
+        self.open_slots(out);
     }
 }
 
@@ -774,8 +734,8 @@ impl GroupCommitter {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use paxos::{Ballot, PaxosMsg};
-    use walog::{ItemRef, LogEntry, TxnId};
+    use paxos::Ballot;
+    use walog::{ItemRef, LogEntry};
 
     fn harness_with(batch: BatchConfig) -> (Arc<Directory>, GroupCommitter) {
         let dir = Directory::new();
@@ -811,12 +771,12 @@ mod tests {
             .build()
     }
 
-    /// The accepts `actions` send, as `(to, position, ballot)`.
-    fn accepts(actions: &[ClientAction]) -> Vec<(NodeId, LogPosition, Ballot)> {
-        actions
+    /// The accepts `effects` send, as `(to, position, ballot)`.
+    fn accepts(effects: &[Effect]) -> Vec<(NodeId, LogPosition, Ballot)> {
+        effects
             .iter()
             .filter_map(|a| match a {
-                ClientAction::Send(
+                Effect::Send(
                     to,
                     Msg::Paxos(PaxosMsg::Accept {
                         position, ballot, ..
@@ -827,71 +787,72 @@ mod tests {
             .collect()
     }
 
-    /// The position and ballot of the first accept `actions` send.
-    fn accept_of(actions: &[ClientAction]) -> Option<(LogPosition, Ballot)> {
-        let (_, position, ballot) = *accepts(actions).first()?;
+    /// The position and ballot of the first accept `effects` send.
+    fn accept_of(effects: &[Effect]) -> Option<(LogPosition, Ballot)> {
+        let (_, position, ballot) = *accepts(effects).first()?;
         Some((position, ballot))
     }
 
-    /// Whether `actions` send any leader claim.
-    fn claims(actions: &[ClientAction]) -> bool {
-        actions.iter().any(|a| {
-            matches!(
-                a,
-                ClientAction::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { .. }))
-            )
-        })
+    /// Whether `effects` send any leader claim.
+    fn claims(effects: &[Effect]) -> bool {
+        effects
+            .iter()
+            .any(|a| matches!(a, Effect::Send(_, Msg::Paxos(PaxosMsg::LeaderClaim { .. }))))
     }
 
     /// Drive one slot's instance to completion against the single-replica
     /// harness: the slot claimed its position at home when it opened, so
-    /// `actions` already broadcast its accept; ack it.
-    fn complete_instance(
-        committer: &mut GroupCommitter,
-        now: SimTime,
-        actions: &[ClientAction],
-    ) -> Vec<ClientAction> {
-        let (position, ballot) = accept_of(actions).expect("accept broadcast");
-        committer.on_message(
-            now,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::AcceptReply {
-                group: GroupId(0),
-                position,
-                ballot,
-                accepted: true,
-            }),
-        )
+    /// `effects` already broadcast its accept; ack it.
+    fn complete_instance(committer: &mut GroupCommitter, effects: &[Effect]) -> Vec<Effect> {
+        let (position, ballot) = accept_of(effects).expect("accept broadcast");
+        committer.on_message(NodeId(0), &accepted(position, ballot))
     }
 
-    /// Collect `(seq, committed, abort_reason)` of every answered member.
-    fn fates(actions: &[ClientAction]) -> Vec<(u64, bool, Option<AbortReason>)> {
-        actions
+    /// The single replica's vote for `ballot` at `position`.
+    fn accepted(position: LogPosition, ballot: Ballot) -> PaxosMsg {
+        PaxosMsg::AcceptReply {
+            group: GroupId(0),
+            position,
+            ballot,
+            accepted: true,
+        }
+    }
+
+    /// The `(seq, fate)` of every settled member.
+    fn settled(effects: &[Effect]) -> Vec<(u64, Fate)> {
+        effects
             .iter()
-            .filter_map(|a| match a {
-                ClientAction::Finished(r) => Some((r.txn?.seq, r.committed, r.abort_reason)),
+            .filter_map(|e| match e {
+                Effect::Settled(id, fate) => Some((id.seq, *fate)),
                 _ => None,
             })
             .collect()
     }
 
-    /// The `(to, epoch)` of every takeover query `actions` send.
-    fn queries(actions: &[ClientAction]) -> Vec<(NodeId, u64)> {
-        actions
+    /// Collect `(seq, committed, abort_reason)` of every settled member.
+    fn fates(effects: &[Effect]) -> Vec<(u64, bool, Option<AbortReason>)> {
+        (settled(effects).into_iter())
+            .map(|(seq, fate)| (seq, fate.committed, fate.abort_reason))
+            .collect()
+    }
+
+    /// The `(to, epoch)` of every takeover query `effects` send.
+    fn queries(effects: &[Effect]) -> Vec<(NodeId, u64)> {
+        effects
             .iter()
             .filter_map(|a| match a {
-                ClientAction::Send(to, Msg::TakeoverQuery { epoch, .. }) => Some((*to, *epoch)),
+                Effect::Send(to, Msg::TakeoverQuery { epoch, .. }) => Some((*to, *epoch)),
                 _ => None,
             })
             .collect()
     }
 
-    /// Whether `actions` claim, prepare or accept any position.
-    fn proposes(actions: &[ClientAction]) -> bool {
-        actions.iter().any(|a| {
+    /// Whether `effects` claim, prepare or accept any position.
+    fn proposes(effects: &[Effect]) -> bool {
+        effects.iter().any(|a| {
             matches!(
                 a,
-                ClientAction::Send(
+                Effect::Send(
                     _,
                     Msg::Paxos(
                         PaxosMsg::LeaderClaim { .. }
@@ -912,8 +873,7 @@ mod tests {
                 .with_max_batch(3)
                 .with_pipeline_depth(1),
         );
-        let now = SimTime::ZERO;
-        let filler = committer.submit(now, txn(&dir, 4, "f", LogPosition::ZERO));
+        let filler = committer.submit(txn(&dir, 4, "f", LogPosition::ZERO));
         let adopted = txn(&dir, 1, "a", LogPosition::ZERO);
         let z = dir.symbols().item("row", "z");
         let reader = Transaction::builder(TxnId::new(5, 2), GroupId(0), LogPosition::ZERO)
@@ -921,10 +881,10 @@ mod tests {
             .write(dir.symbols().item("row", "c"), "v")
             .build();
         let blind = txn(&dir, 3, "b", LogPosition::ZERO);
-        committer.submit(now, adopted.clone());
-        committer.submit(now, reader);
-        committer.submit(now, blind);
-        complete_instance(&mut committer, now, &filler);
+        committer.submit(adopted.clone());
+        committer.submit(reader);
+        committer.submit(blind);
+        complete_instance(&mut committer, &filler);
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
         assert_eq!(committer.window.len(), 0);
         // The home adopted a peer's state covering position 2, where the
@@ -934,8 +894,8 @@ mod tests {
             LogPosition(2),
             Arc::new(LogEntry::single(adopted)),
         );
-        assert!(committer.abandon_through(now, LogPosition(1)).is_empty());
-        let actions = committer.abandon_through(now, LogPosition(2));
+        assert!(committer.abandon_through(LogPosition(1)).is_empty());
+        let actions = committer.abandon_through(LogPosition(2));
         assert_eq!(
             fates(&actions),
             [(2, false, Some(AbortReason::Conflict)), (1, true, None)]
@@ -948,7 +908,7 @@ mod tests {
     #[test]
     fn a_lone_submission_starts_its_instance_at_once() {
         let (dir, mut committer) = harness();
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         // A free slot takes the member now, on the fast path, instead of
         // holding it in the window for company.
         assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(1)));
@@ -984,7 +944,7 @@ mod tests {
     #[test]
     fn a_home_committer_claims_its_position_without_a_message() {
         let (dir, mut committer) = three_dc_harness();
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert!(!claims(&actions), "a leader claim was sent: {actions:?}");
         // The claim was granted at home in the same step: the instance's
         // first actions are its fast-round accept to every replica.
@@ -995,7 +955,7 @@ mod tests {
         // timer was superseded before it was armed.
         let timers = actions
             .iter()
-            .filter(|a| matches!(a, ClientAction::ArmTimer { .. }))
+            .filter(|a| matches!(a, Effect::ArmTimer { .. }))
             .count();
         assert_eq!(timers, 1, "{actions:?}");
         // The home recorded the claim: any other claimant is refused.
@@ -1022,7 +982,7 @@ mod tests {
         assert_eq!(dir.leader_replica(0, GroupId(0), LogPosition(2)), 2);
         // The committer still runs in the group's home and claims there,
         // without a message to datacenter 2 or to itself.
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition(1)));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition(1)));
         assert!(!claims(&actions), "a leader claim was sent: {actions:?}");
         let fast = Ballot::fast(0);
         let broadcast: Vec<_> = (0..3).map(|r| (NodeId(r), LogPosition(2), fast)).collect();
@@ -1042,12 +1002,12 @@ mod tests {
     #[test]
     fn a_slot_resends_its_fast_accept_to_the_replica_that_missed_it() {
         let (dir, mut committer) = three_dc_harness();
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         let (position, ballot) = accept_of(&actions).expect("accept broadcast");
         let tag = actions
             .iter()
             .find_map(|a| match a {
-                ClientAction::ArmTimer { delay, tag } => {
+                Effect::ArmTimer { delay, tag } => {
                     // A quarter of the message timeout.
                     assert_eq!(*delay, SimDuration::from_millis(500));
                     Some(*tag)
@@ -1055,21 +1015,14 @@ mod tests {
                 _ => None,
             })
             .expect("resend timer");
-        let ack = Msg::Paxos(PaxosMsg::AcceptReply {
-            group: GroupId(0),
-            position,
-            ballot,
-            accepted: true,
-        });
-        let now = SimTime::ZERO + SimDuration::from_millis(1);
-        committer.on_message(now, NodeId(0), &ack);
-        committer.on_message(now, NodeId(1), &ack);
+        let ack = accepted(position, ballot);
+        committer.on_message(NodeId(0), &ack);
+        committer.on_message(NodeId(1), &ack);
         // Datacenter 2 never answered: the resend goes to it alone.
-        let now = SimTime::ZERO + SimDuration::from_millis(500);
-        let actions = committer.on_timer(now, tag);
+        let actions = committer.on_timer(tag);
         assert_eq!(accepts(&actions), [(NodeId(2), position, ballot)]);
         // Its vote completes the fast round.
-        let actions = committer.on_message(now, NodeId(2), &ack);
+        let actions = committer.on_message(NodeId(2), &ack);
         assert_eq!(fates(&actions), [(1, true, None)]);
     }
 
@@ -1081,14 +1034,13 @@ mod tests {
                 .with_pipeline_depth(2),
         );
         let (mut committer, sink) = metered(committer);
-        let now = SimTime::ZERO;
-        let head = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
+        let head = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
+        committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
         assert_eq!(committer.slot_positions(), [LogPosition(1), LogPosition(2)]);
         // Both slots are in flight: arrivals pile up, and nothing re-polls
         // for them, since only a completion can free a slot.
         for (seq, attr) in [(3, "c"), (4, "d"), (5, "e")] {
-            let actions = committer.submit(now, txn(&dir, seq, attr, LogPosition::ZERO));
+            let actions = committer.submit(txn(&dir, seq, attr, LogPosition::ZERO));
             assert!(
                 actions.is_empty(),
                 "a full pipeline arms nothing: {actions:?}"
@@ -1097,11 +1049,11 @@ mod tests {
         assert_eq!(committer.window.len(), 3);
         // The head completes: the whole pile boards the freed slot as one
         // instance, above the one still in flight.
-        let actions = complete_instance(&mut committer, now, &head);
+        let actions = complete_instance(&mut committer, &head);
         assert_eq!(fates(&actions), [(1, true, None)]);
         assert_eq!(committer.window.len(), 0);
         assert_eq!(committer.slot_positions(), [LogPosition(2), LogPosition(3)]);
-        let done = complete_instance(&mut committer, now, &actions);
+        let done = complete_instance(&mut committer, &actions);
         assert_eq!(
             fates(&done),
             [(3, true, None), (4, true, None), (5, true, None)]
@@ -1116,17 +1068,16 @@ mod tests {
                 .with_max_batch(8)
                 .with_pipeline_depth(1),
         );
-        let now = SimTime::ZERO;
-        let head = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
-        committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
+        let head = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
+        committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
+        committer.submit(txn(&dir, 3, "c", LogPosition::ZERO));
         assert_eq!(committer.window.len(), 2);
         // The group's home moves to another replica while the window waits.
         dir.set_group_home(GroupId(0), 1);
         // The in-flight slot still decides; the window proposes nothing and
         // every waiting member is answered, so its session goes to the new
         // home.
-        let actions = complete_instance(&mut committer, now, &head);
+        let actions = complete_instance(&mut committer, &head);
         assert!(!proposes(&actions), "a demoted home proposed: {actions:?}");
         let unavailable = Some(AbortReason::Unavailable);
         assert_eq!(
@@ -1140,13 +1091,13 @@ mod tests {
         assert!(committer.slots.is_empty());
         assert_eq!(committer.window.len(), 0);
         // A late submission is answered the same way, at once.
-        let actions = committer.submit(now, txn(&dir, 4, "d", LogPosition(1)));
+        let actions = committer.submit(txn(&dir, 4, "d", LogPosition(1)));
         assert!(!proposes(&actions));
         assert_eq!(fates(&actions), [(4, false, unavailable)]);
         // Once the home returns, the committer first takes over: it asks
         // the replicas how far the group was touched, and proposes nothing.
         dir.set_group_home(GroupId(0), 0);
-        let actions = committer.submit(now, txn(&dir, 5, "e", LogPosition(1)));
+        let actions = committer.submit(txn(&dir, 5, "e", LogPosition(1)));
         assert!(
             !proposes(&actions),
             "proposed before the takeover: {actions:?}"
@@ -1156,48 +1107,42 @@ mod tests {
         // (depth 1) above it.
         let target = committer.on_takeover_reply(2, 0, LogPosition(1));
         assert_eq!(target, Some(LogPosition(2)));
-        assert!(!proposes(&committer.flush(now)));
+        assert!(!proposes(&committer.flush()));
         // Once its host has settled position 2, the committer proposes
         // above the target.
         dir.core(0)
             .lock()
             .install_entry(GroupId(0), LogPosition(2), Arc::new(LogEntry::noop()));
-        let actions = committer.flush(now);
+        let actions = committer.flush();
         assert_eq!(accept_of(&actions).map(|(p, _)| p), Some(LogPosition(3)));
     }
 
     #[test]
     fn a_new_home_asks_a_majority_and_waits_for_its_range_to_decide_before_it_proposes() {
         let (dir, mut committer) = three_dc_harness();
-        let now = SimTime::ZERO;
         // Setting the home it already has moves no epoch: the committer
         // proposes at once and asks nobody.
         dir.set_group_home(GroupId(0), 0);
-        let actions = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert!(queries(&actions).is_empty());
         let (position, ballot) = accept_of(&actions).expect("accept broadcast");
-        let ack = Msg::Paxos(PaxosMsg::AcceptReply {
-            group: GroupId(0),
-            position,
-            ballot,
-            accepted: true,
-        });
+        let ack = accepted(position, ballot);
         for replica in 0..3 {
-            committer.on_message(now, NodeId(replica), &ack);
+            committer.on_message(NodeId(replica), &ack);
         }
         assert!(committer.slots.is_empty());
         // The home moves away and back: epoch 2, which this committer has
         // not taken over. It asks every replica and proposes nothing.
         dir.set_group_home(GroupId(0), 1);
         dir.set_group_home(GroupId(0), 0);
-        let actions = committer.submit(now, txn(&dir, 2, "b", LogPosition(1)));
+        let actions = committer.submit(txn(&dir, 2, "b", LogPosition(1)));
         assert!(!proposes(&actions), "{actions:?}");
         let everyone: Vec<_> = (0..3).map(|r| (NodeId(r), 2)).collect();
         assert_eq!(queries(&actions), everyone);
         let patience = actions
             .iter()
             .find_map(|a| match a {
-                ClientAction::ArmTimer { delay, tag } if *delay == TAKEOVER_PATIENCE => Some(*tag),
+                Effect::ArmTimer { delay, tag } if *delay == TAKEOVER_PATIENCE => Some(*tag),
                 _ => None,
             })
             .expect("takeover patience timer");
@@ -1205,7 +1150,7 @@ mod tests {
         assert_eq!(committer.on_takeover_reply(2, 1, LogPosition(1)), None);
         assert_eq!(committer.on_takeover_reply(1, 2, LogPosition(9)), None);
         // The patience expires: only the silent replicas are asked again.
-        let actions = committer.on_timer(now + TAKEOVER_PATIENCE, patience);
+        let actions = committer.on_timer(patience);
         assert_eq!(queries(&actions), [(NodeId(0), 2), (NodeId(2), 2)]);
         // Replica 2 touched position 3: the target is a pipeline above it.
         let depth = BatchConfig::default().pipeline_depth as u64;
@@ -1218,15 +1163,15 @@ mod tests {
             let noop = Arc::new(LogEntry::noop());
             core.lock().install_entry(GroupId(0), LogPosition(p), noop);
         }
-        assert!(!proposes(&committer.flush(now)));
+        assert!(!proposes(&committer.flush()));
         let noop = Arc::new(LogEntry::noop());
         core.lock()
             .install_entry(GroupId(0), LogPosition(3 + depth), noop);
-        let actions = committer.flush(now);
+        let actions = committer.flush();
         let opened = accept_of(&actions).map(|(p, _)| p);
         assert_eq!(opened, Some(LogPosition(4 + depth)));
         // The epoch is taken over: later submissions ask nobody.
-        let actions = committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 3, "c", LogPosition::ZERO));
         assert!(queries(&actions).is_empty() && proposes(&actions));
     }
 
@@ -1239,7 +1184,7 @@ mod tests {
         let (dir, mut committer) = harness();
         dir.register_datacenter(NodeId(1), DatacenterCore::shared("dc1", 1));
         dir.set_group_home(GroupId(0), 1);
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert!(!proposes(&actions), "a committer outside the home proposed");
         assert_eq!(
             fates(&actions),
@@ -1254,8 +1199,8 @@ mod tests {
         // A member whose snapshot is ahead of the home's prefix cannot board
         // the free slot; the window timer polls again once catch-up lands.
         let (dir, mut committer) = harness();
-        let actions = committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition(1)));
-        let [ClientAction::ArmTimer { tag, .. }] = actions[..] else {
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition(1)));
+        let [Effect::ArmTimer { tag, .. }] = actions[..] else {
             panic!("expected only the window timer: {actions:?}");
         };
         assert!(committer.slots.is_empty());
@@ -1265,7 +1210,7 @@ mod tests {
             LogPosition(1),
             Arc::new(LogEntry::single(filler)),
         );
-        let actions = committer.on_timer(SimTime::from_micros(5_000), tag);
+        let actions = committer.on_timer(tag);
         assert!(proposes(&actions));
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
     }
@@ -1280,7 +1225,7 @@ mod tests {
                 .with_pipeline_depth(1),
         );
         let (mut committer, sink) = metered(committer);
-        let filler = committer.submit(SimTime::ZERO, txn(&dir, 3, "f", LogPosition::ZERO));
+        let filler = committer.submit(txn(&dir, 3, "f", LogPosition::ZERO));
         let item = dir.symbols().item("row", "a");
         let writer = Transaction::builder(TxnId::new(5, 1), GroupId(0), LogPosition::ZERO)
             .write(ItemRef::new(item.key, item.attr), "v")
@@ -1289,9 +1234,9 @@ mod tests {
             .read(ItemRef::new(item.key, item.attr), None)
             .write(dir.symbols().item("row", "b"), "w")
             .build();
-        committer.submit(SimTime::ZERO, writer);
-        committer.submit(SimTime::ZERO, reader);
-        complete_instance(&mut committer, SimTime::ZERO, &filler);
+        committer.submit(writer);
+        committer.submit(reader);
+        complete_instance(&mut committer, &filler);
         // The reader reads the writer's item: it must not ride in the same
         // entry, so it stays pending while the writer's instance runs.
         assert_eq!(committer.slot_positions(), [LogPosition(2)]);
@@ -1309,8 +1254,8 @@ mod tests {
         // already observed, so it waits in the window until the home's
         // prefix passes its read position.
         let (dir, mut committer) = harness();
-        committer.submit(SimTime::ZERO, txn(&dir, 1, "a", LogPosition(3)));
-        committer.submit(SimTime::ZERO, txn(&dir, 2, "b", LogPosition(3)));
+        committer.submit(txn(&dir, 1, "a", LogPosition(3)));
+        committer.submit(txn(&dir, 2, "b", LogPosition(3)));
         // Both tried to board the free slot, but position 1 sits at or
         // below both snapshots: nothing proposes, everything stays pending.
         assert!(committer.slots.is_empty());
@@ -1327,7 +1272,7 @@ mod tests {
                 Arc::new(LogEntry::single(filler)),
             );
         }
-        committer.flush(SimTime::from_micros(5_000));
+        committer.flush();
         assert!(
             !committer.slots.is_empty(),
             "prefix 3 unlocks the slot at 4"
@@ -1346,15 +1291,14 @@ mod tests {
                 .with_max_batch(2)
                 .with_pipeline_depth(1),
         );
-        let now = SimTime::ZERO;
-        let actions = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert!(!committer.slots.is_empty());
         for (i, attr) in ["b", "c", "d"].iter().enumerate() {
-            committer.submit(now, txn(&dir, 2 + i as u64, attr, LogPosition::ZERO));
+            committer.submit(txn(&dir, 2 + i as u64, attr, LogPosition::ZERO));
         }
         assert_eq!(committer.window.len(), 3);
 
-        let actions = complete_instance(&mut committer, now, &actions);
+        let actions = complete_instance(&mut committer, &actions);
         assert_eq!(fates(&actions), [(1, true, None)], "instance 1 commits t1");
         // Instance 2 took t2,t3 (the cap); t4 spilled back into the window.
         assert!(!committer.slots.is_empty());
@@ -1363,7 +1307,7 @@ mod tests {
             1,
             "the member past the cap must stay pending, not vanish"
         );
-        let done = complete_instance(&mut committer, now, &actions);
+        let done = complete_instance(&mut committer, &actions);
         assert_eq!(fates(&done), [(2, true, None), (3, true, None)]);
     }
 
@@ -1385,15 +1329,8 @@ mod tests {
             .write(dir.symbols().item("row", "b"), "w")
             .build();
         // The opening the submission triggers revalidates it.
-        let actions = committer.submit(SimTime::ZERO, stale);
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            ClientAction::Finished(TxnResult {
-                committed: false,
-                abort_reason: Some(AbortReason::Conflict),
-                ..
-            })
-        )));
+        let actions = committer.submit(stale);
+        assert_eq!(fates(&actions), [(1, false, Some(AbortReason::Conflict))]);
         assert!(committer.slots.is_empty());
         assert_eq!(sink.lock().stale_member_aborts, 1);
     }
@@ -1406,10 +1343,9 @@ mod tests {
                 .with_pipeline_depth(2),
         );
         let (mut committer, sink) = metered(committer);
-        let now = SimTime::ZERO;
-        committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
+        committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert_eq!(committer.slots.len(), 1);
-        let actions = committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
+        let actions = committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
         // The second submission opens instance p+1 while p is still in
         // flight.
         assert_eq!(committer.slots.len(), 2);
@@ -1432,15 +1368,14 @@ mod tests {
                 .with_max_batch(1)
                 .with_pipeline_depth(2),
         );
-        let now = SimTime::ZERO;
-        let a1 = committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        let a2 = committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
+        let a1 = committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
+        let a2 = committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
         assert_eq!(committer.slots.len(), 2);
         // Complete slot 2 (position 2) first.
-        let done2 = complete_instance(&mut committer, now, &a2);
+        let done2 = complete_instance(&mut committer, &a2);
         assert!(done2
             .iter()
-            .any(|a| matches!(a, ClientAction::Finished(r) if r.committed)));
+            .any(|a| matches!(a, Effect::Settled(_, fate) if fate.committed)));
         assert!(dir.core(0).lock().has_entry(GroupId(0), LogPosition(2)));
         assert_eq!(
             dir.core(0).lock().read_position(GroupId(0)),
@@ -1448,7 +1383,7 @@ mod tests {
             "position 2 must not apply before position 1 decides"
         );
         // Now complete slot 1; the prefix catches up through both.
-        complete_instance(&mut committer, now, &a1);
+        complete_instance(&mut committer, &a1);
         assert_eq!(dir.core(0).lock().read_position(GroupId(0)), LogPosition(2));
         assert!(committer.slots.is_empty());
     }
@@ -1463,12 +1398,11 @@ mod tests {
                 .with_max_batch(1)
                 .with_pipeline_depth(2),
         );
-        let now = SimTime::ZERO;
-        committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        let a2 = committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
-        complete_instance(&mut committer, now, &a2);
+        committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
+        let a2 = committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
+        complete_instance(&mut committer, &a2);
         assert_eq!(committer.slot_positions(), vec![LogPosition(1)]);
-        committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
+        committer.submit(txn(&dir, 3, "c", LogPosition::ZERO));
         assert_eq!(
             committer.slot_positions(),
             vec![LogPosition(1), LogPosition(3)],
@@ -1483,8 +1417,7 @@ mod tests {
                 .with_max_batch(1)
                 .with_pipeline_depth(3),
         );
-        let now = SimTime::ZERO;
-        committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
+        committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
         assert_eq!(committer.slots.len(), 1);
         // A member with reads must not board a speculative slot.
         let item = dir.symbols().item("row", "z");
@@ -1492,11 +1425,11 @@ mod tests {
             .read(ItemRef::new(item.key, item.attr), None)
             .write(dir.symbols().item("row", "y"), "w")
             .build();
-        committer.submit(now, reader);
+        committer.submit(reader);
         assert_eq!(committer.slots.len(), 1, "reader must not speculate");
         assert_eq!(committer.window.len(), 1);
         // A blind write may.
-        committer.submit(now, txn(&dir, 3, "c", LogPosition::ZERO));
+        committer.submit(txn(&dir, 3, "c", LogPosition::ZERO));
         assert_eq!(committer.slots.len(), 2);
         assert_eq!(committer.window.len(), 1, "the reader still waits");
     }
@@ -1513,27 +1446,26 @@ mod tests {
                 .with_max_batch(2)
                 .with_pipeline_depth(1),
         );
-        let now = SimTime::ZERO;
         let foreign = Transaction::builder(TxnId::new(9, 50), GroupId(0), LogPosition::ZERO)
             .write(dir.symbols().item("row", "f"), "theirs")
             .build();
         let foreign_entry = Arc::new(LogEntry::single(foreign));
         let foreign_ballot = Ballot::initial(9);
-        let filler = committer.submit(now, txn(&dir, 3, "x", LogPosition::ZERO));
-        committer.submit(now, txn(&dir, 1, "a", LogPosition::ZERO));
-        committer.submit(now, txn(&dir, 2, "b", LogPosition::ZERO));
+        let filler = committer.submit(txn(&dir, 3, "x", LogPosition::ZERO));
+        committer.submit(txn(&dir, 1, "a", LogPosition::ZERO));
+        committer.submit(txn(&dir, 2, "b", LogPosition::ZERO));
         // Another client claimed position 2 first, so the slot there is
         // denied the fast path and runs a full prepare.
         assert!(dir
             .core(0)
             .lock()
             .leader_claim(GroupId(0), LogPosition(2), 9));
-        let actions = complete_instance(&mut committer, now, &filler);
+        let actions = complete_instance(&mut committer, &filler);
         assert_eq!(committer.slot_positions(), vec![LogPosition(2)]);
         let (position, ballot) = actions
             .iter()
             .find_map(|a| match a {
-                ClientAction::Send(
+                Effect::Send(
                     _,
                     Msg::Paxos(PaxosMsg::Prepare {
                         position, ballot, ..
@@ -1544,22 +1476,21 @@ mod tests {
             .expect("prepare broadcast");
         // The only replica's vote carries the foreign value: a majority.
         let actions = committer.on_message(
-            now,
             NodeId(0),
-            &Msg::Paxos(PaxosMsg::PrepareReply {
+            &PaxosMsg::PrepareReply {
                 group: GroupId(0),
                 position,
                 ballot,
                 promised: true,
                 next_bal: None,
                 last_vote: Some((foreign_ballot, Arc::clone(&foreign_entry))),
-            }),
+            },
         );
         // The slot adopts the winner and pushes it through accept.
         let (position, ballot) = actions
             .iter()
             .find_map(|a| match a {
-                ClientAction::Send(
+                Effect::Send(
                     _,
                     Msg::Paxos(PaxosMsg::Accept {
                         position,
@@ -1571,36 +1502,24 @@ mod tests {
                 _ => None,
             })
             .expect("the lost slot must push the winning value through");
-        let actions = committer.on_message(
-            now,
-            NodeId(0),
-            &Msg::Paxos(PaxosMsg::AcceptReply {
-                group: GroupId(0),
-                position,
-                ballot,
-                accepted: true,
-            }),
-        );
+        let actions = committer.on_message(NodeId(0), &accepted(position, ballot));
         // The winner installed locally; survivors were rescheduled into a
         // fresh instance at position 3, nothing finished as committed yet.
         assert!(dir.core(0).lock().has_entry(GroupId(0), LogPosition(2)));
         assert!(!actions
             .iter()
-            .any(|a| matches!(a, ClientAction::Finished(r) if r.committed)));
+            .any(|a| matches!(a, Effect::Settled(_, fate) if fate.committed)));
         assert_eq!(committer.slot_positions(), vec![LogPosition(3)]);
         assert_eq!(committer.window.len(), 0);
         // Completing the new instance commits both members exactly once,
         // with the lost position counted as a promotion.
-        let done = complete_instance(&mut committer, now, &actions);
-        let commits: Vec<&TxnResult> = done
-            .iter()
-            .filter_map(|a| match a {
-                ClientAction::Finished(r) if r.committed => Some(r),
-                _ => None,
-            })
+        let done = complete_instance(&mut committer, &actions);
+        let commits: Vec<Fate> = (settled(&done).into_iter())
+            .map(|(_, fate)| fate)
+            .filter(|fate| fate.committed)
             .collect();
         assert_eq!(commits.len(), 2);
-        assert!(commits.iter().all(|r| r.promotions == 1));
+        assert!(commits.iter().all(|fate| fate.promotions == 1));
         assert!(committer.slots.is_empty());
         // The next instance carried both survivors, in their order.
         let entry = dir

@@ -65,7 +65,6 @@ impl<K> Learned<K> {
             combined: self.combined,
             rounds: u32::try_from(self.ballot.round).unwrap_or(u32::MAX),
             latency: SimDuration::ZERO,
-            total_latency: SimDuration::ZERO,
             abort_reason: None,
             txn: None,
         }

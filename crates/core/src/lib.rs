@@ -80,7 +80,7 @@ pub use paxos::{AbortReason, CommitProtocol, ProposerConfig};
 pub use service::TransactionService;
 pub use session::{
     apply_client_actions, ClientAction, ClientConfig, CommitRoute, Session, SessionError,
-    TxnHandle, TxnResult,
+    TxnHandle, TxnResult, BACKOFF_MAX,
 };
 pub use storage::{remove_scratch_dir, scratch_dir, DurableConfig, StorageConfig, StorageStats};
 pub use topology::{Region, Topology};

@@ -316,7 +316,6 @@ mod tests {
             combined: false,
             rounds: 1,
             latency: SimDuration::from_millis(latency_ms),
-            total_latency: SimDuration::from_millis(latency_ms),
             abort_reason: None,
             txn: None,
         }

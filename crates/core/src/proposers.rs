@@ -156,13 +156,13 @@ impl<K: Ord + Copy> Proposers<K> {
     }
 
     /// Feed one input to its instance and carry out what the instance asks
-    /// for. Sends and timers go to `out`; an instance that finished is
-    /// removed and returned with its outcome.
-    pub fn drive(
+    /// for. Sends and timers go to `out`, in the caller's own action type;
+    /// an instance that finished is removed and returned with its outcome.
+    pub fn drive<O: From<ClientAction>>(
         &mut self,
         input: Input<'_, K>,
         env: Env<'_>,
-        out: &mut Vec<ClientAction>,
+        out: &mut Vec<O>,
     ) -> Option<(K, CommitOutcome)> {
         let (key, group, actions) = match input {
             Input::Start(key, mut proposer) => {
@@ -199,13 +199,13 @@ impl<K: Ord + Copy> Proposers<K> {
     /// made in-process is answered at once, and the answer's actions run
     /// before the rest of the batch, which leaves the claim's reply timer
     /// superseded and unarmed.
-    pub fn apply(
+    pub fn apply<O: From<ClientAction>>(
         &mut self,
         key: K,
         group: GroupId,
         actions: Vec<ProposerAction>,
         env: Env<'_>,
-        out: &mut Vec<ClientAction>,
+        out: &mut Vec<O>,
     ) -> Option<(K, CommitOutcome)> {
         let mut finished = None;
         // Arming supersedes every earlier timer of the instance, so a timer
@@ -217,10 +217,8 @@ impl<K: Ord + Copy> Proposers<K> {
             match action {
                 ProposerAction::Broadcast(msg) => {
                     for replica in 0..env.directory.num_replicas() {
-                        out.push(ClientAction::Send(
-                            env.directory.service_node(replica),
-                            Msg::Paxos(msg.clone()),
-                        ));
+                        let to = env.directory.service_node(replica);
+                        out.push(ClientAction::Send(to, Msg::Paxos(msg.clone())).into());
                     }
                 }
                 ProposerAction::SendToLeader(msg) => {
@@ -254,17 +252,15 @@ impl<K: Ord + Copy> Proposers<K> {
                                 actions.push_front(action);
                             }
                         }
-                        Err(leader) => out.push(ClientAction::Send(
-                            env.directory.service_node(leader),
-                            Msg::Paxos(msg),
-                        )),
+                        Err(leader) => {
+                            let to = env.directory.service_node(leader);
+                            out.push(ClientAction::Send(to, Msg::Paxos(msg)).into());
+                        }
                     }
                 }
                 ProposerAction::Send(replica, msg) => {
-                    out.push(ClientAction::Send(
-                        env.directory.service_node(replica),
-                        Msg::Paxos(msg),
-                    ));
+                    let to = env.directory.service_node(replica);
+                    out.push(ClientAction::Send(to, Msg::Paxos(msg)).into());
                 }
                 ProposerAction::ArmTimer { token, .. } if token < armed => {}
                 ProposerAction::ArmTimer { token, kind } => {
@@ -273,7 +269,7 @@ impl<K: Ord + Copy> Proposers<K> {
                     *env.next_tag += 1;
                     let tag = *env.next_tag;
                     self.timers.insert(tag, (key, token));
-                    out.push(ClientAction::ArmTimer { delay, tag });
+                    out.push(ClientAction::ArmTimer { delay, tag }.into());
                 }
                 ProposerAction::Learned { position, entry } => {
                     env.directory

@@ -57,17 +57,17 @@ mod commit_table;
 mod held_acks;
 mod orphan_watch;
 
-pub use commit_table::{Admission, CommitTable};
+pub use commit_table::{Admission, CommitTable, Fate};
 pub use held_acks::{HeldAcks, Rearm, ACK_SYNC_LATENCY, DECIDED_FLUSH_DEADLINE};
 use orphan_watch::{FirstUndecided, OrphanWatch};
 
-use crate::batch::{BatchConfig, GroupCommitter};
+use crate::batch::{BatchConfig, Effect, GroupCommitter};
 use crate::datacenter::{DatacenterCore, GroupState, SharedCore};
 use crate::directory::Directory;
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
 use crate::proposers::{Claim, Env, Input, Proposers};
-use crate::session::{apply_client_actions, ClientAction, ClientConfig};
+use crate::session::{apply_client_actions, ClientConfig, GATHER_WINDOW};
 use parking_lot::Mutex;
 use paxos::{PaxosMsg, Proposer, ProposerConfig, TimerKind};
 use simnet::{Actor, Context, NodeId, SimDuration, SimTime, TimerId};
@@ -90,13 +90,16 @@ const FLUSH_TAG: u64 = u64::MAX - 1;
 /// two proposers' reply filters) could not tell their rounds apart.
 const RECOVERY_BALLOT_BIT: u64 = 1 << 40;
 
+/// Upper bound of a recovery instance's randomized backoff before it
+/// re-prepares, drawn from the simulation RNG.
+const RECOVERY_BACKOFF_MAX: SimDuration = SimDuration::from_millis(100);
+
 /// The per-datacenter Transaction Service actor.
 pub struct TransactionService {
     replica: usize,
     core: SharedCore,
     directory: Arc<Directory>,
     message_timeout: SimDuration,
-    backoff_max: SimDuration,
     /// Running recovery instances, by the `(group, position)` they learn.
     recovery: Proposers<(GroupId, LogPosition)>,
     next_tag: u64,
@@ -143,7 +146,6 @@ impl TransactionService {
             core,
             directory,
             message_timeout,
-            backoff_max: SimDuration::from_millis(100),
             recovery: Proposers::default(),
             next_tag: 0,
             commit_config,
@@ -468,8 +470,8 @@ impl TransactionService {
         self.recovery
             .retain(|&(g, position)| g != group || position > prefix);
         if let Some(committer) = self.committers.get_mut(&group) {
-            let actions = committer.abandon_through(ctx.now(), prefix);
-            self.apply_committer_actions(ctx, group, actions);
+            let effects = committer.abandon_through(prefix);
+            self.apply_committer_effects(ctx, group, effects);
         }
     }
 
@@ -479,19 +481,18 @@ impl TransactionService {
         let group = msg.group();
         let Some(committer) = self.committers.get_mut(&group) else {
             // No hosted committer for this group (e.g. a pure direct-route
-            // run): skip before cloning the reply.
+            // run).
             return;
         };
-        let wrapped = Msg::Paxos(msg.clone());
-        let actions = committer.on_message(ctx.now(), from, &wrapped);
-        self.apply_committer_actions(ctx, group, actions);
+        let effects = committer.on_message(from, msg);
+        self.apply_committer_effects(ctx, group, effects);
     }
 
     /// Fire a hosted committer's timer.
     fn fire_committer_timer(&mut self, ctx: &mut Context<Msg>, group: GroupId, tag: u64) {
         if let Some(committer) = self.committers.get_mut(&group) {
-            let actions = committer.on_timer(ctx.now(), tag);
-            self.apply_committer_actions(ctx, group, actions);
+            let effects = committer.on_timer(tag);
+            self.apply_committer_effects(ctx, group, effects);
         }
     }
 
@@ -540,7 +541,7 @@ impl TransactionService {
         let Some(target) = committer.on_takeover_reply(epoch, replica, highest) else {
             return;
         };
-        let held = committer.slot_positions();
+        let held = committer.slot_positions().to_vec();
         let prefix = self.core.lock().read_position(group);
         for position in (prefix.0 + 1..=target.0).map(LogPosition) {
             if !held.contains(&position) {
@@ -549,8 +550,8 @@ impl TransactionService {
         }
         // The prefix may be past the target already.
         if let Some(committer) = self.committers.get_mut(&group) {
-            let actions = committer.flush(ctx.now());
-            self.apply_committer_actions(ctx, group, actions);
+            let effects = committer.flush();
+            self.apply_committer_effects(ctx, group, effects);
         }
     }
 
@@ -582,31 +583,31 @@ impl TransactionService {
                 self.commit_metrics.clone(),
             )
         });
-        let actions = committer.submit(ctx.now(), txn);
-        self.apply_committer_actions(ctx, group, actions);
+        let effects = committer.submit(txn);
+        self.apply_committer_effects(ctx, group, effects);
     }
 
-    /// Execute a hosted committer's requested effects: wire sends go out as
+    /// Carry out a hosted committer's effects, in order: sends go out as
     /// this service's messages, timers are re-tagged into the service's tag
-    /// space, and per-member outcomes return to their requesters as
-    /// [`Msg::CommitReply`]s.
-    fn apply_committer_actions(
+    /// space, and each settled fate goes to the exactly-once table, which
+    /// answers the member's requester with a [`Msg::CommitReply`].
+    fn apply_committer_effects(
         &mut self,
         ctx: &mut Context<Msg>,
         group: GroupId,
-        actions: Vec<ClientAction>,
+        effects: Vec<Effect>,
     ) {
-        for action in actions {
-            match action {
-                ClientAction::Send(to, msg) => ctx.send(to, msg),
-                ClientAction::ArmTimer { delay, tag } => {
+        for effect in effects {
+            match effect {
+                Effect::Send(to, msg) => ctx.send(to, msg),
+                Effect::ArmTimer { delay, tag } => {
                     self.next_tag += 1;
                     let service_tag = self.next_tag;
                     self.committer_timers.insert(service_tag, (group, tag));
                     ctx.set_timer(delay, service_tag);
                 }
-                ClientAction::Finished(result) => {
-                    if let Some((requester, reply)) = self.commits.finished(group, &result) {
+                Effect::Settled(txn, fate) => {
+                    if let Some((requester, reply)) = self.commits.finished(txn, fate) {
                         ctx.send(requester, reply);
                     }
                 }
@@ -711,10 +712,11 @@ impl TransactionService {
 
     /// Feed the recovery instances' proposer host: learned entries install
     /// in this datacenter, and timers wait the message timeout, a backoff
-    /// drawn from the simulation RNG, or a fixed 50 ms gather window (a
-    /// recovery instance never runs a fast round, so it never re-sends).
+    /// drawn from the simulation RNG, or the fixed `GATHER_WINDOW` every
+    /// proposer shares (a recovery instance never runs a fast round, so it
+    /// never re-sends).
     fn drive_recovery(&mut self, ctx: &mut Context<Msg>, input: Input<'_, (GroupId, LogPosition)>) {
-        let (timeout, backoff_max) = (self.message_timeout, self.backoff_max);
+        let timeout = self.message_timeout;
         let mut out = Vec::new();
         let env = Env {
             directory: &self.directory,
@@ -722,8 +724,8 @@ impl TransactionService {
             next_tag: &mut self.next_tag,
             delay: &mut |kind| match kind {
                 TimerKind::ReplyTimeout | TimerKind::Resend => timeout,
-                TimerKind::Backoff => ctx.rand_backoff(backoff_max),
-                TimerKind::Gather => SimDuration::from_millis(50),
+                TimerKind::Backoff => ctx.rand_backoff(RECOVERY_BACKOFF_MAX),
+                TimerKind::Gather => GATHER_WINDOW,
             },
             claim: Claim::Never,
         };
@@ -781,13 +783,13 @@ impl Actor<Msg> for TransactionService {
         // Groups whose home migrated away during the outage: their windows
         // are answered `Unavailable`, so each waiting session re-sends to
         // the new home now instead of at its patience expiry.
-        let (now, directory, replica) = (ctx.now(), &self.directory, self.replica);
+        let (directory, replica) = (&self.directory, self.replica);
         let answered: Vec<_> = (self.committers.iter_mut())
             .filter(|(group, _)| directory.group_home(**group) != replica)
-            .map(|(group, committer)| (*group, committer.flush(now)))
+            .map(|(group, committer)| (*group, committer.flush()))
             .collect();
-        for (group, actions) in answered {
-            self.apply_committer_actions(ctx, group, actions);
+        for (group, effects) in answered {
+            self.apply_committer_effects(ctx, group, effects);
         }
         // Timers that fired during the outage were suppressed, which would
         // leave committer slots and recovery proposers wedged forever.
@@ -819,7 +821,7 @@ impl Actor<Msg> for TransactionService {
 mod tests {
     use super::*;
     use crate::datacenter::DatacenterCore;
-    use crate::session::{CommitRoute, Session, TxnResult};
+    use crate::session::{ClientAction, CommitRoute, Session, TxnResult};
     use paxos::{AbortReason, Ballot};
     use simnet::{NetworkConfig, Simulation};
     use std::sync::Arc as StdArc;
@@ -1678,6 +1680,53 @@ mod tests {
         let takeovers = (heard.iter()).filter(|(_, kind)| kind.starts_with("takeover_"));
         assert_eq!(takeovers.count(), 0);
         assert!(heard.iter().any(|(_, kind)| *kind == "commit_request"));
+    }
+
+    #[test]
+    fn a_committer_slot_outliving_a_crash_of_its_home_answers_its_member_once() {
+        // A blind write reaches the group's home while its only peer is
+        // down: the slot's fast round holds the home's vote and waits for
+        // the peer's. The home crashes before the slot's re-send timer is
+        // due, so the timer fires into the outage and is suppressed. Once
+        // both datacenters are back, only `on_recover` re-firing the tag
+        // through `committer_timers` re-sends the accept to the peer; the
+        // fast round completes and the member is answered, once.
+        let id = TxnId::new(9, 1);
+        let txn = Transaction::builder(id, GROUP, LogPosition(0))
+            .write(ItemRef::new(ROW, A), "v")
+            .build();
+        let request = Msg::CommitRequest { req_id: 1, txn };
+        let (mut sim, service_node, directory, received) = stalled_recovery_harness(vec![request]);
+        let peer = NodeId(service_node.0 + 1);
+        let replies = |received: &Inbox| {
+            (received.lock().iter())
+                .filter_map(|m| match m {
+                    Msg::CommitReply {
+                        req_id,
+                        txn,
+                        committed,
+                        ..
+                    } => Some((*req_id, *txn, *committed)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        sim.run_for(SimDuration::from_millis(100));
+        assert!(replies(&received).is_empty());
+        sim.crash_node(service_node);
+        sim.run_for(SimDuration::from_secs(10));
+        sim.recover_node(peer);
+        sim.recover_node(service_node);
+        // The re-fired re-send reaches the peer within a round trip, well
+        // before any reply timeout could have re-prepared the position.
+        sim.run_for(SimDuration::from_millis(100));
+        assert_eq!(replies(&received), [(1, id, true)]);
+        sim.run_for(SimDuration::from_secs(10));
+        assert_eq!(replies(&received), [(1, id, true)]);
+        let core = directory.core(0);
+        let core = core.lock();
+        let decided = core.log(GROUP).unwrap().get(LogPosition(1)).cloned();
+        assert_eq!(decided.expect("position 1 decided").txn_ids(), [id]);
     }
 
     #[test]

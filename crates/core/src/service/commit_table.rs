@@ -4,7 +4,6 @@
 
 use crate::metrics::RunMetrics;
 use crate::msg::Msg;
-use crate::session::TxnResult;
 use parking_lot::Mutex;
 use paxos::AbortReason;
 use simnet::NodeId;
@@ -12,31 +11,26 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use walog::{GroupId, TxnId};
 
-/// A member's outcome: everything its [`Msg::CommitReply`] carries but the
-/// request it answers.
-#[derive(Default)]
-struct Fate {
-    group: GroupId,
-    committed: bool,
-    promotions: u32,
-    combined: bool,
-    rounds: u32,
-    abort_reason: Option<AbortReason>,
+/// A member's outcome, as its group's committer settles it: everything its
+/// [`Msg::CommitReply`] carries but the request it answers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Fate {
+    /// The member's transaction group.
+    pub group: GroupId,
+    /// Whether the member committed.
+    pub committed: bool,
+    /// Positions the member lost before its fate was settled.
+    pub promotions: u32,
+    /// Whether it committed inside a combined log entry.
+    pub combined: bool,
+    /// Prepare/accept rounds of the instance that settled it (0 when no
+    /// instance did).
+    pub rounds: u32,
+    /// Why it aborted, when it did.
+    pub abort_reason: Option<AbortReason>,
 }
 
 impl Fate {
-    /// The fate a committer of `group` reported in `result`.
-    fn of(group: GroupId, result: &TxnResult) -> Fate {
-        Fate {
-            group,
-            committed: result.committed,
-            promotions: result.promotions,
-            combined: result.combined,
-            rounds: result.rounds,
-            abort_reason: result.abort_reason,
-        }
-    }
-
     /// The reply carrying this fate of `txn` to the request `req_id`.
     fn reply(&self, req_id: u64, txn: TxnId) -> Msg {
         Msg::CommitReply {
@@ -130,20 +124,18 @@ impl CommitTable {
         admission
     }
 
-    /// A committer of `group` finished `result`'s member: remember its
-    /// fate before answering, so a retry arriving after the reply was lost
-    /// gets the same outcome, and return the reply to the member's latest
+    /// A committer settled member `txn` with `fate`: remember the fate
+    /// before answering, so a retry arriving after the reply was lost gets
+    /// the same outcome, and return the reply to the member's latest
     /// requester, if one waits. `Unavailable` is not a fate — the member may
     /// still be undecided, and a retry must be allowed to re-drive it.
-    pub fn finished(&mut self, group: GroupId, result: &TxnResult) -> Option<(NodeId, Msg)> {
-        let id = result.txn?;
-        let fate = Fate::of(group, result);
+    pub fn finished(&mut self, txn: TxnId, fate: Fate) -> Option<(NodeId, Msg)> {
         let reply = self
             .requests
-            .remove(&id)
-            .map(|(requester, req_id)| (requester, fate.reply(req_id, id)));
-        if result.abort_reason != Some(AbortReason::Unavailable) {
-            self.fates.insert(id, fate);
+            .remove(&txn)
+            .map(|(requester, req_id)| (requester, fate.reply(req_id, txn)));
+        if fate.abort_reason != Some(AbortReason::Unavailable) {
+            self.fates.insert(txn, fate);
         }
         reply
     }

@@ -94,6 +94,16 @@ impl CommitRoute {
     }
 }
 
+/// Upper bound of a session's randomized backoff: before a direct commit
+/// re-prepares, and per earlier attempt before a submitted commit is sent
+/// again.
+pub const BACKOFF_MAX: SimDuration = SimDuration::from_millis(150);
+
+/// Extra window Paxos-CP waits for straggler prepare replies when votes are
+/// present (see `paxos::TimerKind::Gather`), for sessions, the group
+/// committers and the service's recovery instances alike.
+pub(crate) const GATHER_WINDOW: SimDuration = SimDuration::from_millis(50);
+
 /// Tuning knobs of a transaction session.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
@@ -109,11 +119,6 @@ pub struct ClientConfig {
     pub fast_path: bool,
     /// Reply timeout (the paper uses 2 s for loss detection).
     pub message_timeout: SimDuration,
-    /// Upper bound of the randomized backoff before re-preparing.
-    pub backoff_max: SimDuration,
-    /// Extra window Paxos-CP waits for straggler prepare replies when votes
-    /// are present (see `paxos::TimerKind::Gather`).
-    pub gather_window: SimDuration,
     /// How many times a submitted commit is automatically re-submitted
     /// (same transaction id, freshly resolved group home) after a patience
     /// expiry or an [`AbortReason::Unavailable`] reply before the session
@@ -136,8 +141,6 @@ impl ClientConfig {
             combination: false,
             fast_path: true,
             message_timeout: SimDuration::from_secs(2),
-            backoff_max: SimDuration::from_millis(150),
-            gather_window: SimDuration::from_millis(50),
             max_resubmissions: 5,
             patience: None,
         }
@@ -199,10 +202,10 @@ impl ClientConfig {
         match kind {
             TimerKind::ReplyTimeout => self.message_timeout,
             TimerKind::Backoff => {
-                let max = self.backoff_max.as_micros().max(1);
+                let max = BACKOFF_MAX.as_micros().max(1);
                 SimDuration::from_micros(rng.gen_range(0..max))
             }
-            TimerKind::Gather => self.gather_window,
+            TimerKind::Gather => GATHER_WINDOW,
             // Only a group committer's slots re-send (`batch::FAST_RESENDS`).
             // A quarter of the timeout outlasts an outage of a few hundred
             // milliseconds (the rolling-failure scenarios' crashes and
@@ -262,18 +265,16 @@ pub struct TxnResult {
     /// Prepare/accept rounds executed across all positions.
     pub rounds: u32,
     /// Commit-protocol latency: from the `commit` call to the commit/abort
-    /// decision (what Figures 4(b) and 5(b) plot). For batched commits this
-    /// runs from submission and includes the window wait.
+    /// decision (what Figures 4(b) and 5(b) plot), measured by the session.
+    /// A submitted commit's runs from the `commit` call to the reply, so it
+    /// includes any wait in the group committer's window; read-only
+    /// transactions report zero.
     pub latency: SimDuration,
-    /// End-to-end latency: from `begin` to the decision (includes the
-    /// application's own operation execution time).
-    pub total_latency: SimDuration,
     /// Abort reason when not committed.
     pub abort_reason: Option<AbortReason>,
     /// The id the transaction travelled the log under (`None` for
-    /// read-only transactions, which never enter the log). Lets embedding
-    /// layers — the Transaction Service routing committer outcomes back to
-    /// requesters, or drivers correlating results — identify the member.
+    /// read-only transactions, which never enter the log). Lets the
+    /// embedding actor correlate a result with the transaction it began.
     pub txn: Option<TxnId>,
 }
 
@@ -770,7 +771,6 @@ impl Session {
                 combined: false,
                 rounds: 0,
                 latency: SimDuration::ZERO,
-                total_latency: now.since(finished.began_at),
                 abort_reason: None,
                 txn: None,
             })]);
@@ -898,9 +898,7 @@ impl Session {
         self.patience.insert(tag, (handle, req_id));
         let mut delay = self.config.submit_patience();
         if attempts > 0 {
-            let backoff_cap = self
-                .config
-                .backoff_max
+            let backoff_cap = BACKOFF_MAX
                 .as_micros()
                 .saturating_mul(attempts as u64)
                 .max(1);
@@ -972,7 +970,6 @@ impl Session {
                     combined: *combined,
                     rounds: *rounds,
                     latency: SimDuration::ZERO,
-                    total_latency: SimDuration::ZERO,
                     abort_reason: *abort_reason,
                     txn: None,
                 };
@@ -1028,7 +1025,6 @@ impl Session {
         let commit_started = txn.commit_started_at.unwrap_or(txn.began_at);
         ClientAction::Finished(TxnResult {
             latency: now.since(commit_started),
-            total_latency: now.since(txn.began_at),
             txn: Some(id),
             ..fate
         })
@@ -1065,7 +1061,6 @@ impl Session {
             combined: false,
             rounds: 0,
             latency: SimDuration::ZERO,
-            total_latency: SimDuration::ZERO,
             abort_reason: Some(AbortReason::Unavailable),
             txn: None,
         };
@@ -1166,7 +1161,6 @@ impl Session {
             combined: outcome.combined,
             rounds: outcome.rounds,
             latency: now.since(commit_started),
-            total_latency: now.since(txn.began_at),
             abort_reason: outcome.abort_reason,
             txn: txn.id,
         }));
@@ -1276,7 +1270,6 @@ mod tests {
                 assert!(result.committed);
                 assert!(result.read_only);
                 assert_eq!(result.latency, SimDuration::ZERO);
-                assert_eq!(result.total_latency, SimDuration::from_micros(20));
                 assert_eq!(result.txn, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -1313,7 +1306,6 @@ mod tests {
                 assert!(r.committed);
                 assert!(r.read_only);
                 assert_eq!(r.txn, None);
-                assert_eq!(r.total_latency, SimDuration::from_micros(30));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -12,11 +12,11 @@
 //! * an id already in the log is never admitted;
 //! * the suppression count equals absorbed + replayed + in-log answers.
 
-use mdstore::service::{Admission, CommitTable};
-use mdstore::{AbortReason, Msg, RunMetrics, TxnResult};
+use mdstore::service::{Admission, CommitTable, Fate};
+use mdstore::{AbortReason, Msg, RunMetrics};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use simnet::{NodeId, SimDuration};
+use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use walog::{GroupId, TxnId};
@@ -38,16 +38,6 @@ enum Step {
     Fate { id: u64, fate: Fate },
 }
 
-/// What a committer reports for a member, and what its reply carries.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Fate {
-    committed: bool,
-    promotions: u32,
-    combined: bool,
-    rounds: u32,
-    abort_reason: Option<AbortReason>,
-}
-
 fn fate() -> impl Strategy<Value = Fate> {
     let reasons = [
         None,
@@ -58,6 +48,7 @@ fn fate() -> impl Strategy<Value = Fate> {
         move |(reason, promotions, combined, rounds)| {
             let abort_reason = reasons[reason];
             Fate {
+                group: GROUP,
                 committed: abort_reason.is_none(),
                 promotions,
                 combined: combined && abort_reason.is_none(),
@@ -111,6 +102,7 @@ proptest! {
         let mut remembered: BTreeMap<u64, Fate> = BTreeMap::new();
         let mut suppressed = 0u64;
         let in_log_fate = Fate {
+            group: GROUP,
             committed: true,
             promotions: 0,
             combined: false,
@@ -137,18 +129,7 @@ proptest! {
                     prop_assert_eq!(admission, expected, "{:?}", step);
                 }
                 Step::Fate { id, fate } => {
-                    let result = TxnResult {
-                        committed: fate.committed,
-                        read_only: false,
-                        promotions: fate.promotions,
-                        combined: fate.combined,
-                        rounds: fate.rounds,
-                        latency: SimDuration::from_millis(req_id),
-                        total_latency: SimDuration::from_millis(req_id),
-                        abort_reason: fate.abort_reason,
-                        txn: Some(txn(id)),
-                    };
-                    let answered = table.finished(GROUP, &result);
+                    let answered = table.finished(txn(id), fate);
                     // Answered once, to the latest requester: the model
                     // forgets the request with the answer.
                     let expected = in_flight

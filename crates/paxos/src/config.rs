@@ -25,6 +25,12 @@ impl CommitProtocol {
     }
 }
 
+/// A proposer gives up on the whole commit after this many prepare/accept
+/// rounds for a single position without a decision (a safety valve against
+/// pathological message loss, generous enough never to trigger in normal
+/// runs).
+pub const MAX_ROUNDS_PER_POSITION: u32 = 64;
+
 /// Configuration of a single commit attempt (one proposer run).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProposerConfig {
@@ -40,10 +46,6 @@ pub struct ProposerConfig {
     pub combination_enabled: bool,
     /// Whether the leader-per-position fast path is attempted.
     pub fast_path: bool,
-    /// Give up on the whole commit after this many prepare/accept rounds for
-    /// a single position without a decision (safety valve against pathological
-    /// message loss; generous enough to never trigger in normal runs).
-    pub max_rounds_per_position: u32,
     /// How many times an incomplete fast round re-sends its accept to the
     /// replicas that have not answered, one [`crate::TimerKind::Resend`]
     /// apart, before it waits out the reply timeout. A fast round needs
@@ -62,7 +64,6 @@ impl ProposerConfig {
             max_promotions: Some(0),
             combination_enabled: false,
             fast_path: true,
-            max_rounds_per_position: 64,
             fast_resends: 0,
         }
     }
@@ -76,7 +77,6 @@ impl ProposerConfig {
             max_promotions: None,
             combination_enabled: true,
             fast_path: true,
-            max_rounds_per_position: 64,
             fast_resends: 0,
         }
     }

@@ -33,7 +33,7 @@ mod selector;
 
 pub use acceptor::{AcceptorStore, PrepareOutcome};
 pub use ballot::Ballot;
-pub use config::{CommitProtocol, ProposerConfig};
+pub use config::{CommitProtocol, ProposerConfig, MAX_ROUNDS_PER_POSITION};
 pub use msg::{PaxosMsg, ReplicaId};
 pub use proposer::{
     quorum_for_ballot, AbortReason, CommitOutcome, Proposer, ProposerAction, ProposerEvent,

@@ -36,7 +36,7 @@
 //! [`mdstore` group committer]: ../../mdstore/batch/index.html
 
 use crate::ballot::Ballot;
-use crate::config::{CommitProtocol, ProposerConfig};
+use crate::config::{CommitProtocol, ProposerConfig, MAX_ROUNDS_PER_POSITION};
 use crate::msg::{PaxosMsg, ReplicaId};
 use crate::selector::{enhanced_find_winning_val_batch, find_winning_val, ValueChoice, Vote};
 use std::collections::BTreeMap;
@@ -629,7 +629,7 @@ impl Proposer {
     fn begin_prepare(&mut self, out: &mut Vec<ProposerAction>) {
         self.rounds_this_position += 1;
         self.total_rounds += 1;
-        if self.rounds_this_position > self.cfg.max_rounds_per_position {
+        if self.rounds_this_position > MAX_ROUNDS_PER_POSITION {
             self.finish_abort(AbortReason::RoundLimit, out);
             return;
         }

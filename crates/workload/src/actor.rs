@@ -607,7 +607,6 @@ impl LoadActor {
     fn record(&mut self, now_us: u64, entry: &InFlight, mut result: TxnResult) {
         if let Arrival::Open { .. } = self.arrival {
             result.latency = SimDuration::from_micros(now_us - entry.origin_us);
-            result.total_latency = result.latency;
         }
         {
             let mut metrics = self.sinks.metrics.lock();

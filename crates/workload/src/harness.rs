@@ -12,7 +12,7 @@ use crate::zipf::KeySampler;
 use mdstore::datacenter::SharedCore;
 use mdstore::{
     ChaosReplay, ClientConfig, Cluster, ClusterConfig, LatencyStats, MetricsHub, ParallelCluster,
-    ParallelClusterConfig, RunMetrics, ShardedCluster,
+    ParallelClusterConfig, RunMetrics, ShardedCluster, BACKOFF_MAX,
 };
 use parking_lot::Mutex;
 use simnet::{ChaosSchedule, NetStats, SimDuration};
@@ -204,7 +204,7 @@ fn load<R>(
 /// busy, plus two seconds of slack: the arrival's operations (each up to
 /// 1.5 × `op_delay` with jitter), then every attempt of its submitted
 /// commit, each waiting out its patience plus a back-off of up to
-/// `backoff_max` per attempt made before it — a session ends each such
+/// [`BACKOFF_MAX`] per attempt made before it — a session ends each such
 /// commit itself once its re-submission budget runs out — or a snapshot
 /// read queued for one patience and in flight for another. A direct commit
 /// has no patience; the slack covers it.
@@ -212,7 +212,7 @@ fn open_drain(spec: &LoadSpec, config: &ClientConfig) -> SimDuration {
     let ops = spec.mix.op_delay.as_micros() * spec.mix.ops_per_txn as u64 * 3 / 2;
     let attempts = u64::from(config.max_resubmissions) + 1;
     let patience = config.submit_patience().as_micros();
-    let backoffs = config.backoff_max.as_micros() * attempts * (attempts - 1) / 2;
+    let backoffs = BACKOFF_MAX.as_micros() * attempts * (attempts - 1) / 2;
     let commit = ops + patience * attempts + backoffs;
     SimDuration::from_micros(commit.max(2 * patience) + 2_000_000)
 }

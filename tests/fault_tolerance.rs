@@ -256,7 +256,6 @@ impl Actor<Msg> for BatchSubmitter {
                 combined,
                 rounds,
                 latency: SimDuration::ZERO,
-                total_latency: SimDuration::ZERO,
                 abort_reason,
                 txn: Some(txn),
             });

@@ -4,7 +4,7 @@
 use parking_lot::Mutex;
 use paxos_cp::mdstore::{
     apply_client_actions, AbortReason, ClientAction, Cluster, ClusterConfig, CommitProtocol, Msg,
-    Session, Topology, TxnResult,
+    Session, Topology, TxnResult, BACKOFF_MAX,
 };
 use paxos_cp::paxos::PaxosMsg;
 use paxos_cp::simnet::{Actor, Context, NodeId};
@@ -68,7 +68,7 @@ fn paxos_cp_direct_commits_never_back_off_at_a_position_their_home_log_holds() {
         assert_eq!(totals.direct_backoffs, 0, "seed {seed}");
         let slowest = totals.commit_latency().max_ms;
         assert!(
-            slowest < spec.client.backoff_max.as_millis_f64(),
+            slowest < BACKOFF_MAX.as_millis_f64(),
             "seed {seed}: a commit took {slowest} ms"
         );
     }
