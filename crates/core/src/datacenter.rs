@@ -94,22 +94,14 @@ pub struct DatacenterCore {
 
 /// One group's decided state as one datacenter holds it: what a datacenter
 /// that forgot a position ships to a lagging peer instead of a promise or
-/// a vote ([`crate::Msg::CatchUp`]), for the peer to adopt.
+/// a vote ([`crate::Msg::CatchUp`]), for the peer to adopt. It is the
+/// group's snapshot — captured and restored exactly as a snapshot file is
+/// saved and restored — plus the log tail the snapshot's base leaves.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GroupState {
-    /// The group.
-    pub group: GroupId,
-    /// The log base: everything at or below it lives only in `rows` and
-    /// `committed`.
-    pub base: LogPosition,
-    /// The applied gap-free prefix `rows` reflect.
-    pub prefix: LogPosition,
-    /// Every transaction id the group's decided entries carry.
-    pub committed: Vec<TxnId>,
-    /// Every retained version of the group's rows, by key then timestamp:
-    /// the oldest whole, each later one as the attributes it wrote
-    /// ([`MvKvStore::dump_versions`]), so merge-upsert replay rebuilds them.
-    pub rows: Vec<(Key, Vec<(Timestamp, Row)>)>,
+    /// Rows, committed ids, the applied prefix (`position`) and the log
+    /// base: everything at or below the base lives only here.
+    pub snapshot: GroupSnapshot,
     /// The retained log entries above the base.
     pub tail: Vec<(LogPosition, Arc<LogEntry>)>,
 }
@@ -444,9 +436,8 @@ impl DatacenterCore {
         let floor = self.gc_watermark(group).min(prefix);
         let current_base = self.logs.get(&group).map(|l| l.base()).unwrap_or_default();
         let new_base = LogPosition(floor.0.saturating_sub(1)).max(current_base);
-        let group_half = group.0 as u64;
-        let versions = self.store.dump_versions(|key| key.0 >> 32 == group_half);
-        let snap = self.build_snapshot(group, prefix, new_base, &versions);
+        let versions = self.group_versions(group);
+        let snap: GroupSnapshot<&str> = self.build_snapshot(group, prefix, new_base, &versions);
         let Some(storage) = &mut self.storage else {
             return;
         };
@@ -472,19 +463,26 @@ impl DatacenterCore {
         }
     }
 
-    /// Capture one group's durable state: the applied prefix, the log base
-    /// the restart will resume from, every committed transaction id, and
-    /// every retained store version of the group's rows — `versions`, the
-    /// store's dump of them (the oldest version of each key whole, later
-    /// ones as the attributes they wrote), whose values the snapshot
-    /// borrows.
-    fn build_snapshot<'a>(
+    /// Every retained store version of the group's rows: the oldest version
+    /// of each key whole, later ones as the attributes they wrote
+    /// ([`MvKvStore::dump_versions`]), so merge-upsert replay rebuilds them.
+    fn group_versions(&self, group: GroupId) -> Vec<(Key, Vec<(Timestamp, Row)>)> {
+        let group_half = group.0 as u64;
+        self.store.dump_versions(|key| key.0 >> 32 == group_half)
+    }
+
+    /// Capture one group's durable state — for a snapshot file or a
+    /// lagging peer — the applied prefix, the log base a restore resumes
+    /// from, every committed transaction id, and `versions`, the group's
+    /// [`DatacenterCore::group_versions`], whose values the snapshot
+    /// borrows (`V = &str`) or copies (`V = String`).
+    fn build_snapshot<'a, V: From<&'a str>>(
         &self,
         group: GroupId,
         prefix: LogPosition,
         log_base: LogPosition,
         versions: &'a [(Key, Vec<(Timestamp, Row)>)],
-    ) -> GroupSnapshot<&'a str> {
+    ) -> GroupSnapshot<V> {
         let committed: Vec<TxnId> = self
             .committed_ids
             .get(&group)
@@ -499,7 +497,9 @@ impl DatacenterCore {
                     .map(|(ts, row)| {
                         (
                             ts.0,
-                            row.iter().map(|(attr, value)| (attr.0, value)).collect(),
+                            row.iter()
+                                .map(|(attr, value)| (attr.0, V::from(value)))
+                                .collect(),
                         )
                     })
                     .collect(),
@@ -852,52 +852,37 @@ impl DatacenterCore {
     }
 
     /// This datacenter's decided state of `group`, for a lagging peer to
-    /// adopt: everything installed is synced (and so applied) first.
-    /// `None` when that sync fails.
+    /// adopt: everything installed is synced (and so applied) first, then
+    /// captured as a snapshot at the current log base. `None` when that
+    /// sync fails.
     pub(crate) fn group_state(&mut self, group: GroupId) -> Option<GroupState> {
         if !self.flush() {
             return None;
         }
-        let group_half = group.0 as u64;
         let log = self.logs.get(&group);
-        Some(GroupState {
-            group,
-            base: log.map(|l| l.base()).unwrap_or_default(),
-            prefix: self.read_position(group),
-            committed: self
-                .committed_ids
-                .get(&group)
-                .map(|ids| ids.iter().copied().collect())
-                .unwrap_or_default(),
-            rows: self.store.dump_versions(|key| key.0 >> 32 == group_half),
-            tail: log
-                .map(|l| l.iter().map(|(p, e)| (p, Arc::clone(e))).collect())
-                .unwrap_or_default(),
-        })
+        let base = log.map(|l| l.base()).unwrap_or_default();
+        let tail = log
+            .map(|l| l.iter().map(|(p, e)| (p, Arc::clone(e))).collect())
+            .unwrap_or_default();
+        let versions = self.group_versions(group);
+        let snapshot = self.build_snapshot(group, self.read_position(group), base, &versions);
+        Some(GroupState { snapshot, tail })
     }
 
     /// Adopt a peer's [`GroupState`] when it reaches past this datacenter's
-    /// gap-free prefix: its rows, committed ids and base as a restart
-    /// restores a snapshot, its log tail through the ordinary install path,
-    /// and then a snapshot of the result of our own, so a restart from disk
-    /// reproduces it. Returns whether the state was adopted.
+    /// gap-free prefix: its snapshot as a restart restores one, its log
+    /// tail through the ordinary install path, and then a snapshot of the
+    /// result of our own, so a restart from disk reproduces it. Returns
+    /// whether the state was adopted.
     pub(crate) fn adopt_group_state(&mut self, state: &GroupState) -> bool {
-        let group = state.group;
-        if state.prefix <= self.read_position(group) || !self.flush() {
+        let snap = &state.snapshot;
+        let group = snap.group;
+        if snap.position <= self.read_position(group) || !self.flush() {
             return false;
         }
-        self.committed_ids
-            .entry(group)
-            .or_default()
-            .extend(state.committed.iter().copied());
-        self.logs.entry(group).or_default().restore_base(state.base);
+        self.restore_snapshot(snap);
         self.leader_claims
-            .retain(|&(g, position), _| g != group || position > state.base);
-        for (key, versions) in &state.rows {
-            for (ts, row) in versions {
-                self.store.apply_idempotent(*key, row.clone(), *ts);
-            }
-        }
+            .retain(|&(g, position), _| g != group || position > snap.log_base);
         for (position, entry) in &state.tail {
             self.install_entry(group, *position, Arc::clone(entry));
         }
@@ -1526,8 +1511,8 @@ mod tests {
         let (mut lagging, lagging_cfg) = durable_core("core-adopt", 4);
         lagging.install_entry(GROUP, LogPosition(1), write_entry(0, 1, 0, A, "v1"));
         let state = donor.group_state(GROUP).unwrap();
-        assert_eq!(state.base, base);
-        assert_eq!(state.prefix, LogPosition(10));
+        assert_eq!(state.snapshot.log_base, base);
+        assert_eq!(state.snapshot.position, LogPosition(10));
         assert!(lagging.adopt_group_state(&state));
         assert!(
             !lagging.adopt_group_state(&state),

@@ -111,8 +111,10 @@ pub enum Msg {
     /// A datacenter's answer to a prepare or accept at a position it
     /// forgot — at or below the snapshot base its last restart restored —
     /// sent to the service of the requester's datacenter instead of a
-    /// promise or a vote: its decided state of the group, for the lagging
-    /// service to adopt.
+    /// promise or a vote: its decided state of the group — the group's
+    /// snapshot plus its retained log tail, built and adopted exactly as a
+    /// snapshot file is saved and restored — for the lagging service to
+    /// adopt.
     CatchUp(Arc<GroupState>),
     /// A new group home's committer asks each replica's service how far
     /// the group's log positions were touched, before it proposes

@@ -459,7 +459,7 @@ impl TransactionService {
     /// Adopt a peer's group state that reaches past the local prefix: the
     /// recovery instances and committer slots it covers are done.
     fn adopt(&mut self, ctx: &mut Context<Msg>, state: &GroupState) {
-        let group = state.group;
+        let group = state.snapshot.group;
         let prefix = {
             let mut core = self.core.lock();
             if !core.adopt_group_state(state) {

@@ -539,33 +539,8 @@ impl Session {
     /// it so version GC keeps every version the transaction's reads can
     /// need until the commit decision.
     pub fn begin_id(&mut self, now: SimTime, group: GroupId) -> TxnHandle {
-        let read_position = {
-            let core = self.home_core(group);
-            let mut core = core.lock();
-            let read_position = core.read_position(group);
-            core.begin_read_lease(group, read_position);
-            read_position
-        };
         self.next_handle += 1;
-        let handle = self.next_handle;
-        self.open.insert(
-            handle,
-            OpenTxn {
-                group,
-                read_position,
-                lease_replica: self.home_replica,
-                reads: Vec::new(),
-                writes: Vec::new(),
-                write_index: BTreeMap::new(),
-                began_at: now,
-                commit_started_at: None,
-                id: None,
-                submit_attempts: 0,
-                snapshot: false,
-                phase: Phase::Executing,
-            },
-        );
-        TxnHandle(handle)
+        self.open_txn(self.next_handle, now, group, self.home_replica, false)
     }
 
     /// Open a **read-only snapshot transaction** on the named group,
@@ -601,8 +576,21 @@ impl Session {
         let directory = self.replicas.of(group);
         let serving =
             directory.snapshot_replica(group, self.home_replica, handle, directory.num_replicas());
+        self.open_txn(handle, now, group, serving, true)
+    }
+
+    /// Register open transaction `handle` on `group`, reading at `replica`'s
+    /// latest gap-free log position and leasing it there.
+    fn open_txn(
+        &mut self,
+        handle: u64,
+        now: SimTime,
+        group: GroupId,
+        replica: usize,
+        snapshot: bool,
+    ) -> TxnHandle {
         let read_position = {
-            let core = directory.core(serving);
+            let core = self.replicas.of(group).core(replica);
             let mut core = core.lock();
             let read_position = core.read_position(group);
             core.begin_read_lease(group, read_position);
@@ -613,7 +601,7 @@ impl Session {
             OpenTxn {
                 group,
                 read_position,
-                lease_replica: serving,
+                lease_replica: replica,
                 reads: Vec::new(),
                 writes: Vec::new(),
                 write_index: BTreeMap::new(),
@@ -621,7 +609,7 @@ impl Session {
                 commit_started_at: None,
                 id: None,
                 submit_attempts: 0,
-                snapshot: true,
+                snapshot,
                 phase: Phase::Executing,
             },
         );

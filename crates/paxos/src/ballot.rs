@@ -41,16 +41,6 @@ impl Ballot {
     pub fn is_fast(self) -> bool {
         self.round == 0
     }
-
-    /// Decode the write-ahead log's `round:proposer` ballot text; `None`
-    /// for malformed input.
-    pub fn decode(s: &str) -> Option<Ballot> {
-        let (round, proposer) = s.split_once(':')?;
-        Some(Ballot {
-            round: round.parse().ok()?,
-            proposer: proposer.parse().ok()?,
-        })
-    }
 }
 
 impl fmt::Display for Ballot {
@@ -101,17 +91,6 @@ mod tests {
         assert_eq!(next.proposer, 7);
         let next2 = mine.advance_past(None);
         assert_eq!(next2.round, 3);
-    }
-
-    #[test]
-    fn decode_reads_round_then_proposer() {
-        let b = Ballot {
-            round: 42,
-            proposer: 17,
-        };
-        assert_eq!(Ballot::decode("42:17"), Some(b));
-        assert_eq!(Ballot::decode("garbage"), None);
-        assert_eq!(Ballot::decode("1:x"), None);
     }
 
     #[test]

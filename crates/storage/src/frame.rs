@@ -11,9 +11,14 @@
 //! from eight tables derived at compile time (no external crc crate). A
 //! reader walks frames front to back; the first frame whose header is
 //! incomplete, whose payload is shorter than its declared length, or whose
-//! checksum mismatches terminates the scan as [`FrameRead::Torn`]. That single rule is what makes a crash mid-append
-//! recoverable: everything before the torn frame is intact by checksum,
-//! everything at and after it is discarded.
+//! checksum mismatches terminates the scan as [`FrameRead::Torn`]. That
+//! single rule is what makes a crash mid-append recoverable: everything
+//! before the torn frame is intact by checksum, everything at and after it
+//! is discarded.
+//!
+//! A frame does not interpret its payload. Both payloads — WAL records and
+//! snapshots — are text in the [`walog::codec`] token format, encoded
+//! straight into the frame between `begin_frame` and `finish_frame`.
 
 /// Bytes of frame header preceding each payload.
 pub const FRAME_HEADER: usize = 8;
@@ -99,23 +104,6 @@ pub(crate) fn finish_frame(out: &mut [u8], frame: usize) {
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// Push `n` in ASCII decimal — the integer token of both payload codecs —
-/// without a `String` per number.
-pub(crate) fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
-    // u64::MAX has 20 decimal digits.
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[start..]);
-}
-
 /// Outcome of reading the frame starting at a byte offset.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameRead<'a> {
@@ -161,6 +149,7 @@ pub fn read_frame(data: &[u8], at: usize) -> FrameRead<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use walog::codec::TokenWriter;
 
     fn frames(data: &[u8]) -> (Vec<Vec<u8>>, bool) {
         let mut out = Vec::new();
@@ -231,11 +220,9 @@ mod tests {
         append_frame(&mut copied, b"7 18446744073709551615 0");
         let mut in_place = vec![0xEE];
         let frame = begin_frame(&mut in_place);
-        push_decimal(&mut in_place, 7);
-        in_place.push(b' ');
-        push_decimal(&mut in_place, u64::MAX);
-        in_place.push(b' ');
-        push_decimal(&mut in_place, 0);
+        in_place.decimal(7);
+        in_place.num(u64::MAX);
+        in_place.num(0);
         finish_frame(&mut in_place, frame);
         assert_eq!(in_place, copied);
     }

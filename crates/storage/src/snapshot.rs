@@ -6,7 +6,12 @@
 //! in force when it was written (restart must restore the same floor so a
 //! recovered replica's retained log matches the pre-crash one), the set of
 //! committed transaction ids, and every live MVCC version of the group's
-//! application rows.
+//! application rows. The same shape is what a datacenter ships a lagging
+//! peer that needs positions it truncated: the peer restores it exactly as
+//! a restart restores the file.
+//!
+//! The payload is [`walog::codec`] text: `GS1`, then the fields above as
+//! decimals, and each attribute value as a `len:bytes` string.
 //!
 //! Files are written atomically — encode into one CRC-framed buffer, write
 //! to a `.tmp` sibling, `fsync`, `rename` — so a crash mid-snapshot leaves
@@ -14,9 +19,10 @@
 //! always the newest: snapshots are cumulative, not incremental.
 
 use crate::fault::StorageError;
-use crate::frame::{begin_frame, finish_frame, push_decimal, read_frame, FrameRead};
+use crate::frame::{begin_frame, finish_frame, read_frame, FrameRead};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use walog::codec::{Reader, TokenWriter};
 use walog::{GroupId, LogPosition, TxnId};
 
 /// One MVCC key with every version retained at snapshot time. Values are
@@ -49,38 +55,34 @@ pub struct GroupSnapshot<V = String> {
 }
 
 impl<V: AsRef<str>> GroupSnapshot<V> {
-    /// Encode as an ASCII payload (numbers space-separated, strings
-    /// length-prefixed `len:bytes`, mirroring the `walog` entry codec).
+    /// Encode as the file's payload, in the [`walog::codec`] token format.
     pub fn encode(&self) -> String {
-        let mut out = Vec::new();
+        let mut out = String::new();
         self.encode_into(&mut out);
-        String::from_utf8(out).expect("digits, separators and `str` values are UTF-8")
+        out
     }
 
     /// [`GroupSnapshot::encode`] straight into `out` (the file's frame).
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"GS1");
-        push_num(out, self.group.0 as u64);
-        push_num(out, self.position.0);
-        push_num(out, self.log_base.0);
-        push_num(out, self.committed.len() as u64);
+    fn encode_into(&self, out: &mut impl TokenWriter) {
+        out.raw("GS1");
+        out.num(u64::from(self.group.0));
+        out.num(self.position.0);
+        out.num(self.log_base.0);
+        out.num(self.committed.len() as u64);
         for id in &self.committed {
-            push_num(out, id.client as u64);
-            push_num(out, id.seq);
+            out.num(u64::from(id.client));
+            out.num(id.seq);
         }
-        push_num(out, self.rows.len() as u64);
+        out.num(self.rows.len() as u64);
         for row in &self.rows {
-            push_num(out, row.key);
-            push_num(out, row.versions.len() as u64);
+            out.num(row.key);
+            out.num(row.versions.len() as u64);
             for (ts, attrs) in &row.versions {
-                push_num(out, *ts);
-                push_num(out, attrs.len() as u64);
+                out.num(*ts);
+                out.num(attrs.len() as u64);
                 for (attr, value) in attrs {
-                    let value = value.as_ref();
-                    push_num(out, *attr as u64);
-                    push_num(out, value.len() as u64);
-                    out.push(b':');
-                    out.extend_from_slice(value.as_bytes());
+                    out.num(u64::from(*attr));
+                    out.string(value.as_ref());
                 }
             }
         }
@@ -90,37 +92,34 @@ impl<V: AsRef<str>> GroupSnapshot<V> {
 impl GroupSnapshot {
     /// Decode; `None` for malformed input.
     pub fn decode(input: &str) -> Option<GroupSnapshot> {
-        let rest = input.strip_prefix("GS1")?;
-        let mut cur = Cursor(rest);
-        let group = GroupId(cur.num()? as u32);
-        let position = LogPosition(cur.num()?);
-        let log_base = LogPosition(cur.num()?);
-        let ncommitted = cur.num()?;
-        let mut committed = Vec::with_capacity(ncommitted as usize);
+        let mut r = Reader::new(input);
+        r.tag("GS1")?;
+        let group = GroupId(r.id()?);
+        let position = LogPosition(r.num()?);
+        let log_base = LogPosition(r.num()?);
+        let ncommitted = r.count()?;
+        let mut committed = Vec::with_capacity(ncommitted);
         for _ in 0..ncommitted {
-            let client = cur.num()? as u32;
-            let seq = cur.num()?;
-            committed.push(TxnId::new(client, seq));
+            committed.push(TxnId::new(r.id()?, r.num()?));
         }
-        let nrows = cur.num()?;
-        let mut rows = Vec::with_capacity(nrows as usize);
+        let nrows = r.count()?;
+        let mut rows = Vec::with_capacity(nrows);
         for _ in 0..nrows {
-            let key = cur.num()?;
-            let nvers = cur.num()?;
-            let mut versions = Vec::with_capacity(nvers as usize);
-            for _ in 0..nvers {
-                let ts = cur.num()?;
-                let nattrs = cur.num()?;
-                let mut attrs = Vec::with_capacity(nattrs as usize);
+            let key = r.num()?;
+            let nversions = r.count()?;
+            let mut versions = Vec::with_capacity(nversions);
+            for _ in 0..nversions {
+                let ts = r.num()?;
+                let nattrs = r.count()?;
+                let mut attrs = Vec::with_capacity(nattrs);
                 for _ in 0..nattrs {
-                    let attr = cur.num()? as u32;
-                    let value = cur.str()?;
-                    attrs.push((attr, value.to_string()));
+                    attrs.push((r.id()?, r.string()?.to_string()));
                 }
                 versions.push((ts, attrs));
             }
             rows.push(SnapshotRow { key, versions });
         }
+        r.end()?;
         Some(GroupSnapshot {
             group,
             position,
@@ -128,35 +127,6 @@ impl GroupSnapshot {
             committed,
             rows,
         })
-    }
-}
-
-fn push_num(out: &mut Vec<u8>, n: u64) {
-    out.push(b' ');
-    push_decimal(out, n);
-}
-
-struct Cursor<'a>(&'a str);
-
-impl<'a> Cursor<'a> {
-    fn num(&mut self) -> Option<u64> {
-        let s = self.0.strip_prefix(' ')?;
-        let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-        if end == 0 {
-            return None;
-        }
-        let n = s[..end].parse().ok()?;
-        self.0 = &s[end..];
-        Some(n)
-    }
-
-    fn str(&mut self) -> Option<&'a str> {
-        let s = self.0.strip_prefix(' ')?;
-        let (len, rest) = s.split_once(':')?;
-        let len: usize = len.parse().ok()?;
-        let bytes = rest.get(..len)?;
-        self.0 = &rest[len..];
-        Some(bytes)
     }
 }
 

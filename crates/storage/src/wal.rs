@@ -11,6 +11,11 @@
 //! * [`WalRecord::Decided`] — a decided log entry was installed locally
 //!   (durable before the entry applies; no acknowledgement waits for it).
 //!
+//! A record's payload is [`walog::codec`] text: the kind's letter, group
+//! and position, the ballot as `round:proposer` (`P 2 9 4:3`), and for a
+//! vote or a decision the entry's own [`LogEntry::encode`] as a
+//! `len:bytes` string.
+//!
 //! Appends buffer in memory; [`Wal::sync`] writes the whole buffer with one
 //! `write` + `fdatasync` pair, so one sync covers every buffered record.
 //! Persist-before-ack syncs each promise and vote on the message's critical
@@ -45,12 +50,13 @@
 //! the segment's highest recorded position for that group.
 
 use crate::fault::{FaultPlan, StorageError};
-use crate::frame::{begin_frame, finish_frame, push_decimal, read_frame, FrameRead};
+use crate::frame::{begin_frame, finish_frame, read_frame, FrameRead};
 use paxos::Ballot;
 use std::collections::BTreeMap;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use walog::codec::{Reader, TokenWriter};
 use walog::{GroupId, LogEntry, LogPosition};
 
 /// One durable acceptor event.
@@ -106,9 +112,9 @@ impl WalRecord {
         }
     }
 
-    /// Encode as the frame payload: an ASCII record reusing the
-    /// [`LogEntry`] codec for values and writing ballots as the
-    /// `round:proposer` text [`Ballot::decode`] reads.
+    /// Encode as the frame payload, in the [`walog::codec`] token format:
+    /// the kind's letter, group and position, the ballot as
+    /// `round:proposer`, and the entry's own encoding as a string.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -118,105 +124,59 @@ impl WalRecord {
     /// [`WalRecord::encode`] straight into `out` (the WAL's sync buffer).
     fn encode_into(&self, out: &mut Vec<u8>) {
         let (tag, ballot, entry) = match self {
-            WalRecord::Promise { ballot, .. } => (b'P', Some(ballot), None),
-            WalRecord::Vote { ballot, entry, .. } => (b'V', Some(ballot), Some(entry)),
-            WalRecord::Decided { entry, .. } => (b'D', None, Some(entry)),
+            WalRecord::Promise { ballot, .. } => ("P", Some(ballot), None),
+            WalRecord::Vote { ballot, entry, .. } => ("V", Some(ballot), Some(entry)),
+            WalRecord::Decided { entry, .. } => ("D", None, Some(entry)),
         };
-        out.push(tag);
-        out.push(b' ');
-        push_decimal(out, self.group().0 as u64);
-        out.push(b' ');
-        push_decimal(out, self.position().0);
+        out.raw(tag);
+        out.num(u64::from(self.group().0));
+        out.num(self.position().0);
         if let Some(ballot) = ballot {
-            // `round:proposer`, as `Ballot::decode` reads it back.
-            out.push(b' ');
-            push_decimal(out, ballot.round);
-            out.push(b':');
-            push_decimal(out, ballot.proposer);
+            out.num(ballot.round);
+            out.raw(":");
+            out.decimal(ballot.proposer);
         }
         if let Some(entry) = entry {
-            let encoded = entry.encode();
-            out.push(b' ');
-            push_decimal(out, encoded.len() as u64);
-            out.push(b':');
-            out.extend_from_slice(encoded.as_bytes());
+            out.string(&entry.encode());
         }
     }
 
     /// Decode a frame payload; `None` for malformed input.
     pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let (tag, rest) = text.split_once(' ')?;
-        let mut cur = Cursor(rest);
-        let group = GroupId(cur.num()? as u32);
-        let position = LogPosition(cur.num()?);
-        match tag {
-            "P" => {
-                let ballot = Ballot::decode(cur.rest())?;
-                Some(WalRecord::Promise {
-                    group,
-                    position,
-                    ballot,
-                })
-            }
-            "V" => {
-                let ballot = Ballot::decode(cur.word()?)?;
-                let entry = LogEntry::decode(cur.sized()?)?;
-                Some(WalRecord::Vote {
-                    group,
-                    position,
-                    ballot,
-                    entry: Arc::new(entry),
-                })
-            }
-            "D" => {
-                let entry = LogEntry::decode(cur.sized()?)?;
-                Some(WalRecord::Decided {
-                    group,
-                    position,
-                    entry: Arc::new(entry),
-                })
-            }
-            _ => None,
-        }
+        let (&tag, rest) = payload.split_first()?;
+        let mut r = Reader::new(std::str::from_utf8(rest).ok()?);
+        let group = GroupId(r.id()?);
+        let position = LogPosition(r.num()?);
+        let record = match tag {
+            b'P' => WalRecord::Promise {
+                group,
+                position,
+                ballot: read_ballot(&mut r)?,
+            },
+            b'V' => WalRecord::Vote {
+                group,
+                position,
+                ballot: read_ballot(&mut r)?,
+                entry: Arc::new(LogEntry::decode(r.string()?)?),
+            },
+            b'D' => WalRecord::Decided {
+                group,
+                position,
+                entry: Arc::new(LogEntry::decode(r.string()?)?),
+            },
+            _ => return None,
+        };
+        r.end()?;
+        Some(record)
     }
 }
 
-/// Minimal space-separated field reader for the record codec.
-struct Cursor<'a>(&'a str);
-
-impl<'a> Cursor<'a> {
-    fn word(&mut self) -> Option<&'a str> {
-        let s = self.0;
-        match s.split_once(' ') {
-            Some((w, rest)) => {
-                self.0 = rest;
-                Some(w)
-            }
-            None if !s.is_empty() => {
-                self.0 = "";
-                Some(s)
-            }
-            None => None,
-        }
-    }
-
-    fn num(&mut self) -> Option<u64> {
-        self.word()?.parse().ok()
-    }
-
-    /// A `len:bytes` field (the bytes may contain spaces).
-    fn sized(&mut self) -> Option<&'a str> {
-        let (len, rest) = self.0.split_once(':')?;
-        let len: usize = len.parse().ok()?;
-        let bytes = rest.get(..len)?;
-        self.0 = &rest[len..];
-        Some(bytes)
-    }
-
-    fn rest(&self) -> &'a str {
-        self.0
-    }
+/// A ballot as [`WalRecord::encode`] writes it: `round:proposer`.
+fn read_ballot(r: &mut Reader<'_>) -> Option<Ballot> {
+    let round = r.num()?;
+    r.tag(":")?;
+    let proposer = r.decimal()?;
+    Some(Ballot { round, proposer })
 }
 
 /// Result of replaying a WAL directory.

@@ -14,6 +14,7 @@
 //! test the promotion enhancement runs on every contended commit — is a
 //! binary search over it.
 
+use crate::codec::{Reader, TokenWriter};
 use crate::ident::{AttrId, GroupId, KeyId};
 use crate::types::{ItemRef, LogPosition, ReadRecord, Transaction, TxnId, WriteRecord};
 
@@ -116,9 +117,9 @@ impl LogEntry {
             .any(|r| self.write_items.binary_search(&r.item.packed()).is_ok())
     }
 
-    /// Encode the entry for the write-ahead log's vote and decided records.
-    /// The format is a compact ASCII token stream; thanks to interning,
-    /// every field except the observed/written values is an integer.
+    /// Encode the entry for the write-ahead log's vote and decided records,
+    /// in the [`crate::codec`] token format; thanks to interning, every
+    /// field except the observed/written values is an integer.
     pub fn encode(&self) -> String {
         // Room for the paper's shape — five reads and five writes of short
         // values in ≈ 190 bytes — so the buffer is allocated once; a larger
@@ -129,31 +130,31 @@ impl LogEntry {
             .map(|t| t.reads().len() + t.writes().len())
             .sum();
         let mut out = String::with_capacity(16 + self.transactions.len() * 48 + items * 24);
-        out.push_str("LE1 ");
-        out.push_str(if self.noop { "1" } else { "0" });
-        push_num(&mut out, self.transactions.len() as u64);
+        out.raw("LE1");
+        out.num(u64::from(self.noop));
+        out.num(self.transactions.len() as u64);
         for txn in &self.transactions {
-            push_num(&mut out, txn.id.client as u64);
-            push_num(&mut out, txn.id.seq);
-            push_num(&mut out, txn.group.0 as u64);
-            push_num(&mut out, txn.read_position.0);
-            push_num(&mut out, txn.reads().len() as u64);
+            out.num(u64::from(txn.id.client));
+            out.num(txn.id.seq);
+            out.num(u64::from(txn.group.0));
+            out.num(txn.read_position.0);
+            out.num(txn.reads().len() as u64);
             for read in txn.reads() {
-                push_num(&mut out, read.item.key.0 as u64);
-                push_num(&mut out, read.item.attr.0 as u64);
+                out.num(u64::from(read.item.key.0));
+                out.num(u64::from(read.item.attr.0));
                 match &read.observed {
                     Some(value) => {
-                        out.push_str(" 1");
-                        push_str(&mut out, value);
+                        out.num(1);
+                        out.string(value);
                     }
-                    None => out.push_str(" 0"),
+                    None => out.num(0),
                 }
             }
-            push_num(&mut out, txn.writes().len() as u64);
+            out.num(txn.writes().len() as u64);
             for write in txn.writes() {
-                push_num(&mut out, write.item.key.0 as u64);
-                push_num(&mut out, write.item.attr.0 as u64);
-                push_str(&mut out, &write.value);
+                out.num(u64::from(write.item.key.0));
+                out.num(u64::from(write.item.attr.0));
+                out.string(&write.value);
             }
         }
         out
@@ -162,141 +163,39 @@ impl LogEntry {
     /// Decode an entry produced by [`LogEntry::encode`]; `None` for
     /// malformed input.
     pub fn decode(input: &str) -> Option<LogEntry> {
-        let mut cursor = Cursor::new(input);
-        cursor.expect_tag("LE1")?;
-        let noop = cursor.num()? == 1;
-        let ntxn = cursor.num()? as usize;
-        // Refuse absurd counts rather than attempting a huge allocation.
-        if ntxn > input.len() {
-            return None;
-        }
+        let mut r = Reader::new(input);
+        r.tag("LE1")?;
+        let noop = r.num()? == 1;
+        let ntxn = r.count()?;
         let mut transactions = Vec::with_capacity(ntxn);
         for _ in 0..ntxn {
-            let client = u32::try_from(cursor.num()?).ok()?;
-            let seq = cursor.num()?;
-            let group = GroupId(u32::try_from(cursor.num()?).ok()?);
-            let read_position = LogPosition(cursor.num()?);
-            let nreads = cursor.num()? as usize;
-            if nreads > input.len() {
-                return None;
-            }
+            let id = TxnId::new(r.id()?, r.num()?);
+            let group = GroupId(r.id()?);
+            let read_position = LogPosition(r.num()?);
+            let nreads = r.count()?;
             let mut reads = Vec::with_capacity(nreads);
             for _ in 0..nreads {
-                let item = cursor.item()?;
-                let observed = match cursor.num()? {
+                let item = ItemRef::new(KeyId(r.id()?), AttrId(r.id()?));
+                let observed = match r.num()? {
                     0 => None,
-                    1 => Some(cursor.string()?),
+                    1 => Some(r.string()?.to_string()),
                     _ => return None,
                 };
                 reads.push(ReadRecord { item, observed });
             }
-            let nwrites = cursor.num()? as usize;
-            if nwrites > input.len() {
-                return None;
-            }
+            let nwrites = r.count()?;
             let mut writes = Vec::with_capacity(nwrites);
             for _ in 0..nwrites {
-                let item = cursor.item()?;
-                let value = cursor.string()?;
+                let item = ItemRef::new(KeyId(r.id()?), AttrId(r.id()?));
+                let value = r.string()?.to_string();
                 writes.push(WriteRecord { item, value });
             }
-            transactions.push(Transaction::new(
-                TxnId::new(client, seq),
-                group,
-                read_position,
-                reads,
-                writes,
-            ));
+            transactions.push(Transaction::new(id, group, read_position, reads, writes));
         }
-        if !cursor.at_end() {
-            return None;
-        }
+        r.end()?;
         let mut entry = LogEntry::combined(transactions);
         entry.noop = noop;
         Some(entry)
-    }
-}
-
-/// Append a space and `n` in decimal. The digits are produced in a stack
-/// buffer and copied once: an entry carries some forty integers and is
-/// encoded several times per commit, so a `String` per integer was most of
-/// the codec's cost.
-fn push_num(out: &mut String, mut n: u64) {
-    // u64::MAX has 20 decimal digits.
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push(' ');
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
-}
-
-/// Append a length-prefixed string (`len:bytes`), so values need no
-/// escaping.
-fn push_str(out: &mut String, s: &str) {
-    push_num(out, s.len() as u64);
-    out.push(':');
-    out.push_str(s);
-}
-
-struct Cursor<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(input: &'a str) -> Self {
-        Cursor { rest: input }
-    }
-
-    fn expect_tag(&mut self, tag: &str) -> Option<()> {
-        self.rest = self.rest.strip_prefix(tag)?;
-        Some(())
-    }
-
-    fn skip_space(&mut self) -> Option<()> {
-        self.rest = self.rest.strip_prefix(' ')?;
-        Some(())
-    }
-
-    fn num(&mut self) -> Option<u64> {
-        self.skip_space()?;
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return None;
-        }
-        let (digits, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        digits.parse().ok()
-    }
-
-    fn item(&mut self) -> Option<ItemRef> {
-        let key = KeyId(u32::try_from(self.num()?).ok()?);
-        let attr = AttrId(u32::try_from(self.num()?).ok()?);
-        Some(ItemRef::new(key, attr))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.num()? as usize;
-        self.rest = self.rest.strip_prefix(':')?;
-        if !self.rest.is_char_boundary(len) || self.rest.len() < len {
-            return None;
-        }
-        let (value, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        Some(value.to_string())
-    }
-
-    fn at_end(&self) -> bool {
-        self.rest.is_empty()
     }
 }
 

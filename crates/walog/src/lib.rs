@@ -28,11 +28,16 @@
 //! Decided log values are shared as `Arc<LogEntry>` across messages, votes,
 //! replica logs and install paths: one allocation per decided value, no
 //! matter how many replicas learn it.
+//!
+//! [`codec`] is the token format every durable byte is written in: log
+//! entries here, and the write-ahead-log records and group snapshots of the
+//! `storage` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;
+pub mod codec;
 pub mod combine;
 mod entry;
 pub mod ident;

@@ -36,6 +36,9 @@ const CLOCK_TAG: u64 = u64::MAX;
 /// always or never collide, which no real deployment exhibits.
 const OP_JITTER: f64 = 0.5;
 const ARRIVAL_JITTER: f64 = 0.3;
+/// Snapshot reads one actor keeps in flight, queueing the rest: what turns
+/// a remote serving replica's RTT into a throughput ceiling.
+const MAX_OPEN_SNAPSHOTS: usize = 4;
 
 /// Interned ids of every name a load touches, resolved once before the run
 /// so the hot loop never consults the symbol table.
@@ -193,7 +196,7 @@ pub struct LoadActor {
     by_id: HashMap<TxnId, u64>,
     awaiting_id: Vec<(TxnHandle, u64)>,
     /// Snapshot-read arrivals waiting for one of the actor's
-    /// `max_open_snapshots` slots, as (scheduled arrival, key).
+    /// [`MAX_OPEN_SNAPSHOTS`] slots, as (scheduled arrival, key).
     backlog: VecDeque<(u64, u64)>,
     open_snapshots: usize,
     /// The instant the clock timer is armed for, if it is.
@@ -279,8 +282,8 @@ impl LoadActor {
     fn draw_gap(&mut self) -> u64 {
         match self.arrival {
             Arrival::Closed { .. } => self.jittered(self.mean_gap, ARRIVAL_JITTER),
-            Arrival::Open { poisson: false, .. } => self.mean_gap.as_micros().max(1),
-            // Exponential, floored at 1 µs so the schedule always advances.
+            // Poisson arrivals: exponential gaps, floored at 1 µs so the
+            // schedule always advances.
             Arrival::Open { .. } => {
                 let mean = self.mean_gap.as_micros() as f64;
                 (-mean * (1.0 - self.rng.gen::<f64>()).ln()).max(1.0) as u64
@@ -497,7 +500,7 @@ impl LoadActor {
         origin_us: u64,
         key: u64,
     ) {
-        if self.open_snapshots >= self.mix.max_open_snapshots.max(1) {
+        if self.open_snapshots >= MAX_OPEN_SNAPSHOTS {
             self.backlog.push_back((origin_us, key));
             return;
         }

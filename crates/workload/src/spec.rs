@@ -58,13 +58,12 @@ pub enum Arrival {
         /// Gap between successive actors' first transactions.
         stagger: SimDuration,
     },
-    /// Arrivals scheduled independently of completions; every outcome is
-    /// charged from its *scheduled* arrival (no coordinated omission).
+    /// Poisson arrivals, scheduled independently of completions; every
+    /// outcome is charged from its *scheduled* arrival (no coordinated
+    /// omission).
     Open {
         /// Aggregate offered load over all actors, transactions per second.
         offered_tps: f64,
-        /// Poisson arrivals (true) or a fixed interarrival interval.
-        poisson: bool,
         /// Span over which load is offered. Every arrival's commit ends
         /// when its session ends it: decided, or given up once its
         /// patience and re-submission budget run out.
@@ -99,9 +98,6 @@ pub struct OpMix {
     pub snapshot_fraction: f64,
     /// Snapshot reads are served by the first N datacenters (clamped).
     pub serving_replicas: usize,
-    /// Snapshot reads one actor keeps in flight, queueing the rest: what
-    /// turns a remote serving replica's RTT into a throughput ceiling.
-    pub max_open_snapshots: usize,
     /// Execution cost per operation (virtual or wall time): keeps a
     /// transaction open, which creates contention for its log position.
     pub op_delay: SimDuration,
@@ -197,7 +193,6 @@ impl LoadSpec {
                 read_fraction: 0.5,
                 snapshot_fraction: 0.0,
                 serving_replicas: 1,
-                max_open_snapshots: 4,
                 op_delay: SimDuration::from_millis(18),
             },
             keyspace: Keyspace {
@@ -232,7 +227,6 @@ impl LoadSpec {
             placement: Placement::RoundRobin,
             arrival: Arrival::Open {
                 offered_tps: offered_tps.max(1.0),
-                poisson: true,
                 duration: SimDuration::from_millis(1_200),
             },
             mix: OpMix {
@@ -295,7 +289,6 @@ impl LoadSpec {
             actors: Some(6),
             arrival: Arrival::Open {
                 offered_tps: 200.0,
-                poisson: true,
                 duration,
             },
             keyspace: Keyspace {
