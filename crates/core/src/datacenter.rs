@@ -11,7 +11,8 @@
 //!
 //! Everything here speaks interned ids: logs are keyed by `GroupId`,
 //! entries install as shared `Arc<LogEntry>`s, and applying an entry
-//! assembles per-key rows with integer attribute ids.
+//! hands the store each written row's integer attribute ids and borrowed
+//! values, one call per row.
 
 use mvkv::{Key, MvKvStore, Row, Timestamp};
 use parking_lot::Mutex;
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use storage::{
     DcStorage, DurableConfig, GroupSnapshot, SnapshotRow, StorageError, StorageStats, WalRecord,
 };
-use walog::{AttrId, GroupId, GroupLog, KeyId, LogEntry, LogPosition, TxnId};
+use walog::{AttrId, GroupId, GroupLog, ItemRef, KeyId, LogEntry, LogPosition, TxnId};
 
 /// Shared handle to a datacenter's storage state.
 pub type SharedCore = Arc<Mutex<DatacenterCore>>;
@@ -234,7 +235,7 @@ impl DatacenterCore {
             .map(|(group, _)| group)
             .collect();
         for group in groups {
-            self.apply_durable(group);
+            self.apply_durable(group, true);
             let prefix = self.read_position(group);
             self.maybe_snapshot(group, prefix);
         }
@@ -325,9 +326,9 @@ impl DatacenterCore {
     /// group's gap-free prefix after the install. Entries decided out of
     /// pipeline order install at once but apply strictly in position order:
     /// an entry above a gap waits, and the prefix stays below it.
-    /// Keys written by newly applied entries are version-GC'd behind the
-    /// group's read-lease watermark (see
-    /// [`DatacenterCore::begin_read_lease`]).
+    /// Each applied entry writes each row it touches in one store call,
+    /// which also version-GCs that row behind the group's read-lease
+    /// watermark (see [`DatacenterCore::begin_read_lease`]).
     ///
     /// With storage attached the entry's `Decided` record is appended but
     /// not synced, and the entry applies only once a sync makes it durable:
@@ -377,19 +378,45 @@ impl DatacenterCore {
                 self.unsynced.insert((group, position));
             }
         }
-        self.apply_durable(group);
+        self.apply_durable(group, true);
         prefix
     }
 
-    /// Apply the group's gap-free entries below its first undurable one and
-    /// version-GC the keys they wrote.
-    fn apply_durable(&mut self, group: GroupId) {
+    /// Apply the group's gap-free entries below its first undurable one in
+    /// one pass: one store call per row an entry writes, at the entry's
+    /// position, which with `reclaim` also version-GCs the row behind the
+    /// group's watermark. An apply moves neither the prefix nor a lease,
+    /// so the watermark holds still throughout. A combined entry writes
+    /// each row once, in key order; a later transaction's write of an
+    /// attribute wins, matching the serialization order within the entry.
+    fn apply_durable(&mut self, group: GroupId, reclaim: bool) {
         let through = self.durable_through(group);
+        let behind = reclaim
+            .then(|| self.gc_watermark(group))
+            .filter(|watermark| *watermark > LogPosition::ZERO)
+            .map(LogPosition::as_timestamp);
         let Some(log) = self.logs.get_mut(&group) else {
             return;
         };
-        let applied_keys = Self::apply_contiguous(log, &self.store, group, through);
-        self.gc_applied_keys(group, applied_keys);
+        let key_of = |packed: &u64| ItemRef::from_packed(*packed).key;
+        for (position, entry) in log.unapplied(through) {
+            for items in entry.write_items().chunk_by(|a, b| key_of(a) == key_of(b)) {
+                let key = key_of(&items[0]);
+                let attrs = entry
+                    .transactions()
+                    .iter()
+                    .flat_map(|txn| txn.writes())
+                    .filter(|write| write.item.key == key)
+                    .map(|write| (write.item.attr.into(), write.value.as_str()));
+                self.reclaimed_versions += self.store.apply_and_reclaim(
+                    Self::app_key(group, key),
+                    attrs,
+                    position.as_timestamp(),
+                    behind,
+                ) as u64;
+            }
+        }
+        log.mark_applied_through(through);
     }
 
     /// How far the group may apply: its gap-free prefix, cut below the
@@ -514,48 +541,6 @@ impl DatacenterCore {
         }
     }
 
-    /// Apply every decided-but-unapplied entry of the group's log through
-    /// `through` (at most its gap-free prefix) to the key-value store;
-    /// returns the store keys written.
-    fn apply_contiguous(
-        log: &mut GroupLog,
-        store: &MvKvStore,
-        group: GroupId,
-        through: LogPosition,
-    ) -> Vec<Key> {
-        let Some(pending) = log.unapplied_range(through) else {
-            return Vec::new();
-        };
-        let mut applied = Vec::new();
-        for (pos, entry) in pending {
-            for (key, row) in Self::entry_writes(group, &entry) {
-                store.apply_idempotent(key, row, Timestamp(pos.0));
-                applied.push(key);
-            }
-            log.mark_applied_through(pos);
-        }
-        applied.sort_unstable();
-        applied.dedup();
-        applied
-    }
-
-    /// Reclaim store versions of freshly written keys that no active reader
-    /// can still need: everything strictly older than the newest version at
-    /// or below the group's watermark (min leased read position, capped by
-    /// the applied prefix).
-    fn gc_applied_keys(&mut self, group: GroupId, keys: Vec<Key>) {
-        if keys.is_empty() {
-            return;
-        }
-        let watermark = self.gc_watermark(group);
-        if watermark == LogPosition::ZERO {
-            return;
-        }
-        for key in keys {
-            self.reclaimed_versions += self.store.gc_behind(key, Timestamp(watermark.0)) as u64;
-        }
-    }
-
     /// The version-GC watermark of a group: no reader is (or will be)
     /// pinned below it. Future readers begin at the applied prefix; active
     /// ones hold leases; the horizon adds slack below both.
@@ -614,29 +599,6 @@ impl DatacenterCore {
         self.reclaimed_versions
     }
 
-    /// Collapse an entry's writes into one row-delta per (group-qualified)
-    /// key, in key order. Later transactions in a combined entry overwrite
-    /// earlier ones, matching the serialization order within the entry.
-    fn entry_writes(group: GroupId, entry: &LogEntry) -> Vec<(Key, Row)> {
-        let mut writes: Vec<_> = entry
-            .transactions()
-            .iter()
-            .flat_map(|txn| txn.writes())
-            .map(|write| (Self::app_key(group, write.item.key), write))
-            .collect();
-        // Stable: a key's writes keep their serialization order.
-        writes.sort_by_key(|(key, _)| *key);
-        let mut rows: Vec<(Key, Row)> = Vec::new();
-        for (key, write) in writes {
-            let (attr, value) = (write.item.attr.into(), write.value.as_str());
-            match rows.last_mut() {
-                Some((last, row)) if *last == key => row.set(attr, value),
-                _ => rows.push((key, Row::new().with(attr, value))),
-            }
-        }
-        rows
-    }
-
     /// Read one item as of `read_position` (A2). Fails when the local log
     /// has a gap at or below the read position: this replica must catch up
     /// first (§4.1, Fault Tolerance and Recovery). A read covering an entry
@@ -662,10 +624,7 @@ impl DatacenterCore {
             }
             // Apply but do not GC here: GC runs only on install, behind the
             // lease watermark.
-            let through = self.durable_through(group);
-            if let Some(log) = self.logs.get_mut(&group) {
-                let _ = Self::apply_contiguous(log, &self.store, group, through);
-            }
+            self.apply_durable(group, false);
         }
         Ok(self.store.read_attr_at(
             Self::app_key(group, key),

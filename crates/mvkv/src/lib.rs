@@ -31,6 +31,11 @@
 //! of timestamped values, and a per-key schedule records which attributes
 //! each version wrote. A write costs what it sets, however wide the row;
 //! whole versions ([`Row`]) are materialised only for reads and dumps.
+//!
+//! A replica applies a decided row with [`MvKvStore::apply_and_reclaim`]:
+//! the write at the entry's log position and the version GC behind the
+//! readers' watermark, under one lock and one row lookup, taking the
+//! attributes as borrowed pairs so no [`Row`] is built for it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,7 +42,7 @@ struct VersionedRow {
     /// how many attributes it wrote.
     versions: VecDeque<(Timestamp, usize)>,
     /// The attributes each retained version wrote, in version order and
-    /// within a version in attribute order.
+    /// within a version in the order they were first set.
     written: VecDeque<Attr>,
 }
 
@@ -61,11 +61,16 @@ impl VersionedRow {
         Some(&self.cells[find(&self.cells, attr).ok()?].1)
     }
 
-    /// Record a new latest version at `target` writing `attrs`: every other
-    /// attribute keeps the value it had (merge-upsert).
-    fn push(&mut self, target: Timestamp, attrs: Row) {
-        self.versions.push_back((target, attrs.len()));
-        for (attr, value) in attrs.0 {
+    /// Record a new latest version at `target` writing `attrs`, where a
+    /// later pair for the same attribute wins: every other attribute keeps
+    /// the value it had (merge-upsert).
+    fn push<V: Into<Arc<str>>>(
+        &mut self,
+        target: Timestamp,
+        attrs: impl IntoIterator<Item = (Attr, V)>,
+    ) {
+        let mut wrote = 0;
+        for (attr, value) in attrs {
             let at = match find(&self.cells, attr) {
                 Ok(at) => at,
                 Err(at) => {
@@ -73,9 +78,17 @@ impl VersionedRow {
                     at
                 }
             };
-            self.cells[at].1.push((target, value));
-            self.written.push_back(attr);
+            let cell = &mut self.cells[at].1;
+            match cell.last_mut() {
+                Some((ts, old)) if *ts == target => *old = value.into(),
+                _ => {
+                    cell.push((target, value.into()));
+                    self.written.push_back(attr);
+                    wrote += 1;
+                }
+            }
         }
+        self.versions.push_back((target, wrote));
     }
 
     /// The whole version at `ts`: every attribute's value as of it.
@@ -118,13 +131,11 @@ impl VersionedRow {
             let row = if i == 0 {
                 self.materialize(ts)
             } else {
-                Row(attrs
-                    .map(|attr| {
-                        let cell = self.cell(*attr).expect("a written attribute has a cell");
-                        let value = value_at(cell, ts).expect("a retained write keeps its entry");
-                        (*attr, Arc::clone(value))
-                    })
-                    .collect())
+                Row::from_pairs(attrs.map(|attr| {
+                    let cell = self.cell(*attr).expect("a written attribute has a cell");
+                    let value = value_at(cell, ts).expect("a retained write keeps its entry");
+                    (*attr, Arc::clone(value))
+                }))
             };
             out.push((ts, row));
         }
@@ -228,7 +239,7 @@ impl MvKvStore {
             (None, Some(l)) => l.next(),
             (None, None) => Timestamp(1),
         };
-        row.push(target, attrs);
+        row.push(target, attrs.0);
         inner.stats.writes += 1;
         Ok(target)
     }
@@ -242,6 +253,35 @@ impl MvKvStore {
             Ok(_) => true,
             Err(MvkvError::StaleTimestamp { .. }) => false,
         }
+    }
+
+    /// Apply one decided write of `key` at `ts` and reclaim behind
+    /// `watermark`, under one lock and one row lookup. The write is
+    /// [`MvKvStore::apply_idempotent`]'s — a no-op when a version at the same
+    /// or a greater timestamp exists — with a later pair for the same
+    /// attribute winning. Then, given a watermark, every version older than
+    /// the newest one at or below it goes, since a reader pinned at the
+    /// watermark still needs that one ([`MvKvStore::version_floor`] then
+    /// [`MvKvStore::gc_versions_before`]). Returns the versions removed.
+    pub fn apply_and_reclaim<'a>(
+        &self,
+        key: Key,
+        attrs: impl IntoIterator<Item = (Attr, &'a str)>,
+        ts: Timestamp,
+        watermark: Option<Timestamp>,
+    ) -> usize {
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        let row = inner.rows.entry(key).or_default();
+        if row.latest_ts().is_some_and(|latest| ts <= latest) {
+            inner.stats.stale_writes += 1;
+        } else {
+            row.push(ts, attrs);
+            inner.stats.writes += 1;
+        }
+        watermark
+            .and_then(|watermark| row.floor(watermark))
+            .map_or(0, |floor| row.gc_before(floor))
     }
 
     /// The store's protocol table, created empty on first use. It shares
@@ -292,19 +332,6 @@ impl MvKvStore {
             .rows
             .get_mut(&key)
             .map_or(0, |row| row.gc_before(keep_from))
-    }
-
-    /// Drop every version of `key` older than its newest version at or
-    /// below `watermark`, which a reader pinned at the watermark still
-    /// needs: [`MvKvStore::version_floor`] then
-    /// [`MvKvStore::gc_versions_before`] in one lookup. Returns the number
-    /// of versions removed.
-    pub fn gc_behind(&self, key: Key, watermark: Timestamp) -> usize {
-        let mut inner = self.inner.write();
-        let Some(row) = inner.rows.get_mut(&key) else {
-            return 0;
-        };
-        row.floor(watermark).map_or(0, |floor| row.gc_before(floor))
     }
 
     /// Snapshot of the operation counters.
@@ -506,16 +533,48 @@ mod tests {
         // GC at the floor keeps exactly what a reader pinned there needs.
         let floor = store.version_floor(K, Timestamp(4)).unwrap();
         assert_eq!(store.gc_versions_before(K, floor), 0);
-        assert_eq!(store.gc_behind(K, Timestamp(4)), 0);
         assert_eq!(
             store.read_attr(K, A, Some(Timestamp(4))).as_deref(),
             Some("2")
         );
-        // Behind a watermark past the latest version only the latest stays.
-        assert_eq!(store.gc_behind(K, Timestamp(1)), 0);
-        assert_eq!(store.gc_behind(K, Timestamp(9)), 1);
-        assert_eq!(store.gc_behind(Key(999), Timestamp(9)), 0);
+    }
+
+    #[test]
+    fn apply_and_reclaim_writes_once_and_reclaims_behind_the_watermark() {
+        let store = MvKvStore::new();
+        // A later pair for an attribute wins; no watermark, nothing goes.
+        let attrs = [(A, "a2"), (B, "b2"), (A, "a2'")];
+        assert_eq!(store.apply_and_reclaim(K, attrs, Timestamp(2), None), 0);
+        assert_eq!(
+            store.read_attr_at(K, A, Timestamp(2)).as_deref(),
+            Some("a2'")
+        );
+        assert_eq!(
+            store.read(K, None).unwrap().row,
+            row(&[(A, "a2'"), (B, "b2")])
+        );
+        // Behind a watermark below every version nothing goes either.
+        assert_eq!(
+            store.apply_and_reclaim(K, [(B, "b5")], Timestamp(5), Some(Timestamp(1))),
+            0
+        );
+        // A replay at an existing timestamp writes nothing but still
+        // reclaims: only the newest version at or below 9 stays.
+        assert_eq!(
+            store.apply_and_reclaim(K, [(A, "x")], Timestamp(5), Some(Timestamp(9))),
+            1
+        );
         assert_eq!(store.version_count(K), 1);
+        assert_eq!(
+            store.read(K, None).unwrap().row,
+            row(&[(A, "a2'"), (B, "b5")])
+        );
+        assert_eq!(store.stats().writes, 2);
+        assert_eq!(store.stats().stale_writes, 1);
+        assert_eq!(
+            store.apply_and_reclaim(Key(999), [(A, "1")], Timestamp(1), Some(Timestamp(9))),
+            0
+        );
     }
 
     #[test]

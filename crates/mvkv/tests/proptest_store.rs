@@ -193,9 +193,15 @@ enum HistoryOp {
     },
     /// Version GC below `keep_from`, which need not be a version timestamp.
     Gc { key: u8, keep_from: u64 },
-    /// The apply-time GC of a datacenter: everything older than the newest
-    /// version at or below `watermark`.
-    GcBehind { key: u8, watermark: u64 },
+    /// A datacenter's apply of one decided row: the write as `Write` makes
+    /// it, then, given a watermark, the GC of everything older than the
+    /// newest version at or below it — in one store call.
+    ApplyAndReclaim {
+        key: u8,
+        attrs: Vec<(u8, u16)>,
+        gap: u64,
+        watermark: Option<u64>,
+    },
 }
 
 fn write_op() -> impl Strategy<Value = HistoryOp> {
@@ -207,7 +213,23 @@ fn write_op() -> impl Strategy<Value = HistoryOp> {
         .prop_map(|(key, attrs, gap)| HistoryOp::Write { key, attrs, gap })
 }
 
-/// Writes outnumber GC passes two to one, so histories grow between GCs.
+fn apply_and_reclaim_op() -> impl Strategy<Value = HistoryOp> {
+    (
+        0u8..3,
+        proptest::collection::vec((0u8..ATTRS, any::<u16>()), 1..5),
+        0u64..4,
+        proptest::option::of(0u64..80),
+    )
+        .prop_map(|(key, attrs, gap, watermark)| HistoryOp::ApplyAndReclaim {
+            key,
+            attrs,
+            gap,
+            watermark,
+        })
+}
+
+/// Writes outnumber GC passes two to one, so histories grow between GCs
+/// (an apply that reclaims counts as both).
 fn history_op() -> impl Strategy<Value = HistoryOp> {
     prop_oneof![
         write_op(),
@@ -215,7 +237,7 @@ fn history_op() -> impl Strategy<Value = HistoryOp> {
         write_op(),
         write_op(),
         (0u8..3, 0u64..80).prop_map(|(key, keep_from)| HistoryOp::Gc { key, keep_from }),
-        (0u8..3, 0u64..80).prop_map(|(key, watermark)| HistoryOp::GcBehind { key, watermark }),
+        apply_and_reclaim_op(),
     ]
 }
 
@@ -239,15 +261,29 @@ fn apply(store: &MvKvStore, model: &mut Model, op: HistoryOp) -> u8 {
             );
             key
         }
-        HistoryOp::GcBehind { key, watermark } => {
-            let floor = store.version_floor(Key(key as u64), Timestamp(watermark));
-            assert_eq!(floor, model.version_floor(key, watermark).map(Timestamp));
-            if let Some(floor) = floor {
-                assert_eq!(
-                    store.gc_versions_before(Key(key as u64), floor),
-                    model.gc_versions_before(key, floor.0)
-                );
-            }
+        HistoryOp::ApplyAndReclaim {
+            key,
+            attrs,
+            gap,
+            watermark,
+        } => {
+            let ts = model.latest(key).unwrap_or(0) + gap;
+            let values: Vec<(Attr, String)> = attrs
+                .iter()
+                .map(|(a, v)| (Attr(*a as u32), v.to_string()))
+                .collect();
+            model.write(key, &attrs, Some(ts));
+            let floor = watermark.and_then(|watermark| model.version_floor(key, watermark));
+            let reclaimed = floor.map_or(0, |floor| model.gc_versions_before(key, floor));
+            assert_eq!(
+                store.apply_and_reclaim(
+                    Key(key as u64),
+                    values.iter().map(|(a, v)| (*a, v.as_str())),
+                    Timestamp(ts),
+                    watermark.map(Timestamp),
+                ),
+                reclaimed
+            );
             key
         }
     }

@@ -387,37 +387,6 @@ mod tests {
         assert_eq!(report.stats.dropped_loss, 0);
     }
 
-    /// A worker with nothing of its own due sleeps for the 1 ms cap; a
-    /// delivery due before then must wake it. A lost wake-up costs up to
-    /// the cap per hop, a prompt hop about one minimum sleep.
-    #[test]
-    fn a_delivery_due_before_a_sleeping_workers_wake_reaches_it_promptly() {
-        let config = NetworkConfig::uniform(SimDuration::from_micros(20));
-        let mut rt: ParallelRuntime<Msg> = ParallelRuntime::new(config, 2, 5);
-        let site = rt.add_site("only");
-        let done = Arc::new(AtomicUsize::new(0));
-        let ponger = rt.add_node(site, 0, Box::new(Ponger));
-        rt.add_node(
-            site,
-            1,
-            Box::new(Pinger {
-                target: ponger,
-                rounds: 200,
-                done: done.clone(),
-            }),
-        );
-        let flag = done.clone();
-        let report = rt.run(Duration::from_secs(10), move || {
-            flag.load(Ordering::SeqCst) == 1
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 1);
-        assert!(
-            report.elapsed < Duration::from_micros(200 * 500),
-            "200 round trips took {:?}",
-            report.elapsed
-        );
-    }
-
     struct TimerChain {
         left: u32,
         done: Arc<AtomicUsize>,

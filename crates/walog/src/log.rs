@@ -4,6 +4,7 @@ use crate::entry::LogEntry;
 use crate::types::{LogPosition, Transaction};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Errors raised by log maintenance.
@@ -43,7 +44,9 @@ impl std::error::Error for LogError {}
 /// and learn later positions first); the log tracks both the highest decided
 /// position and the highest position up to which the prefix is gap-free,
 /// plus an *applied* cursor recording how far entries have been flushed into
-/// the local key-value store.
+/// the local key-value store. The replica applies in one pass: it walks
+/// [`GroupLog::unapplied`] by reference, writing each entry to the store,
+/// then moves the cursor with [`GroupLog::mark_applied_through`].
 ///
 /// A log may be **truncated**: entries at or below the `base` position are
 /// dropped once a snapshot covers them (see the storage plane). The base
@@ -218,23 +221,23 @@ impl GroupLog {
         }
     }
 
-    /// Entries decided but not yet applied, up to `through`, in order.
-    /// Returns `None` if some position in `(applied_through, through]` is
-    /// missing (the caller must catch up first).
-    pub fn unapplied_range(
+    /// The entries decided but not yet applied, through `through`, in
+    /// position order and by reference. `through` is at most the gap-free
+    /// prefix, so the run has no gap.
+    pub fn unapplied(
         &self,
         through: LogPosition,
-    ) -> Option<Vec<(LogPosition, Arc<LogEntry>)>> {
-        let mut out = Vec::new();
-        let mut pos = self.applied_through.next();
-        while pos <= through {
-            match self.entries.get(&pos) {
-                Some(e) => out.push((pos, Arc::clone(e))),
-                None => return None,
-            }
-            pos = pos.next();
-        }
-        Some(out)
+    ) -> impl Iterator<Item = (LogPosition, &Arc<LogEntry>)> {
+        debug_assert!(
+            through <= self.prefix,
+            "apply bound {through} is past the gap-free prefix {}",
+            self.prefix
+        );
+        let bounds = (
+            Bound::Excluded(self.applied_through),
+            Bound::Included(through.max(self.applied_through)),
+        );
+        self.entries.range(bounds).map(|(p, e)| (*p, e))
     }
 
     /// How far `txn`, validated through `validated`, may be promoted past
@@ -318,25 +321,28 @@ mod tests {
         assert_eq!(log.contiguous_prefix(), LogPosition(4));
     }
 
+    fn unapplied(log: &GroupLog, through: u64) -> Vec<u64> {
+        log.unapplied(LogPosition(through))
+            .map(|(p, _)| p.0)
+            .collect()
+    }
+
     #[test]
-    fn applied_cursor_and_unapplied_range() {
+    fn applied_cursor_and_unapplied_entries() {
         let mut log = GroupLog::new();
         for i in 1..=3 {
             log.install(LogPosition(i), entry(i)).unwrap();
         }
-        let pending = log.unapplied_range(LogPosition(3)).unwrap();
-        assert_eq!(pending.len(), 3);
+        assert_eq!(unapplied(&log, 3), [1, 2, 3]);
+        assert_eq!(unapplied(&log, 2), [1, 2]);
         log.mark_applied_through(LogPosition(2));
         assert_eq!(log.applied_through(), LogPosition(2));
-        let pending = log.unapplied_range(LogPosition(3)).unwrap();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, LogPosition(3));
-        // Cursor never regresses.
+        assert_eq!(unapplied(&log, 3), [3]);
+        // Cursor never regresses, and a bound below it names nothing.
         log.mark_applied_through(LogPosition(1));
         assert_eq!(log.applied_through(), LogPosition(2));
-        // A gap makes the range unavailable.
-        log.install(LogPosition(5), entry(5)).unwrap();
-        assert!(log.unapplied_range(LogPosition(5)).is_none());
+        assert!(unapplied(&log, 1).is_empty());
+        assert!(unapplied(&log, 2).is_empty());
     }
 
     #[test]
@@ -373,8 +379,7 @@ mod tests {
         // Entries after the base extend the prefix normally.
         log.install(LogPosition(6), entry(6)).unwrap();
         assert_eq!(log.contiguous_prefix(), LogPosition(6));
-        let pending = log.unapplied_range(LogPosition(6)).unwrap();
-        assert_eq!(pending.len(), 1);
+        assert_eq!(unapplied(&log, 6), [6]);
     }
 
     #[test]
